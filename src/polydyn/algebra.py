@@ -29,6 +29,7 @@ from polydyn.core import (
     FinSet,
     Lens,
     SetFn,
+    SizeLimitError,
     _escape,
     coequalizer_set,
     constant,
@@ -54,6 +55,7 @@ __all__ = [
     "poly_tensor",
     "tensor_many",
     "poly_compose",
+    "COMPOSE_LIMIT",
     "compose_power",
     "sum_map",
     "product_map",
@@ -165,25 +167,58 @@ def poly_tensor(p: FinPoly, q: FinPoly) -> FinPoly:
     return tensor_many([p, q])
 
 
-@lru_cache(maxsize=8192)
-def _compose_dirs(src_dirs: tuple, targets: tuple) -> FinSet:
-    # Shared across compose positions: the direction set depends only on the
-    # source directions and the direction sets of the chosen targets.
-    out = []
-    for d, dset in zip(src_dirs, targets):
-        for e in dset.elements:
-            out.append(pair_label(d, e))
-    return FinSet(tuple(out))
+# poly_compose refuses to build more positions than this.
+COMPOSE_LIMIT = 1 << 22
 
 
-@lru_cache(maxsize=8192)
+class _Ordered:
+    """Cache key for a polynomial that also tells apart its orders.
+
+    FinPoly equality ignores the order of positions and directions, but
+    the labels and the order of a composite depend on both.
+    """
+
+    __slots__ = ("poly",)
+
+    def __init__(self, poly: FinPoly):
+        self.poly = poly
+
+    def __hash__(self) -> int:
+        return hash(self.poly)
+
+    def __eq__(self, other) -> bool:
+        a, b = self.poly, other.poly
+        return a is b or (
+            a.position_labels == b.position_labels
+            and all(x.elements == y.elements for (_, x), (_, y) in zip(a.positions, b.positions))
+        )
+
+
 def poly_compose(p: FinPoly, q: FinPoly) -> FinPoly:
-    """Substitution p∘q: a p-position plus a q-position chosen per direction."""
+    """Substitution p∘q: a p-position plus a q-position chosen per direction.
+
+    p∘q has Σ_i |q(1)|^|p_i| positions; above COMPOSE_LIMIT this raises
+    SizeLimitError before building anything.
+    """
+    n = q.num_positions()
+    predicted = sum(n ** len(dirs) for _, dirs in p.positions)
+    if predicted > COMPOSE_LIMIT:
+        raise SizeLimitError("poly_compose", predicted, COMPOSE_LIMIT)
+    return _poly_compose(_Ordered(p), _Ordered(q))
+
+
+@lru_cache(maxsize=8192)
+def _poly_compose(pk: _Ordered, qk: _Ordered) -> FinPoly:
+    p, q = pk.poly, qk.poly
     qlabels = q.position_labels
     # Each position label is pair(i, table).  The table alphabet is small and
     # fixed, so pre-escape the fragments and assemble labels with one join.
     esc2_vals = {v: _escape(_escape(v)) for v in qlabels}
-    qdirs = dict(q._dirs)
+    # Positions whose chosen targets have the same direction lists share
+    # one direction set; each distinct list gets a small integer.
+    kinds: dict[tuple, int] = {}
+    qkind = {v: kinds.setdefault(q.directions(v).elements, len(kinds)) for v in qlabels}
+    qdirs = {v: q.directions(v).elements for v in qlabels}
     positions = []
     for i, dirs in p.positions:
         ds = dirs.elements
@@ -192,10 +227,16 @@ def poly_compose(p: FinPoly, q: FinPoly) -> FinPoly:
             {v: _escape(_escape(d)) + "\\:" + ev for v, ev in esc2_vals.items()}
             for d in ds
         ]
+        shared: dict[tuple, FinSet] = {}
         for values in itertools.product(qlabels, repeat=len(ds)):
             body = "\\,".join(frag[v] for frag, v in zip(frags, values))
-            profile = tuple(qdirs[v] for v in values)
-            positions.append((prefix + body + "\\])", _compose_dirs(ds, profile)))
+            profile = tuple(qkind[v] for v in values)
+            dset = shared.get(profile)
+            if dset is None:
+                dset = shared[profile] = FinSet(
+                    tuple(pair_label(d, e) for d, v in zip(ds, values) for e in qdirs[v])
+                )
+            positions.append((prefix + body + "\\])", dset))
     return FinPoly(positions)
 
 

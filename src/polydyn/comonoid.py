@@ -1,11 +1,19 @@
-"""Comonoids for the substitution product, and their reading as categories.
+"""Comonoids for the substitution product, stored as small categories.
 
 A comonoid is a carrier polynomial with a counit lens into y and a
 comultiplication lens into carrier∘carrier, satisfying counitality and
-coassociativity on the nose.  Such a structure is exactly a small category:
-positions are objects, the directions at a position are the morphisms out
-of it, the counit picks out identities, and the comultiplication encodes
-codomains (forward part) and composition (backward part).
+coassociativity on the nose.  Such a structure is exactly a small category
+(Ahman and Uustalu): positions are objects, the directions at a position
+are the morphisms out of it, the counit picks out identities, and the
+comultiplication encodes codomains (forward part) and composition
+(backward part).
+
+This module takes that reading as its representation.  A Comonoid keeps
+the category tables (identities, codomains, composites) as its data; the
+comultiplication lens is derived from them on first access, because its
+codomain carrier∘carrier has Σ_i |carrier(1)|^|carrier_i| positions and
+most uses never need it.  The law checker, the category reading, the
+behavior maps and the run loops in dynamics read the tables directly.
 
 Morphisms of comonoids are lenses compatible with both structure maps;
 under the category reading they are cofunctors, not functors: forward on
@@ -43,13 +51,11 @@ from .core import (
 from .algebra import (
     compose_map,
     compose_power,
-    duoidal,
     poly_compose,
     poly_product,
-    poly_sum,
-    poly_tensor,
     product_map,
-    tensor_map,
+    sum_many,
+    tensor_many,
     terminal_lens,
 )
 
@@ -83,12 +89,28 @@ __all__ = [
 
 
 class Comonoid:
-    """A comonoid for the substitution product.
+    """A comonoid for the substitution product, kept as its category tables.
 
-    Only the shapes are enforced here: counit goes carrier → y and comult
-    goes carrier → carrier∘carrier.  The laws are a separate, exhaustive
-    check (check_comonoid_laws) so that invalid candidates can be examined
-    and reported rather than rejected at construction.
+    Per carrier position i:
+
+      identity[i]           the direction the counit picks at i;
+      base[i]               the outer position of the comultiplication at
+                            i, which is i itself in every lawful comonoid;
+      codomain[i][d]        the position direction d leads to, for each
+                            direction d at base[i];
+      composite[i][(d, e)]  the direction at i that d followed by e
+                            composes to, for each e at codomain[i][d].
+
+    The tables are read-only once built.  counit is the lens carrier → y
+    built from identity.  comult, the lens carrier → carrier∘carrier with
+    the structured labels of poly_compose, is derived from the tables on
+    first access and then kept; equality and hashing never force it.
+
+    Comonoid(carrier, counit, comult) reads the tables off the two lenses.
+    Only the shapes are enforced, structurally: codomains are positions
+    and composites are directions at the source.  The laws are a separate,
+    exhaustive check (check_comonoid_laws) so that invalid candidates can
+    be examined and reported rather than rejected at construction.
     """
 
     def __init__(self, carrier: FinPoly, counit: Lens, comult: Lens):
@@ -96,24 +118,172 @@ class Comonoid:
             raise ValueError("counit must be a lens carrier → y")
         if comult.dom != carrier or comult.cod != poly_compose(carrier, carrier):
             raise ValueError("comult must be a lens carrier → carrier∘carrier")
+        identity = {}
+        base = {}
+        codomain = {}
+        composite = {}
+        for i in carrier.position_labels:
+            identity[i] = counit.on_dir[i]["*"]
+            base[i], table = split_pair(comult.on_pos[i])
+            codomain[i] = split_fn(table)
+            composite[i] = {split_pair(de): v for de, v in comult.on_dir[i].items()}
+        self._adopt(carrier, identity, codomain, composite, base)
+
+    @classmethod
+    def _from_tables(
+        cls,
+        carrier: FinPoly,
+        identity: dict,
+        codomain: dict,
+        composite: dict,
+        base: dict | None = None,
+    ) -> "Comonoid":
+        """Internal constructor: takes the tables over without copying them.
+
+        base defaults to the identity on positions.  Positions may share
+        one codomain or composite dict when their tables agree.
+        """
+        c = object.__new__(cls)
+        if base is None:
+            base = {i: i for i in carrier.position_labels}
+        c._adopt(carrier, identity, codomain, composite, base)
+        return c
+
+    def _adopt(self, carrier, identity, codomain, composite, base) -> None:
+        _check_tables(carrier, identity, codomain, composite, base)
         self.carrier = carrier
-        self.counit = counit
-        self.comult = comult
+        self.identity = identity
+        self.base = base
+        self.codomain = codomain
+        self.composite = composite
+        self.counit = Lens._make(
+            carrier,
+            Y,
+            {i: "*" for i in carrier.position_labels},
+            {i: {"*": identity[i]} for i in carrier.position_labels},
+        )
+        self._comult = None
+        self._contractible = None
+
+    @property
+    def comult(self) -> Lens:
+        """The comultiplication lens, derived from the tables and kept.
+
+        Building it materialises carrier∘carrier; poly_compose refuses
+        that beyond its size limit.
+        """
+        if self._comult is None:
+            carrier = self.carrier
+            on_pos = {i: _comult_label(self, i) for i in carrier.position_labels}
+            on_dir = {
+                i: {pair_label(d, e): v for (d, e), v in self.composite[i].items()}
+                for i in carrier.position_labels
+            }
+            self._comult = Lens(
+                carrier, poly_compose(carrier, carrier), on_pos, on_dir
+            )
+        return self._comult
+
+    def is_contractible(self) -> bool:
+        """Is this contractible(S) on its own position set S?
+
+        That is: every direction set is S, the identity at x is x, and
+        every direction leads to the position it names, composing to its
+        second factor.  Read off the tables and kept.
+        """
+        if self._contractible is None:
+            self._contractible = _is_contractible(self)
+        return self._contractible
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Comonoid):
             return NotImplemented
         return (
             self.carrier == other.carrier
-            and self.counit == other.counit
-            and self.comult == other.comult
+            and self.identity == other.identity
+            and self.base == other.base
+            and self.codomain == other.codomain
+            and self.composite == other.composite
         )
 
     def __hash__(self) -> int:
-        return hash((self.carrier, self.counit, self.comult))
+        return hash((self.carrier, frozenset(self.identity.items())))
 
     def __repr__(self) -> str:
         return f"Comonoid(carrier={self.carrier!s})"
+
+
+def _check_tables(carrier, identity, codomain, composite, base) -> None:
+    """Structural shape check, one pass over the tables.
+
+    Positions that share the same direction sets and table dicts are
+    checked once, so shared tables cost their own size, not that times
+    the number of positions.
+    """
+    labels = carrier.position_labels
+    for name, table in (
+        ("identity", identity),
+        ("codomain", codomain),
+        ("composite", composite),
+        ("base", base),
+    ):
+        if len(table) != len(labels) or any(i not in table for i in labels):
+            raise ValueError(f"{name} table must have one entry per carrier position")
+    checked = set()
+    for i in labels:
+        here = carrier.directions(i)
+        if identity[i] not in here:
+            raise ValueError(f"identity at {i!r} is not a direction there: {identity[i]!r}")
+        b = base[i]
+        if b not in carrier._dirs:
+            raise ValueError(f"base of {i!r} is not a position: {b!r}")
+        out = carrier.directions(b)
+        cod, comp = codomain[i], composite[i]
+        key = (id(here), id(out), id(cod), id(comp))
+        if key in checked:
+            continue
+        if len(cod) != len(out) or any(d not in cod for d in out.elements):
+            raise ValueError(f"codomain table at {i!r} must cover the directions at {b!r}")
+        pairs = 0
+        for d in out.elements:
+            j = cod[d]
+            if j not in carrier._dirs:
+                raise ValueError(f"codomain of {d!r} at {i!r} is not a position: {j!r}")
+            for e in carrier.directions(j).elements:
+                if comp.get((d, e)) not in here:
+                    raise ValueError(
+                        f"composite of ({d!r}, {e!r}) at {i!r} is missing "
+                        f"or not a direction at {i!r}"
+                    )
+            pairs += len(carrier.directions(j))
+        if len(comp) != pairs:
+            raise ValueError(f"composite table at {i!r} has non-composable keys")
+        checked.add(key)
+
+
+def _comult_label(c: Comonoid, i: str) -> str:
+    """The carrier∘carrier position the comultiplication sends i to."""
+    b = c.base[i]
+    return pair_label(b, fn_label(c.codomain[i], c.carrier.directions(b).elements))
+
+
+def _is_contractible(c: Comonoid) -> bool:
+    positions = c.carrier.positions_set()
+    checked = set()
+    for x in positions.elements:
+        if c.carrier.directions(x) != positions:
+            return False
+        if c.identity[x] != x or c.base[x] != x:
+            return False
+        cod, comp = c.codomain[x], c.composite[x]
+        if (id(cod), id(comp)) in checked:
+            continue
+        if any(cod[t] != t for t in positions.elements):
+            return False
+        if any(comp[(t, u)] != u for t in positions.elements for u in positions.elements):
+            return False
+        checked.add((id(cod), id(comp)))
+    return True
 
 
 def _lens_differences(law: str, left: Lens, right: Lens) -> list[dict]:
@@ -147,17 +317,14 @@ def check_comonoid_laws(c: Comonoid) -> dict:
     of the equation disagree.
 
     Every law is an equation between lenses out of the carrier, so both
-    sides are evaluated pointwise from the structure maps' own tables.
-    This agrees with forming the composite lenses through compose_map and
-    the unitors/associator, but the doubly and triply substituted
-    codomains are never materialized, which keeps the check fast even
-    when carrier∘carrier is huge.
+    sides are evaluated pointwise from the comonoid's tables.  The records
+    carry the labels that forming the composite lenses through compose_map
+    and the unitors/associator would give, but neither carrier∘carrier nor
+    the triply substituted codomain is ever materialized.
     """
     carrier = c.carrier
-    cc = c.comult.cod
-    comult_pos = c.comult.on_pos
-    comult_dir = c.comult.on_dir
-    eps_at = {j: c.counit.on_dir[j]["*"] for j in carrier.position_labels}
+    dirs = carrier.directions
+    ident, base, cod, comp = c.identity, c.base, c.codomain, c.composite
     violations = []
 
     # Left counitality: the left unitor after (counit ∘̂ id) after comult
@@ -165,18 +332,16 @@ def check_comonoid_laws(c: Comonoid) -> dict:
     # composite sends i to phi(eps(i1)) and pulls e back to
     # comult♯(eps(i1), e).
     for i in carrier.position_labels:
-        i1, phi_lab = split_pair(comult_pos[i])
-        phi = split_fn(phi_lab)
-        s = eps_at[i1]
-        pos = phi[s]
+        s = ident[base[i]]
+        pos = cod[i][s]
         if pos != i:
             violations.append(
                 {"law": "left_counit", "position": i, "left": pos, "right": i}
             )
             continue
-        dsharp = comult_dir[i]
-        for e in carrier.directions(i).elements:
-            v = dsharp[pair_label(s, e)]
+        composite = comp[i]
+        for e in dirs(i).elements:
+            v = composite[(s, e)]
             if v != e:
                 violations.append(
                     {
@@ -191,16 +356,16 @@ def check_comonoid_laws(c: Comonoid) -> dict:
     # Right counitality: the right unitor after (id ∘̂ counit) after comult.
     # The composite sends i to i1 and pulls d back to comult♯(d, eps(phi(d))).
     for i in carrier.position_labels:
-        i1, phi_lab = split_pair(comult_pos[i])
-        phi = split_fn(phi_lab)
+        i1 = base[i]
         if i1 != i:
             violations.append(
                 {"law": "right_counit", "position": i, "left": i1, "right": i}
             )
             continue
-        dsharp = comult_dir[i]
-        for d in carrier.directions(i1).elements:
-            v = dsharp[pair_label(d, eps_at[phi[d]])]
+        phi = cod[i]
+        composite = comp[i]
+        for d in dirs(i1).elements:
+            v = composite[(d, ident[phi[d]])]
             if v != d:
                 violations.append(
                     {
@@ -214,56 +379,56 @@ def check_comonoid_laws(c: Comonoid) -> dict:
 
     # Coassociativity: the associator after (comult ∘̂ id) after comult must
     # equal (id ∘̂ comult) after comult.  Both sides land in
-    # carrier∘(carrier∘carrier); their position labels and direction tables
-    # are assembled here exactly as the composites would produce them.
+    # carrier∘(carrier∘carrier).  At i with comult target (i1, phi) and
+    # comult(i1) = (i2, psi), the left side's position is (i2, e ↦ (psi(e),
+    # g ↦ phi(comp_i1(e, g)))) and the right side's is (i1, d ↦
+    # comult(phi(d))); the labels are rendered only for a violation.
     for i in carrier.position_labels:
-        i1, phi_lab = split_pair(comult_pos[i])
-        phi = split_fn(phi_lab)
-        a1 = comult_pos[i1]
-        i2, psi_lab = split_pair(a1)
-        psi = split_fn(psi_lab)
-        dsharp1 = comult_dir[i1]
-
-        phi2 = {de: phi[dsharp1[de]] for de in cc.directions(a1).elements}
-        chi = {}
-        for e in carrier.directions(i2).elements:
-            j = psi[e]
-            jdirs = carrier.directions(j).elements
-            inner = {g: phi2[pair_label(e, g)] for g in jdirs}
-            chi[e] = pair_label(j, fn_label(inner, jdirs))
-        left_pos = pair_label(i2, fn_label(chi, carrier.directions(i2).elements))
-
-        i1dirs = carrier.directions(i1).elements
-        table = {d: comult_pos[phi[d]] for d in i1dirs}
-        right_pos = pair_label(i1, fn_label(table, i1dirs))
-
-        if left_pos != right_pos:
+        i1 = base[i]
+        phi = cod[i]
+        i2 = base[i1]
+        psi = cod[i1]
+        comp1 = comp[i1]
+        i1dirs = dirs(i1).elements
+        if i2 != i1 or any(
+            psi[e] != base[phi[e]]
+            or any(phi[comp1[(e, g)]] != cod[phi[e]][g] for g in dirs(psi[e]).elements)
+            for e in i1dirs
+        ):
+            chi = {}
+            for e in dirs(i2).elements:
+                j = psi[e]
+                jdirs = dirs(j).elements
+                inner = {g: phi[comp1[(e, g)]] for g in jdirs}
+                chi[e] = pair_label(j, fn_label(inner, jdirs))
+            table = {d: _comult_label(c, phi[d]) for d in i1dirs}
             violations.append(
                 {
                     "law": "coassociativity",
                     "position": i,
-                    "left": left_pos,
-                    "right": right_pos,
+                    "left": pair_label(i2, fn_label(chi, dirs(i2).elements)),
+                    "right": pair_label(i1, fn_label(table, i1dirs)),
                 }
             )
             continue
-        dsharp = comult_dir[i]
+        composite = comp[i]
         for d in i1dirs:
-            inner_sharp = comult_dir[phi[d]]
-            for eg in cc.directions(table[d]).elements:
-                e, g = split_pair(eg)
-                lv = dsharp[pair_label(dsharp1[pair_label(d, e)], g)]
-                rv = dsharp[pair_label(d, inner_sharp[eg])]
-                if lv != rv:
-                    violations.append(
-                        {
-                            "law": "coassociativity",
-                            "position": i,
-                            "direction": pair_label(d, eg),
-                            "left": lv,
-                            "right": rv,
-                        }
-                    )
+            k = phi[d]
+            inner = comp[k]
+            for e in dirs(base[k]).elements:
+                for g in dirs(cod[k][e]).elements:
+                    lv = composite[(comp1[(d, e)], g)]
+                    rv = composite[(d, inner[(e, g)])]
+                    if lv != rv:
+                        violations.append(
+                            {
+                                "law": "coassociativity",
+                                "position": i,
+                                "direction": pair_label(d, pair_label(e, g)),
+                                "left": lv,
+                                "right": rv,
+                            }
+                        )
 
     return {"ok": not violations, "violations": violations}
 
@@ -540,20 +705,15 @@ def comonoid_to_category(c: Comonoid) -> FinCat:
     objects = carrier.positions_set()
     morphisms = []
     compose = {}
-    cod_table = {}
-    for i in carrier.position_labels:
-        _, table_lab = split_pair(c.comult.on_pos[i])
-        cod_table[i] = split_fn(table_lab)
-        for d in carrier.directions(i).elements:
-            morphisms.append((tag_label(i, d), i, cod_table[i][d]))
-    identity = {
-        i: tag_label(i, c.counit.on_dir[i]["*"]) for i in carrier.position_labels
-    }
     for i in carrier.position_labels:
         for d in carrier.directions(i).elements:
-            j = cod_table[i][d]
+            morphisms.append((tag_label(i, d), i, c.codomain[i][d]))
+    identity = {i: tag_label(i, c.identity[i]) for i in carrier.position_labels}
+    for i in carrier.position_labels:
+        for d in carrier.directions(i).elements:
+            j = c.codomain[i][d]
             for e in carrier.directions(j).elements:
-                composite = c.comult.on_dir[i][pair_label(d, e)]
+                composite = c.composite[i][(d, e)]
                 compose[(tag_label(j, e), tag_label(i, d))] = tag_label(i, composite)
     return FinCat(objects, morphisms, identity, compose)
 
@@ -569,27 +729,19 @@ def category_to_comonoid(k: FinCat) -> Comonoid:
     if not report["ok"]:
         first = report["violations"][0]
         raise ValueError(f"category axioms fail: {first!r}")
-    carrier = category_carrier(k)
-    counit = Lens(
-        carrier,
-        Y,
-        {o: "*" for o in carrier.position_labels},
-        {o: {"*": k.identity[o]} for o in carrier.position_labels},
+    objects = k.objects.elements
+    codomain = {o: {m: k.cod_of[m] for m in k.out[o]} for o in objects}
+    composite = {
+        o: {
+            (m, m2): k.compose2(m2, m)
+            for m in k.out[o]
+            for m2 in k.out[k.cod_of[m]]
+        }
+        for o in objects
+    }
+    return Comonoid._from_tables(
+        category_carrier(k), dict(k.identity), codomain, composite
     )
-    on_pos = {}
-    on_dir = {}
-    for o in carrier.position_labels:
-        outgoing = k.out[o]
-        on_pos[o] = pair_label(
-            o, fn_label({m: k.cod_of[m] for m in outgoing}, outgoing)
-        )
-        comp = {}
-        for m in outgoing:
-            for m2 in k.out[k.cod_of[m]]:
-                comp[pair_label(m, m2)] = k.compose2(m2, m)
-        on_dir[o] = comp
-    comult = Lens(carrier, poly_compose(carrier, carrier), on_pos, on_dir)
-    return Comonoid(carrier, counit, comult)
 
 
 def contractible(s: FinSet) -> Comonoid:
@@ -597,39 +749,33 @@ def contractible(s: FinSet) -> Comonoid:
 
     Its category has object set S and exactly one morphism between any
     ordered pair of objects.  The counit evaluates at the current state.
+    All positions share one codomain table and one composite table, so
+    building it costs |S|² rather than |S|³.
     """
     elems = s.elements
-    carrier = make_poly([(x, elems) for x in elems])
-    counit = Lens(
+    dirs = FinSet(elems)
+    carrier = FinPoly([(x, dirs) for x in elems])
+    codomain = {t: t for t in elems}
+    composite = {(t, u): u for t in elems for u in elems}
+    return Comonoid._from_tables(
         carrier,
-        Y,
-        {x: "*" for x in elems},
-        {x: {"*": x} for x in elems},
+        {x: x for x in elems},
+        dict.fromkeys(elems, codomain),
+        dict.fromkeys(elems, composite),
     )
-    table = fn_label({t: t for t in elems}, elems)
-    comult = Lens(
-        carrier,
-        poly_compose(carrier, carrier),
-        {x: pair_label(x, table) for x in elems},
-        {x: {pair_label(t, u): u for t in elems for u in elems} for x in elems},
-    )
-    return Comonoid(carrier, counit, comult)
 
 
 def discrete_comonoid(s: FinSet) -> Comonoid:
     """The comonoid S·y: the discrete category on S (identities only)."""
     elems = s.elements
     carrier = make_poly([(x, ["*"]) for x in elems])
-    counit = Lens(
-        carrier, Y, {x: "*" for x in elems}, {x: {"*": "*"} for x in elems}
+    composite = {("*", "*"): "*"}
+    return Comonoid._from_tables(
+        carrier,
+        dict.fromkeys(elems, "*"),
+        {x: {"*": x} for x in elems},
+        dict.fromkeys(elems, composite),
     )
-    on_pos = {}
-    on_dir = {}
-    for x in elems:
-        on_pos[x] = pair_label(x, fn_label({"*": x}, ["*"]))
-        on_dir[x] = {pair_label("*", "*"): "*"}
-    comult = Lens(carrier, poly_compose(carrier, carrier), on_pos, on_dir)
-    return Comonoid(carrier, counit, comult)
 
 
 # ---------------------------------------------------------------------------
@@ -638,46 +784,55 @@ def discrete_comonoid(s: FinSet) -> Comonoid:
 
 def comonoid_sum(c: Comonoid, d: Comonoid) -> Comonoid:
     """Carrier C+D with the summand structures side by side."""
-    carrier = poly_sum(c.carrier, d.carrier)
-    counit_pos = {}
-    counit_dir = {}
-    comult_pos = {}
-    comult_dir = {}
+    identity = {}
+    base = {}
+    codomain = {}
+    composite = {}
     for key, part in (("0", c), ("1", d)):
         for i in part.carrier.position_labels:
             lab = tag_label(key, i)
-            counit_pos[lab] = "*"
-            counit_dir[lab] = dict(part.counit.on_dir[i])
-            inner, table_lab = split_pair(part.comult.on_pos[i])
-            table = split_fn(table_lab)
-            dirs = part.carrier.directions(inner).elements
-            comult_pos[lab] = pair_label(
-                tag_label(key, inner),
-                fn_label({e: tag_label(key, table[e]) for e in dirs}, dirs),
-            )
-            # summand directions are untouched by +, so the backward map
-            # carries over verbatim
-            comult_dir[lab] = dict(part.comult.on_dir[i])
-    counit = Lens(carrier, Y, counit_pos, counit_dir)
-    comult = Lens(carrier, poly_compose(carrier, carrier), comult_pos, comult_dir)
-    return Comonoid(carrier, counit, comult)
+            identity[lab] = part.identity[i]
+            base[lab] = tag_label(key, part.base[i])
+            codomain[lab] = {
+                e: tag_label(key, j) for e, j in part.codomain[i].items()
+            }
+            # summand directions are untouched by +, so composites carry
+            # over verbatim
+            composite[lab] = dict(part.composite[i])
+    # sum_many, not the cached poly_sum: that cache confuses carriers that
+    # list the same directions in different orders
+    carrier = sum_many([("0", c.carrier), ("1", d.carrier)])
+    return Comonoid._from_tables(carrier, identity, codomain, composite, base)
 
 
 def comonoid_tensor(c: Comonoid, d: Comonoid) -> Comonoid:
-    """Carrier C⊗D; comultiplication is δ_C⊗δ_D pushed through interchange."""
-    carrier = poly_tensor(c.carrier, d.carrier)
-    counit_pos = {}
-    counit_dir = {}
+    """Carrier C⊗D: the product of the two categories, table by table.
+
+    Positions, directions, identities, codomains and composites are all
+    pairs of the factors' ones; this is δ_C⊗δ_D pushed through the
+    interchange lens, without building either carrier∘carrier.
+    """
+    identity = {}
+    base = {}
+    codomain = {}
+    composite = {}
     for i in c.carrier.position_labels:
-        ei = c.counit.on_dir[i]["*"]
+        ci = c.codomain[i]
         for j in d.carrier.position_labels:
+            dj = d.codomain[j]
             lab = pair_label(i, j)
-            counit_pos[lab] = "*"
-            counit_dir[lab] = {"*": pair_label(ei, d.counit.on_dir[j]["*"])}
-    counit = Lens(carrier, Y, counit_pos, counit_dir)
-    interchange = duoidal(c.carrier, c.carrier, d.carrier, d.carrier)
-    comult = lens_compose(interchange, tensor_map(c.comult, d.comult))
-    return Comonoid(carrier, counit, comult)
+            identity[lab] = pair_label(c.identity[i], d.identity[j])
+            base[lab] = pair_label(c.base[i], d.base[j])
+            codomain[lab] = {
+                pair_label(x, y): pair_label(ci[x], dj[y]) for x in ci for y in dj
+            }
+            composite[lab] = {
+                (pair_label(x, y), pair_label(x2, y2)): pair_label(u, v)
+                for (x, x2), u in c.composite[i].items()
+                for (y, y2), v in d.composite[j].items()
+            }
+    carrier = tensor_many([c.carrier, d.carrier])
+    return Comonoid._from_tables(carrier, identity, codomain, composite, base)
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +1049,7 @@ def nstep_behavior(c: Comonoid, f: Lens, n: int) -> SetFn:
     carrier positions to positions of p^∘n, the trees of depth-n
     observations; states with the same image are n-bisimilar.
 
-    The trees are assembled recursively from the comultiplication and f's
+    The trees are assembled recursively from the codomain table and f's
     tables.  This equals the on-positions part of the composite
     carrier → carrier^∘n → p^∘n built with compose_map and the iterated
     comultiplication, but the carrier powers are never materialized.
@@ -905,7 +1060,6 @@ def nstep_behavior(c: Comonoid, f: Lens, n: int) -> SetFn:
         raise ValueError("n must be non-negative")
     p = f.cod
     cod = compose_power(p, n).positions_set()
-    comult_pos = c.comult.on_pos
     memo: dict[tuple[str, int], str] = {}
 
     def img(s: str, k: int) -> str:
@@ -915,8 +1069,8 @@ def nstep_behavior(c: Comonoid, f: Lens, n: int) -> SetFn:
             return f.on_pos[s]
         got = memo.get((s, k))
         if got is None:
-            s1, phi_lab = split_pair(comult_pos[s])
-            phi = split_fn(phi_lab)
+            s1 = c.base[s]
+            phi = c.codomain[s]
             b = f.on_pos[s1]
             fsharp = f.on_dir[s1]
             pdirs = p.directions(b).elements

@@ -56,7 +56,23 @@ __all__ = [
     "setfn_to_json",
     "setfn_from_json",
     "canonical_json",
+    "SizeLimitError",
 ]
+
+
+class SizeLimitError(ValueError):
+    """A construction would exceed its fixed size limit.
+
+    Raised from the predicted size, before anything is allocated.
+    """
+
+    def __init__(self, operation: str, predicted: int, limit: int):
+        super().__init__(
+            f"{operation} would build {predicted} positions, above the limit of {limit}"
+        )
+        self.operation = operation
+        self.predicted = predicted
+        self.limit = limit
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,6 @@ from polydyn.core import (
     lens_compose,
     monomial,
     pair_label,
-    split_fn,
-    split_pair,
     tag_label,
 )
 from polydyn.algebra import (
@@ -377,19 +375,8 @@ def run_moore(m: MooreMachine, inputs: Sequence[str]) -> Trace:
 
 
 def _successor(state: Comonoid, s: str, e: str) -> str:
-    # the comultiplication's forward table records where each direction lands
-    _, phi_lab = split_pair(state.comult.on_pos[s])
-    return split_fn(phi_lab)[e]
-
-
-def _identity_direction(state: Comonoid, s: str) -> str:
-    return state.counit.on_dir[s]["*"]
-
-
-def _compose_direction(state: Comonoid, s0: str, acc: str, e: str) -> str:
-    # acc then e, as directions out of s0; this is the state category's
-    # composition read straight off the comultiplication
-    return state.comult.on_dir[s0][pair_label(acc, e)]
+    # the state category's codomain table: where direction e out of s leads
+    return state.codomain[s][e]
 
 
 def _check_state(sys: MDDS, s: str) -> None:
@@ -411,7 +398,7 @@ def step(sys: MDDS, s: str, d: str) -> tuple[str, str]:
     at the emitted position — which directions are available depends on
     the position, and that is the whole point of mode dependence.
     """
-    if sys.state != contractible(sys.state.carrier.positions_set()):
+    if not sys.state.is_contractible():
         raise ValueError("step needs a contractible state comonoid")
     _check_state(sys, s)
     b = sys.dynamics.on_pos[s]
@@ -431,7 +418,8 @@ def unroll(sys: MDDS, s: str, depth: int) -> StrategyTree:
     _check_state(sys, s)
     f = sys.dynamics
     p = sys.interface
-    comult_pos = sys.state.comult.on_pos
+    base = sys.state.base
+    codomain = sys.state.codomain
     empty = StrategyTree.empty()
 
     def grow(state: str, k: int) -> StrategyTree:
@@ -442,8 +430,8 @@ def unroll(sys: MDDS, s: str, depth: int) -> StrategyTree:
             return StrategyTree(
                 1, b, {d: empty for d in p.directions(b).elements}
             )
-        s1, phi_lab = split_pair(comult_pos[state])
-        phi = split_fn(phi_lab)
+        s1 = base[state]
+        phi = codomain[state]
         b = f.on_pos[s1]
         pulled = f.on_dir[s1]
         branches = {
@@ -493,7 +481,8 @@ def run_closed(sys: MDDS, steps: int, start: str) -> Trace:
     """Iterate a closed system (interface y) for a number of steps.
 
     Each step consumes the unique direction "*"; the successor state is
-    read off the comultiplication, so any lawful state comonoid works.
+    read off the state category's codomain table, so any lawful state
+    comonoid works.
     """
     if sys.interface != Y:
         raise ValueError("run_closed needs the closed interface y")
@@ -501,15 +490,16 @@ def run_closed(sys: MDDS, steps: int, start: str) -> Trace:
         raise ValueError("steps must be non-negative")
     _check_state(sys, start)
     f = sys.dynamics
-    c = sys.state
+    codomain = sys.state.codomain
+    composite = sys.state.composite[start]
     s = start
-    acc = _identity_direction(c, start)
+    acc = sys.state.identity[start]
     out = []
     for _ in range(steps):
         e = f.on_dir[s]["*"]
         out.append((s, f.on_pos[s], "*"))
-        acc = _compose_direction(c, start, acc, e)
-        s = _successor(c, s, e)
+        acc = composite[(acc, e)]
+        s = codomain[s][e]
     out.append((s, f.on_pos[s], None))
     return Trace(tuple(out), s, tag_label(start, acc))
 
@@ -520,18 +510,21 @@ def run_open(sys: MDDS, inputs: Sequence[str], start: str) -> Trace:
         raise ValueError("run_open needs a monomial interface B·y^A")
     _check_state(sys, start)
     f = sys.dynamics
-    c = sys.state
+    # a monomial interface offers the same inputs at every position
+    legal = sys.interface.positions[0][1]
+    codomain = sys.state.codomain
+    composite = sys.state.composite[start]
     s = start
-    acc = _identity_direction(c, start)
+    acc = sys.state.identity[start]
     out = []
     for a in inputs:
-        b = f.on_pos[s]
-        if a not in sys.interface.directions(b):
+        if a not in legal:
             raise ValueError(f"unknown input element {a!r}")
+        b = f.on_pos[s]
         e = f.on_dir[s][a]
         out.append((s, b, a))
-        acc = _compose_direction(c, start, acc, e)
-        s = _successor(c, s, e)
+        acc = composite[(acc, e)]
+        s = codomain[s][e]
     out.append((s, f.on_pos[s], None))
     return Trace(tuple(out), s, tag_label(start, acc))
 
@@ -540,18 +533,18 @@ def trace_history(sys: MDDS, s0: str, directions: Sequence[str]) -> str:
     """The state-category morphism a direction sequence traces out.
 
     With no directions this is the identity morphism at s0; otherwise the
-    composite of the pulled-back directions, folded through the
-    comultiplication.  The result is the morphism's label in
+    composite of the pulled-back directions, folded through the state
+    category's composite table.  The result is the morphism's label in
     comonoid_to_category(sys.state).
     """
     _check_state(sys, s0)
-    c = sys.state
+    composite = sys.state.composite[s0]
     s = s0
-    acc = _identity_direction(c, s0)
+    acc = sys.state.identity[s0]
     for d in directions:
         e = _pull_direction(sys, s, d)
-        acc = _compose_direction(c, s0, acc, e)
-        s = _successor(c, s, e)
+        acc = composite[(acc, e)]
+        s = _successor(sys.state, s, e)
     return tag_label(s0, acc)
 
 

@@ -13,9 +13,11 @@ from polydyn.core import (
     FinSet,
     Lens,
     SetFn,
+    SizeLimitError,
     canonical_form,
     constant,
     eval_poly,
+    fn_label,
     is_cartesian,
     is_epi,
     is_vertical,
@@ -23,9 +25,12 @@ from polydyn.core import (
     lens_id,
     linear,
     make_poly,
+    monomial,
+    pair_label,
     representable,
 )
 from polydyn.algebra import (
+    COMPOSE_LIMIT,
     Diagram,
     adjunction_suite,
     base_change,
@@ -150,6 +155,44 @@ def test_tensor_example():
 def test_compose_example():
     lhs = poly_compose(poly_of((2, 1), (1, 1)), poly_of((3, 1), (0, 1)))
     assert canonical_form(lhs) == canonical_form(poly_of((6, 1), (3, 3), (0, 2)))
+
+
+def test_compose_is_refused_above_its_size_limit_before_building():
+    # y^22 + 1 substituted into 2: 2^22 + 1 positions, one over the limit
+    p = make_poly([("big", [f"d{k}" for k in range(22)]), ("c", [])])
+    two = constant(FinSet(("u", "v")))
+    with pytest.raises(SizeLimitError) as info:
+        poly_compose(p, two)
+    assert isinstance(info.value, ValueError)
+    assert info.value.operation == "poly_compose"
+    assert info.value.predicted == 2**22 + 1
+    assert info.value.limit == COMPOSE_LIMIT == 2**22
+    assert str(2**22 + 1) in str(info.value)
+
+
+def test_compose_of_six_state_carriers_stays_allowed():
+    six = FinSet(tuple(f"s{k}" for k in range(6)))
+    s6 = monomial(six, six)
+    assert poly_compose(s6, s6).num_positions() == 6 * 6**6 == 279_936
+
+
+def test_compose_cache_tells_apart_orders():
+    p1 = make_poly([("a", ["x", "y"])])
+    p2 = make_poly([("a", ["y", "x"])])
+    q = make_poly([("u", ["e"]), ("v", [])])
+    poly_compose(p1, q)
+    lens = compose_map(lens_id(p2), lens_id(q))
+    assert lens.dom.position_labels == tuple(
+        pair_label("a", fn_label({"y": j, "x": k}, ["y", "x"]))
+        for j in ("u", "v")
+        for k in ("u", "v")
+    )
+    # direction order follows the targets' own direction order
+    q1 = make_poly([("u", ["e", "f"])])
+    q2 = make_poly([("u", ["f", "e"])])
+    poly_compose(Y, q1)
+    (_, dirs), = poly_compose(Y, q2).positions
+    assert dirs.elements == (pair_label("*", "f"), pair_label("*", "e"))
 
 
 def test_units():

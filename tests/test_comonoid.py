@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import pytest
 
@@ -7,7 +8,9 @@ from polydyn.core import (
     Lens,
     SetFn,
     FinSet,
+    SizeLimitError,
     Y,
+    canonical_json,
     fn_label,
     lens_compose,
     lens_id,
@@ -18,6 +21,7 @@ from polydyn.core import (
     tag_label,
 )
 from polydyn.algebra import (
+    COMPOSE_LIMIT,
     compose_associator,
     compose_left_unitor,
     compose_map,
@@ -51,6 +55,7 @@ from polydyn.comonoid import (
     lens_to_cofunctor,
     nstep_behavior,
 )
+from polydyn.dynamics import MooreMachine, moore_to_mdds, run_open
 
 from conftest import all_lenses
 
@@ -806,3 +811,281 @@ def test_comonoid_shape_validation():
         Comonoid(c2.carrier, d2.counit, c2.comult)
     with pytest.raises(ValueError, match="carrier∘carrier"):
         Comonoid(c2.carrier, c2.counit, c2.counit)
+
+
+# ---------------------------------------------------------------------------
+# The tables-first representation: JSON contract, derived comult, sizes.
+
+# canonical_json(comonoid_to_json(c)) of each constructor, recorded when the
+# comultiplication lens was the stored data: the comonoid JSON is a public
+# contract.  Kept compact here; canonical re-serialization compares
+# byte-for-byte.
+GOLDEN_JSON = {
+    "contractible": (
+        '{"carrier":{"positions":[{"dirs":["a","b"],"label":"a"},{"dirs":["a","b"],"l'
+        'abel":"b"}]},"comult":{"cod":{"positions":[{"dirs":["(a,a)","(a,b)","(b,a)",'
+        '"(b,b)"],"label":"(a,\\\\[a\\\\:a\\\\,b\\\\:a\\\\])"},{"dirs":["(a,a)","(a,b)","(b,a)"'
+        ',"(b,b)"],"label":"(a,\\\\[a\\\\:a\\\\,b\\\\:b\\\\])"},{"dirs":["(a,a)","(a,b)","(b,a)'
+        '","(b,b)"],"label":"(a,\\\\[a\\\\:b\\\\,b\\\\:a\\\\])"},{"dirs":["(a,a)","(a,b)","(b,a'
+        ')","(b,b)"],"label":"(a,\\\\[a\\\\:b\\\\,b\\\\:b\\\\])"},{"dirs":["(a,a)","(a,b)","(b,'
+        'a)","(b,b)"],"label":"(b,\\\\[a\\\\:a\\\\,b\\\\:a\\\\])"},{"dirs":["(a,a)","(a,b)","(b'
+        ',a)","(b,b)"],"label":"(b,\\\\[a\\\\:a\\\\,b\\\\:b\\\\])"},{"dirs":["(a,a)","(a,b)","('
+        'b,a)","(b,b)"],"label":"(b,\\\\[a\\\\:b\\\\,b\\\\:a\\\\])"},{"dirs":["(a,a)","(a,b)","'
+        '(b,a)","(b,b)"],"label":"(b,\\\\[a\\\\:b\\\\,b\\\\:b\\\\])"}]},"dom":{"positions":[{"d'
+        'irs":["a","b"],"label":"a"},{"dirs":["a","b"],"label":"b"}]},"onDir":{"a":{"'
+        '(a,a)":"a","(a,b)":"b","(b,a)":"a","(b,b)":"b"},"b":{"(a,a)":"a","(a,b)":"b"'
+        ',"(b,a)":"a","(b,b)":"b"}},"onPos":{"a":"(a,\\\\[a\\\\:a\\\\,b\\\\:b\\\\])","b":"(b,\\\\'
+        '[a\\\\:a\\\\,b\\\\:b\\\\])"}},"counit":{"cod":{"positions":[{"dirs":["*"],"label":"*'
+        '"}]},"dom":{"positions":[{"dirs":["a","b"],"label":"a"},{"dirs":["a","b"],"l'
+        'abel":"b"}]},"onDir":{"a":{"*":"a"},"b":{"*":"b"}},"onPos":{"a":"*","b":"*"}'
+        '}}'
+    ),
+    "discrete": (
+        '{"carrier":{"positions":[{"dirs":["*"],"label":"p"},{"dirs":["*"],"label":"q'
+        '"}]},"comult":{"cod":{"positions":[{"dirs":["(*,*)"],"label":"(p,\\\\[*\\\\:p\\\\]'
+        ')"},{"dirs":["(*,*)"],"label":"(p,\\\\[*\\\\:q\\\\])"},{"dirs":["(*,*)"],"label":"'
+        '(q,\\\\[*\\\\:p\\\\])"},{"dirs":["(*,*)"],"label":"(q,\\\\[*\\\\:q\\\\])"}]},"dom":{"pos'
+        'itions":[{"dirs":["*"],"label":"p"},{"dirs":["*"],"label":"q"}]},"onDir":{"p'
+        '":{"(*,*)":"*"},"q":{"(*,*)":"*"}},"onPos":{"p":"(p,\\\\[*\\\\:p\\\\])","q":"(q,\\\\'
+        '[*\\\\:q\\\\])"}},"counit":{"cod":{"positions":[{"dirs":["*"],"label":"*"}]},"do'
+        'm":{"positions":[{"dirs":["*"],"label":"p"},{"dirs":["*"],"label":"q"}]},"on'
+        'Dir":{"p":{"*":"*"},"q":{"*":"*"}},"onPos":{"p":"*","q":"*"}}}'
+    ),
+    "cyclic2": (
+        '{"carrier":{"positions":[{"dirs":["e","s"],"label":"m"}]},"comult":{"cod":{"'
+        'positions":[{"dirs":["(e,e)","(e,s)","(s,e)","(s,s)"],"label":"(m,\\\\[e\\\\:m\\\\'
+        ',s\\\\:m\\\\])"}]},"dom":{"positions":[{"dirs":["e","s"],"label":"m"}]},"onDir":'
+        '{"m":{"(e,e)":"e","(e,s)":"s","(s,e)":"s","(s,s)":"e"}},"onPos":{"m":"(m,\\\\['
+        'e\\\\:m\\\\,s\\\\:m\\\\])"}},"counit":{"cod":{"positions":[{"dirs":["*"],"label":"*"'
+        '}]},"dom":{"positions":[{"dirs":["e","s"],"label":"m"}]},"onDir":{"m":{"*":"'
+        'e"}},"onPos":{"m":"*"}}}'
+    ),
+    "sum": (
+        '{"carrier":{"positions":[{"dirs":["a","b"],"label":"0|a"},{"dirs":["a","b"],'
+        '"label":"0|b"},{"dirs":["*"],"label":"1|p"}]},"comult":{"cod":{"positions":['
+        '{"dirs":["(a,a)","(a,b)","(b,a)","(b,b)"],"label":"(0\\\\|a,\\\\[a\\\\:0\\\\\\\\\\\\|a\\\\'
+        ',b\\\\:0\\\\\\\\\\\\|a\\\\])"},{"dirs":["(a,a)","(a,b)","(b,a)","(b,b)"],"label":"(0\\\\'
+        '|a,\\\\[a\\\\:0\\\\\\\\\\\\|a\\\\,b\\\\:0\\\\\\\\\\\\|b\\\\])"},{"dirs":["(a,a)","(a,b)","(b,*)"],'
+        '"label":"(0\\\\|a,\\\\[a\\\\:0\\\\\\\\\\\\|a\\\\,b\\\\:1\\\\\\\\\\\\|p\\\\])"},{"dirs":["(a,a)","(a,'
+        'b)","(b,a)","(b,b)"],"label":"(0\\\\|a,\\\\[a\\\\:0\\\\\\\\\\\\|b\\\\,b\\\\:0\\\\\\\\\\\\|a\\\\])"},'
+        '{"dirs":["(a,a)","(a,b)","(b,a)","(b,b)"],"label":"(0\\\\|a,\\\\[a\\\\:0\\\\\\\\\\\\|b\\\\'
+        ',b\\\\:0\\\\\\\\\\\\|b\\\\])"},{"dirs":["(a,a)","(a,b)","(b,*)"],"label":"(0\\\\|a,\\\\[a\\'
+        '\\:0\\\\\\\\\\\\|b\\\\,b\\\\:1\\\\\\\\\\\\|p\\\\])"},{"dirs":["(a,*)","(b,a)","(b,b)"],"label":'
+        '"(0\\\\|a,\\\\[a\\\\:1\\\\\\\\\\\\|p\\\\,b\\\\:0\\\\\\\\\\\\|a\\\\])"},{"dirs":["(a,*)","(b,a)","(b,'
+        'b)"],"label":"(0\\\\|a,\\\\[a\\\\:1\\\\\\\\\\\\|p\\\\,b\\\\:0\\\\\\\\\\\\|b\\\\])"},{"dirs":["(a,*)"'
+        ',"(b,*)"],"label":"(0\\\\|a,\\\\[a\\\\:1\\\\\\\\\\\\|p\\\\,b\\\\:1\\\\\\\\\\\\|p\\\\])"},{"dirs":["('
+        'a,a)","(a,b)","(b,a)","(b,b)"],"label":"(0\\\\|b,\\\\[a\\\\:0\\\\\\\\\\\\|a\\\\,b\\\\:0\\\\\\\\\\'
+        '\\|a\\\\])"},{"dirs":["(a,a)","(a,b)","(b,a)","(b,b)"],"label":"(0\\\\|b,\\\\[a\\\\:0'
+        '\\\\\\\\\\\\|a\\\\,b\\\\:0\\\\\\\\\\\\|b\\\\])"},{"dirs":["(a,a)","(a,b)","(b,*)"],"label":"(0'
+        '\\\\|b,\\\\[a\\\\:0\\\\\\\\\\\\|a\\\\,b\\\\:1\\\\\\\\\\\\|p\\\\])"},{"dirs":["(a,a)","(a,b)","(b,a)"'
+        ',"(b,b)"],"label":"(0\\\\|b,\\\\[a\\\\:0\\\\\\\\\\\\|b\\\\,b\\\\:0\\\\\\\\\\\\|a\\\\])"},{"dirs":["('
+        'a,a)","(a,b)","(b,a)","(b,b)"],"label":"(0\\\\|b,\\\\[a\\\\:0\\\\\\\\\\\\|b\\\\,b\\\\:0\\\\\\\\\\'
+        '\\|b\\\\])"},{"dirs":["(a,a)","(a,b)","(b,*)"],"label":"(0\\\\|b,\\\\[a\\\\:0\\\\\\\\\\\\|b'
+        '\\\\,b\\\\:1\\\\\\\\\\\\|p\\\\])"},{"dirs":["(a,*)","(b,a)","(b,b)"],"label":"(0\\\\|b,\\\\['
+        'a\\\\:1\\\\\\\\\\\\|p\\\\,b\\\\:0\\\\\\\\\\\\|a\\\\])"},{"dirs":["(a,*)","(b,a)","(b,b)"],"label'
+        '":"(0\\\\|b,\\\\[a\\\\:1\\\\\\\\\\\\|p\\\\,b\\\\:0\\\\\\\\\\\\|b\\\\])"},{"dirs":["(a,*)","(b,*)"],"'
+        'label":"(0\\\\|b,\\\\[a\\\\:1\\\\\\\\\\\\|p\\\\,b\\\\:1\\\\\\\\\\\\|p\\\\])"},{"dirs":["(*,a)","(*,b'
+        ')"],"label":"(1\\\\|p,\\\\[*\\\\:0\\\\\\\\\\\\|a\\\\])"},{"dirs":["(*,a)","(*,b)"],"label"'
+        ':"(1\\\\|p,\\\\[*\\\\:0\\\\\\\\\\\\|b\\\\])"},{"dirs":["(*,*)"],"label":"(1\\\\|p,\\\\[*\\\\:1\\\\'
+        '\\\\\\\\|p\\\\])"}]},"dom":{"positions":[{"dirs":["a","b"],"label":"0|a"},{"dirs":'
+        '["a","b"],"label":"0|b"},{"dirs":["*"],"label":"1|p"}]},"onDir":{"0|a":{"(a,'
+        'a)":"a","(a,b)":"b","(b,a)":"a","(b,b)":"b"},"0|b":{"(a,a)":"a","(a,b)":"b",'
+        '"(b,a)":"a","(b,b)":"b"},"1|p":{"(*,*)":"*"}},"onPos":{"0|a":"(0\\\\|a,\\\\[a\\\\:'
+        '0\\\\\\\\\\\\|a\\\\,b\\\\:0\\\\\\\\\\\\|b\\\\])","0|b":"(0\\\\|b,\\\\[a\\\\:0\\\\\\\\\\\\|a\\\\,b\\\\:0\\\\\\\\\\\\|'
+        'b\\\\])","1|p":"(1\\\\|p,\\\\[*\\\\:1\\\\\\\\\\\\|p\\\\])"}},"counit":{"cod":{"positions":[{'
+        '"dirs":["*"],"label":"*"}]},"dom":{"positions":[{"dirs":["a","b"],"label":"0'
+        '|a"},{"dirs":["a","b"],"label":"0|b"},{"dirs":["*"],"label":"1|p"}]},"onDir"'
+        ':{"0|a":{"*":"a"},"0|b":{"*":"b"},"1|p":{"*":"*"}},"onPos":{"0|a":"*","0|b":'
+        '"*","1|p":"*"}}}'
+    ),
+    "tensor": (
+        '{"carrier":{"positions":[{"dirs":["(e,*)","(s,*)"],"label":"(m,p)"},{"dirs":'
+        '["(e,*)","(s,*)"],"label":"(m,q)"}]},"comult":{"cod":{"positions":[{"dirs":['
+        '"(\\\\(e\\\\,*\\\\),\\\\(e\\\\,*\\\\))","(\\\\(e\\\\,*\\\\),\\\\(s\\\\,*\\\\))","(\\\\(s\\\\,*\\\\),\\\\(e\\\\'
+        ',*\\\\))","(\\\\(s\\\\,*\\\\),\\\\(s\\\\,*\\\\))"],"label":"(\\\\(m\\\\,p\\\\),\\\\[\\\\\\\\\\\\(e\\\\\\\\\\\\'
+        ',*\\\\\\\\\\\\)\\\\:\\\\\\\\\\\\(m\\\\\\\\\\\\,p\\\\\\\\\\\\)\\\\,\\\\\\\\\\\\(s\\\\\\\\\\\\,*\\\\\\\\\\\\)\\\\:\\\\\\\\\\\\(m\\\\\\\\'
+        '\\\\,p\\\\\\\\\\\\)\\\\])"},{"dirs":["(\\\\(e\\\\,*\\\\),\\\\(e\\\\,*\\\\))","(\\\\(e\\\\,*\\\\),\\\\(s\\\\,'
+        '*\\\\))","(\\\\(s\\\\,*\\\\),\\\\(e\\\\,*\\\\))","(\\\\(s\\\\,*\\\\),\\\\(s\\\\,*\\\\))"],"label":"(\\\\'
+        '(m\\\\,p\\\\),\\\\[\\\\\\\\\\\\(e\\\\\\\\\\\\,*\\\\\\\\\\\\)\\\\:\\\\\\\\\\\\(m\\\\\\\\\\\\,p\\\\\\\\\\\\)\\\\,\\\\\\\\\\\\(s\\\\\\'
+        '\\\\\\,*\\\\\\\\\\\\)\\\\:\\\\\\\\\\\\(m\\\\\\\\\\\\,q\\\\\\\\\\\\)\\\\])"},{"dirs":["(\\\\(e\\\\,*\\\\),\\\\(e\\\\,*'
+        '\\\\))","(\\\\(e\\\\,*\\\\),\\\\(s\\\\,*\\\\))","(\\\\(s\\\\,*\\\\),\\\\(e\\\\,*\\\\))","(\\\\(s\\\\,*\\\\),'
+        '\\\\(s\\\\,*\\\\))"],"label":"(\\\\(m\\\\,p\\\\),\\\\[\\\\\\\\\\\\(e\\\\\\\\\\\\,*\\\\\\\\\\\\)\\\\:\\\\\\\\\\\\(m\\\\'
+        '\\\\\\\\,q\\\\\\\\\\\\)\\\\,\\\\\\\\\\\\(s\\\\\\\\\\\\,*\\\\\\\\\\\\)\\\\:\\\\\\\\\\\\(m\\\\\\\\\\\\,p\\\\\\\\\\\\)\\\\])"},{"di'
+        'rs":["(\\\\(e\\\\,*\\\\),\\\\(e\\\\,*\\\\))","(\\\\(e\\\\,*\\\\),\\\\(s\\\\,*\\\\))","(\\\\(s\\\\,*\\\\),\\'
+        '\\(e\\\\,*\\\\))","(\\\\(s\\\\,*\\\\),\\\\(s\\\\,*\\\\))"],"label":"(\\\\(m\\\\,p\\\\),\\\\[\\\\\\\\\\\\(e\\'
+        '\\\\\\\\\\,*\\\\\\\\\\\\)\\\\:\\\\\\\\\\\\(m\\\\\\\\\\\\,q\\\\\\\\\\\\)\\\\,\\\\\\\\\\\\(s\\\\\\\\\\\\,*\\\\\\\\\\\\)\\\\:\\\\\\\\\\\\('
+        'm\\\\\\\\\\\\,q\\\\\\\\\\\\)\\\\])"},{"dirs":["(\\\\(e\\\\,*\\\\),\\\\(e\\\\,*\\\\))","(\\\\(e\\\\,*\\\\),\\\\'
+        '(s\\\\,*\\\\))","(\\\\(s\\\\,*\\\\),\\\\(e\\\\,*\\\\))","(\\\\(s\\\\,*\\\\),\\\\(s\\\\,*\\\\))"],"label"'
+        ':"(\\\\(m\\\\,q\\\\),\\\\[\\\\\\\\\\\\(e\\\\\\\\\\\\,*\\\\\\\\\\\\)\\\\:\\\\\\\\\\\\(m\\\\\\\\\\\\,p\\\\\\\\\\\\)\\\\,\\\\\\\\\\\\'
+        '(s\\\\\\\\\\\\,*\\\\\\\\\\\\)\\\\:\\\\\\\\\\\\(m\\\\\\\\\\\\,p\\\\\\\\\\\\)\\\\])"},{"dirs":["(\\\\(e\\\\,*\\\\),\\\\('
+        'e\\\\,*\\\\))","(\\\\(e\\\\,*\\\\),\\\\(s\\\\,*\\\\))","(\\\\(s\\\\,*\\\\),\\\\(e\\\\,*\\\\))","(\\\\(s\\\\,'
+        '*\\\\),\\\\(s\\\\,*\\\\))"],"label":"(\\\\(m\\\\,q\\\\),\\\\[\\\\\\\\\\\\(e\\\\\\\\\\\\,*\\\\\\\\\\\\)\\\\:\\\\\\\\\\'
+        '\\(m\\\\\\\\\\\\,p\\\\\\\\\\\\)\\\\,\\\\\\\\\\\\(s\\\\\\\\\\\\,*\\\\\\\\\\\\)\\\\:\\\\\\\\\\\\(m\\\\\\\\\\\\,q\\\\\\\\\\\\)\\\\])"}'
+        ',{"dirs":["(\\\\(e\\\\,*\\\\),\\\\(e\\\\,*\\\\))","(\\\\(e\\\\,*\\\\),\\\\(s\\\\,*\\\\))","(\\\\(s\\\\,*'
+        '\\\\),\\\\(e\\\\,*\\\\))","(\\\\(s\\\\,*\\\\),\\\\(s\\\\,*\\\\))"],"label":"(\\\\(m\\\\,q\\\\),\\\\[\\\\\\\\'
+        '\\\\(e\\\\\\\\\\\\,*\\\\\\\\\\\\)\\\\:\\\\\\\\\\\\(m\\\\\\\\\\\\,q\\\\\\\\\\\\)\\\\,\\\\\\\\\\\\(s\\\\\\\\\\\\,*\\\\\\\\\\\\)\\\\:\\\\'
+        '\\\\\\\\(m\\\\\\\\\\\\,p\\\\\\\\\\\\)\\\\])"},{"dirs":["(\\\\(e\\\\,*\\\\),\\\\(e\\\\,*\\\\))","(\\\\(e\\\\,*\\'
+        '\\),\\\\(s\\\\,*\\\\))","(\\\\(s\\\\,*\\\\),\\\\(e\\\\,*\\\\))","(\\\\(s\\\\,*\\\\),\\\\(s\\\\,*\\\\))"],"l'
+        'abel":"(\\\\(m\\\\,q\\\\),\\\\[\\\\\\\\\\\\(e\\\\\\\\\\\\,*\\\\\\\\\\\\)\\\\:\\\\\\\\\\\\(m\\\\\\\\\\\\,q\\\\\\\\\\\\)\\\\,\\'
+        '\\\\\\\\\\(s\\\\\\\\\\\\,*\\\\\\\\\\\\)\\\\:\\\\\\\\\\\\(m\\\\\\\\\\\\,q\\\\\\\\\\\\)\\\\])"}]},"dom":{"positions":'
+        '[{"dirs":["(e,*)","(s,*)"],"label":"(m,p)"},{"dirs":["(e,*)","(s,*)"],"label'
+        '":"(m,q)"}]},"onDir":{"(m,p)":{"(\\\\(e\\\\,*\\\\),\\\\(e\\\\,*\\\\))":"(e,*)","(\\\\(e\\\\,'
+        '*\\\\),\\\\(s\\\\,*\\\\))":"(s,*)","(\\\\(s\\\\,*\\\\),\\\\(e\\\\,*\\\\))":"(s,*)","(\\\\(s\\\\,*\\\\)'
+        ',\\\\(s\\\\,*\\\\))":"(e,*)"},"(m,q)":{"(\\\\(e\\\\,*\\\\),\\\\(e\\\\,*\\\\))":"(e,*)","(\\\\(e\\'
+        '\\,*\\\\),\\\\(s\\\\,*\\\\))":"(s,*)","(\\\\(s\\\\,*\\\\),\\\\(e\\\\,*\\\\))":"(s,*)","(\\\\(s\\\\,*\\'
+        '\\),\\\\(s\\\\,*\\\\))":"(e,*)"}},"onPos":{"(m,p)":"(\\\\(m\\\\,p\\\\),\\\\[\\\\\\\\\\\\(e\\\\\\\\\\\\,'
+        '*\\\\\\\\\\\\)\\\\:\\\\\\\\\\\\(m\\\\\\\\\\\\,p\\\\\\\\\\\\)\\\\,\\\\\\\\\\\\(s\\\\\\\\\\\\,*\\\\\\\\\\\\)\\\\:\\\\\\\\\\\\(m\\\\\\\\\\'
+        '\\,p\\\\\\\\\\\\)\\\\])","(m,q)":"(\\\\(m\\\\,q\\\\),\\\\[\\\\\\\\\\\\(e\\\\\\\\\\\\,*\\\\\\\\\\\\)\\\\:\\\\\\\\\\\\(m\\'
+        '\\\\\\\\\\,q\\\\\\\\\\\\)\\\\,\\\\\\\\\\\\(s\\\\\\\\\\\\,*\\\\\\\\\\\\)\\\\:\\\\\\\\\\\\(m\\\\\\\\\\\\,q\\\\\\\\\\\\)\\\\])"}},"c'
+        'ounit":{"cod":{"positions":[{"dirs":["*"],"label":"*"}]},"dom":{"positions":'
+        '[{"dirs":["(e,*)","(s,*)"],"label":"(m,p)"},{"dirs":["(e,*)","(s,*)"],"label'
+        '":"(m,q)"}]},"onDir":{"(m,p)":{"*":"(e,*)"},"(m,q)":{"*":"(e,*)"}},"onPos":{'
+        '"(m,p)":"*","(m,q)":"*"}}}'
+    ),
+}
+
+GOLDEN_CASES = {
+    "contractible": lambda: contractible(FinSet(("a", "b"))),
+    "discrete": lambda: discrete_comonoid(FinSet(("p", "q"))),
+    "cyclic2": lambda: category_to_comonoid(cyclic2_category()),
+    "sum": lambda: comonoid_sum(
+        contractible(FinSet(("a", "b"))), discrete_comonoid(FinSet(("p",)))
+    ),
+    "tensor": lambda: comonoid_tensor(
+        category_to_comonoid(cyclic2_category()), discrete_comonoid(FinSet(("p", "q")))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_comonoid_json_matches_golden(name):
+    got = canonical_json(comonoid_to_json(GOLDEN_CASES[name]()))
+    assert got == canonical_json(json.loads(GOLDEN_JSON[name]))
+
+
+def walking_arrow(order) -> FinCat:
+    mors = {"ia": ("ia", "a", "a"), "f": ("f", "a", "b"), "ib": ("ib", "b", "b")}
+    return FinCat(
+        FinSet(("a", "b")),
+        [mors[m] for m in order],
+        {"a": "ia", "b": "ib"},
+        {
+            ("ia", "ia"): "ia",
+            ("ib", "ib"): "ib",
+            ("f", "ia"): "f",
+            ("ib", "f"): "f",
+        },
+    )
+
+
+def test_comult_does_not_depend_on_cache_history():
+    # The two carriers are equal as polynomials but list the directions at
+    # "a" in different orders; carrier∘carrier labels follow that order, so
+    # a cache that confuses them hands the second comonoid foreign labels.
+    orders = (["ia", "f", "ib"], ["f", "ia", "ib"])
+    for history in (orders, orders[::-1]):
+        for order in history:
+            c = category_to_comonoid(walking_arrow(order))
+            assert c.carrier.directions("a").elements == tuple(
+                m for m in order if m != "ib"
+            )
+            comult = c.comult
+            assert comult.cod.num_positions() == 2**2 + 2**1
+            assert comult.cod is c.comult.cod  # built once per comonoid
+            back = comonoid_from_json(comonoid_to_json(c))
+            assert back == c
+            assert check_comonoid_laws(c)["ok"]
+
+
+def test_sum_and_tensor_carriers_do_not_depend_on_cache_history():
+    x = discrete_comonoid(FinSet(("p",)))
+    orders = (["ia", "f", "ib"], ["f", "ia", "ib"])
+    cases = (
+        (comonoid_sum, tag_label("0", "a"), lambda m: m),
+        (comonoid_tensor, pair_label("a", "p"), lambda m: pair_label(m, "*")),
+    )
+    for build, pos, direction in cases:
+        for history in (orders, orders[::-1]):
+            for order in history:
+                c = build(category_to_comonoid(walking_arrow(order)), x)
+                want = tuple(direction(m) for m in order if m != "ib")
+                assert c.carrier.directions(pos).elements == want
+                comonoid_to_json(c)  # the derived comult builds from any history
+                assert check_comonoid_laws(c)["ok"]
+
+
+def test_comult_is_derived_read_only_and_not_needed_for_equality():
+    c = contractible(FinSet(("a", "b", "c")))
+    d = contractible(FinSet(("a", "b", "c")))
+    assert c == d and hash(c) == hash(d)
+    assert c._comult is None and d._comult is None
+    assert c.comult is c.comult
+    with pytest.raises(AttributeError):
+        c.comult = d.comult
+
+
+def test_mutating_the_derived_comult_leaves_laws_and_runs_alone():
+    m = MooreMachine.from_tables(
+        ["s0", "s1", "s2"],
+        ["x", "y"],
+        ["lo", "hi"],
+        {"s0": "lo", "s1": "hi", "s2": "hi"},
+        {("x", "s0"): "s1", ("x", "s1"): "s2", ("x", "s2"): "s0",
+         ("y", "s0"): "s0", ("y", "s1"): "s0", ("y", "s2"): "s1"},
+        "s0",
+    )
+    system = moore_to_mdds(m)
+    stream = ["x", "x", "y", "x", "y", "y", "x"]
+    before = run_open(system, stream, "s0")
+    comult = system.state.comult
+    for i in comult.on_dir:
+        for key in comult.on_dir[i]:
+            comult.on_dir[i][key] = "s0"
+    assert check_comonoid_laws(system.state)["ok"]
+    assert run_open(system, stream, "s0") == before
+    assert before.history == tag_label("s0", before.final_state)
+
+
+def test_comonoid_shape_check_is_structural():
+    c2 = contractible(FinSet(("a", "b")))
+    with pytest.raises(ValueError, match="not a position"):
+        Comonoid._from_tables(
+            c2.carrier,
+            dict(c2.identity),
+            {"a": {"a": "a", "b": "z"}, "b": c2.codomain["b"]},
+            dict(c2.composite),
+        )
+    with pytest.raises(ValueError, match="not a direction"):
+        Comonoid._from_tables(
+            c2.carrier,
+            dict(c2.identity),
+            dict(c2.codomain),
+            {"a": {**c2.composite["a"], ("a", "b"): "z"}, "b": c2.composite["b"]},
+        )
+    with pytest.raises(ValueError, match="non-composable"):
+        Comonoid._from_tables(
+            c2.carrier,
+            dict(c2.identity),
+            dict(c2.codomain),
+            {"a": {**c2.composite["a"], ("z", "z"): "a"}, "b": c2.composite["b"]},
+        )
+
+
+def test_contractible_on_sixty_states_builds_fast():
+    states = FinSet(tuple(f"s{k}" for k in range(60)))
+    t0 = time.perf_counter()
+    c = contractible(states)
+    assert time.perf_counter() - t0 < 1.0
+    assert c.is_contractible()
+    assert c.codomain["s3"]["s7"] == "s7"
+    assert c.composite["s3"][("s7", "s9")] == "s9"
+
+
+def test_comult_of_seven_states_is_refused_before_allocating():
+    c = contractible(FinSet(tuple(f"s{k}" for k in range(7))))
+    with pytest.raises(SizeLimitError) as info:
+        c.comult
+    assert info.value.operation == "poly_compose"
+    assert info.value.predicted == 7 * 7**7 == 5_764_801
+    assert info.value.limit == COMPOSE_LIMIT == 2**22
+    assert "5764801" in str(info.value) and str(2**22) in str(info.value)

@@ -12,9 +12,10 @@ from polydyn.core import (
     lens_id,
     monomial,
     pair_label,
+    tag_label,
 )
 from polydyn.algebra import tensor_many
-from polydyn.dynamics import MooreMachine, run_closed, run_open
+from polydyn.dynamics import MooreMachine, run_closed, run_open, step
 from polydyn.wiring import (
     BoxDecl,
     Connect,
@@ -520,3 +521,103 @@ def test_fixed_wiring_on_dir_factors_through_wired_sources():
                 assert w.on_dir[other] == first
         checked += 1
     assert checked > 50
+
+
+# ---------------------------------------------------------------------------
+# A 27-state system: three 3-state machines in a ring.
+
+
+def _ring_tables(seed):
+    """Seeded tables for boxes M0, M1, M2, each with states q<k>0..q<k>2.
+
+    M0 reads the outside input a and M2's output, M1 reads M0's, M2 reads
+    M1's; the system shows M2's output.
+    """
+    rng = random.Random(seed)
+    inputs, values = ("a0", "a1"), ("v0", "v1", "v2")
+    states = [tuple(f"q{k}{j}" for j in range(3)) for k in range(3)]
+    readout = [{q: rng.choice(values) for q in states[k]} for k in range(3)]
+    update = [
+        {(q, a, v): rng.choice(states[0]) for q in states[0] for a in inputs for v in values},
+        {(q, v): rng.choice(states[1]) for q in states[1] for v in values},
+        {(q, v): rng.choice(states[2]) for q in states[2] for v in values},
+    ]
+    return inputs, values, states, readout, update
+
+
+def _ring_text(inputs, values, states, readout, update):
+    lines = [
+        f"set A = {{{', '.join(inputs)}}}",
+        f"set V = {{{', '.join(values)}}}",
+        "box M0 { out o : V; in a : A; in x : V; }",
+        "box M1 { out o : V; in x : V; }",
+        "box M2 { out o : V; in x : V; }",
+        "outer System { out o : V; in a : A; }",
+        "connect M2.o -> System.o",
+        "connect System.a -> M0.a",
+        "connect M2.o -> M0.x",
+        "connect M0.o -> M1.x",
+        "connect M1.o -> M2.x",
+    ]
+    for k in range(3):
+        lines += [
+            f"machine M{k} {{",
+            f"  states = {{{', '.join(states[k])}}};",
+            f"  init = {states[k][0]};",
+        ]
+        lines += [f"  readout {q} = (o = {readout[k][q]})" for q in states[k]]
+        for key, nxt in update[k].items():
+            if k == 0:
+                q, a, v = key
+                lines.append(f"  update {q} (a = {a}, x = {v}) = {nxt}")
+            else:
+                q, v = key
+                lines.append(f"  update {q} (x = {v}) = {nxt}")
+        lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _ring_oracle(states, readout, update, stream):
+    """run_open's steps, from plain dicts and string joins only."""
+    q = [s[0] for s in states]
+    steps = []
+    for a in stream:
+        steps.append(("(" + ",".join(q) + ")", readout[2][q[2]], a))
+        o0, o1, o2 = (readout[k][q[k]] for k in range(3))
+        q = [update[0][q[0], a, o2], update[1][q[1], o0], update[2][q[2], o1]]
+    steps.append(("(" + ",".join(q) + ")", readout[2][q[2]], None))
+    return steps
+
+
+def test_ring_of_27_states_runs_100k_inputs_against_an_oracle():
+    tables = _ring_tables(10)
+    inputs, _, states, readout, update = tables
+    spec = parse(_ring_text(*tables))
+    assert validate(spec)["ok"]
+    sys, start = compile_system(spec)
+    assert sys.state.carrier.num_positions() == 27
+    assert start == "(q00,q10,q20)"
+    # seed 10 visits 19 of the 27 states and two of the three outputs
+    rng = random.Random(12)
+    stream = [rng.choice(inputs) for _ in range(100_000)]
+    trace = run_open(sys, stream, start)
+    want = _ring_oracle(states, readout, update, stream)
+    assert len(trace.steps) == len(want)
+    for got, expected in zip(trace.steps, want):
+        assert got == expected
+    assert trace.final_state == want[-1][0]
+    # the state comonoid is contractible, so the run traces out the unique
+    # morphism from the start to the final state
+    assert trace.history == tag_label(start, trace.final_state)
+
+
+def test_step_works_on_a_27_state_system():
+    tables = _ring_tables(10)
+    _, _, states, readout, update = tables
+    sys, start = compile_system(parse(_ring_text(*tables)))
+    s = start
+    want = _ring_oracle(states, readout, update, ["a1", "a0", "a1"])
+    for (state, out, a), (nxt, _, _) in zip(want, want[1:]):
+        assert s == state
+        b, s = step(sys, s, a)
+        assert (b, s) == (out, nxt)
