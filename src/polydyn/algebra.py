@@ -16,8 +16,8 @@ Label bookkeeping is fixed once and for all:
 
 from __future__ import annotations
 
+import functools
 import itertools
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from polydyn.core import (
@@ -112,6 +112,47 @@ __all__ = [
 # The four combination operations.
 
 
+class _Ordered:
+    """Cache key for a polynomial that also tells apart its orders.
+
+    FinPoly equality ignores the order of positions and directions, but
+    the labels and the order of every cached construction depend on both.
+    """
+
+    __slots__ = ("poly",)
+
+    def __init__(self, poly: FinPoly):
+        self.poly = poly
+
+    def __hash__(self) -> int:
+        return hash(self.poly)
+
+    def __eq__(self, other) -> bool:
+        a, b = self.poly, other.poly
+        return a is b or (
+            a.position_labels == b.position_labels
+            and all(x.elements == y.elements for (_, x), (_, y) in zip(a.positions, b.positions))
+        )
+
+
+def _ordered_cache(fn):
+    """Memoise a function of polynomials, keyed on their orders as well.
+
+    Cached results are shared between callers and must not be mutated.
+    """
+    @functools.lru_cache(maxsize=8192)
+    def cached(*keys):
+        return fn(*(k.poly for k in keys))
+
+    @functools.wraps(fn)
+    def wrapper(*polys):
+        return cached(*map(_Ordered, polys))
+
+    wrapper.cache_info = cached.cache_info
+    wrapper.cache_clear = cached.cache_clear
+    return wrapper
+
+
 def sum_many(items: Sequence[tuple[str, FinPoly]]) -> FinPoly:
     """Disjoint sum: positions tagged by key, directions untouched."""
     keys = [k for k, _ in items]
@@ -124,7 +165,7 @@ def sum_many(items: Sequence[tuple[str, FinPoly]]) -> FinPoly:
     return FinPoly(positions)
 
 
-@lru_cache(maxsize=8192)
+@_ordered_cache
 def poly_sum(p: FinPoly, q: FinPoly) -> FinPoly:
     return sum_many([("0", p), ("1", q)])
 
@@ -144,7 +185,7 @@ def product_many(items: Sequence[tuple[str, FinPoly]]) -> FinPoly:
     return FinPoly(positions)
 
 
-@lru_cache(maxsize=8192)
+@_ordered_cache
 def poly_product(p: FinPoly, q: FinPoly) -> FinPoly:
     return product_many([("0", p), ("1", q)])
 
@@ -162,36 +203,13 @@ def tensor_many(polys: Sequence[FinPoly]) -> FinPoly:
     return FinPoly(positions)
 
 
-@lru_cache(maxsize=8192)
+@_ordered_cache
 def poly_tensor(p: FinPoly, q: FinPoly) -> FinPoly:
     return tensor_many([p, q])
 
 
 # poly_compose refuses to build more positions than this.
 COMPOSE_LIMIT = 1 << 22
-
-
-class _Ordered:
-    """Cache key for a polynomial that also tells apart its orders.
-
-    FinPoly equality ignores the order of positions and directions, but
-    the labels and the order of a composite depend on both.
-    """
-
-    __slots__ = ("poly",)
-
-    def __init__(self, poly: FinPoly):
-        self.poly = poly
-
-    def __hash__(self) -> int:
-        return hash(self.poly)
-
-    def __eq__(self, other) -> bool:
-        a, b = self.poly, other.poly
-        return a is b or (
-            a.position_labels == b.position_labels
-            and all(x.elements == y.elements for (_, x), (_, y) in zip(a.positions, b.positions))
-        )
 
 
 def poly_compose(p: FinPoly, q: FinPoly) -> FinPoly:
@@ -204,12 +222,11 @@ def poly_compose(p: FinPoly, q: FinPoly) -> FinPoly:
     predicted = sum(n ** len(dirs) for _, dirs in p.positions)
     if predicted > COMPOSE_LIMIT:
         raise SizeLimitError("poly_compose", predicted, COMPOSE_LIMIT)
-    return _poly_compose(_Ordered(p), _Ordered(q))
+    return _poly_compose(p, q)
 
 
-@lru_cache(maxsize=8192)
-def _poly_compose(pk: _Ordered, qk: _Ordered) -> FinPoly:
-    p, q = pk.poly, qk.poly
+@_ordered_cache
+def _poly_compose(p: FinPoly, q: FinPoly) -> FinPoly:
     qlabels = q.position_labels
     # Each position label is pair(i, table).  The table alphabet is small and
     # fixed, so pre-escape the fragments and assemble labels with one join.
@@ -734,7 +751,7 @@ def global_sections(p: FinPoly) -> FinSet:
 # Closures and currying.
 
 
-@lru_cache(maxsize=4096)
+@_ordered_cache
 def cartesian_closure(q: FinPoly, p: FinPoly) -> FinPoly:
     """The exponential q^p for the cartesian product."""
     factors = []
@@ -744,7 +761,7 @@ def cartesian_closure(q: FinPoly, p: FinPoly) -> FinPoly:
     return product_many(factors)
 
 
-@lru_cache(maxsize=4096)
+@_ordered_cache
 def dirichlet_closure(p: FinPoly, q: FinPoly) -> FinPoly:
     """The internal hom [p,q] for the parallel product."""
     factors = []
@@ -754,248 +771,105 @@ def dirichlet_closure(p: FinPoly, q: FinPoly) -> FinPoly:
     return product_many(factors)
 
 
-@lru_cache(maxsize=65536)
-def _curry_cart_option(r: FinPoly, j: str, k: str, t_vals: tuple) -> tuple:
-    """Translate one pair-position option of f into closure-side data.
+def _curry(f: Lens, p: FinPoly, q: FinPoly, r: FinPoly, cod: FinPoly, split) -> Lens:
+    """Turn f: p·q → r into p → cod, one closure factor per q position.
 
-    t_vals lists f's backward values at the pair position in the order of
-    r's directions at k.  Returns the closure component label together with
-    the backward entries this option contributes at the source position.
+    split(value) reads one backward value of f at a pair position and
+    returns the closure component's entry for that r direction together
+    with the p direction it asks for, or None when q answers it.
     """
-    phi = {}
-    entries = []
-    dirs = r.directions(k).elements
-    for dr, tv in zip(dirs, t_vals):
-        tag, value = split_tag(tv)
-        if tag == "1":
-            # answered by the q factor: point at its constant copy
-            phi[dr] = tag_label("0", value)
-        else:
-            phi[dr] = tag_label("1", "*")
-            entries.append((tag_label(j, pair_label(dr, "*")), value))
-    return pair_label(k, fn_label(phi, dirs)), tuple(entries)
+    on_pos = {}
+    on_dir = {}
+    for i in p.position_labels:
+        comps = []
+        back = {}
+        for j in q.position_labels:
+            src = pair_label(i, j)
+            k = f.on_pos[src]
+            table = f.on_dir[src]
+            dirs = r.directions(k).elements
+            phi = {}
+            for dr in dirs:
+                phi[dr], d = split(table[dr])
+                if d is not None:
+                    back[tag_label(j, pair_label(dr, "*"))] = d
+            comps.append(pair_label(k, fn_label(phi, dirs)))
+        on_pos[i] = pair_label(*comps)
+        on_dir[i] = back
+    return Lens._make(p, cod, on_pos, on_dir)
 
 
-@lru_cache(maxsize=65536)
-def _uncurry_cart_component(r: FinPoly, j: str, comp_label: str) -> tuple:
-    """Decode one closure component back into a pair-position template.
+def _uncurry(g: Lens, p: FinPoly, q: FinPoly, r: FinPoly, dom: FinPoly, merge) -> Lens:
+    """Turn g: p → closure back into dom → r, where dom is p·q.
 
-    Each direction entry is (dr, literal, payload): a ready value when the q
-    factor answers, otherwise the backward key to look up on the p side.
+    merge(entry, d) inverts _curry's split: from a closure component's
+    entry and g's backward value d (None when g has none) it rebuilds the
+    backward value at the pair position.
     """
-    k, phi_lab = split_pair(comp_label)
-    phi = split_fn(phi_lab)
-    entries = []
-    for dr in r.directions(k).elements:
-        tag, value = split_tag(phi[dr])
-        if tag == "0":
-            entries.append((dr, True, tag_label("1", value)))
-        else:
-            entries.append((dr, False, tag_label(j, pair_label(dr, "*"))))
-    return k, tuple(entries)
+    on_pos = {}
+    on_dir = {}
+    for i in p.position_labels:
+        back = g.on_dir[i]
+        for j, comp in zip(q.position_labels, split_pair(g.on_pos[i])):
+            k, phi_label = split_pair(comp)
+            phi = split_fn(phi_label)
+            src = pair_label(i, j)
+            on_pos[src] = k
+            on_dir[src] = {
+                dr: merge(phi[dr], back.get(tag_label(j, pair_label(dr, "*"))))
+                for dr in r.directions(k).elements
+            }
+    return Lens._make(dom, r, on_pos, on_dir)
 
 
-@lru_cache(maxsize=65536)
-def _dir_values(r: FinPoly, k: str):
-    """Extractor for a backward table's values in r's direction order at k."""
-    dirs = r.directions(k).elements
-    return lambda table: tuple(map(table.__getitem__, dirs))
+def _split_cartesian(value: str) -> tuple:
+    # a q direction points at its constant in q_j + y; a p direction at y
+    tag, d = split_tag(value)
+    if tag == "1":
+        return tag_label("0", d), None
+    return tag_label("1", "*"), d
 
 
-@lru_cache(maxsize=65536)
-def _pair_srcs(p: FinPoly, q: FinPoly) -> tuple:
-    """Pair-position labels of p×q (and p⊗q) grouped by the p position."""
-    return tuple(
-        (i, tuple((j, pair_label(i, j)) for j in q.position_labels))
-        for i in p.position_labels
-    )
+def _merge_cartesian(entry: str, d) -> str:
+    tag, e = split_tag(entry)
+    return tag_label("1", e) if tag == "0" else tag_label("0", d)
 
 
-@lru_cache(maxsize=262144)
-def _curry_cart_slice(q: FinPoly, r: FinPoly, options: tuple) -> tuple:
-    """Closure-side data for one source position, from its per-j options.
-
-    The result is shared between every lens whose slice at a position equals
-    `options`; the backward dict must therefore never be mutated.
-    """
-    comp_labels = []
-    comp = {}
-    for j, (k, t_vals) in zip(q.position_labels, options):
-        comp_label, entries = _curry_cart_option(r, j, k, t_vals)
-        comp_labels.append(comp_label)
-        comp.update(entries)
-    return pair_label(*comp_labels), comp
+def _split_dirichlet(value: str) -> tuple:
+    d, e = split_pair(value)
+    return e, d
 
 
-@lru_cache(maxsize=262144)
-def _uncurry_cart_template(q: FinPoly, r: FinPoly, pos_label: str) -> tuple:
-    """Per-j templates for one closure position plus the backward keys used."""
-    comps = split_pair(pos_label)
-    per_j = []
-    keys = []
-    for j, comp_label in zip(q.position_labels, comps):
-        k, entries = _uncurry_cart_component(r, j, comp_label)
-        per_j.append((k, entries))
-        for _, literal, payload in entries:
-            if not literal:
-                keys.append(payload)
-    return tuple(per_j), tuple(keys)
-
-
-@lru_cache(maxsize=262144)
-def _uncurry_cart_slice(q: FinPoly, r: FinPoly, pos_label: str, gvals: tuple) -> tuple:
-    """Pair-position data for one source position; dicts are shared, read only."""
-    per_j, keys = _uncurry_cart_template(q, r, pos_label)
-    lookup = dict(zip(keys, gvals))
-    out = []
-    for k, entries in per_j:
-        comp = {
-            dr: payload if literal else tag_label("0", lookup[payload])
-            for dr, literal, payload in entries
-        }
-        out.append((k, comp))
-    return tuple(out)
+def _merge_dirichlet(entry: str, d: str) -> str:
+    return pair_label(d, entry)
 
 
 def curry_cartesian(f: Lens, p: FinPoly, q: FinPoly, r: FinPoly) -> Lens:
     """Turn f: p×q → r into p → r^q."""
     if f.dom != poly_product(p, q) or f.cod != r:
         raise ValueError("curry_cartesian expects f: p×q → r for the given p, q, r")
-    cod = cartesian_closure(r, q)
-    on_pos = {}
-    on_dir = {}
-    fpos = f.on_pos
-    fdir = f.on_dir
-    for i, pairs in _pair_srcs(p, q):
-        opts = []
-        for _, src in pairs:
-            k = fpos[src]
-            opts.append((k, _dir_values(r, k)(fdir[src])))
-        lab, comp = _curry_cart_slice(q, r, tuple(opts))
-        on_pos[i] = lab
-        on_dir[i] = comp
-    return Lens._make(p, cod, on_pos, on_dir)
+    return _curry(f, p, q, r, cartesian_closure(r, q), _split_cartesian)
 
 
 def uncurry_cartesian(g: Lens, p: FinPoly, q: FinPoly, r: FinPoly) -> Lens:
     """Turn g: p → r^q back into p×q → r."""
     if g.dom != p or g.cod != cartesian_closure(r, q):
         raise ValueError("uncurry_cartesian expects g: p → r^q for the given p, q, r")
-    dom = poly_product(p, q)
-    on_pos = {}
-    on_dir = {}
-    gpos = g.on_pos
-    gdir = g.on_dir
-    for i, pairs in _pair_srcs(p, q):
-        pos_label = gpos[i]
-        _, keys = _uncurry_cart_template(q, r, pos_label)
-        gvals = tuple(map(gdir[i].__getitem__, keys))
-        per_j = _uncurry_cart_slice(q, r, pos_label, gvals)
-        for (_, src), (k, comp) in zip(pairs, per_j):
-            on_pos[src] = k
-            on_dir[src] = comp
-    return Lens._make(dom, r, on_pos, on_dir)
-
-
-@lru_cache(maxsize=65536)
-def _curry_dir_option(r: FinPoly, j: str, k: str, t_vals: tuple) -> tuple:
-    """Like _curry_cart_option but for the parallel product closure."""
-    phi = {}
-    entries = []
-    dirs = r.directions(k).elements
-    for dr, tv in zip(dirs, t_vals):
-        dp, dq = split_pair(tv)
-        phi[dr] = dq
-        entries.append((tag_label(j, pair_label(dr, "*")), dp))
-    return pair_label(k, fn_label(phi, dirs)), tuple(entries)
-
-
-@lru_cache(maxsize=65536)
-def _uncurry_dir_component(r: FinPoly, j: str, comp_label: str) -> tuple:
-    """Decode one [q,r] component into a pair-position template."""
-    k, phi_lab = split_pair(comp_label)
-    phi = split_fn(phi_lab)
-    entries = tuple(
-        (dr, tag_label(j, pair_label(dr, "*")), phi[dr])
-        for dr in r.directions(k).elements
-    )
-    return k, entries
-
-
-@lru_cache(maxsize=262144)
-def _curry_dir_slice(q: FinPoly, r: FinPoly, options: tuple) -> tuple:
-    """[q,r]-side data for one source position; shared and read only."""
-    comp_labels = []
-    comp = {}
-    for j, (k, t_vals) in zip(q.position_labels, options):
-        comp_label, entries = _curry_dir_option(r, j, k, t_vals)
-        comp_labels.append(comp_label)
-        comp.update(entries)
-    return pair_label(*comp_labels), comp
-
-
-@lru_cache(maxsize=262144)
-def _uncurry_dir_template(q: FinPoly, r: FinPoly, pos_label: str) -> tuple:
-    comps = split_pair(pos_label)
-    per_j = []
-    keys = []
-    for j, comp_label in zip(q.position_labels, comps):
-        k, entries = _uncurry_dir_component(r, j, comp_label)
-        per_j.append((k, entries))
-        for _, key, _ in entries:
-            keys.append(key)
-    return tuple(per_j), tuple(keys)
-
-
-@lru_cache(maxsize=262144)
-def _uncurry_dir_slice(q: FinPoly, r: FinPoly, pos_label: str, gvals: tuple) -> tuple:
-    per_j, keys = _uncurry_dir_template(q, r, pos_label)
-    lookup = dict(zip(keys, gvals))
-    out = []
-    for k, entries in per_j:
-        comp = {dr: pair_label(lookup[key], dq) for dr, key, dq in entries}
-        out.append((k, comp))
-    return tuple(out)
+    return _uncurry(g, p, q, r, poly_product(p, q), _merge_cartesian)
 
 
 def curry_dirichlet(f: Lens, p: FinPoly, q: FinPoly, r: FinPoly) -> Lens:
     """Turn f: p⊗q → r into p → [q,r]."""
     if f.dom != poly_tensor(p, q) or f.cod != r:
         raise ValueError("curry_dirichlet expects f: p⊗q → r for the given p, q, r")
-    cod = dirichlet_closure(q, r)
-    on_pos = {}
-    on_dir = {}
-    fpos = f.on_pos
-    fdir = f.on_dir
-    for i, pairs in _pair_srcs(p, q):
-        opts = []
-        for _, src in pairs:
-            k = fpos[src]
-            opts.append((k, _dir_values(r, k)(fdir[src])))
-        lab, comp = _curry_dir_slice(q, r, tuple(opts))
-        on_pos[i] = lab
-        on_dir[i] = comp
-    return Lens._make(p, cod, on_pos, on_dir)
+    return _curry(f, p, q, r, dirichlet_closure(q, r), _split_dirichlet)
 
 
 def uncurry_dirichlet(g: Lens, p: FinPoly, q: FinPoly, r: FinPoly) -> Lens:
     """Turn g: p → [q,r] back into p⊗q → r."""
     if g.dom != p or g.cod != dirichlet_closure(q, r):
         raise ValueError("uncurry_dirichlet expects g: p → [q,r] for the given p, q, r")
-    dom = poly_tensor(p, q)
-    on_pos = {}
-    on_dir = {}
-    gpos = g.on_pos
-    gdir = g.on_dir
-    for i, pairs in _pair_srcs(p, q):
-        pos_label = gpos[i]
-        _, keys = _uncurry_dir_template(q, r, pos_label)
-        gvals = tuple(map(gdir[i].__getitem__, keys))
-        per_j = _uncurry_dir_slice(q, r, pos_label, gvals)
-        for (_, src), (k, comp) in zip(pairs, per_j):
-            on_pos[src] = k
-            on_dir[src] = comp
-    return Lens._make(dom, r, on_pos, on_dir)
+    return _uncurry(g, p, q, r, poly_tensor(p, q), _merge_dirichlet)
 
 
 # ---------------------------------------------------------------------------

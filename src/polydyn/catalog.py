@@ -8,11 +8,10 @@ an actual exhaustive list rather than a hand-curated one.
 One-object categories are monoids, and almost all of the catalog mass
 sits there (2237 isomorphism classes at six morphisms alone), so their
 Cayley tables get a dedicated cell-at-a-time depth-first search with
-incremental associativity checking and symmetry breaking, compiled with
-numba when it is available.  Categories with two or more objects have so
-few non-identity morphisms within the bounds that a plain Python search
-over typed composition tables suffices; isomorphism duplicates are
-removed by canonical form.
+incremental associativity checking and symmetry breaking.  Categories
+with two or more objects have so few non-identity morphisms within the
+bounds that a plain Python search over typed composition tables
+suffices; isomorphism duplicates are removed by canonical form.
 """
 
 from __future__ import annotations
@@ -24,11 +23,6 @@ import numpy as np
 
 from polydyn.comonoid import FinCat
 from polydyn.core import FinSet
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba only accelerates the search
-    njit = None
 
 __all__ = [
     "monoid_tables",
@@ -206,10 +200,6 @@ def _search_monoids(n, perms, invperms, pfix1, pfix12):
             continue
         k += 1
     return out[:nfound]
-
-
-if njit is not None:
-    _search_monoids = njit(cache=True)(_search_monoids)
 
 
 @lru_cache(maxsize=None)

@@ -799,8 +799,6 @@ def comonoid_sum(c: Comonoid, d: Comonoid) -> Comonoid:
             # summand directions are untouched by +, so composites carry
             # over verbatim
             composite[lab] = dict(part.composite[i])
-    # sum_many, not the cached poly_sum: that cache confuses carriers that
-    # list the same directions in different orders
     carrier = sum_many([("0", c.carrier), ("1", d.carrier)])
     return Comonoid._from_tables(carrier, identity, codomain, composite, base)
 

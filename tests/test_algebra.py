@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -15,6 +16,7 @@ from polydyn.core import (
     SetFn,
     SizeLimitError,
     canonical_form,
+    canonical_json,
     constant,
     eval_poly,
     fn_label,
@@ -23,10 +25,12 @@ from polydyn.core import (
     is_vertical,
     lens_compose,
     lens_id,
+    lens_to_json,
     linear,
     make_poly,
     monomial,
     pair_label,
+    poly_to_json,
     representable,
 )
 from polydyn.algebra import (
@@ -498,6 +502,78 @@ def test_curry_shape_errors():
         curry_cartesian(lens_id(p), p, p, p)
     with pytest.raises(ValueError):
         uncurry_dirichlet(lens_id(p), p, p, p)
+
+
+# Each cached constructor next to an uncached build of the same polynomial.
+CACHED_CONSTRUCTIONS = {
+    "poly_sum": (poly_sum, lambda p, q: sum_many([("0", p), ("1", q)])),
+    "poly_product": (poly_product, lambda p, q: product_many([("0", p), ("1", q)])),
+    "poly_tensor": (poly_tensor, lambda p, q: tensor_many([p, q])),
+    "cartesian_closure": (
+        cartesian_closure,
+        lambda q, p: product_many([
+            (i, poly_compose(q, sum_many([("0", constant(p.directions(i))), ("1", Y)])))
+            for i in p.position_labels
+        ]),
+    ),
+    "dirichlet_closure": (
+        dirichlet_closure,
+        lambda p, q: product_many([
+            (i, poly_compose(q, linear(p.directions(i)))) for i in p.position_labels
+        ]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_CONSTRUCTIONS))
+def test_cached_constructions_do_not_depend_on_cache_history(name):
+    cached, build = CACHED_CONSTRUCTIONS[name]
+    p1 = make_poly([("a", ["x", "y"])])
+    p2 = make_poly([("a", ["y", "x"])])
+    cached.cache_clear()
+    for p in (p1, p2):
+        got = canonical_json(poly_to_json(cached(p, p)))
+        assert got == canonical_json(poly_to_json(build(p, p)))
+
+
+CURRY_KINDS = {
+    "cartesian": (poly_product, curry_cartesian, uncurry_cartesian),
+    "dirichlet": (poly_tensor, curry_dirichlet, uncurry_dirichlet),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CURRY_KINDS))
+def test_curry_round_trips_do_not_depend_on_cache_history(kind):
+    combine, curry, uncurry = CURRY_KINDS[kind]
+    p = make_poly([("a", ["d", "e"]), ("b", [])])
+    # r lists its directions in one order, then in the other
+    r1 = make_poly([("k", ["m", "n"]), ("l", [])])
+    r2 = make_poly([("k", ["n", "m"]), ("l", [])])
+    cases = (
+        (make_poly([("u", ["x"]), ("v", [])]), r1),
+        (make_poly([("w", ["x"]), ("v", [])]), r2),
+    )
+    for history in (cases, cases[::-1]):
+        for q, r in history:
+            for f in hom_iter(combine(p, q), r):
+                back = uncurry(curry(f, p, q, r), p, q, r)
+                assert canonical_json(lens_to_json(back)) == canonical_json(lens_to_json(f))
+
+
+@pytest.mark.parametrize("kind", sorted(CURRY_KINDS))
+def test_curry_results_do_not_alias(kind):
+    combine, curry, uncurry = CURRY_KINDS[kind]
+    p = make_poly([("a", ["d", "e"])])
+    q = make_poly([("u", ["x"])])
+    r = make_poly([("k", ["m", "n"])])
+    for f in hom_iter(combine(p, q), r):
+        for fn, arg in ((curry, f), (uncurry, curry(f, p, q, r))):
+            first = fn(arg, p, q, r)
+            want = copy.deepcopy(first)
+            for comp in first.on_dir.values():
+                for key in comp:
+                    comp[key] = "overwritten"
+            assert fn(arg, p, q, r) == want
 
 
 # ---------------------------------------------------------------------------
