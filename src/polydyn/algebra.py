@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 
 from polydyn.core import (
     ONE,
-    UNIT_SET,
     Y,
     ZERO,
     FinPoly,
@@ -37,8 +36,6 @@ from polydyn.core import (
     lens_compose,
     lens_id,
     linear,
-    make_poly,
-    monomial,
     pair_label,
     representable,
     split_fn,
@@ -721,7 +718,7 @@ def hom_iter(p: FinPoly, q: FinPoly):
         per_pos.append(opts)
     for combo in itertools.product(*per_pos):
         on_pos = {i: j for i, (j, _) in zip(pos_labels, combo)}
-        on_dir = {i: t for i, (_, t) in zip(pos_labels, combo)}
+        on_dir = {i: dict(t) for i, (_, t) in zip(pos_labels, combo)}
         yield Lens._make(p, q, on_pos, on_dir)
 
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-import numpy as np
-
 from polydyn.comonoid import FinCat
 from polydyn.core import FinSet
 
@@ -30,211 +28,152 @@ __all__ = [
 ]
 
 
-def _search_monoids(n, perms, invperms, pfix1, pfix12):
-    """Enumerate monoid Cayley tables of order n up to isomorphism.
+def _associative_so_far(t, occ, a, b) -> bool:
+    """False when the value just put in cell (a,b) breaks a defined triple.
+
+    Only triples involving that cell can newly fail: (a,b,z) and (x,a,b)
+    directly, and those whose outer product passes through it, found from
+    the occurrence lists occ[a] and occ[b] of cells holding a and b.
+    """
+    c = t[a][b]
+    ta, tb, tc = t[a], t[b], t[c]
+    for z, bz in enumerate(tb):
+        if bz >= 0:
+            lhs = tc[z]
+            rhs = ta[bz]
+            if lhs >= 0 and rhs >= 0 and lhs != rhs:
+                return False
+    for tx in t:
+        xa = tx[a]
+        if xa >= 0:
+            lhs = t[xa][b]
+            rhs = tx[c]
+            if lhs >= 0 and rhs >= 0 and lhs != rhs:
+                return False
+    # triples (x,y,b) with t[x][y] = a, and (a,x,y) with t[x][y] = b
+    for x, y in occ[a]:
+        yb = t[y][b]
+        if yb >= 0:
+            lhs = t[x][yb]
+            if lhs >= 0 and lhs != c:
+                return False
+    for x, y in occ[b]:
+        ax = ta[x]
+        if ax >= 0:
+            lhs = t[ax][y]
+            if lhs >= 0 and lhs != c:
+                return False
+    return True
+
+
+def _relabeling_smaller(t, perm, inv, rows, first) -> bool:
+    """Whether relabeling t by perm (inverse inv) gives a smaller table.
+
+    Tables are compared lexicographically on the given rows, each read
+    from column first on; every cell read must be filled.
+    """
+    for i in rows:
+        row = t[i]
+        moved = t[perm[i]]
+        for j in range(first, len(row)):
+            cand = inv[moved[perm[j]]]
+            if cand != row[j]:
+                return cand < row[j]
+    return False
+
+
+def _search_monoids(n, perms, fix1, fix12):
+    """Enumerate monoid Cayley tables of order n >= 2 up to isomorphism.
 
     The identity element is fixed at index 0, so row 0 and column 0 are
     forced and the search runs over the remaining (n-1)^2 cells in row
-    order.  Associativity is checked incrementally: when cell (a,b) gets
-    value c, only triples involving that cell can newly fail, and the
-    triples whose outer product passes through c are found from an
-    occurrence list of cells per value.  Two symmetry-breaking cuts keep
-    the tree small (t[1][1] <= 2, and completed rows 1 and 1-2 must be
-    prefix-minimal under relabelings that fix the cells already forced);
-    a final full minimality pass over all relabelings fixing 0 leaves
-    exactly the lexicographically least table of each class.
+    order, trying values in increasing order, so tables come out in
+    ascending lexicographic order.  Associativity is checked
+    incrementally as each cell is filled (_associative_so_far).  Two
+    symmetry-breaking cuts keep the tree small (t[1][1] <= 2, and
+    completed rows 1 and 1-2 must be prefix-minimal under relabelings
+    that fix the cells already forced); a final full minimality pass over
+    all relabelings fixing 0 leaves exactly the lexicographically least
+    table of each class.
 
-    perms/invperms hold every permutation of 0..n-1 fixing 0; pfix1 and
-    pfix12 index those that also fix 1, respectively 1 and 2.
+    perms holds (permutation, inverse) pairs for every permutation of
+    0..n-1 fixing 0; fix1 and fix12 hold those that also fix 1,
+    respectively 1 and 2.  -1 marks an empty cell.
     """
-    UNDEF = -1
-    t = np.full((n, n), UNDEF, dtype=np.int8)
+    t = [[-1] * n for _ in range(n)]
     for i in range(n):
-        t[0, i] = i
-        t[i, 0] = i
+        t[0][i] = i
+        t[i][0] = i
+    # cells holding each value; appended and popped in step with the DFS
+    occ = [[(0, i), (i, 0)] for i in range(n)]
+    occ[0] = [(0, 0)]
     m = n - 1
-    ncells = m * m
-    # occurrence stacks per value: packed x*n+y, LIFO matches the DFS undo
-    occ = np.empty((n, ncells + 2 * n), dtype=np.int16)
-    onum = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        occ[i, 0] = 0 * n + i
-        occ[i, 1] = i * n + 0
-        onum[i] = 2
-    onum[0] = 1  # cell (0,0) exists once
-    occ[0, 0] = 0
-
-    val = np.full(ncells, -1, dtype=np.int8)
-    cap = 4096
-    out = np.empty((cap, n, n), dtype=np.int8)
-    nfound = 0
+    last = m * m - 1
+    val = [-1] * (last + 1)
+    out = []
     k = 0
     while k >= 0:
         a = 1 + k // m
         b = 1 + k % m
         old = val[k]
         if old >= 0:
-            onum[old] -= 1
-            t[a, b] = UNDEF
+            occ[old].pop()
+            t[a][b] = -1
         v = old + 1
-        val[k] = v
         if v >= n:
             val[k] = -1
             k -= 1
             continue
-        t[a, b] = v
-        occ[v, onum[v]] = a * n + b
-        onum[v] += 1
-        c = v
-        ok = True
-        # triples (a,b,z) and (x,a,b)
-        for z in range(n):
-            bz = t[b, z]
-            if bz != UNDEF:
-                lhs = t[c, z]
-                rhs = t[a, bz]
-                if lhs != UNDEF and rhs != UNDEF and lhs != rhs:
-                    ok = False
-                    break
-        if ok:
-            for x in range(n):
-                xa = t[x, a]
-                if xa != UNDEF:
-                    lhs = t[xa, b]
-                    rhs = t[x, c]
-                    if lhs != UNDEF and rhs != UNDEF and lhs != rhs:
-                        ok = False
-                        break
-        # triples (x,y,b) with t[x][y] = a, and (a,x,y) with t[x][y] = b
-        if ok:
-            for s in range(onum[a]):
-                xy = occ[a, s]
-                x = xy // n
-                y = xy % n
-                yb = t[y, b]
-                if yb != UNDEF:
-                    lhs = t[x, yb]
-                    if lhs != UNDEF and lhs != c:
-                        ok = False
-                        break
-        if ok:
-            for s in range(onum[b]):
-                xy = occ[b, s]
-                x = xy // n
-                y = xy % n
-                ax = t[a, x]
-                if ax != UNDEF:
-                    lhs = t[ax, y]
-                    if lhs != UNDEF and lhs != c:
-                        ok = False
-                        break
-        if ok and k == 0 and n > 2 and v > 2:
-            ok = False  # t[1][1] <= 2 in any lex-minimal table
-        if ok and b == m and a == 1 and n > 2:
-            # row 1 complete: must not beat itself under a perm fixing 0,1
-            for s in range(pfix1.shape[0]):
-                pi = pfix1[s]
-                cmp = 0
-                for j in range(1, n):
-                    cand = invperms[pi, t[1, perms[pi, j]]]
-                    cur = t[1, j]
-                    if cand < cur:
-                        cmp = -1
-                        break
-                    elif cand > cur:
-                        cmp = 1
-                        break
-                if cmp == -1:
-                    ok = False
-                    break
-        if ok and b == m and a == 2 and n > 3:
-            # rows 1-2 complete: prefix-minimal under perms fixing 0,1,2
-            for s in range(pfix12.shape[0]):
-                pi = pfix12[s]
-                cmp = 0
-                for i in range(1, 3):
-                    if cmp != 0:
-                        break
-                    for j in range(1, n):
-                        cand = invperms[pi, t[perms[pi, i], perms[pi, j]]]
-                        cur = t[i, j]
-                        if cand < cur:
-                            cmp = -1
-                            break
-                        elif cand > cur:
-                            cmp = 1
-                            break
-                if cmp == -1:
-                    ok = False
-                    break
-        if not ok:
+        val[k] = v
+        t[a][b] = v
+        occ[v].append((a, b))
+        if not _associative_so_far(t, occ, a, b):
             continue
-        if k == ncells - 1:
-            minimal = True
-            for pi in range(perms.shape[0]):
-                cmp = 0
-                for i in range(n):
-                    if cmp != 0:
-                        break
-                    for j in range(n):
-                        cand = invperms[pi, t[perms[pi, i], perms[pi, j]]]
-                        cur = t[i, j]
-                        if cand < cur:
-                            cmp = -1
-                            break
-                        elif cand > cur:
-                            cmp = 1
-                            break
-                if cmp == -1:
-                    minimal = False
-                    break
-            if minimal:
-                if nfound >= cap:
-                    newcap = cap * 2
-                    newout = np.empty((newcap, n, n), dtype=np.int8)
-                    newout[:cap] = out
-                    out = newout
-                    cap = newcap
-                out[nfound] = t.copy()
-                nfound += 1
+        if k == 0 and v > 2:
+            continue  # t[1][1] <= 2 in any lex-minimal table
+        if b == m and a == 1 and any(
+            _relabeling_smaller(t, p, inv, (1,), 1) for p, inv in fix1
+        ):
+            continue
+        if b == m and a == 2 and any(
+            _relabeling_smaller(t, p, inv, (1, 2), 1) for p, inv in fix12
+        ):
+            continue
+        if k == last:
+            if not any(_relabeling_smaller(t, p, inv, range(n), 0) for p, inv in perms):
+                out.append(tuple(tuple(row) for row in t))
             continue
         k += 1
-    return out[:nfound]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def monoid_tables(order: int) -> np.ndarray:
+def monoid_tables(order: int) -> tuple:
     """All monoid multiplication tables of the given order up to isomorphism.
 
-    Returns a read-only int8 array of shape (count, order, order).  The
+    Returns a tuple of tables, each a tuple of row tuples of ints.  The
     identity is element 0 and table[a][b] is the product a*b, so reading
     b as "first" and a as "second" makes the table a one-object
     composition table.  Each class is represented by its
-    lexicographically least table among relabelings fixing 0.  Practical
-    through order 6; the counts for orders 1..6 are 1, 2, 7, 35, 228,
-    2237.
+    lexicographically least table among relabelings fixing 0, and the
+    tables come in ascending order.  Practical through order 6; the
+    counts for orders 1..6 are 1, 2, 7, 35, 228, 2237.
     """
     n = int(order)
     if n < 1:
         raise ValueError("order must be at least 1")
     if n == 1:
-        out = np.zeros((1, 1, 1), dtype=np.int8)
-        out.setflags(write=False)
-        return out
-    ps = [(0,) + p for p in itertools.permutations(range(1, n))]
-    perms = np.array(ps, dtype=np.int8)
-    invperms = np.empty_like(perms)
-    for pi, p in enumerate(ps):
+        return (((0,),),)
+    perms = []
+    for tail in itertools.permutations(range(1, n)):
+        p = (0,) + tail
+        inv = [0] * n
         for i, v in enumerate(p):
-            invperms[pi, v] = i
-    pfix1 = np.array([i for i, p in enumerate(ps) if p[1] == 1], dtype=np.int64)
-    pfix12 = np.array(
-        [i for i, p in enumerate(ps) if n > 2 and p[1] == 1 and p[2] == 2],
-        dtype=np.int64,
-    )
-    out = _search_monoids(n, perms, invperms, pfix1, pfix12)
-    out.setflags(write=False)
-    return out
+            inv[v] = i
+        perms.append((p, inv))
+    fix1 = [q for q in perms if q[0][:2] == (0, 1)]
+    fix12 = [q for q in perms if q[0][:3] == (0, 1, 2)]
+    return _search_monoids(n, perms, fix1, fix12)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +344,8 @@ def generate_categories(max_objects: int = 3, max_morphisms: int = 6) -> tuple:
     cats = [_build_fincat(0, [], [], [])]
     if max_objects >= 1:
         for n in range(1, max_morphisms + 1):
-            tables = sorted(
-                tuple(int(x) for x in t.reshape(-1)) for t in monoid_tables(n)
-            )
-            for flat in tables:
-                comp = [[flat[a * n + b] for b in range(n)] for a in range(n)]
-                cats.append(_build_fincat(1, [0] * n, [0] * n, comp))
+            for table in monoid_tables(n):
+                cats.append(_build_fincat(1, [0] * n, [0] * n, table))
     for k in range(2, max_objects + 1):
         for m in range(max_morphisms - k + 1):
             for key in _multi_object_keys(k, m):

@@ -395,6 +395,15 @@ def test_hom_enumerate_order_deterministic():
     assert targets == sorted(targets, key=q.position_labels.index)
 
 
+def test_hom_iter_lenses_do_not_share_tables():
+    p = make_poly([("a", ["x", "y"]), ("b", ["z"])])
+    q = make_poly([("u", ["e"])])
+    ls = list(hom_iter(p, q))
+    want = copy.deepcopy(ls[1].on_dir)
+    ls[0].on_dir["b"]["e"] = "overwritten"
+    assert ls[1].on_dir == want
+
+
 def test_global_sections():
     assert len(global_sections(poly_of((2, 1), (1, 3), (0, 2)))) == 0
     assert len(global_sections(poly_of((3, 1)))) == 3

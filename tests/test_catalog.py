@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,14 +171,13 @@ def test_monoid_counts_through_order_six():
 def test_monoid_tables_match_unpruned_enumeration():
     for n in range(1, 5):
         naive = _naive_monoid_canon_set(n)
-        mine = {tuple(int(x) for x in t.reshape(-1)) for t in monoid_tables(n)}
+        mine = {tuple(x for row in t for x in row) for t in monoid_tables(n)}
         assert mine == naive
 
 
 def test_monoid_tables_are_monoids():
     for n in range(1, 7):
-        for arr in monoid_tables(n):
-            t = arr.tolist()
+        for t in monoid_tables(n):
             assert all(t[0][b] == b and t[b][0] == b for b in range(n))
             assert all(
                 t[t[a][b]][c] == t[a][t[b][c]]
@@ -182,6 +185,33 @@ def test_monoid_tables_are_monoids():
                 for b in range(n)
                 for c in range(n)
             )
+
+
+def test_monoid_tables_come_in_ascending_order():
+    # generate_categories relies on this for its documented order
+    for n in range(1, 7):
+        assert list(monoid_tables(n)) == sorted(monoid_tables(n))
+
+
+def test_monoid_tables_are_nested_int_tuples():
+    for n in range(1, 5):
+        tables = monoid_tables(n)
+        assert type(tables) is tuple
+        for t in tables:
+            assert type(t) is tuple and len(t) == n
+            for row in t:
+                assert type(row) is tuple and len(row) == n
+                assert all(type(x) is int for x in row)
+
+
+def test_catalog_import_does_not_load_numpy():
+    code = "import sys, polydyn, polydyn.catalog; print('numpy' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_monoid_tables_rejects_nonpositive_order():
