@@ -208,16 +208,28 @@ def _typed_tables(num_objects: int, dom, cod):
         if not cs:
             return  # a composite has nowhere to land; no category has this typing
         cands.append(cs)
-    chains = [
-        (f, g, h)
-        for f in extras
-        for g in extras
-        for h in extras
-        if cod[f] == dom[g] and cod[g] == dom[h]
-    ]
+    # Each chain (f, g, h) reads comp[g][f] = u, comp[h][g] = v, comp[h][u]
+    # and comp[v][f].  It is listed under every cell among those it can
+    # read, for any candidate u and v, so after a cell is filled only the
+    # chains through it are checked; the rest were consistent before.
+    cell_index = {cell: idx for idx, cell in enumerate(cells)}
+    through = [[] for _ in cells]
+    for f in extras:
+        for g in extras:
+            if cod[f] != dom[g]:
+                continue
+            for h in extras:
+                if cod[g] != dom[h]:
+                    continue
+                reads = {(g, f), (h, g)}
+                reads.update((h, u) for u in cands[cell_index[(g, f)]])
+                reads.update((v, f) for v in cands[cell_index[(h, g)]])
+                for cell in reads:
+                    if cell in cell_index:
+                        through[cell_index[cell]].append((f, g, h))
 
-    def consistent() -> bool:
-        for f, g, h in chains:
+    def consistent(idx: int) -> bool:
+        for f, g, h in through[idx]:
             u = comp[g][f]
             v = comp[h][g]
             if u is None or v is None:
@@ -235,7 +247,7 @@ def _typed_tables(num_objects: int, dom, cod):
         g, f = cells[idx]
         for h in cands[idx]:
             comp[g][f] = h
-            if consistent():
+            if consistent(idx):
                 yield from walk(idx + 1)
         comp[g][f] = None
 

@@ -383,9 +383,18 @@ def check_comonoid_laws(c: Comonoid) -> dict:
     # comult(i1) = (i2, psi), the left side's position is (i2, e ↦ (psi(e),
     # g ↦ phi(comp_i1(e, g)))) and the right side's is (i1, d ↦
     # comult(phi(d))); the labels are rendered only for a violation.
+    # Where base[i] is i, the check at i reads only the direction set, the
+    # codomain and the composite table at i (plus tables at the positions
+    # they lead to), so positions sharing those three objects pass or fail
+    # together: a set that passed once is not walked again.
+    passed = set()
     for i in carrier.position_labels:
         i1 = base[i]
         phi = cod[i]
+        shared = (id(dirs(i)), id(phi), id(comp[i])) if i1 == i else None
+        if shared in passed:
+            continue
+        before = len(violations)
         i2 = base[i1]
         psi = cod[i1]
         comp1 = comp[i1]
@@ -429,6 +438,8 @@ def check_comonoid_laws(c: Comonoid) -> dict:
                                 "right": rv,
                             }
                         )
+        if shared is not None and len(violations) == before:
+            passed.add(shared)
 
     return {"ok": not violations, "violations": violations}
 
@@ -540,31 +551,34 @@ class FinCat:
 
 
 def check_category(k: FinCat) -> dict:
-    """Exhaustive identity and associativity check with per-instance report."""
+    """Exhaustive identity and associativity check with per-instance report.
+
+    Walks only the composable triples: g runs over the morphisms out of
+    the codomain of f, and h over those out of the codomain of g.
+    """
+    comp, cod_of, out, identity = k._compose, k.cod_of, k.out, k.identity
+    labels = k.morphism_labels()
     violations = []
-    for m in k.morphism_labels():
-        left = k.compose2(k.identity[k.cod_of[m]], m)
+    for m in labels:
+        left = comp[(identity[cod_of[m]], m)]
         if left != m:
             violations.append({"law": "left_identity", "morphism": m, "got": left})
-        right = k.compose2(m, k.identity[k.dom_of[m]])
+        right = comp[(m, identity[k.dom_of[m]])]
         if right != m:
             violations.append({"law": "right_identity", "morphism": m, "got": right})
-    labels = k.morphism_labels()
     for f in labels:
-        for g in labels:
-            if k.dom_of[g] != k.cod_of[f]:
-                continue
-            gf = k.compose2(g, f)
-            for h in labels:
-                if k.dom_of[h] != k.cod_of[g]:
-                    continue
-                if k.compose2(h, gf) != k.compose2(k.compose2(h, g), f):
+        for g in out[cod_of[f]]:
+            gf = comp[(g, f)]
+            for h in out[cod_of[g]]:
+                left = comp[(h, gf)]
+                right = comp[(comp[(h, g)], f)]
+                if left != right:
                     violations.append(
                         {
                             "law": "associativity",
                             "triple": [h, g, f],
-                            "left": k.compose2(h, gf),
-                            "right": k.compose2(k.compose2(h, g), f),
+                            "left": left,
+                            "right": right,
                         }
                     )
     return {"ok": not violations, "violations": violations}
@@ -730,13 +744,10 @@ def category_to_comonoid(k: FinCat) -> Comonoid:
         first = report["violations"][0]
         raise ValueError(f"category axioms fail: {first!r}")
     objects = k.objects.elements
-    codomain = {o: {m: k.cod_of[m] for m in k.out[o]} for o in objects}
+    comp, cod_of, out = k._compose, k.cod_of, k.out
+    codomain = {o: {m: cod_of[m] for m in out[o]} for o in objects}
     composite = {
-        o: {
-            (m, m2): k.compose2(m2, m)
-            for m in k.out[o]
-            for m2 in k.out[k.cod_of[m]]
-        }
+        o: {(m, m2): comp[(m2, m)] for m in out[o] for m2 in out[cod_of[m]]}
         for o in objects
     }
     return Comonoid._from_tables(
@@ -905,96 +916,115 @@ def is_cat_isomorphism(
     for o in objs1:
         if mor_map[k1.identity[o]] != k2.identity[obj_map[o]]:
             return False
-    for f in mors1:
-        for g in mors1:
-            if k1.cod_of[f] != k1.dom_of[g]:
-                continue
-            if mor_map[k1.compose2(g, f)] != k2.compose2(mor_map[g], mor_map[f]):
-                return False
+    # endpoints are preserved, so every image pair is composable in k2
+    comp2 = k2._compose
+    for (g, f), h in k1._compose.items():
+        if mor_map[h] != comp2[(mor_map[g], mor_map[f])]:
+            return False
     return True
+
+
+def _object_profiles(k: FinCat) -> dict:
+    """Per object: (morphisms out, morphisms in, loops), an invariant."""
+    ins = dict.fromkeys(k.objects.elements, 0)
+    for _, _, c in k.morphisms:
+        ins[c] += 1
+    return {
+        o: (len(ms), ins[o], sum(1 for m in ms if k.cod_of[m] == o))
+        for o, ms in k.out.items()
+    }
+
+
+def _power_signature(k: FinCat, m: str) -> tuple:
+    """(is identity, is endomorphism, index, period) of a morphism.
+
+    For an endomorphism, index and period describe its powers m, m∘m, …:
+    the first power to repeat an earlier one is the (index + period)-th,
+    and it equals the index-th.  Both are 0 otherwise.  Isomorphisms
+    preserve the whole signature.
+    """
+    o = k.dom_of[m]
+    if k.cod_of[m] != o:
+        return (False, False, 0, 0)
+    comp = k._compose
+    seen = {}
+    x = m
+    while x not in seen:
+        seen[x] = len(seen) + 1
+        x = comp[(m, x)]
+    index = seen[x]
+    return (k.identity[o] == m, True, index, len(seen) + 1 - index)
 
 
 def cat_isomorphic(k1: FinCat, k2: FinCat) -> bool:
     """Search for an isomorphism; intended for small categories.
 
-    Backtracks over object bijections, then over morphism bijections
-    hom-set block by hom-set block, pruning with identities and the
-    composition tables as soon as both factors are assigned.
+    Morphisms of k1 are assigned one at a time: identities first, which
+    fixes the object map, then the rest in the order k1 lists them.  Each
+    goes to an unused morphism of k2 with the same power signature, in
+    the hom-set the object map dictates (for identities: at an object
+    with the same profile).  After each assignment only the composites
+    that it completes are compared, so a wrong choice is dropped at the
+    first product that disagrees.  A complete map is confirmed with
+    is_cat_isomorphism.
     """
     objs1 = k1.objects.elements
-    objs2 = k2.objects.elements
-    if len(objs1) != len(objs2) or len(k1.morphisms) != len(k2.morphisms):
+    if len(objs1) != len(k2.objects) or len(k1.morphisms) != len(k2.morphisms):
+        return False
+    prof1 = _object_profiles(k1)
+    prof2 = _object_profiles(k2)
+    if sorted(prof1.values()) != sorted(prof2.values()):
+        return False
+    sig1 = {m: _power_signature(k1, m) for m in k1.dom_of}
+    sig2 = {m: _power_signature(k2, m) for m in k2.dom_of}
+    if sorted(sig1.values()) != sorted(sig2.values()):
         return False
 
-    def profile(k: FinCat, o: str) -> tuple:
-        outs = len(k.out[o])
-        ins = sum(1 for m in k.morphism_labels() if k.cod_of[m] == o)
-        loops = sum(1 for m in k.out[o] if k.cod_of[m] == o)
-        return (outs, ins, loops)
-
-    if sorted(profile(k1, o) for o in objs1) != sorted(profile(k2, o) for o in objs2):
-        return False
-
-    hom1 = {}
+    # candidate lists: identities by object profile and signature, the
+    # rest by hom-set and signature
+    idents2 = {}
+    for o2, m2 in k2.identity.items():
+        idents2.setdefault((prof2[o2], sig2[m2]), []).append(m2)
     hom2 = {}
-    for m in k1.morphism_labels():
-        hom1.setdefault((k1.dom_of[m], k1.cod_of[m]), []).append(m)
-    for m in k2.morphism_labels():
-        hom2.setdefault((k2.dom_of[m], k2.cod_of[m]), []).append(m)
+    for m2, d, c in k2.morphisms:
+        hom2.setdefault((d, c, sig2[m2]), []).append(m2)
+    order = [k1.identity[o] for o in objs1]
+    order += [m for m, _, _ in k1.morphisms if not sig1[m][0]]
+    # each composition-table entry is compared at the step that assigns
+    # the last of its three morphisms
+    step = {m: i for i, m in enumerate(order)}
+    checks = [[] for _ in order]
+    for (g, f), h in k1._compose.items():
+        checks[max(step[g], step[f], step[h])].append((g, f, h))
 
-    import itertools as _it
+    comp2 = k2._compose
+    dom1, cod1 = k1.dom_of, k1.cod_of
+    obj_map: dict[str, str] = {}
+    mor_map: dict[str, str] = {}
+    used = set()
 
-    def try_obj(obj_map: dict) -> bool:
-        blocks = []
-        for (a, b), ms in sorted(hom1.items()):
-            target = hom2.get((obj_map[a], obj_map[b]), [])
-            if len(target) != len(ms):
-                return False
-            blocks.append((ms, target))
-
-        mor_map: dict[str, str] = {}
-
-        def extend(idx: int) -> bool:
-            if idx == len(blocks):
-                return is_cat_isomorphism(k1, k2, obj_map, mor_map)
-            ms, target = blocks[idx]
-            for perm in _it.permutations(target):
-                ok = True
-                for m, m2 in zip(ms, perm):
-                    mor_map[m] = m2
-                for o in k1.objects.elements:
-                    i1 = k1.identity[o]
-                    if i1 in mor_map and mor_map[i1] != k2.identity[obj_map[o]]:
-                        ok = False
-                        break
-                if ok:
-                    for f in mor_map:
-                        for g in mor_map:
-                            if k1.cod_of[f] != k1.dom_of[g]:
-                                continue
-                            gf = k1.compose2(g, f)
-                            if gf in mor_map and mor_map[gf] != k2.compose2(
-                                mor_map[g], mor_map[f]
-                            ):
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                if ok and extend(idx + 1):
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return is_cat_isomorphism(k1, k2, obj_map, mor_map)
+        m = order[i]
+        if i < len(objs1):
+            cands = idents2.get((prof1[objs1[i]], sig1[m]), ())
+        else:
+            cands = hom2.get((obj_map[dom1[m]], obj_map[cod1[m]], sig1[m]), ())
+        for m2 in cands:
+            if m2 in used:
+                continue
+            if i < len(objs1):
+                obj_map[objs1[i]] = k2.dom_of[m2]
+            mor_map[m] = m2
+            if all(mor_map[h] == comp2[(mor_map[g], mor_map[f])] for g, f, h in checks[i]):
+                used.add(m2)
+                if extend(i + 1):
                     return True
-                for m in ms:
-                    mor_map.pop(m, None)
-            return False
+                used.discard(m2)
+        return False
 
-        return extend(0)
-
-    for perm in _it.permutations(objs2):
-        obj_map = dict(zip(objs1, perm))
-        if any(profile(k1, o) != profile(k2, obj_map[o]) for o in objs1):
-            continue
-        if try_obj(obj_map):
-            return True
-    return False
+    return extend(0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -19,6 +20,7 @@ from polydyn.comonoid import (
     check_comonoid_morphism,
     comonoid_to_category,
     contractible,
+    is_cat_isomorphism,
     lens_to_cofunctor,
 )
 from polydyn.catalog import (
@@ -292,16 +294,65 @@ def test_every_catalog_category_passes_check_category():
 def test_catalog_has_no_isomorphic_duplicates_at_small_sizes():
     # one-object entries are distinct lex-minimal canonical forms (checked
     # against the unpruned enumeration above), so the quadratic sweep here
-    # concentrates on the multi-object streams plus the small monoids
+    # covers every multi-object group and the monoids up to order five
     groups = {}
     for k in generate_categories(3, 6):
         num_objects = len(k.objects.elements)
         total = len(k.morphisms)
-        if total <= 5 and (num_objects >= 2 or total <= 4):
+        if num_objects >= 2 or total <= 5:
             groups.setdefault((num_objects, total), []).append(k)
     for group in groups.values():
         for a, b in itertools.combinations(group, 2):
             assert not cat_isomorphic(a, b)
+
+
+def _brute_force_isomorphic(k1, k2):
+    """Try every object bijection with every morphism bijection."""
+    objs1, objs2 = k1.objects.elements, k2.objects.elements
+    mors1, mors2 = k1.morphism_labels(), k2.morphism_labels()
+    if len(objs1) != len(objs2) or len(mors1) != len(mors2):
+        return False
+    for obj_image in itertools.permutations(objs2):
+        obj_map = dict(zip(objs1, obj_image))
+        for mor_image in itertools.permutations(mors2):
+            if is_cat_isomorphism(k1, k2, obj_map, dict(zip(mors1, mor_image))):
+                return True
+    return False
+
+
+def _shuffled(k, rng):
+    """k with fresh labels and its objects and morphisms in a random order."""
+    objs = list(k.objects.elements)
+    mors = list(k.morphisms)
+    rng.shuffle(objs)
+    rng.shuffle(mors)
+    obj_name = {o: f"X{j}" for j, o in enumerate(objs)}
+    mor_name = {m: f"f{j}" for j, (m, _, _) in enumerate(mors)}
+    return FinCat(
+        FinSet(tuple(obj_name[o] for o in objs)),
+        [(mor_name[m], obj_name[d], obj_name[c]) for m, d, c in mors],
+        {obj_name[o]: mor_name[m] for o, m in k.identity.items()},
+        {(mor_name[g], mor_name[f]): mor_name[h] for (g, f), h in k._compose.items()},
+    )
+
+
+def test_cat_isomorphic_agrees_with_brute_force_search():
+    rng = random.Random(20051894)
+    groups = {}
+    for k in generate_categories(3, 4):
+        groups.setdefault((len(k.objects.elements), len(k.morphisms)), []).append(k)
+    positives = 0
+    for group in groups.values():
+        shuffled = [_shuffled(k, rng) for k in group]
+        for a, b in itertools.product(group, shuffled):
+            want = _brute_force_isomorphic(a, b)
+            assert cat_isomorphic(a, b) == want
+            positives += want
+        for a, b in itertools.combinations(group, 2):
+            assert not cat_isomorphic(a, b)
+            assert not _brute_force_isomorphic(a, b)
+    # every category matches its own shuffle and nothing else
+    assert positives == sum(len(group) for group in groups.values())
 
 
 def test_catalog_is_deterministic():

@@ -7,6 +7,7 @@ import pytest
 from polydyn.core import (
     Lens,
     SetFn,
+    FinPoly,
     FinSet,
     SizeLimitError,
     Y,
@@ -332,6 +333,42 @@ def test_check_category_reports_associativity_failure():
     )
     with pytest.raises(ValueError, match="category axioms fail"):
         category_to_comonoid(k)
+
+
+def test_check_category_report_matches_golden():
+    # Two objects, morphisms listed out of object order so that the walk
+    # over composable triples must keep the label order; e∘iX = iX breaks
+    # one identity law and e∘e = iX with g∘f = e breaks associativity.
+    k = FinCat(
+        FinSet(("X", "Y")),
+        [("f", "X", "Y"), ("iX", "X", "X"), ("g", "Y", "X"), ("iY", "Y", "Y"),
+         ("e", "X", "X")],
+        {"X": "iX", "Y": "iY"},
+        {
+            ("g", "f"): "e", ("iY", "f"): "f", ("f", "iX"): "f",
+            ("iX", "iX"): "iX", ("e", "iX"): "iX", ("f", "e"): "f",
+            ("iX", "e"): "e", ("e", "e"): "iX", ("f", "g"): "iY",
+            ("iX", "g"): "g", ("e", "g"): "g", ("g", "iY"): "g",
+            ("iY", "iY"): "iY",
+        },
+    )
+    # captured from the implementation that filtered all label triples
+    assert check_category(k) == {
+        "ok": False,
+        "violations": [
+            {"law": "right_identity", "morphism": "e", "got": "iX"},
+            {"law": "associativity", "triple": ["e", "g", "f"], "left": "iX", "right": "e"},
+            {"law": "associativity", "triple": ["g", "f", "iX"], "left": "e", "right": "iX"},
+            {"law": "associativity", "triple": ["g", "f", "e"], "left": "e", "right": "iX"},
+            {"law": "associativity", "triple": ["e", "iX", "e"], "left": "iX", "right": "e"},
+            {"law": "associativity", "triple": ["e", "e", "e"], "left": "iX", "right": "e"},
+        ],
+    }
+    with pytest.raises(ValueError) as info:
+        category_to_comonoid(k)
+    assert str(info.value) == (
+        "category axioms fail: {'law': 'right_identity', 'morphism': 'e', 'got': 'iX'}"
+    )
 
 
 def test_fincat_construction_validation():
@@ -1079,6 +1116,68 @@ def test_contractible_on_sixty_states_builds_fast():
     assert c.is_contractible()
     assert c.codomain["s3"]["s7"] == "s7"
     assert c.composite["s3"][("s7", "s9")] == "s9"
+
+
+def test_laws_of_contractible_on_sixty_states_check_fast():
+    c = contractible(FinSet(tuple(f"s{k}" for k in range(60))))
+    t0 = time.perf_counter()
+    report = check_comonoid_laws(c)
+    assert time.perf_counter() - t0 < 1.0
+    assert report == {"ok": True, "violations": []}
+
+
+def _unshared(c: Comonoid) -> Comonoid:
+    """The same comonoid with its own copy of every table at every position."""
+    return Comonoid._from_tables(
+        c.carrier,
+        dict(c.identity),
+        {i: dict(c.codomain[i]) for i in c.carrier.position_labels},
+        {i: dict(c.composite[i]) for i in c.carrier.position_labels},
+        dict(c.base),
+    )
+
+
+def _lawless_with_shared_tables():
+    # every direction leads to the state it names, but composing is the
+    # non-associative (t, u) ↦ 2t + u mod 3: position-level failures
+    three = contractible(FinSet(("0", "1", "2"))).carrier
+    skew = {(t, u): str((2 * int(t) + int(u)) % 3) for t in "012" for u in "012"}
+    yield Comonoid._from_tables(
+        three,
+        {x: x for x in "012"},
+        dict.fromkeys("012", {t: t for t in "012"}),
+        dict.fromkeys("012", skew),
+    )
+    # two positions sharing a non-associative monoid table whose directions
+    # all lead to p: per-direction failures at both, counit failures at q
+    dirs = FinSet(("1", "x", "y"))
+    table = {("1", d): d for d in dirs.elements}
+    table.update({(d, "1"): d for d in dirs.elements})
+    table.update({("x", "x"): "y", ("x", "y"): "x", ("y", "x"): "y", ("y", "y"): "y"})
+    yield Comonoid._from_tables(
+        FinPoly([("p", dirs), ("q", dirs)]),
+        {"p": "1", "q": "1"},
+        dict.fromkeys("pq", dict.fromkeys(dirs.elements, "p")),
+        dict.fromkeys("pq", table),
+    )
+    # contractible on a, b, c with one composite changed at c only: a and b
+    # still share their tables but read c's through the codomains
+    c3 = contractible(FinSet(("a", "b", "c")))
+    composite = dict(c3.composite)
+    composite["c"] = {**c3.composite["c"], ("a", "b"): "a"}
+    yield Comonoid._from_tables(
+        c3.carrier, dict(c3.identity), dict(c3.codomain), composite
+    )
+
+
+def test_law_report_is_the_same_with_shared_or_copied_tables():
+    for c in _lawless_with_shared_tables():
+        shared = check_comonoid_laws(c)
+        assert not shared["ok"]
+        assert any(v["law"] == "coassociativity" for v in shared["violations"])
+        assert shared == check_comonoid_laws(_unshared(c))
+    lawful = contractible(FinSet(tuple(f"s{k}" for k in range(5))))
+    assert check_comonoid_laws(lawful) == check_comonoid_laws(_unshared(lawful))
 
 
 def test_comult_of_seven_states_is_refused_before_allocating():
