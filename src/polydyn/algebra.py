@@ -1241,18 +1241,6 @@ def base_pushforward(f: SetFn, p: FinPoly, kind: str) -> FinPoly:
 # The adjunctions with Set.
 
 
-def _check_bijection(fwd, bwd, dom_list, cod_list) -> bool:
-    if len(dom_list) != len(cod_list):
-        return False
-    seen = []
-    for x in dom_list:
-        y = fwd(x)
-        if y not in cod_list or bwd(y) != x:
-            return False
-        seen.append(y)
-    return len(seen) == len(cod_list)
-
-
 def adjunction_suite(a_set: FinSet, p: FinPoly, q: FinPoly) -> dict:
     """Check the Set adjunctions by explicit round-tripped bijections.
 

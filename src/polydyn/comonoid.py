@@ -105,6 +105,8 @@ class Comonoid:
     built from identity.  comult, the lens carrier → carrier∘carrier with
     the structured labels of poly_compose, is derived from the tables on
     first access and then kept; equality and hashing never force it.
+    check_comonoid_laws keeps the verdict of its last full walk, so that
+    comonoid_to_category need not walk the same tables again.
 
     Comonoid(carrier, counit, comult) reads the tables off the two lenses.
     Only the shapes are enforced, structurally: codomains are positions
@@ -164,6 +166,7 @@ class Comonoid:
         )
         self._comult = None
         self._contractible = None
+        self._lawful = None
 
     @property
     def comult(self) -> Lens:
@@ -321,9 +324,14 @@ def check_comonoid_laws(c: Comonoid) -> dict:
     carry the labels that forming the composite lenses through compose_map
     and the unitors/associator would give, but neither carrier∘carrier nor
     the triply substituted codomain is ever materialized.
+
+    Every call walks everything and returns a fresh report; the verdict
+    alone is also kept on c for comonoid_to_category.
     """
     carrier = c.carrier
-    dirs = carrier.directions
+    # every key read below is a position: _check_tables guarantees that
+    # bases and codomains are
+    dirs = carrier._dirs
     ident, base, cod, comp = c.identity, c.base, c.codomain, c.composite
     violations = []
 
@@ -340,7 +348,7 @@ def check_comonoid_laws(c: Comonoid) -> dict:
             )
             continue
         composite = comp[i]
-        for e in dirs(i).elements:
+        for e in dirs[i].elements:
             v = composite[(s, e)]
             if v != e:
                 violations.append(
@@ -364,7 +372,7 @@ def check_comonoid_laws(c: Comonoid) -> dict:
             continue
         phi = cod[i]
         composite = comp[i]
-        for d in dirs(i1).elements:
+        for d in dirs[i1].elements:
             v = composite[(d, ident[phi[d]])]
             if v != d:
                 violations.append(
@@ -391,23 +399,23 @@ def check_comonoid_laws(c: Comonoid) -> dict:
     for i in carrier.position_labels:
         i1 = base[i]
         phi = cod[i]
-        shared = (id(dirs(i)), id(phi), id(comp[i])) if i1 == i else None
+        shared = (id(dirs[i]), id(phi), id(comp[i])) if i1 == i else None
         if shared in passed:
             continue
         before = len(violations)
         i2 = base[i1]
         psi = cod[i1]
         comp1 = comp[i1]
-        i1dirs = dirs(i1).elements
+        i1dirs = dirs[i1].elements
         if i2 != i1 or any(
             psi[e] != base[phi[e]]
-            or any(phi[comp1[(e, g)]] != cod[phi[e]][g] for g in dirs(psi[e]).elements)
+            or any(phi[comp1[(e, g)]] != cod[phi[e]][g] for g in dirs[psi[e]].elements)
             for e in i1dirs
         ):
             chi = {}
-            for e in dirs(i2).elements:
+            for e in dirs[i2].elements:
                 j = psi[e]
-                jdirs = dirs(j).elements
+                jdirs = dirs[j].elements
                 inner = {g: phi[comp1[(e, g)]] for g in jdirs}
                 chi[e] = pair_label(j, fn_label(inner, jdirs))
             table = {d: _comult_label(c, phi[d]) for d in i1dirs}
@@ -415,7 +423,7 @@ def check_comonoid_laws(c: Comonoid) -> dict:
                 {
                     "law": "coassociativity",
                     "position": i,
-                    "left": pair_label(i2, fn_label(chi, dirs(i2).elements)),
+                    "left": pair_label(i2, fn_label(chi, dirs[i2].elements)),
                     "right": pair_label(i1, fn_label(table, i1dirs)),
                 }
             )
@@ -424,8 +432,8 @@ def check_comonoid_laws(c: Comonoid) -> dict:
         for d in i1dirs:
             k = phi[d]
             inner = comp[k]
-            for e in dirs(base[k]).elements:
-                for g in dirs(cod[k][e]).elements:
+            for e in dirs[base[k]].elements:
+                for g in dirs[cod[k][e]].elements:
                     lv = composite[(comp1[(d, e)], g)]
                     rv = composite[(d, inner[(e, g)])]
                     if lv != rv:
@@ -441,6 +449,7 @@ def check_comonoid_laws(c: Comonoid) -> dict:
         if shared is not None and len(violations) == before:
             passed.add(shared)
 
+    c._lawful = not violations
     return {"ok": not violations, "violations": violations}
 
 
@@ -456,6 +465,10 @@ class FinCat:
     defined on exactly the composable pairs with correctly typed results.
     The identity and associativity axioms are the business of
     check_category, which reports every violating instance.
+
+    The tables are read-only once built, as a Comonoid's are: a FinCat is
+    hashable, and check_category keeps the verdict of its last full walk
+    so that category_to_comonoid need not walk the same tables again.
     """
 
     def __init__(
@@ -476,9 +489,10 @@ class FinCat:
         self.morphisms = mors
         self.dom_of = {m: d for m, d, _ in mors}
         self.cod_of = {m: c for m, _, c in mors}
-        self.out = {
-            o: tuple(m for m, d, _ in mors if d == o) for o in objects.elements
-        }
+        out = {o: [] for o in objects.elements}
+        for m, d, _ in mors:
+            out[d].append(m)
+        self.out = {o: tuple(ms) for o, ms in out.items()}
 
         for o in objects.elements:
             if o not in identity:
@@ -493,12 +507,7 @@ class FinCat:
             raise ValueError(f"identity table has non-objects: {extra!r}")
         self.identity = {o: identity[o] for o in objects.elements}
 
-        composable = {
-            (g, f)
-            for f in labels
-            for g in labels
-            if self.cod_of[f] == self.dom_of[g]
-        }
+        composable = {(g, f) for f, _, c in mors for g in self.out[c]}
         given = set(compose2)
         if given != composable:
             missing = sorted(composable - given)
@@ -514,6 +523,7 @@ class FinCat:
                     f"composite {h!r} of ({g!r}, {f!r}) has wrong endpoints"
                 )
         self._compose = dict(compose2)
+        self._lawful = None
 
     def morphism_labels(self) -> tuple[str, ...]:
         return tuple(m for m, _, _ in self.morphisms)
@@ -554,7 +564,9 @@ def check_category(k: FinCat) -> dict:
     """Exhaustive identity and associativity check with per-instance report.
 
     Walks only the composable triples: g runs over the morphisms out of
-    the codomain of f, and h over those out of the codomain of g.
+    the codomain of f, and h over those out of the codomain of g.  Every
+    call walks everything and returns a fresh report; the verdict alone is
+    also kept on k for category_to_comonoid.
     """
     comp, cod_of, out, identity = k._compose, k.cod_of, k.out, k.identity
     labels = k.morphism_labels()
@@ -581,6 +593,7 @@ def check_category(k: FinCat) -> dict:
                             "right": right,
                         }
                     )
+    k._lawful = not violations
     return {"ok": not violations, "violations": violations}
 
 
@@ -709,27 +722,32 @@ def comonoid_to_category(c: Comonoid) -> FinCat:
 
     Objects are carrier positions; the morphisms out of i are the
     directions at i, tagged with their source so labels stay globally
-    unique.  Raises if any comonoid law fails, quoting the first failure.
+    unique.  Raises if any comonoid law fails, quoting the first failure;
+    the laws are not walked again when the last check_comonoid_laws(c)
+    passed.
     """
-    report = check_comonoid_laws(c)
-    if not report["ok"]:
-        first = report["violations"][0]
-        raise ValueError(f"comonoid laws fail: {first!r}")
+    if c._lawful is not True:
+        report = check_comonoid_laws(c)
+        if not report["ok"]:
+            first = report["violations"][0]
+            raise ValueError(f"comonoid laws fail: {first!r}")
     carrier = c.carrier
-    objects = carrier.positions_set()
+    labels = carrier.position_labels
+    dirs = carrier._dirs
+    tags = {i: {d: tag_label(i, d) for d in dirs[i].elements} for i in labels}
     morphisms = []
     compose = {}
-    for i in carrier.position_labels:
-        for d in carrier.directions(i).elements:
-            morphisms.append((tag_label(i, d), i, c.codomain[i][d]))
-    identity = {i: tag_label(i, c.identity[i]) for i in carrier.position_labels}
-    for i in carrier.position_labels:
-        for d in carrier.directions(i).elements:
-            j = c.codomain[i][d]
-            for e in carrier.directions(j).elements:
-                composite = c.composite[i][(d, e)]
-                compose[(tag_label(j, e), tag_label(i, d))] = tag_label(i, composite)
-    return FinCat(objects, morphisms, identity, compose)
+    for i in labels:
+        here, cod, comp = tags[i], c.codomain[i], c.composite[i]
+        for d in dirs[i].elements:
+            j = cod[d]
+            m = here[d]
+            morphisms.append((m, i, j))
+            there = tags[j]
+            for e in dirs[j].elements:
+                compose[(there[e], m)] = here[comp[(d, e)]]
+    identity = {i: tags[i][c.identity[i]] for i in labels}
+    return FinCat(carrier.positions_set(), morphisms, identity, compose)
 
 
 def category_carrier(k: FinCat) -> FinPoly:
@@ -738,11 +756,16 @@ def category_carrier(k: FinCat) -> FinPoly:
 
 
 def category_to_comonoid(k: FinCat) -> Comonoid:
-    """Package a category's tables as a comonoid; raises on axiom failure."""
-    report = check_category(k)
-    if not report["ok"]:
-        first = report["violations"][0]
-        raise ValueError(f"category axioms fail: {first!r}")
+    """Package a category's tables as a comonoid; raises on axiom failure.
+
+    The axioms are not walked again when the last check_category(k)
+    passed.
+    """
+    if k._lawful is not True:
+        report = check_category(k)
+        if not report["ok"]:
+            first = report["violations"][0]
+            raise ValueError(f"category axioms fail: {first!r}")
     objects = k.objects.elements
     comp, cod_of, out = k._compose, k.cod_of, k.out
     codomain = {o: {m: cod_of[m] for m in out[o]} for o in objects}

@@ -336,6 +336,15 @@ def _shuffled(k, rng):
     )
 
 
+def test_fincat_out_keeps_morphism_order():
+    rng = random.Random(1894)
+    for k in generate_categories(3, 4):
+        for cat in (k, _shuffled(k, rng)):
+            assert list(cat.out) == list(cat.objects.elements)
+            for o in cat.objects.elements:
+                assert cat.out[o] == tuple(m for m, d, _ in cat.morphisms if d == o)
+
+
 def test_cat_isomorphic_agrees_with_brute_force_search():
     rng = random.Random(20051894)
     groups = {}

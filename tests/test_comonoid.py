@@ -56,6 +56,7 @@ from polydyn.comonoid import (
     lens_to_cofunctor,
     nstep_behavior,
 )
+from polydyn.catalog import generate_categories
 from polydyn.dynamics import MooreMachine, moore_to_mdds, run_open
 
 from conftest import all_lenses
@@ -335,11 +336,11 @@ def test_check_category_reports_associativity_failure():
         category_to_comonoid(k)
 
 
-def test_check_category_report_matches_golden():
+def _golden_lawless_category() -> FinCat:
     # Two objects, morphisms listed out of object order so that the walk
     # over composable triples must keep the label order; e∘iX = iX breaks
     # one identity law and e∘e = iX with g∘f = e breaks associativity.
-    k = FinCat(
+    return FinCat(
         FinSet(("X", "Y")),
         [("f", "X", "Y"), ("iX", "X", "X"), ("g", "Y", "X"), ("iY", "Y", "Y"),
          ("e", "X", "X")],
@@ -352,23 +353,31 @@ def test_check_category_report_matches_golden():
             ("iY", "iY"): "iY",
         },
     )
-    # captured from the implementation that filtered all label triples
-    assert check_category(k) == {
-        "ok": False,
-        "violations": [
-            {"law": "right_identity", "morphism": "e", "got": "iX"},
-            {"law": "associativity", "triple": ["e", "g", "f"], "left": "iX", "right": "e"},
-            {"law": "associativity", "triple": ["g", "f", "iX"], "left": "e", "right": "iX"},
-            {"law": "associativity", "triple": ["g", "f", "e"], "left": "e", "right": "iX"},
-            {"law": "associativity", "triple": ["e", "iX", "e"], "left": "iX", "right": "e"},
-            {"law": "associativity", "triple": ["e", "e", "e"], "left": "iX", "right": "e"},
-        ],
-    }
+
+
+# captured from the implementation that filtered all label triples
+GOLDEN_CATEGORY_REPORT = {
+    "ok": False,
+    "violations": [
+        {"law": "right_identity", "morphism": "e", "got": "iX"},
+        {"law": "associativity", "triple": ["e", "g", "f"], "left": "iX", "right": "e"},
+        {"law": "associativity", "triple": ["g", "f", "iX"], "left": "e", "right": "iX"},
+        {"law": "associativity", "triple": ["g", "f", "e"], "left": "e", "right": "iX"},
+        {"law": "associativity", "triple": ["e", "iX", "e"], "left": "iX", "right": "e"},
+        {"law": "associativity", "triple": ["e", "e", "e"], "left": "iX", "right": "e"},
+    ],
+}
+GOLDEN_AXIOMS_ERROR = (
+    "category axioms fail: {'law': 'right_identity', 'morphism': 'e', 'got': 'iX'}"
+)
+
+
+def test_check_category_report_matches_golden():
+    k = _golden_lawless_category()
+    assert check_category(k) == GOLDEN_CATEGORY_REPORT
     with pytest.raises(ValueError) as info:
         category_to_comonoid(k)
-    assert str(info.value) == (
-        "category axioms fail: {'law': 'right_identity', 'morphism': 'e', 'got': 'iX'}"
-    )
+    assert str(info.value) == GOLDEN_AXIOMS_ERROR
 
 
 def test_fincat_construction_validation():
@@ -1188,3 +1197,76 @@ def test_comult_of_seven_states_is_refused_before_allocating():
     assert info.value.predicted == 7 * 7**7 == 5_764_801
     assert info.value.limit == COMPOSE_LIMIT == 2**22
     assert "5764801" in str(info.value) and str(2**22) in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# The conversions reuse the verdict of the last full check.
+
+
+def test_checked_lawless_category_is_still_refused_with_the_golden_text():
+    k = _golden_lawless_category()
+    assert not check_category(k)["ok"]
+    with pytest.raises(ValueError) as info:
+        category_to_comonoid(k)
+    assert str(info.value) == GOLDEN_AXIOMS_ERROR
+
+
+def _conversion_error(convert, x) -> str:
+    with pytest.raises(ValueError) as info:
+        convert(x)
+    return str(info.value)
+
+
+def test_checked_lawless_comonoid_is_refused_with_the_same_text():
+    for fresh, checked in zip(_lawless_with_shared_tables(), _lawless_with_shared_tables()):
+        assert fresh == checked
+        assert not check_comonoid_laws(checked)["ok"]
+        want = _conversion_error(comonoid_to_category, fresh)
+        assert want.startswith("comonoid laws fail: ")
+        assert _conversion_error(comonoid_to_category, checked) == want
+
+
+def _lawful_categories():
+    yield cyclic2_category()
+    yield arrow_category()
+    yield comonoid_to_category(contractible(FinSet(("a", "b", "c"))))
+    yield from generate_categories(2, 4)
+
+
+def test_conversions_do_not_depend_on_whether_the_check_ran_first():
+    for k in _lawful_categories():
+        fresh = category_to_comonoid(fincat_from_json(fincat_to_json(k)))
+        checked = fincat_from_json(fincat_to_json(k))
+        assert check_category(checked)["ok"]
+        after = category_to_comonoid(checked)
+        assert after == fresh
+        assert after.carrier.positions == fresh.carrier.positions
+        # a comonoid built from a checked category is not taken as checked
+        assert after._lawful is None
+        back = comonoid_to_category(after)
+        assert check_comonoid_laws(fresh)["ok"]
+        assert fincat_to_json(comonoid_to_category(fresh)) == fincat_to_json(back)
+        assert back._lawful is None
+
+
+def test_cleared_reports_do_not_change_the_next_report():
+    k = _golden_lawless_category()
+    check_category(k)["violations"].clear()
+    assert check_category(k) == GOLDEN_CATEGORY_REPORT
+    for c in _lawless_with_shared_tables():
+        want = check_comonoid_laws(c)
+        want_records = list(want["violations"])
+        want["violations"].clear()
+        assert check_comonoid_laws(c) == {"ok": False, "violations": want_records}
+    lawful = contractible(FinSet(("a", "b")))
+    check_comonoid_laws(lawful)["violations"].append({"law": "planted"})
+    assert check_comonoid_laws(lawful) == {"ok": True, "violations": []}
+
+
+def test_category_of_contractible_on_sixty_states_builds_fast():
+    c = contractible(FinSet(tuple(f"s{k}" for k in range(60))))
+    t0 = time.perf_counter()
+    k = comonoid_to_category(c)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(k.morphisms) == 3600 and len(k._compose) == 216_000
+    assert k.compose2(tag_label("s7", "s9"), tag_label("s3", "s7")) == tag_label("s3", "s9")
