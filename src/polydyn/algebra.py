@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Mapping, Sequence
 
 from polydyn.core import (
@@ -187,8 +188,23 @@ def poly_product(p: FinPoly, q: FinPoly) -> FinPoly:
     return product_many([("0", p), ("1", q)])
 
 
+# poly_compose refuses to build more positions than this, and tensor_many
+# more positions plus direction labels.
+COMPOSE_LIMIT = 1 << 22
+
+
 def tensor_many(polys: Sequence[FinPoly]) -> FinPoly:
-    """Parallel product: position tuples, direction tuples."""
+    """Parallel product: position tuples, direction tuples.
+
+    The result has ∏ p(1) positions carrying ∏ Σ_i |p_i| direction labels
+    in all; above COMPOSE_LIMIT for their sum this raises SizeLimitError
+    before building anything.
+    """
+    predicted = math.prod(p.num_positions() for p in polys) + math.prod(
+        sum(len(dirs) for _, dirs in p.positions) for p in polys
+    )
+    if predicted > COMPOSE_LIMIT:
+        raise SizeLimitError("tensor_many", predicted, COMPOSE_LIMIT)
     positions = []
     for combo in itertools.product(*[p.positions for p in polys]):
         label = pair_label(*[i for i, _ in combo])
@@ -203,10 +219,6 @@ def tensor_many(polys: Sequence[FinPoly]) -> FinPoly:
 @_ordered_cache
 def poly_tensor(p: FinPoly, q: FinPoly) -> FinPoly:
     return tensor_many([p, q])
-
-
-# poly_compose refuses to build more positions than this.
-COMPOSE_LIMIT = 1 << 22
 
 
 def poly_compose(p: FinPoly, q: FinPoly) -> FinPoly:

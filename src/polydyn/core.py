@@ -60,6 +60,10 @@ __all__ = [
 ]
 
 
+# What an operation's predicted size counts, where it is not positions.
+_COUNTED = {"tensor_many": "positions plus direction labels"}
+
+
 class SizeLimitError(ValueError):
     """A construction would exceed its fixed size limit.
 
@@ -67,8 +71,9 @@ class SizeLimitError(ValueError):
     """
 
     def __init__(self, operation: str, predicted: int, limit: int):
+        counted = _COUNTED.get(operation, "positions")
         super().__init__(
-            f"{operation} would build {predicted} positions, above the limit of {limit}"
+            f"{operation} would build {predicted} {counted}, above the limit of {limit}"
         )
         self.operation = operation
         self.predicted = predicted

@@ -374,11 +374,6 @@ def run_moore(m: MooreMachine, inputs: Sequence[str]) -> Trace:
 # Stepping and unrolling a general system.
 
 
-def _successor(state: Comonoid, s: str, e: str) -> str:
-    # the state category's codomain table: where direction e out of s leads
-    return state.codomain[s][e]
-
-
 def _check_state(sys: MDDS, s: str) -> None:
     if s not in sys.state.carrier.positions_set():
         raise ValueError(f"unknown state {s!r}")
@@ -544,7 +539,7 @@ def trace_history(sys: MDDS, s0: str, directions: Sequence[str]) -> str:
     for d in directions:
         e = _pull_direction(sys, s, d)
         acc = composite[(acc, e)]
-        s = _successor(sys.state, s, e)
+        s = sys.state.codomain[s][e]
     return tag_label(s0, acc)
 
 

@@ -45,15 +45,13 @@ from polydyn.core import (
     SetFn,
     UNIT_SET,
     Y,
-    lens_compose,
-    lens_id,
     monomial,
     pair_label,
     split_pair,
 )
 from polydyn.algebra import tensor_many
 from polydyn.comonoid import contractible
-from polydyn.dynamics import MDDS, MooreMachine, input_state_pairs, moore_to_lens
+from polydyn.dynamics import MDDS, MooreMachine, input_state_pairs
 
 __all__ = [
     "WiringSyntaxError",
@@ -1012,35 +1010,19 @@ def compile_machines(spec: WiringSpec) -> list[tuple[str, MooreMachine]]:
     return out
 
 
-def _tensor_lenses(lenses: Sequence[Lens]) -> Lens:
-    """The flat n-ary tensor of lenses, matching tensor_many's labels."""
-    if len(lenses) == 1:
-        return lenses[0]
-    dom = tensor_many([f.dom for f in lenses]) if lenses else Y
-    cod = tensor_many([f.cod for f in lenses]) if lenses else Y
-    on_pos = {}
-    on_dir = {}
-    for pos in dom.position_labels:
-        parts = _split(pos, len(lenses)) if lenses else ()
-        images = [f.on_pos[p] for f, p in zip(lenses, parts)]
-        on_pos[pos] = _join(list(images)) if lenses else "*"
-        row = {}
-        for d in cod.directions(on_pos[pos]).elements:
-            dparts = _split(d, len(lenses)) if lenses else ()
-            row[d] = _join(
-                [f.on_dir[p][dp] for f, p, dp in zip(lenses, parts, dparts)]
-            )
-        on_dir[pos] = row
-    return Lens(dom, cod, on_pos, on_dir)
-
-
 def compile_system(spec: WiringSpec) -> tuple[MDDS, str]:
     """A runnable system for a fully tabulated diagram, plus its start state.
 
     Every box must carry a machine table.  The system's state comonoid
-    is contractible on the product of the machine state sets; its
-    dynamics is the wiring lens composed with the tensor of the machine
-    lenses; the start state is the tuple of init states.
+    is contractible on the product of the machine state sets, and the
+    start state is the tuple of init states.  The dynamics is the wiring
+    lens after the tensor of the machine lenses, read one state tuple at
+    a time: the machines' readouts pick a position of the wiring lens,
+    whose outer directions route to per-box inputs, and the machines'
+    updates give the next state tuple.  That tensor of machine lenses,
+    with a row over every inner direction at each state tuple, is never
+    built; the wiring lens from compile_wiring still is, so its inner
+    interface bounds the size that compiles.
     """
     wiring = compile_wiring(spec)
     machines = dict(compile_machines(spec))
@@ -1048,15 +1030,23 @@ def compile_system(spec: WiringSpec) -> tuple[MDDS, str]:
     missing = [name for name in r.box_order if name not in machines]
     if missing:
         raise ValueError(f"no machine table for box {missing[0]!r}")
-    if not r.box_order:
-        state = contractible(UNIT_SET)
-        return MDDS(state, wiring.cod, lens_compose(wiring, lens_id(Y))), "*"
-    lenses = [moore_to_lens(machines[name]) for name in r.box_order]
-    inner = _tensor_lenses(lenses)
-    state = contractible(FinSet(inner.dom.position_labels))
-    system = MDDS(state, wiring.cod, lens_compose(wiring, inner))
-    start = _join([machines[name].initial for name in r.box_order])
-    return system, start
+    boxes = [machines[name] for name in r.box_order]
+    n = len(boxes)
+    state = contractible(_product_set([m.states for m in boxes]))
+    on_pos = {}
+    on_dir = {}
+    for s in state.carrier.position_labels:
+        parts = _split(s, n)
+        pos = _join([m.readout(p) for m, p in zip(boxes, parts)])
+        on_pos[s] = wiring.on_pos[pos]
+        row = {}
+        for d, e in wiring.on_dir[pos].items():
+            row[d] = _join(
+                [m.update(pair_label(a, p)) for m, a, p in zip(boxes, _split(e, n), parts)]
+            )
+        on_dir[s] = row
+    dynamics = Lens(state.carrier, wiring.cod, on_pos, on_dir)
+    return MDDS(state, wiring.cod, dynamics), _join([m.initial for m in boxes])
 
 
 # ---------------------------------------------------------------------------

@@ -136,12 +136,10 @@ def _coupled_oracle(ctrl, plant, stream):
 
 def _check_trace(sys, trace):
     """Consecutive states must follow the comultiplication's successor."""
-    from polydyn.dynamics import _successor
-
     for (s, b, d), (s2, _, _) in zip(trace.steps, trace.steps[1:]):
         assert b == sys.dynamics.on_pos[s]
         e = sys.dynamics.on_dir[s][d]
-        assert s2 == _successor(sys.state, s, e)
+        assert s2 == sys.state.codomain[s][e]
 
 
 def _parallel_pair_category():

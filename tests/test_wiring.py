@@ -1,6 +1,7 @@
 import itertools
 import pathlib
 import random
+import time
 
 import pytest
 
@@ -8,14 +9,18 @@ from polydyn.core import (
     UNIT_SET,
     FinSet,
     Lens,
+    SizeLimitError,
     Y,
+    lens_compose,
     lens_id,
     monomial,
     pair_label,
+    split_pair,
     tag_label,
 )
 from polydyn.algebra import tensor_many
-from polydyn.dynamics import MooreMachine, run_closed, run_open, step
+from polydyn.comonoid import comonoid_to_json, contractible
+from polydyn.dynamics import MDDS, MooreMachine, moore_to_lens, run_closed, run_open, step
 from polydyn.wiring import (
     BoxDecl,
     Connect,
@@ -524,82 +529,78 @@ def test_fixed_wiring_on_dir_factors_through_wired_sources():
 
 
 # ---------------------------------------------------------------------------
-# A 27-state system: three 3-state machines in a ring.
+# Rings of machines: B boxes of k states each, k^B states in all.
 
 
-def _ring_tables(seed):
-    """Seeded tables for boxes M0, M1, M2, each with states q<k>0..q<k>2.
+def _ring_tables(seed, boxes, k):
+    """Seeded tables for boxes M0..M<B-1>, box b with states q<b>0..q<b><k-1>.
 
-    M0 reads the outside input a and M2's output, M1 reads M0's, M2 reads
-    M1's; the system shows M2's output.
+    Every box reads the outside input a and the previous box's output on
+    i (M0 reads the last box's); the system shows M0's output.
     """
     rng = random.Random(seed)
-    inputs, values = ("a0", "a1"), ("v0", "v1", "v2")
-    states = [tuple(f"q{k}{j}" for j in range(3)) for k in range(3)]
-    readout = [{q: rng.choice(values) for q in states[k]} for k in range(3)]
+    inputs, values = ("a0", "a1"), tuple(f"v{j}" for j in range(k))
+    states = [tuple(f"q{b}{j}" for j in range(k)) for b in range(boxes)]
+    readout = [{q: rng.choice(values) for q in qs} for qs in states]
     update = [
-        {(q, a, v): rng.choice(states[0]) for q in states[0] for a in inputs for v in values},
-        {(q, v): rng.choice(states[1]) for q in states[1] for v in values},
-        {(q, v): rng.choice(states[2]) for q in states[2] for v in values},
+        {(q, v, a): rng.choice(qs) for q in qs for v in values for a in inputs}
+        for qs in states
     ]
     return inputs, values, states, readout, update
 
 
 def _ring_text(inputs, values, states, readout, update):
+    boxes = len(states)
     lines = [
         f"set A = {{{', '.join(inputs)}}}",
         f"set V = {{{', '.join(values)}}}",
-        "box M0 { out o : V; in a : A; in x : V; }",
-        "box M1 { out o : V; in x : V; }",
-        "box M2 { out o : V; in x : V; }",
-        "outer System { out o : V; in a : A; }",
-        "connect M2.o -> System.o",
-        "connect System.a -> M0.a",
-        "connect M2.o -> M0.x",
-        "connect M0.o -> M1.x",
-        "connect M1.o -> M2.x",
     ]
-    for k in range(3):
+    lines += [f"box M{b} {{ out o : V; in i : V; in a : A; }}" for b in range(boxes)]
+    lines += ["outer System { out o : V; in a : A; }", "connect M0.o -> System.o"]
+    for b in range(boxes):
         lines += [
-            f"machine M{k} {{",
-            f"  states = {{{', '.join(states[k])}}};",
-            f"  init = {states[k][0]};",
+            f"connect System.a -> M{b}.a",
+            f"connect M{b}.o -> M{(b + 1) % boxes}.i",
         ]
-        lines += [f"  readout {q} = (o = {readout[k][q]})" for q in states[k]]
-        for key, nxt in update[k].items():
-            if k == 0:
-                q, a, v = key
-                lines.append(f"  update {q} (a = {a}, x = {v}) = {nxt}")
-            else:
-                q, v = key
-                lines.append(f"  update {q} (x = {v}) = {nxt}")
+    for b in range(boxes):
+        lines += [
+            f"machine M{b} {{",
+            f"  states = {{{', '.join(states[b])}}};",
+            f"  init = {states[b][0]};",
+        ]
+        lines += [f"  readout {q} = (o = {readout[b][q]})" for q in states[b]]
+        lines += [
+            f"  update {q} (i = {v}, a = {a}) = {nxt}"
+            for (q, v, a), nxt in update[b].items()
+        ]
         lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def _ring_oracle(states, readout, update, stream):
-    """run_open's steps, from plain dicts and string joins only."""
+    """run_open's steps for two or more boxes, from plain dicts and string joins."""
     q = [s[0] for s in states]
     steps = []
     for a in stream:
-        steps.append(("(" + ",".join(q) + ")", readout[2][q[2]], a))
-        o0, o1, o2 = (readout[k][q[k]] for k in range(3))
-        q = [update[0][q[0], a, o2], update[1][q[1], o0], update[2][q[2], o1]]
-    steps.append(("(" + ",".join(q) + ")", readout[2][q[2]], None))
+        steps.append(("(" + ",".join(q) + ")", readout[0][q[0]], a))
+        outs = [readout[b][q[b]] for b in range(len(q))]
+        q = [update[b][q[b], outs[b - 1], a] for b in range(len(q))]
+    steps.append(("(" + ",".join(q) + ")", readout[0][q[0]], None))
     return steps
 
 
-def test_ring_of_27_states_runs_100k_inputs_against_an_oracle():
-    tables = _ring_tables(10)
+def _ring_runs_against_the_oracle(boxes, k, steps):
+    tables = _ring_tables(10, boxes, k)
     inputs, _, states, readout, update = tables
     spec = parse(_ring_text(*tables))
     assert validate(spec)["ok"]
+    t0 = time.perf_counter()
     sys, start = compile_system(spec)
-    assert sys.state.carrier.num_positions() == 27
-    assert start == "(q00,q10,q20)"
-    # seed 10 visits 19 of the 27 states and two of the three outputs
+    compile_s = time.perf_counter() - t0
+    assert sys.state.carrier.num_positions() == k**boxes
+    assert start == "(" + ",".join(qs[0] for qs in states) + ")"
     rng = random.Random(12)
-    stream = [rng.choice(inputs) for _ in range(100_000)]
+    stream = [rng.choice(inputs) for _ in range(steps)]
     trace = run_open(sys, stream, start)
     want = _ring_oracle(states, readout, update, stream)
     assert len(trace.steps) == len(want)
@@ -609,10 +610,33 @@ def test_ring_of_27_states_runs_100k_inputs_against_an_oracle():
     # the state comonoid is contractible, so the run traces out the unique
     # morphism from the start to the final state
     assert trace.history == tag_label(start, trace.final_state)
+    return compile_s, {s for s, _, _ in want}, {b for _, b, _ in want}
+
+
+def test_ring_of_27_states_runs_100k_inputs_against_an_oracle():
+    _, visited, shown = _ring_runs_against_the_oracle(3, 3, 100_000)
+    # seed 10 visits 18 of the 27 states and shows all three outputs
+    assert (len(visited), len(shown)) == (18, 3)
+
+
+def test_ring_of_256_states_compiles_in_under_2s_and_runs_against_an_oracle():
+    compile_s, _, _ = _ring_runs_against_the_oracle(4, 4, 10_000)
+    assert compile_s < 2.0
+
+
+def test_ring_of_1024_states_is_refused_before_building_the_inner_interface():
+    # M0..M4 of 4 states each: the inner interface has 4^5 positions and
+    # (2*4)^5 directions at each, 2^25 + 2^10 labels in all
+    spec = parse(_ring_text(*_ring_tables(10, 5, 4)))
+    t0 = time.perf_counter()
+    msg = "tensor_many would build 33555456 positions plus direction labels"
+    with pytest.raises(SizeLimitError, match=msg):
+        compile_system(spec)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_step_works_on_a_27_state_system():
-    tables = _ring_tables(10)
+    tables = _ring_tables(10, 3, 3)
     _, _, states, readout, update = tables
     sys, start = compile_system(parse(_ring_text(*tables)))
     s = start
@@ -621,3 +645,100 @@ def test_step_works_on_a_27_state_system():
         assert s == state
         b, s = step(sys, s, a)
         assert (b, s) == (out, nxt)
+
+
+# ---------------------------------------------------------------------------
+# compile_system against the composite it stands for: the wiring lens after
+# the flat tensor of the machine lenses.
+
+
+def _old_composite(spec):
+    machines = dict(compile_machines(spec))
+    lenses = [moore_to_lens(machines[name]) for name in spec.boxes()]
+    if not lenses:
+        inner = lens_id(Y)
+    elif len(lenses) == 1:
+        inner = lenses[0]
+    else:
+        dom = tensor_many([f.dom for f in lenses])
+        cod = tensor_many([f.cod for f in lenses])
+        on_pos = {}
+        on_dir = {}
+        for pos in dom.position_labels:
+            parts = split_pair(pos)
+            on_pos[pos] = pair_label(*[f.on_pos[p] for f, p in zip(lenses, parts)])
+            on_dir[pos] = {
+                d: pair_label(
+                    *[f.on_dir[p][dp] for f, p, dp in zip(lenses, parts, split_pair(d))]
+                )
+                for d in cod.directions(on_pos[pos]).elements
+            }
+        inner = Lens(dom, cod, on_pos, on_dir)
+    wiring = compile_wiring(spec)
+    state = contractible(FinSet(inner.dom.position_labels))
+    inits = [machines[name].initial for name in spec.boxes()]
+    start = "*" if not inits else inits[0] if len(inits) == 1 else pair_label(*inits)
+    return MDDS(state, wiring.cod, lens_compose(wiring, inner)), start
+
+
+def _assert_same_system(spec):
+    sys, start = compile_system(spec)
+    old, old_start = _old_composite(spec)
+    assert start == old_start
+    assert sys == old
+    carrier, old_carrier = sys.state.carrier, old.state.carrier
+    assert carrier.position_labels == old_carrier.position_labels
+    for i in carrier.position_labels:
+        assert carrier.directions(i).elements == old_carrier.directions(i).elements
+    got, want = sys.dynamics, old.dynamics
+    assert list(got.on_pos.items()) == list(want.on_pos.items())
+    assert list(got.on_dir) == list(want.on_dir)
+    for i, row in got.on_dir.items():
+        assert list(row.items()) == list(want.on_dir[i].items())
+    if carrier.num_positions() <= 4:
+        # the derived comultiplication has n^n * n positions at n states
+        # (and refuses above 6), so the JSON form is compared only on the
+        # small cases; the tables themselves were compared above
+        assert comonoid_to_json(sys.state) == comonoid_to_json(old.state)
+
+
+def _with_random_machines(spec, rng):
+    """The spec plus a random machine table for every box, every row given."""
+    elements = {name: decl.elements for name, decl in spec.sets().items()}
+    machines = []
+    for box in spec.boxes().values():
+        outs = [p for p in box.ports if p.kind == "out"]
+        ins = [p for p in box.ports if p.kind == "in"]
+        states = tuple(f"s{j}" for j in range(rng.randint(1, 3)))
+        readouts = tuple(
+            ReadoutRow(q, tuple((p.name, rng.choice(elements[p.set_name])) for p in outs))
+            for q in states
+        )
+        updates = tuple(
+            UpdateRow(q, tuple(zip([p.name for p in ins], combo)), rng.choice(states))
+            for q in states
+            for combo in itertools.product(*[elements[p.set_name] for p in ins])
+        )
+        machines.append(MachineDecl(box.name, states, rng.choice(states), readouts, updates))
+    return WiringSpec(spec.statements + tuple(machines))
+
+
+@pytest.mark.parametrize("name", ["control.wd", "supplier.wd", "attach.wd"])
+def test_compile_system_equals_the_old_composite_on_the_demos(name):
+    _assert_same_system(parse(_read(name)))
+
+
+@pytest.mark.parametrize("text", ["", "outer T { }"])
+def test_compile_system_equals_the_old_composite_without_boxes(text):
+    _assert_same_system(parse(text))
+
+
+@pytest.mark.parametrize("boxes,k", [(1, 3), (2, 2), (3, 3), (3, 5), (4, 4)])
+def test_compile_system_equals_the_old_composite_on_rings(boxes, k):
+    _assert_same_system(parse(_ring_text(*_ring_tables(10, boxes, k))))
+
+
+def test_compile_system_equals_the_old_composite_on_random_specs():
+    rng = random.Random(20261018)
+    for _ in range(40):
+        _assert_same_system(_with_random_machines(random_spec(rng), rng))
