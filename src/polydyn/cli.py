@@ -1,0 +1,72 @@
+"""The polydyn command: check and run wiring programs.
+
+    polydyn check FILE.wd             print every violation; exit 1 if any
+    polydyn run FILE.wd [--steps N]   compile, run, print the trace as CSV
+
+run feeds a system with an open interface the whitespace-separated
+inputs read from stdin (run_open), and runs a closed system, interface
+y, for N steps (run_closed).  Syntax errors, violations and run errors
+go to stderr with exit status 1.  The package does not import this
+module.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+from polydyn.core import Y
+from polydyn.dynamics import run_closed, run_open, trace_to_csv
+from polydyn.wiring import WiringSyntaxError, compile_system, parse, validate
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="polydyn", description="Check and run .wd wiring programs."
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    check = commands.add_parser("check", help="print the violations of a program")
+    check.add_argument("file", type=Path)
+    run = commands.add_parser("run", help="compile a program and print a run as CSV")
+    run.add_argument("file", type=Path)
+    run.add_argument(
+        "--steps", type=int, default=10,
+        help="steps of a closed system (default 10); an open one reads stdin",
+    )
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        spec = parse(args.file.read_text(encoding="utf-8"))
+    except (OSError, WiringSyntaxError) as exc:
+        print(f"{args.file}: {exc}", file=sys.stderr)
+        return 1
+    violations = validate(spec)["violations"]
+    if args.command == "check":
+        for v in violations:
+            print(f"{args.file}: {v}")
+        if not violations:
+            print(f"{args.file}: ok")
+        return 1 if violations else 0
+    if violations:
+        for v in violations:
+            print(f"{args.file}: {v}", file=sys.stderr)
+        return 1
+    try:
+        system, start = compile_system(spec)
+        if system.interface == Y:
+            trace = run_closed(system, args.steps, start)
+        else:
+            trace = run_open(system, sys.stdin.read().split(), start)
+    except ValueError as exc:
+        print(f"{args.file}: {exc}", file=sys.stderr)
+        return 1
+    sys.stdout.write(trace_to_csv(trace))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -265,14 +265,16 @@ class Trace:
     __slots__ = ("steps", "final_state", "history")
 
     def __init__(self, steps: Sequence[tuple], final_state: str, history=None):
-        steps = tuple((s, b, d) for s, b, d in steps)
+        # tuple() hands back an exact tuple as it is, so a run's shared
+        # entries are not copied; unpacking still demands three items each
+        steps = tuple(map(tuple, steps))
         if not steps:
             raise ValueError("a trace records at least the final readout")
-        if steps[-1][2] is not None:
+        directions = [d for _, _, d in steps]
+        if directions.pop() is not None:
             raise ValueError("the last trace entry consumes no direction")
-        for s, b, d in steps[:-1]:
-            if d is None:
-                raise ValueError("only the last trace entry may lack a direction")
+        if None in directions:
+            raise ValueError("only the last trace entry may lack a direction")
         if final_state != steps[-1][0]:
             raise ValueError("final_state must agree with the last entry")
         self.steps = steps
@@ -375,7 +377,7 @@ def run_moore(m: MooreMachine, inputs: Sequence[str]) -> Trace:
 
 
 def _check_state(sys: MDDS, s: str) -> None:
-    if s not in sys.state.carrier.positions_set():
+    if s not in sys.state.carrier._dirs:
         raise ValueError(f"unknown state {s!r}")
 
 
@@ -472,6 +474,54 @@ def apply_wiring(w: Lens, sys: MDDS) -> MDDS:
 # Running systems.
 
 
+def _run(sys: MDDS, legal: Sequence[str], inputs: Iterable[str], start: str) -> Trace:
+    """The stepping loop of run_open and run_closed.
+
+    Read per state, the system is the coalgebra S → B × S^A.  Each state
+    gets one transition row, filled when the run first reads an input
+    there: for every legal input a, row[a] = ((s, b, a), pulled-back direction,
+    next state, next state's row).  A step is then one lookup in the
+    current row plus the fold of the history through the start's
+    composite table, and an illegal input is a missing key.  The rows
+    belong to this call alone, so a table changed between calls is read
+    afresh by the next one.
+    """
+    on_pos = sys.dynamics.on_pos
+    on_dir = sys.dynamics.on_dir
+    codomain = sys.state.codomain
+    rows = {}
+
+    def visit(s: str, a: str) -> tuple:
+        row = rows[s]
+        if not row:  # not filled yet
+            b = on_pos[s]
+            pulled = on_dir[s]
+            succ = codomain[s]
+            for x in legal:
+                e = pulled[x]
+                t = succ[e]
+                row[x] = ((s, b, x), e, t, rows.setdefault(t, {}))
+        if a not in row:
+            raise ValueError(f"unknown input element {a!r}")
+        return row[a]
+
+    composite = sys.state.composite[start]
+    acc = sys.state.identity[start]
+    s = start
+    row = rows[start] = {}
+    out = []
+    append = out.append
+    for a in inputs:
+        try:
+            entry, e, s, row = row[a]
+        except KeyError:
+            entry, e, s, row = visit(s, a)
+        append(entry)
+        acc = composite[acc, e]
+    append((s, on_pos[s], None))
+    return Trace(out, s, tag_label(start, acc))
+
+
 def run_closed(sys: MDDS, steps: int, start: str) -> Trace:
     """Iterate a closed system (interface y) for a number of steps.
 
@@ -484,44 +534,16 @@ def run_closed(sys: MDDS, steps: int, start: str) -> Trace:
     if steps < 0:
         raise ValueError("steps must be non-negative")
     _check_state(sys, start)
-    f = sys.dynamics
-    codomain = sys.state.codomain
-    composite = sys.state.composite[start]
-    s = start
-    acc = sys.state.identity[start]
-    out = []
-    for _ in range(steps):
-        e = f.on_dir[s]["*"]
-        out.append((s, f.on_pos[s], "*"))
-        acc = composite[(acc, e)]
-        s = codomain[s][e]
-    out.append((s, f.on_pos[s], None))
-    return Trace(tuple(out), s, tag_label(start, acc))
+    return _run(sys, ("*",), itertools.repeat("*", steps), start)
 
 
-def run_open(sys: MDDS, inputs: Sequence[str], start: str) -> Trace:
+def run_open(sys: MDDS, inputs: Iterable[str], start: str) -> Trace:
     """Feed an input stream to a system with a monomial interface B·y^A."""
     if not is_monomial(sys.interface):
         raise ValueError("run_open needs a monomial interface B·y^A")
     _check_state(sys, start)
-    f = sys.dynamics
     # a monomial interface offers the same inputs at every position
-    legal = sys.interface.positions[0][1]
-    codomain = sys.state.codomain
-    composite = sys.state.composite[start]
-    s = start
-    acc = sys.state.identity[start]
-    out = []
-    for a in inputs:
-        if a not in legal:
-            raise ValueError(f"unknown input element {a!r}")
-        b = f.on_pos[s]
-        e = f.on_dir[s][a]
-        out.append((s, b, a))
-        acc = composite[(acc, e)]
-        s = codomain[s][e]
-    out.append((s, f.on_pos[s], None))
-    return Trace(tuple(out), s, tag_label(start, acc))
+    return _run(sys, sys.interface.positions[0][1].elements, inputs, start)
 
 
 def trace_history(sys: MDDS, s0: str, directions: Sequence[str]) -> str:

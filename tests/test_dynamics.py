@@ -1,5 +1,7 @@
 import itertools
 import json
+import random
+import time
 
 import pytest
 
@@ -10,6 +12,7 @@ from polydyn.core import (
     Y,
     canonical_form,
     fn_label,
+    is_monomial,
     lens_compose,
     lens_id,
     make_poly,
@@ -48,8 +51,10 @@ from polydyn.dynamics import (
     trace_to_json,
     unroll,
 )
+from polydyn.wiring import compile_system, parse, random_spec
 
 from conftest import all_lenses, all_maps, count_lenses
+from test_wiring import _read, _ring_tables, _ring_text, _with_random_machines
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +333,34 @@ def test_step_requires_contractible_state():
         step(sys, "x", "e")
 
 
+def test_20k_steps_on_512_states_take_under_half_a_second():
+    # the state check is one membership test, not a fresh set of all
+    # positions per call
+    n = 512
+    states = [f"s{i}" for i in range(n)]
+    m = MooreMachine.from_tables(
+        states,
+        ["a", "b"],
+        ["0", "1"],
+        {s: str(i % 2) for i, s in enumerate(states)},
+        {
+            (a, s): states[(i + 1) % n if a == "a" else 2 * i % n]
+            for i, s in enumerate(states)
+            for a in "ab"
+        },
+        "s0",
+    )
+    sys = moore_to_mdds(m)
+    s = step(sys, "s0", "a")[1]
+    t0 = time.perf_counter()
+    for k in range(20_000):
+        s = step(sys, s, "ab"[k % 3 == 0])[1]
+    assert time.perf_counter() - t0 < 0.5
+    assert s == run_moore(m, ["a"] + ["ab"[k % 3 == 0] for k in range(20_000)]).final_state
+    with pytest.raises(ValueError, match="unknown state 's512'"):
+        step(sys, "s512", "a")
+
+
 # ---------------------------------------------------------------------------
 # Unrolling.
 
@@ -571,6 +604,121 @@ def test_run_open_agrees_with_run_moore():
     sys = moore_to_mdds(m)
     for stream in itertools.product(m.inputs.elements, repeat=3):
         assert run_open(sys, stream, m.initial) == run_moore(m, stream)
+
+
+def _cyclic2_open_system():
+    # the two-element group as state: input a pulls back to the identity,
+    # b to the generator, so the history is the parity of the b inputs
+    c = _cyclic2_comonoid()
+    iface = monomial(FinSet(("o",)), FinSet(("a", "b")))
+    f = Lens(c.carrier, iface, {"x": "o"}, {"x": {"a": "e", "b": "s"}})
+    return MDDS(c, iface, f)
+
+
+def test_run_open_on_a_group_state_folds_the_parity_of_b():
+    sys = _cyclic2_open_system()
+    for n in range(6):
+        for stream in itertools.product("ab", repeat=n):
+            t = run_open(sys, stream, "x")
+            parity = stream.count("b") % 2
+            assert t.history == tag_label("x", "s" if parity else "e")
+            assert t.steps == tuple(("x", "o", a) for a in stream) + (("x", "o", None),)
+
+
+def test_run_open_rejects_an_unknown_input_mid_stream():
+    sys = moore_to_mdds(_echo())
+    with pytest.raises(ValueError, match="unknown input element 'z'"):
+        run_open(sys, ["x", "y", "y", "z", "x"], "x")
+    with pytest.raises(ValueError, match="unknown input element 'x'"):
+        run_open(_cyclic2_open_system(), ["a", "b", "x"], "x")
+
+
+def test_run_open_reads_tables_changed_between_calls():
+    sys = moore_to_mdds(_toggle())
+    assert run_open(sys, ["t", "t"], "0").states() == ("0", "1", "0")
+    sys.dynamics.on_dir["0"]["t"] = "0"
+    assert run_open(sys, ["t", "t"], "0").states() == ("0", "0", "0")
+    sys.dynamics.on_pos["0"] = "1"
+    assert run_open(sys, ["t"], "0").positions() == ("1", "1")
+
+
+# The stepping loops of run_closed and run_open as they were before the
+# runs read per-state transition rows, kept as a plain reference.
+
+
+def _reference_run_closed(sys, steps, start):
+    assert sys.interface == Y and steps >= 0
+    assert start in sys.state.carrier.positions_set()
+    f = sys.dynamics
+    codomain = sys.state.codomain
+    composite = sys.state.composite[start]
+    s = start
+    acc = sys.state.identity[start]
+    out = []
+    for _ in range(steps):
+        e = f.on_dir[s]["*"]
+        out.append((s, f.on_pos[s], "*"))
+        acc = composite[(acc, e)]
+        s = codomain[s][e]
+    out.append((s, f.on_pos[s], None))
+    return Trace(tuple(out), s, tag_label(start, acc))
+
+
+def _reference_run_open(sys, inputs, start):
+    assert is_monomial(sys.interface)
+    assert start in sys.state.carrier.positions_set()
+    f = sys.dynamics
+    legal = sys.interface.positions[0][1]
+    codomain = sys.state.codomain
+    composite = sys.state.composite[start]
+    s = start
+    acc = sys.state.identity[start]
+    out = []
+    for a in inputs:
+        if a not in legal:
+            raise ValueError(f"unknown input element {a!r}")
+        b = f.on_pos[s]
+        e = f.on_dir[s][a]
+        out.append((s, b, a))
+        acc = composite[(acc, e)]
+        s = codomain[s][e]
+    out.append((s, f.on_pos[s], None))
+    return Trace(tuple(out), s, tag_label(start, acc))
+
+
+def _assert_runs_match_the_reference(sys, start, rng, length):
+    if sys.interface == Y:
+        for steps in (0, 1, length):
+            assert run_closed(sys, steps, start) == _reference_run_closed(sys, steps, start)
+        return
+    legal = sys.interface.positions[0][1].elements
+    for n in (0, 1, length):
+        stream = [rng.choice(legal) for _ in range(n)]
+        assert run_open(sys, stream, start) == _reference_run_open(sys, stream, start)
+
+
+def _systems_for_the_reference():
+    for name in ("control.wd", "supplier.wd", "attach.wd"):
+        yield compile_system(parse(_read(name)))
+    for boxes, k in ((3, 3), (4, 4)):
+        yield compile_system(parse(_ring_text(*_ring_tables(10, boxes, k))))
+    rng = random.Random(20261018)
+    for _ in range(20):
+        yield compile_system(_with_random_machines(random_spec(rng), rng))
+    yield _cyclic2_open_system(), "x"
+    c = _cyclic2_comonoid()
+    yield MDDS(c, Y, Lens(c.carrier, Y, {"x": "*"}, {"x": {"*": "s"}})), "x"
+
+
+def test_runs_match_the_reference_loops():
+    # the demos, two rings, 20 seeded random specs and the group state
+    rng = random.Random(5)
+    seen = []
+    for sys, start in _systems_for_the_reference():
+        _assert_runs_match_the_reference(sys, start, rng, 2000)
+        seen.append("closed" if sys.interface == Y else "open")
+    assert len(seen) == 27
+    assert "closed" in seen and "open" in seen
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -32,3 +33,13 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def test_every_console_script_resolves_to_a_callable():
+    tomllib = pytest.importorskip("tomllib", reason="tomllib needs Python 3.11")
+    pyproject = SRC.parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name
