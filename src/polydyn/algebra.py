@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from polydyn.core import (
     ONE,
@@ -30,6 +30,7 @@ from polydyn.core import (
     Lens,
     SetFn,
     SizeLimitError,
+    _all_maps,
     _escape,
     coequalizer_set,
     constant,
@@ -266,14 +267,6 @@ def _poly_compose(p: FinPoly, q: FinPoly) -> FinPoly:
     return FinPoly(positions)
 
 
-def _all_tables(domain: Sequence[str], codomain: Sequence[str]):
-    if not domain:
-        yield {}
-        return
-    for values in itertools.product(codomain, repeat=len(domain)):
-        yield dict(zip(domain, values))
-
-
 def compose_power(p: FinPoly, n: int) -> FinPoly:
     """p∘p∘...∘p, right-nested; the 0th power is the substitution unit y."""
     if n < 0:
@@ -428,275 +421,176 @@ def initial_lens(p: FinPoly) -> Lens:
 
 # ---------------------------------------------------------------------------
 # Structure isomorphisms.  Each returns a (forward, backward) pair that
-# composes to the identity on both sides; all of them are relabelings.
+# composes to the identity on both sides.  All of them are relabelings, read
+# off the domain's labels with the bookkeeping of the module docstring.
 
 
 def _relabel_iso(
-    dom: FinPoly,
-    cod: FinPoly,
-    pos_map: Mapping[str, str],
-    dir_map: Mapping[str, Mapping[str, str]],
+    dom: FinPoly, cod: FinPoly, pos_fn: Callable[[str], str], dir_fn: Callable[[str, str], str]
 ) -> tuple[Lens, Lens]:
-    """Build both directions of an iso given forward position/direction maps."""
-    fwd = Lens(
-        dom,
-        cod,
-        dict(pos_map),
-        {i: {v: k for k, v in dir_map[i].items()} for i in dom.position_labels},
-    )
-    inv_pos = {v: k for k, v in pos_map.items()}
+    """Both directions of the iso that sends position i of dom to pos_fn(i)
+    and direction d at i to dir_fn(i, d)."""
+    pos_map = {i: pos_fn(i) for i in dom.position_labels}
+    dir_map = {i: {d: dir_fn(i, d) for d in dom.directions(i).elements} for i in pos_map}
+    fwd = Lens(dom, cod, pos_map, {i: {v: d for d, v in m.items()} for i, m in dir_map.items()})
     bwd = Lens(
-        cod,
-        dom,
-        inv_pos,
-        {pos_map[i]: dict(dir_map[i]) for i in dom.position_labels},
+        cod, dom, {j: i for i, j in pos_map.items()}, {pos_map[i]: m for i, m in dir_map.items()}
     )
     return fwd, bwd
 
 
+def _rebracket(label: str) -> str:
+    """((a,b),c) ↦ (a,(b,c))."""
+    ab, c = split_pair(label)
+    a, b = split_pair(ab)
+    return pair_label(a, pair_label(b, c))
+
+
+def _swap(label: str) -> str:
+    """(a,b) ↦ (b,a)."""
+    a, b = split_pair(label)
+    return pair_label(b, a)
+
+
+def _rebracket_tags(label: str) -> str:
+    """0|0|x ↦ 0|x, 0|1|x ↦ 1|0|x, 1|x ↦ 1|1|x: sum positions, product directions."""
+    tag, x = split_tag(label)
+    if tag == "1":
+        return tag_label("1", tag_label("1", x))
+    tag, x = split_tag(x)
+    return tag_label("0", x) if tag == "0" else tag_label("1", tag_label("0", x))
+
+
+def _flip_tag(label: str) -> str:
+    """0|x ↦ 1|x and 1|x ↦ 0|x."""
+    tag, x = split_tag(label)
+    return tag_label("1" if tag == "0" else "0", x)
+
+
+def _first(label: str) -> str:
+    return split_pair(label)[0]
+
+
+def _second(label: str) -> str:
+    return split_pair(label)[1]
+
+
+def _untag(label: str) -> str:
+    return split_tag(label)[1]
+
+
+def _keep(i: str, d: str) -> str:
+    return d
+
+
 def sum_left_unitor(p: FinPoly) -> tuple[Lens, Lens]:
     """0 + p ≅ p."""
-    dom = poly_sum(ZERO, p)
-    pos_map = {tag_label("1", i): i for i in p.position_labels}
-    dir_map = {
-        tag_label("1", i): {d: d for d in p.directions(i).elements}
-        for i in p.position_labels
-    }
-    return _relabel_iso(dom, p, pos_map, dir_map)
+    return _relabel_iso(poly_sum(ZERO, p), p, _untag, _keep)
 
 
 def sum_right_unitor(p: FinPoly) -> tuple[Lens, Lens]:
     """p + 0 ≅ p."""
-    dom = poly_sum(p, ZERO)
-    pos_map = {tag_label("0", i): i for i in p.position_labels}
-    dir_map = {
-        tag_label("0", i): {d: d for d in p.directions(i).elements}
-        for i in p.position_labels
-    }
-    return _relabel_iso(dom, p, pos_map, dir_map)
+    return _relabel_iso(poly_sum(p, ZERO), p, _untag, _keep)
 
 
 def sum_associator(p: FinPoly, q: FinPoly, r: FinPoly) -> tuple[Lens, Lens]:
     """(p+q)+r ≅ p+(q+r)."""
-    dom = poly_sum(poly_sum(p, q), r)
-    cod = poly_sum(p, poly_sum(q, r))
-    pos_map = {}
-    dir_map = {}
-    for i in p.position_labels:
-        a = tag_label("0", tag_label("0", i))
-        pos_map[a] = tag_label("0", i)
-        dir_map[a] = {d: d for d in p.directions(i).elements}
-    for j in q.position_labels:
-        a = tag_label("0", tag_label("1", j))
-        pos_map[a] = tag_label("1", tag_label("0", j))
-        dir_map[a] = {d: d for d in q.directions(j).elements}
-    for k in r.position_labels:
-        a = tag_label("1", k)
-        pos_map[a] = tag_label("1", tag_label("1", k))
-        dir_map[a] = {d: d for d in r.directions(k).elements}
-    return _relabel_iso(dom, cod, pos_map, dir_map)
+    return _relabel_iso(
+        poly_sum(poly_sum(p, q), r), poly_sum(p, poly_sum(q, r)), _rebracket_tags, _keep
+    )
 
 
 def sum_symmetry(p: FinPoly, q: FinPoly) -> tuple[Lens, Lens]:
     """p + q ≅ q + p."""
-    dom = poly_sum(p, q)
-    cod = poly_sum(q, p)
-    pos_map = {}
-    dir_map = {}
-    for i in p.position_labels:
-        pos_map[tag_label("0", i)] = tag_label("1", i)
-        dir_map[tag_label("0", i)] = {d: d for d in p.directions(i).elements}
-    for j in q.position_labels:
-        pos_map[tag_label("1", j)] = tag_label("0", j)
-        dir_map[tag_label("1", j)] = {d: d for d in q.directions(j).elements}
-    return _relabel_iso(dom, cod, pos_map, dir_map)
+    return _relabel_iso(poly_sum(p, q), poly_sum(q, p), _flip_tag, _keep)
 
 
 def product_left_unitor(p: FinPoly) -> tuple[Lens, Lens]:
     """1 × p ≅ p."""
-    dom = poly_product(ONE, p)
-    pos_map = {}
-    dir_map = {}
-    for i in p.position_labels:
-        a = pair_label("*", i)
-        pos_map[a] = i
-        dir_map[a] = {tag_label("1", d): d for d in p.directions(i).elements}
-    return _relabel_iso(dom, p, pos_map, dir_map)
+    return _relabel_iso(poly_product(ONE, p), p, _second, lambda i, d: _untag(d))
 
 
 def product_right_unitor(p: FinPoly) -> tuple[Lens, Lens]:
     """p × 1 ≅ p."""
-    dom = poly_product(p, ONE)
-    pos_map = {}
-    dir_map = {}
-    for i in p.position_labels:
-        a = pair_label(i, "*")
-        pos_map[a] = i
-        dir_map[a] = {tag_label("0", d): d for d in p.directions(i).elements}
-    return _relabel_iso(dom, p, pos_map, dir_map)
+    return _relabel_iso(poly_product(p, ONE), p, _first, lambda i, d: _untag(d))
 
 
 def product_associator(p: FinPoly, q: FinPoly, r: FinPoly) -> tuple[Lens, Lens]:
     """(p×q)×r ≅ p×(q×r)."""
-    dom = poly_product(poly_product(p, q), r)
-    cod = poly_product(p, poly_product(q, r))
-    pos_map = {}
-    dir_map = {}
-    for i in p.position_labels:
-        for j in q.position_labels:
-            for k in r.position_labels:
-                a = pair_label(pair_label(i, j), k)
-                pos_map[a] = pair_label(i, pair_label(j, k))
-                comp = {}
-                for d in p.directions(i).elements:
-                    comp[tag_label("0", tag_label("0", d))] = tag_label("0", d)
-                for e in q.directions(j).elements:
-                    comp[tag_label("0", tag_label("1", e))] = tag_label(
-                        "1", tag_label("0", e)
-                    )
-                for f in r.directions(k).elements:
-                    comp[tag_label("1", f)] = tag_label("1", tag_label("1", f))
-                dir_map[a] = comp
-    return _relabel_iso(dom, cod, pos_map, dir_map)
+    return _relabel_iso(
+        poly_product(poly_product(p, q), r),
+        poly_product(p, poly_product(q, r)),
+        _rebracket,
+        lambda i, d: _rebracket_tags(d),
+    )
 
 
 def product_symmetry(p: FinPoly, q: FinPoly) -> tuple[Lens, Lens]:
     """p×q ≅ q×p."""
-    dom = poly_product(p, q)
-    cod = poly_product(q, p)
-    pos_map = {}
-    dir_map = {}
-    for i in p.position_labels:
-        for j in q.position_labels:
-            a = pair_label(i, j)
-            pos_map[a] = pair_label(j, i)
-            comp = {}
-            for d in p.directions(i).elements:
-                comp[tag_label("0", d)] = tag_label("1", d)
-            for e in q.directions(j).elements:
-                comp[tag_label("1", e)] = tag_label("0", e)
-            dir_map[a] = comp
-    return _relabel_iso(dom, cod, pos_map, dir_map)
+    return _relabel_iso(
+        poly_product(p, q), poly_product(q, p), _swap, lambda i, d: _flip_tag(d)
+    )
 
 
 def tensor_left_unitor(p: FinPoly) -> tuple[Lens, Lens]:
     """y ⊗ p ≅ p."""
-    dom = poly_tensor(Y, p)
-    pos_map = {}
-    dir_map = {}
-    for i in p.position_labels:
-        a = pair_label("*", i)
-        pos_map[a] = i
-        dir_map[a] = {pair_label("*", d): d for d in p.directions(i).elements}
-    return _relabel_iso(dom, p, pos_map, dir_map)
+    return _relabel_iso(poly_tensor(Y, p), p, _second, lambda i, d: _second(d))
 
 
 def tensor_right_unitor(p: FinPoly) -> tuple[Lens, Lens]:
     """p ⊗ y ≅ p."""
-    dom = poly_tensor(p, Y)
-    pos_map = {}
-    dir_map = {}
-    for i in p.position_labels:
-        a = pair_label(i, "*")
-        pos_map[a] = i
-        dir_map[a] = {pair_label(d, "*"): d for d in p.directions(i).elements}
-    return _relabel_iso(dom, p, pos_map, dir_map)
+    return _relabel_iso(poly_tensor(p, Y), p, _first, lambda i, d: _first(d))
 
 
 def tensor_associator(p: FinPoly, q: FinPoly, r: FinPoly) -> tuple[Lens, Lens]:
     """(p⊗q)⊗r ≅ p⊗(q⊗r)."""
-    dom = poly_tensor(poly_tensor(p, q), r)
-    cod = poly_tensor(p, poly_tensor(q, r))
-    pos_map = {}
-    dir_map = {}
-    for i in p.position_labels:
-        for j in q.position_labels:
-            for k in r.position_labels:
-                a = pair_label(pair_label(i, j), k)
-                pos_map[a] = pair_label(i, pair_label(j, k))
-                comp = {}
-                for d in p.directions(i).elements:
-                    for e in q.directions(j).elements:
-                        for f in r.directions(k).elements:
-                            comp[pair_label(pair_label(d, e), f)] = pair_label(
-                                d, pair_label(e, f)
-                            )
-                dir_map[a] = comp
-    return _relabel_iso(dom, cod, pos_map, dir_map)
+    return _relabel_iso(
+        poly_tensor(poly_tensor(p, q), r),
+        poly_tensor(p, poly_tensor(q, r)),
+        _rebracket,
+        lambda i, d: _rebracket(d),
+    )
 
 
 def tensor_symmetry(p: FinPoly, q: FinPoly) -> tuple[Lens, Lens]:
     """p⊗q ≅ q⊗p."""
-    dom = poly_tensor(p, q)
-    cod = poly_tensor(q, p)
-    pos_map = {}
-    dir_map = {}
-    for i in p.position_labels:
-        for j in q.position_labels:
-            a = pair_label(i, j)
-            pos_map[a] = pair_label(j, i)
-            dir_map[a] = {
-                pair_label(d, e): pair_label(e, d)
-                for d in p.directions(i).elements
-                for e in q.directions(j).elements
-            }
-    return _relabel_iso(dom, cod, pos_map, dir_map)
+    return _relabel_iso(poly_tensor(p, q), poly_tensor(q, p), _swap, lambda i, d: _swap(d))
 
 
 def compose_left_unitor(p: FinPoly) -> tuple[Lens, Lens]:
     """y ∘ p ≅ p."""
-    dom = poly_compose(Y, p)
-    pos_map = {}
-    dir_map = {}
-    for i in p.position_labels:
-        a = pair_label("*", fn_label({"*": i}, ["*"]))
-        pos_map[a] = i
-        dir_map[a] = {pair_label("*", e): e for e in p.directions(i).elements}
-    return _relabel_iso(dom, p, pos_map, dir_map)
+    return _relabel_iso(
+        poly_compose(Y, p), p, lambda i: split_fn(_second(i))["*"], lambda i, d: _second(d)
+    )
 
 
 def compose_right_unitor(p: FinPoly) -> tuple[Lens, Lens]:
     """p ∘ y ≅ p."""
-    dom = poly_compose(p, Y)
-    pos_map = {}
-    dir_map = {}
-    for i in p.position_labels:
-        dirs = p.directions(i).elements
-        a = pair_label(i, fn_label({d: "*" for d in dirs}, dirs))
-        pos_map[a] = i
-        dir_map[a] = {pair_label(d, "*"): d for d in dirs}
-    return _relabel_iso(dom, p, pos_map, dir_map)
+    return _relabel_iso(poly_compose(p, Y), p, _first, lambda i, d: _first(d))
+
+
+def _rebracket_compose(label: str) -> str:
+    """((i,[d:j,...]),[(d,e):k,...]) ↦ (i,[d:(j,[e:k,...]),...])."""
+    # tables list their entries in the order of the direction sets they read
+    x, psi_lab = split_pair(label)
+    i, phi_lab = split_pair(x)
+    phi = split_fn(phi_lab)
+    psi = {d: {} for d in phi}
+    for de, k in split_fn(psi_lab).items():
+        d, e = split_pair(de)
+        psi[d][e] = k
+    chi = {d: pair_label(j, fn_label(psi[d], psi[d])) for d, j in phi.items()}
+    return pair_label(i, fn_label(chi, phi))
 
 
 def compose_associator(p: FinPoly, q: FinPoly, r: FinPoly) -> tuple[Lens, Lens]:
     """(p∘q)∘r ≅ p∘(q∘r)."""
-    pq = poly_compose(p, q)
-    dom = poly_compose(pq, r)
-    cod = poly_compose(p, poly_compose(q, r))
-    pos_map = {}
-    dir_map = {}
-    for lab in dom.position_labels:
-        x_lab, psi_lab = split_pair(lab)
-        i, phi_lab = split_pair(x_lab)
-        phi = split_fn(phi_lab)
-        psi = split_fn(psi_lab)
-        p_dirs = p.directions(i).elements
-        chi = {}
-        for d in p_dirs:
-            j = phi[d]
-            q_dirs = q.directions(j).elements
-            psi_d = {e: psi[pair_label(d, e)] for e in q_dirs}
-            chi[d] = pair_label(j, fn_label(psi_d, q_dirs))
-        pos_map[lab] = pair_label(i, fn_label(chi, p_dirs))
-        comp = {}
-        for d in p_dirs:
-            for e in q.directions(phi[d]).elements:
-                for f in r.directions(psi[pair_label(d, e)]).elements:
-                    comp[pair_label(pair_label(d, e), f)] = pair_label(
-                        d, pair_label(e, f)
-                    )
-        dir_map[lab] = comp
-    return _relabel_iso(dom, cod, pos_map, dir_map)
+    return _relabel_iso(
+        poly_compose(poly_compose(p, q), r),
+        poly_compose(p, poly_compose(q, r)),
+        _rebracket_compose,
+        lambda i, d: _rebracket(d),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +619,7 @@ def hom_iter(p: FinPoly, q: FinPoly):
         opts = []
         src_dirs = p.directions(i).elements
         for j in q.position_labels:
-            for table in _all_tables(q.directions(j).elements, src_dirs):
+            for table in _all_maps(q.directions(j).elements, src_dirs):
                 opts.append((j, table))
         per_pos.append(opts)
     for combo in itertools.product(*per_pos):
@@ -922,51 +816,47 @@ def duoidal(p1: FinPoly, p2: FinPoly, q1: FinPoly, q2: FinPoly) -> Lens:
     return Lens(dom, cod, on_pos, on_dir)
 
 
-def distribute_left(
-    p: FinPoly, q: FinPoly, r: FinPoly, s: FinPoly
-) -> tuple[Lens, Lens]:
-    """(p×q + r)∘s ≅ (p∘s)×(q∘s) + r∘s, as a two-sided iso."""
-    dom = poly_compose(poly_sum(poly_product(p, q), r), s)
-    cod = poly_sum(
-        poly_product(poly_compose(p, s), poly_compose(q, s)), poly_compose(r, s)
+def _distribute_position(label: str) -> str:
+    """(0|(i,j),[0|d:k,...,1|e:k,...]) ↦ 0|((i,[d:k,...]),(j,[e:k,...]))
+    and (1|k,φ) ↦ 1|(k,φ), keeping each table's entry order."""
+    x, phi_lab = split_pair(label)
+    tag, inner = split_tag(x)
+    if tag == "1":
+        return tag_label("1", pair_label(inner, phi_lab))
+    halves = ({}, {})
+    for td, k in split_fn(phi_lab).items():
+        t, d = split_tag(td)
+        halves[int(t)][d] = k
+    return tag_label(
+        "0",
+        pair_label(*(pair_label(i, fn_label(h, h)) for i, h in zip(split_pair(inner), halves))),
     )
-    pos_map = {}
-    dir_map = {}
-    for lab in dom.position_labels:
-        x_lab, phi_lab = split_pair(lab)
-        tag, inner = split_tag(x_lab)
-        phi = split_fn(phi_lab)
-        if tag == "0":
-            i, j = split_pair(inner)
-            p_dirs = p.directions(i).elements
-            q_dirs = q.directions(j).elements
-            phi_p = {d: phi[tag_label("0", d)] for d in p_dirs}
-            phi_q = {e: phi[tag_label("1", e)] for e in q_dirs}
-            left_pos = pair_label(i, fn_label(phi_p, p_dirs))
-            right_pos = pair_label(j, fn_label(phi_q, q_dirs))
-            pos_map[lab] = tag_label("0", pair_label(left_pos, right_pos))
-            comp = {}
-            for d in p_dirs:
-                for f in s.directions(phi_p[d]).elements:
-                    comp[pair_label(tag_label("0", d), f)] = tag_label(
-                        "0", pair_label(d, f)
-                    )
-            for e in q_dirs:
-                for f in s.directions(phi_q[e]).elements:
-                    comp[pair_label(tag_label("1", e), f)] = tag_label(
-                        "1", pair_label(e, f)
-                    )
-            dir_map[lab] = comp
-        else:
-            k = inner
-            r_dirs = r.directions(k).elements
-            pos_map[lab] = tag_label("1", pair_label(k, fn_label(phi, r_dirs)))
-            dir_map[lab] = {
-                pair_label(d, f): pair_label(d, f)
-                for d in r_dirs
-                for f in s.directions(phi[d]).elements
-            }
-    return _relabel_iso(dom, cod, pos_map, dir_map)
+
+
+def _distribute_direction(i: str, d: str) -> str:
+    """(t|d,f) ↦ t|(d,f) at a 0-tagged position; unchanged at a 1-tagged one."""
+    if split_tag(_first(i))[0] == "1":
+        return d
+    td, f = split_pair(d)
+    t, e = split_tag(td)
+    return tag_label(t, pair_label(e, f))
+
+
+def distribute_left(p: FinPoly, q: FinPoly, r: FinPoly, s: FinPoly) -> tuple[Lens, Lens]:
+    """(p×q + r)∘s ≅ (p∘s)×(q∘s) + r∘s, as a two-sided iso."""
+    return _relabel_iso(
+        poly_compose(poly_sum(poly_product(p, q), r), s),
+        poly_sum(poly_product(poly_compose(p, s), poly_compose(q, s)), poly_compose(r, s)),
+        _distribute_position,
+        _distribute_direction,
+    )
+
+
+def _gather_tags(label: str, keys: Sequence[str]) -> str:
+    """(i|x,j|y,...) ↦ [a:i,b:j,...]|(x,y,...) for keys a, b, ..."""
+    tagged = [split_tag(x) for x in split_pair(label)]
+    choice = fn_label({a: i for a, (i, _) in zip(keys, tagged)}, keys)
+    return tag_label(choice, pair_label(*(x for _, x in tagged)))
 
 
 def complete_distributivity_instance(
@@ -991,20 +881,7 @@ def complete_distributivity_instance(
             (c_lab, product_many([(a, p[(a, c[a])]) for a in a_set.elements]))
         )
     rhs = sum_many(rhs_items)
-    pos_map = {}
-    dir_map = {}
-    for lab in lhs.position_labels:
-        comps = split_pair(lab)
-        c = {}
-        inner_positions = []
-        for a, comp_lab in zip(a_set.elements, comps):
-            i, pos = split_tag(comp_lab)
-            c[a] = i
-            inner_positions.append(pos)
-        c_lab = fn_label(c, a_set.elements)
-        pos_map[lab] = tag_label(c_lab, pair_label(*inner_positions))
-        dir_map[lab] = {d: d for d in lhs.directions(lab).elements}
-    return _relabel_iso(lhs, rhs, pos_map, dir_map)
+    return _relabel_iso(lhs, rhs, lambda lab: _gather_tags(lab, a_set.elements), _keep)
 
 
 # ---------------------------------------------------------------------------
@@ -1269,7 +1146,7 @@ def adjunction_suite(a_set: FinSet, p: FinPoly, q: FinPoly) -> dict:
     lin = linear(a_set)
     # Ay → p  vs  A → p(1)
     lhs = hom_enumerate(lin, p)
-    funcs = list(_all_tables(a_set.elements, p.position_labels))
+    funcs = list(_all_maps(a_set.elements, p.position_labels))
 
     def fwd1(lens):
         return {a: lens.on_pos[a] for a in a_set.elements}
@@ -1288,7 +1165,7 @@ def adjunction_suite(a_set: FinSet, p: FinPoly, q: FinPoly) -> dict:
     # p → A  vs  p(1) → A
     const_a = constant(a_set)
     lhs = hom_enumerate(p, const_a)
-    funcs = list(_all_tables(p.position_labels, a_set.elements))
+    funcs = list(_all_maps(p.position_labels, a_set.elements))
 
     def fwd2(lens):
         return dict(lens.on_pos)
@@ -1302,7 +1179,7 @@ def adjunction_suite(a_set: FinSet, p: FinPoly, q: FinPoly) -> dict:
     # A → p  vs  A → p(0)
     zero_positions = [i for i in p.position_labels if len(p.directions(i)) == 0]
     lhs = hom_enumerate(const_a, p)
-    funcs = list(_all_tables(a_set.elements, zero_positions))
+    funcs = list(_all_maps(a_set.elements, zero_positions))
 
     def fwd3(lens):
         return dict(lens.on_pos)
@@ -1315,7 +1192,7 @@ def adjunction_suite(a_set: FinSet, p: FinPoly, q: FinPoly) -> dict:
 
     # A → Γp  vs  p → y^A
     gamma = global_sections(p)
-    funcs = list(_all_tables(a_set.elements, gamma.elements))
+    funcs = list(_all_maps(a_set.elements, gamma.elements))
     ypow = representable(a_set)
     lhs = hom_enumerate(p, ypow)
 

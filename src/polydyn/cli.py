@@ -1,6 +1,6 @@
 """The polydyn command: check and run wiring programs.
 
-    polydyn check FILE.wd             print every violation; exit 1 if any
+    polydyn check FILE.wd             print every violation or table error; exit 1 if any
     polydyn run FILE.wd [--steps N]   compile, run, print the trace as CSV
 
 run feeds a system with an open interface the whitespace-separated
@@ -18,7 +18,13 @@ from pathlib import Path
 
 from polydyn.core import Y
 from polydyn.dynamics import run_closed, run_open, trace_to_csv
-from polydyn.wiring import WiringSyntaxError, compile_system, parse, validate
+from polydyn.wiring import (
+    WiringSyntaxError,
+    compile_machines,
+    compile_system,
+    parse,
+    validate,
+)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -46,6 +52,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     violations = validate(spec)["violations"]
     if args.command == "check":
+        if not violations:
+            # machine tables are checked only when they are compiled
+            try:
+                compile_machines(spec)
+            except ValueError as exc:
+                violations = [str(exc)]
         for v in violations:
             print(f"{args.file}: {v}")
         if not violations:

@@ -13,6 +13,7 @@ that bracket syntax and its (unambiguous) decoding.
 
 from __future__ import annotations
 
+import itertools
 import json
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -467,11 +468,6 @@ def eval_poly(p: FinPoly, x: FinSet) -> FinSet:
 
 def _all_maps(domain: Sequence[str], codomain: Sequence[str]):
     """All functions domain → codomain as dicts, lexicographic in the table."""
-    if not domain:
-        yield {}
-        return
-    import itertools
-
     for values in itertools.product(codomain, repeat=len(domain)):
         yield dict(zip(domain, values))
 

@@ -746,25 +746,24 @@ def validate(spec: WiringSpec) -> dict:
     # driver analysis, one pass per mode, over well-formed connections only
     targets = []
     for name in r.box_order:
-        targets.extend((name, p.name, True) for p in r.in_ports[name])
+        targets.extend((name, p, True) for p in r.in_ports[name])
     if r.outer is not None:
-        targets.extend(
-            (r.outer_name, p.name, False) for p in r.out_ports[r.outer_name]
-        )
+        targets.extend((r.outer_name, p, False) for p in r.out_ports[r.outer_name])
     for label in r.mode_labels():
         conns = [c for c in r.connects_for(label) if _connect_ok(r, c)]
         suffix = f" in mode {label}" if label is not None else ""
-        for owner, port, is_inner in targets:
+        for owner, decl, is_inner in targets:
+            port = decl.name
             drivers = [
                 c for c in conns if c.dst_owner == owner and c.dst_port == port
             ]
             if len(drivers) > 1:
-                violations.append(f"fan-in at {owner}.{port}{suffix}")
+                violations.append(f"{_at(decl.span)}fan-in at {owner}.{port}{suffix}")
             elif not drivers:
                 if is_inner and (owner, port) in r.defaults:
                     continue
                 kind = "no driver or default" if is_inner else "no driver"
-                violations.append(f"{kind} for {owner}.{port}{suffix}")
+                violations.append(f"{_at(decl.span)}{kind} for {owner}.{port}{suffix}")
 
     return {"ok": not violations, "violations": violations}
 

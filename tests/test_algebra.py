@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import random
 
@@ -72,6 +73,7 @@ from polydyn.algebra import (
     product_associator,
     product_left_unitor,
     product_many,
+    product_map,
     product_pair,
     product_proj,
     product_right_unitor,
@@ -80,6 +82,7 @@ from polydyn.algebra import (
     sum_inj,
     sum_left_unitor,
     sum_many,
+    sum_map,
     sum_right_unitor,
     sum_symmetry,
     tensor_associator,
@@ -333,6 +336,170 @@ def test_associators_and_symmetries_are_two_sided():
         assert fwd.dom == poly_compose(poly_compose(p, q), r)
         assert fwd.cod == poly_compose(p, poly_compose(q, r))
 
+
+
+# The three symmetric monoidal products, each as (unit, product, action on
+# lenses, left unitor, right unitor, associator, symmetry).
+_SYMMETRIC_MONOIDAL = {
+    "sum": (
+        ZERO, poly_sum, sum_map, sum_left_unitor, sum_right_unitor, sum_associator, sum_symmetry
+    ),
+    "product": (
+        ONE,
+        poly_product,
+        product_map,
+        product_left_unitor,
+        product_right_unitor,
+        product_associator,
+        product_symmetry,
+    ),
+    "tensor": (
+        Y,
+        poly_tensor,
+        tensor_map,
+        tensor_left_unitor,
+        tensor_right_unitor,
+        tensor_associator,
+        tensor_symmetry,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SYMMETRIC_MONOIDAL))
+def test_monoidal_coherence_holds_exactly(name):
+    unit, op, act, left, right, assoc, sym = _SYMMETRIC_MONOIDAL[name]
+
+    def a(x, y, z):
+        return assoc(x, y, z)[0]
+
+    def s(x, y):
+        return sym(x, y)[0]
+
+    def then(*lenses):
+        out = lenses[0]
+        for f in lenses[1:]:
+            out = lens_compose(f, out)
+        return out
+
+    rng = random.Random(19)
+    for _ in range(15):
+        p, q, r, t = (random_poly(rng, max_positions=2, max_dirs=2) for _ in range(4))
+        ip, iq, ir, it = map(lens_id, (p, q, r, t))
+        # pentagon
+        assert then(act(a(p, q, r), it), a(p, op(q, r), t), act(ip, a(q, r, t))) == then(
+            a(op(p, q), r, t), a(p, q, op(r, t))
+        )
+        # triangle
+        assert then(a(p, unit, q), act(ip, left(q)[0])) == act(right(p)[0], iq)
+        # the symmetry is an involution
+        assert then(s(p, q), s(q, p)) == lens_id(op(p, q))
+        # hexagon
+        assert then(a(p, q, r), s(p, op(q, r)), a(q, r, p)) == then(
+            act(s(p, q), ir), a(q, p, r), act(iq, s(p, r))
+        )
+
+
+# Every character the label codec escapes, in positions and directions.
+_SPECIAL = make_poly([("p|q", ["(x)", "d:e"]), ("u,v", ["w\\z"]), ("[m]", [])])
+
+
+def _polys(arity, size=3):
+    """Inputs of a polynomial builder: _SPECIAL everywhere, then seeded draws."""
+
+    def make(rng):
+        if rng is None:
+            return [_SPECIAL] * arity
+        return [random_poly(rng, max_positions=size, max_dirs=size) for _ in range(arity)]
+
+    return make
+
+
+def _distributivity_input(rng):
+    if rng is None:
+        a_set = FinSet(("p|q", "[m]"))
+        index = {"p|q": FinSet(("(x)", "d:e")), "[m]": FinSet(("u,v", "w\\z"))}
+        return a_set, index, {(a, i): _SPECIAL for a in a_set.elements for i in index[a].elements}
+    labels = ["a", "p|q", "(x)", "d:e", "u,v", "w\\z", "[m]"]
+    a_set = FinSet(tuple(rng.sample(labels, rng.randint(0, 2))))
+    index = {a: FinSet(tuple(rng.sample(labels, rng.randint(1, 2)))) for a in a_set.elements}
+    polys = {
+        (a, i): random_poly(rng, max_positions=2, max_dirs=2)
+        for a in a_set.elements
+        for i in index[a].elements
+    }
+    return a_set, index, polys
+
+
+# name: (builder, input maker, seeded draws after the fixed input)
+_ISO_PIN_CASES = {
+    **{
+        b.__name__: (b, _polys(1), 6)
+        for b in (
+            sum_left_unitor,
+            sum_right_unitor,
+            product_left_unitor,
+            product_right_unitor,
+            tensor_left_unitor,
+            tensor_right_unitor,
+            compose_left_unitor,
+            compose_right_unitor,
+        )
+    },
+    **{
+        b.__name__: (b, _polys(3), 6)
+        for b in (sum_associator, product_associator, tensor_associator)
+    },
+    **{
+        b.__name__: (b, _polys(2), 6)
+        for b in (sum_symmetry, product_symmetry, tensor_symmetry)
+    },
+    "compose_associator": (compose_associator, _polys(3, size=2), 4),
+    "distribute_left": (distribute_left, _polys(4, size=2), 4),
+    "complete_distributivity_instance": (
+        complete_distributivity_instance,
+        _distributivity_input,
+        6,
+    ),
+}
+
+# sha256 over both lenses of every input: canonical JSON plus the key order
+# of on_pos and of every on_dir component.
+_ISO_PINS = {
+    "complete_distributivity_instance": "876dfdbebe65a8be1ac0b24a5ca4a62e072239d282a8daf3b4c2d3bdcffcf1b6",
+    "compose_associator": "8991670cf6fd1fedd905d6cdd4067ed1eefe189906af396b612315bd61e2a509",
+    "compose_left_unitor": "5cb0e65526ccdd13433e9d895ad2b0906b7f178eba514fc258f86fe6411560d4",
+    "compose_right_unitor": "5b96ab37fde7f23801de8f655110e6167a1dc6272e7188371893c26807bf117f",
+    "distribute_left": "cc1885976a0a93d1df0425466816c62babe8bdfb7091761cf184229e00af5dd4",
+    "product_associator": "a0594ddc641a849acab71d6ae63967d788eb4cc45c577b73b6295feb1ee4bf71",
+    "product_left_unitor": "aa4e87f8893a69235297442c8fdfd796505ae1bf231e4b30b3b5adbdd0b129c7",
+    "product_right_unitor": "aa6e4a9e03dcb1d09cb7f5dd5bce53d4db920339aab6d39ee6d0a03655609b5d",
+    "product_symmetry": "ac9d3b98c08d71ba434b3f1485afb2f22b9a9808fb37010a61aa856b2818416b",
+    "sum_associator": "304ee22aa6bbae885da1e63e18e803e7060ba8cf408995abd0d15007238a6f37",
+    "sum_left_unitor": "7e5da5e5cc24e348d990ccc84de95a5ef6a92ad2a2e94f416ad10744b80ce888",
+    "sum_right_unitor": "f8b03e1538e0fc9aabd7524db237249157b1d4ed5b9cc5caf07b0430984c615b",
+    "sum_symmetry": "9ffbff32231f02fca7095f49c3521a0e629f8afe7c343e030529b334a996a42f",
+    "tensor_associator": "0e0a81320bdb7f7101d96c6a5bea49d5b04b7195dc397ded451b6644fea6d2a8",
+    "tensor_left_unitor": "ad16e5ea96bacabccd3781c0367df961fbaa08cf8f65360b61c0f03fdd48c5f9",
+    "tensor_right_unitor": "a214bb2d0dc7fa49b59946df6732e7cc96eaf3002a3598d96850a6d4efd7dcf4",
+    "tensor_symmetry": "65e6eba92c5baf989666192d3ca3cb028d82167a5419036e28b844f0e10c5a40",
+}
+
+
+def _iso_digest(name):
+    builder, make, seeds = _ISO_PIN_CASES[name]
+    inputs = [make(None)] + [make(random.Random(f"iso-pin/{name}/{k}")) for k in range(seeds)]
+    h = hashlib.sha256()
+    for args in inputs:
+        for lens in builder(*args):
+            h.update(canonical_json(lens_to_json(lens)).encode())
+            h.update(repr(list(lens.on_pos)).encode())
+            h.update(repr([(i, list(c)) for i, c in lens.on_dir.items()]).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_ISO_PIN_CASES))
+def test_structure_isos_match_their_pinned_labels(name):
+    assert _iso_digest(name) == _ISO_PINS[name]
 
 def test_injections_pairings_projections():
     p = poly_of((2, 1), (0, 1))

@@ -33,14 +33,33 @@ def test_check_prints_every_violation_and_fails(tmp_path, capsys):
     assert main(["check", str(path)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         f"{path}: line 4: connection source B.i must be a box out port",
-        f"{path}: no driver or default for B.i",
-        f"{path}: no driver or default for C.j",
+        f"{path}: line 2: no driver or default for B.i",
+        f"{path}: line 3: no driver or default for C.j",
     ]
     assert main(["run", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 3
 
+
+
+def test_check_reports_machine_table_errors(tmp_path, capsys):
+    path = tmp_path / "short.wd"
+    path.write_text(
+        "set S = {s, t}\nset X = {x, y}\nbox B { out o : S; in i : X; }\n"
+        "default B.i = x\n"
+        "machine B {\n  states = {s, t};\n  init = s;\n"
+        "  readout s = (o = s)\n  readout t = (o = t)\n  update s (i = x) = t\n}\n"
+    )
+    error = (
+        "machine 'B': missing update for ('t', 'x'); "
+        "machine 'B': missing update for ('s', 'y'); "
+        "machine 'B': missing update for ('t', 'y')"
+    )
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out == f"{path}: {error}\n"
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == f"{path}: {error}\n"
 
 def test_syntax_errors_go_to_stderr(tmp_path, capsys):
     path = tmp_path / "broken.wd"

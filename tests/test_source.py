@@ -35,6 +35,29 @@ def test_every_imported_name_is_used(path):
     assert _unused_imports(tree) == []
 
 
+
+def test_every_private_helper_is_referenced():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    orphans = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert orphans == []
+
 def test_every_console_script_resolves_to_a_callable():
     tomllib = pytest.importorskip("tomllib", reason="tomllib needs Python 3.11")
     pyproject = SRC.parent.parent / "pyproject.toml"

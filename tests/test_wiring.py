@@ -188,6 +188,27 @@ def test_unwired_input_without_default_is_reported():
     assert validate(with_default)["ok"]
 
 
+
+def test_driver_violations_give_the_line_of_the_port_per_mode():
+    spec = parse(
+        "set A = {x, y}\n"
+        "box M { out m : A; in i : A; }\n"
+        "box P { out o : A; out u : A; }\n"
+        "outer O {\n"
+        "  out o : A;\n"
+        "}\n"
+        "modes from M {\n"
+        "  mode x { connect P.o -> M.i connect P.u -> M.i }\n"
+        "  mode y { }\n"
+        "}\n"
+    )
+    assert validate(spec)["violations"] == [
+        "line 2: fan-in at M.i in mode x",
+        "line 5: no driver for O.o in mode x",
+        "line 2: no driver or default for M.i in mode y",
+        "line 5: no driver for O.o in mode y",
+    ]
+
 def test_outer_passthrough_is_forbidden():
     spec = parse(
         "set A = {x}\n"
