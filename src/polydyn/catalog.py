@@ -11,7 +11,9 @@ Cayley tables get a dedicated cell-at-a-time depth-first search with
 incremental associativity checking and symmetry breaking.  Categories
 with two or more objects have so few non-identity morphisms within the
 bounds that a plain Python search over typed composition tables
-suffices; isomorphism duplicates are removed by canonical form.
+suffices.  Its isomorphism duplicates are removed by the canonical form
+of polydyn.comonoid (_canonical_form), the one cat_isomorphic decides
+isomorphism by, and each class is listed in its canonical labelling.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from polydyn.comonoid import FinCat
+from polydyn.comonoid import FinCat, _canonical_form
 from polydyn.core import FinSet
 
 __all__ = [
@@ -191,13 +193,13 @@ def _typed_tables(num_objects: int, dom, cod):
 
     Morphisms are 0..n-1 with the first num_objects being the identities
     (identity of object i is morphism i).  Tables are represented as
-    comp[g][f] = g after f, None off the composable pairs.  The yielded
+    comp[g][f] = g after f, -1 off the composable pairs.  The yielded
     list of lists is reused between yields; callers must copy or consume
     immediately.
     """
     n = len(dom)
     extras = range(num_objects, n)
-    comp = [[None] * n for _ in range(n)]
+    comp = [[-1] * n for _ in range(n)]
     for f in range(n):
         comp[f][dom[f]] = f
         comp[cod[f]][f] = f
@@ -232,11 +234,11 @@ def _typed_tables(num_objects: int, dom, cod):
         for f, g, h in through[idx]:
             u = comp[g][f]
             v = comp[h][g]
-            if u is None or v is None:
+            if u < 0 or v < 0:
                 continue
             left = comp[h][u]
             right = comp[v][f]
-            if left is not None and right is not None and left != right:
+            if left >= 0 and right >= 0 and left != right:
                 return False
         return True
 
@@ -249,49 +251,9 @@ def _typed_tables(num_objects: int, dom, cod):
             comp[g][f] = h
             if consistent(idx):
                 yield from walk(idx + 1)
-        comp[g][f] = None
+        comp[g][f] = -1
 
     yield from walk(0)
-
-
-def _canonical_key(num_objects: int, dom, cod, comp):
-    """Canonical form of a typed composition table under isomorphism.
-
-    An isomorphism may permute objects (carrying identities along) and
-    permute the non-identity morphisms within each (dom, cod) slot.  The
-    key is the least (slot multiset, flattened table) over all of these,
-    with -1 marking non-composable pairs, so two tables get equal keys
-    exactly when the categories are isomorphic.
-    """
-    n = len(dom)
-    extras = list(range(num_objects, n))
-    best = None
-    for sigma in itertools.permutations(range(num_objects)):
-        inv_sigma = [0] * num_objects
-        for i, v in enumerate(sigma):
-            inv_sigma[v] = i
-        groups: dict = {}
-        for e in extras:
-            groups.setdefault((sigma[dom[e]], sigma[cod[e]]), []).append(e)
-        slot_order = sorted(groups)
-        slots = tuple(s for s in slot_order for _ in groups[s])
-        for taus in itertools.product(
-            *(itertools.permutations(groups[s]) for s in slot_order)
-        ):
-            old_of_new = inv_sigma + [e for tau in taus for e in tau]
-            new_of_old = [0] * n
-            for j, e in enumerate(old_of_new):
-                new_of_old[e] = j
-            table = []
-            for a in range(n):
-                row = comp[old_of_new[a]]
-                for b in range(n):
-                    v = row[old_of_new[b]]
-                    table.append(-1 if v is None else new_of_old[v])
-            key = (slots, tuple(table))
-            if best is None or key < best:
-                best = key
-    return best
 
 
 def _build_fincat(num_objects: int, dom, cod, comp) -> FinCat:
@@ -310,7 +272,14 @@ def _build_fincat(num_objects: int, dom, cod, comp) -> FinCat:
 
 @lru_cache(maxsize=None)
 def _multi_object_keys(num_objects: int, num_extra: int) -> tuple:
-    """Sorted canonical keys for all classes with this shape."""
+    """Sorted canonical keys of the classes with this many objects and
+    non-identity morphisms.
+
+    Every typing of the non-identity morphisms, up to their order, has its
+    associative tables enumerated by _typed_tables; tables of one class
+    share the key of comonoid._canonical_form, which cat_isomorphic uses
+    too.
+    """
     k = num_objects
     all_slots = [(a, b) for a in range(k) for b in range(k)]
     keys = set()
@@ -318,7 +287,7 @@ def _multi_object_keys(num_objects: int, num_extra: int) -> tuple:
         dom = list(range(k)) + [s[0] for s in spec]
         cod = list(range(k)) + [s[1] for s in spec]
         for comp in _typed_tables(k, dom, cod):
-            keys.add(_canonical_key(k, dom, cod, comp))
+            keys.add(_canonical_form(k, dom, cod, comp)[0])
     return tuple(sorted(keys))
 
 
@@ -327,12 +296,7 @@ def _from_key(num_objects: int, key) -> FinCat:
     n = num_objects + len(slots)
     dom = list(range(num_objects)) + [s[0] for s in slots]
     cod = list(range(num_objects)) + [s[1] for s in slots]
-    comp = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            v = table[a * n + b]
-            if v >= 0:
-                comp[a][b] = v
+    comp = [table[a * n : (a + 1) * n] for a in range(n)]
     return _build_fincat(num_objects, dom, cod, comp)
 
 

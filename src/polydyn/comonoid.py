@@ -26,6 +26,8 @@ and finite-depth behavior maps whose kernels are n-bisimilarity.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain, groupby
 from typing import Iterable, Mapping
 
 from .core import (
@@ -467,8 +469,9 @@ class FinCat:
     check_category, which reports every violating instance.
 
     The tables are read-only once built, as a Comonoid's are: a FinCat is
-    hashable, and check_category keeps the verdict of its last full walk
-    so that category_to_comonoid need not walk the same tables again.
+    hashable, check_category keeps the verdict of its last full walk so
+    that category_to_comonoid need not walk the same tables again, and
+    cat_isomorphic keeps the canonical form it computes.
     """
 
     def __init__(
@@ -524,6 +527,7 @@ class FinCat:
                 )
         self._compose = dict(compose2)
         self._lawful = None
+        self._canonical = None
 
     def morphism_labels(self) -> tuple[str, ...]:
         return tuple(m for m, _, _ in self.morphisms)
@@ -947,107 +951,137 @@ def is_cat_isomorphism(
     return True
 
 
-def _object_profiles(k: FinCat) -> dict:
-    """Per object: (morphisms out, morphisms in, loops), an invariant."""
-    ins = dict.fromkeys(k.objects.elements, 0)
-    for _, _, c in k.morphisms:
-        ins[c] += 1
-    return {
-        o: (len(ms), ins[o], sum(1 for m in ms if k.cod_of[m] == o))
-        for o, ms in k.out.items()
-    }
+def _canonical_form(num_objects: int, dom, cod, comp) -> tuple:
+    """Canonical key of a category on integer tables, and a labelling attaining it.
 
+    Morphisms are 0..n-1, the identity of object i being morphism i; dom
+    and cod give object indices and comp[g][f] is g∘f, -1 off the
+    composable pairs.  A labelling orders the objects (so the identities)
+    and then the other morphisms; its key is (slots, table), the (dom,
+    cod) of each non-identity morphism and the flattened composition
+    table, both relabeled.  Returns (key, (objects, morphisms)), the old
+    index at each new position, for the least key.
 
-def _power_signature(k: FinCat, m: str) -> tuple:
-    """(is identity, is endomorphism, index, period) of a morphism.
-
-    For an endomorphism, index and period describe its powers m, m∘m, …:
-    the first power to repeat an earlier one is the (index + period)-th,
-    and it equals the index-th.  Both are 0 otherwise.  Isomorphisms
-    preserve the whole signature.
+    Only labellings that sort objects by profile (morphisms out, in,
+    loops) and the other morphisms by (dom, cod, colour) are tried: colour
+    is the index and period of an endomorphism's powers and the number of
+    composable pairs composing to the morphism.  These are isomorphism
+    invariants, so the least key is the same exactly for isomorphic
+    categories.  The search branches among equal colours only, and skips
+    a branch that an automorphism found so far (two leaves with equal
+    tables) maps to one already tried, as in McKay and Piperno's
+    canonical labelling.
     """
-    o = k.dom_of[m]
-    if k.cod_of[m] != o:
-        return (False, False, 0, 0)
-    comp = k._compose
-    seen = {}
-    x = m
-    while x not in seen:
-        seen[x] = len(seen) + 1
-        x = comp[(m, x)]
-    index = seen[x]
-    return (k.identity[o] == m, True, index, len(seen) + 1 - index)
+    k = num_objects
+    n = len(dom)
+    extras = range(k, n)
+    profile = [[0, 0, 0] for _ in range(k)]
+    hits = Counter(chain.from_iterable(comp))
+    colour = [None] * n
+    for m in extras:
+        d, c = dom[m], cod[m]
+        profile[d][0] += 1
+        profile[c][1] += 1
+        index = period = 0
+        if d == c:
+            profile[d][2] += 1
+            row = comp[m]
+            seen = {}
+            x = m
+            while x not in seen:
+                seen[x] = len(seen)
+                x = row[x]
+            index = seen[x]
+            period = len(seen) - index
+        colour[m] = (index, period, hits[m])
+
+    by_profile = sorted(range(k), key=profile.__getitem__)
+    cells = [list(c) for _, c in groupby(by_profile, key=profile.__getitem__)]
+    best = None
+    autos = []  # automorphisms found, each as old morphism -> old morphism
+
+    def walk(order, pools, slots):
+        # order: old morphisms placed so far; pools: candidates for the next positions
+        nonlocal best
+        while pools and len(pools[0]) == 1:
+            order = order + pools[0]
+            pools = pools[1:]
+        if pools:
+            pool = pools[0]
+            skip = set()  # orbits of the tried candidates under autos fixing order
+            for c in pool:
+                if c in skip:
+                    continue
+                walk(order + [c], [[x for x in pool if x != c]] + pools[1:], slots)
+                fixing = [g for g in autos if all(g[x] == x for x in order)]
+                orbit, grown = set(), {c}
+                while grown != orbit:
+                    orbit, grown = grown, grown | {g[x] for g in fixing for x in grown}
+                skip |= orbit
+            return
+        if slots is None:  # objects placed: group the other morphisms
+            new_obj = [0] * k
+            for j, o in enumerate(order):
+                new_obj[o] = j
+            tagged = sorted([(new_obj[dom[m]], new_obj[cod[m]], colour[m], m) for m in extras])
+            slots = tuple((d, c) for d, c, _, _ in tagged)
+            if best is None or slots <= best[0][0]:
+                groups = groupby(tagged, key=lambda t: t[:3])
+                walk(order, [[t[3] for t in g] for _, g in groups], slots)
+            return
+        new = [0] * n + [-1]  # new[-1] keeps non-composable pairs at -1
+        for j, m in enumerate(order):
+            new[m] = j
+        rows = map(comp.__getitem__, order)
+        key = (slots, tuple([new[row[b]] for row in rows for b in order]))
+        if best is None or key < best[0]:
+            best = (key, order)
+        elif key == best[0]:
+            gamma = [0] * n
+            for a, b in zip(best[1], order):
+                gamma[a] = b
+            autos.append(gamma)
+
+    walk([], cells, None)
+    return best[0], (best[1][:k], best[1])
+
+
+def _canonical_labels(k: FinCat) -> tuple:
+    """k's canonical key and its objects and morphisms in canonical order,
+    from _canonical_form; kept on k, whose tables are read-only."""
+    if k._canonical is None:
+        objects = k.objects.elements
+        labels = [k.identity[o] for o in objects]
+        identities = set(labels)
+        labels += [m for m, _, _ in k.morphisms if m not in identities]
+        obj_index = {o: i for i, o in enumerate(objects)}
+        index = {m: i for i, m in enumerate(labels)}
+        n = len(labels)
+        comp = [[-1] * n for _ in range(n)]
+        for (g, f), h in k._compose.items():
+            comp[index[g]][index[f]] = index[h]
+        dom = [obj_index[k.dom_of[m]] for m in labels]
+        cod = [obj_index[k.cod_of[m]] for m in labels]
+        key, (objs, mors) = _canonical_form(len(objects), dom, cod, comp)
+        k._canonical = (key, [objects[o] for o in objs], [labels[m] for m in mors])
+    return k._canonical
 
 
 def cat_isomorphic(k1: FinCat, k2: FinCat) -> bool:
-    """Search for an isomorphism; intended for small categories.
+    """Whether two finite categories are isomorphic; intended for small ones.
 
-    Morphisms of k1 are assigned one at a time: identities first, which
-    fixes the object map, then the rest in the order k1 lists them.  Each
-    goes to an unused morphism of k2 with the same power signature, in
-    the hom-set the object map dictates (for identities: at an object
-    with the same profile).  After each assignment only the composites
-    that it completes are compared, so a wrong choice is dropped at the
-    first product that disagrees.  A complete map is confirmed with
-    is_cat_isomorphism.
+    Both categories are put in canonical form (_canonical_form, by which
+    the catalog deduplicates too).  Equal keys mean isomorphic; the two
+    labellings that attain the key compose to an isomorphism, which is
+    confirmed with is_cat_isomorphism.
     """
-    objs1 = k1.objects.elements
-    if len(objs1) != len(k2.objects) or len(k1.morphisms) != len(k2.morphisms):
+    if len(k1.objects) != len(k2.objects) or len(k1.morphisms) != len(k2.morphisms):
         return False
-    prof1 = _object_profiles(k1)
-    prof2 = _object_profiles(k2)
-    if sorted(prof1.values()) != sorted(prof2.values()):
-        return False
-    sig1 = {m: _power_signature(k1, m) for m in k1.dom_of}
-    sig2 = {m: _power_signature(k2, m) for m in k2.dom_of}
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return False
-
-    # candidate lists: identities by object profile and signature, the
-    # rest by hom-set and signature
-    idents2 = {}
-    for o2, m2 in k2.identity.items():
-        idents2.setdefault((prof2[o2], sig2[m2]), []).append(m2)
-    hom2 = {}
-    for m2, d, c in k2.morphisms:
-        hom2.setdefault((d, c, sig2[m2]), []).append(m2)
-    order = [k1.identity[o] for o in objs1]
-    order += [m for m, _, _ in k1.morphisms if not sig1[m][0]]
-    # each composition-table entry is compared at the step that assigns
-    # the last of its three morphisms
-    step = {m: i for i, m in enumerate(order)}
-    checks = [[] for _ in order]
-    for (g, f), h in k1._compose.items():
-        checks[max(step[g], step[f], step[h])].append((g, f, h))
-
-    comp2 = k2._compose
-    dom1, cod1 = k1.dom_of, k1.cod_of
-    obj_map: dict[str, str] = {}
-    mor_map: dict[str, str] = {}
-    used = set()
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return is_cat_isomorphism(k1, k2, obj_map, mor_map)
-        m = order[i]
-        if i < len(objs1):
-            cands = idents2.get((prof1[objs1[i]], sig1[m]), ())
-        else:
-            cands = hom2.get((obj_map[dom1[m]], obj_map[cod1[m]], sig1[m]), ())
-        for m2 in cands:
-            if m2 in used:
-                continue
-            if i < len(objs1):
-                obj_map[objs1[i]] = k2.dom_of[m2]
-            mor_map[m] = m2
-            if all(mor_map[h] == comp2[(mor_map[g], mor_map[f])] for g, f, h in checks[i]):
-                used.add(m2)
-                if extend(i + 1):
-                    return True
-                used.discard(m2)
-        return False
-
-    return extend(0)
+    key1, objs1, mors1 = _canonical_labels(k1)
+    key2, objs2, mors2 = _canonical_labels(k2)
+    return key1 == key2 and is_cat_isomorphism(
+        k1, k2, dict(zip(objs1, objs2)), dict(zip(mors1, mors2))
+    )
 
 
 # ---------------------------------------------------------------------------

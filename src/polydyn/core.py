@@ -757,7 +757,11 @@ def finset_to_json(a: FinSet) -> dict:
 
 
 def finset_from_json(data: dict) -> FinSet:
-    return FinSet(tuple(data["elements"]), data.get("label", ""))
+    try:
+        elements = data["elements"]
+    except KeyError as exc:
+        raise ValueError(f"missing key in finite set JSON: {exc}") from exc
+    return FinSet(tuple(elements), data.get("label", ""))
 
 
 def setfn_to_json(f: SetFn) -> dict:
@@ -769,11 +773,11 @@ def setfn_to_json(f: SetFn) -> dict:
 
 
 def setfn_from_json(data: dict) -> SetFn:
-    return SetFn(
-        finset_from_json(data["dom"]),
-        finset_from_json(data["cod"]),
-        data["mapping"],
-    )
+    try:
+        dom, cod, mapping = data["dom"], data["cod"], data["mapping"]
+    except KeyError as exc:
+        raise ValueError(f"missing key in function JSON: {exc}") from exc
+    return SetFn(finset_from_json(dom), finset_from_json(cod), mapping)
 
 
 def poly_to_json(p: FinPoly) -> dict:
@@ -785,9 +789,11 @@ def poly_to_json(p: FinPoly) -> dict:
 
 
 def poly_from_json(data: dict) -> FinPoly:
-    if "positions" not in data:
-        raise ValueError('polynomial JSON needs a "positions" key')
-    return make_poly((entry["label"], entry["dirs"]) for entry in data["positions"])
+    try:
+        positions = [(entry["label"], entry["dirs"]) for entry in data["positions"]]
+    except KeyError as exc:
+        raise ValueError(f"missing key in polynomial JSON: {exc}") from exc
+    return make_poly(positions)
 
 
 def lens_to_json(f: Lens) -> dict:
@@ -800,12 +806,11 @@ def lens_to_json(f: Lens) -> dict:
 
 
 def lens_from_json(data: dict) -> Lens:
-    return Lens(
-        poly_from_json(data["dom"]),
-        poly_from_json(data["cod"]),
-        data["onPos"],
-        data["onDir"],
-    )
+    try:
+        dom, cod, on_pos, on_dir = data["dom"], data["cod"], data["onPos"], data["onDir"]
+    except KeyError as exc:
+        raise ValueError(f"missing key in lens JSON: {exc}") from exc
+    return Lens(poly_from_json(dom), poly_from_json(cod), on_pos, on_dir)
 
 
 def canonical_json(data) -> str:

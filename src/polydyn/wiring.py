@@ -902,15 +902,16 @@ def compile_machines(spec: WiringSpec) -> list[tuple[str, MooreMachine]]:
     out = []
     for m in spec.machines():
         name = m.box
+        loc = _at(m.span)
         before = len(problems)
         if name not in r.boxes:
-            problems.append(f"machine bound to undeclared box {name!r}")
+            problems.append(f"{loc}machine bound to undeclared box {name!r}")
             continue
         states = list(dict.fromkeys(m.states))
         if len(states) != len(m.states):
-            problems.append(f"machine {name!r}: duplicate states")
+            problems.append(f"{loc}machine {name!r}: duplicate states")
         if m.init not in states:
-            problems.append(f"machine {name!r}: init {m.init!r} is not a state")
+            problems.append(f"{loc}machine {name!r}: init {m.init!r} is not a state")
             continue
         out_ports = r.out_ports[name]
         in_ports = r.in_ports[name]
@@ -946,7 +947,8 @@ def compile_machines(spec: WiringSpec) -> list[tuple[str, MooreMachine]]:
                 continue
             if row.state in readout:
                 problems.append(
-                    f"machine {name!r}: duplicate readout for {row.state!r}"
+                    f"{_at(row.span)}machine {name!r}: duplicate readout for "
+                    f"{row.state!r}"
                 )
                 continue
             v = valuation_label(row.valuation, out_ports, "readout", row.state, row.span)
@@ -954,7 +956,7 @@ def compile_machines(spec: WiringSpec) -> list[tuple[str, MooreMachine]]:
                 readout[row.state] = v
         for s in states:
             if s not in readout:
-                problems.append(f"machine {name!r}: missing readout for {s!r}")
+                problems.append(f"{loc}machine {name!r}: missing readout for {s!r}")
 
         update = {}
         for row in m.updates:
@@ -975,7 +977,8 @@ def compile_machines(spec: WiringSpec) -> list[tuple[str, MooreMachine]]:
                 continue
             if (v, row.state) in update:
                 problems.append(
-                    f"machine {name!r}: duplicate update for ({row.state!r}, {v!r})"
+                    f"{_at(row.span)}machine {name!r}: duplicate update for "
+                    f"({row.state!r}, {v!r})"
                 )
                 continue
             update[(v, row.state)] = row.next_state
@@ -984,7 +987,7 @@ def compile_machines(spec: WiringSpec) -> list[tuple[str, MooreMachine]]:
             for s in states:
                 if (a, s) not in update:
                     problems.append(
-                        f"machine {name!r}: missing update for ({s!r}, {a!r})"
+                        f"{loc}machine {name!r}: missing update for ({s!r}, {a!r})"
                     )
         if len(problems) > before:
             continue
@@ -1028,7 +1031,8 @@ def compile_system(spec: WiringSpec) -> tuple[MDDS, str]:
     r = _Resolved(spec)
     missing = [name for name in r.box_order if name not in machines]
     if missing:
-        raise ValueError(f"no machine table for box {missing[0]!r}")
+        box = r.boxes[missing[0]]
+        raise ValueError(f"{_at(box.span)}no machine table for box {box.name!r}")
     boxes = [machines[name] for name in r.box_order]
     n = len(boxes)
     state = contractible(_product_set([m.states for m in boxes]))

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -12,6 +13,8 @@ import pytest
 from polydyn.core import FinSet
 from polydyn.comonoid import (
     FinCat,
+    _canonical_form,
+    _canonical_labels,
     cat_isomorphic,
     category_to_comonoid,
     check_category,
@@ -20,11 +23,11 @@ from polydyn.comonoid import (
     check_comonoid_morphism,
     comonoid_to_category,
     contractible,
+    discrete_comonoid,
     is_cat_isomorphism,
     lens_to_cofunctor,
 )
 from polydyn.catalog import (
-    _canonical_key,
     _typed_tables,
     generate_categories,
     monoid_tables,
@@ -227,7 +230,7 @@ def test_typed_search_agrees_with_monoid_kernel_on_one_object():
         cod = [0] * n
         keys = set()
         for comp in _typed_tables(1, dom, cod):
-            keys.add(_canonical_key(1, dom, cod, comp))
+            keys.add(_canonical_form(1, dom, cod, comp)[0])
         assert len(keys) == len(monoid_tables(n))
 
 
@@ -362,6 +365,49 @@ def test_cat_isomorphic_agrees_with_brute_force_search():
             assert not _brute_force_isomorphic(a, b)
     # every category matches its own shuffle and nothing else
     assert positives == sum(len(group) for group in groups.values())
+
+
+def test_canonical_form_ignores_labels_and_order_and_its_labellings_are_isomorphisms():
+    rng = random.Random(1005)
+    for k in generate_categories(3, 6):
+        k2 = _shuffled(k, rng)
+        key1, objs1, mors1 = _canonical_labels(k)
+        key2, objs2, mors2 = _canonical_labels(k2)
+        assert key1 == key2
+        assert is_cat_isomorphism(k, k2, dict(zip(objs1, objs2)), dict(zip(mors1, mors2)))
+
+
+def test_cat_isomorphic_is_fast_on_categories_with_many_automorphisms():
+    # each has 9! automorphisms, all giving the least table; the search
+    # must prune by the automorphisms it finds instead of visiting them all
+    rng = random.Random(362880)
+    states = FinSet(tuple(f"s{i}" for i in range(9)))
+    for c in (contractible(states), discrete_comonoid(states)):
+        k = comonoid_to_category(c)
+        start = time.perf_counter()
+        assert cat_isomorphic(k, _shuffled(k, rng))
+        assert time.perf_counter() - start < 2.0
+
+
+def test_catalog_does_not_depend_on_the_hash_seed():
+    code = (
+        "import hashlib, json\n"
+        "from polydyn.catalog import generate_categories\n"
+        "from polydyn.comonoid import fincat_to_json\n"
+        "cats = generate_categories(3, 5)\n"
+        "data = json.dumps([fincat_to_json(k) for k in cats]).encode()\n"
+        "print(len(cats), hashlib.sha256(data).hexdigest())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        digests.append(done.stdout.split())
+    assert digests[0][0] == "395"
+    assert digests[0] == digests[1] == digests[2]
 
 
 def test_catalog_is_deterministic():

@@ -52,9 +52,9 @@ def test_check_reports_machine_table_errors(tmp_path, capsys):
         "  readout s = (o = s)\n  readout t = (o = t)\n  update s (i = x) = t\n}\n"
     )
     error = (
-        "machine 'B': missing update for ('t', 'x'); "
-        "machine 'B': missing update for ('s', 'y'); "
-        "machine 'B': missing update for ('t', 'y')"
+        "line 5: machine 'B': missing update for ('t', 'x'); "
+        "line 5: machine 'B': missing update for ('s', 'y'); "
+        "line 5: machine 'B': missing update for ('t', 'y')"
     )
     assert main(["check", str(path)]) == 1
     assert capsys.readouterr().out == f"{path}: {error}\n"

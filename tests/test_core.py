@@ -16,6 +16,7 @@ from polydyn.core import (
     coequalizer_set,
     constant,
     eval_poly,
+    finset_from_json,
     fn_label,
     is_cartesian,
     is_epi,
@@ -33,6 +34,7 @@ from polydyn.core import (
     poly_to_json,
     pullback_set,
     representable,
+    setfn_from_json,
     split_fn,
     split_pair,
     split_tag,
@@ -496,6 +498,28 @@ def test_poly_json_shape():
     }
     with pytest.raises(ValueError):
         poly_from_json({"posns": []})
+
+
+def test_poly_from_json_names_a_missing_key():
+    with pytest.raises(ValueError, match="missing key in polynomial JSON: 'label'"):
+        poly_from_json({"positions": [{"dirs": []}]})
+
+
+def test_lens_from_json_names_a_missing_key():
+    p = {"positions": [{"label": "a", "dirs": []}]}
+    with pytest.raises(ValueError, match="missing key in lens JSON: 'onDir'"):
+        lens_from_json({"dom": p, "cod": p, "onPos": {"a": "a"}})
+
+
+def test_finset_from_json_names_a_missing_key():
+    with pytest.raises(ValueError, match="missing key in finite set JSON: 'elements'"):
+        finset_from_json({"label": "A"})
+
+
+def test_setfn_from_json_names_a_missing_key():
+    a = {"elements": ["x"]}
+    with pytest.raises(ValueError, match="missing key in function JSON: 'mapping'"):
+        setfn_from_json({"dom": a, "cod": a})
 
 
 def test_internal_fast_path_lenses_revalidate():

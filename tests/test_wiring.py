@@ -439,12 +439,38 @@ def test_machine_errors_name_the_problem():
         )
 
 
+def test_whole_machine_errors_give_the_line_of_the_machine_or_row():
+    base = "set A = {x, y}\nbox B { out o : A; in i : A; }\n"
+    cases = [
+        ("machine Ghost { states = {s}; init = s; readout s = () }",
+         "line 3: machine bound to undeclared box 'Ghost'"),
+        ("machine B { states = {s, s}; init = s;\n"
+         "  readout s = (o = x)\n  update s (i = x) = s\n  update s (i = y) = s\n}",
+         "line 3: machine 'B': duplicate states"),
+        ("machine B { states = {s}; init = zz; }",
+         "line 3: machine 'B': init 'zz' is not a state"),
+        ("machine B { states = {s}; init = s;\n"
+         "  update s (i = x) = s\n  update s (i = y) = s\n}",
+         "line 3: machine 'B': missing readout for 's'"),
+        ("machine B { states = {s}; init = s;\n  readout s = (o = x)\n"
+         "  readout s = (o = y)\n  update s (i = x) = s\n  update s (i = y) = s\n}",
+         "line 5: machine 'B': duplicate readout for 's'"),
+        ("machine B { states = {s}; init = s;\n  readout s = (o = x)\n"
+         "  update s (i = x) = s\n  update s (i = y) = s\n  update s (i = y) = s\n}",
+         "line 7: machine 'B': duplicate update for ('s', 'y')"),
+    ]
+    for text, error in cases:
+        with pytest.raises(ValueError) as info:
+            compile_machines(parse(base + text))
+        assert str(info.value) == error
+
+
 def test_compile_system_requires_a_machine_per_box():
     text = (
         "set A = {x}\nbox B { out o : A; }\nbox C { out o : A; }\n"
         "machine B { states = {s}; init = s; readout s = (o = x) update s () = s }\n"
     )
-    with pytest.raises(ValueError, match="no machine table for box 'C'"):
+    with pytest.raises(ValueError, match="^line 3: no machine table for box 'C'$"):
         compile_system(parse(text))
 
 
