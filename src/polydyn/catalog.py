@@ -5,15 +5,17 @@ bounded data and filter by the axioms, so that claims of the form "for
 every category with at most so many objects and morphisms" are backed by
 an actual exhaustive list rather than a hand-curated one.
 
-One-object categories are monoids, and almost all of the catalog mass
-sits there (2237 isomorphism classes at six morphisms alone), so their
-Cayley tables get a dedicated cell-at-a-time depth-first search with
-incremental associativity checking and symmetry breaking.  Categories
-with two or more objects have so few non-identity morphisms within the
-bounds that a plain Python search over typed composition tables
-suffices.  Its isomorphism duplicates are removed by the canonical form
-of polydyn.comonoid (_canonical_form), the one cat_isomorphic decides
-isomorphism by, and each class is listed in its canonical labelling.
+One search covers every object count (_search).  A typing gives each
+non-identity morphism a (dom, cod) slot; the composites of non-identity
+morphisms are filled one cell at a time, associativity is checked as
+each cell is filled, and McKay's canonical augmentation keeps only the
+lexicographically least table of each class among the relabelings that
+preserve the typing.  One-object categories are monoids, where almost
+all of the catalog mass sits (2237 classes at six morphisms alone);
+with more objects only the typings least under object permutations are
+searched, and each class is listed in the canonical labelling of
+polydyn.comonoid (_canonical_form), the one cat_isomorphic decides
+isomorphism by.
 """
 
 from __future__ import annotations
@@ -84,69 +86,119 @@ def _relabeling_smaller(t, perm, inv, rows, first) -> bool:
     return False
 
 
-def _search_monoids(n, perms, fix1, fix12):
-    """Enumerate monoid Cayley tables of order n >= 2 up to isomorphism.
+def _relabelings(num_objects: int, dom, cod) -> list:
+    """Every relabeling other than the identity that preserves the typing.
 
-    The identity element is fixed at index 0, so row 0 and column 0 are
-    forced and the search runs over the remaining (n-1)^2 cells in row
-    order, trying values in increasing order, so tables come out in
-    ascending lexicographic order.  Associativity is checked
-    incrementally as each cell is filled (_associative_so_far).  Two
-    symmetry-breaking cuts keep the tree small (t[1][1] <= 2, and
-    completed rows 1 and 1-2 must be prefix-minimal under relabelings
-    that fix the cells already forced); a final full minimality pass over
-    all relabelings fixing 0 leaves exactly the lexicographically least
-    table of each class.
-
-    perms holds (permutation, inverse) pairs for every permutation of
-    0..n-1 fixing 0; fix1 and fix12 hold those that also fix 1,
-    respectively 1 and 2.  -1 marks an empty cell.
+    Each is a pair (perm, inv): perm[i] is the old morphism at new index
+    i, and inv, its inverse, ends in a -1 that keeps the cells off the
+    composable pairs at -1.  An object permutation qualifies when it
+    leaves the multiset of slots unchanged; perm sends it to the
+    identities and each non-identity morphism to one in the permuted slot.
     """
-    t = [[-1] * n for _ in range(n)]
-    for i in range(n):
-        t[0][i] = i
-        t[i][0] = i
-    # cells holding each value; appended and popped in step with the DFS
-    occ = [[(0, i), (i, 0)] for i in range(n)]
-    occ[0] = [(0, 0)]
-    m = n - 1
-    last = m * m - 1
-    val = [-1] * (last + 1)
+    k = num_objects
+    n = len(dom)
+    by_slot: dict = {}
+    for f in range(k, n):
+        by_slot.setdefault((dom[f], cod[f]), []).append(f)
+    slots = sorted(zip(dom[k:], cod[k:]))
+    identity = list(range(n))
     out = []
-    k = 0
-    while k >= 0:
-        a = 1 + k // m
-        b = 1 + k % m
-        old = val[k]
-        if old >= 0:
-            occ[old].pop()
-            t[a][b] = -1
-        v = old + 1
-        if v >= n:
-            val[k] = -1
-            k -= 1
+    for pi in itertools.permutations(range(k)):
+        if sorted((pi[a], pi[b]) for a, b in slots) != slots:
             continue
-        val[k] = v
+        groups = [(fs, by_slot[(pi[a], pi[b])]) for (a, b), fs in by_slot.items()]
+        for images in itertools.product(*(itertools.permutations(h) for _, h in groups)):
+            perm = list(pi) + [0] * (n - k)
+            for (fs, _), img in zip(groups, images):
+                for f, h in zip(fs, img):
+                    perm[f] = h
+            if perm == identity:
+                continue
+            inv = [0] * n + [-1]
+            for i, v in enumerate(perm):
+                inv[v] = i
+            out.append((perm, inv))
+    return out
+
+
+def _search(num_objects: int, dom, cod):
+    """Yield the least associative table of each class for this typing.
+
+    Morphisms are 0..n-1, the identity of object i being morphism i, and
+    t[g][f] is g after f, -1 off the composable pairs.  Identity
+    composites are forced; the composable pairs of non-identity morphisms
+    are filled in row order, each with the morphisms of its slot in
+    increasing order, so tables come out in ascending lexicographic order.
+    Associativity is checked incrementally as each cell is filled
+    (_associative_so_far).
+
+    Isomorphism classes are cut by McKay's canonical augmentation: after
+    the last cell of row g, a branch is dropped when a relabeling fixing
+    0..g makes rows up to g smaller, and at the last cell every
+    typing-preserving relabeling is tried, which leaves exactly the least
+    table of each class.  Relabelings fix identity rows and columns, so
+    comparisons read rows and columns from num_objects on.  A typing that
+    leaves some composite nowhere to land yields nothing.
+    """
+    k = num_objects
+    n = len(dom)
+    t = [[-1] * n for _ in range(n)]
+    for f in range(n):
+        t[f][dom[f]] = f
+        t[cod[f]][f] = f
+    # cells holding each value; appended and popped in step with the DFS
+    occ = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if t[a][b] >= 0:
+                occ[t[a][b]].append((a, b))
+    cells = [(g, f) for g in range(k, n) for f in range(k, n) if cod[f] == dom[g]]
+    if not cells:
+        yield tuple(map(tuple, t))
+        return
+    cands = [
+        [h for h in range(n) if dom[h] == dom[f] and cod[h] == cod[g]] for g, f in cells
+    ]
+    if not all(cands):
+        return
+    relabelings = _relabelings(k, dom, cod)
+    last = len(cells) - 1
+    cuts = [None] * len(cells)  # (rows, relabelings) after the last cell of a row
+    for c, (g, _) in enumerate(cells):
+        if c == last:
+            cuts[c] = (range(k, g + 1), relabelings)
+        elif cells[c + 1][0] != g:
+            fixing = [q for q in relabelings if q[0][: g + 1] == list(range(g + 1))]
+            cuts[c] = (range(k, g + 1), fixing)
+    choice = [-1] * len(cells)
+    c = 0
+    while c >= 0:
+        a, b = cells[c]
+        opts = cands[c]
+        i = choice[c]
+        if i >= 0:
+            occ[opts[i]].pop()
+        i += 1
+        if i == len(opts):
+            t[a][b] = -1
+            choice[c] = -1
+            c -= 1
+            continue
+        choice[c] = i
+        v = opts[i]
         t[a][b] = v
         occ[v].append((a, b))
         if not _associative_so_far(t, occ, a, b):
             continue
-        if k == 0 and v > 2:
-            continue  # t[1][1] <= 2 in any lex-minimal table
-        if b == m and a == 1 and any(
-            _relabeling_smaller(t, p, inv, (1,), 1) for p, inv in fix1
+        cut = cuts[c]
+        if cut is not None and any(
+            _relabeling_smaller(t, p, inv, cut[0], k) for p, inv in cut[1]
         ):
             continue
-        if b == m and a == 2 and any(
-            _relabeling_smaller(t, p, inv, (1, 2), 1) for p, inv in fix12
-        ):
+        if c == last:
+            yield tuple(map(tuple, t))
             continue
-        if k == last:
-            if not any(_relabeling_smaller(t, p, inv, range(n), 0) for p, inv in perms):
-                out.append(tuple(tuple(row) for row in t))
-            continue
-        k += 1
-    return tuple(out)
+        c += 1
 
 
 @lru_cache(maxsize=None)
@@ -156,104 +208,15 @@ def monoid_tables(order: int) -> tuple:
     Returns a tuple of tables, each a tuple of row tuples of ints.  The
     identity is element 0 and table[a][b] is the product a*b, so reading
     b as "first" and a as "second" makes the table a one-object
-    composition table.  Each class is represented by its
-    lexicographically least table among relabelings fixing 0, and the
-    tables come in ascending order.  Practical through order 6; the
-    counts for orders 1..6 are 1, 2, 7, 35, 228, 2237.
+    composition table, and the tables are those of _search on one
+    object: the lexicographically least of each class among relabelings
+    fixing 0, in ascending order.  Practical through order 6; the counts
+    for orders 1..6 are 1, 2, 7, 35, 228, 2237.
     """
     n = int(order)
     if n < 1:
         raise ValueError("order must be at least 1")
-    if n == 1:
-        return (((0,),),)
-    perms = []
-    for tail in itertools.permutations(range(1, n)):
-        p = (0,) + tail
-        inv = [0] * n
-        for i, v in enumerate(p):
-            inv[v] = i
-        perms.append((p, inv))
-    fix1 = [q for q in perms if q[0][:2] == (0, 1)]
-    fix12 = [q for q in perms if q[0][:3] == (0, 1, 2)]
-    return _search_monoids(n, perms, fix1, fix12)
-
-
-# ---------------------------------------------------------------------------
-# Categories with two or more objects.
-#
-# A typing assigns each non-identity morphism a (dom, cod) slot; identity
-# composites are forced, so a composition table is determined by its values
-# on composable pairs of non-identity morphisms.  Chains through an identity
-# are automatically associative, which leaves chains of three non-identity
-# morphisms as the only constraints to check.
-
-
-def _typed_tables(num_objects: int, dom, cod):
-    """Yield every associative composition table for the given typing.
-
-    Morphisms are 0..n-1 with the first num_objects being the identities
-    (identity of object i is morphism i).  Tables are represented as
-    comp[g][f] = g after f, -1 off the composable pairs.  The yielded
-    list of lists is reused between yields; callers must copy or consume
-    immediately.
-    """
-    n = len(dom)
-    extras = range(num_objects, n)
-    comp = [[-1] * n for _ in range(n)]
-    for f in range(n):
-        comp[f][dom[f]] = f
-        comp[cod[f]][f] = f
-    cells = [(g, f) for g in extras for f in extras if cod[f] == dom[g]]
-    cands = []
-    for g, f in cells:
-        cs = tuple(h for h in range(n) if dom[h] == dom[f] and cod[h] == cod[g])
-        if not cs:
-            return  # a composite has nowhere to land; no category has this typing
-        cands.append(cs)
-    # Each chain (f, g, h) reads comp[g][f] = u, comp[h][g] = v, comp[h][u]
-    # and comp[v][f].  It is listed under every cell among those it can
-    # read, for any candidate u and v, so after a cell is filled only the
-    # chains through it are checked; the rest were consistent before.
-    cell_index = {cell: idx for idx, cell in enumerate(cells)}
-    through = [[] for _ in cells]
-    for f in extras:
-        for g in extras:
-            if cod[f] != dom[g]:
-                continue
-            for h in extras:
-                if cod[g] != dom[h]:
-                    continue
-                reads = {(g, f), (h, g)}
-                reads.update((h, u) for u in cands[cell_index[(g, f)]])
-                reads.update((v, f) for v in cands[cell_index[(h, g)]])
-                for cell in reads:
-                    if cell in cell_index:
-                        through[cell_index[cell]].append((f, g, h))
-
-    def consistent(idx: int) -> bool:
-        for f, g, h in through[idx]:
-            u = comp[g][f]
-            v = comp[h][g]
-            if u < 0 or v < 0:
-                continue
-            left = comp[h][u]
-            right = comp[v][f]
-            if left >= 0 and right >= 0 and left != right:
-                return False
-        return True
-
-    def walk(idx: int):
-        if idx == len(cells):
-            yield comp
-            return
-        g, f = cells[idx]
-        for h in cands[idx]:
-            comp[g][f] = h
-            if consistent(idx):
-                yield from walk(idx + 1)
-        comp[g][f] = -1
-
-    yield from walk(0)
+    return tuple(_search(1, [0] * n, [0] * n))
 
 
 def _build_fincat(num_objects: int, dom, cod, comp) -> FinCat:
@@ -275,19 +238,22 @@ def _multi_object_keys(num_objects: int, num_extra: int) -> tuple:
     """Sorted canonical keys of the classes with this many objects and
     non-identity morphisms.
 
-    Every typing of the non-identity morphisms, up to their order, has its
-    associative tables enumerated by _typed_tables; tables of one class
-    share the key of comonoid._canonical_form, which cat_isomorphic uses
-    too.
+    Only typings of the non-identity morphisms that are least under
+    object permutations are searched, so _search gives each class exactly
+    once.  Its key is that of comonoid._canonical_form, which
+    cat_isomorphic uses too.
     """
     k = num_objects
+    object_perms = list(itertools.permutations(range(k)))
     all_slots = [(a, b) for a in range(k) for b in range(k)]
-    keys = set()
+    keys = []
     for spec in itertools.combinations_with_replacement(all_slots, num_extra):
+        if any(sorted((p[a], p[b]) for a, b in spec) < list(spec) for p in object_perms):
+            continue
         dom = list(range(k)) + [s[0] for s in spec]
         cod = list(range(k)) + [s[1] for s in spec]
-        for comp in _typed_tables(k, dom, cod):
-            keys.add(_canonical_form(k, dom, cod, comp)[0])
+        for comp in _search(k, dom, cod):
+            keys.append(_canonical_form(k, dom, cod, comp)[0])
     return tuple(sorted(keys))
 
 
@@ -312,8 +278,8 @@ def generate_categories(max_objects: int = 3, max_morphisms: int = 6) -> tuple:
 
     The result is a tuple in a deterministic order: by object count,
     then morphism count, then canonical table.  One-object categories
-    come from monoid_tables; larger ones from an exhaustive search over
-    typed composition tables with canonical-form deduplication.
+    come from monoid_tables, larger ones from _multi_object_keys; both
+    read the one typed search.
     """
     if max_objects < 0 or max_morphisms < 0:
         raise ValueError("bounds must be non-negative")

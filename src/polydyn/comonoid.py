@@ -131,6 +131,7 @@ class Comonoid:
             base[i], table = split_pair(comult.on_pos[i])
             codomain[i] = split_fn(table)
             composite[i] = {split_pair(de): v for de, v in comult.on_dir[i].items()}
+        _check_tables(carrier, identity, codomain, composite, base)
         self._adopt(carrier, identity, codomain, composite, base)
 
     @classmethod
@@ -142,19 +143,26 @@ class Comonoid:
         composite: dict,
         base: dict | None = None,
     ) -> "Comonoid":
-        """Internal constructor: takes the tables over without copying them.
+        """Internal constructor: checks the tables' shape and takes them
+        over without copying them.
 
         base defaults to the identity on positions.  Positions may share
         one codomain or composite dict when their tables agree.
         """
-        c = object.__new__(cls)
         if base is None:
             base = {i: i for i in carrier.position_labels}
+        _check_tables(carrier, identity, codomain, composite, base)
+        return cls._from_typed_tables(carrier, identity, codomain, composite, base)
+
+    @classmethod
+    def _from_typed_tables(cls, carrier, identity, codomain, composite, base) -> "Comonoid":
+        """Internal constructor for tables well shaped by construction, as
+        category_to_comonoid reads them off a FinCat: no shape check."""
+        c = object.__new__(cls)
         c._adopt(carrier, identity, codomain, composite, base)
         return c
 
     def _adopt(self, carrier, identity, codomain, composite, base) -> None:
-        _check_tables(carrier, identity, codomain, composite, base)
         self.carrier = carrier
         self.identity = identity
         self.base = base
@@ -481,7 +489,6 @@ class FinCat:
         identity: Mapping[str, str],
         compose2: Mapping[tuple[str, str], str],
     ):
-        self.objects = objects
         mors = tuple((str(m), str(d), str(c)) for m, d, c in morphisms)
         labels = [m for m, _, _ in mors]
         if len(set(labels)) != len(labels):
@@ -489,14 +496,7 @@ class FinCat:
         for m, d, c in mors:
             if d not in objects or c not in objects:
                 raise ValueError(f"morphism {m!r}: endpoints {d!r}→{c!r} not objects")
-        self.morphisms = mors
-        self.dom_of = {m: d for m, d, _ in mors}
-        self.cod_of = {m: c for m, _, c in mors}
-        out = {o: [] for o in objects.elements}
-        for m, d, _ in mors:
-            out[d].append(m)
-        self.out = {o: tuple(ms) for o, ms in out.items()}
-
+        self._adopt(objects, mors, identity, dict(compose2))
         for o in objects.elements:
             if o not in identity:
                 raise ValueError(f"no identity assigned at object {o!r}")
@@ -508,7 +508,7 @@ class FinCat:
         extra = [o for o in identity if o not in objects]
         if extra:
             raise ValueError(f"identity table has non-objects: {extra!r}")
-        self.identity = {o: identity[o] for o in objects.elements}
+        self.identity = {o: identity[o] for o in objects.elements}  # in object order
 
         composable = {(g, f) for f, _, c in mors for g in self.out[c]}
         given = set(compose2)
@@ -525,7 +525,28 @@ class FinCat:
                 raise ValueError(
                     f"composite {h!r} of ({g!r}, {f!r}) has wrong endpoints"
                 )
-        self._compose = dict(compose2)
+
+    @classmethod
+    def _from_typed(cls, objects, morphisms, identity, compose2) -> "FinCat":
+        """Internal constructor for tables well typed by construction, as
+        comonoid_to_category reads them off a lawful comonoid: morphisms
+        a tuple of string triples, identity in object order and compose2
+        a fresh dict, all taken over unchecked."""
+        k = object.__new__(cls)
+        k._adopt(objects, morphisms, identity, compose2)
+        return k
+
+    def _adopt(self, objects, mors, identity, compose2) -> None:
+        self.objects = objects
+        self.morphisms = mors
+        self.dom_of = {m: d for m, d, _ in mors}
+        self.cod_of = {m: c for m, _, c in mors}
+        out = {o: [] for o in objects.elements}
+        for m, d, _ in mors:
+            out[d].append(m)
+        self.out = {o: tuple(ms) for o, ms in out.items()}
+        self.identity = identity
+        self._compose = compose2
         self._lawful = None
         self._canonical = None
 
@@ -751,7 +772,9 @@ def comonoid_to_category(c: Comonoid) -> FinCat:
             for e in dirs[j].elements:
                 compose[(there[e], m)] = here[comp[(d, e)]]
     identity = {i: tags[i][c.identity[i]] for i in labels}
-    return FinCat(carrier.positions_set(), morphisms, identity, compose)
+    # the laws make these tables well typed: a composite's codomain is its
+    # second factor's, and the identity at i leads back to i
+    return FinCat._from_typed(carrier.positions_set(), tuple(morphisms), identity, compose)
 
 
 def category_carrier(k: FinCat) -> FinPoly:
@@ -777,8 +800,9 @@ def category_to_comonoid(k: FinCat) -> Comonoid:
         o: {(m, m2): comp[(m2, m)] for m in out[o] for m2 in out[cod_of[m]]}
         for o in objects
     }
-    return Comonoid._from_tables(
-        category_carrier(k), dict(k.identity), codomain, composite
+    base = {o: o for o in objects}
+    return Comonoid._from_typed_tables(
+        category_carrier(k), dict(k.identity), codomain, composite, base
     )
 
 
@@ -1071,7 +1095,7 @@ def cat_isomorphic(k1: FinCat, k2: FinCat) -> bool:
     """Whether two finite categories are isomorphic; intended for small ones.
 
     Both categories are put in canonical form (_canonical_form, by which
-    the catalog deduplicates too).  Equal keys mean isomorphic; the two
+    the catalog labels its classes too).  Equal keys mean isomorphic; the two
     labellings that attain the key compose to an isomorphism, which is
     confirmed with is_cat_isomorphism.
     """

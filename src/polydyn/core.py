@@ -188,25 +188,33 @@ def split_fn(label: str) -> dict[str, str]:
             out[key] = value
         return out
     out: dict[str, str] = {}
-    i = 0
+    start = i = 0
+    last = len(body) - 1
     key: list[str] = []
     val: list[str] = []
     cur = key
-    while i < len(body):
+    while i <= last:
         ch = body[i]
         if ch == "\\":
+            if i == last:
+                raise ValueError(f"dangling escape in label {body!r}")
             cur.append(body[i + 1])
             i += 2
             continue
         if ch == ":" and cur is key:
             cur = val
         elif ch == ",":
+            if cur is key:
+                raise ValueError(f"bad entry {body[start:i]!r} in function label")
             out["".join(key)] = "".join(val)
             key, val = [], []
             cur = key
+            start = i + 1
         else:
             cur.append(ch)
         i += 1
+    if cur is key:
+        raise ValueError(f"bad entry {body[start:]!r} in function label")
     out["".join(key)] = "".join(val)
     return out
 

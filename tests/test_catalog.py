@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -24,11 +26,13 @@ from polydyn.comonoid import (
     comonoid_to_category,
     contractible,
     discrete_comonoid,
+    fincat_to_json,
     is_cat_isomorphism,
     lens_to_cofunctor,
 )
 from polydyn.catalog import (
-    _typed_tables,
+    _multi_object_keys,
+    _search,
     generate_categories,
     monoid_tables,
 )
@@ -225,13 +229,76 @@ def test_monoid_tables_rejects_nonpositive_order():
 
 
 def test_typed_search_agrees_with_monoid_kernel_on_one_object():
+    # the catalog keys multi-object classes by _canonical_form; on one
+    # object it must tell every monoid class apart
     for n in range(1, 5):
         dom = [0] * n
         cod = [0] * n
-        keys = set()
-        for comp in _typed_tables(1, dom, cod):
-            keys.add(_canonical_form(1, dom, cod, comp)[0])
+        keys = {_canonical_form(1, dom, cod, t)[0] for t in monoid_tables(n)}
         assert len(keys) == len(monoid_tables(n))
+
+
+def _least_tables_by_brute_force(num_objects, dom, cod):
+    """The least flattened table of each class for this typing, found by
+    filling every cell from its slot, keeping the associative tables and
+    trying every relabeling of the morphisms that preserves the typing."""
+    k = num_objects
+    n = len(dom)
+    base = [[-1] * n for _ in range(n)]
+    for f in range(n):
+        base[f][dom[f]] = f
+        base[cod[f]][f] = f
+    free = [(g, f) for g in range(k, n) for f in range(k, n) if cod[f] == dom[g]]
+    cand = [[h for h in range(n) if dom[h] == dom[f] and cod[h] == cod[g]] for g, f in free]
+    relabelings = []
+    for perm in itertools.permutations(range(n)):
+        pi = perm[:k]
+        if sorted(pi) == list(range(k)) and all(
+            dom[perm[i]] == pi[dom[i]] and cod[perm[i]] == pi[cod[i]] for i in range(n)
+        ):
+            inv = [0] * n + [-1]
+            for i, v in enumerate(perm):
+                inv[v] = i
+            relabelings.append((perm, inv))
+    triples = [
+        (f, g, h)
+        for f in range(n)
+        for g in range(n)
+        if cod[f] == dom[g]
+        for h in range(n)
+        if cod[g] == dom[h]
+    ]
+    least = set()
+    for values in itertools.product(*cand):
+        t = [row[:] for row in base]
+        for (g, f), v in zip(free, values):
+            t[g][f] = v
+        if all(t[h][t[g][f]] == t[t[h][g]][f] for f, g, h in triples):
+            least.add(
+                min(
+                    tuple(inv[t[p[a]][p[b]]] for a in range(n) for b in range(n))
+                    for p, inv in relabelings
+                )
+            )
+    return sorted(least)
+
+
+def test_search_yields_the_least_table_of_each_class_for_every_typing():
+    typings = 0
+    for k, most in ((2, 3), (3, 2)):
+        slots = [(a, b) for a in range(k) for b in range(k)]
+        for m in range(most + 1):
+            for typing in itertools.product(slots, repeat=m):
+                dom = list(range(k)) + [s[0] for s in typing]
+                cod = list(range(k)) + [s[1] for s in typing]
+                mine = [tuple(x for row in t for x in row) for t in _search(k, dom, cod)]
+                assert mine == _least_tables_by_brute_force(k, dom, cod), typing
+                typings += 1
+    assert typings == 176
+
+
+def test_multi_object_search_reaches_two_objects_and_five_other_morphisms():
+    assert len(_multi_object_keys(2, 5)) == 4013
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +475,16 @@ def test_catalog_does_not_depend_on_the_hash_seed():
         digests.append(done.stdout.split())
     assert digests[0][0] == "395"
     assert digests[0] == digests[1] == digests[2]
+
+
+def test_catalog_labels_match_their_digest():
+    cats = generate_categories(3, 6)
+    data = json.dumps([fincat_to_json(k) for k in cats]).encode()
+    assert len(cats) == 3228
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "c99c63b465702ee25c7c0d94c8c860fc6d96d34c1854936c1359d59099231b8a"
+    )
 
 
 def test_catalog_is_deterministic():

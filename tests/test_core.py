@@ -117,6 +117,20 @@ def test_labels_nest():
     assert v == inner
 
 
+def test_split_fn_rejects_a_dangling_escape_like_split_pair():
+    with pytest.raises(ValueError, match="dangling escape"):
+        split_pair("(a\\)")
+    with pytest.raises(ValueError, match="dangling escape"):
+        split_fn("[a\\]")
+
+
+def test_split_fn_rejects_an_entry_without_colon_whether_or_not_escaped():
+    with pytest.raises(ValueError, match="bad entry 'c'"):
+        split_fn("[a:b,c]")
+    with pytest.raises(ValueError, match="bad entry 'c'"):
+        split_fn("[a\\(:b,c]")
+
+
 # ---------------------------------------------------------------------------
 # Polynomials and evaluation.
 
