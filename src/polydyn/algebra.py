@@ -22,6 +22,7 @@ import math
 from typing import Callable, Mapping, Sequence
 
 from polydyn.core import (
+    COMPOSE_LIMIT,
     ONE,
     Y,
     ZERO,
@@ -31,7 +32,7 @@ from polydyn.core import (
     SetFn,
     SizeLimitError,
     _all_maps,
-    _escape,
+    _table_labels,
     coequalizer_set,
     constant,
     fn_label,
@@ -189,11 +190,6 @@ def poly_product(p: FinPoly, q: FinPoly) -> FinPoly:
     return product_many([("0", p), ("1", q)])
 
 
-# poly_compose refuses to build more positions than this, and tensor_many
-# more positions plus direction labels.
-COMPOSE_LIMIT = 1 << 22
-
-
 def tensor_many(polys: Sequence[FinPoly]) -> FinPoly:
     """Parallel product: position tuples, direction tuples.
 
@@ -238,9 +234,6 @@ def poly_compose(p: FinPoly, q: FinPoly) -> FinPoly:
 @_ordered_cache
 def _poly_compose(p: FinPoly, q: FinPoly) -> FinPoly:
     qlabels = q.position_labels
-    # Each position label is pair(i, table).  The table alphabet is small and
-    # fixed, so pre-escape the fragments and assemble labels with one join.
-    esc2_vals = {v: _escape(_escape(v)) for v in qlabels}
     # Positions whose chosen targets have the same direction lists share
     # one direction set; each distinct list gets a small integer.
     kinds: dict[tuple, int] = {}
@@ -249,21 +242,16 @@ def _poly_compose(p: FinPoly, q: FinPoly) -> FinPoly:
     positions = []
     for i, dirs in p.positions:
         ds = dirs.elements
-        prefix = "(" + _escape(i) + ",\\["
-        frags = [
-            {v: _escape(_escape(d)) + "\\:" + ev for v, ev in esc2_vals.items()}
-            for d in ds
-        ]
         shared: dict[tuple, FinSet] = {}
-        for values in itertools.product(qlabels, repeat=len(ds)):
-            body = "\\,".join(frag[v] for frag, v in zip(frags, values))
+        tables = itertools.product(qlabels, repeat=len(ds))
+        for label, values in zip(_table_labels(i, ds, qlabels), tables):
             profile = tuple(qkind[v] for v in values)
             dset = shared.get(profile)
             if dset is None:
                 dset = shared[profile] = FinSet(
                     tuple(pair_label(d, e) for d, v in zip(ds, values) for e in qdirs[v])
                 )
-            positions.append((prefix + body + "\\])", dset))
+            positions.append((label, dset))
     return FinPoly(positions)
 
 

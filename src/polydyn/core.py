@@ -61,8 +61,12 @@ __all__ = [
 ]
 
 
+# poly_compose refuses to build more positions than this, eval_poly more
+# elements, and tensor_many more positions plus direction labels.
+COMPOSE_LIMIT = 1 << 22
+
 # What an operation's predicted size counts, where it is not positions.
-_COUNTED = {"tensor_many": "positions plus direction labels"}
+_COUNTED = {"tensor_many": "positions plus direction labels", "eval_poly": "elements"}
 
 
 class SizeLimitError(ValueError):
@@ -88,7 +92,10 @@ class SizeLimitError(ValueError):
 # shapes cover everything in the package: tuples "(a,b)", tagged values
 # "tag|value", and finite function tables "[d:v,...]".  Components are
 # escaped so arbitrary user labels (including ones containing the bracket
-# characters) decode unambiguously.
+# characters) decode unambiguously.  This section is the only code that
+# knows the format: other modules build and read labels through these
+# functions, and the nested "(i,[d:x,...])" labels of eval_poly and
+# poly_compose all come from _table_labels.
 
 _SPECIALS = "(),[]:|\\"
 _ESCAPE_TABLE = {ord(ch): "\\" + ch for ch in _SPECIALS}
@@ -98,10 +105,11 @@ def _escape(s: str) -> str:
     return s.translate(_ESCAPE_TABLE)
 
 
-def _split_top(body: str, sep: str) -> list[str]:
-    """Split on unescaped separators and unescape the pieces."""
+def _split_top(body: str, sep: str, maxsplit: int = -1) -> list[str]:
+    """Split on unescaped separators, at most maxsplit times as in str.split,
+    and unescape the pieces."""
     if "\\" not in body:
-        return body.split(sep)
+        return body.split(sep, maxsplit)
     parts = []
     cur = []
     i = 0
@@ -112,7 +120,7 @@ def _split_top(body: str, sep: str) -> list[str]:
                 raise ValueError(f"dangling escape in label {body!r}")
             cur.append(body[i + 1])
             i += 2
-        elif ch == sep:
+        elif ch == sep and len(parts) != maxsplit:
             parts.append("".join(cur))
             cur = []
             i += 1
@@ -147,22 +155,10 @@ def tag_label(tag: str, value: str) -> str:
 
 @lru_cache(maxsize=65536)
 def split_tag(label: str) -> tuple[str, str]:
-    if "\\" not in label:
-        tag, sep, value = label.partition("|")
-        if not sep:
-            raise ValueError(f"not a tagged label: {label!r}")
-        return tag, value
-    i = 0
-    while i < len(label):
-        if label[i] == "\\":
-            i += 2
-            continue
-        if label[i] == "|":
-            tag = _split_top(label[:i], "\x00")[0]
-            value = _split_top(label[i + 1 :], "\x00")[0]
-            return tag, value
-        i += 1
-    raise ValueError(f"not a tagged label: {label!r}")
+    parts = _split_top(label, "|", 1)
+    if len(parts) != 2:
+        raise ValueError(f"not a tagged label: {label!r}")
+    return parts[0], parts[1]
 
 
 def fn_label(mapping: Mapping[str, str], domain_order: Sequence[str]) -> str:
@@ -171,6 +167,19 @@ def fn_label(mapping: Mapping[str, str], domain_order: Sequence[str]) -> str:
     for d in domain_order:
         entries.append(_escape(d) + ":" + _escape(mapping[d]))
     return "[" + ",".join(entries) + "]"
+
+
+def _table_labels(i: str, domain: Sequence[str], values: Sequence[str]):
+    """pair_label(i, fn_label(t, domain)) for every table t, in _all_maps order.
+
+    Each "d:v" entry is escaped for its place inside the pair once, not once
+    per label it appears in.
+    """
+    entries = [[_escape(_escape(d) + ":" + _escape(v)) for v in values] for d in domain]
+    head = "(" + _escape(i) + "," + _escape("[")
+    sep, tail = _escape(","), _escape("]") + ")"
+    for row in itertools.product(*entries):
+        yield head + sep.join(row) + tail
 
 
 def split_fn(label: str) -> dict[str, str]:
@@ -465,12 +474,15 @@ def eval_poly(p: FinPoly, x: FinSet) -> FinSet:
     """Apply p to a finite set: pairs (position, function directions → X).
 
     The result has Σ_i |X|^{|p_i|} elements, each labeled
-    "(i,[d:x,...])" with the table in direction order.
+    "(i,[d:x,...])" with the table in direction order; above COMPOSE_LIMIT
+    this raises SizeLimitError before building anything.
     """
+    predicted = sum(len(x) ** len(dirs) for _, dirs in p.positions)
+    if predicted > COMPOSE_LIMIT:
+        raise SizeLimitError("eval_poly", predicted, COMPOSE_LIMIT)
     out = []
     for i, dirs in p.positions:
-        for choice in _all_maps(dirs.elements, x.elements):
-            out.append(pair_label(i, fn_label(choice, dirs.elements)))
+        out.extend(_table_labels(i, dirs.elements, x.elements))
     return FinSet(out)
 
 

@@ -1,8 +1,14 @@
+import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polydyn.algebra import poly_compose
 from polydyn.core import (
+    COMPOSE_LIMIT,
     ONE,
     UNIT_SET,
     Y,
@@ -11,6 +17,8 @@ from polydyn.core import (
     FinSet,
     Lens,
     SetFn,
+    SizeLimitError,
+    _table_labels,
     canonical_form,
     canonical_json,
     coequalizer_set,
@@ -103,7 +111,8 @@ def test_label_round_trips_with_special_characters():
     cases = [("a", "b"), ("x|y", "(z)"), ("", "a\\b"), ("d:e", "u,v"), ()]
     for parts in cases:
         assert split_pair(pair_label(*parts)) == parts
-    assert split_tag(tag_label("we|ird", "va(l")) == ("we|ird", "va(l")
+    for tag, value in [("we|ird", "va(l"), ("t", "u\x00v("), ("a\x00b", "x|")]:
+        assert split_tag(tag_label(tag, value)) == (tag, value)
     table = {"d:1": "v,2", "d2": "[x]", "": "|"}
     assert split_fn(fn_label(table, ["d:1", "d2", ""])) == table
 
@@ -122,6 +131,8 @@ def test_split_fn_rejects_a_dangling_escape_like_split_pair():
         split_pair("(a\\)")
     with pytest.raises(ValueError, match="dangling escape"):
         split_fn("[a\\]")
+    with pytest.raises(ValueError, match="dangling escape"):
+        split_tag("a\\")
 
 
 def test_split_fn_rejects_an_entry_without_colon_whether_or_not_escaped():
@@ -129,6 +140,91 @@ def test_split_fn_rejects_an_entry_without_colon_whether_or_not_escaped():
         split_fn("[a:b,c]")
     with pytest.raises(ValueError, match="bad entry 'c'"):
         split_fn("[a\\(:b,c]")
+
+
+# Label trees for the codec properties: a leaf is a plain label, and a node
+# is ("pair", children), ("tag", tag, value) or ("fn", ((key, value), ...)).
+_LEAVES = st.text(alphabet=list("(),[]:|\\\x00ab"), max_size=3)
+
+
+def _encode(tree):
+    if isinstance(tree, str):
+        return tree
+    if tree[0] == "pair":
+        return pair_label(*map(_encode, tree[1]))
+    if tree[0] == "tag":
+        return tag_label(_encode(tree[1]), _encode(tree[2]))
+    keys = [_encode(k) for k, _ in tree[1]]
+    return fn_label({key: _encode(v) for key, (_, v) in zip(keys, tree[1])}, keys)
+
+
+def _decode(shape, label):
+    """Decode label along the shape of the tree it was encoded from."""
+    if isinstance(shape, str):
+        return label
+    if shape[0] == "pair":
+        parts = split_pair(label)
+        assert len(parts) == len(shape[1])
+        return ("pair", tuple(_decode(s, x) for s, x in zip(shape[1], parts)))
+    if shape[0] == "tag":
+        tag, value = split_tag(label)
+        return ("tag", _decode(shape[1], tag), _decode(shape[2], value))
+    table = split_fn(label)
+    assert list(table) == [_encode(k) for k, _ in shape[1]]
+    return (
+        "fn",
+        tuple((_decode(k, key), _decode(v, table[key])) for (k, v), key in zip(shape[1], table)),
+    )
+
+
+def _trees(depth):
+    if depth == 0:
+        return _LEAVES
+    sub = _trees(depth - 1)
+    # pair_label("") == pair_label() == "()": the empty 1-tuple is ambiguous.
+    pairs = st.lists(sub, max_size=3).filter(lambda xs: xs != [""]).map(tuple)
+    entries = st.lists(st.tuples(sub, sub), max_size=3, unique_by=lambda kv: _encode(kv[0]))
+    return st.one_of(
+        _LEAVES,
+        st.tuples(st.just("pair"), pairs),
+        st.tuples(st.just("tag"), sub, sub),
+        st.tuples(st.just("fn"), entries.map(tuple)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees(4))
+def test_label_trees_round_trip(tree):
+    assert _decode(tree, _encode(tree)) == tree
+
+
+def _nested_reference(p: FinPoly, values) -> list[str]:
+    """Every "(i,[d:x,...])" label of p at values, from the two encoders."""
+    return [
+        pair_label(i, fn_label(dict(zip(dirs.elements, xs)), dirs.elements))
+        for i, dirs in p.positions
+        for xs in itertools.product(values, repeat=len(dirs))
+    ]
+
+
+_LABEL_SETS = st.lists(_LEAVES, max_size=3, unique=True)
+_POLYS = st.lists(st.tuples(_LEAVES, _LABEL_SETS), max_size=3, unique_by=lambda e: e[0]).map(
+    make_poly
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LEAVES, _LABEL_SETS, _LABEL_SETS)
+def test_table_labels_match_the_nested_encoders(i, domain, values):
+    expected = _nested_reference(make_poly([(i, domain)]), values)
+    assert list(_table_labels(i, domain, values)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_POLYS, _POLYS)
+def test_eval_and_compose_positions_match_the_nested_encoders(p, q):
+    assert list(eval_poly(p, q.positions_set())) == _nested_reference(p, q.position_labels)
+    assert poly_compose(p, q).position_labels == tuple(_nested_reference(p, q.position_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +259,18 @@ def test_eval_known_counts():
     assert len(eval_poly(p, FinSet(()))) == 2
     assert len(eval_poly(ZERO, FinSet(("x",)))) == 0
     assert len(eval_poly(ONE, FinSet(()))) == 1
+
+
+def test_eval_refuses_an_oversized_result_before_building():
+    big = representable(FinSet(tuple(str(d) for d in range(23))))
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError) as info:
+        eval_poly(big, FinSet(("x", "y")))
+    assert time.perf_counter() - start < 0.05
+    assert str(info.value) == (
+        f"eval_poly would build 8388608 elements, above the limit of {COMPOSE_LIMIT}"
+    )
+    assert len(eval_poly(representable(FinSet(("1", "2"))), FinSet(("x", "y")))) == 4
 
 
 def test_eval_count_matches_recount():

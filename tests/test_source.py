@@ -58,6 +58,22 @@ def test_every_private_helper_is_referenced():
     ]
     assert orphans == []
 
+
+def test_only_core_imports_the_label_escape_helpers():
+    # The label format lives in core; other modules go through its encoders
+    # and decoders.
+    leaks = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in ("_escape", "_split_top")
+    ]
+    assert leaks == []
+
+
 def test_every_console_script_resolves_to_a_callable():
     tomllib = pytest.importorskip("tomllib", reason="tomllib needs Python 3.11")
     pyproject = SRC.parent.parent / "pyproject.toml"

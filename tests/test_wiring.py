@@ -458,6 +458,19 @@ def test_whole_machine_errors_give_the_line_of_the_machine_or_row():
         ("machine B { states = {s}; init = s;\n  readout s = (o = x)\n"
          "  update s (i = x) = s\n  update s (i = y) = s\n  update s (i = y) = s\n}",
          "line 7: machine 'B': duplicate update for ('s', 'y')"),
+        ("machine B { states = {s}; init = s;\n  readout s = (o = x)\n"
+         "  readout q = (o = x)\n  update s (i = x) = s\n  update s (i = y) = s\n}",
+         "line 5: machine 'B': readout for unknown state 'q'"),
+        ("machine B { states = {s}; init = s;\n  readout s = (o = x)\n"
+         "  update q (i = x) = s\n  update s (i = x) = s\n  update s (i = y) = s\n}",
+         "line 5: machine 'B': update for unknown state 'q'"),
+        ("machine B { states = {s}; init = s;\n  readout s = (o = z)\n"
+         "  update s (i = x) = s\n  update s (i = y) = s\n}",
+         "line 4: machine 'B': 'z' is not in set 'A'; "
+         "line 3: machine 'B': missing readout for 's'"),
+        ("machine B { states = {s}; init = s;\n  readout s = (o = x)\n"
+         "  update s (i = x) = s\n  update s (i = z) = s\n  update s (i = y) = s\n}",
+         "line 6: machine 'B': 'z' is not in set 'A'"),
     ]
     for text, error in cases:
         with pytest.raises(ValueError) as info:
