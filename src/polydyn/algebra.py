@@ -171,17 +171,30 @@ def poly_sum(p: FinPoly, q: FinPoly) -> FinPoly:
 
 
 def product_many(items: Sequence[tuple[str, FinPoly]]) -> FinPoly:
-    """Cartesian product: position tuples, direction tagged-sums."""
+    """Cartesian product: position tuples, direction tagged-sums.
+
+    The result has ∏ p(1) positions, and each factor's direction labels
+    recur once per choice of the other factors' positions; above
+    COMPOSE_LIMIT for positions plus direction labels this raises
+    SizeLimitError before building anything.
+    """
     keys = [k for k, _ in items]
     if len(set(keys)) != len(keys):
         raise ValueError(f"duplicate factor keys {keys!r}")
+    counts = [p.num_positions() for _, p in items]
+    predicted = math.prod(counts) + sum(
+        sum(len(dirs) for _, dirs in p.positions) * math.prod(counts[:k] + counts[k + 1:])
+        for k, (_, p) in enumerate(items)
+    )
+    if predicted > COMPOSE_LIMIT:
+        raise SizeLimitError("product_many", predicted, COMPOSE_LIMIT)
     positions = []
     for combo in itertools.product(*[p.positions for _, p in items]):
         label = pair_label(*[i for i, _ in combo])
         dirs = []
         for (key, _), (_, dset) in zip(items, combo):
             dirs.extend(tag_label(key, d) for d in dset.elements)
-        positions.append((label, FinSet(tuple(dirs))))
+        positions.append((label, FinSet(dirs)))
     return FinPoly(positions)
 
 
@@ -209,7 +222,7 @@ def tensor_many(polys: Sequence[FinPoly]) -> FinPoly:
             pair_label(*d)
             for d in itertools.product(*[dset.elements for _, dset in combo])
         ]
-        positions.append((label, FinSet(tuple(dirs))))
+        positions.append((label, FinSet(dirs)))
     return FinPoly(positions)
 
 
@@ -245,7 +258,7 @@ def _poly_compose(p: FinPoly, q: FinPoly) -> FinPoly:
         shared: dict[tuple, FinSet] = {}
         tables = itertools.product(qlabels, repeat=len(ds))
         for label, values in zip(_table_labels(i, ds, qlabels), tables):
-            profile = tuple(qkind[v] for v in values)
+            profile = tuple(map(qkind.__getitem__, values))
             dset = shared.get(profile)
             if dset is None:
                 dset = shared[profile] = FinSet(
@@ -635,7 +648,7 @@ def global_sections(p: FinPoly) -> FinSet:
         choices.append([(i, d) for d in dirs])
     for combo in itertools.product(*choices):
         out.append(fn_label(dict(combo), p.position_labels))
-    return FinSet(tuple(out))
+    return FinSet(out)
 
 
 # ---------------------------------------------------------------------------
@@ -946,7 +959,7 @@ def limit(diagram: Diagram) -> tuple[FinPoly, dict[str, Lens]]:
         for u in names:
             for d in diagram.objects[u].directions(tup[u]).elements:
                 summands.append(tag_label(u, d))
-        total = FinSet(tuple(summands))
+        total = FinSet(summands)
         rel_dom = []
         f_map = {}
         g_map = {}
@@ -956,7 +969,7 @@ def limit(diagram: Diagram) -> tuple[FinPoly, dict[str, Lens]]:
                 rel_dom.append(rel)
                 f_map[rel] = tag_label(dst, e)
                 g_map[rel] = tag_label(src, lens.on_dir[tup[src]][e])
-        rel_set = FinSet(tuple(rel_dom))
+        rel_set = FinSet(rel_dom)
         quot, cls = coequalizer_set(
             SetFn(rel_set, total, f_map), SetFn(rel_set, total, g_map)
         )
@@ -1007,9 +1020,7 @@ def limit_pullback(f: Lens, g: Lens) -> tuple[FinPoly, dict[str, Lens]]:
 
 def factor_vert_cart(f: Lens) -> tuple[Lens, Lens]:
     """f = (cartesian) ∘ (vertical), through dom positions with cod directions."""
-    middle = FinPoly(
-        tuple((i, f.cod.directions(f.on_pos[i])) for i in f.dom.position_labels)
-    )
+    middle = FinPoly((i, f.cod.directions(f.on_pos[i])) for i in f.dom.position_labels)
     vert = Lens(
         f.dom,
         middle,
@@ -1051,8 +1062,8 @@ def factor_epi_mono(f: Lens) -> tuple[Lens, Lens]:
                 rep_of[sig] = d
             cls[d] = rep_of[sig]
         quot_map[j] = cls
-        image_positions.append((j, FinSet(tuple(dict.fromkeys(cls.values())))))
-    middle = FinPoly(tuple(image_positions))
+        image_positions.append((j, FinSet(dict.fromkeys(cls.values()))))
+    middle = FinPoly(image_positions)
     epi = Lens(
         f.dom,
         middle,
@@ -1082,7 +1093,7 @@ def base_change(f: SetFn, q: FinPoly) -> FinPoly:
     """Pull q back along f: positions become f's domain, directions follow f."""
     if FinSet(q.position_labels) != f.cod:
         raise ValueError("base_change needs q's positions to be f's codomain")
-    return FinPoly(tuple((a, q.directions(f.mapping[a])) for a in f.dom.elements))
+    return FinPoly((a, q.directions(f.mapping[a])) for a in f.dom.elements)
 
 
 def base_pushforward(f: SetFn, p: FinPoly, kind: str) -> FinPoly:
@@ -1110,8 +1121,8 @@ def base_pushforward(f: SetFn, p: FinPoly, kind: str) -> FinPoly:
             elems = [
                 tag_label(a, d) for a in fiber for d in p.directions(a).elements
             ]
-        positions.append((b, FinSet(tuple(elems))))
-    return FinPoly(tuple(positions))
+        positions.append((b, FinSet(elems)))
+    return FinPoly(positions)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,25 @@
 """The polydyn command: check and run wiring programs.
 
-    polydyn check FILE.wd             print every violation or table error; exit 1 if any
-    polydyn run FILE.wd [--steps N]   compile, run, print the trace as CSV
+    polydyn check FILE.wd                    print every violation or table error; exit 1 if any
+    polydyn run FILE.wd [--steps N] [--json] compile, run, print the trace as CSV or JSON
 
 run feeds a system with an open interface the whitespace-separated
 inputs read from stdin (run_open), and runs a closed system, interface
-y, for N steps (run_closed).  Syntax errors, violations and run errors
-go to stderr with exit status 1.  The package does not import this
-module.
+y, for N steps (run_closed).  With --json the trace is printed as one
+JSON document (trace_to_json) instead of CSV.  Syntax errors,
+violations and run errors go to stderr with exit status 1.  The package
+does not import this module.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 from polydyn.core import Y
-from polydyn.dynamics import run_closed, run_open, trace_to_csv
+from polydyn.dynamics import run_closed, run_open, trace_to_csv, trace_to_json
 from polydyn.wiring import (
     WiringSyntaxError,
     compile_machines,
@@ -34,12 +36,13 @@ def _parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     check = commands.add_parser("check", help="print the violations of a program")
     check.add_argument("file", type=Path)
-    run = commands.add_parser("run", help="compile a program and print a run as CSV")
+    run = commands.add_parser("run", help="compile a program and print a run as CSV or JSON")
     run.add_argument("file", type=Path)
     run.add_argument(
         "--steps", type=int, default=10,
         help="steps of a closed system (default 10); an open one reads stdin",
     )
+    run.add_argument("--json", action="store_true", help="print the trace as JSON, not CSV")
     return parser
 
 
@@ -76,7 +79,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(trace_to_csv(trace))
+    if args.json:
+        print(json.dumps(trace_to_json(trace)))
+    else:
+        sys.stdout.write(trace_to_csv(trace))
     return 0
 
 

@@ -62,11 +62,16 @@ __all__ = [
 
 
 # poly_compose refuses to build more positions than this, eval_poly more
-# elements, and tensor_many more positions plus direction labels.
+# elements, and tensor_many and product_many more positions plus direction
+# labels.
 COMPOSE_LIMIT = 1 << 22
 
 # What an operation's predicted size counts, where it is not positions.
-_COUNTED = {"tensor_many": "positions plus direction labels", "eval_poly": "elements"}
+_COUNTED = {
+    "tensor_many": "positions plus direction labels",
+    "product_many": "positions plus direction labels",
+    "eval_poly": "elements",
+}
 
 
 class SizeLimitError(ValueError):
@@ -247,11 +252,11 @@ class FinSet:
         for e in elems:
             if not isinstance(e, str):
                 raise TypeError(f"element labels must be strings, got {e!r}")
-        if len(set(elems)) != len(elems):
+        self._set = frozenset(elems)
+        if len(self._set) != len(elems):
             raise ValueError(f"duplicate element labels in {elems!r}")
         self.label = label
         self.elements = elems
-        self._set = frozenset(elems)
 
     def __contains__(self, x: str) -> bool:
         return x in self._set
@@ -362,19 +367,27 @@ class FinPoly:
     """
 
     def __init__(self, positions: Iterable[tuple[str, FinSet]]):
-        pos = tuple((label, dirs) for label, dirs in positions)
-        labels = [label for label, _ in pos]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate position labels in {labels!r}")
-        for label, dirs in pos:
+        # One pass: the caller's (label, dirs) tuples are kept as they are,
+        # and the hash waits for its first use.
+        pos = []
+        table: dict[str, FinSet] = {}
+        for entry in positions:
+            label, dirs = entry
             if not isinstance(label, str):
                 raise TypeError(f"position labels must be strings, got {label!r}")
             if not isinstance(dirs, FinSet):
                 raise TypeError(f"directions at {label!r} must be a FinSet")
-        self.positions = pos
-        self._dirs = {label: dirs for label, dirs in pos}
-        self._labels = tuple(labels)
-        self._hash = hash(frozenset((label, dirs._set) for label, dirs in pos))
+            if type(entry) is not tuple:
+                entry = (label, dirs)
+            pos.append(entry)
+            table[label] = dirs
+        if len(table) != len(pos):
+            labels = [label for label, _ in pos]
+            raise ValueError(f"duplicate position labels in {labels!r}")
+        self.positions = tuple(pos)
+        self._dirs = table
+        self._labels = tuple(table)
+        self._hash: int | None = None
 
     @property
     def position_labels(self) -> tuple[str, ...]:
@@ -396,11 +409,14 @@ class FinPoly:
             return True
         if not isinstance(other, FinPoly):
             return NotImplemented
-        if set(self._dirs) != set(other._dirs):
+        if self._dirs.keys() != other._dirs.keys():
             return False
         return all(self._dirs[i] == other._dirs[i] for i in self._dirs)
 
     def __hash__(self) -> int:
+        # order-blind, like __eq__
+        if self._hash is None:
+            self._hash = hash(frozenset((i, dirs._set) for i, dirs in self.positions))
         return self._hash
 
     def __str__(self) -> str:
@@ -447,7 +463,7 @@ def monomial(b, a) -> FinPoly:
     """By^A: one position per element of B, each with direction set A."""
     b = _as_finset(b)
     a = _as_finset(a)
-    return FinPoly(tuple((e, a) for e in b.elements))
+    return FinPoly((e, a) for e in b.elements)
 
 
 def constant(a) -> FinPoly:
@@ -501,10 +517,7 @@ def canonical_form(p: FinPoly) -> FinPoly:
     """
     order = sorted(p.positions, key=lambda pair: (-len(pair[1]), pair[0]))
     return FinPoly(
-        tuple(
-            (str(k), FinSet(tuple(str(j) for j in range(len(dirs)))))
-            for k, (_, dirs) in enumerate(order)
-        )
+        (str(k), FinSet(str(j) for j in range(len(dirs)))) for k, (_, dirs) in enumerate(order)
     )
 
 

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 import sympy
@@ -34,6 +35,7 @@ from polydyn.core import (
     poly_to_json,
     representable,
 )
+from polydyn import algebra
 from polydyn.algebra import (
     COMPOSE_LIMIT,
     Diagram,
@@ -175,6 +177,51 @@ def test_compose_is_refused_above_its_size_limit_before_building():
     assert info.value.predicted == 2**22 + 1
     assert info.value.limit == COMPOSE_LIMIT == 2**22
     assert str(2**22 + 1) in str(info.value)
+
+
+def test_product_is_refused_above_its_size_limit_before_building():
+    # 2^11 positions with one direction each, squared: 2^22 positions, at
+    # the limit, but 2^23 direction labels on top of them
+    p = linear(FinSet(tuple(f"a{k}" for k in range(2**11))))
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError) as info:
+        poly_product(p, p)
+    assert time.perf_counter() - start < 0.1
+    assert info.value.operation == "product_many"
+    assert info.value.predicted == 3 * 2**22
+    assert str(info.value) == (
+        f"product_many would build {3 * 2**22} positions plus direction labels, "
+        f"above the limit of {COMPOSE_LIMIT}"
+    )
+
+
+def test_product_prediction_counts_positions_plus_direction_labels(monkeypatch):
+    rng = random.Random(11)
+    for _ in range(20):
+        items = [(str(k), random_poly(rng)) for k in range(rng.randint(0, 3))]
+        built = product_many(items)
+        size = built.num_positions() + sum(len(dirs) for _, dirs in built.positions)
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "COMPOSE_LIMIT", size)
+            assert product_many(items) == built
+            m.setattr(algebra, "COMPOSE_LIMIT", size - 1)
+            with pytest.raises(SizeLimitError) as info:
+                product_many(items)
+        assert info.value.predicted == size
+
+
+def test_closures_are_refused_above_the_product_limit_before_building():
+    q = make_poly([("a", ["x"]), ("b", [])])
+    p = linear(FinSet(tuple(f"i{k}" for k in range(25))))
+    # q^p has a factor q∘(1 + y) per position of p, 3 positions and one
+    # direction each; [p, q] has a factor q∘y, 2 positions and one direction
+    for build, n in ((lambda: cartesian_closure(q, p), 3), (lambda: dirichlet_closure(p, q), 2)):
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError) as info:
+            build()
+        assert time.perf_counter() - start < 0.1
+        assert info.value.operation == "product_many"
+        assert info.value.predicted == n**25 + 25 * n**24
 
 
 def test_compose_of_six_state_carriers_stays_allowed():

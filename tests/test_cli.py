@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import pathlib
 import subprocess
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 from polydyn.cli import main
-from polydyn.dynamics import run_closed, run_open, trace_to_csv
+from polydyn.dynamics import run_closed, run_open, trace_to_csv, trace_to_json
 from polydyn.wiring import compile_system, parse
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -87,6 +88,21 @@ def test_run_steps_a_closed_system(name, capsys):
     want = trace_to_csv(run_closed(sys_, 6, start))
     assert capsys.readouterr().out == want
     assert len(want.splitlines()) == 8
+
+
+@pytest.mark.parametrize("name", ["control.wd", "supplier.wd", "attach.wd"])
+def test_run_json_prints_the_trace_as_one_document(name, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("a1 a0 a1 a1"))
+    assert main(["run", str(DEMOS / name), "--steps", "6", "--json"]) == 0
+    sys_, start = _demo_system(name)
+    if name == "control.wd":
+        want = trace_to_json(run_open(sys_, ["a1", "a0", "a1", "a1"], start))
+    else:
+        want = trace_to_json(run_closed(sys_, 6, start))
+    out = capsys.readouterr().out
+    assert json.loads(out) == want
+    assert out.count("\n") == 1
+    assert len(want["steps"]) == (5 if name == "control.wd" else 7)
 
 
 def test_run_reports_an_illegal_input(monkeypatch, capsys):

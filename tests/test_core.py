@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,12 @@ def test_finset_rejects_bad_input():
         FinSet(("a", "a"))
     with pytest.raises(TypeError):
         FinSet("ab")
+
+
+def test_finset_duplicate_message_names_the_elements_in_order():
+    with pytest.raises(ValueError) as info:
+        FinSet(["a", "b", "a"])
+    assert str(info.value) == "duplicate element labels in ('a', 'b', 'a')"
 
 
 def test_setfn_validation_and_composition():
@@ -240,6 +248,66 @@ def test_constructors():
     assert ZERO.num_positions() == 0
     assert ONE == constant(UNIT_SET)
     assert Y == representable(UNIT_SET)
+
+
+def test_finpoly_error_messages():
+    d = FinSet(("d",))
+    with pytest.raises(ValueError) as info:
+        FinPoly([("a", d), ("b", d), ("a", FinSet(()))])
+    assert str(info.value) == "duplicate position labels in ['a', 'b', 'a']"
+    with pytest.raises(TypeError) as info:
+        FinPoly([("a", d), (3, d)])
+    assert str(info.value) == "position labels must be strings, got 3"
+    with pytest.raises(TypeError) as info:
+        FinPoly([("a", ["d"])])
+    assert str(info.value) == "directions at 'a' must be a FinSet"
+    # checked entry by entry, so a bad type is named before a later duplicate
+    with pytest.raises(TypeError, match="must be strings, got 3"):
+        FinPoly([("a", d), (3, d), ("a", d)])
+
+
+def test_finpoly_accepts_generators_and_lists_and_keeps_input_order():
+    d, e = FinSet(("d",)), FinSet(("x", "y"))
+    from_gen = FinPoly((label, d) for label in ("c", "a", "b"))
+    assert from_gen.positions == (("c", d), ("a", d), ("b", d))
+    assert from_gen.position_labels == ("c", "a", "b")
+    from_lists = FinPoly([["b", e], ["a", d]])
+    assert from_lists.positions == (("b", e), ("a", d))
+    assert all(type(entry) is tuple for entry in from_lists.positions)
+    assert from_lists.position_labels == ("b", "a")
+    assert from_lists.directions("b") is e
+
+
+def test_finpoly_hash_ignores_position_and_direction_order():
+    rng = random.Random(3)
+    for _ in range(30):
+        p = random_poly(rng)
+        spec = [(i, list(dirs.elements)) for i, dirs in p.positions]
+        rng.shuffle(spec)
+        for _, dirs in spec:
+            rng.shuffle(dirs)
+        q = make_poly(spec)
+        assert p == q
+        assert hash(p) == hash(q)
+    assert make_poly([("a", ["x"])]) != make_poly([("b", ["x"])])
+    assert make_poly([("a", ["x"])]) != make_poly([("a", ["y"])])
+
+
+def test_compose_peaks_near_what_it_keeps():
+    # each entry is stored once and the hash waits for its first use, so the
+    # transient peak of building p∘p stays close to what p∘p itself holds
+    c = make_poly([(f"peak-s{i}", [f"peak-d{j}" for j in range(5)]) for i in range(5)])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cc = poly_compose(c, c)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cc.num_positions() == 5 * 5**5 == 15_625
+    assert peak - before <= 1.15 * (kept - before)
 
 
 def test_make_poly_rejects_duplicates():
