@@ -110,8 +110,10 @@ class Comonoid:
     check_comonoid_laws keeps the verdict of its last full walk, so that
     comonoid_to_category need not walk the same tables again.
 
-    Comonoid(carrier, counit, comult) reads the tables off the two lenses.
-    Only the shapes are enforced, structurally: codomains are positions
+    Comonoid(carrier, counit, comult) reads the tables off the two lenses;
+    comult's codomain is recognised as carrier∘carrier from its labels, in
+    either label form, without building carrier∘carrier.  Only the shapes
+    are enforced, structurally: codomains are positions
     and composites are directions at the source.  The laws are a separate,
     exhaustive check (check_comonoid_laws) so that invalid candidates can
     be examined and reported rather than rejected at construction.
@@ -120,7 +122,7 @@ class Comonoid:
     def __init__(self, carrier: FinPoly, counit: Lens, comult: Lens):
         if counit.dom != carrier or counit.cod != Y:
             raise ValueError("counit must be a lens carrier → y")
-        if comult.dom != carrier or comult.cod != poly_compose(carrier, carrier):
+        if comult.dom != carrier or not _is_self_composite(carrier, comult.cod):
             raise ValueError("comult must be a lens carrier → carrier∘carrier")
         identity = {}
         base = {}
@@ -278,6 +280,49 @@ def _comult_label(c: Comonoid, i: str) -> str:
     """The carrier∘carrier position the comultiplication sends i to."""
     b = c.base[i]
     return pair_label(b, fn_label(c.codomain[i], c.carrier.directions(b).elements))
+
+
+def _is_self_composite(carrier: FinPoly, q: FinPoly) -> bool:
+    """Is q carrier∘carrier, read off its labels in either label form?
+
+    Each position of q must decode to (i, table) with the table total on
+    the directions at i and valued in positions, and its directions to the
+    pairs (d, e) with e a direction at table[d], each once.  The decoded
+    positions must be distinct and as many as carrier∘carrier has.
+    """
+    n = carrier.num_positions()
+    if q.num_positions() != sum(n ** len(dirs) for _, dirs in carrier.positions):
+        return False
+    positions = carrier._dirs
+    # positions with equal direction sets share a kind; a direction set is
+    # decoded once per position of carrier and kinds of the table's values
+    kind: dict[FinSet, int] = {}
+    kinds = {v: kind.setdefault(dirs, len(kind)) for v, dirs in carrier.positions}
+    matched: dict[tuple, frozenset] = {}
+    seen = set()
+    for label, dirs in q.positions:
+        try:
+            i, table = split_pair(label)
+            phi = split_fn(table)
+            here = positions[i]
+            if phi.keys() != here._set:
+                return False
+            values = tuple(map(phi.__getitem__, here.elements))
+            shape = (i, tuple(map(kinds.__getitem__, values)))
+        except (ValueError, KeyError):
+            return False
+        seen.add((i, values))
+        if dirs._set == matched.get(shape):
+            continue
+        try:
+            pairs = {split_pair(de) for de in dirs.elements}
+        except ValueError:
+            return False
+        expected = {(d, e) for d, v in zip(here.elements, values) for e in positions[v]}
+        if len(pairs) != len(dirs) or pairs != expected:
+            return False
+        matched[shape] = dirs._set
+    return len(seen) == q.num_positions()
 
 
 def _is_contractible(c: Comonoid) -> bool:

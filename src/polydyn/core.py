@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -95,51 +96,91 @@ class SizeLimitError(ValueError):
 #
 # Composite polynomials need labels built from constituent labels.  Three
 # shapes cover everything in the package: tuples "(a,b)", tagged values
-# "tag|value", and finite function tables "[d:v,...]".  Components are
-# escaped so arbitrary user labels (including ones containing the bracket
-# characters) decode unambiguously.  This section is the only code that
-# knows the format: other modules build and read labels through these
-# functions, and the nested "(i,[d:x,...])" labels of eval_poly and
-# poly_compose all come from _table_labels.
+# "tag|value", and finite function tables "[d:v,...]".  Each part is
+# embedded once, in time and space linear in its length: a non-empty part
+# with none of the special characters (),[]:|\{ is written as it is, so
+# flat labels such as "(q0,p0)" read naturally, and any other part,
+# the empty one included, is written "{n}" followed by its n characters
+# unchanged, so pair_label("") == "({0})" differs from pair_label() == "()".
+# A nested label therefore grows by a few bytes per level, not
+# by doubled backslashes.  The decoders also read the older form, in which
+# a special character inside a part was escaped with a backslash at every
+# level; an old part that starts with "{" is read as a length prefix.
+# This section is the only code that knows the format: other modules build
+# and read labels through these functions, and the nested "(i,[d:x,...])"
+# labels of eval_poly and poly_compose all come from _table_labels.
 
-_SPECIALS = "(),[]:|\\"
-_ESCAPE_TABLE = {ord(ch): "\\" + ch for ch in _SPECIALS}
+_NEEDS_PREFIX = re.compile(r"[(),\[\]:|\\{]").search
+# the next backslash or separator of a run, per set of separators ending it
+_RUN_END = {
+    stops: re.compile("[" + re.escape(stops) + r"\\]").search for stops in ("", ",", "|", ":,")
+}
 
 
-def _escape(s: str) -> str:
-    return s.translate(_ESCAPE_TABLE)
+def _part(s: str) -> str:
+    """Embed one part of a structured label."""
+    if s and _NEEDS_PREFIX(s) is None:
+        return s
+    return f"{{{len(s)}}}{s}"
+
+
+def _read_part(s: str, i: int, stops: str) -> tuple[str, int]:
+    """Read the part of s that starts at i: a "{n}" chunk, or a run up to
+    the first unescaped character of stops in which a backslash escapes the
+    next character.  Returns the part and the index just after it."""
+    if s.startswith("{", i):
+        close = s.find("}", i)
+        digits = s[i + 1 : close]
+        if close < 0 or not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"bad length prefix at {i} in label {s!r}")
+        end = close + 1 + int(digits)
+        if end > len(s):
+            raise ValueError(f"truncated part at {i} in label {s!r}")
+        return s[close + 1 : end], end
+    m = _RUN_END[stops](s, i)
+    if m is None:
+        return s[i:], len(s)
+    j = m.start()
+    if s[j] != "\\":
+        return s[i:j], j
+    out = [s[i:j]]
+    while j < len(s):
+        ch = s[j]
+        if ch == "\\":
+            if j + 1 == len(s):
+                raise ValueError(f"dangling escape in label {s!r}")
+            out.append(s[j + 1])
+            j += 2
+        elif ch in stops:
+            break
+        else:
+            out.append(ch)
+            j += 1
+    return "".join(out), j
 
 
 def _split_top(body: str, sep: str, maxsplit: int = -1) -> list[str]:
-    """Split on unescaped separators, at most maxsplit times as in str.split,
-    and unescape the pieces."""
-    if "\\" not in body:
+    """Split body into its parts at sep, at most maxsplit times as in
+    str.split, and decode each part."""
+    if "\\" not in body and "{" not in body:
         return body.split(sep, maxsplit)
     parts = []
-    cur = []
     i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            if i + 1 >= len(body):
-                raise ValueError(f"dangling escape in label {body!r}")
-            cur.append(body[i + 1])
-            i += 2
-        elif ch == sep and len(parts) != maxsplit:
-            parts.append("".join(cur))
-            cur = []
-            i += 1
-        else:
-            cur.append(ch)
-            i += 1
-    parts.append("".join(cur))
-    return parts
+    while True:
+        last = len(parts) == maxsplit
+        part, i = _read_part(body, i, "" if last else sep)
+        parts.append(part)
+        if i == len(body):
+            return parts
+        if last or body[i] != sep:
+            raise ValueError(f"unexpected {body[i]!r} at {i} in label {body!r}")
+        i += 1
 
 
 @lru_cache(maxsize=65536)
 def pair_label(*parts: str) -> str:
     """Render a tuple of labels, e.g. pair_label("a", "b") == "(a,b)"."""
-    return "(" + ",".join(_escape(p) for p in parts) + ")"
+    return "(" + ",".join(map(_part, parts)) + ")"
 
 
 @lru_cache(maxsize=65536)
@@ -155,7 +196,7 @@ def split_pair(label: str) -> tuple[str, ...]:
 @lru_cache(maxsize=65536)
 def tag_label(tag: str, value: str) -> str:
     """Render a tagged-union element, e.g. tag_label("0", "d") == "0|d"."""
-    return _escape(tag) + "|" + _escape(value)
+    return _part(tag) + "|" + _part(value)
 
 
 @lru_cache(maxsize=65536)
@@ -168,23 +209,27 @@ def split_tag(label: str) -> tuple[str, str]:
 
 def fn_label(mapping: Mapping[str, str], domain_order: Sequence[str]) -> str:
     """Render a function as a table in domain order: "[d:v,e:w]"."""
-    entries = []
-    for d in domain_order:
-        entries.append(_escape(d) + ":" + _escape(mapping[d]))
-    return "[" + ",".join(entries) + "]"
+    return "[" + ",".join(_part(d) + ":" + _part(mapping[d]) for d in domain_order) + "]"
 
 
 def _table_labels(i: str, domain: Sequence[str], values: Sequence[str]):
     """pair_label(i, fn_label(t, domain)) for every table t, in _all_maps order.
 
-    Each "d:v" entry is escaped for its place inside the pair once, not once
-    per label it appears in.
+    Each "d:v" entry is embedded once, not once per label it appears in,
+    and the tables that differ only in their last entry share one joined
+    prefix.  A table is always the pair's length-prefixed second part.
     """
-    entries = [[_escape(_escape(d) + ":" + _escape(v)) for v in values] for d in domain]
-    head = "(" + _escape(i) + "," + _escape("[")
-    sep, tail = _escape(","), _escape("]") + ")"
-    for row in itertools.product(*entries):
-        yield head + sep.join(row) + tail
+    entries = [[_part(d) + ":" + _part(v) for v in values] for d in domain]
+    head = "(" + _part(i) + ","
+    if not entries:
+        yield head + "{2}[])"
+        return
+    *init, last = entries
+    for row in itertools.product(*init):
+        prefix = ",".join((*row, ""))
+        size = len(prefix) + 2
+        for x in last:
+            yield f"{head}{{{size + len(x)}}}[{prefix}{x}])"
 
 
 def split_fn(label: str) -> dict[str, str]:
@@ -193,44 +238,27 @@ def split_fn(label: str) -> dict[str, str]:
     body = label[1:-1]
     if body == "":
         return {}
-    if "\\" not in body:
-        out = {}
+    out = {}
+    if "\\" not in body and "{" not in body:
         for item in body.split(","):
             key, colon, value = item.partition(":")
             if not colon:
                 raise ValueError(f"bad entry {item!r} in function label")
             out[key] = value
         return out
-    out: dict[str, str] = {}
-    start = i = 0
-    last = len(body) - 1
-    key: list[str] = []
-    val: list[str] = []
-    cur = key
-    while i <= last:
-        ch = body[i]
-        if ch == "\\":
-            if i == last:
-                raise ValueError(f"dangling escape in label {body!r}")
-            cur.append(body[i + 1])
-            i += 2
-            continue
-        if ch == ":" and cur is key:
-            cur = val
-        elif ch == ",":
-            if cur is key:
-                raise ValueError(f"bad entry {body[start:i]!r} in function label")
-            out["".join(key)] = "".join(val)
-            key, val = [], []
-            cur = key
-            start = i + 1
-        else:
-            cur.append(ch)
+    i = 0
+    while True:
+        start = i
+        key, i = _read_part(body, i, ":,")
+        if i == len(body) or body[i] != ":":
+            raise ValueError(f"bad entry {body[start:i]!r} in function label")
+        value, i = _read_part(body, i + 1, ",")
+        out[key] = value
+        if i == len(body):
+            return out
+        if body[i] != ",":
+            raise ValueError(f"bad entry {body[start:i + 1]!r} in function label")
         i += 1
-    if cur is key:
-        raise ValueError(f"bad entry {body[start:]!r} in function label")
-    out["".join(key)] = "".join(val)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +477,14 @@ def make_poly(spec: Iterable[tuple[str, Iterable[str]]]) -> FinPoly:
         if isinstance(dirs, FinSet):
             positions.append((label, dirs))
         else:
-            positions.append((label, FinSet(tuple(dirs))))
+            positions.append((label, FinSet(dirs)))
     return FinPoly(positions)
 
 
 def _as_finset(a) -> FinSet:
     if isinstance(a, FinSet):
         return a
-    return FinSet(tuple(a))
+    return FinSet(a)
 
 
 def monomial(b, a) -> FinPoly:

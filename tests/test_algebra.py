@@ -446,8 +446,8 @@ def test_monoidal_coherence_holds_exactly(name):
         )
 
 
-# Every character the label codec escapes, in positions and directions.
-_SPECIAL = make_poly([("p|q", ["(x)", "d:e"]), ("u,v", ["w\\z"]), ("[m]", [])])
+# Every special character of the label codec, in positions and directions.
+_SPECIAL = make_poly([("p|q", ["(x)", "d:e"]), ("u,v", ["w\\z"]), ("{[m]}", [])])
 
 
 def _polys(arity, size=3):
@@ -512,23 +512,23 @@ _ISO_PIN_CASES = {
 # sha256 over both lenses of every input: canonical JSON plus the key order
 # of on_pos and of every on_dir component.
 _ISO_PINS = {
-    "complete_distributivity_instance": "876dfdbebe65a8be1ac0b24a5ca4a62e072239d282a8daf3b4c2d3bdcffcf1b6",
-    "compose_associator": "8991670cf6fd1fedd905d6cdd4067ed1eefe189906af396b612315bd61e2a509",
-    "compose_left_unitor": "5cb0e65526ccdd13433e9d895ad2b0906b7f178eba514fc258f86fe6411560d4",
-    "compose_right_unitor": "5b96ab37fde7f23801de8f655110e6167a1dc6272e7188371893c26807bf117f",
-    "distribute_left": "cc1885976a0a93d1df0425466816c62babe8bdfb7091761cf184229e00af5dd4",
-    "product_associator": "a0594ddc641a849acab71d6ae63967d788eb4cc45c577b73b6295feb1ee4bf71",
-    "product_left_unitor": "aa4e87f8893a69235297442c8fdfd796505ae1bf231e4b30b3b5adbdd0b129c7",
-    "product_right_unitor": "aa6e4a9e03dcb1d09cb7f5dd5bce53d4db920339aab6d39ee6d0a03655609b5d",
-    "product_symmetry": "ac9d3b98c08d71ba434b3f1485afb2f22b9a9808fb37010a61aa856b2818416b",
-    "sum_associator": "304ee22aa6bbae885da1e63e18e803e7060ba8cf408995abd0d15007238a6f37",
-    "sum_left_unitor": "7e5da5e5cc24e348d990ccc84de95a5ef6a92ad2a2e94f416ad10744b80ce888",
-    "sum_right_unitor": "f8b03e1538e0fc9aabd7524db237249157b1d4ed5b9cc5caf07b0430984c615b",
-    "sum_symmetry": "9ffbff32231f02fca7095f49c3521a0e629f8afe7c343e030529b334a996a42f",
-    "tensor_associator": "0e0a81320bdb7f7101d96c6a5bea49d5b04b7195dc397ded451b6644fea6d2a8",
-    "tensor_left_unitor": "ad16e5ea96bacabccd3781c0367df961fbaa08cf8f65360b61c0f03fdd48c5f9",
-    "tensor_right_unitor": "a214bb2d0dc7fa49b59946df6732e7cc96eaf3002a3598d96850a6d4efd7dcf4",
-    "tensor_symmetry": "65e6eba92c5baf989666192d3ca3cb028d82167a5419036e28b844f0e10c5a40",
+    "complete_distributivity_instance": "6d9167f7fe1eefcde5e2f136e3844acb7dd0ac42cfa1a75b8d741eb99872da16",
+    "compose_associator": "2370e35065f98305b9e318a6f54d088c30b29ed9c398966a084320e5b91aa106",
+    "compose_left_unitor": "65f10e08df0e2577a34112d7766b9d634e32aca0a0695f38f8b98690884953cb",
+    "compose_right_unitor": "6a60c3e69d6e7610dba8377ac6480785bb8fb0864fdc29cac258b02f9ba91102",
+    "distribute_left": "38014001b62e58338951416589ece9c74175cdc56218583111c37b42613c1203",
+    "product_associator": "3e0465562664335bf667fa68bf5c5e808be54a38356d6bf98fdfe293ff52ee93",
+    "product_left_unitor": "4312126929ed2d217e00e70592784a42522378d60f3d5f93ebe52ab5abcb39c4",
+    "product_right_unitor": "42a30fea18796ddb4e274274785470dae11ba4d4d42dccc6ad70d5377afabe51",
+    "product_symmetry": "260739deb031dc5a2be4f9be82547cc5c49825b7be8b817928b9e33d3e5b0b94",
+    "sum_associator": "030534d490d5e9331d69cfc6564537b130b2206b9d2b07a73e7bdc98c35af2b1",
+    "sum_left_unitor": "6d1fc7415e78ec7b9c5ac35e1b05319b31725629b156e625c0a6fe02f5d6a3e8",
+    "sum_right_unitor": "d165b2b6d7d806bcad7845c277ef47f439cf8f25db671e097cadbeeb09b2156c",
+    "sum_symmetry": "171f62a950b7b03bc1f644fcdb588790e8d5111f8bee0dc7262bac2b51be0c12",
+    "tensor_associator": "e1aa4161aca799985ea3dcd4b46f17dd95af5fc5952ac208469d0762c19896d8",
+    "tensor_left_unitor": "65788da530a9616b23085f5b3d33fe3796d6ab67c81d59460ff1634565158c05",
+    "tensor_right_unitor": "e8a8f2cb7ae06ab8de45d9ca3e6cd29154d00e64e89cc68313f69b72a82c7483",
+    "tensor_symmetry": "7fa6b861fceea034bb436c120b8f0760c1eb25d7c628dd97912a752efb79dc4e",
 }
 
 

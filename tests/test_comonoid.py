@@ -690,6 +690,20 @@ def test_cofree_respects_position_cap():
         cofree_truncation(p, -1)
 
 
+def test_cofree_labels_grow_linearly_with_the_trees():
+    # Each part of a nested label is embedded once; when every level escaped
+    # its parts again, depth 4 of y^2 + 1 carried 54 MB of labels and took
+    # seconds to build.
+    p = make_poly([("a", ("l", "r")), ("b", ())])
+    start = time.perf_counter()
+    stages, projections = cofree_truncation(p, 4)
+    elapsed = time.perf_counter() - start
+    assert [len(s.positions) for s in stages] == [1, 2, 5, 26, 677]
+    assert sum(len(i) for i in stages[-1].position_labels) < 1 << 20
+    assert elapsed < 0.5
+    assert projections[-1].dom == stages[-1]
+
+
 # ---------------------------------------------------------------------------
 # Behavior maps and n-bisimilarity.
 
@@ -859,14 +873,45 @@ def test_comonoid_shape_validation():
         Comonoid(c2.carrier, c2.counit, c2.counit)
 
 
+def _with_cod_position(data, label, new_label=None, drop_dir=None):
+    """Comonoid JSON with one comult codomain position, not the image of any
+    state, relabelled or stripped of one direction."""
+    data = json.loads(json.dumps(data))
+    for entry in data["comult"]["cod"]["positions"]:
+        if entry["label"] == label:
+            entry["label"] = new_label or label
+            entry["dirs"] = [d for d in entry["dirs"] if d != drop_dir]
+    return data
+
+
+def test_comult_codomain_is_recognised_from_its_decoded_labels():
+    c = contractible(FinSet(("a", "b")))
+    data = comonoid_to_json(c)
+    unused = "(a,{9}[a:b,b:a])"
+    assert unused not in data["comult"]["onPos"].values()
+    # the older form of the same position is the same position
+    older = _with_cod_position(data, unused, "(a,\\[a\\:b\\,b\\:a\\])")
+    assert comonoid_from_json(older) == c
+    for broken in (
+        _with_cod_position(data, unused, "junk"),
+        _with_cod_position(data, unused, "(a,{9}[a:b,b:c])"),
+        _with_cod_position(data, unused, "(a,{5}[a:b])"),
+        # decodes to (a, [a:a,b:a]), which is there already
+        _with_cod_position(data, unused, "(a,\\[a\\:a\\,b\\:a\\])"),
+        _with_cod_position(data, unused, drop_dir="(b,b)"),
+    ):
+        with pytest.raises(ValueError, match="carrier∘carrier"):
+            comonoid_from_json(broken)
+
+
 # ---------------------------------------------------------------------------
 # The tables-first representation: JSON contract, derived comult, sizes.
 
-# canonical_json(comonoid_to_json(c)) of each constructor, recorded when the
-# comultiplication lens was the stored data: the comonoid JSON is a public
-# contract.  Kept compact here; canonical re-serialization compares
-# byte-for-byte.
-GOLDEN_JSON = {
+# The comonoid JSON of each constructor in the older label form, where a
+# nested part escaped its special characters with a backslash at every level.
+# Recorded when the comultiplication lens was the stored data; such JSON must
+# still load.
+LEGACY_GOLDEN_JSON = {
     "contractible": (
         '{"carrier":{"positions":[{"dirs":["a","b"],"label":"a"},{"dirs":["a","b"],"l'
         'abel":"b"}]},"comult":{"cod":{"positions":[{"dirs":["(a,a)","(a,b)","(b,a)",'
@@ -990,6 +1035,114 @@ GOLDEN_JSON = {
     ),
 }
 
+# canonical_json(comonoid_to_json(c)) of each constructor, in the
+# length-prefixed label form: the comonoid JSON is a public contract.  Kept
+# compact here; canonical re-serialization compares byte-for-byte.
+GOLDEN_JSON = {
+    "contractible": (
+        '{"carrier":{"positions":[{"dirs":["a","b"],"label":"a"},{"dirs":["a","b"],"la'
+        'bel":"b"}]},"comult":{"cod":{"positions":[{"dirs":["(a,a)","(a,b)","(b,a)","('
+        'b,b)"],"label":"(a,{9}[a:a,b:a])"},{"dirs":["(a,a)","(a,b)","(b,a)","(b,b)"],'
+        '"label":"(a,{9}[a:a,b:b])"},{"dirs":["(a,a)","(a,b)","(b,a)","(b,b)"],"label"'
+        ':"(a,{9}[a:b,b:a])"},{"dirs":["(a,a)","(a,b)","(b,a)","(b,b)"],"label":"(a,{9'
+        '}[a:b,b:b])"},{"dirs":["(a,a)","(a,b)","(b,a)","(b,b)"],"label":"(b,{9}[a:a,b'
+        ':a])"},{"dirs":["(a,a)","(a,b)","(b,a)","(b,b)"],"label":"(b,{9}[a:a,b:b])"},'
+        '{"dirs":["(a,a)","(a,b)","(b,a)","(b,b)"],"label":"(b,{9}[a:b,b:a])"},{"dirs"'
+        ':["(a,a)","(a,b)","(b,a)","(b,b)"],"label":"(b,{9}[a:b,b:b])"}]},"dom":{"posi'
+        'tions":[{"dirs":["a","b"],"label":"a"},{"dirs":["a","b"],"label":"b"}]},"onDi'
+        'r":{"a":{"(a,a)":"a","(a,b)":"b","(b,a)":"a","(b,b)":"b"},"b":{"(a,a)":"a","('
+        'a,b)":"b","(b,a)":"a","(b,b)":"b"}},"onPos":{"a":"(a,{9}[a:a,b:b])","b":"(b,{'
+        '9}[a:a,b:b])"}},"counit":{"cod":{"positions":[{"dirs":["*"],"label":"*"}]},"d'
+        'om":{"positions":[{"dirs":["a","b"],"label":"a"},{"dirs":["a","b"],"label":"b'
+        '"}]},"onDir":{"a":{"*":"a"},"b":{"*":"b"}},"onPos":{"a":"*","b":"*"}}}'
+    ),
+    "discrete": (
+        '{"carrier":{"positions":[{"dirs":["*"],"label":"p"},{"dirs":["*"],"label":"q"'
+        '}]},"comult":{"cod":{"positions":[{"dirs":["(*,*)"],"label":"(p,{5}[*:p])"},{'
+        '"dirs":["(*,*)"],"label":"(p,{5}[*:q])"},{"dirs":["(*,*)"],"label":"(q,{5}[*:'
+        'p])"},{"dirs":["(*,*)"],"label":"(q,{5}[*:q])"}]},"dom":{"positions":[{"dirs"'
+        ':["*"],"label":"p"},{"dirs":["*"],"label":"q"}]},"onDir":{"p":{"(*,*)":"*"},"'
+        'q":{"(*,*)":"*"}},"onPos":{"p":"(p,{5}[*:p])","q":"(q,{5}[*:q])"}},"counit":{'
+        '"cod":{"positions":[{"dirs":["*"],"label":"*"}]},"dom":{"positions":[{"dirs":'
+        '["*"],"label":"p"},{"dirs":["*"],"label":"q"}]},"onDir":{"p":{"*":"*"},"q":{"'
+        '*":"*"}},"onPos":{"p":"*","q":"*"}}}'
+    ),
+    "cyclic2": (
+        '{"carrier":{"positions":[{"dirs":["e","s"],"label":"m"}]},"comult":{"cod":{"p'
+        'ositions":[{"dirs":["(e,e)","(e,s)","(s,e)","(s,s)"],"label":"(m,{9}[e:m,s:m]'
+        ')"}]},"dom":{"positions":[{"dirs":["e","s"],"label":"m"}]},"onDir":{"m":{"(e,'
+        'e)":"e","(e,s)":"s","(s,e)":"s","(s,s)":"e"}},"onPos":{"m":"(m,{9}[e:m,s:m])"'
+        '}},"counit":{"cod":{"positions":[{"dirs":["*"],"label":"*"}]},"dom":{"positio'
+        'ns":[{"dirs":["e","s"],"label":"m"}]},"onDir":{"m":{"*":"e"}},"onPos":{"m":"*'
+        '"}}}'
+    ),
+    "sum": (
+        '{"carrier":{"positions":[{"dirs":["a","b"],"label":"0|a"},{"dirs":["a","b"],"'
+        'label":"0|b"},{"dirs":["*"],"label":"1|p"}]},"comult":{"cod":{"positions":[{"'
+        'dirs":["(a,a)","(a,b)","(b,a)","(b,b)"],"label":"({3}0|a,{19}[a:{3}0|a,b:{3}0'
+        '|a])"},{"dirs":["(a,a)","(a,b)","(b,a)","(b,b)"],"label":"({3}0|a,{19}[a:{3}0'
+        '|a,b:{3}0|b])"},{"dirs":["(a,a)","(a,b)","(b,*)"],"label":"({3}0|a,{19}[a:{3}'
+        '0|a,b:{3}1|p])"},{"dirs":["(a,a)","(a,b)","(b,a)","(b,b)"],"label":"({3}0|a,{'
+        '19}[a:{3}0|b,b:{3}0|a])"},{"dirs":["(a,a)","(a,b)","(b,a)","(b,b)"],"label":"'
+        '({3}0|a,{19}[a:{3}0|b,b:{3}0|b])"},{"dirs":["(a,a)","(a,b)","(b,*)"],"label":'
+        '"({3}0|a,{19}[a:{3}0|b,b:{3}1|p])"},{"dirs":["(a,*)","(b,a)","(b,b)"],"label"'
+        ':"({3}0|a,{19}[a:{3}1|p,b:{3}0|a])"},{"dirs":["(a,*)","(b,a)","(b,b)"],"label'
+        '":"({3}0|a,{19}[a:{3}1|p,b:{3}0|b])"},{"dirs":["(a,*)","(b,*)"],"label":"({3}'
+        '0|a,{19}[a:{3}1|p,b:{3}1|p])"},{"dirs":["(a,a)","(a,b)","(b,a)","(b,b)"],"lab'
+        'el":"({3}0|b,{19}[a:{3}0|a,b:{3}0|a])"},{"dirs":["(a,a)","(a,b)","(b,a)","(b,'
+        'b)"],"label":"({3}0|b,{19}[a:{3}0|a,b:{3}0|b])"},{"dirs":["(a,a)","(a,b)","(b'
+        ',*)"],"label":"({3}0|b,{19}[a:{3}0|a,b:{3}1|p])"},{"dirs":["(a,a)","(a,b)","('
+        'b,a)","(b,b)"],"label":"({3}0|b,{19}[a:{3}0|b,b:{3}0|a])"},{"dirs":["(a,a)","'
+        '(a,b)","(b,a)","(b,b)"],"label":"({3}0|b,{19}[a:{3}0|b,b:{3}0|b])"},{"dirs":['
+        '"(a,a)","(a,b)","(b,*)"],"label":"({3}0|b,{19}[a:{3}0|b,b:{3}1|p])"},{"dirs":'
+        '["(a,*)","(b,a)","(b,b)"],"label":"({3}0|b,{19}[a:{3}1|p,b:{3}0|a])"},{"dirs"'
+        ':["(a,*)","(b,a)","(b,b)"],"label":"({3}0|b,{19}[a:{3}1|p,b:{3}0|b])"},{"dirs'
+        '":["(a,*)","(b,*)"],"label":"({3}0|b,{19}[a:{3}1|p,b:{3}1|p])"},{"dirs":["(*,'
+        'a)","(*,b)"],"label":"({3}1|p,{10}[*:{3}0|a])"},{"dirs":["(*,a)","(*,b)"],"la'
+        'bel":"({3}1|p,{10}[*:{3}0|b])"},{"dirs":["(*,*)"],"label":"({3}1|p,{10}[*:{3}'
+        '1|p])"}]},"dom":{"positions":[{"dirs":["a","b"],"label":"0|a"},{"dirs":["a","'
+        'b"],"label":"0|b"},{"dirs":["*"],"label":"1|p"}]},"onDir":{"0|a":{"(a,a)":"a"'
+        ',"(a,b)":"b","(b,a)":"a","(b,b)":"b"},"0|b":{"(a,a)":"a","(a,b)":"b","(b,a)":'
+        '"a","(b,b)":"b"},"1|p":{"(*,*)":"*"}},"onPos":{"0|a":"({3}0|a,{19}[a:{3}0|a,b'
+        ':{3}0|b])","0|b":"({3}0|b,{19}[a:{3}0|a,b:{3}0|b])","1|p":"({3}1|p,{10}[*:{3}'
+        '1|p])"}},"counit":{"cod":{"positions":[{"dirs":["*"],"label":"*"}]},"dom":{"p'
+        'ositions":[{"dirs":["a","b"],"label":"0|a"},{"dirs":["a","b"],"label":"0|b"},'
+        '{"dirs":["*"],"label":"1|p"}]},"onDir":{"0|a":{"*":"a"},"0|b":{"*":"b"},"1|p"'
+        ':{"*":"*"}},"onPos":{"0|a":"*","0|b":"*","1|p":"*"}}}'
+    ),
+    "tensor": (
+        '{"carrier":{"positions":[{"dirs":["(e,*)","(s,*)"],"label":"(m,p)"},{"dirs":['
+        '"(e,*)","(s,*)"],"label":"(m,q)"}]},"comult":{"cod":{"positions":[{"dirs":["('
+        '{5}(e,*),{5}(e,*))","({5}(e,*),{5}(s,*))","({5}(s,*),{5}(e,*))","({5}(s,*),{5'
+        '}(s,*))"],"label":"({5}(m,p),{37}[{5}(e,*):{5}(m,p),{5}(s,*):{5}(m,p)])"},{"d'
+        'irs":["({5}(e,*),{5}(e,*))","({5}(e,*),{5}(s,*))","({5}(s,*),{5}(e,*))","({5}'
+        '(s,*),{5}(s,*))"],"label":"({5}(m,p),{37}[{5}(e,*):{5}(m,p),{5}(s,*):{5}(m,q)'
+        '])"},{"dirs":["({5}(e,*),{5}(e,*))","({5}(e,*),{5}(s,*))","({5}(s,*),{5}(e,*)'
+        ')","({5}(s,*),{5}(s,*))"],"label":"({5}(m,p),{37}[{5}(e,*):{5}(m,q),{5}(s,*):'
+        '{5}(m,p)])"},{"dirs":["({5}(e,*),{5}(e,*))","({5}(e,*),{5}(s,*))","({5}(s,*),'
+        '{5}(e,*))","({5}(s,*),{5}(s,*))"],"label":"({5}(m,p),{37}[{5}(e,*):{5}(m,q),{'
+        '5}(s,*):{5}(m,q)])"},{"dirs":["({5}(e,*),{5}(e,*))","({5}(e,*),{5}(s,*))","({'
+        '5}(s,*),{5}(e,*))","({5}(s,*),{5}(s,*))"],"label":"({5}(m,q),{37}[{5}(e,*):{5'
+        '}(m,p),{5}(s,*):{5}(m,p)])"},{"dirs":["({5}(e,*),{5}(e,*))","({5}(e,*),{5}(s,'
+        '*))","({5}(s,*),{5}(e,*))","({5}(s,*),{5}(s,*))"],"label":"({5}(m,q),{37}[{5}'
+        '(e,*):{5}(m,p),{5}(s,*):{5}(m,q)])"},{"dirs":["({5}(e,*),{5}(e,*))","({5}(e,*'
+        '),{5}(s,*))","({5}(s,*),{5}(e,*))","({5}(s,*),{5}(s,*))"],"label":"({5}(m,q),'
+        '{37}[{5}(e,*):{5}(m,q),{5}(s,*):{5}(m,p)])"},{"dirs":["({5}(e,*),{5}(e,*))","'
+        '({5}(e,*),{5}(s,*))","({5}(s,*),{5}(e,*))","({5}(s,*),{5}(s,*))"],"label":"({'
+        '5}(m,q),{37}[{5}(e,*):{5}(m,q),{5}(s,*):{5}(m,q)])"}]},"dom":{"positions":[{"'
+        'dirs":["(e,*)","(s,*)"],"label":"(m,p)"},{"dirs":["(e,*)","(s,*)"],"label":"('
+        'm,q)"}]},"onDir":{"(m,p)":{"({5}(e,*),{5}(e,*))":"(e,*)","({5}(e,*),{5}(s,*))'
+        '":"(s,*)","({5}(s,*),{5}(e,*))":"(s,*)","({5}(s,*),{5}(s,*))":"(e,*)"},"(m,q)'
+        '":{"({5}(e,*),{5}(e,*))":"(e,*)","({5}(e,*),{5}(s,*))":"(s,*)","({5}(s,*),{5}'
+        '(e,*))":"(s,*)","({5}(s,*),{5}(s,*))":"(e,*)"}},"onPos":{"(m,p)":"({5}(m,p),{'
+        '37}[{5}(e,*):{5}(m,p),{5}(s,*):{5}(m,p)])","(m,q)":"({5}(m,q),{37}[{5}(e,*):{'
+        '5}(m,q),{5}(s,*):{5}(m,q)])"}},"counit":{"cod":{"positions":[{"dirs":["*"],"l'
+        'abel":"*"}]},"dom":{"positions":[{"dirs":["(e,*)","(s,*)"],"label":"(m,p)"},{'
+        '"dirs":["(e,*)","(s,*)"],"label":"(m,q)"}]},"onDir":{"(m,p)":{"*":"(e,*)"},"('
+        'm,q)":{"*":"(e,*)"}},"onPos":{"(m,p)":"*","(m,q)":"*"}}}'
+    ),
+}
+
 GOLDEN_CASES = {
     "contractible": lambda: contractible(FinSet(("a", "b"))),
     "discrete": lambda: discrete_comonoid(FinSet(("p", "q"))),
@@ -1007,6 +1160,14 @@ GOLDEN_CASES = {
 def test_comonoid_json_matches_golden(name):
     got = canonical_json(comonoid_to_json(GOLDEN_CASES[name]()))
     assert got == canonical_json(json.loads(GOLDEN_JSON[name]))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_comonoid_json_in_the_older_label_form_still_loads(name):
+    expected = GOLDEN_CASES[name]()
+    got = comonoid_from_json(json.loads(LEGACY_GOLDEN_JSON[name]))
+    assert got == expected
+    assert comonoid_to_json(got) == comonoid_to_json(expected)
 
 
 def walking_arrow(order) -> FinCat:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydyn.algebra import poly_compose
+from polydyn.algebra import poly_compose, tensor_many
 from polydyn.core import (
     COMPOSE_LIMIT,
     ONE,
@@ -134,6 +134,51 @@ def test_labels_nest():
     assert v == inner
 
 
+def test_the_empty_one_tuple_is_not_the_empty_tuple():
+    assert pair_label("") == "({0})" != pair_label() == "()"
+    assert split_pair(pair_label("")) == ("",)
+    assert split_pair(pair_label()) == ()
+    t = tensor_many([make_poly([("", ["x"])])])
+    assert t.position_labels == (pair_label(""),)
+    assert split_pair(t.position_labels[0]) == ("",)
+
+
+def test_parts_with_special_characters_are_length_prefixed_once():
+    assert pair_label("q0", "p0") == "(q0,p0)"
+    assert pair_label("x|y", "a") == "({3}x|y,a)"
+    assert tag_label("{", "}") == "{1}{|}"
+    inner = pair_label("a", fn_label({"d": "0|x"}, ["d"]))
+    assert inner == "(a,{10}[d:{3}0|x])"
+    assert pair_label(inner, "b") == "({18}(a,{10}[d:{3}0|x]),b)"
+
+
+def test_labels_in_the_older_escaped_form_still_decode():
+    assert split_pair("(a,\\(b\\,c\\))") == ("a", "(b,c)")
+    assert split_pair("(,)") == ("", "")
+    assert split_tag("0\\|a|x\\\\y") == ("0|a", "x\\y")
+    assert split_tag("a|b|c") == ("a", "b|c")
+    assert split_fn("[a\\:b:c\\,d,e:]") == {"a:b": "c,d", "e": ""}
+    # a comultiplication label of comonoid JSON written in the older form
+    i, table = split_pair("(0\\|a,\\[a\\:0\\\\\\|a\\,b\\:1\\\\\\|p\\])")
+    assert i == "0|a" and split_fn(table) == {"a": "0|a", "b": "1|p"}
+    # "{" was not special before; a part that starts with it is a length prefix
+    assert split_pair("(a{b,c)") == ("a{b", "c")
+    with pytest.raises(ValueError, match="bad length prefix"):
+        split_pair("({x},a)")
+
+
+def test_malformed_length_prefixes_are_refused():
+    for bad in ["({9}ab)", "({2}abc,d)", "({-1}a)", "({1a)"]:
+        with pytest.raises(ValueError):
+            split_pair(bad)
+    with pytest.raises(ValueError):
+        split_tag("{1}ab|c")
+    with pytest.raises(ValueError, match="bad entry"):
+        split_fn("[{1}ab:c]")
+    with pytest.raises(ValueError, match="bad entry"):
+        split_fn("[a:{1}bc,d:e]")
+
+
 def test_split_fn_rejects_a_dangling_escape_like_split_pair():
     with pytest.raises(ValueError, match="dangling escape"):
         split_pair("(a\\)")
@@ -152,7 +197,8 @@ def test_split_fn_rejects_an_entry_without_colon_whether_or_not_escaped():
 
 # Label trees for the codec properties: a leaf is a plain label, and a node
 # is ("pair", children), ("tag", tag, value) or ("fn", ((key, value), ...)).
-_LEAVES = st.text(alphabet=list("(),[]:|\\\x00ab"), max_size=3)
+# Leaves draw on every special character, braces and digits.
+_LEAVES = st.text(alphabet=list("(),[]:|\\{}\x00ab09"), max_size=3)
 
 
 def _encode(tree):
@@ -166,44 +212,106 @@ def _encode(tree):
     return fn_label({key: _encode(v) for key, (_, v) in zip(keys, tree[1])}, keys)
 
 
-def _decode(shape, label):
+def _decode(shape, label, encode=_encode):
     """Decode label along the shape of the tree it was encoded from."""
     if isinstance(shape, str):
         return label
     if shape[0] == "pair":
         parts = split_pair(label)
         assert len(parts) == len(shape[1])
-        return ("pair", tuple(_decode(s, x) for s, x in zip(shape[1], parts)))
+        return ("pair", tuple(_decode(s, x, encode) for s, x in zip(shape[1], parts)))
     if shape[0] == "tag":
         tag, value = split_tag(label)
-        return ("tag", _decode(shape[1], tag), _decode(shape[2], value))
+        return ("tag", _decode(shape[1], tag, encode), _decode(shape[2], value, encode))
     table = split_fn(label)
-    assert list(table) == [_encode(k) for k, _ in shape[1]]
+    assert list(table) == [encode(k) for k, _ in shape[1]]
     return (
         "fn",
-        tuple((_decode(k, key), _decode(v, table[key])) for (k, v), key in zip(shape[1], table)),
+        tuple(
+            (_decode(k, key, encode), _decode(v, table[key], encode))
+            for (k, v), key in zip(shape[1], table)
+        ),
     )
 
 
-def _trees(depth):
-    if depth == 0:
-        return _LEAVES
-    sub = _trees(depth - 1)
-    # pair_label("") == pair_label() == "()": the empty 1-tuple is ambiguous.
-    pairs = st.lists(sub, max_size=3).filter(lambda xs: xs != [""]).map(tuple)
-    entries = st.lists(st.tuples(sub, sub), max_size=3, unique_by=lambda kv: _encode(kv[0]))
-    return st.one_of(
-        _LEAVES,
-        st.tuples(st.just("pair"), pairs),
-        st.tuples(st.just("tag"), sub, sub),
-        st.tuples(st.just("fn"), entries.map(tuple)),
-    )
+def _children(tree):
+    if tree[0] == "pair":
+        return list(tree[1])
+    if tree[0] == "tag":
+        return [tree[1], tree[2]]
+    return [x for kv in tree[1] for x in kv]
+
+
+@st.composite
+def _trees(draw, depth, leaves=_LEAVES, encode=_encode):
+    kind = draw(st.sampled_from(("leaf", "pair", "tag", "fn"))) if depth else "leaf"
+    if kind == "leaf":
+        return draw(leaves)
+    sub = _trees(depth - 1, leaves, encode)
+    if kind == "pair":
+        return ("pair", tuple(draw(st.lists(sub, max_size=3))))
+    if kind == "tag":
+        return ("tag", draw(sub), draw(sub))
+    entries = st.lists(st.tuples(sub, sub), max_size=3, unique_by=lambda kv: encode(kv[0]))
+    return ("fn", tuple(draw(entries)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_trees(4))
 def test_label_trees_round_trip(tree):
     assert _decode(tree, _encode(tree)) == tree
+
+
+def _census(tree):
+    """(leaf characters, nodes plus leaves) of a label tree."""
+    if isinstance(tree, str):
+        return len(tree), 1
+    sizes = [_census(c) for c in _children(tree)]
+    return sum(b for b, _ in sizes), 1 + sum(n for _, n in sizes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_trees(8))
+def test_deep_label_trees_round_trip_in_linear_size(tree):
+    label = _encode(tree)
+    assert _decode(tree, label) == tree
+    leaf_bytes, items = _census(tree)
+    assert len(label) <= leaf_bytes + 10 * items
+
+
+def _old_part(s):
+    return "".join("\\" + ch if ch in "(),[]:|\\" else ch for ch in s)
+
+
+def _encode_old(tree):
+    """The older label form: specials escaped with a backslash at every level."""
+    if isinstance(tree, str):
+        return tree
+    if tree[0] == "pair":
+        return "(" + ",".join(_old_part(_encode_old(c)) for c in tree[1]) + ")"
+    if tree[0] == "tag":
+        return _old_part(_encode_old(tree[1])) + "|" + _old_part(_encode_old(tree[2]))
+    entries = (_old_part(_encode_old(k)) + ":" + _old_part(_encode_old(v)) for k, v in tree[1])
+    return "[" + ",".join(entries) + "]"
+
+
+def _has_empty_one_tuple(tree):
+    if isinstance(tree, str):
+        return False
+    if tree[0] == "pair" and tree[1] == ("",):
+        return True
+    return any(map(_has_empty_one_tuple, _children(tree)))
+
+
+# In the older form "()" was both the empty tuple and the empty 1-tuple, and
+# a part that starts with "{" now reads as a length prefix.
+_OLD_LEAVES = _LEAVES.filter(lambda s: not s.startswith("{"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees(4, _OLD_LEAVES, _encode_old).filter(lambda t: not _has_empty_one_tuple(t)))
+def test_label_trees_in_the_older_form_still_decode(tree):
+    assert _decode(tree, _encode_old(tree), _encode_old) == tree
 
 
 def _nested_reference(p: FinPoly, values) -> list[str]:
@@ -315,6 +423,16 @@ def test_make_poly_rejects_duplicates():
         make_poly([("a", []), ("a", ["d"])])
     with pytest.raises(ValueError):
         make_poly([("a", ["d", "d"])])
+
+
+def test_make_poly_and_monomial_refuse_a_bare_string():
+    for build in (
+        lambda: make_poly([("a", "xy")]),
+        lambda: monomial("ab", FinSet(("x",))),
+        lambda: monomial(FinSet(("a",)), "xy"),
+    ):
+        with pytest.raises(TypeError, match="not a string"):
+            build()
 
 
 def test_eval_known_counts():
