@@ -170,6 +170,21 @@ def poly_sum(p: FinPoly, q: FinPoly) -> FinPoly:
     return sum_many([("0", p), ("1", q)])
 
 
+def _check_size(operation: str, predicted: int) -> None:
+    """Refuse a construction whose predicted size is above COMPOSE_LIMIT."""
+    if predicted > COMPOSE_LIMIT:
+        raise SizeLimitError(operation, predicted, COMPOSE_LIMIT)
+
+
+def _product_size(counts: list[int], dir_totals: list[int]) -> int:
+    """Positions plus direction labels of a cartesian product whose factors
+    have these position counts and direction-label totals: each factor's
+    labels recur once per choice of the other factors' positions."""
+    return math.prod(counts) + sum(
+        d * math.prod(counts[:k] + counts[k + 1:]) for k, d in enumerate(dir_totals)
+    )
+
+
 def product_many(items: Sequence[tuple[str, FinPoly]]) -> FinPoly:
     """Cartesian product: position tuples, direction tagged-sums.
 
@@ -181,13 +196,13 @@ def product_many(items: Sequence[tuple[str, FinPoly]]) -> FinPoly:
     keys = [k for k, _ in items]
     if len(set(keys)) != len(keys):
         raise ValueError(f"duplicate factor keys {keys!r}")
-    counts = [p.num_positions() for _, p in items]
-    predicted = math.prod(counts) + sum(
-        sum(len(dirs) for _, dirs in p.positions) * math.prod(counts[:k] + counts[k + 1:])
-        for k, (_, p) in enumerate(items)
+    _check_size(
+        "product_many",
+        _product_size(
+            [p.num_positions() for _, p in items],
+            [sum(len(dirs) for _, dirs in p.positions) for _, p in items],
+        ),
     )
-    if predicted > COMPOSE_LIMIT:
-        raise SizeLimitError("product_many", predicted, COMPOSE_LIMIT)
     positions = []
     for combo in itertools.product(*[p.positions for _, p in items]):
         label = pair_label(*[i for i, _ in combo])
@@ -210,11 +225,11 @@ def tensor_many(polys: Sequence[FinPoly]) -> FinPoly:
     in all; above COMPOSE_LIMIT for their sum this raises SizeLimitError
     before building anything.
     """
-    predicted = math.prod(p.num_positions() for p in polys) + math.prod(
-        sum(len(dirs) for _, dirs in p.positions) for p in polys
+    _check_size(
+        "tensor_many",
+        math.prod(p.num_positions() for p in polys)
+        + math.prod(sum(len(dirs) for _, dirs in p.positions) for p in polys),
     )
-    if predicted > COMPOSE_LIMIT:
-        raise SizeLimitError("tensor_many", predicted, COMPOSE_LIMIT)
     positions = []
     for combo in itertools.product(*[p.positions for p in polys]):
         label = pair_label(*[i for i, _ in combo])
@@ -231,16 +246,31 @@ def poly_tensor(p: FinPoly, q: FinPoly) -> FinPoly:
     return tensor_many([p, q])
 
 
+def _compose_positions(p: FinPoly, n: int) -> int:
+    """|(p∘q)(1)| = Σ_i n^|p_i| for a q with n positions."""
+    return sum(n ** len(dirs) for _, dirs in p.positions)
+
+
+def _compose_direction_labels(p: FinPoly, n: int, dir_total: int) -> int:
+    """The direction labels of p∘q, for a q with n positions carrying
+    dir_total labels in all.
+
+    Over the n^|p_i| positions at i, each direction of p_i meets each
+    q-position n^(|p_i|-1) times, so the total is
+    Σ_i |p_i| · n^(|p_i|-1) · dir_total.
+    """
+    return sum(
+        len(dirs) * n ** (len(dirs) - 1) * dir_total for _, dirs in p.positions if dirs
+    )
+
+
 def poly_compose(p: FinPoly, q: FinPoly) -> FinPoly:
     """Substitution p∘q: a p-position plus a q-position chosen per direction.
 
     p∘q has Σ_i |q(1)|^|p_i| positions; above COMPOSE_LIMIT this raises
     SizeLimitError before building anything.
     """
-    n = q.num_positions()
-    predicted = sum(n ** len(dirs) for _, dirs in p.positions)
-    if predicted > COMPOSE_LIMIT:
-        raise SizeLimitError("poly_compose", predicted, COMPOSE_LIMIT)
+    _check_size("poly_compose", _compose_positions(p, q.num_positions()))
     return _poly_compose(p, q)
 
 
@@ -269,11 +299,21 @@ def _poly_compose(p: FinPoly, q: FinPoly) -> FinPoly:
 
 
 def compose_power(p: FinPoly, n: int) -> FinPoly:
-    """p∘p∘...∘p, right-nested; the 0th power is the substitution unit y."""
+    """p∘p∘...∘p, right-nested; the 0th power is the substitution unit y.
+
+    The k-th power has n_k positions, where n_1 = p(1) and
+    n_(k+1) = Σ_i n_k^|p_i|.  Every power to be built is predicted before
+    the first of them, and the first above COMPOSE_LIMIT raises
+    SizeLimitError.
+    """
     if n < 0:
         raise ValueError("power must be non-negative")
     if n == 0:
         return Y
+    count = p.num_positions()
+    for _ in range(n - 1):
+        count = _compose_positions(p, count)
+        _check_size("compose_power", count)
     out = p
     for _ in range(n - 1):
         out = poly_compose(p, out)
@@ -630,6 +670,9 @@ def hom_iter(p: FinPoly, q: FinPoly):
 
 
 def hom_enumerate(p: FinPoly, q: FinPoly) -> list[Lens]:
+    """Every lens p → q in hom_iter's order; above COMPOSE_LIMIT lenses
+    this raises SizeLimitError before building any."""
+    _check_size("hom_enumerate", hom_count(p, q))
     return list(hom_iter(p, q))
 
 

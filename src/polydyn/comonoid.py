@@ -51,6 +51,10 @@ from .core import (
     tag_label,
 )
 from .algebra import (
+    _check_size,
+    _compose_direction_labels,
+    _compose_positions,
+    _product_size,
     compose_map,
     compose_power,
     poly_compose,
@@ -1164,8 +1168,11 @@ def cofree_truncation(
 
     Returns stages [c_0 .. c_depth] and projections [c_1→c_0, ...,
     c_depth→c_{depth-1}].  Position counts obey
-    |c_{k+1}(1)| = |p applied to c_k(1)|.  Raises once a stage would
-    exceed max_positions positions.
+    |c_{k+1}(1)| = |p applied to c_k(1)|.  Raises ValueError once a stage
+    would exceed max_positions positions, and SizeLimitError, as
+    poly_compose or product_many would, once p∘c_k or y × (p∘c_k) would
+    exceed COMPOSE_LIMIT; all three are decided from predicted sizes
+    before the stage is built.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -1173,17 +1180,19 @@ def cofree_truncation(
     projections: list[Lens] = []
     for k in range(depth):
         prev = stages[-1]
-        # predicted count of the next stage; checked before building it
-        # because the stage labels themselves grow quickly with depth
-        predicted = sum(
-            prev.num_positions() ** len(p.directions(i))
-            for i in p.position_labels
-        )
+        # predicted sizes of the next stage; checked before building it
+        # because the stages grow quickly with depth
+        n = prev.num_positions()
+        predicted = _compose_positions(p, n)
         if predicted > max_positions:
             raise ValueError(
                 f"stage {k + 1} would have {predicted} positions "
                 f"(cap {max_positions})"
             )
+        _check_size("poly_compose", predicted)
+        labels = _compose_direction_labels(p, n, sum(len(d) for _, d in prev.positions))
+        # y contributes one position and one direction label
+        _check_size("product_many", _product_size([1, predicted], [1, labels]))
         inner = poly_compose(p, prev)
         nxt = poly_product(Y, inner)
         if k == 0:

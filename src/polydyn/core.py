@@ -62,9 +62,9 @@ __all__ = [
 ]
 
 
-# poly_compose refuses to build more positions than this, eval_poly more
-# elements, and tensor_many and product_many more positions plus direction
-# labels.
+# poly_compose and compose_power refuse to build more positions than this,
+# eval_poly more elements, hom_enumerate more lenses, and tensor_many and
+# product_many more positions plus direction labels.
 COMPOSE_LIMIT = 1 << 22
 
 # What an operation's predicted size counts, where it is not positions.
@@ -72,6 +72,7 @@ _COUNTED = {
     "tensor_many": "positions plus direction labels",
     "product_many": "positions plus direction labels",
     "eval_poly": "elements",
+    "hom_enumerate": "lenses",
 }
 
 

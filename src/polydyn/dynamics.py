@@ -479,17 +479,22 @@ def _run(sys: MDDS, legal: Sequence[str], inputs: Iterable[str], start: str) -> 
 
     Read per state, the system is the coalgebra S → B × S^A.  Each state
     gets one transition row, filled when the run first reads an input
-    there: for every legal input a, row[a] = ((s, b, a), pulled-back direction,
-    next state, next state's row).  A step is then one lookup in the
-    current row plus the fold of the history through the start's
-    composite table, and an illegal input is a missing key.  The rows
-    belong to this call alone, so a table changed between calls is read
-    afresh by the next one.
+    there: for every legal input a, row[a] = ((s, b, a), pulled-back
+    direction e, fold of e, next state, next state's row).  The history
+    is folded through the start's composite table curried by direction:
+    the fold of e maps a history acc to composite[acc, e], and each of
+    its entries is filled the first time the run meets that pair.  A step
+    is then one lookup in the current row plus one in a fold, and an
+    illegal input is a missing key.  Rows and folds belong to this call
+    alone, so a table changed between calls is read afresh by the next
+    one, and the work on the composite table grows only with the
+    distinct (history, direction) pairs the run meets.
     """
     on_pos = sys.dynamics.on_pos
     on_dir = sys.dynamics.on_dir
     codomain = sys.state.codomain
     rows = {}
+    folds = {}
 
     def visit(s: str, a: str) -> tuple:
         row = rows[s]
@@ -500,7 +505,7 @@ def _run(sys: MDDS, legal: Sequence[str], inputs: Iterable[str], start: str) -> 
             for x in legal:
                 e = pulled[x]
                 t = succ[e]
-                row[x] = ((s, b, x), e, t, rows.setdefault(t, {}))
+                row[x] = ((s, b, x), e, folds.setdefault(e, {}), t, rows.setdefault(t, {}))
         if a not in row:
             raise ValueError(f"unknown input element {a!r}")
         return row[a]
@@ -513,11 +518,17 @@ def _run(sys: MDDS, legal: Sequence[str], inputs: Iterable[str], start: str) -> 
     append = out.append
     for a in inputs:
         try:
-            entry, e, s, row = row[a]
+            entry, e, fold, s, row = row[a]
         except KeyError:
-            entry, e, s, row = visit(s, a)
+            entry, e, fold, s, row = visit(s, a)
         append(entry)
-        acc = composite[acc, e]
+        try:
+            acc = fold[acc]
+        except KeyError:
+            # first meeting of (acc, e), where a pair missing from the
+            # table raises; targets bind left to right, so the fold is
+            # keyed by the old acc
+            fold[acc] = acc = composite[acc, e]
     append((s, on_pos[s], None))
     return Trace(out, s, tag_label(start, acc))
 

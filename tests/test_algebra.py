@@ -338,6 +338,56 @@ def test_compose_power():
         compose_power(p, -1)
 
 
+def _direction_labels(p):
+    return sum(len(dirs) for _, dirs in p.positions)
+
+
+def test_compose_prediction_counts_positions_and_direction_labels():
+    rng = random.Random(15)
+    for _ in range(40):
+        p, q = random_poly(rng), random_poly(rng)
+        built = poly_compose(p, q)
+        n = q.num_positions()
+        assert algebra._compose_positions(p, n) == built.num_positions()
+        assert algebra._compose_direction_labels(p, n, _direction_labels(q)) == (
+            _direction_labels(built)
+        )
+
+
+def test_compose_power_predicts_every_power_before_building(monkeypatch):
+    rng = random.Random(16)
+    for _ in range(20):
+        p = random_poly(rng, max_positions=2, max_dirs=2)
+        n = rng.randint(2, 4)
+        sizes = [compose_power(p, k).num_positions() for k in range(2, n + 1)]
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "COMPOSE_LIMIT", max(sizes))
+            assert compose_power(p, n).num_positions() == sizes[-1]
+            for limit in sorted(set(sizes))[:-1]:
+                # the first power above the limit is the one refused
+                m.setattr(algebra, "COMPOSE_LIMIT", limit)
+                with pytest.raises(SizeLimitError) as info:
+                    compose_power(p, n)
+                assert info.value.operation == "compose_power"
+                assert info.value.predicted == next(k for k in sizes if k > limit)
+
+
+def test_compose_power_is_refused_before_building_the_first_power():
+    # y^2 + 1 has powers of 2, 5, 26, 677 and 458,330 positions; the sixth
+    # would have 458,330^2 + 1, and refusing it must not build the fifth
+    p = make_poly([("a", ("l", "r")), ("b", ())])
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError) as info:
+        compose_power(p, 6)
+    assert time.perf_counter() - start < 0.1
+    assert info.value.operation == "compose_power"
+    assert info.value.predicted == 458_330**2 + 1
+    assert str(info.value) == (
+        f"compose_power would build {458_330**2 + 1} positions, "
+        f"above the limit of {COMPOSE_LIMIT}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Structure isomorphisms.
 
@@ -596,6 +646,36 @@ def test_hom_enumerate_matches_count_exhaustively():
             lenses = hom_enumerate(p, q)
             assert len(lenses) == n
             assert len(set(lenses)) == n
+
+
+def test_hom_enumerate_is_refused_above_the_limit_before_building():
+    # 23 positions with two directions each into y: 2^23 lenses
+    p = make_poly([(f"i{k}", ("l", "r")) for k in range(23)])
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError) as info:
+        hom_enumerate(p, Y)
+    assert time.perf_counter() - start < 0.1
+    assert info.value.operation == "hom_enumerate"
+    assert info.value.predicted == hom_count(p, Y) == 2**23
+    assert str(info.value) == (
+        f"hom_enumerate would build {2**23} lenses, above the limit of {COMPOSE_LIMIT}"
+    )
+
+
+def test_hom_enumerate_prediction_is_the_hom_count(monkeypatch):
+    rng = random.Random(17)
+    for _ in range(20):
+        p, q = random_poly(rng, max_dirs=2), random_poly(rng, max_dirs=2)
+        n = hom_count(p, q)
+        if not 0 < n <= 2000:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "COMPOSE_LIMIT", n)
+            assert len(hom_enumerate(p, q)) == n
+            m.setattr(algebra, "COMPOSE_LIMIT", n - 1)
+            with pytest.raises(SizeLimitError) as info:
+                hom_enumerate(p, q)
+        assert info.value.predicted == n
 
 
 def test_hom_enumerate_order_deterministic():

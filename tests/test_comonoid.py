@@ -21,6 +21,7 @@ from polydyn.core import (
     split_pair,
     tag_label,
 )
+from polydyn import algebra
 from polydyn.algebra import (
     COMPOSE_LIMIT,
     compose_associator,
@@ -28,6 +29,7 @@ from polydyn.algebra import (
     compose_map,
     compose_power,
     compose_right_unitor,
+    poly_compose,
 )
 from polydyn.comonoid import (
     Cofunctor,
@@ -702,6 +704,55 @@ def test_cofree_labels_grow_linearly_with_the_trees():
     assert sum(len(i) for i in stages[-1].position_labels) < 1 << 20
     assert elapsed < 0.5
     assert projections[-1].dom == stages[-1]
+
+
+def test_cofree_depth_five_is_refused_before_building_the_stage():
+    # p∘c_4 has 458,330 positions, under the position cap; y × (p∘c_4)
+    # would carry 12,816,966 positions plus direction labels.  Building
+    # p∘c_4 to find that out took seconds and 446 MB.
+    p = make_poly([("a", ("l", "r")), ("b", ())])
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError) as info:
+        cofree_truncation(p, 5, max_positions=10**6)
+    assert time.perf_counter() - start < 1
+    assert info.value.operation == "product_many"
+    assert info.value.predicted == 12_816_966
+    assert str(info.value) == (
+        "product_many would build 12816966 positions plus direction labels, "
+        f"above the limit of {COMPOSE_LIMIT}"
+    )
+
+
+def test_cofree_refusals_predict_what_compose_and_product_would_build(monkeypatch):
+    for spec, depth in (
+        ([("a", ("l", "r")), ("b", ())], 4),
+        ([("a", ("d", "e")), ("b", ("d",))], 3),
+        ([("h", ("d",)), ("t", ("d",)), ("n", ())], 4),
+    ):
+        p = make_poly(spec)
+        stages, _ = cofree_truncation(p, depth)
+        # per stage, the positions of p∘c_k and then the positions plus
+        # direction labels of y × (p∘c_k), in the order they are built
+        sizes = [
+            (
+                ("poly_compose", poly_compose(p, prev).num_positions()),
+                ("product_many", nxt.num_positions() + sum(len(d) for _, d in nxt.positions)),
+            )
+            for prev, nxt in zip(stages, stages[1:])
+        ]
+        limits = {size + d for stage in sizes for _, size in stage for d in (-1, 0)}
+        for limit in sorted(limits):
+            refused = next(
+                ((op, size) for stage in sizes for op, size in stage if size > limit), None
+            )
+            with monkeypatch.context() as m:
+                m.setattr(algebra, "COMPOSE_LIMIT", limit)
+                if refused is None:
+                    assert cofree_truncation(p, depth)[0] == stages
+                    continue
+                with pytest.raises(SizeLimitError) as info:
+                    cofree_truncation(p, depth)
+            assert (info.value.operation, info.value.predicted) == refused
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from polydyn.core import (
     tag_label,
 )
 from polydyn.algebra import poly_tensor, product_proj
+from polydyn.catalog import generate_categories
 from polydyn.comonoid import (
     FinCat,
     category_to_comonoid,
@@ -719,6 +720,136 @@ def test_runs_match_the_reference_loops():
         seen.append("closed" if sys.interface == Y else "open")
     assert len(seen) == 27
     assert "closed" in seen and "open" in seen
+
+
+def _seeded_dynamics(c, rng):
+    """An open system on c (3 inputs, 2 outputs) and a closed one, with
+    seeded readouts and pulled-back directions."""
+    dirs = {i: c.carrier.directions(i).elements for i in c.carrier.position_labels}
+    iface = monomial(FinSet(("o0", "o1")), FinSet(("a", "b", "c")))
+    open_lens = Lens(
+        c.carrier,
+        iface,
+        {i: rng.choice(("o0", "o1")) for i in dirs},
+        {i: {a: rng.choice(ds) for a in "abc"} for i, ds in dirs.items()},
+    )
+    closed_lens = Lens(
+        c.carrier,
+        Y,
+        dict.fromkeys(dirs, "*"),
+        {i: {"*": rng.choice(ds)} for i, ds in dirs.items()},
+    )
+    return MDDS(c, iface, open_lens), MDDS(c, Y, closed_lens)
+
+
+def _monoid_states():
+    """Every monoid of order at most 4 and a seeded sample of order 6, as
+    one-object state comonoids: every direction leads back to the one
+    state, so a history can take as many values as the monoid has."""
+    monoids = [k for k in generate_categories(1, 6) if len(k.objects) == 1]
+    small = [k for k in monoids if len(k.morphisms) <= 4]
+    order6 = [k for k in monoids if len(k.morphisms) == 6]
+    assert (len(small), len(order6)) == (1 + 2 + 7 + 35, 2237)
+    for k in small + random.Random(6).sample(order6, 25):
+        yield category_to_comonoid(k)
+
+
+def test_runs_on_monoid_states_match_the_reference_loops():
+    rng = random.Random(15)
+    for c in _monoid_states():
+        start = c.carrier.position_labels[0]
+        for sys in _seeded_dynamics(c, rng):
+            _assert_runs_match_the_reference(sys, start, rng, 300)
+
+
+class _CountingTable(dict):
+    """A composite table that counts the lookups made in it."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def _pairs_met(sys, trace, start):
+    """The distinct (history, pulled-back direction) pairs of a run."""
+    composite = sys.state.composite[start]
+    acc = sys.state.identity[start]
+    pairs = set()
+    for s, _, d in trace.steps[:-1]:
+        e = sys.dynamics.on_dir[s][d]
+        pairs.add((acc, e))
+        acc = dict.__getitem__(composite, (acc, e))
+    return pairs
+
+
+def _seeded_run(sys, start, rng):
+    """A run of 200 steps from start, on a seeded stream when it is open."""
+    if sys.interface == Y:
+        return lambda: run_closed(sys, 200, start)
+    legal = sys.interface.positions[0][1].elements
+    stream = [rng.choice(legal) for _ in range(200)]
+    return lambda: run_open(sys, stream, start)
+
+
+def test_runs_fill_the_history_folds_lazily_and_for_one_call_only():
+    rng = random.Random(16)
+    systems = [
+        (sys, c.carrier.position_labels[0])
+        for c in _monoid_states()
+        for sys in _seeded_dynamics(c, rng)
+    ]
+    systems += list(_systems_for_the_reference())
+    several = 0
+    for sys, start in systems:
+        table = sys.state.composite[start] = _CountingTable(sys.state.composite[start])
+        run = _seeded_run(sys, start, rng)
+        trace = run()
+        pairs = _pairs_met(sys, trace, start)
+        assert table.lookups == len(pairs)
+        # nothing survives the call: the same run looks each pair up again
+        assert run() == trace
+        assert table.lookups == 2 * len(pairs)
+        several += len(pairs) > len({e for _, e in pairs})
+    # on monoid states one direction meets several histories
+    assert several > 10
+
+    # 200 contractible states: the start has 200 directions and a
+    # 40,000-entry composite table, of which a 3-step run reads at most 3
+    states = FinSet(tuple(f"s{k}" for k in range(200)))
+    c = contractible(states)
+    iface = monomial(FinSet(("o",)), FinSet(("a", "b")))
+    f = Lens(
+        c.carrier,
+        iface,
+        dict.fromkeys(states.elements, "o"),
+        {s: {"a": rng.choice(states.elements), "b": s} for s in states.elements},
+    )
+    sys = MDDS(c, iface, f)
+    assert len(c.carrier.directions("s0")) == 200
+    assert len(c.composite["s0"]) == 40_000
+    table = c.composite["s0"] = _CountingTable(c.composite["s0"])
+    first = run_open(sys, ["a", "b", "a"], "s0")
+    assert 1 <= table.lookups <= 3
+    assert run_open(sys, ["a", "b", "a"], "s0") == first
+    assert table.lookups == 2 * len(_pairs_met(sys, first, "s0"))
+
+
+def test_a_missing_composite_pair_raises_at_the_step_that_needs_it():
+    sys = _cyclic2_open_system()
+    table = dict(sys.state.composite["x"])
+    del table[("s", "s")]
+    sys.state.composite["x"] = table
+    # b pulls back to s; the history is s after one b, and the second b
+    # needs the missing pair
+    assert run_open(sys, ["a", "b", "a"], "x").history == tag_label("x", "s")
+    for run in (run_open, _reference_run_open):
+        with pytest.raises(KeyError) as info:
+            run(sys, ["a", "b", "a", "b", "a"], "x")
+        assert info.value.args == (("s", "s"),)
 
 
 # ---------------------------------------------------------------------------
