@@ -528,7 +528,8 @@ class FinCat:
     The tables are read-only once built, as a Comonoid's are: a FinCat is
     hashable, check_category keeps the verdict of its last full walk so
     that category_to_comonoid need not walk the same tables again, and
-    cat_isomorphic keeps the canonical form it computes.
+    cat_isomorphic keeps the canonical form it computes (a multi-object
+    category of the catalog carries it from the start).
     """
 
     def __init__(
@@ -538,7 +539,14 @@ class FinCat:
         identity: Mapping[str, str],
         compose2: Mapping[tuple[str, str], str],
     ):
-        mors = tuple((str(m), str(d), str(c)) for m, d, c in morphisms)
+        # the caller's (label, dom, cod) tuples of str are kept as they are
+        mors = []
+        for entry in morphisms:
+            m, d, c = entry
+            if type(entry) is not tuple or not (type(m) is type(d) is type(c) is str):
+                entry = (str(m), str(d), str(c))
+            mors.append(entry)
+        mors = tuple(mors)
         labels = [m for m, _, _ in mors]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate morphism labels in {labels!r}")
@@ -1120,8 +1128,9 @@ def _canonical_form(num_objects: int, dom, cod, comp) -> tuple:
 
 
 def _canonical_labels(k: FinCat) -> tuple:
-    """k's canonical key and its objects and morphisms in canonical order,
-    from _canonical_form; kept on k, whose tables are read-only."""
+    """k's canonical key and tuples of its objects and morphisms in
+    canonical order, from _canonical_form; kept on k, whose tables are
+    read-only."""
     if k._canonical is None:
         objects = k.objects.elements
         labels = [k.identity[o] for o in objects]
@@ -1136,7 +1145,11 @@ def _canonical_labels(k: FinCat) -> tuple:
         dom = [obj_index[k.dom_of[m]] for m in labels]
         cod = [obj_index[k.cod_of[m]] for m in labels]
         key, (objs, mors) = _canonical_form(len(objects), dom, cod, comp)
-        k._canonical = (key, [objects[o] for o in objs], [labels[m] for m in mors])
+        k._canonical = (
+            key,
+            tuple([objects[o] for o in objs]),
+            tuple([labels[m] for m in mors]),
+        )
     return k._canonical
 
 

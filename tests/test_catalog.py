@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -6,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from polydyn.comonoid import (
     comonoid_to_category,
     contractible,
     discrete_comonoid,
+    fincat_from_json,
     fincat_to_json,
     is_cat_isomorphism,
     lens_to_cofunctor,
@@ -492,6 +495,72 @@ def test_catalog_is_deterministic():
     generate_categories.cache_clear()
     after = generate_categories(2, 4)
     assert before == after
+
+
+def _catalog_digest(cats):
+    data = json.dumps([fincat_to_json(k) for k in cats]).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_catalog_categories_share_their_immutable_parts():
+    cats = generate_categories(3, 6)
+    objects = {}
+    for k in cats:
+        objects.setdefault(len(k.objects), set()).add(id(k.objects))
+    assert sorted(objects) == [0, 1, 2, 3]
+    assert all(len(ids) == 1 for ids in objects.values())
+    keys = [gf for k in cats for gf in k._compose]
+    assert len({id(gf) for gf in keys}) <= len(set(keys))
+    triples = [t for k in cats for t in k.morphisms]
+    assert len({id(t) for t in triples}) <= len(set(triples))
+    # the dicts of each category are its own
+    for name in ("dom_of", "cod_of", "out", "identity", "_compose"):
+        assert len({id(getattr(k, name)) for k in cats}) == len(cats)
+    generate_categories.cache_clear()
+    again = generate_categories(3, 6)
+    assert again is not cats
+    assert _catalog_digest(again) == _catalog_digest(cats)
+
+
+def _with_fresh_strings(k):
+    """An equal FinCat built from new label strings, not the catalog's."""
+    return fincat_from_json(json.loads(json.dumps(fincat_to_json(k))))
+
+
+def test_multi_object_categories_carry_their_canonical_labelling():
+    keys = {id(key) for n in (2, 3) for m in range(7 - n) for key in _multi_object_keys(n, m)}
+    carried = 0
+    for k in generate_categories(3, 6):
+        if len(k.objects) < 2:
+            continue
+        key, objs, mors = k._canonical
+        assert id(key) in keys
+        assert type(objs) is tuple and type(mors) is tuple
+        fresh = _with_fresh_strings(k)
+        assert fresh == k
+        assert _canonical_labels(fresh) == (key, objs, mors)
+        carried += 1
+    assert carried == 717
+
+
+def test_catalog_keeps_under_2500_bytes_per_category():
+    # the search caches are warmed first, so only the categories are counted
+    for n in range(1, 6):
+        monoid_tables(n)
+    for n in (2, 3):
+        for m in range(6 - n):
+            _multi_object_keys(n, m)
+    generate_categories.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cats = generate_categories(3, 5)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cats) == 395
+    assert kept / len(cats) < 2500
 
 
 def test_generate_categories_rejects_negative_bounds():

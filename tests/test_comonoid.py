@@ -401,6 +401,33 @@ def test_fincat_construction_validation():
         FinCat(objs, loops, ident, {**full, ("ida", "ida"): "idb"})
 
 
+class _Label(str):
+    pass
+
+
+def test_fincat_keeps_string_triples_and_converts_the_rest():
+    objs = FinSet(("x", "1"))
+    kept = ("a", "x", "x")
+    odd = (_Label("b"), "1", "1")
+    k = FinCat(
+        objs,
+        [kept, ["c", "x", "x"], (2, 1, 1), odd],
+        {"x": "a", "1": "2"},
+        {
+            ("a", "a"): "a", ("c", "a"): "c", ("a", "c"): "c", ("c", "c"): "c",
+            ("2", "2"): "2", ("b", "2"): "b", ("2", "b"): "b", ("b", "b"): "b",
+        },
+    )
+    assert k.morphisms[0] is kept
+    assert k.morphisms[1:] == (("c", "x", "x"), ("2", "1", "1"), ("b", "1", "1"))
+    assert all(type(e) is tuple for e in k.morphisms)
+    assert all(type(s) is str for e in k.morphisms for s in e)
+    assert k.morphisms[3] is not odd
+    with pytest.raises(ValueError) as info:
+        FinCat(objs, [("a", "x")], {"x": "a"}, {("a", "a"): "a"})
+    assert str(info.value) == "not enough values to unpack (expected 3, got 2)"
+
+
 def test_roundtrip_on_hand_built_categories():
     for k in [cyclic2_category(), arrow_category()]:
         com = category_to_comonoid(k)
