@@ -260,6 +260,12 @@ class Trace:
     state's readout with no input consumed, so a run over n inputs yields
     n+1 entries and len(trace) == n.  history, when present, is the label
     of the state-category morphism the run traced out.
+
+    The public constructor checks the invariants every trace keeps: at
+    least one entry, each entry a triple, the last entry's direction None
+    and no other entry's, and final_state the state of the last entry.
+    run_open and run_closed build their traces with _from_run instead,
+    which relies on these holding by construction and checks nothing.
     """
 
     __slots__ = ("steps", "final_state", "history")
@@ -280,6 +286,23 @@ class Trace:
         self.steps = steps
         self.final_state = final_state
         self.history = history
+
+    @classmethod
+    def _from_run(cls, steps: list, final_state: str, history: str) -> "Trace":
+        """Internal constructor for the run loop's entries: no check.
+
+        It relies on what _run guarantees by construction: steps holds at
+        least the final readout; every entry is an exact tuple
+        (s, on_pos[s], x) whose direction x is a legal input, an element
+        of the interface's FinSet or run_closed's "*", so a str and never
+        None; the final entry's direction is None; and final_state is the
+        state of that final entry, both written at once.
+        """
+        t = object.__new__(cls)
+        t.steps = tuple(steps)
+        t.final_state = final_state
+        t.history = history
+        return t
 
     def __len__(self) -> int:
         return len(self.steps) - 1
@@ -474,63 +497,87 @@ def apply_wiring(w: Lens, sys: MDDS) -> MDDS:
 # Running systems.
 
 
+# Key under which each row of _run records its own (state, history); no
+# input can equal it.
+_AT = object()
+
+
 def _run(sys: MDDS, legal: Sequence[str], inputs: Iterable[str], start: str) -> Trace:
     """The stepping loop of run_open and run_closed.
 
-    Read per state, the system is the coalgebra S → B × S^A.  Each state
-    gets one transition row, filled when the run first reads an input
-    there: for every legal input a, row[a] = ((s, b, a), pulled-back
-    direction e, fold of e, next state, next state's row).  The history
-    is folded through the start's composite table curried by direction:
-    the fold of e maps a history acc to composite[acc, e], and each of
-    its entries is filled the first time the run meets that pair.  A step
-    is then one lookup in the current row plus one in a fold, and an
-    illegal input is a missing key.  Rows and folds belong to this call
-    alone, so a table changed between calls is read afresh by the next
-    one, and the work on the composite table grows only with the
-    distinct (history, direction) pairs the run meets.
+    Read per state, the system is the coalgebra S → B × S^A.  The loop
+    walks rows keyed by the pair (state, history), where the history is
+    the state-category morphism traced so far: each row maps an input a
+    to (trace entry, next row), so a step is one dict lookup.  A row
+    records its own (state, history) under a private key, which the end
+    of the loop reads for the final readout.  Keying by the pair, not by
+    the history alone, keeps the run right when a caller has changed a
+    table so that a history no longer fixes its state.
+
+    A row entry is filled the first time the run reads that input there,
+    from two lazier tables.  Each state gets one transition row, filled
+    on the first visit: for every legal input x, ((s, b, x), pulled-back
+    direction e, next state).  An illegal input is a missing key there
+    (ValueError).  The history is folded through the start's composite
+    table curried by direction: the fold of e maps a history acc to
+    composite[acc, e], and each of its entries is filled the first time
+    the run meets that pair, where a pair missing from the table raises
+    its KeyError.  All of these belong to this call alone, so a table
+    changed between calls is read afresh by the next one, and the work on
+    the composite table grows only with the distinct (history, direction)
+    pairs the run meets.
     """
     on_pos = sys.dynamics.on_pos
     on_dir = sys.dynamics.on_dir
     codomain = sys.state.codomain
-    rows = {}
+    composite = sys.state.composite[start]
+    transitions = {}
     folds = {}
+    rows = {}
 
     def visit(s: str, a: str) -> tuple:
-        row = rows[s]
-        if not row:  # not filled yet
+        row = transitions.get(s)
+        if row is None:
             b = on_pos[s]
             pulled = on_dir[s]
             succ = codomain[s]
+            row = transitions[s] = {}
             for x in legal:
                 e = pulled[x]
-                t = succ[e]
-                row[x] = ((s, b, x), e, folds.setdefault(e, {}), t, rows.setdefault(t, {}))
+                row[x] = ((s, b, x), e, succ[e])
         if a not in row:
             raise ValueError(f"unknown input element {a!r}")
         return row[a]
 
-    composite = sys.state.composite[start]
-    acc = sys.state.identity[start]
-    s = start
-    row = rows[start] = {}
+    def fill(here: dict, a: str) -> tuple:
+        s, acc = here[_AT]
+        entry, e, t = visit(s, a)
+        fold = folds.setdefault(e, {})
+        if acc in fold:
+            acc = fold[acc]
+        else:
+            # a pair missing from the table raises here; targets bind
+            # left to right, so the fold is keyed by the old acc
+            fold[acc] = acc = composite[acc, e]
+        there = rows.get((t, acc))
+        if there is None:
+            there = rows[t, acc] = {_AT: (t, acc)}
+        here[a] = move = (entry, there)
+        return move
+
+    at = (start, sys.state.identity[start])
+    here = rows[at] = {_AT: at}
     out = []
     append = out.append
     for a in inputs:
         try:
-            entry, e, fold, s, row = row[a]
+            entry, here = here[a]
         except KeyError:
-            entry, e, fold, s, row = visit(s, a)
+            entry, here = fill(here, a)
         append(entry)
-        try:
-            acc = fold[acc]
-        except KeyError:
-            # first meeting of (acc, e), where a pair missing from the
-            # table raises; targets bind left to right, so the fold is
-            # keyed by the old acc
-            fold[acc] = acc = composite[acc, e]
+    s, acc = here[_AT]
     append((s, on_pos[s], None))
-    return Trace(out, s, tag_label(start, acc))
+    return Trace._from_run(out, s, tag_label(start, acc))
 
 
 def run_closed(sys: MDDS, steps: int, start: str) -> Trace:

@@ -852,6 +852,96 @@ def test_a_missing_composite_pair_raises_at_the_step_that_needs_it():
         assert info.value.args == (("s", "s"),)
 
 
+def test_run_traces_pass_the_public_trace_checks():
+    # the run loop builds its traces unchecked; rebuilding each one through
+    # the validating constructor must accept it and give an equal trace
+    rng = random.Random(17)
+    systems = [
+        (sys, c.carrier.position_labels[0])
+        for c in _monoid_states()
+        for sys in _seeded_dynamics(c, rng)
+    ]
+    systems += list(_systems_for_the_reference())
+    seen = set()
+    for sys, start in systems:
+        for n in (0, 1, 300):
+            if sys.interface == Y:
+                t = run_closed(sys, n, start)
+            else:
+                legal = sys.interface.positions[0][1].elements
+                t = run_open(sys, [rng.choice(legal) for _ in range(n)], start)
+            # equal only if steps and every entry are tuples, as rebuilt
+            assert t == Trace(t.steps, t.final_state, t.history)
+        seen.add(sys.interface == Y)
+    assert seen == {True, False}
+
+
+def _states_met_by_history(sys, trace, start):
+    """The states at which each history of a run is met, step by step as
+    the reference loops fold them."""
+    composite = sys.state.composite[start]
+    acc = sys.state.identity[start]
+    met = {}
+    for s, _, d in trace.steps:
+        met.setdefault(acc, set()).add(s)
+        if d is not None:
+            acc = composite[(acc, sys.dynamics.on_dir[s][d])]
+    return met
+
+
+def _contractible_pair(n, rng):
+    """An open and a closed system on n contractible states whose
+    pulled-back directions are s1 and s2 wherever they are read."""
+    states = FinSet(tuple(f"s{k}" for k in range(n)))
+    c = contractible(states)
+    iface = monomial(FinSet(("o0", "o1")), FinSet(("a", "b")))
+    open_lens = Lens(
+        c.carrier,
+        iface,
+        {s: rng.choice(iface.position_labels) for s in states.elements},
+        dict.fromkeys(states.elements, {"a": "s1", "b": "s2"}),
+    )
+    closed_lens = Lens(
+        c.carrier,
+        Y,
+        dict.fromkeys(states.elements, "*"),
+        dict.fromkeys(states.elements, {"*": "s1"}),
+    )
+    return MDDS(c, iface, open_lens), MDDS(c, Y, closed_lens)
+
+
+def test_runs_stay_right_when_a_history_no_longer_fixes_its_state():
+    # on contractible state the history is the current state; each table
+    # change below, made after construction, makes one history met at two
+    # different states, where a loop keyed by the history alone goes wrong
+    rng = random.Random(18)
+
+    def flatten_composite(sys, start):
+        # every history stays the identity at the start
+        sys.state.composite[start] = dict.fromkeys(sys.state.composite[start], start)
+
+    def cycle_codomain(sys, start):
+        # every direction at s leads to the state after s, whatever it is
+        states = sys.state.carrier.position_labels
+        for k, s in enumerate(states):
+            sys.state.codomain[s] = dict.fromkeys(states, states[(k + 1) % len(states)])
+
+    for change in (flatten_composite, cycle_codomain):
+        for sys in _contractible_pair(7, rng):
+            start = "s0"
+            change(sys, start)
+            if sys.interface == Y:
+                got = run_closed(sys, 200, start)
+                want = _reference_run_closed(sys, 200, start)
+            else:
+                stream = [rng.choice("ab") for _ in range(200)]
+                got = run_open(sys, stream, start)
+                want = _reference_run_open(sys, stream, start)
+            assert got == want
+            met = _states_met_by_history(sys, want, start)
+            assert any(len(states) > 1 for states in met.values())
+
+
 # ---------------------------------------------------------------------------
 # Histories.
 
