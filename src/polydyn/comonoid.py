@@ -384,6 +384,10 @@ def check_comonoid_laws(c: Comonoid) -> dict:
     and the unitors/associator would give, but neither carrier∘carrier nor
     the triply substituted codomain is ever materialized.
 
+    Each distinct composite table is read curried, table[d][e], built
+    once per call and shared by the positions that share the table; the
+    loops look up the row of d once and then read it by e.
+
     Every call walks everything and returns a fresh report; the verdict
     alone is also kept on c for comonoid_to_category.
     """
@@ -391,7 +395,19 @@ def check_comonoid_laws(c: Comonoid) -> dict:
     # every key read below is a position: _check_tables guarantees that
     # bases and codomains are
     dirs = carrier._dirs
-    ident, base, cod, comp = c.identity, c.base, c.codomain, c.composite
+    ident, base, cod = c.identity, c.base, c.codomain
+    curried = {}
+    comp = {}
+    for i, table in c.composite.items():
+        rows = curried.get(id(table))
+        if rows is None:
+            rows = curried[id(table)] = {}
+            for (d, e), v in table.items():
+                row = rows.get(d)
+                if row is None:
+                    row = rows[d] = {}
+                row[e] = v
+        comp[i] = rows
     violations = []
 
     # Left counitality: the left unitor after (counit ∘̂ id) after comult
@@ -406,9 +422,9 @@ def check_comonoid_laws(c: Comonoid) -> dict:
                 {"law": "left_counit", "position": i, "left": pos, "right": i}
             )
             continue
-        composite = comp[i]
+        then_s = comp[i][s]
         for e in dirs[i].elements:
-            v = composite[(s, e)]
+            v = then_s[e]
             if v != e:
                 violations.append(
                     {
@@ -432,7 +448,7 @@ def check_comonoid_laws(c: Comonoid) -> dict:
         phi = cod[i]
         composite = comp[i]
         for d in dirs[i1].elements:
-            v = composite[(d, ident[phi[d]])]
+            v = composite[d][ident[phi[d]]]
             if v != d:
                 violations.append(
                     {
@@ -458,7 +474,8 @@ def check_comonoid_laws(c: Comonoid) -> dict:
     for i in carrier.position_labels:
         i1 = base[i]
         phi = cod[i]
-        shared = (id(dirs[i]), id(phi), id(comp[i])) if i1 == i else None
+        composite = comp[i]
+        shared = (id(dirs[i]), id(phi), id(composite)) if i1 == i else None
         if shared in passed:
             continue
         before = len(violations)
@@ -468,14 +485,14 @@ def check_comonoid_laws(c: Comonoid) -> dict:
         i1dirs = dirs[i1].elements
         if i2 != i1 or any(
             psi[e] != base[phi[e]]
-            or any(phi[comp1[(e, g)]] != cod[phi[e]][g] for g in dirs[psi[e]].elements)
+            or any(phi[comp1[e][g]] != cod[phi[e]][g] for g in dirs[psi[e]].elements)
             for e in i1dirs
         ):
             chi = {}
             for e in dirs[i2].elements:
                 j = psi[e]
                 jdirs = dirs[j].elements
-                inner = {g: phi[comp1[(e, g)]] for g in jdirs}
+                inner = {g: phi[comp1[e][g]] for g in jdirs}
                 chi[e] = pair_label(j, fn_label(inner, jdirs))
             table = {d: _comult_label(c, phi[d]) for d in i1dirs}
             violations.append(
@@ -487,14 +504,18 @@ def check_comonoid_laws(c: Comonoid) -> dict:
                 }
             )
             continue
-        composite = comp[i]
         for d in i1dirs:
             k = phi[d]
+            then_d = composite[d]
+            then_d1 = comp1[d]
             inner = comp[k]
+            cod_k = cod[k]
             for e in dirs[base[k]].elements:
-                for g in dirs[cod[k][e]].elements:
-                    lv = composite[(comp1[(d, e)], g)]
-                    rv = composite[(d, inner[(e, g)])]
+                left_row = composite[then_d1[e]]
+                inner_e = inner[e]
+                for g in dirs[cod_k[e]].elements:
+                    lv = left_row[g]
+                    rv = then_d[inner_e[g]]
                     if lv != rv:
                         violations.append(
                             {
@@ -528,8 +549,9 @@ class FinCat:
     The tables are read-only once built, as a Comonoid's are: a FinCat is
     hashable, check_category keeps the verdict of its last full walk so
     that category_to_comonoid need not walk the same tables again, and
-    cat_isomorphic keeps the canonical form it computes (a multi-object
-    category of the catalog carries it from the start).
+    _canonical_labels keeps the canonical form it computes.  A
+    multi-object category of the catalog carries that form from the
+    start; cat_isomorphic reads it where present and keeps nothing.
     """
 
     def __init__(
@@ -646,26 +668,33 @@ def check_category(k: FinCat) -> dict:
     """Exhaustive identity and associativity check with per-instance report.
 
     Walks only the composable triples: g runs over the morphisms out of
-    the codomain of f, and h over those out of the codomain of g.  Every
-    call walks everything and returns a fresh report; the verdict alone is
-    also kept on k for category_to_comonoid.
+    the codomain of f, and h over those out of the codomain of g.  The
+    composition table is read curried by its first factor, built once per
+    call as after[f][g] = g∘f, so every lookup is by a label rather than
+    by a (g, f) pair.  Every call walks everything and returns a fresh
+    report; the verdict alone is also kept on k for category_to_comonoid.
     """
-    comp, cod_of, out, identity = k._compose, k.cod_of, k.out, k.identity
+    cod_of, out, identity = k.cod_of, k.out, k.identity
     labels = k.morphism_labels()
+    after = {m: {} for m in labels}
+    for (g, f), h in k._compose.items():
+        after[f][g] = h
     violations = []
     for m in labels:
-        left = comp[(identity[cod_of[m]], m)]
+        left = after[m][identity[cod_of[m]]]
         if left != m:
             violations.append({"law": "left_identity", "morphism": m, "got": left})
-        right = comp[(m, identity[k.dom_of[m]])]
+        right = after[identity[k.dom_of[m]]][m]
         if right != m:
             violations.append({"law": "right_identity", "morphism": m, "got": right})
     for f in labels:
+        then_f = after[f]
         for g in out[cod_of[f]]:
-            gf = comp[(g, f)]
+            then_gf = after[then_f[g]]
+            then_g = after[g]
             for h in out[cod_of[g]]:
-                left = comp[(h, gf)]
-                right = comp[(comp[(h, g)], f)]
+                left = then_gf[h]
+                right = then_f[then_g[h]]
                 if left != right:
                     violations.append(
                         {
@@ -1007,13 +1036,17 @@ def is_cat_isomorphism(
     """Verify that a given pair of bijections is a category isomorphism."""
     objs1 = k1.objects.elements
     mors1 = k1.morphism_labels()
-    if sorted(obj_map) != sorted(objs1):
+    objs2 = k2.objects.elements
+    mors2 = k2.morphism_labels()
+    # labels are unique on both sides, so equal lengths and equal sets make
+    # each map a bijection
+    if len(obj_map) != len(objs1) or set(obj_map) != set(objs1):
         return False
-    if sorted(obj_map[o] for o in objs1) != sorted(k2.objects.elements):
+    if len(objs1) != len(objs2) or {obj_map[o] for o in objs1} != set(objs2):
         return False
-    if sorted(mor_map) != sorted(mors1):
+    if len(mor_map) != len(mors1) or set(mor_map) != set(mors1):
         return False
-    if sorted(mor_map[m] for m in mors1) != sorted(k2.morphism_labels()):
+    if len(mors1) != len(mors2) or {mor_map[m] for m in mors1} != set(mors2):
         return False
     for m in mors1:
         m2 = mor_map[m]
@@ -1032,7 +1065,7 @@ def is_cat_isomorphism(
     return True
 
 
-def _canonical_form(num_objects: int, dom, cod, comp) -> tuple:
+def _canonical_form(num_objects: int, dom, cod, comp, target=None) -> tuple | None:
     """Canonical key of a category on integer tables, and a labelling attaining it.
 
     Morphisms are 0..n-1, the identity of object i being morphism i; dom
@@ -1052,6 +1085,15 @@ def _canonical_form(num_objects: int, dom, cod, comp) -> tuple:
     a branch that an automorphism found so far (two leaves with equal
     tables) maps to one already tried, as in McKay and Piperno's
     canonical labelling.
+
+    Given a target key, the same walk looks for that key instead of the
+    least one: it cuts every object order whose slots differ from the
+    target's, stops at the first leaf whose key equals the target, and
+    returns that leaf, or None when no leaf has the target key.  The
+    first leaf stands in for the least one, so automorphisms still prune
+    the search, which keeps a failed search on a very symmetric category
+    from visiting every labelling.  The target ... (Ellipsis) stands for
+    any key: the walk stops at its first leaf.
     """
     k = num_objects
     n = len(dom)
@@ -1078,12 +1120,13 @@ def _canonical_form(num_objects: int, dom, cod, comp) -> tuple:
 
     by_profile = sorted(range(k), key=profile.__getitem__)
     cells = [list(c) for _, c in groupby(by_profile, key=profile.__getitem__)]
-    best = None
+    best = None  # the least leaf so far; in target mode, the first leaf
+    found = None  # in target mode, the leaf with the target key
     autos = []  # automorphisms found, each as old morphism -> old morphism
 
     def walk(order, pools, slots):
         # order: old morphisms placed so far; pools: candidates for the next positions
-        nonlocal best
+        nonlocal best, found
         while pools and len(pools[0]) == 1:
             order = order + pools[0]
             pools = pools[1:]
@@ -1094,6 +1137,8 @@ def _canonical_form(num_objects: int, dom, cod, comp) -> tuple:
                 if c in skip:
                     continue
                 walk(order + [c], [[x for x in pool if x != c]] + pools[1:], slots)
+                if found is not None:
+                    return
                 fixing = [g for g in autos if all(g[x] == x for x in order)]
                 orbit, grown = set(), {c}
                 while grown != orbit:
@@ -1106,7 +1151,11 @@ def _canonical_form(num_objects: int, dom, cod, comp) -> tuple:
                 new_obj[o] = j
             tagged = sorted([(new_obj[dom[m]], new_obj[cod[m]], colour[m], m) for m in extras])
             slots = tuple((d, c) for d, c, _, _ in tagged)
-            if best is None or slots <= best[0][0]:
+            if target is None:
+                wanted = best is None or slots <= best[0][0]
+            else:
+                wanted = target is ... or slots == target[0]
+            if wanted:
                 groups = groupby(tagged, key=lambda t: t[:3])
                 walk(order, [[t[3] for t in g] for _, g in groups], slots)
             return
@@ -1115,7 +1164,9 @@ def _canonical_form(num_objects: int, dom, cod, comp) -> tuple:
             new[m] = j
         rows = map(comp.__getitem__, order)
         key = (slots, tuple([new[row[b]] for row in rows for b in order]))
-        if best is None or key < best[0]:
+        if target is not None and (target is ... or key == target):
+            found = (key, order)
+        elif best is None or (target is None and key < best[0]):
             best = (key, order)
         elif key == best[0]:
             gamma = [0] * n
@@ -1124,49 +1175,64 @@ def _canonical_form(num_objects: int, dom, cod, comp) -> tuple:
             autos.append(gamma)
 
     walk([], cells, None)
+    if target is not None:
+        best = found
+    if best is None:
+        return None
     return best[0], (best[1][:k], best[1])
 
 
-def _canonical_labels(k: FinCat) -> tuple:
-    """k's canonical key and tuples of its objects and morphisms in
-    canonical order, from _canonical_form; kept on k, whose tables are
-    read-only."""
-    if k._canonical is None:
-        objects = k.objects.elements
-        labels = [k.identity[o] for o in objects]
-        identities = set(labels)
-        labels += [m for m, _, _ in k.morphisms if m not in identities]
-        obj_index = {o: i for i, o in enumerate(objects)}
-        index = {m: i for i, m in enumerate(labels)}
-        n = len(labels)
-        comp = [[-1] * n for _ in range(n)]
-        for (g, f), h in k._compose.items():
-            comp[index[g]][index[f]] = index[h]
-        dom = [obj_index[k.dom_of[m]] for m in labels]
-        cod = [obj_index[k.cod_of[m]] for m in labels]
-        key, (objs, mors) = _canonical_form(len(objects), dom, cod, comp)
-        k._canonical = (
-            key,
-            tuple([objects[o] for o in objs]),
-            tuple([labels[m] for m in mors]),
-        )
-    return k._canonical
+def _canonical_labels(k: FinCat, target=None) -> tuple | None:
+    """_canonical_form on k's tables, its labelling read back as k's labels.
+
+    Returns k's canonical key and tuples of its objects and morphisms in
+    canonical order, kept on k, whose tables are read-only.  Given a
+    target, returns instead the first labelling the target mode of
+    _canonical_form finds, in the same form and not kept, or None.
+    """
+    if target is None and k._canonical is not None:
+        return k._canonical
+    objects = k.objects.elements
+    labels = [k.identity[o] for o in objects]
+    identities = set(labels)
+    labels += [m for m, _, _ in k.morphisms if m not in identities]
+    obj_index = {o: i for i, o in enumerate(objects)}
+    index = {m: i for i, m in enumerate(labels)}
+    n = len(labels)
+    comp = [[-1] * n for _ in range(n)]
+    for (g, f), h in k._compose.items():
+        comp[index[g]][index[f]] = index[h]
+    dom = [obj_index[k.dom_of[m]] for m in labels]
+    cod = [obj_index[k.cod_of[m]] for m in labels]
+    found = _canonical_form(len(objects), dom, cod, comp, target)
+    if found is None:
+        return None
+    key, (objs, mors) = found
+    found = (key, tuple([objects[o] for o in objs]), tuple([labels[m] for m in mors]))
+    if target is None:
+        k._canonical = found
+    return found
 
 
 def cat_isomorphic(k1: FinCat, k2: FinCat) -> bool:
     """Whether two finite categories are isomorphic; intended for small ones.
 
-    Both categories are put in canonical form (_canonical_form, by which
-    the catalog labels its classes too).  Equal keys mean isomorphic; the two
-    labellings that attain the key compose to an isomorphism, which is
+    The target is k1's canonical key where k1 carries one (the catalog's
+    multi-object categories do), and otherwise the key of k1's first
+    colour-sorted labelling; no least key is searched for on either side.
+    The target mode of _canonical_form then walks k2's colour-sorted
+    labellings for one with that key.  An isomorphism carries k1's
+    labelling to one of k2's, with the same key, so the search is
+    complete; the two labellings compose to the isomorphism, which is
     confirmed with is_cat_isomorphism.
     """
     if len(k1.objects) != len(k2.objects) or len(k1.morphisms) != len(k2.morphisms):
         return False
-    key1, objs1, mors1 = _canonical_labels(k1)
-    key2, objs2, mors2 = _canonical_labels(k2)
-    return key1 == key2 and is_cat_isomorphism(
-        k1, k2, dict(zip(objs1, objs2)), dict(zip(mors1, mors2))
+    key, objs1, mors1 = k1._canonical or _canonical_labels(k1, ...)
+    # two carried canonical keys decide without a search
+    found = k2._canonical if k1._canonical and k2._canonical else _canonical_labels(k2, key)
+    return found is not None and found[0] == key and is_cat_isomorphism(
+        k1, k2, dict(zip(objs1, found[1])), dict(zip(mors1, found[2]))
     )
 
 

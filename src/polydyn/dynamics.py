@@ -262,8 +262,9 @@ class Trace:
     of the state-category morphism the run traced out.
 
     The public constructor checks the invariants every trace keeps: at
-    least one entry, each entry a triple, the last entry's direction None
-    and no other entry's, and final_state the state of the last entry.
+    least one entry, each entry a triple and not a str (TypeError), the
+    last entry's direction None and no other entry's, and final_state the
+    state of the last entry.
     run_open and run_closed build their traces with _from_run instead,
     which relies on these holding by construction and checks nothing.
     """
@@ -271,6 +272,11 @@ class Trace:
     __slots__ = ("steps", "final_state", "history")
 
     def __init__(self, steps: Sequence[tuple], final_state: str, history=None):
+        steps = tuple(steps)
+        for j, entry in enumerate(steps):
+            # tuple() would split a string into its characters
+            if isinstance(entry, str):
+                raise TypeError(f"trace entry {j} is a str, not a triple: {entry!r}")
         # tuple() hands back an exact tuple as it is, so a run's shared
         # entries are not copied; unpacking still demands three items each
         steps = tuple(map(tuple, steps))

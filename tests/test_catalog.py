@@ -459,6 +459,82 @@ def test_cat_isomorphic_is_fast_on_categories_with_many_automorphisms():
         assert time.perf_counter() - start < 2.0
 
 
+def _colours(k):
+    """The sorted colours of k's non-identity morphisms, as the canonical
+    search sees them: whether it is a loop, the index and period of its
+    powers, and how many composable pairs compose to it."""
+    identities = set(k.identity.values())
+    hits = Counter(k._compose.values())
+    colours = []
+    for m, d, c in k.morphisms:
+        if m in identities:
+            continue
+        powers = [m]
+        while d == c and k.compose2(m, powers[-1]) not in powers:
+            powers.append(k.compose2(m, powers[-1]))
+        index = powers.index(k.compose2(m, powers[-1])) if d == c else 0
+        colours.append((d == c, index, len(powers) - index if d == c else 0, hits[m]))
+    return sorted(colours)
+
+
+def test_targeted_isomorphism_search_is_exhaustive():
+    rng = random.Random(2005)
+    cats = generate_categories(3, 6)
+    # every category is found again under fresh labels and a random order
+    assert all(cat_isomorphic(k, _shuffled(k, rng)) for k in cats)
+    groups = {}
+    for k in cats:
+        groups.setdefault((len(k.objects), len(k.morphisms)), []).append(k)
+    pairs = []
+    for group in groups.values():
+        if len(group) < 2:
+            continue
+        for _ in range(20):
+            pairs.append(tuple(rng.sample(group, 2)))
+        same = {}
+        for k in group:
+            same.setdefault(tuple(_colours(k)), []).append(k)
+        alike = [ks for ks in same.values() if len(ks) >= 2]
+        for _ in range(20 if alike else 0):
+            pairs.append(tuple(rng.sample(rng.choice(alike), 2)))
+    assert sum(_colours(a) == _colours(b) for a, b in pairs) >= 150
+    brute_forced = 0
+    for a, b in pairs:
+        # the catalog lists each class once; a shuffled copy carries no
+        # canonical key, so each call searches
+        assert not cat_isomorphic(a, _shuffled(b, rng))
+        assert not cat_isomorphic(_shuffled(a, rng), b)
+        if len(a.morphisms) <= 5:
+            assert not _brute_force_isomorphic(a, b)
+            brute_forced += 1
+    assert brute_forced >= 150
+
+
+def test_failed_search_on_a_symmetric_category_is_fast():
+    # n objects, each with one loop: an involution on one side, an
+    # idempotent on the other.  Every object order has the same slots, so
+    # only the automorphisms found keep the failed search from trying n!
+    n = 9
+    objects = FinSet(tuple(f"x{i}" for i in range(n)))
+
+    def loops(square):
+        morphisms, identity, compose = [], {}, {}
+        for i in range(n):
+            x, e, a = f"x{i}", f"e{i}", f"a{i}"
+            morphisms += [(e, x, x), (a, x, x)]
+            identity[x] = e
+            compose.update({(e, e): e, (e, a): a, (a, e): a, (a, a): square(e, a)})
+        return FinCat(objects, morphisms, identity, compose)
+
+    involutions = loops(lambda e, a: e)
+    idempotents = loops(lambda e, a: a)
+    start = time.perf_counter()
+    assert not cat_isomorphic(involutions, idempotents)
+    assert not cat_isomorphic(idempotents, involutions)
+    assert cat_isomorphic(involutions, _shuffled(involutions, random.Random(9)))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_catalog_does_not_depend_on_the_hash_seed():
     code = (
         "import hashlib, json\n"

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import time
 
 import pytest
@@ -32,6 +33,7 @@ from polydyn.algebra import (
     poly_compose,
 )
 from polydyn.comonoid import (
+    _comult_label,
     Cofunctor,
     Comonoid,
     FinCat,
@@ -615,6 +617,19 @@ def test_is_cat_isomorphism_rejects_bad_witness():
     bad = dict(good)
     bad["a|a"], bad["a|b"] = bad["a|b"], bad["a|a"]
     assert not is_cat_isomorphism(k, k, obj_map, bad)
+
+
+def test_is_cat_isomorphism_rejects_maps_that_are_not_bijections():
+    k = comonoid_to_category(contractible(FinSet(("a", "b"))))
+    objs = {"a": "a", "b": "b"}
+    mors = {m: m for m, _, _ in k.morphisms}
+    for obj_map in ({"a": "a"}, {**objs, "c": "a"}, {"a": "a", "b": "a"}, {"a": "a", "b": "c"}):
+        assert not is_cat_isomorphism(k, k, obj_map, mors)
+    first = k.morphisms[0][0]
+    partial = {m: v for m, v in mors.items() if m != first}
+    second = k.morphisms[1][0]
+    for mor_map in (partial, {**mors, "x": first}, {**mors, first: second}, {**mors, first: "x"}):
+        assert not is_cat_isomorphism(k, k, objs, mor_map)
 
 
 def test_cat_isomorphic_distinguishes_monoids():
@@ -1509,3 +1524,229 @@ def test_category_of_contractible_on_sixty_states_builds_fast():
     assert time.perf_counter() - t0 < 1.0
     assert len(k.morphisms) == 3600 and len(k._compose) == 216_000
     assert k.compose2(tag_label("s7", "s9"), tag_label("s3", "s7")) == tag_label("s3", "s9")
+
+
+# ---------------------------------------------------------------------------
+# The law walks as they were before they read curried tables: every lookup
+# builds a (g, f) or (d, e) key.  Kept verbatim, apart from the docstrings
+# and the verdict the library keeps on its argument, so that the reports of
+# the curried walks are pinned record for record, in order.
+
+
+def _tuple_keyed_check_category(k: FinCat) -> dict:
+    comp, cod_of, out, identity = k._compose, k.cod_of, k.out, k.identity
+    labels = k.morphism_labels()
+    violations = []
+    for m in labels:
+        left = comp[(identity[cod_of[m]], m)]
+        if left != m:
+            violations.append({"law": "left_identity", "morphism": m, "got": left})
+        right = comp[(m, identity[k.dom_of[m]])]
+        if right != m:
+            violations.append({"law": "right_identity", "morphism": m, "got": right})
+    for f in labels:
+        for g in out[cod_of[f]]:
+            gf = comp[(g, f)]
+            for h in out[cod_of[g]]:
+                left = comp[(h, gf)]
+                right = comp[(comp[(h, g)], f)]
+                if left != right:
+                    violations.append(
+                        {
+                            "law": "associativity",
+                            "triple": [h, g, f],
+                            "left": left,
+                            "right": right,
+                        }
+                    )
+    return {"ok": not violations, "violations": violations}
+
+
+def _tuple_keyed_law_report(c: Comonoid) -> dict:
+    carrier = c.carrier
+    # every key read below is a position: _check_tables guarantees that
+    # bases and codomains are
+    dirs = carrier._dirs
+    ident, base, cod, comp = c.identity, c.base, c.codomain, c.composite
+    violations = []
+
+    # Left counitality: the left unitor after (counit ∘̂ id) after comult
+    # must be the identity.  At position i with comult target (i1, phi) the
+    # composite sends i to phi(eps(i1)) and pulls e back to
+    # comult♯(eps(i1), e).
+    for i in carrier.position_labels:
+        s = ident[base[i]]
+        pos = cod[i][s]
+        if pos != i:
+            violations.append(
+                {"law": "left_counit", "position": i, "left": pos, "right": i}
+            )
+            continue
+        composite = comp[i]
+        for e in dirs[i].elements:
+            v = composite[(s, e)]
+            if v != e:
+                violations.append(
+                    {
+                        "law": "left_counit",
+                        "position": i,
+                        "direction": e,
+                        "left": v,
+                        "right": e,
+                    }
+                )
+
+    # Right counitality: the right unitor after (id ∘̂ counit) after comult.
+    # The composite sends i to i1 and pulls d back to comult♯(d, eps(phi(d))).
+    for i in carrier.position_labels:
+        i1 = base[i]
+        if i1 != i:
+            violations.append(
+                {"law": "right_counit", "position": i, "left": i1, "right": i}
+            )
+            continue
+        phi = cod[i]
+        composite = comp[i]
+        for d in dirs[i1].elements:
+            v = composite[(d, ident[phi[d]])]
+            if v != d:
+                violations.append(
+                    {
+                        "law": "right_counit",
+                        "position": i,
+                        "direction": d,
+                        "left": v,
+                        "right": d,
+                    }
+                )
+
+    # Coassociativity: the associator after (comult ∘̂ id) after comult must
+    # equal (id ∘̂ comult) after comult.  Both sides land in
+    # carrier∘(carrier∘carrier).  At i with comult target (i1, phi) and
+    # comult(i1) = (i2, psi), the left side's position is (i2, e ↦ (psi(e),
+    # g ↦ phi(comp_i1(e, g)))) and the right side's is (i1, d ↦
+    # comult(phi(d))); the labels are rendered only for a violation.
+    # Where base[i] is i, the check at i reads only the direction set, the
+    # codomain and the composite table at i (plus tables at the positions
+    # they lead to), so positions sharing those three objects pass or fail
+    # together: a set that passed once is not walked again.
+    passed = set()
+    for i in carrier.position_labels:
+        i1 = base[i]
+        phi = cod[i]
+        shared = (id(dirs[i]), id(phi), id(comp[i])) if i1 == i else None
+        if shared in passed:
+            continue
+        before = len(violations)
+        i2 = base[i1]
+        psi = cod[i1]
+        comp1 = comp[i1]
+        i1dirs = dirs[i1].elements
+        if i2 != i1 or any(
+            psi[e] != base[phi[e]]
+            or any(phi[comp1[(e, g)]] != cod[phi[e]][g] for g in dirs[psi[e]].elements)
+            for e in i1dirs
+        ):
+            chi = {}
+            for e in dirs[i2].elements:
+                j = psi[e]
+                jdirs = dirs[j].elements
+                inner = {g: phi[comp1[(e, g)]] for g in jdirs}
+                chi[e] = pair_label(j, fn_label(inner, jdirs))
+            table = {d: _comult_label(c, phi[d]) for d in i1dirs}
+            violations.append(
+                {
+                    "law": "coassociativity",
+                    "position": i,
+                    "left": pair_label(i2, fn_label(chi, dirs[i2].elements)),
+                    "right": pair_label(i1, fn_label(table, i1dirs)),
+                }
+            )
+            continue
+        composite = comp[i]
+        for d in i1dirs:
+            k = phi[d]
+            inner = comp[k]
+            for e in dirs[base[k]].elements:
+                for g in dirs[cod[k][e]].elements:
+                    lv = composite[(comp1[(d, e)], g)]
+                    rv = composite[(d, inner[(e, g)])]
+                    if lv != rv:
+                        violations.append(
+                            {
+                                "law": "coassociativity",
+                                "position": i,
+                                "direction": pair_label(d, pair_label(e, g)),
+                                "left": lv,
+                                "right": rv,
+                            }
+                        )
+        if shared is not None and len(violations) == before:
+            passed.add(shared)
+
+    return {"ok": not violations, "violations": violations}
+
+
+def _corrupted(k: FinCat, rng):
+    """k with one composition cell changed to another well-typed morphism,
+    as a FinCat and as a comonoid built through the public constructor,
+    with the identity at one object moved to another loop there, when k
+    has one, in about half of the cases; None if no cell has a choice."""
+    choices = []
+    for (g, f), gf in sorted(k._compose.items()):
+        typed = [h for h, d, c in k.morphisms if (d, c) == (k.dom_of[f], k.cod_of[g])]
+        if len(typed) > 1:
+            choices.append(((g, f), [h for h in typed if h != gf]))
+    if not choices:
+        return None
+    (g, f), hs = rng.choice(choices)
+    h = rng.choice(hs)
+    identity = dict(k.identity)
+    loops = [(d, m) for m, d, c in k.morphisms if c == d and m != identity[d]]
+    if loops and rng.random() < 0.5:
+        o, m = rng.choice(loops)
+        identity[o] = m
+    bad = FinCat(k.objects, k.morphisms, identity, {**k._compose, (g, f): h})
+    lawful = category_to_comonoid(k)
+    on_dir = {i: dict(t) for i, t in lawful.comult.on_dir.items()}
+    on_dir[k.dom_of[f]][pair_label(f, g)] = h
+    comult = Lens(lawful.carrier, lawful.comult.cod, dict(lawful.comult.on_pos), on_dir)
+    counit_dir = {o: {"*": m} for o, m in identity.items()}
+    counit = Lens(lawful.carrier, Y, dict(lawful.counit.on_pos), counit_dir)
+    return bad, Comonoid(lawful.carrier, counit, comult)
+
+
+def test_curried_law_walks_match_the_tuple_keyed_ones():
+    rng = random.Random(18)
+    cats = generate_categories(3, 6)
+    laws = set()
+    lawless = 0
+    for index in sorted(rng.sample(range(len(cats)), 400)):
+        got = _corrupted(cats[index], rng)
+        if got is None:
+            continue
+        k, c = got
+        report = check_category(k)
+        assert report == _tuple_keyed_check_category(k)
+        laws.update(v["law"] for v in report["violations"])
+        report = check_comonoid_laws(c)
+        assert report == _tuple_keyed_law_report(c)
+        laws.update(v["law"] for v in report["violations"])
+        lawless += not report["ok"]
+    assert lawless > 300
+    assert laws >= {
+        "left_identity", "right_identity", "associativity",
+        "left_counit", "right_counit", "coassociativity",
+    }
+    shared = list(_lawless_with_shared_tables())
+    for n in (1, 2, 5):
+        states = FinSet(tuple(f"s{j}" for j in range(n)))
+        shared += [contractible(states), discrete_comonoid(states)]
+    for c in shared:
+        assert check_comonoid_laws(c) == _tuple_keyed_law_report(c)
+        assert check_comonoid_laws(_unshared(c)) == _tuple_keyed_law_report(c)
+        if check_comonoid_laws(c)["ok"]:
+            k = comonoid_to_category(c)
+            assert check_category(k) == _tuple_keyed_check_category(k)
+    k = _golden_lawless_category()
+    assert check_category(k) == _tuple_keyed_check_category(k) == GOLDEN_CATEGORY_REPORT

@@ -993,6 +993,17 @@ def test_trace_validation():
         Trace((("s", "b", None),), "t")
 
 
+def test_trace_refuses_a_string_entry_instead_of_splitting_it():
+    # "abc" would otherwise read as state a, position b, direction c
+    with pytest.raises(TypeError, match="trace entry 0 is a str"):
+        Trace(["abc", ("s", "b", None)], "s")
+    with pytest.raises(TypeError, match="trace entry 1 is a str"):
+        Trace([("a", "b", "c"), "sb", ("s", "b", None)], "s")
+    t = Trace([["a", "b", "c"], ("s", "b", None)], "s")
+    assert t.steps == (("a", "b", "c"), ("s", "b", None))
+    assert t == Trace(iter([("a", "b", "c"), ("s", "b", None)]), "s")
+
+
 def test_trace_json_round_shape():
     t = run_moore(_toggle(), ["t"])
     assert trace_to_json(t) == {
