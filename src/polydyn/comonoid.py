@@ -549,9 +549,8 @@ class FinCat:
     The tables are read-only once built, as a Comonoid's are: a FinCat is
     hashable, check_category keeps the verdict of its last full walk so
     that category_to_comonoid need not walk the same tables again, and
-    _canonical_labels keeps the canonical form it computes.  A
-    multi-object category of the catalog carries that form from the
-    start; cat_isomorphic reads it where present and keeps nothing.
+    cat_isomorphic keeps the canonical form it computes (a multi-object
+    category of the catalog carries it from the start).
     """
 
     def __init__(
@@ -1065,7 +1064,7 @@ def is_cat_isomorphism(
     return True
 
 
-def _canonical_form(num_objects: int, dom, cod, comp, target=None) -> tuple | None:
+def _canonical_form(num_objects: int, dom, cod, comp) -> tuple:
     """Canonical key of a category on integer tables, and a labelling attaining it.
 
     Morphisms are 0..n-1, the identity of object i being morphism i; dom
@@ -1085,15 +1084,6 @@ def _canonical_form(num_objects: int, dom, cod, comp, target=None) -> tuple | No
     a branch that an automorphism found so far (two leaves with equal
     tables) maps to one already tried, as in McKay and Piperno's
     canonical labelling.
-
-    Given a target key, the same walk looks for that key instead of the
-    least one: it cuts every object order whose slots differ from the
-    target's, stops at the first leaf whose key equals the target, and
-    returns that leaf, or None when no leaf has the target key.  The
-    first leaf stands in for the least one, so automorphisms still prune
-    the search, which keeps a failed search on a very symmetric category
-    from visiting every labelling.  The target ... (Ellipsis) stands for
-    any key: the walk stops at its first leaf.
     """
     k = num_objects
     n = len(dom)
@@ -1120,13 +1110,12 @@ def _canonical_form(num_objects: int, dom, cod, comp, target=None) -> tuple | No
 
     by_profile = sorted(range(k), key=profile.__getitem__)
     cells = [list(c) for _, c in groupby(by_profile, key=profile.__getitem__)]
-    best = None  # the least leaf so far; in target mode, the first leaf
-    found = None  # in target mode, the leaf with the target key
+    best = None
     autos = []  # automorphisms found, each as old morphism -> old morphism
 
     def walk(order, pools, slots):
         # order: old morphisms placed so far; pools: candidates for the next positions
-        nonlocal best, found
+        nonlocal best
         while pools and len(pools[0]) == 1:
             order = order + pools[0]
             pools = pools[1:]
@@ -1137,8 +1126,6 @@ def _canonical_form(num_objects: int, dom, cod, comp, target=None) -> tuple | No
                 if c in skip:
                     continue
                 walk(order + [c], [[x for x in pool if x != c]] + pools[1:], slots)
-                if found is not None:
-                    return
                 fixing = [g for g in autos if all(g[x] == x for x in order)]
                 orbit, grown = set(), {c}
                 while grown != orbit:
@@ -1151,11 +1138,7 @@ def _canonical_form(num_objects: int, dom, cod, comp, target=None) -> tuple | No
                 new_obj[o] = j
             tagged = sorted([(new_obj[dom[m]], new_obj[cod[m]], colour[m], m) for m in extras])
             slots = tuple((d, c) for d, c, _, _ in tagged)
-            if target is None:
-                wanted = best is None or slots <= best[0][0]
-            else:
-                wanted = target is ... or slots == target[0]
-            if wanted:
+            if best is None or slots <= best[0][0]:
                 groups = groupby(tagged, key=lambda t: t[:3])
                 walk(order, [[t[3] for t in g] for _, g in groups], slots)
             return
@@ -1164,9 +1147,7 @@ def _canonical_form(num_objects: int, dom, cod, comp, target=None) -> tuple | No
             new[m] = j
         rows = map(comp.__getitem__, order)
         key = (slots, tuple([new[row[b]] for row in rows for b in order]))
-        if target is not None and (target is ... or key == target):
-            found = (key, order)
-        elif best is None or (target is None and key < best[0]):
+        if best is None or key < best[0]:
             best = (key, order)
         elif key == best[0]:
             gamma = [0] * n
@@ -1175,64 +1156,49 @@ def _canonical_form(num_objects: int, dom, cod, comp, target=None) -> tuple | No
             autos.append(gamma)
 
     walk([], cells, None)
-    if target is not None:
-        best = found
-    if best is None:
-        return None
     return best[0], (best[1][:k], best[1])
 
 
-def _canonical_labels(k: FinCat, target=None) -> tuple | None:
-    """_canonical_form on k's tables, its labelling read back as k's labels.
-
-    Returns k's canonical key and tuples of its objects and morphisms in
-    canonical order, kept on k, whose tables are read-only.  Given a
-    target, returns instead the first labelling the target mode of
-    _canonical_form finds, in the same form and not kept, or None.
-    """
-    if target is None and k._canonical is not None:
-        return k._canonical
-    objects = k.objects.elements
-    labels = [k.identity[o] for o in objects]
-    identities = set(labels)
-    labels += [m for m, _, _ in k.morphisms if m not in identities]
-    obj_index = {o: i for i, o in enumerate(objects)}
-    index = {m: i for i, m in enumerate(labels)}
-    n = len(labels)
-    comp = [[-1] * n for _ in range(n)]
-    for (g, f), h in k._compose.items():
-        comp[index[g]][index[f]] = index[h]
-    dom = [obj_index[k.dom_of[m]] for m in labels]
-    cod = [obj_index[k.cod_of[m]] for m in labels]
-    found = _canonical_form(len(objects), dom, cod, comp, target)
-    if found is None:
-        return None
-    key, (objs, mors) = found
-    found = (key, tuple([objects[o] for o in objs]), tuple([labels[m] for m in mors]))
-    if target is None:
-        k._canonical = found
-    return found
+def _canonical_labels(k: FinCat) -> tuple:
+    """k's canonical key and tuples of its objects and morphisms in
+    canonical order, from _canonical_form; kept on k, whose tables are
+    read-only."""
+    if k._canonical is None:
+        objects = k.objects.elements
+        labels = [k.identity[o] for o in objects]
+        identities = set(labels)
+        labels += [m for m, _, _ in k.morphisms if m not in identities]
+        obj_index = {o: i for i, o in enumerate(objects)}
+        index = {m: i for i, m in enumerate(labels)}
+        n = len(labels)
+        comp = [[-1] * n for _ in range(n)]
+        for (g, f), h in k._compose.items():
+            comp[index[g]][index[f]] = index[h]
+        dom = [obj_index[k.dom_of[m]] for m in labels]
+        cod = [obj_index[k.cod_of[m]] for m in labels]
+        key, (objs, mors) = _canonical_form(len(objects), dom, cod, comp)
+        k._canonical = (
+            key,
+            tuple([objects[o] for o in objs]),
+            tuple([labels[m] for m in mors]),
+        )
+    return k._canonical
 
 
 def cat_isomorphic(k1: FinCat, k2: FinCat) -> bool:
     """Whether two finite categories are isomorphic; intended for small ones.
 
-    The target is k1's canonical key where k1 carries one (the catalog's
-    multi-object categories do), and otherwise the key of k1's first
-    colour-sorted labelling; no least key is searched for on either side.
-    The target mode of _canonical_form then walks k2's colour-sorted
-    labellings for one with that key.  An isomorphism carries k1's
-    labelling to one of k2's, with the same key, so the search is
-    complete; the two labellings compose to the isomorphism, which is
+    Both categories are put in canonical form (_canonical_form, by which
+    the catalog labels its classes too).  Equal keys mean isomorphic; the two
+    labellings that attain the key compose to an isomorphism, which is
     confirmed with is_cat_isomorphism.
     """
     if len(k1.objects) != len(k2.objects) or len(k1.morphisms) != len(k2.morphisms):
         return False
-    key, objs1, mors1 = k1._canonical or _canonical_labels(k1, ...)
-    # two carried canonical keys decide without a search
-    found = k2._canonical if k1._canonical and k2._canonical else _canonical_labels(k2, key)
-    return found is not None and found[0] == key and is_cat_isomorphism(
-        k1, k2, dict(zip(objs1, found[1])), dict(zip(mors1, found[2]))
+    key1, objs1, mors1 = _canonical_labels(k1)
+    key2, objs2, mors2 = _canonical_labels(k2)
+    return key1 == key2 and is_cat_isomorphism(
+        k1, k2, dict(zip(objs1, objs2)), dict(zip(mors1, mors2))
     )
 
 

@@ -477,7 +477,7 @@ def _colours(k):
     return sorted(colours)
 
 
-def test_targeted_isomorphism_search_is_exhaustive():
+def test_isomorphism_search_is_exhaustive():
     rng = random.Random(2005)
     cats = generate_categories(3, 6)
     # every category is found again under fresh labels and a random order
@@ -501,7 +501,7 @@ def test_targeted_isomorphism_search_is_exhaustive():
     brute_forced = 0
     for a, b in pairs:
         # the catalog lists each class once; a shuffled copy carries no
-        # canonical key, so each call searches
+        # canonical key, so each call searches for one
         assert not cat_isomorphic(a, _shuffled(b, rng))
         assert not cat_isomorphic(_shuffled(a, rng), b)
         if len(a.morphisms) <= 5:
@@ -513,7 +513,7 @@ def test_targeted_isomorphism_search_is_exhaustive():
 def test_failed_search_on_a_symmetric_category_is_fast():
     # n objects, each with one loop: an involution on one side, an
     # idempotent on the other.  Every object order has the same slots, so
-    # only the automorphisms found keep the failed search from trying n!
+    # only the automorphisms found keep each search from trying n! orders
     n = 9
     objects = FinSet(tuple(f"x{i}" for i in range(n)))
 
