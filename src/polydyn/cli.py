@@ -6,9 +6,9 @@
 run feeds a system with an open interface the whitespace-separated
 inputs read from stdin (run_open), and runs a closed system, interface
 y, for N steps (run_closed).  With --json the trace is printed as one
-JSON document (trace_to_json) instead of CSV.  Syntax errors,
-violations and run errors go to stderr with exit status 1.  The package
-does not import this module.
+JSON document (trace_to_json) instead of CSV.  A file that cannot be
+read or is not UTF-8, syntax errors, violations and run errors go to
+stderr with exit status 1.  The package does not import this module.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         spec = parse(args.file.read_text(encoding="utf-8"))
-    except (OSError, WiringSyntaxError) as exc:
+    except (OSError, UnicodeDecodeError, WiringSyntaxError) as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 1
     violations = validate(spec)["violations"]

@@ -37,6 +37,8 @@ from .core import (
     ONE,
     SetFn,
     Y,
+    _json_node,
+    _json_nodes,
     fn_label,
     lens_compose,
     lens_from_json,
@@ -548,9 +550,10 @@ class FinCat:
 
     The tables are read-only once built, as a Comonoid's are: a FinCat is
     hashable, check_category keeps the verdict of its last full walk so
-    that category_to_comonoid need not walk the same tables again, and
-    cat_isomorphic keeps the canonical form it computes (a multi-object
-    category of the catalog carries it from the start).
+    that category_to_comonoid need not walk the same tables again, and a
+    canonical form, once computed, is kept (a multi-object category of
+    the catalog carries it from the start).  cat_isomorphic computes one
+    only when its direct search finds no isomorphism.
     """
 
     def __init__(
@@ -1185,16 +1188,109 @@ def _canonical_labels(k: FinCat) -> tuple:
     return k._canonical
 
 
+def _direct_isomorphism(k1: FinCat, k2: FinCat):
+    """An isomorphism k1 → k2 as maps (objects, morphisms), found by a
+    bounded backtracking search, or None when the search finds none.
+
+    k1's non-identity morphisms are placed in order, each onto an unused
+    non-identity morphism of k2 whose endpoints agree with the object map
+    built so far, and each composite of two of them is checked as soon as
+    it and both factors are placed, as in VF2 (Cordella et al. 2004).  The
+    search gives up after 10·n² candidates (n morphisms), so None does not
+    mean the two are not isomorphic; that covers the whole search when n
+    is at most six, as in the catalog.
+    """
+    ids1, ids2 = k1.identity, k2.identity
+    skip1, skip2 = set(ids1.values()), set(ids2.values())
+    order = [m for m, _, _ in k1.morphisms if m not in skip1]
+    pool = [m for m, _, _ in k2.morphisms if m not in skip2]
+    position = {m: i for i, m in enumerate(order)}
+    due = [[] for _ in order]  # composites checked once order[i] is placed
+    for (g, f), h in k1._compose.items():
+        if g in position and f in position:
+            due[max(position[g], position[f], position.get(h, -1))].append((g, f, h))
+    dom1, cod1, dom2, cod2, comp2 = k1.dom_of, k1.cod_of, k2.dom_of, k2.cod_of, k2._compose
+    obj, mor, taken_obj, taken_mor = {}, {}, set(), set()
+    budget = 10 * len(k1.morphisms) ** 2
+    start = [0] * len(order)  # next candidate in pool at each position
+    fresh = [[] for _ in order]  # objects first mapped at each position
+    i = 0
+    while i < len(order):
+        m = order[i]
+        if m in mor:  # back from position i + 1: take the last choice back
+            taken_mor.discard(mor.pop(m))
+            for x in fresh[i]:
+                taken_obj.discard(obj.pop(x))
+        d, c = dom1[m], cod1[m]
+        new = fresh[i] = []
+        j = start[i]
+        while j < len(pool):
+            m2 = pool[j]
+            j += 1
+            if m2 in taken_mor:
+                continue
+            budget -= 1
+            if budget < 0:
+                return None
+            for x, x2 in ((d, dom2[m2]), (c, cod2[m2])):
+                y = obj.get(x)
+                if y is None:
+                    if x2 in taken_obj:
+                        break
+                    obj[x] = x2
+                    taken_obj.add(x2)
+                    new.append(x)
+                elif y != x2:
+                    break
+            else:
+                mor[m] = m2
+                for g, f, h in due[i]:
+                    h2 = mor[h] if h in position else ids2[obj[dom1[h]]]
+                    if comp2[mor[g], mor[f]] != h2:
+                        break
+                else:
+                    taken_mor.add(m2)
+                    break  # placed: on to position i + 1
+                del mor[m]
+            for x in new:
+                taken_obj.discard(obj.pop(x))
+            new.clear()
+        else:  # no candidate left: back to position i - 1
+            start[i] = 0
+            i -= 1
+            if i < 0:
+                return None
+            continue
+        start[i] = j
+        i += 1
+    # objects with no other morphism pair up in order
+    rest = iter([o for o in k2.objects.elements if o not in taken_obj])
+    for o in k1.objects.elements:
+        if o not in obj:
+            obj[o] = next(rest)
+    for o, e in ids1.items():
+        mor[e] = ids2[obj[o]]
+    return obj, mor
+
+
 def cat_isomorphic(k1: FinCat, k2: FinCat) -> bool:
     """Whether two finite categories are isomorphic; intended for small ones.
 
-    Both categories are put in canonical form (_canonical_form, by which
-    the catalog labels its classes too).  Equal keys mean isomorphic; the two
-    labellings that attain the key compose to an isomorphism, which is
-    confirmed with is_cat_isomorphism.
+    Unless both categories carry a canonical form, a bounded direct
+    search (_direct_isomorphism) looks for an isomorphism first; a map it
+    finds is confirmed with is_cat_isomorphism, and nothing is kept on
+    either category.  Otherwise both are put in canonical form
+    (_canonical_form, by which the catalog labels its classes too), kept
+    on each: equal keys mean isomorphic, and the two labellings that
+    attain the key compose to an isomorphism, again confirmed.  So every
+    False comes from the canonical keys.
     """
     if len(k1.objects) != len(k2.objects) or len(k1.morphisms) != len(k2.morphisms):
         return False
+    if k1._canonical is None or k2._canonical is None:
+        found = _direct_isomorphism(k1, k2)
+        if found is not None and is_cat_isomorphism(k1, k2, *found):
+            return True
     key1, objs1, mors1 = _canonical_labels(k1)
     key2, objs2, mors2 = _canonical_labels(k2)
     return key1 == key2 and is_cat_isomorphism(
@@ -1310,10 +1406,17 @@ def fincat_to_json(k: FinCat) -> dict:
 
 def fincat_from_json(data: dict) -> FinCat:
     try:
+        data = _json_node(data, "category")
         objects = FinSet(data["objects"])
-        morphisms = [(m["label"], m["dom"], m["cod"]) for m in data["morphisms"]]
-        identity = data["identity"]
-        compose = {(e["after"], e["first"]): e["result"] for e in data["compose"]}
+        morphisms = [
+            (m["label"], m["dom"], m["cod"])
+            for m in _json_nodes(data["morphisms"], "category")
+        ]
+        identity = _json_node(data["identity"], "category")
+        compose = {
+            (e["after"], e["first"]): e["result"]
+            for e in _json_nodes(data["compose"], "category")
+        }
     except KeyError as exc:
         raise ValueError(f"missing key in category JSON: {exc}") from exc
     return FinCat(objects, morphisms, identity, compose)
@@ -1329,6 +1432,7 @@ def comonoid_to_json(c: Comonoid) -> dict:
 
 def comonoid_from_json(data: dict) -> Comonoid:
     try:
+        data = _json_node(data, "comonoid")
         return Comonoid(
             poly_from_json(data["carrier"]),
             lens_from_json(data["counit"]),

@@ -814,12 +814,31 @@ def coequalizer_set(f: SetFn, g: SetFn) -> tuple[FinSet, SetFn]:
 # JSON serialization.
 
 
+def _json_node(node, kind: str):
+    """node when it is a JSON object; otherwise a ValueError naming the
+    JSON kind, as for a missing key."""
+    if not isinstance(node, Mapping):
+        raise ValueError(f"expected an object in {kind} JSON, got {type(node).__name__}")
+    return node
+
+
+def _json_nodes(node, kind: str):
+    """node when it is a JSON array of objects; otherwise a ValueError
+    naming the JSON kind."""
+    if not isinstance(node, (list, tuple)):
+        raise ValueError(f"expected an array in {kind} JSON, got {type(node).__name__}")
+    for entry in node:
+        _json_node(entry, kind)
+    return node
+
+
 def finset_to_json(a: FinSet) -> dict:
     return {"label": a.label, "elements": list(a.elements)}
 
 
 def finset_from_json(data: dict) -> FinSet:
     try:
+        data = _json_node(data, "finite set")
         elements = data["elements"]
     except KeyError as exc:
         raise ValueError(f"missing key in finite set JSON: {exc}") from exc
@@ -836,7 +855,9 @@ def setfn_to_json(f: SetFn) -> dict:
 
 def setfn_from_json(data: dict) -> SetFn:
     try:
+        data = _json_node(data, "function")
         dom, cod, mapping = data["dom"], data["cod"], data["mapping"]
+        _json_node(mapping, "function")
     except KeyError as exc:
         raise ValueError(f"missing key in function JSON: {exc}") from exc
     return SetFn(finset_from_json(dom), finset_from_json(cod), mapping)
@@ -852,7 +873,11 @@ def poly_to_json(p: FinPoly) -> dict:
 
 def poly_from_json(data: dict) -> FinPoly:
     try:
-        positions = [(entry["label"], entry["dirs"]) for entry in data["positions"]]
+        data = _json_node(data, "polynomial")
+        positions = [
+            (entry["label"], entry["dirs"])
+            for entry in _json_nodes(data["positions"], "polynomial")
+        ]
     except KeyError as exc:
         raise ValueError(f"missing key in polynomial JSON: {exc}") from exc
     return make_poly(positions)
@@ -869,7 +894,11 @@ def lens_to_json(f: Lens) -> dict:
 
 def lens_from_json(data: dict) -> Lens:
     try:
+        data = _json_node(data, "lens")
         dom, cod, on_pos, on_dir = data["dom"], data["cod"], data["onPos"], data["onDir"]
+        _json_node(on_pos, "lens")
+        for comp in _json_node(on_dir, "lens").values():
+            _json_node(comp, "lens")
     except KeyError as exc:
         raise ValueError(f"missing key in lens JSON: {exc}") from exc
     return Lens(poly_from_json(dom), poly_from_json(cod), on_pos, on_dir)

@@ -459,6 +459,17 @@ def test_cat_isomorphic_is_fast_on_categories_with_many_automorphisms():
         assert time.perf_counter() - start < 2.0
 
 
+def test_direct_search_places_more_morphisms_than_the_recursion_limit():
+    # 33·32 = 1056 non-identity morphisms, one per position of the search;
+    # the canonical forms would take minutes here
+    rng = random.Random(33)
+    k = comonoid_to_category(contractible(FinSet(tuple(f"s{i}" for i in range(33)))))
+    assert len(k.morphisms) - 33 > sys.getrecursionlimit()
+    start = time.perf_counter()
+    assert cat_isomorphic(k, _shuffled(k, rng))
+    assert time.perf_counter() - start < 5.0
+
+
 def _colours(k):
     """The sorted colours of k's non-identity morphisms, as the canonical
     search sees them: whether it is a loop, the index and period of its
@@ -533,6 +544,83 @@ def test_failed_search_on_a_symmetric_category_is_fast():
     assert not cat_isomorphic(idempotents, involutions)
     assert cat_isomorphic(involutions, _shuffled(involutions, random.Random(9)))
     assert time.perf_counter() - start < 1.0
+
+
+def _loop_category(n, involutions):
+    """n objects x0..x(n-1), each with one loop a_i besides its identity
+    e_i; a_i squares to e_i when i is in involutions, to itself otherwise."""
+    morphisms, identity, compose = [], {}, {}
+    for i in range(n):
+        x, e, a = f"x{i}", f"e{i}", f"a{i}"
+        morphisms += [(e, x, x), (a, x, x)]
+        identity[x] = e
+        compose.update({(e, e): e, (e, a): a, (a, e): a, (a, a): e if i in involutions else a})
+    return FinCat(FinSet(tuple(f"x{i}" for i in range(n))), morphisms, identity, compose)
+
+
+def test_direct_search_gives_up_fast_on_one_involution_among_idempotents():
+    # the involution's loop comes last in `one`, so a direct search from
+    # `one` as built places its eight idempotents in 9!/1 ways before it
+    # meets it, and one from the all-idempotent side has nowhere to put
+    # its ninth loop; only the search's bound keeps either from trying
+    # them all
+    n = 9
+    rng = random.Random(19)
+    one = _loop_category(n, {n - 1})
+    idempotents = _loop_category(n, set())
+    for a, b in ((one, idempotents), (idempotents, one)):
+        for pair in ((a, _shuffled(b, rng)), (_shuffled(a, rng), b)):
+            start = time.perf_counter()
+            assert not cat_isomorphic(*pair)
+            assert time.perf_counter() - start < 1.0
+
+
+def test_a_match_the_bounded_search_gives_up_on_is_found_by_canonical_keys():
+    # nine idempotent loops and one arrow x8 -> x7: the loops are placed
+    # first, and only the arrow tells the objects apart, so under this
+    # shuffle a direct search tries about 2·10⁵ candidates before the
+    # arrow fits; the bound stops it, and the kept canonical keys decide
+    loops = _loop_category(9, set())
+    k = FinCat(
+        loops.objects,
+        [*loops.morphisms, ("u", "x8", "x7")],
+        loops.identity,
+        {**loops._compose, ("u", "e8"): "u", ("u", "a8"): "u", ("e7", "u"): "u", ("a7", "u"): "u"},
+    )
+    k2 = _shuffled(k, random.Random(1))
+    start = time.perf_counter()
+    assert cat_isomorphic(k, k2)
+    assert time.perf_counter() - start < 1.0
+    assert k._canonical is not None and k2._canonical is not None
+
+
+def test_cat_isomorphic_agrees_with_canonical_keys_cold_and_warm():
+    # each category against a shuffled copy, the copy's comonoid round trip
+    # and shuffled copies of the next category of its size, in both argument
+    # orders: first while the copies carry no key, then again once every
+    # side carries one
+    rng = random.Random(1919)
+    cats = generate_categories(3, 6)
+    positives = negatives = 0
+    for k, after in zip(cats, [*cats[1:], None]):
+        before = k._canonical
+        a = _shuffled(k, rng)
+        b = comonoid_to_category(category_to_comonoid(a))
+        pairs = [(a, b), (b, a), (k, a), (a, k), (k, b), (b, k)]
+        cold = [cat_isomorphic(x, y) for x, y in pairs]
+        # a match found directly keeps nothing on either side
+        assert k._canonical is before and a._canonical is b._canonical is None
+        size = (len(k.objects), len(k.morphisms))
+        if after is not None and (len(after.objects), len(after.morphisms)) == size:
+            pairs += [(a, _shuffled(after, rng)), (_shuffled(after, rng), b)]
+            cold += [cat_isomorphic(x, y) for x, y in pairs[6:]]
+        want = [_canonical_labels(x)[0] == _canonical_labels(y)[0] for x, y in pairs]
+        warm = [cat_isomorphic(x, y) for x, y in pairs]
+        assert cold == want == warm
+        positives += sum(want)
+        negatives += len(want) - sum(want)
+    assert positives == 6 * len(cats)
+    assert negatives == 2 * (len(cats) - len({(len(k.objects), len(k.morphisms)) for k in cats}))
 
 
 def test_catalog_does_not_depend_on_the_hash_seed():

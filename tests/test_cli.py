@@ -72,6 +72,27 @@ def test_syntax_errors_go_to_stderr(tmp_path, capsys):
     assert captured.err.count("line 1") == 2
 
 
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_a_file_that_is_not_utf8_is_reported_on_stderr(command, tmp_path, capsys):
+    path = tmp_path / "latin1.wd"
+    path.write_bytes("set A = {caf\u00e9}\n".encode("latin-1"))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{path}: ")
+    assert "utf-8" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_a_missing_file_is_reported_on_stderr(command, tmp_path, capsys):
+    path = tmp_path / "absent.wd"
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{path}: ")
+    assert "No such file" in captured.err and captured.err.count("\n") == 1
+
+
 def test_run_feeds_stdin_to_an_open_system(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("a1 a0\n a1\n"))
     assert main(["run", str(DEMOS / "control.wd")]) == 0

@@ -957,6 +957,23 @@ def test_comonoid_json_round_trip():
         comonoid_from_json({"carrier": {"positions": []}})
 
 
+@pytest.mark.parametrize(
+    "load, data, kind",
+    [
+        (comonoid_from_json, [], "comonoid"),
+        (comonoid_from_json, {"carrier": 1}, "polynomial"),
+        (fincat_from_json, [], "category"),
+        (fincat_from_json, {"objects": ["a"], "morphisms": [3], "identity": {}, "compose": []}, "category"),
+        (fincat_from_json, {"objects": [], "morphisms": {}, "identity": {}, "compose": []}, "category"),
+        (fincat_from_json, {"objects": [], "morphisms": [], "identity": [], "compose": []}, "category"),
+        (fincat_from_json, {"objects": [], "morphisms": [], "identity": {}, "compose": [[]]}, "category"),
+    ],
+)
+def test_json_loaders_name_a_node_of_the_wrong_type(load, data, kind):
+    with pytest.raises(ValueError, match=f"expected an (object|array) in {kind} JSON"):
+        load(data)
+
+
 def test_comonoid_shape_validation():
     c2 = contractible(FinSet(("a", "b")))
     d2 = discrete_comonoid(FinSet(("a", "b")))

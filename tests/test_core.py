@@ -830,6 +830,30 @@ def test_setfn_from_json_names_a_missing_key():
         setfn_from_json({"dom": a, "cod": a})
 
 
+@pytest.mark.parametrize(
+    "load, data, kind",
+    [
+        (finset_from_json, [], "finite set"),
+        (setfn_from_json, "x", "function"),
+        (setfn_from_json, {"dom": {"elements": []}, "cod": {"elements": []}, "mapping": []}, "function"),
+        (poly_from_json, [], "polynomial"),
+        (poly_from_json, {"positions": {"a": []}}, "polynomial"),
+        (poly_from_json, {"positions": [["a", []]]}, "polynomial"),
+        (lens_from_json, None, "lens"),
+        (lens_from_json, {"dom": {"positions": []}, "cod": {"positions": []}, "onPos": [], "onDir": {}}, "lens"),
+        (lens_from_json, {"dom": {"positions": []}, "cod": {"positions": []}, "onPos": {}, "onDir": {"a": []}}, "lens"),
+    ],
+)
+def test_json_loaders_name_a_node_of_the_wrong_type(load, data, kind):
+    with pytest.raises(ValueError, match=f"expected an (object|array) in {kind} JSON"):
+        load(data)
+
+
+def test_json_loaders_keep_label_type_errors():
+    with pytest.raises(TypeError, match="position labels must be strings"):
+        poly_from_json({"positions": [{"label": 3, "dirs": []}]})
+
+
 def test_internal_fast_path_lenses_revalidate():
     # lens_id, lens_compose, and the hom enumerator skip constructor checks
     # for speed; their outputs must still satisfy every lens invariant.
