@@ -131,7 +131,9 @@ class _Ordered:
         a, b = self.poly, other.poly
         return a is b or (
             a.position_labels == b.position_labels
-            and all(x.elements == y.elements for (_, x), (_, y) in zip(a.positions, b.positions))
+            and all(
+                x.elements == y.elements for x, y in zip(a._dirs.values(), b._dirs.values())
+            )
         )
 
 
@@ -158,11 +160,9 @@ def sum_many(items: Sequence[tuple[str, FinPoly]]) -> FinPoly:
     keys = [k for k, _ in items]
     if len(set(keys)) != len(keys):
         raise ValueError(f"duplicate summand keys {keys!r}")
-    positions = []
-    for key, p in items:
-        for i, dirs in p.positions:
-            positions.append((tag_label(key, i), dirs))
-    return FinPoly(positions)
+    return FinPoly(
+        (tag_label(key, i), dirs) for key, p in items for i, dirs in p._dirs.items()
+    )
 
 
 @_ordered_cache
@@ -200,17 +200,18 @@ def product_many(items: Sequence[tuple[str, FinPoly]]) -> FinPoly:
         "product_many",
         _product_size(
             [p.num_positions() for _, p in items],
-            [sum(len(dirs) for _, dirs in p.positions) for _, p in items],
+            [sum(map(len, p._dirs.values())) for _, p in items],
         ),
     )
-    positions = []
-    for combo in itertools.product(*[p.positions for _, p in items]):
-        label = pair_label(*[i for i, _ in combo])
-        dirs = []
-        for (key, _), (_, dset) in zip(items, combo):
-            dirs.extend(tag_label(key, d) for d in dset.elements)
-        positions.append((label, FinSet(dirs)))
-    return FinPoly(positions)
+    return FinPoly(
+        (
+            pair_label(*[i for i, _ in combo]),
+            FinSet(
+                tag_label(key, d) for key, (_, dset) in zip(keys, combo) for d in dset.elements
+            ),
+        )
+        for combo in itertools.product(*[p._dirs.items() for _, p in items])
+    )
 
 
 @_ordered_cache
@@ -228,17 +229,18 @@ def tensor_many(polys: Sequence[FinPoly]) -> FinPoly:
     _check_size(
         "tensor_many",
         math.prod(p.num_positions() for p in polys)
-        + math.prod(sum(len(dirs) for _, dirs in p.positions) for p in polys),
+        + math.prod(sum(map(len, p._dirs.values())) for p in polys),
     )
-    positions = []
-    for combo in itertools.product(*[p.positions for p in polys]):
-        label = pair_label(*[i for i, _ in combo])
-        dirs = [
-            pair_label(*d)
-            for d in itertools.product(*[dset.elements for _, dset in combo])
-        ]
-        positions.append((label, FinSet(dirs)))
-    return FinPoly(positions)
+    return FinPoly(
+        (
+            pair_label(*[i for i, _ in combo]),
+            FinSet(
+                pair_label(*d)
+                for d in itertools.product(*[dset.elements for _, dset in combo])
+            ),
+        )
+        for combo in itertools.product(*[p._dirs.items() for p in polys])
+    )
 
 
 @_ordered_cache
@@ -248,7 +250,7 @@ def poly_tensor(p: FinPoly, q: FinPoly) -> FinPoly:
 
 def _compose_positions(p: FinPoly, n: int) -> int:
     """|(p∘q)(1)| = Σ_i n^|p_i| for a q with n positions."""
-    return sum(n ** len(dirs) for _, dirs in p.positions)
+    return sum(n ** len(dirs) for dirs in p._dirs.values())
 
 
 def _compose_direction_labels(p: FinPoly, n: int, dir_total: int) -> int:
@@ -260,7 +262,7 @@ def _compose_direction_labels(p: FinPoly, n: int, dir_total: int) -> int:
     Σ_i |p_i| · n^(|p_i|-1) · dir_total.
     """
     return sum(
-        len(dirs) * n ** (len(dirs) - 1) * dir_total for _, dirs in p.positions if dirs
+        len(dirs) * n ** (len(dirs) - 1) * dir_total for dirs in p._dirs.values() if dirs
     )
 
 
@@ -282,20 +284,22 @@ def _poly_compose(p: FinPoly, q: FinPoly) -> FinPoly:
     kinds: dict[tuple, int] = {}
     qkind = {v: kinds.setdefault(q.directions(v).elements, len(kinds)) for v in qlabels}
     qdirs = {v: q.directions(v).elements for v in qlabels}
-    positions = []
-    for i, dirs in p.positions:
-        ds = dirs.elements
-        shared: dict[tuple, FinSet] = {}
-        tables = itertools.product(qlabels, repeat=len(ds))
-        for label, values in zip(_table_labels(i, ds, qlabels), tables):
-            profile = tuple(map(qkind.__getitem__, values))
-            dset = shared.get(profile)
-            if dset is None:
-                dset = shared[profile] = FinSet(
-                    tuple(pair_label(d, e) for d, v in zip(ds, values) for e in qdirs[v])
-                )
-            positions.append((label, dset))
-    return FinPoly(positions)
+
+    def positions():
+        for i, dirs in p._dirs.items():
+            ds = dirs.elements
+            shared: dict[tuple, FinSet] = {}
+            tables = itertools.product(qlabels, repeat=len(ds))
+            for label, values in zip(_table_labels(i, ds, qlabels), tables):
+                profile = tuple(map(qkind.__getitem__, values))
+                dset = shared.get(profile)
+                if dset is None:
+                    dset = shared[profile] = FinSet(
+                        tuple(pair_label(d, e) for d, v in zip(ds, values) for e in qdirs[v])
+                    )
+                yield label, dset
+
+    return FinPoly(positions())
 
 
 def compose_power(p: FinPoly, n: int) -> FinPoly:
@@ -985,7 +989,7 @@ def limit(diagram: Diagram) -> tuple[FinPoly, dict[str, Lens]]:
     """
     names = sorted(diagram.objects)
     pools = [diagram.objects[u].position_labels for u in names]
-    positions = []
+    apex_dirs: dict[str, FinSet] = {}
     legs_pos: dict[str, dict[str, str]] = {u: {} for u in names}
     legs_dir: dict[str, dict[str, dict[str, str]]] = {u: {} for u in names}
     for combo in itertools.product(*pools):
@@ -1016,14 +1020,14 @@ def limit(diagram: Diagram) -> tuple[FinPoly, dict[str, Lens]]:
         quot, cls = coequalizer_set(
             SetFn(rel_set, total, f_map), SetFn(rel_set, total, g_map)
         )
-        positions.append((apex_pos, quot))
+        apex_dirs[apex_pos] = quot
         for u in names:
             legs_pos[u][apex_pos] = tup[u]
             legs_dir[u][apex_pos] = {
                 d: cls.mapping[tag_label(u, d)]
                 for d in diagram.objects[u].directions(tup[u]).elements
             }
-    apex = FinPoly(positions)
+    apex = FinPoly(apex_dirs.items())
     cone = {
         u: Lens(apex, diagram.objects[u], legs_pos[u], legs_dir[u]) for u in names
     }
@@ -1091,7 +1095,7 @@ def factor_epi_mono(f: Lens) -> tuple[Lens, Lens]:
     fibers: dict[str, list[str]] = {}
     for i in f.dom.position_labels:
         fibers.setdefault(f.on_pos[i], []).append(i)
-    image_positions = []
+    image_dirs: dict[str, FinSet] = {}
     quot_map: dict[str, dict[str, str]] = {}
     for j in f.cod.position_labels:
         if j not in fibers:
@@ -1105,8 +1109,8 @@ def factor_epi_mono(f: Lens) -> tuple[Lens, Lens]:
                 rep_of[sig] = d
             cls[d] = rep_of[sig]
         quot_map[j] = cls
-        image_positions.append((j, FinSet(dict.fromkeys(cls.values()))))
-    middle = FinPoly(image_positions)
+        image_dirs[j] = FinSet(dict.fromkeys(cls.values()))
+    middle = FinPoly(image_dirs.items())
     epi = Lens(
         f.dom,
         middle,
@@ -1122,8 +1126,8 @@ def factor_epi_mono(f: Lens) -> tuple[Lens, Lens]:
     mono = Lens(
         middle,
         f.cod,
-        {j: j for j, _ in image_positions},
-        {j: dict(quot_map[j]) for j, _ in image_positions},
+        {j: j for j in image_dirs},
+        {j: dict(quot_map[j]) for j in image_dirs},
     )
     return epi, mono
 
@@ -1152,20 +1156,15 @@ def base_pushforward(f: SetFn, p: FinPoly, kind: str) -> FinPoly:
     fibers: dict[str, list[str]] = {b: [] for b in f.cod.elements}
     for a in f.dom.elements:
         fibers[f.mapping[a]].append(a)
-    positions = []
-    for b in f.cod.elements:
+
+    def directions_over(b: str) -> FinSet:
         fiber = fibers[b]
         if kind == "left":
             pools = [[(a, d) for d in p.directions(a).elements] for a in fiber]
-            elems = [
-                fn_label(dict(combo), fiber) for combo in itertools.product(*pools)
-            ]
-        else:
-            elems = [
-                tag_label(a, d) for a in fiber for d in p.directions(a).elements
-            ]
-        positions.append((b, FinSet(elems)))
-    return FinPoly(positions)
+            return FinSet(fn_label(dict(combo), fiber) for combo in itertools.product(*pools))
+        return FinSet(tag_label(a, d) for a in fiber for d in p.directions(a).elements)
+
+    return FinPoly((b, directions_over(b)) for b in f.cod.elements)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .core import (
     ONE,
     SetFn,
     Y,
+    _json_array,
     _json_node,
     _json_nodes,
     fn_label,
@@ -297,16 +298,16 @@ def _is_self_composite(carrier: FinPoly, q: FinPoly) -> bool:
     positions must be distinct and as many as carrier∘carrier has.
     """
     n = carrier.num_positions()
-    if q.num_positions() != sum(n ** len(dirs) for _, dirs in carrier.positions):
+    if q.num_positions() != _compose_positions(carrier, n):
         return False
     positions = carrier._dirs
     # positions with equal direction sets share a kind; a direction set is
     # decoded once per position of carrier and kinds of the table's values
     kind: dict[FinSet, int] = {}
-    kinds = {v: kind.setdefault(dirs, len(kind)) for v, dirs in carrier.positions}
+    kinds = {v: kind.setdefault(dirs, len(kind)) for v, dirs in positions.items()}
     matched: dict[tuple, frozenset] = {}
     seen = set()
-    for label, dirs in q.positions:
+    for label, dirs in q._dirs.items():
         try:
             i, table = split_pair(label)
             phi = split_fn(table)
@@ -867,7 +868,7 @@ def comonoid_to_category(c: Comonoid) -> FinCat:
 
 def category_carrier(k: FinCat) -> FinPoly:
     """Σ over objects of y^(outgoing morphisms)."""
-    return make_poly([(o, k.out[o]) for o in k.objects.elements])
+    return make_poly((o, k.out[o]) for o in k.objects.elements)
 
 
 def category_to_comonoid(k: FinCat) -> Comonoid:
@@ -904,7 +905,7 @@ def contractible(s: FinSet) -> Comonoid:
     """
     elems = s.elements
     dirs = FinSet(elems)
-    carrier = FinPoly([(x, dirs) for x in elems])
+    carrier = FinPoly((x, dirs) for x in elems)
     codomain = {t: t for t in elems}
     composite = {(t, u): u for t in elems for u in elems}
     return Comonoid._from_tables(
@@ -918,7 +919,7 @@ def contractible(s: FinSet) -> Comonoid:
 def discrete_comonoid(s: FinSet) -> Comonoid:
     """The comonoid S·y: the discrete category on S (identities only)."""
     elems = s.elements
-    carrier = make_poly([(x, ["*"]) for x in elems])
+    carrier = make_poly((x, ["*"]) for x in elems)
     composite = {("*", "*"): "*"}
     return Comonoid._from_tables(
         carrier,
@@ -1331,7 +1332,7 @@ def cofree_truncation(
                 f"(cap {max_positions})"
             )
         _check_size("poly_compose", predicted)
-        labels = _compose_direction_labels(p, n, sum(len(d) for _, d in prev.positions))
+        labels = _compose_direction_labels(p, n, sum(map(len, prev._dirs.values())))
         # y contributes one position and one direction label
         _check_size("product_many", _product_size([1, predicted], [1, labels]))
         inner = poly_compose(p, prev)
@@ -1407,7 +1408,7 @@ def fincat_to_json(k: FinCat) -> dict:
 def fincat_from_json(data: dict) -> FinCat:
     try:
         data = _json_node(data, "category")
-        objects = FinSet(data["objects"])
+        objects = FinSet(_json_array(data["objects"], "category"))
         morphisms = [
             (m["label"], m["dom"], m["cod"])
             for m in _json_nodes(data["morphisms"], "category")

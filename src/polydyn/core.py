@@ -393,30 +393,40 @@ class FinPoly:
 
     Equality is strict (same position labels, same direction sets per label);
     isomorphism in the category is tested via canonical_form instead.
+
+    The one store is the label → directions dict, in position order.
+    position_labels and directions(label) read it in O(1); positions is
+    a tuple of (label, FinSet) pairs built on each access, for callers
+    that want one.
     """
 
     def __init__(self, positions: Iterable[tuple[str, FinSet]]):
-        # One pass: the caller's (label, dirs) tuples are kept as they are,
-        # and the hash waits for its first use.
-        pos = []
+        # One pass straight into the dict, checking each entry; the hash
+        # waits for its first use.  After a duplicate the remaining labels
+        # are still collected (and their entries checked) so the message
+        # can list them all.
         table: dict[str, FinSet] = {}
-        for entry in positions:
-            label, dirs = entry
+        labels = None
+        for label, dirs in positions:
             if not isinstance(label, str):
                 raise TypeError(f"position labels must be strings, got {label!r}")
             if not isinstance(dirs, FinSet):
                 raise TypeError(f"directions at {label!r} must be a FinSet")
-            if type(entry) is not tuple:
-                entry = (label, dirs)
-            pos.append(entry)
-            table[label] = dirs
-        if len(table) != len(pos):
-            labels = [label for label, _ in pos]
+            if labels is not None:
+                labels.append(label)
+            elif label in table:
+                labels = list(table) + [label]
+            else:
+                table[label] = dirs
+        if labels is not None:
             raise ValueError(f"duplicate position labels in {labels!r}")
-        self.positions = tuple(pos)
         self._dirs = table
         self._labels = tuple(table)
         self._hash: int | None = None
+
+    @property
+    def positions(self) -> tuple[tuple[str, FinSet], ...]:
+        return tuple(self._dirs.items())
 
     @property
     def position_labels(self) -> tuple[str, ...]:
@@ -431,7 +441,7 @@ class FinPoly:
         return FinSet(self.position_labels, "positions")
 
     def num_positions(self) -> int:
-        return len(self.positions)
+        return len(self._labels)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -445,14 +455,14 @@ class FinPoly:
     def __hash__(self) -> int:
         # order-blind, like __eq__
         if self._hash is None:
-            self._hash = hash(frozenset((i, dirs._set) for i, dirs in self.positions))
+            self._hash = hash(frozenset((i, dirs._set) for i, dirs in self._dirs.items()))
         return self._hash
 
     def __str__(self) -> str:
-        if not self.positions:
+        if not self._dirs:
             return "0"
         degrees: dict[int, int] = {}
-        for _, dirs in self.positions:
+        for dirs in self._dirs.values():
             degrees[len(dirs)] = degrees.get(len(dirs), 0) + 1
         terms = []
         for n in sorted(degrees, reverse=True):
@@ -467,19 +477,13 @@ class FinPoly:
         return " + ".join(terms)
 
     def __repr__(self) -> str:
-        body = [(label, list(dirs.elements)) for label, dirs in self.positions]
+        body = [(label, list(dirs.elements)) for label, dirs in self._dirs.items()]
         return f"FinPoly({body!r})"
 
 
 def make_poly(spec: Iterable[tuple[str, Iterable[str]]]) -> FinPoly:
     """Build a polynomial from (position label, direction labels) pairs."""
-    positions = []
-    for label, dirs in spec:
-        if isinstance(dirs, FinSet):
-            positions.append((label, dirs))
-        else:
-            positions.append((label, FinSet(dirs)))
-    return FinPoly(positions)
+    return FinPoly((label, _as_finset(dirs)) for label, dirs in spec)
 
 
 def _as_finset(a) -> FinSet:
@@ -522,11 +526,11 @@ def eval_poly(p: FinPoly, x: FinSet) -> FinSet:
     "(i,[d:x,...])" with the table in direction order; above COMPOSE_LIMIT
     this raises SizeLimitError before building anything.
     """
-    predicted = sum(len(x) ** len(dirs) for _, dirs in p.positions)
+    predicted = sum(len(x) ** len(dirs) for dirs in p._dirs.values())
     if predicted > COMPOSE_LIMIT:
         raise SizeLimitError("eval_poly", predicted, COMPOSE_LIMIT)
     out = []
-    for i, dirs in p.positions:
+    for i, dirs in p._dirs.items():
         out.extend(_table_labels(i, dirs.elements, x.elements))
     return FinSet(out)
 
@@ -544,7 +548,7 @@ def canonical_form(p: FinPoly) -> FinPoly:
     label, and renamed "0", "1", ...; direction sets become "0".."n-1".
     Two polynomials are isomorphic iff their canonical forms are equal.
     """
-    order = sorted(p.positions, key=lambda pair: (-len(pair[1]), pair[0]))
+    order = sorted(p._dirs.items(), key=lambda pair: (-len(pair[1]), pair[0]))
     return FinPoly(
         (str(k), FinSet(str(j) for j in range(len(dirs)))) for k, (_, dirs) in enumerate(order)
     )
@@ -552,10 +556,10 @@ def canonical_form(p: FinPoly) -> FinPoly:
 
 def is_monomial(p: FinPoly) -> bool:
     """True when every position has the same direction set."""
-    if not p.positions:
+    if not p._dirs:
         return False
-    first = p.positions[0][1]
-    return all(dirs == first for _, dirs in p.positions)
+    first = p._dirs[p._labels[0]]
+    return all(dirs == first for dirs in p._dirs.values())
 
 
 # ---------------------------------------------------------------------------
@@ -822,12 +826,18 @@ def _json_node(node, kind: str):
     return node
 
 
+def _json_array(node, kind: str):
+    """node when it is a JSON array; otherwise a ValueError naming the
+    JSON kind."""
+    if not isinstance(node, (list, tuple)):
+        raise ValueError(f"expected an array in {kind} JSON, got {type(node).__name__}")
+    return node
+
+
 def _json_nodes(node, kind: str):
     """node when it is a JSON array of objects; otherwise a ValueError
     naming the JSON kind."""
-    if not isinstance(node, (list, tuple)):
-        raise ValueError(f"expected an array in {kind} JSON, got {type(node).__name__}")
-    for entry in node:
+    for entry in _json_array(node, kind):
         _json_node(entry, kind)
     return node
 
@@ -839,7 +849,7 @@ def finset_to_json(a: FinSet) -> dict:
 def finset_from_json(data: dict) -> FinSet:
     try:
         data = _json_node(data, "finite set")
-        elements = data["elements"]
+        elements = _json_array(data["elements"], "finite set")
     except KeyError as exc:
         raise ValueError(f"missing key in finite set JSON: {exc}") from exc
     return FinSet(tuple(elements), data.get("label", ""))
@@ -866,7 +876,7 @@ def setfn_from_json(data: dict) -> SetFn:
 def poly_to_json(p: FinPoly) -> dict:
     return {
         "positions": [
-            {"label": label, "dirs": list(dirs.elements)} for label, dirs in p.positions
+            {"label": label, "dirs": list(dirs.elements)} for label, dirs in p._dirs.items()
         ]
     }
 
@@ -875,7 +885,7 @@ def poly_from_json(data: dict) -> FinPoly:
     try:
         data = _json_node(data, "polynomial")
         positions = [
-            (entry["label"], entry["dirs"])
+            (entry["label"], _json_array(entry["dirs"], "polynomial"))
             for entry in _json_nodes(data["positions"], "polynomial")
         ]
     except KeyError as exc:

@@ -607,7 +607,7 @@ def run_open(sys: MDDS, inputs: Iterable[str], start: str) -> Trace:
         raise ValueError("run_open needs a monomial interface B·y^A")
     _check_state(sys, start)
     # a monomial interface offers the same inputs at every position
-    return _run(sys, sys.interface.positions[0][1].elements, inputs, start)
+    return _run(sys, sys.interface.directions(sys.interface.position_labels[0]).elements, inputs, start)
 
 
 def trace_history(sys: MDDS, s0: str, directions: Sequence[str]) -> str:

@@ -974,6 +974,14 @@ def test_json_loaders_name_a_node_of_the_wrong_type(load, data, kind):
         load(data)
 
 
+@pytest.mark.parametrize("objects, got", [(3, "int"), ("ab", "str"), ({"a": 1}, "dict")])
+def test_fincat_from_json_checks_the_objects_array(objects, got):
+    data = {"objects": objects, "morphisms": [], "identity": {}, "compose": []}
+    with pytest.raises(ValueError) as info:
+        fincat_from_json(data)
+    assert str(info.value) == f"expected an array in category JSON, got {got}"
+
+
 def test_comonoid_shape_validation():
     c2 = contractible(FinSet(("a", "b")))
     d2 = discrete_comonoid(FinSet(("a", "b")))

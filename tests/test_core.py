@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import sys
 import time
 import tracemalloc
 
@@ -386,6 +387,37 @@ def test_finpoly_accepts_generators_and_lists_and_keeps_input_order():
     assert from_lists.directions("b") is e
 
 
+def test_finpoly_streamed_input_keeps_the_error_contract():
+    d = FinSet(("d",))
+    # a duplicate in a generator still lists every input label, in order
+    with pytest.raises(ValueError) as info:
+        FinPoly((label, d) for label in ("a", "b", "a", "c", "b"))
+    assert str(info.value) == "duplicate position labels in ['a', 'b', 'a', 'c', 'b']"
+    # entries after a duplicate are still checked, and a bad one wins
+    with pytest.raises(TypeError) as info:
+        FinPoly(iter([("a", d), ("a", d), ("c", ["d"])]))
+    assert str(info.value) == "directions at 'c' must be a FinSet"
+    with pytest.raises(TypeError, match="must be strings, got 3"):
+        FinPoly(entry for entry in [("a", d), ("a", d), (3, d)])
+
+
+def test_finpoly_positions_is_a_read_only_tuple_in_input_order():
+    d, e = FinSet(("d",)), FinSet(("x", "y"))
+    pairs = [("c", d), ("a", e), ("b", d)]
+    p = FinPoly(iter(pairs))
+    assert type(p.positions) is tuple
+    assert p.positions == tuple(pairs)
+    assert p.positions == p.positions
+    with pytest.raises(AttributeError):
+        p.positions = ()
+    assert p.positions == tuple(pairs)
+    # no positions tuple and no per-position tuple is stored
+    assert "positions" not in vars(p)
+    assert not any(
+        type(value) is tuple and value and type(value[0]) is tuple for value in vars(p).values()
+    )
+
+
 def test_finpoly_hash_ignores_position_and_direction_order():
     rng = random.Random(3)
     for _ in range(30):
@@ -416,6 +448,27 @@ def test_compose_peaks_near_what_it_keeps():
         tracemalloc.stop()
     assert cc.num_positions() == 5 * 5**5 == 15_625
     assert peak - before <= 1.15 * (kept - before)
+
+
+def test_compose_keeps_little_beyond_its_labels():
+    # the label → directions dict is the only per-position store, and the
+    # positions are streamed into it, so the build peaks at what it keeps
+    c = make_poly([(f"keep-s{i}", [f"keep-d{j}" for j in range(5)]) for i in range(5)])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cc = poly_compose(c, c)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = cc.num_positions()
+    assert n == 15_625
+    kept -= before
+    label_bytes = sum(map(sys.getsizeof, cc.position_labels))
+    assert (kept - label_bytes) / n <= 60
+    assert peak - before <= 1.03 * kept
 
 
 def test_make_poly_rejects_duplicates():
@@ -847,6 +900,24 @@ def test_setfn_from_json_names_a_missing_key():
 def test_json_loaders_name_a_node_of_the_wrong_type(load, data, kind):
     with pytest.raises(ValueError, match=f"expected an (object|array) in {kind} JSON"):
         load(data)
+
+
+@pytest.mark.parametrize(
+    "load, data, kind, got",
+    [
+        (finset_from_json, {"elements": 5}, "finite set", "int"),
+        (finset_from_json, {"elements": "ab"}, "finite set", "str"),
+        (poly_from_json, {"positions": [{"label": "a", "dirs": 5}]}, "polynomial", "int"),
+        (poly_from_json, {"positions": [{"label": "a", "dirs": "de"}]}, "polynomial", "str"),
+        (poly_from_json, {"positions": [{"label": "a", "dirs": {"d": 1}}]}, "polynomial", "dict"),
+    ],
+)
+def test_json_loaders_check_label_arrays(load, data, kind, got):
+    # the arrays that hold labels are checked like the arrays of objects,
+    # so a number or a string there is named instead of iterated
+    with pytest.raises(ValueError) as info:
+        load(data)
+    assert str(info.value) == f"expected an array in {kind} JSON, got {got}"
 
 
 def test_json_loaders_keep_label_type_errors():

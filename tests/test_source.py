@@ -88,6 +88,19 @@ def test_only_core_imports_the_label_escape_helpers():
     assert leaks == []
 
 
+def test_no_package_module_reads_finpoly_positions():
+    # FinPoly.positions builds a fresh tuple on each access; package code
+    # reads the label → directions dict through _dirs, position_labels and
+    # directions() instead.  The property's own definition is not a read.
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "positions"
+    ]
+    assert reads == []
+
+
 def test_every_console_script_resolves_to_a_callable():
     tomllib = pytest.importorskip("tomllib", reason="tomllib needs Python 3.11")
     pyproject = SRC.parent.parent / "pyproject.toml"
