@@ -214,10 +214,11 @@ def monoid_tables(order: int) -> tuple:
     7, 35, 228, 2237, 31559 (OEIS A058129).  From a cold cache order 6
     takes about 2 s and order 7 about 130 s (2 cores, CPython 3.11.7).
     """
-    n = int(order)
-    if n < 1:
+    if not isinstance(order, int):
+        raise TypeError(f"order must be an int, not {type(order).__name__}")
+    if order < 1:
         raise ValueError("order must be at least 1")
-    return tuple(_search(1, [0] * n, [0] * n))
+    return tuple(_search(1, [0] * order, [0] * order))
 
 
 class _Parts:

@@ -36,6 +36,7 @@ from .core import (
     Lens,
     ONE,
     SetFn,
+    SizeLimitError,
     Y,
     _json_array,
     _json_node,
@@ -394,6 +395,8 @@ def check_comonoid_laws(c: Comonoid) -> dict:
     Every call walks everything and returns a fresh report; the verdict
     alone is also kept on c for comonoid_to_category.
     """
+    if not isinstance(c, Comonoid):
+        raise TypeError(f"c must be a Comonoid, not {type(c).__name__}")
     carrier = c.carrier
     # every key read below is a position: _check_tables guarantees that
     # bases and codomains are
@@ -486,11 +489,26 @@ def check_comonoid_laws(c: Comonoid) -> dict:
         psi = cod[i1]
         comp1 = comp[i1]
         i1dirs = dirs[i1].elements
-        if i2 != i1 or any(
-            psi[e] != base[phi[e]]
-            or any(phi[comp1[e][g]] != cod[phi[e]][g] for g in dirs[psi[e]].elements)
-            for e in i1dirs
-        ):
+        # the two positions agree when i1 is its own base and, for each e
+        # at i1, comult(phi(e)) is (psi(e), g ↦ phi(comp_i1(e, g)));
+        # the walk stops at the first e where they do not
+        mismatch = i2 != i1
+        if not mismatch:
+            for e in i1dirs:
+                j = psi[e]
+                k = phi[e]
+                if j != base[k]:
+                    mismatch = True
+                    break
+                row = comp1[e]
+                cod_k = cod[k]
+                for g in dirs[j].elements:
+                    if phi[row[g]] != cod_k[g]:
+                        mismatch = True
+                        break
+                if mismatch:
+                    break
+        if mismatch:
             chi = {}
             for e in dirs[i2].elements:
                 j = psi[e]
@@ -553,8 +571,10 @@ class FinCat:
     hashable, check_category keeps the verdict of its last full walk so
     that category_to_comonoid need not walk the same tables again, and a
     canonical form, once computed, is kept (a multi-object category of
-    the catalog carries it from the start).  cat_isomorphic computes one
-    only when its direct search finds no isomorphism.
+    the catalog carries it from the start), as are the invariants that
+    cat_isomorphic compares.  cat_isomorphic computes either only when its
+    direct search finds no isomorphism, and a canonical form only when the
+    invariants agree.
     """
 
     def __init__(
@@ -631,6 +651,7 @@ class FinCat:
         self._compose = compose2
         self._lawful = None
         self._canonical = None
+        self._invariants = None
 
     def morphism_labels(self) -> tuple[str, ...]:
         return tuple(m for m, _, _ in self.morphisms)
@@ -895,6 +916,11 @@ def category_to_comonoid(k: FinCat) -> Comonoid:
     )
 
 
+def _require_finset(s) -> None:
+    if not isinstance(s, FinSet):
+        raise TypeError(f"s must be a FinSet, not {type(s).__name__}")
+
+
 def contractible(s: FinSet) -> Comonoid:
     """The comonoid S·y^S: every state sees every state.
 
@@ -903,6 +929,7 @@ def contractible(s: FinSet) -> Comonoid:
     All positions share one codomain table and one composite table, so
     building it costs |S|² rather than |S|³.
     """
+    _require_finset(s)
     elems = s.elements
     dirs = FinSet(elems)
     carrier = FinPoly((x, dirs) for x in elems)
@@ -918,6 +945,7 @@ def contractible(s: FinSet) -> Comonoid:
 
 def discrete_comonoid(s: FinSet) -> Comonoid:
     """The comonoid S·y: the discrete category on S (identities only)."""
+    _require_finset(s)
     elems = s.elements
     carrier = make_poly((x, ["*"]) for x in elems)
     composite = {("*", "*"): "*"}
@@ -1068,6 +1096,39 @@ def is_cat_isomorphism(
     return True
 
 
+def _colours(num_objects: int, dom, cod, comp) -> tuple:
+    """The isomorphism invariants _canonical_form sorts by, on its integer
+    tables: (profile, colour).  profile[o] counts the non-identity
+    morphisms out of object o, into it and looping at it; colour[m] is
+    (index, period, hits) for a non-identity morphism m, where index and
+    period are those of an endomorphism's powers, 0 and 0 otherwise, and
+    hits is the number of composable pairs composing to m.  An identity's
+    colour is None.
+    """
+    k = num_objects
+    n = len(dom)
+    profile = [[0, 0, 0] for _ in range(k)]
+    hits = Counter(chain.from_iterable(comp))
+    colour = [None] * n
+    for m in range(k, n):
+        d, c = dom[m], cod[m]
+        profile[d][0] += 1
+        profile[c][1] += 1
+        index = period = 0
+        if d == c:
+            profile[d][2] += 1
+            row = comp[m]
+            seen = {}
+            x = m
+            while x not in seen:
+                seen[x] = len(seen)
+                x = row[x]
+            index = seen[x]
+            period = len(seen) - index
+        colour[m] = (index, period, hits[m])
+    return profile, colour
+
+
 def _canonical_form(num_objects: int, dom, cod, comp) -> tuple:
     """Canonical key of a category on integer tables, and a labelling attaining it.
 
@@ -1092,25 +1153,7 @@ def _canonical_form(num_objects: int, dom, cod, comp) -> tuple:
     k = num_objects
     n = len(dom)
     extras = range(k, n)
-    profile = [[0, 0, 0] for _ in range(k)]
-    hits = Counter(chain.from_iterable(comp))
-    colour = [None] * n
-    for m in extras:
-        d, c = dom[m], cod[m]
-        profile[d][0] += 1
-        profile[c][1] += 1
-        index = period = 0
-        if d == c:
-            profile[d][2] += 1
-            row = comp[m]
-            seen = {}
-            x = m
-            while x not in seen:
-                seen[x] = len(seen)
-                x = row[x]
-            index = seen[x]
-            period = len(seen) - index
-        colour[m] = (index, period, hits[m])
+    profile, colour = _colours(k, dom, cod, comp)
 
     by_profile = sorted(range(k), key=profile.__getitem__)
     cells = [list(c) for _, c in groupby(by_profile, key=profile.__getitem__)]
@@ -1163,23 +1206,32 @@ def _canonical_form(num_objects: int, dom, cod, comp) -> tuple:
     return best[0], (best[1][:k], best[1])
 
 
+def _integer_tables(k: FinCat) -> tuple:
+    """k on the integer tables of _canonical_form: (labels, dom, cod,
+    comp), labels being the identities in object order, then the other
+    morphisms in k's order."""
+    objects = k.objects.elements
+    labels = [k.identity[o] for o in objects]
+    identities = set(labels)
+    labels += [m for m, _, _ in k.morphisms if m not in identities]
+    obj_index = {o: i for i, o in enumerate(objects)}
+    index = {m: i for i, m in enumerate(labels)}
+    n = len(labels)
+    comp = [[-1] * n for _ in range(n)]
+    for (g, f), h in k._compose.items():
+        comp[index[g]][index[f]] = index[h]
+    dom = [obj_index[k.dom_of[m]] for m in labels]
+    cod = [obj_index[k.cod_of[m]] for m in labels]
+    return labels, dom, cod, comp
+
+
 def _canonical_labels(k: FinCat) -> tuple:
     """k's canonical key and tuples of its objects and morphisms in
     canonical order, from _canonical_form; kept on k, whose tables are
     read-only."""
     if k._canonical is None:
         objects = k.objects.elements
-        labels = [k.identity[o] for o in objects]
-        identities = set(labels)
-        labels += [m for m, _, _ in k.morphisms if m not in identities]
-        obj_index = {o: i for i, o in enumerate(objects)}
-        index = {m: i for i, m in enumerate(labels)}
-        n = len(labels)
-        comp = [[-1] * n for _ in range(n)]
-        for (g, f), h in k._compose.items():
-            comp[index[g]][index[f]] = index[h]
-        dom = [obj_index[k.dom_of[m]] for m in labels]
-        cod = [obj_index[k.cod_of[m]] for m in labels]
+        labels, dom, cod, comp = _integer_tables(k)
         key, (objs, mors) = _canonical_form(len(objects), dom, cod, comp)
         k._canonical = (
             key,
@@ -1189,27 +1241,53 @@ def _canonical_labels(k: FinCat) -> tuple:
     return k._canonical
 
 
+def _invariants(k: FinCat) -> tuple:
+    """k's sorted object profiles and sorted morphism colours (_colours),
+    kept on k: isomorphic categories have equal ones."""
+    if k._invariants is None:
+        _, dom, cod, comp = _integer_tables(k)
+        profile, colour = _colours(len(k.objects), dom, cod, comp)
+        k._invariants = (sorted(profile), sorted(colour[len(k.objects) :]))
+    return k._invariants
+
+
 def _direct_isomorphism(k1: FinCat, k2: FinCat):
     """An isomorphism k1 → k2 as maps (objects, morphisms), found by a
-    bounded backtracking search, or None when the search finds none.
+    bounded backtracking search, or None when the search finds none; k1
+    and k2 have as many objects and as many morphisms.
 
     k1's non-identity morphisms are placed in order, each onto an unused
     non-identity morphism of k2 whose endpoints agree with the object map
-    built so far, and each composite of two of them is checked as soon as
-    it and both factors are placed, as in VF2 (Cordella et al. 2004).  The
-    search gives up after 10·n² candidates (n morphisms), so None does not
-    mean the two are not isomorphic; that covers the whole search when n
-    is at most six, as in the catalog.
+    built so far; an object's identity is mapped along with the object.
+    Each entry of k1's composition table is checked once, as in VF2
+    (Cordella et al. 2004): as soon as the last of its non-identity
+    morphisms is placed, or, for an identity's own composite (e, e), once
+    the map is complete.  So a map returned is an isomorphism.  The
+    search gives up after 10·n² candidates (n morphisms), so None does
+    not mean the two are not isomorphic; that covers the whole search
+    when n is at most six, as in the catalog.
     """
     ids1, ids2 = k1.identity, k2.identity
-    skip1, skip2 = set(ids1.values()), set(ids2.values())
-    order = [m for m, _, _ in k1.morphisms if m not in skip1]
+    position = dict.fromkeys(ids1.values(), -1)
+    order = []
+    for m, _, _ in k1.morphisms:
+        if m not in position:
+            position[m] = len(order)
+            order.append(m)
+    skip2 = set(ids2.values())
     pool = [m for m, _, _ in k2.morphisms if m not in skip2]
-    position = {m: i for i, m in enumerate(order)}
-    due = [[] for _ in order]  # composites checked once order[i] is placed
+    # due[i]: the entries whose last non-identity morphism is order[i];
+    # due[-1]: the entries with none, checked once the map is complete
+    due = [[] for _ in range(len(order) + 1)]
     for (g, f), h in k1._compose.items():
-        if g in position and f in position:
-            due[max(position[g], position[f], position.get(h, -1))].append((g, f, h))
+        last = position[g]
+        p = position[f]
+        if p > last:
+            last = p
+        p = position[h]
+        if p > last:
+            last = p
+        due[last].append((g, f, h))
     dom1, cod1, dom2, cod2, comp2 = k1.dom_of, k1.cod_of, k2.dom_of, k2.cod_of, k2._compose
     obj, mor, taken_obj, taken_mor = {}, {}, set(), set()
     budget = 10 * len(k1.morphisms) ** 2
@@ -1222,6 +1300,7 @@ def _direct_isomorphism(k1: FinCat, k2: FinCat):
             taken_mor.discard(mor.pop(m))
             for x in fresh[i]:
                 taken_obj.discard(obj.pop(x))
+                del mor[ids1[x]]
         d, c = dom1[m], cod1[m]
         new = fresh[i] = []
         j = start[i]
@@ -1240,14 +1319,14 @@ def _direct_isomorphism(k1: FinCat, k2: FinCat):
                         break
                     obj[x] = x2
                     taken_obj.add(x2)
+                    mor[ids1[x]] = ids2[x2]
                     new.append(x)
                 elif y != x2:
                     break
             else:
                 mor[m] = m2
                 for g, f, h in due[i]:
-                    h2 = mor[h] if h in position else ids2[obj[dom1[h]]]
-                    if comp2[mor[g], mor[f]] != h2:
+                    if comp2[mor[g], mor[f]] != mor[h]:
                         break
                 else:
                     taken_mor.add(m2)
@@ -1255,6 +1334,7 @@ def _direct_isomorphism(k1: FinCat, k2: FinCat):
                 del mor[m]
             for x in new:
                 taken_obj.discard(obj.pop(x))
+                del mor[ids1[x]]
             new.clear()
         else:  # no candidate left: back to position i - 1
             start[i] = 0
@@ -1268,9 +1348,11 @@ def _direct_isomorphism(k1: FinCat, k2: FinCat):
     rest = iter([o for o in k2.objects.elements if o not in taken_obj])
     for o in k1.objects.elements:
         if o not in obj:
-            obj[o] = next(rest)
-    for o, e in ids1.items():
-        mor[e] = ids2[obj[o]]
+            obj[o] = o2 = next(rest)
+            mor[ids1[o]] = ids2[o2]
+    for g, f, h in due[-1]:
+        if comp2[mor[g], mor[f]] != mor[h]:
+            return None
     return obj, mor
 
 
@@ -1278,20 +1360,25 @@ def cat_isomorphic(k1: FinCat, k2: FinCat) -> bool:
     """Whether two finite categories are isomorphic; intended for small ones.
 
     Unless both categories carry a canonical form, a bounded direct
-    search (_direct_isomorphism) looks for an isomorphism first; a map it
-    finds is confirmed with is_cat_isomorphism, and nothing is kept on
-    either category.  Otherwise both are put in canonical form
-    (_canonical_form, by which the catalog labels its classes too), kept
-    on each: equal keys mean isomorphic, and the two labellings that
-    attain the key compose to an isomorphism, again confirmed.  So every
-    False comes from the canonical keys.
+    search (_direct_isomorphism) looks for an isomorphism first.  A map
+    it finds is an isomorphism by construction, so it answers True, and
+    nothing is kept on either category.  When it finds none, the two
+    categories' invariants (_invariants: the object profiles and morphism
+    colours that _canonical_form sorts by) are compared, and kept on
+    each; different invariants answer False.  Otherwise both are put in
+    canonical form (_canonical_form, by which the catalog labels its
+    classes too), kept on each: equal keys mean isomorphic, and the two
+    labellings that attain the key compose to an isomorphism, confirmed
+    with is_cat_isomorphism.  So a False comes from the invariants or
+    from the canonical keys, never from the bounded search.
     """
     if len(k1.objects) != len(k2.objects) or len(k1.morphisms) != len(k2.morphisms):
         return False
     if k1._canonical is None or k2._canonical is None:
-        found = _direct_isomorphism(k1, k2)
-        if found is not None and is_cat_isomorphism(k1, k2, *found):
+        if _direct_isomorphism(k1, k2) is not None:
             return True
+        if _invariants(k1) != _invariants(k2):
+            return False
     key1, objs1, mors1 = _canonical_labels(k1)
     key2, objs2, mors2 = _canonical_labels(k2)
     return key1 == key2 and is_cat_isomorphism(
@@ -1310,11 +1397,11 @@ def cofree_truncation(
 
     Returns stages [c_0 .. c_depth] and projections [c_1→c_0, ...,
     c_depth→c_{depth-1}].  Position counts obey
-    |c_{k+1}(1)| = |p applied to c_k(1)|.  Raises ValueError once a stage
-    would exceed max_positions positions, and SizeLimitError, as
-    poly_compose or product_many would, once p∘c_k or y × (p∘c_k) would
-    exceed COMPOSE_LIMIT; all three are decided from predicted sizes
-    before the stage is built.
+    |c_{k+1}(1)| = |p applied to c_k(1)|.  Raises SizeLimitError once a
+    stage would exceed max_positions positions, and also, as poly_compose
+    or product_many would, once p∘c_k or y × (p∘c_k) would exceed
+    COMPOSE_LIMIT; all three are decided from predicted sizes before the
+    stage is built.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -1327,9 +1414,11 @@ def cofree_truncation(
         n = prev.num_positions()
         predicted = _compose_positions(p, n)
         if predicted > max_positions:
-            raise ValueError(
-                f"stage {k + 1} would have {predicted} positions "
-                f"(cap {max_positions})"
+            raise SizeLimitError(
+                "cofree_truncation",
+                predicted,
+                max_positions,
+                f"stage {k + 1} would have {predicted} positions (cap {max_positions})",
             )
         _check_size("poly_compose", predicted)
         labels = _compose_direction_labels(p, n, sum(map(len, prev._dirs.values())))

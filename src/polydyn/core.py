@@ -79,14 +79,15 @@ _COUNTED = {
 class SizeLimitError(ValueError):
     """A construction would exceed its fixed size limit.
 
-    Raised from the predicted size, before anything is allocated.
+    Raised from the predicted size, before anything is allocated.  The
+    message says what would be built, unless the caller words it.
     """
 
-    def __init__(self, operation: str, predicted: int, limit: int):
-        counted = _COUNTED.get(operation, "positions")
-        super().__init__(
-            f"{operation} would build {predicted} {counted}, above the limit of {limit}"
-        )
+    def __init__(self, operation: str, predicted: int, limit: int, message: str | None = None):
+        if message is None:
+            counted = _COUNTED.get(operation, "positions")
+            message = f"{operation} would build {predicted} {counted}, above the limit of {limit}"
+        super().__init__(message)
         self.operation = operation
         self.predicted = predicted
         self.limit = limit

@@ -602,7 +602,13 @@ def run_closed(sys: MDDS, steps: int, start: str) -> Trace:
 
 
 def run_open(sys: MDDS, inputs: Iterable[str], start: str) -> Trace:
-    """Feed an input stream to a system with a monomial interface B·y^A."""
+    """Feed an input stream to a system with a monomial interface B·y^A.
+
+    inputs is an iterable of input labels; a str is refused with a
+    TypeError rather than run as its characters.
+    """
+    if isinstance(inputs, str):
+        raise TypeError("inputs must be an iterable of input labels, not a str")
     if not is_monomial(sys.interface):
         raise ValueError("run_open needs a monomial interface B·y^A")
     _check_state(sys, start)

@@ -684,13 +684,24 @@ def _connect_ok(r: _Resolved, c: Connect) -> bool:
     return not _connect_problems(r, c, "")
 
 
+def _require_spec(spec) -> None:
+    """Refuse anything but a parsed spec, naming the argument."""
+    if not isinstance(spec, WiringSpec):
+        raise TypeError(
+            f"spec must be a WiringSpec, not {type(spec).__name__}; "
+            "parse(text) turns program text into one"
+        )
+
+
 def validate(spec: WiringSpec) -> dict:
     """Check every AST invariant; returns {"ok": bool, "violations": [...]}.
 
     All violations are reported, not just the first: structural
     duplicates, dangling references, ill-directed or ill-typed
-    connections, and, per mode, fan-in and missing drivers.
+    connections, and, per mode, fan-in and missing drivers.  Raises
+    TypeError when spec is not a WiringSpec, such as unparsed text.
     """
+    _require_spec(spec)
     violations = [_at(span) + msg for msg, span in _structural_problems(spec)]
     r = _Resolved(spec)
 
@@ -897,6 +908,7 @@ def compile_machines(spec: WiringSpec) -> list[tuple[str, MooreMachine]]:
     Raises with a full account of what is wrong: undeclared boxes, bad
     states, mistyped valuations, and every missing (state, input) row.
     """
+    _require_spec(spec)
     r = _Resolved(spec)
     problems = []
     out = []

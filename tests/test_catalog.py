@@ -19,6 +19,8 @@ from polydyn.comonoid import (
     FinCat,
     _canonical_form,
     _canonical_labels,
+    _direct_isomorphism,
+    _invariants,
     cat_isomorphic,
     category_to_comonoid,
     check_category,
@@ -229,6 +231,15 @@ def test_catalog_import_does_not_load_numpy():
 def test_monoid_tables_rejects_nonpositive_order():
     with pytest.raises(ValueError, match="order"):
         monoid_tables(0)
+
+
+def test_monoid_tables_refuses_an_order_that_is_not_an_int_and_caches_nothing():
+    # 2.5 used to give the order-2 tables and keep them under 2.5
+    before = monoid_tables.cache_info().currsize
+    for order in (2.5, 2.0, "2"):
+        with pytest.raises(TypeError, match="order must be an int, not"):
+            monoid_tables(order)
+    assert monoid_tables.cache_info().currsize == before
 
 
 def test_typed_search_agrees_with_monoid_kernel_on_one_object():
@@ -621,6 +632,110 @@ def test_cat_isomorphic_agrees_with_canonical_keys_cold_and_warm():
         negatives += len(want) - sum(want)
     assert positives == 6 * len(cats)
     assert negatives == 2 * (len(cats) - len({(len(k.objects), len(k.morphisms)) for k in cats}))
+
+
+def test_every_map_the_direct_search_returns_is_an_isomorphism():
+    # each category against a shuffled copy, found directly at these sizes;
+    # a seeded quarter also against the copy's comonoid round trip and
+    # against a shuffled copy of the next category of its size, which it
+    # is not isomorphic to
+    rng = random.Random(2121)
+    cats = generate_categories(3, 6)
+    found = missed = 0
+    for k, after in zip(cats, [*cats[1:], None]):
+        a = _shuffled(k, rng)
+        pairs = [(k, a)]
+        if rng.random() < 0.25:
+            pairs.append((comonoid_to_category(category_to_comonoid(a)), k))
+            if after is not None and len(after.morphisms) == len(k.morphisms):
+                missed += _direct_isomorphism(k, _shuffled(after, rng)) is None
+        for x, y in pairs:
+            got = _direct_isomorphism(x, y)
+            assert got is not None and is_cat_isomorphism(x, y, *got)
+            found += 1
+    assert found > 1.2 * len(cats) and missed > 700
+
+
+def _identity_composite_changes(k):
+    """Every (key, h): a pair whose composite has an identity factor or is
+    an identity, and another morphism h of the composite's type."""
+    identities = set(k.identity.values())
+    changes = []
+    for (g, f), gf in sorted(k._compose.items()):
+        if identities.isdisjoint((g, f, gf)):
+            continue
+        for h, d, c in k.morphisms:
+            if h != gf and (d, c) == (k.dom_of[f], k.cod_of[g]):
+                changes.append(((g, f), h))
+    return changes
+
+
+def test_pairs_differing_in_one_identity_composite_agree_with_brute_force():
+    # FinCat checks typing only, so it takes (e, a) ↦ e or (e, e) ↦ a; a
+    # direct search that skipped the entries with an identity in them would
+    # match such a category with the lawful one it came from
+    rng = random.Random(1192)
+    verdicts = Counter()
+    kinds = set()
+    cats = [k for k in generate_categories(3, 5) if _identity_composite_changes(k)]
+    for k in rng.sample(cats, 120):
+        changes = _identity_composite_changes(k)
+        (key, h), (key2, h2) = rng.choice(changes), rng.choice(changes)
+        kinds.add(key[0] == key[1] in k.identity.values())
+        bad = FinCat(k.objects, k.morphisms, k.identity, {**k._compose, key: h})
+        bad2 = FinCat(k.objects, k.morphisms, k.identity, {**k._compose, key2: h2})
+        for x, y in ((k, _shuffled(bad, rng)), (bad, _shuffled(bad, rng)), (bad, _shuffled(bad2, rng))):
+            want = _brute_force_isomorphic(x, y)
+            assert cat_isomorphic(x, y) == want
+            verdicts[want] += 1
+    assert kinds == {False, True}  # some changes hit (e, e)
+    assert verdicts[True] > 120 and verdicts[False] > 120
+
+
+def _abelian_group(orders):
+    """The product of the cyclic groups of the given orders as a one-object
+    category."""
+    elems = list(itertools.product(*(range(n) for n in orders)))
+    name = {x: "g" + "_".join(map(str, x)) for x in elems}
+    table = {
+        (name[a], name[b]): name[tuple((u + v) % n for u, v, n in zip(a, b, orders))]
+        for a in elems
+        for b in elems
+    }
+    return FinCat(FinSet(("*",)), [(name[x], "*", "*") for x in elems], {"*": name[elems[0]]}, table)
+
+
+@pytest.mark.parametrize("orders1, orders2", [((16,), (2, 8)), ((16,), (4, 4)), ((32,), (2, 16))])
+def test_groups_with_different_element_orders_are_told_apart_without_least_keys(orders1, orders2):
+    # the least keys of these took from 20 s to more than 9 min
+    a, b = _abelian_group(orders1), _abelian_group(orders2)
+    start = time.perf_counter()
+    assert not cat_isomorphic(a, b)
+    assert not cat_isomorphic(_shuffled(b, random.Random(32)), a)
+    assert time.perf_counter() - start < 0.1
+    assert a._canonical is None and b._canonical is None
+    assert _invariants(a) != _invariants(b)
+
+
+def _semidirect_z4_z4():
+    """Z4 ⋊ Z4, the generator of the second factor inverting the first."""
+    elems = [(x, y) for x in range(4) for y in range(4)]
+    name = {(x, y): f"h{x}_{y}" for x, y in elems}
+
+    def mul(a, b):
+        return ((a[0] + (b[0] if a[1] % 2 == 0 else -b[0])) % 4, (a[1] + b[1]) % 4)
+
+    table = {(name[a], name[b]): name[mul(a, b)] for a in elems for b in elems}
+    return FinCat(FinSet(("*",)), [(name[e], "*", "*") for e in elems], {"*": name[(0, 0)]}, table)
+
+
+def test_groups_with_equal_invariants_are_left_to_the_least_keys():
+    # Z4×Z4 and Z4⋊Z4 have the same element orders, so their invariants
+    # agree and only a finer test could tell them apart without the keys
+    a, b = _abelian_group((4, 4)), _semidirect_z4_z4()
+    assert check_category(b)["ok"]
+    assert _invariants(a) == _invariants(b)
+    assert _direct_isomorphism(a, b) is None
 
 
 def test_catalog_does_not_depend_on_the_hash_seed():

@@ -734,6 +734,26 @@ def test_cofree_respects_position_cap():
         cofree_truncation(p, -1)
 
 
+def test_cofree_position_cap_is_a_size_limit_error():
+    # the other caps raise SizeLimitError; this one raised a plain ValueError
+    p = make_poly([("a", ("d", "e")), ("b", ("f", "g"))])
+    with pytest.raises(SizeLimitError, match=r"^stage 4 would have 32768 positions \(cap 20000\)$") as info:
+        cofree_truncation(p, 4)
+    assert (info.value.operation, info.value.predicted, info.value.limit) == (
+        "cofree_truncation",
+        32768,
+        20000,
+    )
+
+
+def test_comonoid_entry_points_name_an_argument_of_the_wrong_type():
+    for build in (contractible, discrete_comonoid):
+        with pytest.raises(TypeError, match="s must be a FinSet, not int"):
+            build(3)
+    with pytest.raises(TypeError, match="c must be a Comonoid, not int"):
+        check_comonoid_laws(5)
+
+
 def test_cofree_labels_grow_linearly_with_the_trees():
     # Each part of a nested label is embedded once; when every level escaped
     # its parts again, depth 4 of y^2 + 1 carried 54 MB of labels and took
@@ -1710,6 +1730,48 @@ def _tuple_keyed_law_report(c: Comonoid) -> dict:
             passed.add(shared)
 
     return {"ok": not violations, "violations": violations}
+
+
+def _random_shaped_comonoid(rng):
+    """A comonoid of random well-shaped tables on two or three positions:
+    identities, bases, codomains and composites drawn at random, so that
+    coassociativity mostly fails already at the level of positions."""
+    names = ["p", "q", "r"][: rng.randint(2, 3)]
+    dirs = {i: FinSet(tuple(f"{i}{j}" for j in range(rng.randint(1, 3)))) for i in names}
+    carrier = FinPoly((i, dirs[i]) for i in names)
+    base = {i: i if rng.random() < 0.7 else rng.choice(names) for i in names}
+    codomain = {}
+    composite = {}
+    for i in names:
+        codomain[i] = {
+            d: i if rng.random() < 0.3 else rng.choice(names) for d in dirs[base[i]].elements
+        }
+        composite[i] = {
+            (d, e): rng.choice(dirs[i].elements)
+            for d, j in codomain[i].items()
+            for e in dirs[j].elements
+        }
+    identity = {i: rng.choice(dirs[i].elements) for i in names}
+    return Comonoid._from_tables(carrier, identity, codomain, composite, base)
+
+
+def test_law_reports_on_position_level_failures_match_the_reference():
+    # _tuple_keyed_law_report keeps the coassociativity pre-check as nested
+    # generators over every direction; the checker stops at the first
+    # direction that fails, with the same records in the same order
+    rng = random.Random(489)
+    position_level = direction_level = 0
+    for _ in range(400):
+        c = _random_shaped_comonoid(rng)
+        report = check_comonoid_laws(c)
+        assert report == _tuple_keyed_law_report(c)
+        for v in report["violations"]:
+            if v["law"] == "coassociativity":
+                if "direction" in v:
+                    direction_level += 1
+                else:
+                    position_level += 1
+    assert position_level > 500 and direction_level > 500
 
 
 def _corrupted(k: FinCat, rng):

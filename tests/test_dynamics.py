@@ -600,6 +600,24 @@ def test_run_open_requires_monomial_interface():
         run_open(sys, ["al"], "u")
 
 
+def test_run_open_refuses_a_str_of_inputs():
+    # "xy" used to run as the inputs x, y, and "a0" to fail on input a
+    echo = moore_to_mdds(_echo())
+    with pytest.raises(TypeError, match="inputs must be an iterable of input labels, not a str"):
+        run_open(echo, "xy", "x")
+    two = MooreMachine.from_tables(
+        ["0", "1"],
+        ["a0", "a1"],
+        ["0", "1"],
+        {"0": "0", "1": "1"},
+        {(a, s): a[1] for a in ("a0", "a1") for s in "01"},
+        "0",
+    )
+    with pytest.raises(TypeError, match="not a str"):
+        run_open(moore_to_mdds(two), "a0", "0")
+    assert run_open(moore_to_mdds(two), ["a1"], "0").final_state == "1"
+
+
 def test_run_open_agrees_with_run_moore():
     m = _toggle()
     sys = moore_to_mdds(m)

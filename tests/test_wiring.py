@@ -158,6 +158,14 @@ def test_golden_programs_validate_cleanly():
         assert report["ok"], report["violations"]
 
 
+def test_entry_points_refuse_unparsed_text_and_point_to_parse():
+    text = _read("control.wd")
+    for entry in (validate, compile_wiring, compile_machines, compile_system):
+        with pytest.raises(TypeError, match=r"spec must be a WiringSpec, not str; parse\(text\)"):
+            entry(text)
+    assert validate(parse(text))["ok"]
+
+
 def test_two_drivers_on_one_port_is_fan_in():
     spec = parse(
         "set A = {x, y}\n"
