@@ -225,8 +225,8 @@ class Comonoid:
             self.carrier == other.carrier
             and self.identity == other.identity
             and self.base == other.base
-            and self.codomain == other.codomain
-            and self.composite == other.composite
+            and _same_tables(self.codomain, other.codomain)
+            and _same_tables(self.composite, other.composite)
         )
 
     def __hash__(self) -> int:
@@ -234,6 +234,25 @@ class Comonoid:
 
     def __repr__(self) -> str:
         return f"Comonoid(carrier={self.carrier!s})"
+
+
+def _same_tables(a: dict, b: dict) -> bool:
+    """a == b for two position → table dicts.
+
+    Positions often share one table object, so each distinct pair of
+    table objects is compared once, not once per position.
+    """
+    if a.keys() != b.keys():
+        return False
+    same = set()
+    for i, t in a.items():
+        u = b[i]
+        pair = (id(t), id(u))
+        if pair not in same:
+            if t is not u and t != u:
+                return False
+            same.add(pair)
+    return True
 
 
 def _check_tables(carrier, identity, codomain, composite, base) -> None:

@@ -16,8 +16,6 @@ the iterated substitution power of the interface.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 from typing import Iterable, Mapping, Sequence
 
@@ -652,6 +650,9 @@ def trace_to_json(t: Trace) -> dict:
 
 def trace_to_csv(t: Trace) -> str:
     """Rows step,state,position,direction; the final row consumes nothing."""
+    import csv
+    import io
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["step", "state", "position", "direction"])

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Optional, Sequence
 
 from polydyn.core import (
@@ -97,12 +97,7 @@ class WiringSyntaxError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: str
-    line: int
-    col: int
+_Token = namedtuple("_Token", "kind value line col")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -138,99 +133,123 @@ def _tokenize(text: str) -> list[_Token]:
 # Syntax tree.  Source spans are (line, column) pairs and never take part
 # in equality, so parse(print_spec(ast)) == ast holds.
 
-
-@dataclass(frozen=True)
-class SetDecl:
-    name: str
-    elements: tuple[str, ...]
-    span: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
+_set_field = object.__setattr__
 
 
-@dataclass(frozen=True)
-class PortDecl:
-    kind: str
-    name: str
-    set_name: str
-    span: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
+class _Node:
+    """An immutable record whose fields are named in _fields.
 
-    def __post_init__(self):
+    Construction takes the fields positionally or by keyword, and a field
+    named in _defaults may be left out.  Equality, hashing and repr read
+    every field but span; equality holds only between nodes of one class.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+    _defaults = {"span": None}
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls._fields
+        cls._compared = tuple(f for f in cls._fields if f != "span")
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) > len(names):
+            raise TypeError(
+                f"{type(self).__name__}() takes {len(names)} arguments "
+                f"but {len(args)} were given"
+            )
+        for name, value in zip(names, args):
+            _set_field(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+            _set_field(self, name, value)
+        for name in kwargs:
+            problem = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{type(self).__name__}() got {problem} argument {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SetDecl(_Node):
+    __slots__ = _fields = ("name", "elements", "span")
+
+
+class PortDecl(_Node):
+    __slots__ = _fields = ("kind", "name", "set_name", "span")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.kind not in ("in", "out"):
             raise ValueError(f"port kind must be 'in' or 'out', got {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class BoxDecl:
-    name: str
-    ports: tuple[PortDecl, ...]
-    span: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
+class BoxDecl(_Node):
+    __slots__ = _fields = ("name", "ports", "span")
 
 
-@dataclass(frozen=True)
-class OuterDecl:
-    name: str
-    ports: tuple[PortDecl, ...]
-    span: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
+class OuterDecl(_Node):
+    __slots__ = _fields = ("name", "ports", "span")
 
 
-@dataclass(frozen=True)
-class Connect:
-    src_owner: str
-    src_port: str
-    dst_owner: str
-    dst_port: str
-    span: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
+class Connect(_Node):
+    __slots__ = _fields = ("src_owner", "src_port", "dst_owner", "dst_port", "span")
 
 
-@dataclass(frozen=True)
-class Default:
-    owner: str
-    port: str
-    value: str
-    span: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
+class Default(_Node):
+    __slots__ = _fields = ("owner", "port", "value", "span")
 
 
-@dataclass(frozen=True)
-class ModeBlock:
-    label: str
-    connects: tuple[Connect, ...]
-    span: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
+class ModeBlock(_Node):
+    __slots__ = _fields = ("label", "connects", "span")
 
 
-@dataclass(frozen=True)
-class ModesDecl:
-    box: str
-    blocks: tuple[ModeBlock, ...]
-    span: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
+class ModesDecl(_Node):
+    __slots__ = _fields = ("box", "blocks", "span")
 
 
-@dataclass(frozen=True)
-class ReadoutRow:
-    state: str
-    valuation: tuple[tuple[str, str], ...]
-    span: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
+class ReadoutRow(_Node):
+    __slots__ = _fields = ("state", "valuation", "span")
 
 
-@dataclass(frozen=True)
-class UpdateRow:
-    state: str
-    valuation: tuple[tuple[str, str], ...]
-    next_state: str
-    span: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
+class UpdateRow(_Node):
+    __slots__ = _fields = ("state", "valuation", "next_state", "span")
 
 
-@dataclass(frozen=True)
-class MachineDecl:
-    box: str
-    states: tuple[str, ...]
-    init: str
-    readouts: tuple[ReadoutRow, ...]
-    updates: tuple[UpdateRow, ...]
-    span: Optional[tuple[int, int]] = field(default=None, compare=False, repr=False)
+class MachineDecl(_Node):
+    __slots__ = _fields = ("box", "states", "init", "readouts", "updates", "span")
 
 
-@dataclass(frozen=True)
-class WiringSpec:
-    statements: tuple = ()
+class WiringSpec(_Node):
+    __slots__ = _fields = ("statements",)
+    _defaults = {"statements": ()}
 
     def sets(self) -> dict[str, SetDecl]:
         return {s.name: s for s in self.statements if isinstance(s, SetDecl)}

@@ -96,6 +96,8 @@ from polydyn.algebra import (
     terminal_lens,
 )
 
+from polydyn.comonoid import cofree_truncation
+
 from conftest import random_lens, random_poly
 
 
@@ -1333,3 +1335,74 @@ def test_curry_outputs_revalidate():
         assert Lens(g.dom, g.cod, g.on_pos, g.on_dir) == g
         back = uncurry_dirichlet(g, p, q, r)
         assert Lens(back.dom, back.cod, back.on_pos, back.on_dir) == back
+
+
+# ---------------------------------------------------------------------------
+# The sections loaded on first use.
+
+
+def test_every_public_name_resolves_once():
+    for name in algebra.__all__:
+        first = getattr(algebra, name)
+        assert getattr(algebra, name) is first, name
+    assert algebra.Diagram is Diagram and algebra.adjunction_suite is adjunction_suite
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from polydyn.algebra import *", namespace)
+    assert set(algebra.__all__) <= namespace.keys()
+    assert all(namespace[name] is getattr(algebra, name) for name in algebra.__all__)
+
+
+def test_unknown_names_are_missing():
+    assert not hasattr(algebra, "no_such_name")
+    with pytest.raises(AttributeError, match="module 'polydyn.algebra' has no attribute 'no_such_name'"):
+        algebra.no_such_name
+    assert set(algebra.__all__) <= set(dir(algebra))
+
+
+def test_lazy_table_is_what_the_private_module_defines():
+    import ast
+    import inspect
+    from polydyn import _structure
+
+    tree = ast.parse(inspect.getsource(_structure))
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert defined == algebra._STRUCTURE_NAMES
+    assert all(getattr(algebra, name) is getattr(_structure, name) for name in defined)
+
+
+# Every size check that reads algebra.COMPOSE_LIMIT, with a call that
+# reaches it: (operation named in the error, call).
+_LIMITED_CALLS = [
+    ("product_many", lambda: product_many([("a", Y), ("b", Y)])),
+    ("tensor_many", lambda: tensor_many([Y, Y])),
+    ("poly_compose", lambda: poly_compose(Y, Y)),
+    ("compose_power", lambda: compose_power(Y, 2)),
+    ("hom_enumerate", lambda: hom_enumerate(Y, Y)),
+    ("poly_compose", lambda: compose_associator(Y, Y, Y)),
+    ("poly_compose", lambda: distribute_left(Y, Y, Y, Y)),
+    (
+        "product_many",
+        lambda: complete_distributivity_instance(
+            FinSet(("a",)), {"a": FinSet(("i",))}, {("a", "i"): Y}
+        ),
+    ),
+    ("hom_enumerate", lambda: adjunction_suite(FinSet(("a",)), Y, Y)),
+    ("poly_compose", lambda: cofree_truncation(Y, 1)),
+]
+
+
+@pytest.mark.parametrize("operation, call", _LIMITED_CALLS)
+def test_patched_compose_limit_governs_every_size_check(monkeypatch, operation, call):
+    call()
+    monkeypatch.setattr(algebra, "COMPOSE_LIMIT", 0)
+    with pytest.raises(SizeLimitError) as info:
+        call()
+    assert info.value.operation == operation and info.value.limit == 0

@@ -1369,6 +1369,68 @@ def test_comult_is_derived_read_only_and_not_needed_for_equality():
         c.comult = d.comult
 
 
+def _unshared_tables(c):
+    """_from_tables' arguments for c, as plain dicts: one fresh dict per
+    position, so no two positions share a table."""
+    return (
+        c.carrier,
+        dict(c.identity),
+        {i: dict(t) for i, t in c.codomain.items()},
+        {i: dict(t) for i, t in c.composite.items()},
+        dict(c.base),
+    )
+
+
+def _with_entry(tables, i, key, value):
+    """A copy of a position → table dict whose table at i has key → value."""
+    out = dict(tables)
+    out[i] = {**tables[i], key: value}
+    return out
+
+
+def _equality_cases(n):
+    """Pairs of comonoids on n states that share tables per position, some
+    equal and some lawless ones differing in one codomain or composite entry."""
+    elems = tuple(f"s{k}" for k in range(n))
+    c = contractible(FinSet(elems))
+    yield c, contractible(FinSet(elems))
+    yield c, Comonoid._from_tables(*_unshared_tables(c))
+    yield c, discrete_comonoid(FinSet(elems))
+    if n < 2:
+        return
+    first, last = elems[0], elems[-1]
+    for i in (first, last):
+        cod = _with_entry(c.codomain, i, first, last)
+        yield c, Comonoid._from_tables(c.carrier, c.identity, cod, c.composite)
+        comp = _with_entry(c.composite, i, (last, first), last)
+        yield c, Comonoid._from_tables(c.carrier, c.identity, c.codomain, comp)
+        # the same change made twice, in tables that share nothing
+        yield (
+            Comonoid._from_tables(c.carrier, c.identity, c.codomain, comp),
+            Comonoid._from_tables(*_unshared_tables(
+                Comonoid._from_tables(c.carrier, c.identity, c.codomain, comp)
+            )),
+        )
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_comonoid_equality_agrees_with_unshared_plain_dicts(n):
+    verdicts = set()
+    for c, d in _equality_cases(n):
+        want = _unshared_tables(c) == _unshared_tables(d)
+        assert (c == d) is want and (d == c) is want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_comonoid_equality_compares_shared_tables_once():
+    elems = FinSet(tuple(f"s{k}" for k in range(200)))
+    c, d = contractible(elems), contractible(elems)
+    t0 = time.perf_counter()
+    assert c == d
+    assert time.perf_counter() - t0 < 0.05
+
+
 def test_mutating_the_derived_comult_leaves_laws_and_runs_alone():
     m = MooreMachine.from_tables(
         ["s0", "s1", "s2"],

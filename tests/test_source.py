@@ -3,6 +3,8 @@
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -109,3 +111,31 @@ def test_every_console_script_resolves_to_a_callable():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_importing_the_entry_points_loads_no_cold_module():
+    # algebra's cold half (polydyn._structure), dataclasses and csv are
+    # loaded only by a call that needs them
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+        "import polydyn.cli, polydyn.catalog, polydyn.comonoid\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('polydyn'))))\n"
+        "print('dataclasses' in sys.modules, 'csv' in sys.modules)\n"
+    )
+    # -I: no environment variables or user site-packages to import extras;
+    # -B: no bytecode written into the checkout
+    out = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out[0].split() == [
+        "polydyn",
+        "polydyn.algebra",
+        "polydyn.catalog",
+        "polydyn.cli",
+        "polydyn.comonoid",
+        "polydyn.core",
+        "polydyn.dynamics",
+        "polydyn.wiring",
+    ]
+    assert out[1] == "False False"

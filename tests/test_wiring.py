@@ -1,5 +1,8 @@
+import copy
 import itertools
+import json
 import pathlib
+import pickle
 import random
 import time
 
@@ -46,6 +49,7 @@ from polydyn.wiring import (
 from polydyn.wiring import _split, _tokenize
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def _read(name):
@@ -146,6 +150,92 @@ def test_print_parse_is_identity_up_to_whitespace(name):
 
 def test_print_empty_spec():
     assert print_spec(WiringSpec(())) == ""
+
+
+# ---------------------------------------------------------------------------
+# The syntax-tree records.
+
+
+@pytest.mark.parametrize("name", ["control.wd", "supplier.wd", "attach.wd"])
+def test_demo_spec_repr_is_unchanged(name):
+    recorded = json.loads((DATA / "demo_spec_reprs.json").read_text(encoding="utf-8"))
+    assert repr(parse(_read(name))) == recorded[name]
+
+
+def test_node_equality_and_hash_ignore_span():
+    a = SetDecl("S", ("x", "y"), span=(1, 1))
+    b = SetDecl("S", ("x", "y"), span=(7, 3))
+    assert a == b and hash(a) == hash(b)
+    assert SetDecl("S", ("x",)) != a
+    assert repr(a) == "SetDecl(name='S', elements=('x', 'y'))"
+    spec = parse(_read("control.wd"))
+    assert spec == parse(print_spec(spec)) and hash(spec) == hash(parse(print_spec(spec)))
+
+
+def test_nodes_of_different_classes_are_never_equal():
+    box, outer = BoxDecl("B", ()), OuterDecl("B", ())
+    assert box != outer and outer != box
+    assert ReadoutRow("s", ()) != UpdateRow("s", (), "s")
+    assert box != ("B", (), None) and box != "B"
+    assert len({box, outer}) == 2
+
+
+def test_nodes_take_positional_or_keyword_fields():
+    positional = Connect("A", "o", "B", "i", (3, 1))
+    keyword = Connect(dst_port="i", src_owner="A", span=(3, 1), dst_owner="B", src_port="o")
+    assert positional == keyword and keyword.span == (3, 1)
+    assert Connect("A", "o", "B", "i").span is None
+    assert WiringSpec() == WiringSpec(()) == WiringSpec(statements=())
+    with pytest.raises(TypeError):
+        Connect("A", "o", "B")
+    with pytest.raises(TypeError):
+        SetDecl(elements=("x",))
+    with pytest.raises(TypeError):
+        SetDecl("S", ("x",), None, "extra")
+    with pytest.raises(TypeError):
+        SetDecl("S", ("x",), name="T")
+    with pytest.raises(TypeError):
+        SetDecl("S", ("x",), size=1)
+
+
+def test_port_kind_must_be_in_or_out():
+    assert PortDecl(kind="in", name="p", set_name="S").kind == "in"
+    with pytest.raises(ValueError, match="port kind"):
+        PortDecl("x", "p", "S")
+    with pytest.raises(ValueError, match="port kind"):
+        PortDecl(kind="x", name="p", set_name="S")
+
+
+def test_nodes_refuse_assignment_and_deletion():
+    node = Default("B", "i", "x", span=(2, 1))
+    with pytest.raises(AttributeError):
+        node.value = "y"
+    with pytest.raises(AttributeError):
+        node.span = None
+    with pytest.raises(AttributeError):
+        node.extra = 1
+    with pytest.raises(AttributeError):
+        del node.owner
+    assert node == Default("B", "i", "x") and node.span == (2, 1)
+
+
+def _spans(node):
+    if isinstance(node, tuple):
+        return [s for x in node for s in _spans(x)]
+    if not hasattr(node, "span"):
+        return [s for x in node.statements for s in _spans(x)]
+    nested = [getattr(node, f, None) for f in ("ports", "connects", "blocks", "readouts", "updates")]
+    return [node.span] + [s for x in nested if x is not None for s in _spans(x)]
+
+
+@pytest.mark.parametrize("name", ["control.wd", "supplier.wd", "attach.wd"])
+def test_specs_survive_copy_deepcopy_and_pickle_with_their_spans(name):
+    spec = parse(_read(name))
+    spans = _spans(spec)
+    assert all(s is not None for s in spans)
+    for other in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert other == spec and repr(other) == repr(spec)
+        assert _spans(other) == spans
 
 
 # ---------------------------------------------------------------------------
