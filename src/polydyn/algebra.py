@@ -41,6 +41,7 @@ from polydyn.core import (
     Lens,
     SizeLimitError,
     _all_maps,
+    _lazy_names,
     _table_labels,
     constant,
     fn_label,
@@ -229,21 +230,28 @@ def tensor_many(polys: Sequence[FinPoly]) -> FinPoly:
 
     The result has ∏ p(1) positions carrying ∏ Σ_i |p_i| direction labels
     in all; above COMPOSE_LIMIT for their sum this raises SizeLimitError
-    before building anything.
+    before building anything.  Positions whose factors share their
+    direction set objects share one set of direction tuples.
     """
     _check_size(
         "tensor_many",
         math.prod(p.num_positions() for p in polys)
         + math.prod(sum(map(len, p._dirs.values())) for p in polys),
     )
-    return FinPoly(
-        (
-            pair_label(*[i for i, _ in combo]),
-            FinSet(
+    shared: dict[tuple, FinSet] = {}
+
+    def directions(combo) -> FinSet:
+        key = tuple([id(dset) for _, dset in combo])
+        dirs = shared.get(key)
+        if dirs is None:
+            dirs = shared[key] = FinSet(
                 pair_label(*d)
                 for d in itertools.product(*[dset.elements for _, dset in combo])
-            ),
-        )
+            )
+        return dirs
+
+    return FinPoly(
+        (pair_label(*[i for i, _ in combo]), directions(combo))
         for combo in itertools.product(*[p._dirs.items() for p in polys])
     )
 
@@ -655,11 +663,11 @@ def uncurry_dirichlet(g: Lens, p: FinPoly, q: FinPoly, r: FinPoly) -> Lens:
 
 
 # ---------------------------------------------------------------------------
-# The sections kept in polydyn._structure, loaded on first use.  Each name
-# read from there is stored in this module's globals, so later reads do
-# not come back here.
+# The sections kept in polydyn._structure, loaded on first use.
 
-_STRUCTURE_NAMES = frozenset(
+_STRUCTURE_NAMES, __getattr__, __dir__ = _lazy_names(
+    globals(),
+    "polydyn._structure",
     """
     _relabel_iso _rebracket _swap _rebracket_tags _flip_tag _first _second
     _untag _keep _rebracket_compose _distribute_position _distribute_direction
@@ -671,20 +679,5 @@ _STRUCTURE_NAMES = frozenset(
     limit_terminal limit_binary_product limit_equalizer limit_pullback
     factor_vert_cart factor_epi_mono base_change base_pushforward
     adjunction_suite
-    """.split()
+    """,
 )
-
-
-def __getattr__(name: str):
-    if name not in _STRUCTURE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from polydyn import _structure
-
-    names = globals()
-    for lazy in _STRUCTURE_NAMES:
-        names[lazy] = getattr(_structure, lazy)
-    return names[name]
-
-
-def __dir__() -> list[str]:
-    return sorted(globals().keys() | _STRUCTURE_NAMES)

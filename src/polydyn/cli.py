@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from polydyn.core import Y
-from polydyn.dynamics import run_closed, run_open, trace_to_csv, trace_to_json
+from polydyn.dynamics import run_closed, run_open
 from polydyn.wiring import (
     WiringSyntaxError,
     compile_machines,
@@ -79,6 +79,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 1
+    # the exports sit in dynamics' cold half, loaded only here
+    from polydyn.dynamics import trace_to_csv, trace_to_json
+
     if args.json:
         print(json.dumps(trace_to_json(trace)))
     else:

@@ -22,6 +22,19 @@ conversions between them, exhaustive law checkers that report every
 violating instance, contractible comonoids, sums and tensors (coproducts
 and products of categories), the cofree truncation chain of a polynomial,
 and finite-depth behavior maps whose kernels are n-bisimilarity.
+
+No pipeline of the package calls the following, so their code sits in
+polydyn._comonoid_cold and is compiled only when one of their names is
+first read from this module:
+  the public constructor's recognition of carrier∘carrier
+  (_is_self_composite)
+  cofunctors (Cofunctor, check_cofunctor, identity_cofunctor,
+  lens_to_cofunctor, cofunctor_to_lens)
+  discrete_comonoid, comonoid_sum and comonoid_tensor
+  the morphism squares (check_comonoid_morphism)
+  nstep_behavior
+  JSON serialization (fincat_to_json, fincat_from_json, comonoid_to_json,
+  comonoid_from_json)
 """
 
 from __future__ import annotations
@@ -35,21 +48,13 @@ from .core import (
     FinSet,
     Lens,
     ONE,
-    SetFn,
     SizeLimitError,
     Y,
-    _json_array,
-    _json_node,
-    _json_nodes,
+    _lazy_names,
     fn_label,
-    lens_compose,
-    lens_from_json,
     lens_id,
-    lens_to_json,
     make_poly,
     pair_label,
-    poly_from_json,
-    poly_to_json,
     split_fn,
     split_pair,
     tag_label,
@@ -60,12 +65,9 @@ from .algebra import (
     _compose_positions,
     _product_size,
     compose_map,
-    compose_power,
     poly_compose,
     poly_product,
     product_map,
-    sum_many,
-    tensor_many,
     terminal_lens,
 )
 
@@ -111,10 +113,13 @@ class Comonoid:
       composite[i][(d, e)]  the direction at i that d followed by e
                             composes to, for each e at codomain[i][d].
 
-    The tables are read-only once built.  counit is the lens carrier → y
-    built from identity.  comult, the lens carrier → carrier∘carrier with
-    the structured labels of poly_compose, is derived from the tables on
-    first access and then kept; equality and hashing never force it.
+    The tables are read-only once built.  Positions may share one table
+    object, and so may the comonoids built from this one (comonoid_sum,
+    comonoid_tensor); sharing is never visible in a result.  counit is
+    the lens carrier → y built from identity.  comult, the lens carrier →
+    carrier∘carrier with the structured labels of poly_compose, is
+    derived from the tables on first access and then kept; equality and
+    hashing never force it.
     check_comonoid_laws keeps the verdict of its last full walk, so that
     comonoid_to_category need not walk the same tables again.
 
@@ -128,6 +133,8 @@ class Comonoid:
     """
 
     def __init__(self, carrier: FinPoly, counit: Lens, comult: Lens):
+        from ._comonoid_cold import _is_self_composite
+
         if counit.dom != carrier or counit.cod != Y:
             raise ValueError("counit must be a lens carrier → y")
         if comult.dom != carrier or not _is_self_composite(carrier, comult.cod):
@@ -309,49 +316,6 @@ def _comult_label(c: Comonoid, i: str) -> str:
     return pair_label(b, fn_label(c.codomain[i], c.carrier.directions(b).elements))
 
 
-def _is_self_composite(carrier: FinPoly, q: FinPoly) -> bool:
-    """Is q carrier∘carrier, read off its labels in either label form?
-
-    Each position of q must decode to (i, table) with the table total on
-    the directions at i and valued in positions, and its directions to the
-    pairs (d, e) with e a direction at table[d], each once.  The decoded
-    positions must be distinct and as many as carrier∘carrier has.
-    """
-    n = carrier.num_positions()
-    if q.num_positions() != _compose_positions(carrier, n):
-        return False
-    positions = carrier._dirs
-    # positions with equal direction sets share a kind; a direction set is
-    # decoded once per position of carrier and kinds of the table's values
-    kind: dict[FinSet, int] = {}
-    kinds = {v: kind.setdefault(dirs, len(kind)) for v, dirs in positions.items()}
-    matched: dict[tuple, frozenset] = {}
-    seen = set()
-    for label, dirs in q._dirs.items():
-        try:
-            i, table = split_pair(label)
-            phi = split_fn(table)
-            here = positions[i]
-            if phi.keys() != here._set:
-                return False
-            values = tuple(map(phi.__getitem__, here.elements))
-            shape = (i, tuple(map(kinds.__getitem__, values)))
-        except (ValueError, KeyError):
-            return False
-        seen.add((i, values))
-        if dirs._set == matched.get(shape):
-            continue
-        try:
-            pairs = {split_pair(de) for de in dirs.elements}
-        except ValueError:
-            return False
-        expected = {(d, e) for d, v in zip(here.elements, values) for e in positions[v]}
-        if len(pairs) != len(dirs) or pairs != expected:
-            return False
-        matched[shape] = dirs._set
-    return len(seen) == q.num_positions()
-
-
 def _is_contractible(c: Comonoid) -> bool:
     positions = c.carrier.positions_set()
     checked = set()
@@ -369,29 +333,6 @@ def _is_contractible(c: Comonoid) -> bool:
             return False
         checked.add((id(cod), id(comp)))
     return True
-
-
-def _lens_differences(law: str, left: Lens, right: Lens) -> list[dict]:
-    """Pointwise comparison of two parallel lenses, one record per mismatch."""
-    out = []
-    for i in left.dom.position_labels:
-        if left.on_pos[i] != right.on_pos[i]:
-            out.append(
-                {
-                    "law": law,
-                    "position": i,
-                    "left": left.on_pos[i],
-                    "right": right.on_pos[i],
-                }
-            )
-            continue
-        for d, v in left.on_dir[i].items():
-            w = right.on_dir[i][d]
-            if v != w:
-                out.append(
-                    {"law": law, "position": i, "direction": d, "left": v, "right": w}
-                )
-    return out
 
 
 def check_comonoid_laws(c: Comonoid) -> dict:
@@ -751,122 +692,6 @@ def check_category(k: FinCat) -> dict:
     return {"ok": not violations, "violations": violations}
 
 
-class Cofunctor:
-    """Forward on objects, backwards on morphisms.
-
-    pull_mor maps (source object c, target morphism g out of on_obj(c)) to
-    a source morphism out of c.  Construction enforces exactly that typing;
-    the three cofunctor laws live in check_cofunctor.
-    """
-
-    def __init__(
-        self,
-        src: FinCat,
-        tgt: FinCat,
-        on_obj: SetFn,
-        pull_mor: Mapping[tuple[str, str], str],
-    ):
-        if on_obj.dom != src.objects or on_obj.cod != tgt.objects:
-            raise ValueError("on_obj must map source objects to target objects")
-        self.src = src
-        self.tgt = tgt
-        self.on_obj = on_obj
-        wanted = {
-            (c, g)
-            for c in src.objects.elements
-            for g in tgt.out[on_obj(c)]
-        }
-        given = set(pull_mor)
-        if given != wanted:
-            raise ValueError(
-                f"pull_mor keys mismatch: missing {sorted(wanted - given)!r}, "
-                f"extra {sorted(given - wanted)!r}"
-            )
-        for (c, g), m in pull_mor.items():
-            if m not in src.dom_of:
-                raise ValueError(f"pull_mor[{(c, g)!r}] is not a morphism: {m!r}")
-            if src.dom_of[m] != c:
-                raise ValueError(f"pull_mor[{(c, g)!r}] must start at {c!r}")
-        self.pull_mor = dict(pull_mor)
-
-    def pull(self, c: str, g: str) -> str:
-        if (c, g) not in self.pull_mor:
-            raise ValueError(f"({c!r}, {g!r}) is not in the domain of pull_mor")
-        return self.pull_mor[(c, g)]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Cofunctor):
-            return NotImplemented
-        return (
-            self.src == other.src
-            and self.tgt == other.tgt
-            and self.on_obj == other.on_obj
-            and self.pull_mor == other.pull_mor
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.src, self.tgt, self.on_obj, tuple(sorted(self.pull_mor.items())))
-        )
-
-    def __repr__(self) -> str:
-        return f"Cofunctor({self.src!r} ↛ {self.tgt!r})"
-
-
-def check_cofunctor(f: Cofunctor) -> dict:
-    """The three cofunctor laws, checked on every instance.
-
-    i: identities pull back to identities.  ii: the codomain of a pulled
-    morphism maps forward onto the original codomain.  iii: pulling back a
-    composite equals composing the pulled pieces.  Law iii instances whose
-    typing depends on a failed law ii instance are skipped (and already
-    reported under ii).
-    """
-    src, tgt = f.src, f.tgt
-    violations = []
-    for c in src.objects.elements:
-        image = f.on_obj(c)
-        got = f.pull(c, tgt.identity[image])
-        if got != src.identity[c]:
-            violations.append({"law": "i", "object": c, "got": got})
-        for g in tgt.out[image]:
-            m = f.pull(c, g)
-            if f.on_obj(src.cod_of[m]) != tgt.cod_of[g]:
-                violations.append(
-                    {
-                        "law": "ii",
-                        "object": c,
-                        "morphism": g,
-                        "pulled": m,
-                        "cod_image": f.on_obj(src.cod_of[m]),
-                        "cod": tgt.cod_of[g],
-                    }
-                )
-                continue
-            c2 = src.cod_of[m]
-            for h in tgt.out[tgt.cod_of[g]]:
-                lhs = f.pull(c, tgt.compose2(h, g))
-                rhs = src.compose2(f.pull(c2, h), m)
-                if lhs != rhs:
-                    violations.append(
-                        {
-                            "law": "iii",
-                            "object": c,
-                            "first": g,
-                            "second": h,
-                            "left": lhs,
-                            "right": rhs,
-                        }
-                    )
-    return {"ok": not violations, "violations": violations}
-
-
-def identity_cofunctor(k: FinCat) -> Cofunctor:
-    on_obj = SetFn.identity(k.objects)
-    pull = {(c, g): g for c in k.objects.elements for g in k.out[c]}
-    return Cofunctor(k, k, on_obj, pull)
-
-
 # ---------------------------------------------------------------------------
 # The two readings of one structure.
 
@@ -960,120 +785,6 @@ def contractible(s: FinSet) -> Comonoid:
         dict.fromkeys(elems, codomain),
         dict.fromkeys(elems, composite),
     )
-
-
-def discrete_comonoid(s: FinSet) -> Comonoid:
-    """The comonoid S·y: the discrete category on S (identities only)."""
-    _require_finset(s)
-    elems = s.elements
-    carrier = make_poly((x, ["*"]) for x in elems)
-    composite = {("*", "*"): "*"}
-    return Comonoid._from_tables(
-        carrier,
-        dict.fromkeys(elems, "*"),
-        {x: {"*": x} for x in elems},
-        dict.fromkeys(elems, composite),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Sums and tensors: coproducts and products of categories.
-
-
-def comonoid_sum(c: Comonoid, d: Comonoid) -> Comonoid:
-    """Carrier C+D with the summand structures side by side."""
-    identity = {}
-    base = {}
-    codomain = {}
-    composite = {}
-    for key, part in (("0", c), ("1", d)):
-        for i in part.carrier.position_labels:
-            lab = tag_label(key, i)
-            identity[lab] = part.identity[i]
-            base[lab] = tag_label(key, part.base[i])
-            codomain[lab] = {
-                e: tag_label(key, j) for e, j in part.codomain[i].items()
-            }
-            # summand directions are untouched by +, so composites carry
-            # over verbatim
-            composite[lab] = dict(part.composite[i])
-    carrier = sum_many([("0", c.carrier), ("1", d.carrier)])
-    return Comonoid._from_tables(carrier, identity, codomain, composite, base)
-
-
-def comonoid_tensor(c: Comonoid, d: Comonoid) -> Comonoid:
-    """Carrier C⊗D: the product of the two categories, table by table.
-
-    Positions, directions, identities, codomains and composites are all
-    pairs of the factors' ones; this is δ_C⊗δ_D pushed through the
-    interchange lens, without building either carrier∘carrier.
-    """
-    identity = {}
-    base = {}
-    codomain = {}
-    composite = {}
-    for i in c.carrier.position_labels:
-        ci = c.codomain[i]
-        for j in d.carrier.position_labels:
-            dj = d.codomain[j]
-            lab = pair_label(i, j)
-            identity[lab] = pair_label(c.identity[i], d.identity[j])
-            base[lab] = pair_label(c.base[i], d.base[j])
-            codomain[lab] = {
-                pair_label(x, y): pair_label(ci[x], dj[y]) for x in ci for y in dj
-            }
-            composite[lab] = {
-                (pair_label(x, y), pair_label(x2, y2)): pair_label(u, v)
-                for (x, x2), u in c.composite[i].items()
-                for (y, y2), v in d.composite[j].items()
-            }
-    carrier = tensor_many([c.carrier, d.carrier])
-    return Comonoid._from_tables(carrier, identity, codomain, composite, base)
-
-
-# ---------------------------------------------------------------------------
-# Comonoid morphisms and cofunctors.
-
-
-def check_comonoid_morphism(phi: Lens, c: Comonoid, d: Comonoid) -> dict:
-    """Do the counit and comultiplication squares commute for phi: C → D?"""
-    if phi.dom != c.carrier or phi.cod != d.carrier:
-        raise ValueError("phi must be a lens from the carrier of c to the carrier of d")
-    violations = []
-    violations += _lens_differences(
-        "counit_square", lens_compose(d.counit, phi), c.counit
-    )
-    violations += _lens_differences(
-        "comult_square",
-        lens_compose(d.comult, phi),
-        lens_compose(compose_map(phi, phi), c.comult),
-    )
-    return {"ok": not violations, "violations": violations}
-
-
-def lens_to_cofunctor(phi: Lens, src: FinCat, tgt: FinCat) -> Cofunctor:
-    """Reinterpret a carrier lens as object/morphism data between categories."""
-    if phi.dom != category_carrier(src) or phi.cod != category_carrier(tgt):
-        raise ValueError("phi must run between the carriers of src and tgt")
-    on_obj = SetFn(src.objects, tgt.objects, dict(phi.on_pos))
-    pull = {
-        (c, g): phi.on_dir[c][g]
-        for c in src.objects.elements
-        for g in tgt.out[phi.on_pos[c]]
-    }
-    return Cofunctor(src, tgt, on_obj, pull)
-
-
-def cofunctor_to_lens(f: Cofunctor) -> Lens:
-    """The carrier lens of a cofunctor: objects forward, morphisms back."""
-    dom = category_carrier(f.src)
-    cod = category_carrier(f.tgt)
-    on_pos = {c: f.on_obj(c) for c in f.src.objects.elements}
-    on_dir = {
-        c: {g: f.pull(c, g) for g in f.tgt.out[f.on_obj(c)]}
-        for c in f.src.objects.elements
-    }
-    return Lens(dom, cod, on_pos, on_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -1406,7 +1117,7 @@ def cat_isomorphic(k1: FinCat, k2: FinCat) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Cofree truncation and finite-depth behavior.
+# Cofree truncation.
 
 
 def cofree_truncation(
@@ -1455,97 +1166,16 @@ def cofree_truncation(
     return stages, projections
 
 
-def nstep_behavior(c: Comonoid, f: Lens, n: int) -> SetFn:
-    """Where each state can be after n steps of looking through f.
-
-    f must be a lens from the carrier to some interface p.  The result maps
-    carrier positions to positions of p^∘n, the trees of depth-n
-    observations; states with the same image are n-bisimilar.
-
-    The trees are assembled recursively from the codomain table and f's
-    tables.  This equals the on-positions part of the composite
-    carrier → carrier^∘n → p^∘n built with compose_map and the iterated
-    comultiplication, but the carrier powers are never materialized.
-    """
-    if f.dom != c.carrier:
-        raise ValueError("f must be a lens out of the comonoid carrier")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    p = f.cod
-    cod = compose_power(p, n).positions_set()
-    memo: dict[tuple[str, int], str] = {}
-
-    def img(s: str, k: int) -> str:
-        if k == 0:
-            return "*"
-        if k == 1:
-            return f.on_pos[s]
-        got = memo.get((s, k))
-        if got is None:
-            s1 = c.base[s]
-            phi = c.codomain[s]
-            b = f.on_pos[s1]
-            fsharp = f.on_dir[s1]
-            pdirs = p.directions(b).elements
-            table = {dp: img(phi[fsharp[dp]], k - 1) for dp in pdirs}
-            got = memo[(s, k)] = pair_label(b, fn_label(table, pdirs))
-        return got
-
-    mapping = {s: img(s, n) for s in c.carrier.position_labels}
-    return SetFn(c.carrier.positions_set(), cod, mapping)
-
-
 # ---------------------------------------------------------------------------
-# Serialization.
+# The sections kept in polydyn._comonoid_cold, loaded on first use.
 
-
-def fincat_to_json(k: FinCat) -> dict:
-    return {
-        "objects": list(k.objects.elements),
-        "morphisms": [
-            {"label": m, "dom": d, "cod": c} for m, d, c in k.morphisms
-        ],
-        "identity": dict(k.identity),
-        "compose": [
-            {"after": g, "first": f, "result": h}
-            for (g, f), h in sorted(k._compose.items())
-        ],
-    }
-
-
-def fincat_from_json(data: dict) -> FinCat:
-    try:
-        data = _json_node(data, "category")
-        objects = FinSet(_json_array(data["objects"], "category"))
-        morphisms = [
-            (m["label"], m["dom"], m["cod"])
-            for m in _json_nodes(data["morphisms"], "category")
-        ]
-        identity = _json_node(data["identity"], "category")
-        compose = {
-            (e["after"], e["first"]): e["result"]
-            for e in _json_nodes(data["compose"], "category")
-        }
-    except KeyError as exc:
-        raise ValueError(f"missing key in category JSON: {exc}") from exc
-    return FinCat(objects, morphisms, identity, compose)
-
-
-def comonoid_to_json(c: Comonoid) -> dict:
-    return {
-        "carrier": poly_to_json(c.carrier),
-        "counit": lens_to_json(c.counit),
-        "comult": lens_to_json(c.comult),
-    }
-
-
-def comonoid_from_json(data: dict) -> Comonoid:
-    try:
-        data = _json_node(data, "comonoid")
-        return Comonoid(
-            poly_from_json(data["carrier"]),
-            lens_from_json(data["counit"]),
-            lens_from_json(data["comult"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"missing key in comonoid JSON: {exc}") from exc
+_COLD_NAMES, __getattr__, __dir__ = _lazy_names(
+    globals(),
+    "polydyn._comonoid_cold",
+    """
+    _is_self_composite _lens_differences Cofunctor check_cofunctor
+    identity_cofunctor lens_to_cofunctor cofunctor_to_lens discrete_comonoid
+    comonoid_sum comonoid_tensor check_comonoid_morphism nstep_behavior
+    fincat_to_json fincat_from_json comonoid_to_json comonoid_from_json
+    """,
+)

@@ -12,6 +12,16 @@ Runs produce Trace values (one step per consumed direction plus a final
 readout) and unrolling produces StrategyTree values, the finite-depth
 observation trees whose structured labels are exactly the elements of
 the iterated substitution power of the interface.
+
+No pipeline of the package calls the following, so their code sits in
+polydyn._dynamics_cold and is compiled only when one of their names is
+first read from this module:
+  strategy trees (StrategyTree, step, unroll)
+  Moore machines as lenses (moore_to_lens, lens_to_moore, moore_to_mdds)
+  and run_moore
+  combining systems (overlay, juxtapose, apply_wiring) and trace_history
+  the exports (trace_to_json, trace_to_csv, strategy_tree_to_json,
+  strategy_tree_to_dot)
 """
 
 from __future__ import annotations
@@ -25,20 +35,12 @@ from polydyn.core import (
     Lens,
     SetFn,
     Y,
-    fn_label,
+    _lazy_names,
     is_monomial,
-    lens_compose,
-    monomial,
     pair_label,
     tag_label,
 )
-from polydyn.algebra import (
-    poly_product,
-    poly_tensor,
-    product_pair,
-    tensor_map,
-)
-from polydyn.comonoid import Comonoid, comonoid_tensor, contractible
+from polydyn.comonoid import Comonoid
 
 __all__ = [
     "MooreMachine",
@@ -175,81 +177,6 @@ class MDDS:
         return f"MDDS(states={self.state.carrier!s}, interface={self.interface!s})"
 
 
-class StrategyTree:
-    """A uniform-depth observation tree over an interface.
-
-    The depth-0 tree is empty (no position).  A tree of depth k ≥ 1 has a
-    position and one branch per direction available there, each of depth
-    k−1; at depth 1 all branches point at the empty tree.  The branch
-    insertion order is the interface's direction order, which to_label
-    relies on to reproduce the structured element labels of the iterated
-    substitution power.
-    """
-
-    __slots__ = ("depth", "position", "branches")
-
-    def __init__(self, depth: int, position=None, branches=None):
-        depth = int(depth)
-        if depth < 0:
-            raise ValueError("depth must be non-negative")
-        if depth == 0:
-            if position is not None or branches is not None:
-                raise ValueError("the depth-0 tree has no position and no branches")
-            self.depth = 0
-            self.position = None
-            self.branches = None
-            return
-        if not isinstance(position, str):
-            raise ValueError("a tree of positive depth needs a position label")
-        branches = dict(branches if branches is not None else {})
-        for d, t in branches.items():
-            if not isinstance(t, StrategyTree):
-                raise ValueError(f"branch {d!r} is not a StrategyTree")
-            if t.depth != depth - 1:
-                raise ValueError(
-                    f"branch {d!r} has depth {t.depth}, expected {depth - 1}"
-                )
-        self.depth = depth
-        self.position = position
-        self.branches = branches
-
-    @classmethod
-    def empty(cls) -> "StrategyTree":
-        return cls(0)
-
-    def to_label(self) -> str:
-        """The structured element label this tree denotes.
-
-        Depth 0 is the unique element "*", depth 1 is the bare position,
-        and deeper trees render as pair(position, branch table).
-        """
-        if self.depth == 0:
-            return "*"
-        if self.depth == 1:
-            return self.position
-        table = {d: t.to_label() for d, t in self.branches.items()}
-        return pair_label(self.position, fn_label(table, list(self.branches)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StrategyTree):
-            return NotImplemented
-        return (
-            self.depth == other.depth
-            and self.position == other.position
-            and self.branches == other.branches
-        )
-
-    def __hash__(self) -> int:
-        if self.depth == 0:
-            return hash((0,))
-        return hash((self.depth, self.position, frozenset(self.branches.items())))
-
-    def __repr__(self) -> str:
-        if self.depth == 0:
-            return "StrategyTree(0)"
-        return f"StrategyTree(depth={self.depth}, position={self.position!r})"
-
-
 class Trace:
     """A run record: one step per consumed direction, then a final readout.
 
@@ -337,168 +264,12 @@ class Trace:
 
 
 # ---------------------------------------------------------------------------
-# Moore machines as lenses.
-
-
-def moore_to_lens(m: MooreMachine) -> Lens:
-    """The lens S·y^S → B·y^A: forward is the readout, backward the update."""
-    dom = monomial(m.states, m.states)
-    cod = monomial(m.outputs, m.inputs)
-    on_pos = {s: m.readout(s) for s in m.states.elements}
-    on_dir = {
-        s: {a: m.update(pair_label(a, s)) for a in m.inputs.elements}
-        for s in m.states.elements
-    }
-    return Lens(dom, cod, on_pos, on_dir)
-
-
-def lens_to_moore(f: Lens, initial: str) -> MooreMachine:
-    """Recover the machine from a lens S·y^S → B·y^A.
-
-    The lens carries no start state, so the caller supplies one; with
-    that fixed, this inverts moore_to_lens exactly.
-    """
-    states = f.dom.positions_set()
-    for i in f.dom.position_labels:
-        if f.dom.directions(i) != states:
-            raise ValueError("domain must be S·y^S: every direction set is the state set")
-    if not is_monomial(f.cod):
-        raise ValueError("codomain must be a monomial B·y^A")
-    outputs = f.cod.positions_set()
-    if f.cod.num_positions() == 0:
-        inputs = FinSet(())
-    else:
-        inputs = f.cod.directions(f.cod.position_labels[0])
-    readout = SetFn(states, outputs, dict(f.on_pos))
-    table = {
-        pair_label(a, s): f.on_dir[s][a]
-        for a in inputs.elements
-        for s in states.elements
-    }
-    update = SetFn(input_state_pairs(inputs, states), states, table)
-    return MooreMachine(states, inputs, outputs, readout, update, initial)
-
-
-def moore_to_mdds(m: MooreMachine) -> MDDS:
-    """Wrap a machine as a system: contractible state, monomial interface."""
-    return MDDS(
-        contractible(m.states), monomial(m.outputs, m.inputs), moore_to_lens(m)
-    )
-
-
-def run_moore(m: MooreMachine, inputs: Sequence[str]) -> Trace:
-    """Feed a finite input stream through the machine from its start state."""
-    s = m.initial
-    steps = []
-    for a in inputs:
-        if a not in m.inputs:
-            raise ValueError(f"unknown input element {a!r}")
-        steps.append((s, m.readout(s), a))
-        s = m.update(pair_label(a, s))
-    steps.append((s, m.readout(s), None))
-    return Trace(tuple(steps), s, tag_label(m.initial, s))
-
-
-# ---------------------------------------------------------------------------
-# Stepping and unrolling a general system.
+# Running systems.
 
 
 def _check_state(sys: MDDS, s: str) -> None:
     if s not in sys.state.carrier._dirs:
         raise ValueError(f"unknown state {s!r}")
-
-
-def _pull_direction(sys: MDDS, s: str, d: str) -> str:
-    b = sys.dynamics.on_pos[s]
-    if d not in sys.interface.directions(b):
-        raise ValueError(f"direction {d!r} is not available at position {b!r}")
-    return sys.dynamics.on_dir[s][d]
-
-
-def step(sys: MDDS, s: str, d: str) -> tuple[str, str]:
-    """One move of a system with contractible state: emit, then update.
-
-    Returns (emitted position, next state).  Raises when d is not legal
-    at the emitted position — which directions are available depends on
-    the position, and that is the whole point of mode dependence.
-    """
-    if not sys.state.is_contractible():
-        raise ValueError("step needs a contractible state comonoid")
-    _check_state(sys, s)
-    b = sys.dynamics.on_pos[s]
-    return b, _pull_direction(sys, s, d)
-
-
-def unroll(sys: MDDS, s: str, depth: int) -> StrategyTree:
-    """The depth-n observation tree of a state.
-
-    Root carries the emitted position; the branch at each direction is
-    the unrolling of the state that direction leads to, one level
-    shallower.  The tree's to_label() is exactly the value the n-step
-    behavior map assigns to s.
-    """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    _check_state(sys, s)
-    f = sys.dynamics
-    p = sys.interface
-    base = sys.state.base
-    codomain = sys.state.codomain
-    empty = StrategyTree.empty()
-
-    def grow(state: str, k: int) -> StrategyTree:
-        if k == 0:
-            return empty
-        if k == 1:
-            b = f.on_pos[state]
-            return StrategyTree(
-                1, b, {d: empty for d in p.directions(b).elements}
-            )
-        s1 = base[state]
-        phi = codomain[state]
-        b = f.on_pos[s1]
-        pulled = f.on_dir[s1]
-        branches = {
-            d: grow(phi[pulled[d]], k - 1) for d in p.directions(b).elements
-        }
-        return StrategyTree(k, b, branches)
-
-    return grow(s, depth)
-
-
-# ---------------------------------------------------------------------------
-# Combining systems.
-
-
-def overlay(sys1: MDDS, sys2: MDDS) -> MDDS:
-    """Run two systems on one shared state: the interface product pairing."""
-    if sys1.state != sys2.state:
-        raise ValueError("overlay needs a shared state comonoid")
-    return MDDS(
-        sys1.state,
-        poly_product(sys1.interface, sys2.interface),
-        product_pair(sys1.dynamics, sys2.dynamics),
-    )
-
-
-def juxtapose(sys1: MDDS, sys2: MDDS) -> MDDS:
-    """Place two systems side by side: tensor of states and interfaces."""
-    return MDDS(
-        comonoid_tensor(sys1.state, sys2.state),
-        poly_tensor(sys1.interface, sys2.interface),
-        tensor_map(sys1.dynamics, sys2.dynamics),
-    )
-
-
-def apply_wiring(w: Lens, sys: MDDS) -> MDDS:
-    """Re-house a system behind a wiring lens; plain lens composition."""
-    if w.dom != sys.interface:
-        raise ValueError("wiring domain must equal the system interface")
-    return MDDS(sys.state, w.cod, lens_compose(w, sys.dynamics))
-
-
-# ---------------------------------------------------------------------------
-# Running systems.
 
 
 # Key under which each row of _run records its own (state, history); no
@@ -614,82 +385,16 @@ def run_open(sys: MDDS, inputs: Iterable[str], start: str) -> Trace:
     return _run(sys, sys.interface.directions(sys.interface.position_labels[0]).elements, inputs, start)
 
 
-def trace_history(sys: MDDS, s0: str, directions: Sequence[str]) -> str:
-    """The state-category morphism a direction sequence traces out.
-
-    With no directions this is the identity morphism at s0; otherwise the
-    composite of the pulled-back directions, folded through the state
-    category's composite table.  The result is the morphism's label in
-    comonoid_to_category(sys.state).
-    """
-    _check_state(sys, s0)
-    composite = sys.state.composite[s0]
-    s = s0
-    acc = sys.state.identity[s0]
-    for d in directions:
-        e = _pull_direction(sys, s, d)
-        acc = composite[(acc, e)]
-        s = sys.state.codomain[s][e]
-    return tag_label(s0, acc)
-
-
 # ---------------------------------------------------------------------------
-# Exports.
+# The sections kept in polydyn._dynamics_cold, loaded on first use.
 
-
-def trace_to_json(t: Trace) -> dict:
-    """A plain-dict rendering, ready for json.dumps."""
-    return {
-        "steps": [
-            {"state": s, "position": b, "direction": d} for s, b, d in t.steps
-        ],
-        "final_state": t.final_state,
-        "history": t.history,
-    }
-
-
-def trace_to_csv(t: Trace) -> str:
-    """Rows step,state,position,direction; the final row consumes nothing."""
-    import csv
-    import io
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["step", "state", "position", "direction"])
-    for k, (s, b, d) in enumerate(t.steps):
-        w.writerow([k, s, b, "" if d is None else d])
-    return buf.getvalue()
-
-
-def strategy_tree_to_json(t: StrategyTree) -> dict:
-    if t.depth == 0:
-        return {"depth": 0}
-    return {
-        "depth": t.depth,
-        "position": t.position,
-        "branches": {d: strategy_tree_to_json(sub) for d, sub in t.branches.items()},
-    }
-
-
-def _dot_quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def strategy_tree_to_dot(t: StrategyTree) -> str:
-    """Graphviz text: nodes show positions, edges show directions."""
-    lines = ["digraph strategy {"]
-    counter = itertools.count()
-
-    def walk(node: StrategyTree) -> str:
-        nid = f"n{next(counter)}"
-        lines.append(f"  {nid} [label={_dot_quote(node.position)}];")
-        for d, child in node.branches.items():
-            if child.depth >= 1:
-                cid = walk(child)
-                lines.append(f"  {nid} -> {cid} [label={_dot_quote(d)}];")
-        return nid
-
-    if t.depth >= 1:
-        walk(t)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+_COLD_NAMES, __getattr__, __dir__ = _lazy_names(
+    globals(),
+    "polydyn._dynamics_cold",
+    """
+    StrategyTree moore_to_lens lens_to_moore moore_to_mdds run_moore
+    _pull_direction step unroll overlay juxtapose apply_wiring trace_history
+    trace_to_json trace_to_csv strategy_tree_to_json _dot_quote
+    strategy_tree_to_dot
+    """,
+)

@@ -1899,3 +1899,109 @@ def test_curried_law_walks_match_the_tuple_keyed_ones():
             assert check_category(k) == _tuple_keyed_check_category(k)
     k = _golden_lawless_category()
     assert check_category(k) == _tuple_keyed_check_category(k) == GOLDEN_CATEGORY_REPORT
+
+
+# ---------------------------------------------------------------------------
+# Sums and tensors share the tables their factors share.
+
+
+def _share_nothing(c: Comonoid) -> Comonoid:
+    """c on plain-dict copies that share nothing: every position gets its
+    own direction set and its own copy of every table."""
+    carrier = FinPoly((i, FinSet(d.elements)) for i, d in c.carrier._dirs.items())
+    return Comonoid._from_tables(
+        carrier,
+        dict(c.identity),
+        {i: dict(c.codomain[i]) for i in carrier.position_labels},
+        {i: dict(c.composite[i]) for i in carrier.position_labels},
+        dict(c.base),
+    )
+
+
+def _layout(c: Comonoid) -> tuple:
+    """Everything a comonoid shows, as plain data in its own order: the
+    carrier's positions and directions in order, and each position's tables."""
+    return (
+        [(i, d.elements) for i, d in c.carrier._dirs.items()],
+        list(c.identity.items()),
+        list(c.base.items()),
+        [(i, list(t.items())) for i, t in c.codomain.items()],
+        [(i, list(t.items())) for i, t in c.composite.items()],
+    )
+
+
+def _json_or_refusal(c: Comonoid):
+    try:
+        return comonoid_to_json(c)
+    except SizeLimitError as exc:
+        return ("refused", exc.operation, exc.predicted)
+
+
+def _construction_factors(n):
+    """Comonoids on n states whose positions share tables, lawful and
+    lawless, and small ones to pair them with."""
+    elems = tuple(f"s{k}" for k in range(n))
+    c = contractible(FinSet(elems))
+    big = [c, discrete_comonoid(FinSet(elems))]
+    if n >= 2:
+        first, last = elems[0], elems[-1]
+        comp = _with_entry(c.composite, last, (last, first), last)
+        big.append(Comonoid._from_tables(c.carrier, c.identity, c.codomain, comp))
+        cod = _with_entry(c.codomain, first, first, last)
+        big.append(Comonoid._from_tables(c.carrier, c.identity, cod, c.composite))
+    # lawless, with per-direction failures at both positions
+    small = [contractible(FinSet(("a", "b"))), list(_lawless_with_shared_tables())[1]]
+    return big, small
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_sum_and_tensor_agree_with_builds_that_share_nothing(n):
+    big, small = _construction_factors(n)
+    cases = [(comonoid_sum, a, b) for a in big for b in big + small]
+    cases += [(comonoid_sum, b, a) for a in big for b in small]
+    cases += [(comonoid_tensor, a, b) for a in big for b in small]
+    cases += [(comonoid_tensor, b, a) for a in big for b in small]
+    verdicts = set()
+    for build, a, b in cases:
+        shared = build(a, b)
+        plain = build(_share_nothing(a), _share_nothing(b))
+        assert _layout(shared) == _layout(plain)
+        assert shared == plain and hash(shared) == hash(plain)
+        report = check_comonoid_laws(shared)
+        assert report == check_comonoid_laws(plain)
+        assert report == check_comonoid_laws(_share_nothing(shared))
+        verdicts.add(report["ok"])
+        if algebra._compose_positions(shared.carrier, shared.carrier.num_positions()) <= 5000:
+            assert _json_or_refusal(shared) == _json_or_refusal(plain)
+    assert verdicts == {True, False}
+
+
+def test_sum_and_tensor_build_one_table_per_distinct_factor_table():
+    c = contractible(FinSet(tuple(f"s{k}" for k in range(4))))
+    d = contractible(FinSet(tuple(f"t{k}" for k in range(5))))
+    s = comonoid_sum(c, d)
+    # the summands' composite tables are taken over; each codomain table
+    # is relabeled once
+    assert {id(t) for t in s.composite.values()} == {id(c.composite["s0"]), id(d.composite["t0"])}
+    assert len({id(t) for t in s.codomain.values()}) == 2
+    t = comonoid_tensor(c, d)
+    assert len({id(x) for x in t.codomain.values()}) == 1
+    assert len({id(x) for x in t.composite.values()}) == 1
+    assert len({id(t.carrier.directions(i)) for i in t.carrier.position_labels}) == 1
+    assert t.is_contractible() and check_comonoid_laws(t)["ok"]
+
+
+def test_laws_of_a_sum_and_a_tensor_cost_about_their_factors():
+    elems = tuple(f"s{k}" for k in range(100))
+    c = contractible(FinSet(elems))
+    t0 = time.perf_counter()
+    check_comonoid_laws(c)
+    one = time.perf_counter() - t0
+    s = comonoid_sum(c, contractible(FinSet(tuple(f"t{k}" for k in range(100)))))
+    t0 = time.perf_counter()
+    assert check_comonoid_laws(s)["ok"]
+    # two summands walked once each; before sharing this took over 200×
+    assert time.perf_counter() - t0 < 6 * one + 0.5
+    t0 = time.perf_counter()
+    comonoid_tensor(contractible(FinSet(elems[:12])), contractible(FinSet(elems[:12])))
+    assert time.perf_counter() - t0 < 1.0  # several seconds before sharing

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import pathlib
 import subprocess
 import sys
@@ -139,3 +140,95 @@ def test_importing_the_entry_points_loads_no_cold_module():
         "polydyn.wiring",
     ]
     assert out[1] == "False False"
+
+
+def _unbound_global_reads(source: str, filename: str) -> list[str]:
+    import builtins
+    import symtable
+
+    top = symtable.symtable(source, filename, "exec")
+    bound = {s.get_name() for s in top.get_symbols() if s.is_assigned() or s.is_imported()}
+    found = []
+
+    def walk(table):
+        for child in table.get_children():
+            if child.get_type() != "class":  # a class body runs at import
+                found.extend(
+                    f"{child.get_name()}:{child.get_lineno()} {s.get_name()}"
+                    for s in child.get_symbols()
+                    if s.is_global()
+                    and s.is_referenced()
+                    and s.get_name() not in bound
+                    and not hasattr(builtins, s.get_name())
+                )
+            walk(child)
+
+    walk(top)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_global_a_function_reads_is_bound_at_import(path):
+    # A name a module loads on first use (core._lazy_names) reaches its
+    # globals only after some caller read it from outside: a module
+    # __getattr__ never serves a bare global read inside a function, so a
+    # function that reads such a name, or one imported from another
+    # module's lazy table, imports it where it calls it.
+    assert _unbound_global_reads(path.read_text(encoding="utf-8"), str(path)) == []
+
+
+def test_only_the_lazy_name_helper_defines_a_module_getattr():
+    hooks = [
+        f"{path.name} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name in ("__getattr__", "__dir__")
+    ]
+    assert hooks == ["core.py __getattr__", "core.py __dir__"]
+
+
+def _fresh(code: str, *args: str, stdin: str = "") -> str:
+    # -I: no environment variables or user site-packages; -B: no bytecode
+    # written into the checkout
+    prelude = f"import sys\nsys.path.insert(0, {str(SRC.parent)!r})\n"
+    return subprocess.run(
+        [sys.executable, "-I", "-B", "-c", prelude + code, *args],
+        input=stdin, capture_output=True, text=True, check=True,
+    ).stdout
+
+
+# Each runs in a fresh interpreter, where no earlier call has loaded a
+# cold module that the code under test needs.
+SMOKE = {
+    "public Comonoid constructor": (
+        "from polydyn.core import FinSet\n"
+        "from polydyn.comonoid import Comonoid, contractible\n"
+        "c = contractible(FinSet(('a', 'b')))\n"
+        "print(Comonoid(c.carrier, c.counit, c.comult) == c)\n"
+    ),
+    "comonoid_from_json": (
+        "import json\n"
+        "from polydyn.comonoid import comonoid_from_json\n"
+        "data = {'carrier': {'positions': [{'label': 'a', 'dirs': ['*']}]},\n"
+        "        'counit': {'dom': {'positions': [{'label': 'a', 'dirs': ['*']}]},\n"
+        "                   'cod': {'positions': [{'label': '*', 'dirs': ['*']}]},\n"
+        "                   'onPos': {'a': '*'}, 'onDir': {'a': {'*': '*'}}},\n"
+        "        'comult': {'dom': {'positions': [{'label': 'a', 'dirs': ['*']}]},\n"
+        "                   'cod': {'positions': [{'label': '(a,[*:a])', 'dirs': ['(*,*)']}]},\n"
+        "                   'onPos': {'a': '(a,[*:a])'}, 'onDir': {'a': {'(*,*)': '*'}}}}\n"
+        "print(comonoid_from_json(json.loads(json.dumps(data))).identity == {'a': '*'})\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SMOKE))
+def test_cold_paths_run_in_a_fresh_interpreter(case):
+    assert _fresh(SMOKE[case]) == "True\n"
+
+
+def test_run_json_runs_in_a_fresh_interpreter():
+    demo = SRC.parent.parent / "demos" / "control.wd"
+    out = _fresh("from polydyn.cli import main\nsys.exit(main(sys.argv[1:]))\n",
+                 "run", str(demo), "--json", stdin="a0 a1 a0\n")
+    trace = json.loads(out)
+    assert [step["direction"] for step in trace["steps"]] == ["a0", "a1", "a0", None]
