@@ -213,12 +213,18 @@ def monoid_tables(order: int) -> tuple:
     fixing 0, in ascending order.  The counts for orders 1..7 are 1, 2,
     7, 35, 228, 2237, 31559 (OEIS A058129).  From a cold cache order 6
     takes about 2 s and order 7 about 130 s (2 cores, CPython 3.11.7).
+    Equal rows are one tuple object: the 14728 rows of orders 1..6 hold
+    832 distinct ones.
     """
     if not isinstance(order, int):
         raise TypeError(f"order must be an int, not {type(order).__name__}")
     if order < 1:
         raise ValueError("order must be at least 1")
-    return tuple(_search(1, [0] * order, [0] * order))
+    rows = {}
+    return tuple(
+        tuple([rows.setdefault(row, row) for row in t])
+        for t in _search(1, [0] * order, [0] * order)
+    )
 
 
 class _Parts:

@@ -115,11 +115,10 @@ class Comonoid:
 
     The tables are read-only once built.  Positions may share one table
     object, and so may the comonoids built from this one (comonoid_sum,
-    comonoid_tensor); sharing is never visible in a result.  counit is
-    the lens carrier → y built from identity.  comult, the lens carrier →
-    carrier∘carrier with the structured labels of poly_compose, is
-    derived from the tables on first access and then kept; equality and
-    hashing never force it.
+    comonoid_tensor); sharing is never visible in a result.  counit, the
+    lens carrier → y, and comult, the lens carrier → carrier∘carrier with
+    the structured labels of poly_compose, are derived from the tables on
+    first access and then kept; equality and hashing force neither.
     check_comonoid_laws keeps the verdict of its last full walk, so that
     comonoid_to_category need not walk the same tables again.
 
@@ -185,15 +184,23 @@ class Comonoid:
         self.base = base
         self.codomain = codomain
         self.composite = composite
-        self.counit = Lens._make(
-            carrier,
-            Y,
-            {i: "*" for i in carrier.position_labels},
-            {i: {"*": identity[i]} for i in carrier.position_labels},
-        )
+        self._counit = None
         self._comult = None
         self._contractible = None
         self._lawful = None
+
+    @property
+    def counit(self) -> Lens:
+        """The counit lens carrier → y, derived from identity and kept."""
+        if self._counit is None:
+            labels = self.carrier.position_labels
+            self._counit = Lens._make(
+                self.carrier,
+                Y,
+                dict.fromkeys(labels, "*"),
+                {i: {"*": self.identity[i]} for i in labels},
+            )
+        return self._counit
 
     @property
     def comult(self) -> Lens:
@@ -352,8 +359,23 @@ def check_comonoid_laws(c: Comonoid) -> dict:
     once per call and shared by the positions that share the table; the
     loops look up the row of d once and then read it by e.
 
-    Every call walks everything and returns a fresh report; the verdict
-    alone is also kept on c for comonoid_to_category.
+    Every call returns a fresh report; the verdict alone is also kept on c
+    for comonoid_to_category.
+
+    The counit laws are checked first.  When neither fails, every base[i]
+    is i and, with s the identity at i, codomain[i][s] is i, s;e is e and
+    d;1 is d, writing d;e for composite[i][(d, e)] and 1 for the identity
+    at the codomain of d.  Coassociativity cells that read an identity
+    direction then hold, so only the other directions are walked, and
+    the report is the one a walk over every cell gives:
+      the pre-check, codomain[i][d;e] = codomain[k][e] with k =
+      codomain[i][d]: for d = s, s;e is e and k is i; for e = 1 at k,
+      d;1 is d and codomain[k][1] is k, base[k] being k;
+      the direction walk, (d;e);g = d;(e;g) with e;g read at k: for d =
+      s, s;x is x on both sides; for e = 1 at k, d;1 is d and 1;g is g;
+      for g = 1 at m = codomain[k][e], which the pre-check makes the
+      codomain of d;e too, both sides are d;e.
+    When a counit law fails, every cell is walked.
     """
     if not isinstance(c, Comonoid):
         raise TypeError(f"c must be a Comonoid, not {type(c).__name__}")
@@ -426,6 +448,15 @@ def check_comonoid_laws(c: Comonoid) -> dict:
                     }
                 )
 
+    # the directions the coassociativity walks read at each position
+    if violations:
+        walk = {i: dirs[i].elements for i in carrier.position_labels}
+    else:
+        walk = {
+            i: tuple([x for x in dirs[i].elements if x != ident[i]])
+            for i in carrier.position_labels
+        }
+
     # Coassociativity: the associator after (comult ∘̂ id) after comult must
     # equal (id ∘̂ comult) after comult.  Both sides land in
     # carrier∘(carrier∘carrier).  At i with comult target (i1, phi) and
@@ -435,7 +466,8 @@ def check_comonoid_laws(c: Comonoid) -> dict:
     # Where base[i] is i, the check at i reads only the direction set, the
     # codomain and the composite table at i (plus tables at the positions
     # they lead to), so positions sharing those three objects pass or fail
-    # together: a set that passed once is not walked again.
+    # together, whatever their identities (a skipped cell never fails): a
+    # set that passed once is not walked again.
     passed = set()
     for i in carrier.position_labels:
         i1 = base[i]
@@ -454,7 +486,7 @@ def check_comonoid_laws(c: Comonoid) -> dict:
         # the walk stops at the first e where they do not
         mismatch = i2 != i1
         if not mismatch:
-            for e in i1dirs:
+            for e in walk[i1]:
                 j = psi[e]
                 k = phi[e]
                 if j != base[k]:
@@ -462,7 +494,7 @@ def check_comonoid_laws(c: Comonoid) -> dict:
                     break
                 row = comp1[e]
                 cod_k = cod[k]
-                for g in dirs[j].elements:
+                for g in walk[j]:
                     if phi[row[g]] != cod_k[g]:
                         mismatch = True
                         break
@@ -485,16 +517,16 @@ def check_comonoid_laws(c: Comonoid) -> dict:
                 }
             )
             continue
-        for d in i1dirs:
+        for d in walk[i1]:
             k = phi[d]
             then_d = composite[d]
             then_d1 = comp1[d]
             inner = comp[k]
             cod_k = cod[k]
-            for e in dirs[base[k]].elements:
+            for e in walk[base[k]]:
                 left_row = composite[then_d1[e]]
                 inner_e = inner[e]
-                for g in dirs[cod_k[e]].elements:
+                for g in walk[cod_k[e]]:
                     lv = left_row[g]
                     rv = then_d[inner_e[g]]
                     if lv != rv:
@@ -655,8 +687,15 @@ def check_category(k: FinCat) -> dict:
     the codomain of f, and h over those out of the codomain of g.  The
     composition table is read curried by its first factor, built once per
     call as after[f][g] = g∘f, so every lookup is by a label rather than
-    by a (g, f) pair.  Every call walks everything and returns a fresh
-    report; the verdict alone is also kept on k for category_to_comonoid.
+    by a (g, f) pair.  Every call returns a fresh report; the verdict
+    alone is also kept on k for category_to_comonoid.
+
+    The identity laws are checked first.  When none fails, a triple
+    (h, g, f) with an identity in it is associative, so only triples of
+    non-identity morphisms are walked: with f = 1, both sides are h∘g,
+    as g∘1 = g and (h∘g)∘1 = h∘g; with g = 1, both are h∘f, as 1∘f = f
+    and h∘1 = h; with h = 1, both are g∘f, as 1∘(g∘f) = g∘f and 1∘g = g.
+    When one fails, every composable triple is walked.
     """
     cod_of, out, identity = k.cod_of, k.out, k.identity
     labels = k.morphism_labels()
@@ -671,6 +710,10 @@ def check_category(k: FinCat) -> dict:
         right = after[identity[k.dom_of[m]]][m]
         if right != m:
             violations.append({"law": "right_identity", "morphism": m, "got": right})
+    if not violations:
+        ids = set(identity.values())
+        out = {o: tuple([m for m in ms if m not in ids]) for o, ms in out.items()}
+        labels = [m for m in labels if m not in ids]
     for f in labels:
         then_f = after[f]
         for g in out[cod_of[f]]:
@@ -987,15 +1030,18 @@ def _direct_isomorphism(k1: FinCat, k2: FinCat):
     and k2 have as many objects and as many morphisms.
 
     k1's non-identity morphisms are placed in order, each onto an unused
-    non-identity morphism of k2 whose endpoints agree with the object map
-    built so far; an object's identity is mapped along with the object.
+    non-identity morphism of k2 that as many composable pairs compose to
+    and whose endpoints agree with the object map built so far; an
+    object's identity is mapped along with the object.
     Each entry of k1's composition table is checked once, as in VF2
     (Cordella et al. 2004): as soon as the last of its non-identity
     morphisms is placed, or, for an identity's own composite (e, e), once
     the map is complete.  So a map returned is an isomorphism.  The
     search gives up after 10·n² candidates (n morphisms), so None does
     not mean the two are not isomorphic; that covers the whole search
-    when n is at most six, as in the catalog.
+    when n is at most six, as in the catalog.  Pairing by hit count
+    skips only candidates no isomorphism uses, so the search finds the
+    map it would find without the pairing, counting no more candidates.
     """
     ids1, ids2 = k1.identity, k2.identity
     position = dict.fromkeys(ids1.values(), -1)
@@ -1005,7 +1051,15 @@ def _direct_isomorphism(k1: FinCat, k2: FinCat):
             position[m] = len(order)
             order.append(m)
     skip2 = set(ids2.values())
-    pool = [m for m, _, _ in k2.morphisms if m not in skip2]
+    # an isomorphism keeps the number of composable pairs composing to a
+    # morphism (the hits of _colours), so each morphism is offered only
+    # the candidates with its count, in k2's order
+    hits1, hits2 = Counter(k1._compose.values()), Counter(k2._compose.values())
+    by_hits = {}
+    for m, _, _ in k2.morphisms:
+        if m not in skip2:
+            by_hits.setdefault(hits2[m], []).append(m)
+    pools = [by_hits.get(hits1[m], ()) for m in order]
     # due[i]: the entries whose last non-identity morphism is order[i];
     # due[-1]: the entries with none, checked once the map is complete
     due = [[] for _ in range(len(order) + 1)]
@@ -1021,7 +1075,7 @@ def _direct_isomorphism(k1: FinCat, k2: FinCat):
     dom1, cod1, dom2, cod2, comp2 = k1.dom_of, k1.cod_of, k2.dom_of, k2.cod_of, k2._compose
     obj, mor, taken_obj, taken_mor = {}, {}, set(), set()
     budget = 10 * len(k1.morphisms) ** 2
-    start = [0] * len(order)  # next candidate in pool at each position
+    start = [0] * len(order)  # next candidate in pools[i] at each position i
     fresh = [[] for _ in order]  # objects first mapped at each position
     i = 0
     while i < len(order):
@@ -1033,6 +1087,7 @@ def _direct_isomorphism(k1: FinCat, k2: FinCat):
                 del mor[ids1[x]]
         d, c = dom1[m], cod1[m]
         new = fresh[i] = []
+        pool = pools[i]
         j = start[i]
         while j < len(pool):
             m2 = pool[j]

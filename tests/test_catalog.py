@@ -218,6 +218,24 @@ def test_monoid_tables_are_nested_int_tuples():
                 assert all(type(x) is int for x in row)
 
 
+def test_monoid_tables_share_equal_rows():
+    # the tables stay those of the typed search, element by element, and
+    # the catalog built from them is unchanged
+    rows = {}
+    count = 0
+    for n in range(1, 7):
+        tables = monoid_tables(n)
+        assert tables == tuple(_search(1, [0] * n, [0] * n))
+        for t in tables:
+            for row in t:
+                assert rows.setdefault(row, row) is row
+                count += 1
+    assert (count, len(rows)) == (14728, 832)
+    assert _catalog_digest(generate_categories(3, 6)) == (
+        "c99c63b465702ee25c7c0d94c8c860fc6d96d34c1854936c1359d59099231b8a"
+    )
+
+
 def test_catalog_import_does_not_load_numpy():
     code = "import sys, polydyn, polydyn.catalog; print('numpy' in sys.modules)"
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -736,6 +754,78 @@ def test_groups_with_equal_invariants_are_left_to_the_least_keys():
     assert check_category(b)["ok"]
     assert _invariants(a) == _invariants(b)
     assert _direct_isomorphism(a, b) is None
+
+
+def _hit_multiset(k):
+    """The sorted numbers of composable pairs composing to each
+    non-identity morphism of k."""
+    hits = Counter(k._compose.values())
+    identities = set(k.identity.values())
+    return sorted(hits[m] for m, _, _ in k.morphisms if m not in identities)
+
+
+def test_direct_search_finds_every_catalog_category_in_its_copies():
+    # each category against a shuffled copy, the copy against its comonoid
+    # round trip and that against the category: pairing candidates by hit
+    # count loses none of these matches, and each map is an isomorphism
+    rng = random.Random(2525)
+    found = 0
+    for k in generate_categories(3, 6):
+        a = _shuffled(k, rng)
+        b = comonoid_to_category(category_to_comonoid(a))
+        for x, y in ((k, a), (a, b), (b, k)):
+            got = _direct_isomorphism(x, y)
+            assert got is not None and is_cat_isomorphism(x, y, *got)
+            found += 1
+    assert found == 3 * 3228
+
+
+def test_direct_search_finds_nothing_between_classes_with_equal_hit_counts():
+    # distinct catalog categories are not isomorphic; these pairs have the
+    # same size and the same hit counts, so the pairing alone rules out
+    # none of their maps
+    rng = random.Random(2626)
+    groups = {}
+    for k in generate_categories(3, 6):
+        key = (len(k.objects), len(k.morphisms), tuple(_hit_multiset(k)))
+        groups.setdefault(key, []).append(k)
+    pairs = [p for g in groups.values() for p in itertools.combinations(g, 2)]
+    assert len(pairs) > 10000
+    for x, y in rng.sample(pairs, 400):
+        assert _direct_isomorphism(x, _shuffled(y, rng)) is None
+        assert _direct_isomorphism(_shuffled(y, rng), x) is None
+    a, b = _abelian_group((4, 4)), _semidirect_z4_z4()
+    assert _hit_multiset(a) == _hit_multiset(b)
+    assert _direct_isomorphism(_shuffled(a, rng), b) is None
+    assert _direct_isomorphism(b, _shuffled(a, rng)) is None
+
+
+def _fan(images):
+    """Objects x, y, z and seven parallel arrows x -> z named by images,
+    images[0] being b∘a for a: x -> y and b: y -> z; the arrows come
+    first, in label order."""
+    ident = {"x": "ex", "y": "ey", "z": "ez"}
+    mors = [(e, o, o) for o, e in ident.items()]
+    mors += [(images[i], "x", "z") for i in range(7)] + [("a", "x", "y"), ("b", "y", "z")]
+    comp = {(ident[c], m): m for m, _, c in mors}
+    comp.update({(m, ident[d]): m for m, d, _ in mors})
+    comp["b", "a"] = images[0]
+    return FinCat(FinSet(tuple(ident)), sorted(mors, key=lambda t: (t[0] not in images, t)), ident, comp)
+
+
+def test_hit_counts_keep_the_bound_from_stopping_a_fan_search():
+    # the parallel arrows are placed first and only b∘a tells p0 from the
+    # rest; offered every arrow, p0 takes the six others first, each with
+    # every order of the remaining six, and the 10·n² bound stops the
+    # search; offered only the arrow with its hit count, it is placed at
+    # once
+    k = _fan([f"p{i}" for i in range(7)])
+    k2 = _fan([f"q{6 - i}" for i in range(7)])  # p0's image, q6, comes last
+    got = _direct_isomorphism(k, k2)
+    assert got is not None and is_cat_isomorphism(k, k2, *got)
+    assert got[1]["p0"] == "q6"
+    assert cat_isomorphic(k, k2)
+    assert k._canonical is None and k2._canonical is None
 
 
 def test_catalog_does_not_depend_on_the_hash_seed():

@@ -1369,6 +1369,25 @@ def test_comult_is_derived_read_only_and_not_needed_for_equality():
         c.comult = d.comult
 
 
+def test_counit_is_derived_on_first_read_and_kept():
+    # building a comonoid builds no counit lens; equality and hashing never
+    # do, and the lens derived from the identities is the one passed in
+    c = category_to_comonoid(walking_arrow(["ia", "f", "ib"]))
+    d = contractible(FinSet(("a", "b", "c")))
+    e = contractible(FinSet(("a", "b", "c")))
+    assert d == e and hash(d) == hash(e) and c != d and hash(c) != hash(d)
+    assert c._counit is d._counit is e._counit is None
+    assert c.counit.on_dir == {o: {"*": m} for o, m in c.identity.items()}
+    labels = d.carrier.position_labels
+    counit = Lens(d.carrier, Y, dict.fromkeys(labels, "*"), {x: {"*": x} for x in labels})
+    assert d.counit == counit and d.counit is d.counit
+    built = Comonoid(d.carrier, counit, d.comult)
+    assert built._counit is None
+    assert built.counit == counit
+    with pytest.raises(AttributeError):
+        d.counit = counit
+
+
 def _unshared_tables(c):
     """_from_tables' arguments for c, as plain dicts: one fresh dict per
     position, so no two positions share a table."""

@@ -1,0 +1,449 @@
+"""The law checks against reference walks that visit every cell.
+
+Once the unit laws hold, check_category skips the composable triples with
+an identity in them and check_comonoid_laws the coassociativity cells that
+read an identity direction.  The reference walks below are the two checks
+as they were before that: they visit every cell.  On every input here the
+reports must be equal, records and their order included, and so must the
+verdict kept on the checked object.
+"""
+
+import itertools
+import random
+from collections import Counter
+
+from polydyn.catalog import generate_categories
+from polydyn.comonoid import (
+    Comonoid,
+    FinCat,
+    _comult_label,
+    category_carrier,
+    check_category,
+    check_comonoid_laws,
+    comonoid_sum,
+    comonoid_tensor,
+    contractible,
+)
+from polydyn.core import FinPoly, FinSet, fn_label, pair_label
+
+
+def _reference_check_category(k: FinCat) -> dict:
+    """check_category as it walked every composable triple."""
+    cod_of, out, identity = k.cod_of, k.out, k.identity
+    labels = k.morphism_labels()
+    after = {m: {} for m in labels}
+    for (g, f), h in k._compose.items():
+        after[f][g] = h
+    violations = []
+    for m in labels:
+        left = after[m][identity[cod_of[m]]]
+        if left != m:
+            violations.append({"law": "left_identity", "morphism": m, "got": left})
+        right = after[identity[k.dom_of[m]]][m]
+        if right != m:
+            violations.append({"law": "right_identity", "morphism": m, "got": right})
+    for f in labels:
+        then_f = after[f]
+        for g in out[cod_of[f]]:
+            then_gf = after[then_f[g]]
+            then_g = after[g]
+            for h in out[cod_of[g]]:
+                left = then_gf[h]
+                right = then_f[then_g[h]]
+                if left != right:
+                    violations.append(
+                        {
+                            "law": "associativity",
+                            "triple": [h, g, f],
+                            "left": left,
+                            "right": right,
+                        }
+                    )
+    k._lawful = not violations
+    return {"ok": not violations, "violations": violations}
+
+
+def _reference_check_comonoid_laws(c: Comonoid) -> dict:
+    """check_comonoid_laws as it walked every coassociativity cell."""
+    if not isinstance(c, Comonoid):
+        raise TypeError(f"c must be a Comonoid, not {type(c).__name__}")
+    carrier = c.carrier
+    # every key read below is a position: _check_tables guarantees that
+    # bases and codomains are
+    dirs = carrier._dirs
+    ident, base, cod = c.identity, c.base, c.codomain
+    curried = {}
+    comp = {}
+    for i, table in c.composite.items():
+        rows = curried.get(id(table))
+        if rows is None:
+            rows = curried[id(table)] = {}
+            for (d, e), v in table.items():
+                row = rows.get(d)
+                if row is None:
+                    row = rows[d] = {}
+                row[e] = v
+        comp[i] = rows
+    violations = []
+
+    # Left counitality: the left unitor after (counit ∘̂ id) after comult
+    # must be the identity.  At position i with comult target (i1, phi) the
+    # composite sends i to phi(eps(i1)) and pulls e back to
+    # comult♯(eps(i1), e).
+    for i in carrier.position_labels:
+        s = ident[base[i]]
+        pos = cod[i][s]
+        if pos != i:
+            violations.append(
+                {"law": "left_counit", "position": i, "left": pos, "right": i}
+            )
+            continue
+        then_s = comp[i][s]
+        for e in dirs[i].elements:
+            v = then_s[e]
+            if v != e:
+                violations.append(
+                    {
+                        "law": "left_counit",
+                        "position": i,
+                        "direction": e,
+                        "left": v,
+                        "right": e,
+                    }
+                )
+
+    # Right counitality: the right unitor after (id ∘̂ counit) after comult.
+    # The composite sends i to i1 and pulls d back to comult♯(d, eps(phi(d))).
+    for i in carrier.position_labels:
+        i1 = base[i]
+        if i1 != i:
+            violations.append(
+                {"law": "right_counit", "position": i, "left": i1, "right": i}
+            )
+            continue
+        phi = cod[i]
+        composite = comp[i]
+        for d in dirs[i1].elements:
+            v = composite[d][ident[phi[d]]]
+            if v != d:
+                violations.append(
+                    {
+                        "law": "right_counit",
+                        "position": i,
+                        "direction": d,
+                        "left": v,
+                        "right": d,
+                    }
+                )
+
+    # Coassociativity: the associator after (comult ∘̂ id) after comult must
+    # equal (id ∘̂ comult) after comult.  Both sides land in
+    # carrier∘(carrier∘carrier).  At i with comult target (i1, phi) and
+    # comult(i1) = (i2, psi), the left side's position is (i2, e ↦ (psi(e),
+    # g ↦ phi(comp_i1(e, g)))) and the right side's is (i1, d ↦
+    # comult(phi(d))); the labels are rendered only for a violation.
+    # Where base[i] is i, the check at i reads only the direction set, the
+    # codomain and the composite table at i (plus tables at the positions
+    # they lead to), so positions sharing those three objects pass or fail
+    # together: a set that passed once is not walked again.
+    passed = set()
+    for i in carrier.position_labels:
+        i1 = base[i]
+        phi = cod[i]
+        composite = comp[i]
+        shared = (id(dirs[i]), id(phi), id(composite)) if i1 == i else None
+        if shared in passed:
+            continue
+        before = len(violations)
+        i2 = base[i1]
+        psi = cod[i1]
+        comp1 = comp[i1]
+        i1dirs = dirs[i1].elements
+        # the two positions agree when i1 is its own base and, for each e
+        # at i1, comult(phi(e)) is (psi(e), g ↦ phi(comp_i1(e, g)));
+        # the walk stops at the first e where they do not
+        mismatch = i2 != i1
+        if not mismatch:
+            for e in i1dirs:
+                j = psi[e]
+                k = phi[e]
+                if j != base[k]:
+                    mismatch = True
+                    break
+                row = comp1[e]
+                cod_k = cod[k]
+                for g in dirs[j].elements:
+                    if phi[row[g]] != cod_k[g]:
+                        mismatch = True
+                        break
+                if mismatch:
+                    break
+        if mismatch:
+            chi = {}
+            for e in dirs[i2].elements:
+                j = psi[e]
+                jdirs = dirs[j].elements
+                inner = {g: phi[comp1[e][g]] for g in jdirs}
+                chi[e] = pair_label(j, fn_label(inner, jdirs))
+            table = {d: _comult_label(c, phi[d]) for d in i1dirs}
+            violations.append(
+                {
+                    "law": "coassociativity",
+                    "position": i,
+                    "left": pair_label(i2, fn_label(chi, dirs[i2].elements)),
+                    "right": pair_label(i1, fn_label(table, i1dirs)),
+                }
+            )
+            continue
+        for d in i1dirs:
+            k = phi[d]
+            then_d = composite[d]
+            then_d1 = comp1[d]
+            inner = comp[k]
+            cod_k = cod[k]
+            for e in dirs[base[k]].elements:
+                left_row = composite[then_d1[e]]
+                inner_e = inner[e]
+                for g in dirs[cod_k[e]].elements:
+                    lv = left_row[g]
+                    rv = then_d[inner_e[g]]
+                    if lv != rv:
+                        violations.append(
+                            {
+                                "law": "coassociativity",
+                                "position": i,
+                                "direction": pair_label(d, pair_label(e, g)),
+                                "left": lv,
+                                "right": rv,
+                            }
+                        )
+        if shared is not None and len(violations) == before:
+            passed.add(shared)
+
+    c._lawful = not violations
+    return {"ok": not violations, "violations": violations}
+
+
+
+def _same_walk(check, reference, x) -> dict:
+    """Run both walks on x, each with no verdict kept before it; assert
+    that they agree and return the report."""
+    x._lawful = None
+    want = reference(x)
+    kept = x._lawful
+    x._lawful = None
+    assert check(x) == want
+    assert x._lawful is kept is want["ok"]
+    return want
+
+
+def _kinds(report) -> frozenset:
+    """The laws a report names, coassociativity split into records at a
+    position ("coassociativity") and at a direction ("coassociativity@")."""
+    return frozenset(
+        v["law"] + ("@" if v["law"] == "coassociativity" and "direction" in v else "")
+        for v in report["violations"]
+    )
+
+
+UNIT_LAWS = {"left_identity", "right_identity", "left_counit", "right_counit"}
+
+
+# ---------------------------------------------------------------------------
+# Inputs.
+
+
+def _random_category(rng):
+    """A random typed composition table on 1-3 objects and 0-5 other
+    morphisms: unital about half the time, and then with one composite
+    redrawn about a third of the time."""
+    while True:
+        objects = [f"o{i}" for i in range(rng.randint(1, 3))]
+        identity = {o: f"e{i}" for i, o in enumerate(objects)}
+        morphisms = [(identity[o], o, o) for o in objects]
+        morphisms += [
+            (f"m{j}", rng.choice(objects), rng.choice(objects))
+            for j in range(rng.randint(0, 5))
+        ]
+        typed = {}
+        for m, d, c in morphisms:
+            typed.setdefault((d, c), []).append(m)
+        # each composable pair and the morphisms its composite may be
+        cells = {
+            (g, f): typed.get((d, c2))
+            for f, d, c in morphisms
+            for g, d2, c2 in morphisms
+            if d2 == c
+        }
+        if all(cells.values()):
+            break
+    ids = set(identity.values())
+    unital = rng.random() < 0.5
+    compose = {}
+    for (g, f), choices in cells.items():
+        if unital and g in ids:
+            compose[g, f] = f
+        elif unital and f in ids:
+            compose[g, f] = g
+        else:
+            compose[g, f] = rng.choice(choices)
+    if unital and rng.random() < 1 / 3:
+        key = rng.choice(sorted(compose))
+        compose[key] = rng.choice(cells[key])
+    return FinCat(FinSet(tuple(objects)), morphisms, identity, compose)
+
+
+def _order_three_tables():
+    """Every one-object table on e, a, b whose row and column of e are
+    forced: 81 tables, all unital."""
+    for values in itertools.product("eab", repeat=4):
+        compose = {(g, f): f if g == "e" else g for g in "eab" for f in "eab" if "e" in (g, f)}
+        compose.update(zip(itertools.product("ab", repeat=2), values))
+        yield FinCat(FinSet(("*",)), [(m, "*", "*") for m in "eab"], {"*": "e"}, compose)
+
+
+def _comonoid_of(k) -> Comonoid:
+    """k's tables as a comonoid, read as category_to_comonoid reads them
+    but without checking the axioms first."""
+    objects, out, cod_of = k.objects.elements, k.out, k.cod_of
+    return Comonoid._from_tables(
+        category_carrier(k),
+        dict(k.identity),
+        {o: {m: cod_of[m] for m in out[o]} for o in objects},
+        {
+            o: {(m, m2): k._compose[m2, m] for m in out[o] for m2 in out[cod_of[m]]}
+            for o in objects
+        },
+    )
+
+
+def _shared_comonoid(rng, unital: bool, broken: bool = False) -> Comonoid:
+    """Random comonoid tables on 1-4 positions in up to two groups.
+
+    The positions of a group share one direction set, one codomain table
+    and one composite table, and each has its own identity.  Unital
+    tables obey both counit laws; broken ones then have one composite of
+    each group redrawn.
+    """
+    labels = [f"p{i}" for i in range(rng.randint(1, 4))]
+    groups = {}
+    for p in labels:
+        groups.setdefault(rng.randrange(2), []).append(p)
+    spec, identity, owners = [], {}, []
+    for members in groups.values():
+        dirs = FinSet(tuple(f"d{j}" for j in range(len(members) + rng.randint(0, 2))))
+        ids = rng.sample(dirs.elements, len(members))
+        identity.update(zip(members, ids))
+        owners.append(dict(zip(ids, members)))
+        spec += [(p, dirs) for p in members]
+    carrier = FinPoly(spec)
+    codomain, composite = {}, {}
+    for members, owner in zip(groups.values(), owners):
+        dirs = carrier.directions(members[0]).elements
+        cod = {d: owner[d] if unital and d in owner else rng.choice(labels) for d in dirs}
+        comp = {}
+        for d in dirs:
+            for e in carrier.directions(cod[d]).elements:
+                if unital and d in owner:
+                    comp[d, e] = e
+                elif unital and e == identity[cod[d]]:
+                    comp[d, e] = d
+                else:
+                    comp[d, e] = rng.choice(dirs)
+        if broken:
+            comp[rng.choice(sorted(comp))] = rng.choice(dirs)
+        for p in members:
+            codomain[p], composite[p] = cod, comp
+    return Comonoid._from_tables(carrier, identity, codomain, composite)
+
+
+def _with_base_moved(c: Comonoid):
+    """c with the base of one position moved to another position with the
+    same direction set, or None when no two positions share one."""
+    carrier = c.carrier
+    for i, j in itertools.permutations(carrier.position_labels, 2):
+        if carrier.directions(i) is carrier.directions(j):
+            base = {**c.base, i: j}
+            return Comonoid._from_tables(carrier, c.identity, c.codomain, c.composite, base)
+    return None
+
+
+def _lawless_factors(rng, count: int) -> list:
+    """count comonoids from _shared_comonoid whose laws fail, every other
+    one unital."""
+    found = []
+    while len(found) < count:
+        unital = len(found) % 2 == 0
+        c = _shared_comonoid(rng, unital, broken=False)
+        if not _reference_check_comonoid_laws(c)["ok"]:
+            found.append(c)
+    return found
+
+
+# ---------------------------------------------------------------------------
+# The walks agree.
+
+
+def test_check_category_matches_the_full_walk_on_random_tables():
+    rng = random.Random(2401)
+    seen = Counter()
+    for _ in range(1500):
+        k = _random_category(rng)
+        seen[_kinds(_same_walk(check_category, _reference_check_category, k))] += 1
+    # associativity failing alone is the case the skipping walk reports
+    # from fewer triples
+    assert seen[frozenset()] > 300
+    assert seen[frozenset({"associativity"})] > 150
+    assert sum(n for kinds, n in seen.items() if kinds & UNIT_LAWS) > 300
+
+
+def test_check_category_matches_the_full_walk_on_order_three_tables_and_the_catalog():
+    ok = Counter()
+    for k in [*_order_three_tables(), *generate_categories(3, 5)]:
+        ok[_same_walk(check_category, _reference_check_category, k)["ok"]] += 1
+    # 11 of the order-three tables are monoids
+    assert ok == {True: 11 + 395, False: 81 - 11}
+
+
+def test_check_comonoid_laws_matches_the_full_walk_on_category_tables():
+    rng = random.Random(2402)
+    cats = [*_order_three_tables(), *(_random_category(rng) for _ in range(800))]
+    seen = Counter()
+    for k in cats:
+        c = _comonoid_of(k)
+        seen[_kinds(_same_walk(check_comonoid_laws, _reference_check_comonoid_laws, c))] += 1
+    assert seen[frozenset()] > 150
+    assert seen[frozenset({"coassociativity@"})] > 150
+    assert sum(n for kinds, n in seen.items() if kinds & UNIT_LAWS) > 150
+
+
+def test_check_comonoid_laws_matches_the_full_walk_on_shared_tables():
+    # coassociativity fails at positions (the codomains disagree) and at
+    # directions, with the counit laws holding or not, and with a base
+    # moved off its position
+    rng = random.Random(2403)
+    seen = Counter()
+    moved = 0
+    for n in range(900):
+        c = _shared_comonoid(rng, unital=n % 3 != 0, broken=n % 3 == 2)
+        for x in (c, _with_base_moved(c)):
+            if x is not None:
+                moved += x is not c
+                seen[_kinds(_same_walk(check_comonoid_laws, _reference_check_comonoid_laws, x))] += 1
+    assert seen[frozenset()] > 100
+    assert seen[frozenset({"coassociativity"})] > 100
+    assert seen[frozenset({"coassociativity@"})] > 30
+    assert sum(n for kinds, n in seen.items() if kinds & UNIT_LAWS) > 300
+    assert moved > 300
+
+
+def test_check_comonoid_laws_matches_the_full_walk_on_contractible_sums_and_tensors():
+    for n in range(9):
+        c = contractible(FinSet(tuple(f"s{i}" for i in range(n))))
+        assert _same_walk(check_comonoid_laws, _reference_check_comonoid_laws, c)["ok"]
+    rng = random.Random(2404)
+    factors = _lawless_factors(rng, 16)
+    two = contractible(FinSet(("u", "v")))
+    for a, b in zip(factors[::2], factors[1::2]):
+        for x in (comonoid_sum(a, b), comonoid_tensor(a, b), comonoid_sum(two, a), comonoid_tensor(b, two)):
+            assert not _same_walk(check_comonoid_laws, _reference_check_comonoid_laws, x)["ok"]

@@ -206,6 +206,15 @@ SMOKE = {
         "c = contractible(FinSet(('a', 'b')))\n"
         "print(Comonoid(c.carrier, c.counit, c.comult) == c)\n"
     ),
+    "counit of a comonoid built from tables": (
+        "from polydyn.core import FinPoly, FinSet\n"
+        "from polydyn.comonoid import Comonoid\n"
+        "dirs = FinSet(('1', 'x'))\n"
+        "comp = {('1', '1'): '1', ('1', 'x'): 'x', ('x', '1'): 'x', ('x', 'x'): '1'}\n"
+        "c = Comonoid._from_tables(FinPoly([('p', dirs)]), {'p': '1'},\n"
+        "                          {'p': {'1': 'p', 'x': 'p'}}, {'p': comp})\n"
+        "print(c.counit.on_dir == {'p': {'*': '1'}})\n"
+    ),
     "comonoid_from_json": (
         "import json\n"
         "from polydyn.comonoid import comonoid_from_json\n"
