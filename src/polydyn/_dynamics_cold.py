@@ -215,6 +215,8 @@ def unroll(sys: MDDS, s: str, depth: int) -> StrategyTree:
     shallower.  The tree's to_label() is exactly the value the n-step
     behavior map assigns to s.
     """
+    if not isinstance(depth, int):
+        raise TypeError(f"depth must be an int, not {type(depth).__name__}")
     if depth < 0:
         raise ValueError("depth must be non-negative")
     _check_state(sys, s)

@@ -1228,7 +1228,7 @@ _COLD_NAMES, __getattr__, __dir__ = _lazy_names(
     globals(),
     "polydyn._comonoid_cold",
     """
-    _is_self_composite _lens_differences Cofunctor check_cofunctor
+    _is_self_composite Cofunctor check_cofunctor
     identity_cofunctor lens_to_cofunctor cofunctor_to_lens discrete_comonoid
     comonoid_sum comonoid_tensor check_comonoid_morphism nstep_behavior
     fincat_to_json fincat_from_json comonoid_to_json comonoid_from_json

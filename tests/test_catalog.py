@@ -42,7 +42,7 @@ from polydyn.catalog import (
     monoid_tables,
 )
 
-from conftest import all_lenses
+from conftest import all_lenses, random_lens
 
 
 # ---------------------------------------------------------------------------
@@ -1006,3 +1006,21 @@ def test_morphism_squares_match_cofunctor_laws_across_small_catalog():
                 else:
                     seen_bad += 1
     assert seen_good > 0 and seen_bad > 0
+
+
+def test_morphism_squares_match_cofunctor_laws_on_sampled_lenses_up_to_four_morphisms():
+    # two seeded lenses per ordered pair of generate_categories(2, 4), where
+    # enumerating every lens would take up to 256 per pair
+    rng = random.Random(4)
+    cats = [(k, category_to_comonoid(k)) for k in generate_categories(2, 4)]
+    seen = Counter()
+    for ks, c in cats:
+        for kt, d in cats:
+            for _ in range(2):
+                phi = random_lens(rng, c.carrier, d.carrier)
+                if phi is None:  # into the empty category
+                    continue
+                squares_ok = check_comonoid_morphism(phi, c, d)["ok"]
+                assert squares_ok == check_cofunctor(lens_to_cofunctor(phi, ks, kt))["ok"]
+                seen[squares_ok] += 1
+    assert seen[True] > 500 and seen[False] > 500

@@ -376,6 +376,16 @@ def test_unroll_depth_zero_and_one():
         unroll(sys, "0", -1)
 
 
+def test_unroll_and_nstep_refuse_a_depth_that_is_not_an_int():
+    # a float depth never reaches 0 in unroll's recursion, and reaches
+    # range() in nstep_behavior's compose_power
+    sys = moore_to_mdds(_toggle())
+    with pytest.raises(TypeError, match="^depth must be an int, not float$"):
+        unroll(sys, "0", 2.5)
+    with pytest.raises(TypeError, match="^n must be an int, not float$"):
+        nstep_behavior(sys.state, sys.dynamics, 2.0)
+
+
 def test_unroll_toggle_alternates_along_every_branch():
     sys = moore_to_mdds(_toggle())
     t = unroll(sys, "0", 3)
