@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, groupby
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .core import (
@@ -342,120 +343,73 @@ def _is_contractible(c: Comonoid) -> bool:
     return True
 
 
-def check_comonoid_laws(c: Comonoid) -> dict:
-    """Verify counitality (both sides) and coassociativity exactly.
+def _law_cells(positions, dirs, ident, base, cod, comp, typed: bool) -> list:
+    """The failing cells of the counit and coassociativity laws, in walk
+    order, read from comonoid-shaped tables: at position i, dirs[i] is
+    the tuple of directions, ident[i] the identity, base[i] the outer
+    position of the comultiplication, cod[i][d] where d at base[i] leads,
+    and comp[i][d][e], written d;e, the composite of d then e, read
+    curried.  typed says that d;e leads where e does, as in a FinCat; the
+    positional pre-check below cannot fail then, and is skipped.
 
-    Returns {"ok": bool, "violations": [...]} where each violation names
-    the failing law and the position (and direction) where the two sides
-    of the equation disagree.
-
-    Every law is an equation between lenses out of the carrier, so both
-    sides are evaluated pointwise from the comonoid's tables.  The records
-    carry the labels that forming the composite lenses through compose_map
-    and the unitors/associator would give, but neither carrier∘carrier nor
-    the triply substituted codomain is ever materialized.
-
-    Each distinct composite table is read curried, table[d][e], built
-    once per call and shared by the positions that share the table; the
-    loops look up the row of d once and then read it by e.
-
-    Every call returns a fresh report; the verdict alone is also kept on c
-    for comonoid_to_category.
+    A cell is (law, i, where, left, right): where is a direction for a
+    counit law, (d, e, g) for coassociativity, and None where the two
+    sides' positions differ.  check_comonoid_laws and check_category
+    render the cells as their own records; read as a category, d;e is
+    e∘d and the counit laws are the identity laws.
 
     The counit laws are checked first.  When neither fails, every base[i]
-    is i and, with s the identity at i, codomain[i][s] is i, s;e is e and
-    d;1 is d, writing d;e for composite[i][(d, e)] and 1 for the identity
-    at the codomain of d.  Coassociativity cells that read an identity
-    direction then hold, so only the other directions are walked, and
-    the report is the one a walk over every cell gives:
-      the pre-check, codomain[i][d;e] = codomain[k][e] with k =
-      codomain[i][d]: for d = s, s;e is e and k is i; for e = 1 at k,
-      d;1 is d and codomain[k][1] is k, base[k] being k;
+    is i and, with s the identity at i, cod[i][s] is i, s;e is e and d;1
+    is d, 1 being the identity at the codomain of d.  Coassociativity
+    cells that read an identity direction then hold, so only the other
+    directions are walked, and the cells are the ones a walk over every
+    cell gives:
+      the pre-check, cod[i][d;e] = cod[k][e] with k = cod[i][d]: for d =
+      s, s;e is e and k is i; for e = 1 at k, d;1 is d and cod[k][1] is
+      k, base[k] being k;
       the direction walk, (d;e);g = d;(e;g) with e;g read at k: for d =
       s, s;x is x on both sides; for e = 1 at k, d;1 is d and 1;g is g;
-      for g = 1 at m = codomain[k][e], which the pre-check makes the
-      codomain of d;e too, both sides are d;e.
+      for g = 1 at m = cod[k][e], which the pre-check makes the codomain
+      of d;e too, both sides are d;e.
     When a counit law fails, every cell is walked.
     """
-    if not isinstance(c, Comonoid):
-        raise TypeError(f"c must be a Comonoid, not {type(c).__name__}")
-    carrier = c.carrier
-    # every key read below is a position: _check_tables guarantees that
-    # bases and codomains are
-    dirs = carrier._dirs
-    ident, base, cod = c.identity, c.base, c.codomain
-    curried = {}
-    comp = {}
-    for i, table in c.composite.items():
-        rows = curried.get(id(table))
-        if rows is None:
-            rows = curried[id(table)] = {}
-            for (d, e), v in table.items():
-                row = rows.get(d)
-                if row is None:
-                    row = rows[d] = {}
-                row[e] = v
-        comp[i] = rows
-    violations = []
+    cells = []
 
     # Left counitality: the left unitor after (counit ∘̂ id) after comult
     # must be the identity.  At position i with comult target (i1, phi) the
     # composite sends i to phi(eps(i1)) and pulls e back to
     # comult♯(eps(i1), e).
-    for i in carrier.position_labels:
+    for i in positions:
         s = ident[base[i]]
         pos = cod[i][s]
         if pos != i:
-            violations.append(
-                {"law": "left_counit", "position": i, "left": pos, "right": i}
-            )
+            cells.append(("left_counit", i, None, pos, i))
             continue
         then_s = comp[i][s]
-        for e in dirs[i].elements:
+        for e in dirs[i]:
             v = then_s[e]
             if v != e:
-                violations.append(
-                    {
-                        "law": "left_counit",
-                        "position": i,
-                        "direction": e,
-                        "left": v,
-                        "right": e,
-                    }
-                )
+                cells.append(("left_counit", i, e, v, e))
 
     # Right counitality: the right unitor after (id ∘̂ counit) after comult.
     # The composite sends i to i1 and pulls d back to comult♯(d, eps(phi(d))).
-    for i in carrier.position_labels:
+    for i in positions:
         i1 = base[i]
         if i1 != i:
-            violations.append(
-                {"law": "right_counit", "position": i, "left": i1, "right": i}
-            )
+            cells.append(("right_counit", i, None, i1, i))
             continue
         phi = cod[i]
         composite = comp[i]
-        for d in dirs[i1].elements:
+        for d in dirs[i]:
             v = composite[d][ident[phi[d]]]
             if v != d:
-                violations.append(
-                    {
-                        "law": "right_counit",
-                        "position": i,
-                        "direction": d,
-                        "left": v,
-                        "right": d,
-                    }
-                )
+                cells.append(("right_counit", i, d, v, d))
 
     # the directions the coassociativity walks read at each position
-    if violations:
-        walk = {i: dirs[i].elements for i in carrier.position_labels}
+    if cells:
+        walk = dirs
     else:
-        walk = {
-            i: tuple([x for x in dirs[i].elements if x != ident[i]])
-            for i in carrier.position_labels
-        }
+        walk = {i: tuple([x for x in dirs[i] if x != ident[i]]) for i in positions}
 
     # Coassociativity: the associator after (comult ∘̂ id) after comult must
     # equal (id ∘̂ comult) after comult.  Both sides land in
@@ -469,23 +423,23 @@ def check_comonoid_laws(c: Comonoid) -> dict:
     # together, whatever their identities (a skipped cell never fails): a
     # set that passed once is not walked again.
     passed = set()
-    for i in carrier.position_labels:
+    for i in positions:
         i1 = base[i]
         phi = cod[i]
         composite = comp[i]
         shared = (id(dirs[i]), id(phi), id(composite)) if i1 == i else None
         if shared in passed:
             continue
-        before = len(violations)
+        before = len(cells)
         i2 = base[i1]
         psi = cod[i1]
         comp1 = comp[i1]
-        i1dirs = dirs[i1].elements
+        i1dirs = dirs[i1]
         # the two positions agree when i1 is its own base and, for each e
         # at i1, comult(phi(e)) is (psi(e), g ↦ phi(comp_i1(e, g)));
         # the walk stops at the first e where they do not
         mismatch = i2 != i1
-        if not mismatch:
+        if not (mismatch or typed):
             for e in walk[i1]:
                 j = psi[e]
                 k = phi[e]
@@ -502,20 +456,18 @@ def check_comonoid_laws(c: Comonoid) -> dict:
                     break
         if mismatch:
             chi = {}
-            for e in dirs[i2].elements:
+            for e in dirs[i2]:
                 j = psi[e]
-                jdirs = dirs[j].elements
-                inner = {g: phi[comp1[e][g]] for g in jdirs}
-                chi[e] = pair_label(j, fn_label(inner, jdirs))
-            table = {d: _comult_label(c, phi[d]) for d in i1dirs}
-            violations.append(
-                {
-                    "law": "coassociativity",
-                    "position": i,
-                    "left": pair_label(i2, fn_label(chi, dirs[i2].elements)),
-                    "right": pair_label(i1, fn_label(table, i1dirs)),
-                }
-            )
+                inner = {g: phi[comp1[e][g]] for g in dirs[j]}
+                chi[e] = pair_label(j, fn_label(inner, dirs[j]))
+            table = {}
+            for d in i1dirs:
+                k = phi[d]
+                # comult(k), as _comult_label renders it
+                table[d] = pair_label(base[k], fn_label(cod[k], dirs[base[k]]))
+            left = pair_label(i2, fn_label(chi, dirs[i2]))
+            right = pair_label(i1, fn_label(table, i1dirs))
+            cells.append(("coassociativity", i, None, left, right))
             continue
         for d in walk[i1]:
             k = phi[d]
@@ -530,18 +482,64 @@ def check_comonoid_laws(c: Comonoid) -> dict:
                     lv = left_row[g]
                     rv = then_d[inner_e[g]]
                     if lv != rv:
-                        violations.append(
-                            {
-                                "law": "coassociativity",
-                                "position": i,
-                                "direction": pair_label(d, pair_label(e, g)),
-                                "left": lv,
-                                "right": rv,
-                            }
-                        )
-        if shared is not None and len(violations) == before:
+                        cells.append(("coassociativity", i, (d, e, g), lv, rv))
+        if shared is not None and len(cells) == before:
             passed.add(shared)
+    return cells
 
+
+def check_comonoid_laws(c: Comonoid) -> dict:
+    """Verify counitality (both sides) and coassociativity exactly.
+
+    Returns {"ok": bool, "violations": [...]} where each violation names
+    the failing law and the position (and direction) where the two sides
+    of the equation disagree.
+
+    Every law is an equation between lenses out of the carrier, so both
+    sides are evaluated pointwise from the comonoid's tables (_law_cells).
+    The records carry the labels that forming the composite lenses through
+    compose_map and the unitors/associator would give, but neither
+    carrier∘carrier nor the triply substituted codomain is ever
+    materialized.
+
+    Each distinct composite table is read curried, table[d][e], built
+    once per call and shared by the positions that share the table.
+
+    Every call returns a fresh report; the verdict alone is also kept on c
+    for comonoid_to_category.
+    """
+    if not isinstance(c, Comonoid):
+        raise TypeError(f"c must be a Comonoid, not {type(c).__name__}")
+    carrier = c.carrier
+    curried = {}
+    comp = {}
+    for i, table in c.composite.items():
+        rows = curried.get(id(table))
+        if rows is None:
+            rows = curried[id(table)] = {}
+            for (d, e), v in table.items():
+                row = rows.get(d)
+                if row is None:
+                    row = rows[d] = {}
+                row[e] = v
+        comp[i] = rows
+    # every key the walk reads is a position: _check_tables guarantees
+    # that bases and codomains are
+    dirs = {i: s.elements for i, s in carrier._dirs.items()}
+    cells = _law_cells(
+        carrier.position_labels, dirs, c.identity, c.base, c.codomain, comp, False
+    )
+    violations = []
+    for law, i, where, left, right in cells:
+        if where is None:
+            violations.append({"law": law, "position": i, "left": left, "right": right})
+            continue
+        if law == "coassociativity":
+            d, e, g = where
+            where = pair_label(d, pair_label(e, g))
+        violations.append(
+            {"law": law, "position": i, "direction": where, "left": left, "right": right}
+        )
     c._lawful = not violations
     return {"ok": not violations, "violations": violations}
 
@@ -683,54 +681,45 @@ class FinCat:
 def check_category(k: FinCat) -> dict:
     """Exhaustive identity and associativity check with per-instance report.
 
-    Walks only the composable triples: g runs over the morphisms out of
-    the codomain of f, and h over those out of the codomain of g.  The
-    composition table is read curried by its first factor, built once per
-    call as after[f][g] = g∘f, so every lookup is by a label rather than
-    by a (g, f) pair.  Every call returns a fresh report; the verdict
-    alone is also kept on k for category_to_comonoid.
-
-    The identity laws are checked first.  When none fails, a triple
-    (h, g, f) with an identity in it is associative, so only triples of
-    non-identity morphisms are walked: with f = 1, both sides are h∘g,
-    as g∘1 = g and (h∘g)∘1 = h∘g; with g = 1, both are h∘f, as 1∘f = f
-    and h∘1 = h; with h = 1, both are g∘f, as 1∘(g∘f) = g∘f and 1∘g = g.
-    When one fails, every composable triple is walked.
+    k is walked as the comonoid it is (_law_cells): objects are positions,
+    each its own base, and the morphisms out of one are its directions;
+    every object reads k's codomains and one composition table, curried
+    by its first factor once per call as after[f][g] = g∘f.  So only
+    composable triples are walked.  The identity failures come first,
+    then the associativity ones, each in the order of k.morphisms (of f
+    for a triple (h, g, f)).  Every call returns a fresh report; the
+    verdict alone is also kept on k for category_to_comonoid.
     """
-    cod_of, out, identity = k.cod_of, k.out, k.identity
-    labels = k.morphism_labels()
-    after = {m: {} for m in labels}
+    objects = k.objects.elements
+    after = {m: {} for m in k.dom_of}
     for (g, f), h in k._compose.items():
         after[f][g] = h
-    violations = []
-    for m in labels:
-        left = after[m][identity[cod_of[m]]]
-        if left != m:
-            violations.append({"law": "left_identity", "morphism": m, "got": left})
-        right = after[identity[k.dom_of[m]]][m]
-        if right != m:
-            violations.append({"law": "right_identity", "morphism": m, "got": right})
-    if not violations:
-        ids = set(identity.values())
-        out = {o: tuple([m for m in ms if m not in ids]) for o, ms in out.items()}
-        labels = [m for m in labels if m not in ids]
-    for f in labels:
-        then_f = after[f]
-        for g in out[cod_of[f]]:
-            then_gf = after[then_f[g]]
-            then_g = after[g]
-            for h in out[cod_of[g]]:
-                left = then_gf[h]
-                right = then_f[then_g[h]]
-                if left != right:
-                    violations.append(
-                        {
-                            "law": "associativity",
-                            "triple": [h, g, f],
-                            "left": left,
-                            "right": right,
-                        }
-                    )
+    cells = _law_cells(
+        objects,
+        k.out,
+        k.identity,
+        dict(zip(objects, objects)),
+        dict.fromkeys(objects, k.cod_of),
+        dict.fromkeys(objects, after),
+        True,
+    )
+    # the walk goes object by object; the report lists the identity
+    # failures, then the associativity ones, by morphism, and a stable
+    # sort keeps the walk's order for each
+    order = {m: n for n, m in enumerate(k.dom_of)} if cells else None
+    ranked = []
+    for law, _, where, left, right in cells:
+        if law == "coassociativity":
+            f, g, h = where
+            record = {"law": "associativity", "triple": [h, g, f], "left": left, "right": right}
+            ranked.append((1, order[f], "", record))
+        else:
+            # 1∘m = m is the right counit law at m, m∘1 = m the left one;
+            # the names sort left_identity first, as it is listed
+            law = "left_identity" if law == "right_counit" else "right_identity"
+            ranked.append((0, order[where], law, {"law": law, "morphism": where, "got": left}))
+    ranked.sort(key=itemgetter(0, 1, 2))
+    violations = [r[3] for r in ranked]
     k._lawful = not violations
     return {"ok": not violations, "violations": violations}
 
