@@ -40,7 +40,7 @@ from polydyn.comonoid import (
     Comonoid,
     FinCat,
     _comult_label,
-    _require_finset,
+    _require,
     category_carrier,
 )
 
@@ -218,7 +218,7 @@ def identity_cofunctor(k: FinCat) -> Cofunctor:
 
 def discrete_comonoid(s: FinSet) -> Comonoid:
     """The comonoid S·y: the discrete category on S (identities only)."""
-    _require_finset(s)
+    _require(s, FinSet, "s")
     elems = s.elements
     carrier = make_poly((x, ["*"]) for x in elems)
     composite = {("*", "*"): "*"}

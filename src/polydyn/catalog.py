@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from polydyn.comonoid import FinCat, _canonical_form
+from polydyn.comonoid import FinCat, _canonical_form, _require
 from polydyn.core import FinSet
 
 __all__ = [
@@ -301,7 +301,7 @@ def _from_key(parts: _Parts, num_objects: int, key) -> FinCat:
     return k
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def generate_categories(max_objects: int = 3, max_morphisms: int = 6) -> tuple:
     """Every category within the size bounds, one per isomorphism class.
 
@@ -316,6 +316,8 @@ def generate_categories(max_objects: int = 3, max_morphisms: int = 6) -> tuple:
     come from monoid_tables, larger ones from _multi_object_keys; both
     read the one typed search.
     """
+    _require(max_objects, int, "max_objects")
+    _require(max_morphisms, int, "max_morphisms")
     if max_objects < 0 or max_morphisms < 0:
         raise ValueError("bounds must be non-negative")
     parts = _Parts(max_objects, max_morphisms)

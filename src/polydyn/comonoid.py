@@ -14,6 +14,9 @@ comultiplication lens is derived from them on first access, because its
 codomain carrier∘carrier has Σ_i |carrier(1)|^|carrier_i| positions and
 most uses never need it.  The law checker, the category reading, the
 behavior maps and the run loops in dynamics read the tables directly.
+A category is checked by the same law walk (_law_cells), read as the
+comonoid it is; check_category and check_comonoid_laws each render the
+failing cells as their own report.
 
 Morphisms of comonoids are lenses compatible with both structure maps;
 under the category reading they are cofunctors, not functors: forward on
@@ -99,6 +102,14 @@ __all__ = [
     "comonoid_to_json",
     "comonoid_from_json",
 ]
+
+
+def _require(value, cls, name: str) -> None:
+    """Refuse an argument that is not a cls, naming it."""
+    if not isinstance(value, cls):
+        kind = cls.__name__
+        article = "an" if kind[0] in "AEIOUaeiou" else "a"
+        raise TypeError(f"{name} must be {article} {kind}, not {type(value).__name__}")
 
 
 class Comonoid:
@@ -508,8 +519,7 @@ def check_comonoid_laws(c: Comonoid) -> dict:
     Every call returns a fresh report; the verdict alone is also kept on c
     for comonoid_to_category.
     """
-    if not isinstance(c, Comonoid):
-        raise TypeError(f"c must be a Comonoid, not {type(c).__name__}")
+    _require(c, Comonoid, "c")
     carrier = c.carrier
     curried = {}
     comp = {}
@@ -690,6 +700,7 @@ def check_category(k: FinCat) -> dict:
     for a triple (h, g, f)).  Every call returns a fresh report; the
     verdict alone is also kept on k for category_to_comonoid.
     """
+    _require(k, FinCat, "k")
     objects = k.objects.elements
     after = {m: {} for m in k.dom_of}
     for (g, f), h in k._compose.items():
@@ -737,6 +748,7 @@ def comonoid_to_category(c: Comonoid) -> FinCat:
     the laws are not walked again when the last check_comonoid_laws(c)
     passed.
     """
+    _require(c, Comonoid, "c")
     if c._lawful is not True:
         report = check_comonoid_laws(c)
         if not report["ok"]:
@@ -765,6 +777,7 @@ def comonoid_to_category(c: Comonoid) -> FinCat:
 
 def category_carrier(k: FinCat) -> FinPoly:
     """Σ over objects of y^(outgoing morphisms)."""
+    _require(k, FinCat, "k")
     return make_poly((o, k.out[o]) for o in k.objects.elements)
 
 
@@ -774,6 +787,7 @@ def category_to_comonoid(k: FinCat) -> Comonoid:
     The axioms are not walked again when the last check_category(k)
     passed.
     """
+    _require(k, FinCat, "k")
     if k._lawful is not True:
         report = check_category(k)
         if not report["ok"]:
@@ -792,11 +806,6 @@ def category_to_comonoid(k: FinCat) -> Comonoid:
     )
 
 
-def _require_finset(s) -> None:
-    if not isinstance(s, FinSet):
-        raise TypeError(f"s must be a FinSet, not {type(s).__name__}")
-
-
 def contractible(s: FinSet) -> Comonoid:
     """The comonoid S·y^S: every state sees every state.
 
@@ -805,7 +814,7 @@ def contractible(s: FinSet) -> Comonoid:
     All positions share one codomain table and one composite table, so
     building it costs |S|² rather than |S|³.
     """
-    _require_finset(s)
+    _require(s, FinSet, "s")
     elems = s.elements
     dirs = FinSet(elems)
     carrier = FinPoly((x, dirs) for x in elems)
@@ -827,6 +836,8 @@ def is_cat_isomorphism(
     k1: FinCat, k2: FinCat, obj_map: Mapping[str, str], mor_map: Mapping[str, str]
 ) -> bool:
     """Verify that a given pair of bijections is a category isomorphism."""
+    _require(k1, FinCat, "k1")
+    _require(k2, FinCat, "k2")
     objs1 = k1.objects.elements
     mors1 = k1.morphism_labels()
     objs2 = k2.objects.elements
@@ -1146,6 +1157,8 @@ def cat_isomorphic(k1: FinCat, k2: FinCat) -> bool:
     with is_cat_isomorphism.  So a False comes from the invariants or
     from the canonical keys, never from the bounded search.
     """
+    _require(k1, FinCat, "k1")
+    _require(k2, FinCat, "k2")
     if len(k1.objects) != len(k2.objects) or len(k1.morphisms) != len(k2.morphisms):
         return False
     if k1._canonical is None or k2._canonical is None:
@@ -1177,6 +1190,8 @@ def cofree_truncation(
     COMPOSE_LIMIT; all three are decided from predicted sizes before the
     stage is built.
     """
+    _require(depth, int, "depth")
+    _require(max_positions, int, "max_positions")
     if depth < 0:
         raise ValueError("depth must be non-negative")
     stages = [ONE]

@@ -260,6 +260,15 @@ def test_monoid_tables_refuses_an_order_that_is_not_an_int_and_caches_nothing():
     assert monoid_tables.cache_info().currsize == before
 
 
+def test_generate_categories_refuses_bounds_that_are_not_ints_whatever_the_cache_holds():
+    # (2.0, 3) used to raise from range() on a cold cache, and to return
+    # the 15 categories of (2, 3) once those were cached
+    assert len(generate_categories(2, 3)) == 15
+    for bounds, name in (((2.0, 3), "max_objects"), ((2, 3.0), "max_morphisms"), (("2", 3), "max_objects")):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, not "):
+            generate_categories(*bounds)
+
+
 def test_typed_search_agrees_with_monoid_kernel_on_one_object():
     # the catalog keys multi-object classes by _canonical_form; on one
     # object it must tell every monoid class apart

@@ -754,6 +754,36 @@ def test_comonoid_entry_points_name_an_argument_of_the_wrong_type():
         check_comonoid_laws(5)
 
 
+def test_category_entry_points_name_an_argument_of_the_wrong_type():
+    c = contractible(FinSet(("a", "b")))
+    k = comonoid_to_category(c)
+    for call in (check_category, category_to_comonoid, category_carrier):
+        with pytest.raises(TypeError, match="^k must be a FinCat, not Comonoid$"):
+            call(c)
+    for call, maps in ((is_cat_isomorphism, ({}, {})), (cat_isomorphic, ())):
+        with pytest.raises(TypeError, match="^k1 must be a FinCat, not NoneType$"):
+            call(None, k, *maps)
+        with pytest.raises(TypeError, match="^k2 must be a FinCat, not Comonoid$"):
+            call(k, c, *maps)
+    # the verdict check_category keeps must not skip the type check
+    for checked in (False, True):
+        if checked:
+            assert check_category(k)["ok"]
+        with pytest.raises(TypeError, match="^c must be a Comonoid, not FinCat$"):
+            comonoid_to_category(k)
+
+
+def test_cofree_truncation_refuses_bounds_that_are_not_ints():
+    p = make_poly([("a", ("l", "r")), ("b", ())])
+    for args, message in (
+        ((2.5,), "depth must be an int, not float"),
+        (("2",), "depth must be an int, not str"),
+        ((2, 1e4), "max_positions must be an int, not float"),
+    ):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            cofree_truncation(p, *args)
+
+
 def test_cofree_labels_grow_linearly_with_the_trees():
     # Each part of a nested label is embedded once; when every level escaped
     # its parts again, depth 4 of y^2 + 1 carried 54 MB of labels and took

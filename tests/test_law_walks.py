@@ -5,10 +5,13 @@ an identity in them and check_comonoid_laws the coassociativity cells that
 read an identity direction.  The reference walks below are the two checks
 as they were before that: they visit every cell.  On every input here the
 reports must be equal, records and their order included, and so must the
-verdict kept on the checked object.
+verdict kept on the checked object.  The last test lists equal tables
+in another order and asks for the same reports, records compared as a
+multiset, and the same round trip.
 """
 
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -18,9 +21,11 @@ from polydyn.comonoid import (
     FinCat,
     _comult_label,
     category_carrier,
+    category_to_comonoid,
     check_category,
     check_comonoid_laws,
     comonoid_sum,
+    comonoid_to_category,
     comonoid_tensor,
     contractible,
 )
@@ -447,3 +452,78 @@ def test_check_comonoid_laws_matches_the_full_walk_on_contractible_sums_and_tens
     for a, b in zip(factors[::2], factors[1::2]):
         for x in (comonoid_sum(a, b), comonoid_tensor(a, b), comonoid_sum(two, a), comonoid_tensor(b, two)):
             assert not _same_walk(check_comonoid_laws, _reference_check_comonoid_laws, x)["ok"]
+
+
+# ---------------------------------------------------------------------------
+# Equal tables listed in another order give equal results.
+
+
+def _shuffled(rng, xs) -> list:
+    xs = list(xs)
+    rng.shuffle(xs)
+    return xs
+
+
+def _reordered_category(rng, k: FinCat) -> FinCat:
+    """k with its objects, morphisms, identities and composites listed in
+    another order: an equal category."""
+    return FinCat(
+        FinSet(tuple(_shuffled(rng, k.objects.elements))),
+        _shuffled(rng, k.morphisms),
+        dict(_shuffled(rng, k.identity.items())),
+        dict(_shuffled(rng, k._compose.items())),
+    )
+
+
+def _reordered_comonoid(rng, c: Comonoid) -> Comonoid:
+    """c with its carrier listing the positions and each direction set in
+    another order, direction sets shared as in c: an equal comonoid."""
+    copies = {}
+    spec = []
+    for i, dirs in _shuffled(rng, c.carrier._dirs.items()):
+        if id(dirs) not in copies:
+            copies[id(dirs)] = FinSet(tuple(_shuffled(rng, dirs.elements)))
+        spec.append((i, copies[id(dirs)]))
+    return Comonoid._from_tables(FinPoly(spec), c.identity, c.codomain, c.composite, c.base)
+
+
+def _records(report) -> Counter:
+    """A report's records as a multiset.  A coassociativity record at a
+    position is kept without its labels, which list directions in the
+    carrier's order."""
+    records = Counter()
+    for v in report["violations"]:
+        if v["law"] == "coassociativity" and "direction" not in v:
+            v = {"law": v["law"], "position": v["position"]}
+        records[json.dumps(v, sort_keys=True)] += 1
+    return records
+
+
+def test_law_checks_and_round_trip_ignore_the_order_tables_are_listed_in():
+    rng = random.Random(2405)
+    seen = Counter()
+    for _ in range(400):
+        k = _random_category(rng)
+        k2 = _reordered_category(rng, k)
+        report, report2 = check_category(k), check_category(k2)
+        assert report["ok"] == report2["ok"]
+        assert _records(report) == _records(report2)
+        seen[report["ok"]] += 1
+        if report["ok"]:
+            c, c2 = category_to_comonoid(k), category_to_comonoid(k2)
+            assert c == c2
+            assert comonoid_to_category(c) == comonoid_to_category(c2)
+    assert min(seen.values()) > 120
+    kinds = Counter()
+    for n in range(400):
+        c = _shared_comonoid(rng, unital=n % 3 != 0, broken=n % 3 == 2)
+        for x in (c, _with_base_moved(c)):
+            if x is not None:
+                report = check_comonoid_laws(x)
+                report2 = check_comonoid_laws(_reordered_comonoid(rng, x))
+                assert report["ok"] == report2["ok"]
+                assert _records(report) == _records(report2)
+                kinds[_kinds(report)] += 1
+    assert kinds[frozenset()] > 50
+    assert kinds[frozenset({"coassociativity"})] > 50
+    assert kinds[frozenset({"coassociativity@"})] > 10
