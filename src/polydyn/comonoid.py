@@ -714,10 +714,13 @@ def check_category(k: FinCat) -> dict:
         dict.fromkeys(objects, after),
         True,
     )
+    k._lawful = not cells
+    if not cells:
+        return {"ok": True, "violations": []}
     # the walk goes object by object; the report lists the identity
     # failures, then the associativity ones, by morphism, and a stable
     # sort keeps the walk's order for each
-    order = {m: n for n, m in enumerate(k.dom_of)} if cells else None
+    order = {m: n for n, m in enumerate(k.dom_of)}
     ranked = []
     for law, _, where, left, right in cells:
         if law == "coassociativity":
@@ -730,9 +733,7 @@ def check_category(k: FinCat) -> dict:
             law = "left_identity" if law == "right_counit" else "right_identity"
             ranked.append((0, order[where], law, {"law": law, "morphism": where, "got": left}))
     ranked.sort(key=itemgetter(0, 1, 2))
-    violations = [r[3] for r in ranked]
-    k._lawful = not violations
-    return {"ok": not violations, "violations": violations}
+    return {"ok": False, "violations": [r[3] for r in ranked]}
 
 
 # ---------------------------------------------------------------------------
