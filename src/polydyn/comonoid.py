@@ -537,7 +537,7 @@ def check_comonoid_laws(c: Comonoid) -> dict:
     # that bases and codomains are
     dirs = {i: s.elements for i, s in carrier._dirs.items()}
     cells = _law_cells(
-        carrier.position_labels, dirs, c.identity, c.base, c.codomain, comp, False
+        carrier.position_labels, dirs, c.identity, c.base, c.codomain, comp, typed=False
     )
     violations = []
     for law, i, where, left, right in cells:
@@ -712,7 +712,7 @@ def check_category(k: FinCat) -> dict:
         dict(zip(objects, objects)),
         dict.fromkeys(objects, k.cod_of),
         dict.fromkeys(objects, after),
-        True,
+        typed=True,
     )
     k._lawful = not cells
     if not cells:
