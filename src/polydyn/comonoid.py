@@ -360,8 +360,9 @@ def _law_cells(positions, dirs, ident, base, cod, comp, typed: bool) -> list:
     the tuple of directions, ident[i] the identity, base[i] the outer
     position of the comultiplication, cod[i][d] where d at base[i] leads,
     and comp[i][d][e], written d;e, the composite of d then e, read
-    curried.  typed says that d;e leads where e does, as in a FinCat; the
-    positional pre-check below cannot fail then, and is skipped.
+    curried.  typed says that every position is its own base and d;e
+    leads where e does, as in a FinCat; the positional pre-check below
+    cannot fail then, and is skipped.
 
     A cell is (law, i, where, left, right): where is a direction for a
     counit law, (d, e, g) for coassociativity, and None where the two
