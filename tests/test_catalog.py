@@ -264,7 +264,11 @@ def test_generate_categories_refuses_bounds_that_are_not_ints_whatever_the_cache
     # (2.0, 3) used to raise from range() on a cold cache, and to return
     # the 15 categories of (2, 3) once those were cached
     assert len(generate_categories(2, 3)) == 15
-    for bounds, name in (((2.0, 3), "max_objects"), ((2, 3.0), "max_morphisms"), (("2", 3), "max_objects")):
+    for bounds, name in (
+        ((2.0, 3), "max_objects"),
+        ((2, 3.0), "max_morphisms"),
+        (("2", 3), "max_objects"),
+    ):
         with pytest.raises(TypeError, match=f"^{name} must be an int, not "):
             generate_categories(*bounds)
 
