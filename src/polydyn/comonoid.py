@@ -57,7 +57,6 @@ from .core import (
     _lazy_names,
     fn_label,
     lens_id,
-    make_poly,
     pair_label,
     split_fn,
     split_pair,
@@ -134,6 +133,17 @@ class Comonoid:
     check_comonoid_laws keeps the verdict of its last full walk, so that
     comonoid_to_category need not walk the same tables again.
 
+    A comonoid built from a category (category_to_comonoid) carries its
+    composites curried instead, rows[i][d][e] for composite[i][(d, e)],
+    which the law walk and comonoid_to_category read as they are; its
+    flat composite is derived from them on first read and then kept, as
+    counit and comult are.  Such a comonoid is typed: every position is
+    its own base and a composite d;e leads where e does, so the law walk
+    skips the positional check that cannot fail on it.  Every other
+    comonoid (the constructor, contractible, sums and tensors) stores the
+    flat composite and keeps no curried copy: each law walk or
+    conversion curries it once per call.
+
     Comonoid(carrier, counit, comult) reads the tables off the two lenses;
     comult's codomain is recognised as carrier∘carrier from its labels, in
     either label form, without building carrier∘carrier.  Only the shapes
@@ -180,26 +190,50 @@ class Comonoid:
         if base is None:
             base = {i: i for i in carrier.position_labels}
         _check_tables(carrier, identity, codomain, composite, base)
-        return cls._from_typed_tables(carrier, identity, codomain, composite, base)
-
-    @classmethod
-    def _from_typed_tables(cls, carrier, identity, codomain, composite, base) -> "Comonoid":
-        """Internal constructor for tables well shaped by construction, as
-        category_to_comonoid reads them off a FinCat: no shape check."""
         c = object.__new__(cls)
         c._adopt(carrier, identity, codomain, composite, base)
         return c
 
-    def _adopt(self, carrier, identity, codomain, composite, base) -> None:
+    @classmethod
+    def _from_rows(cls, carrier, identity, codomain, rows) -> "Comonoid":
+        """Internal constructor for a category's tables, well shaped by
+        construction, as category_to_comonoid reads them off a FinCat: no
+        shape check, every position its own base, and the composites given
+        curried, rows[i][d][e] for composite[i][(d, e)]."""
+        c = object.__new__(cls)
+        labels = carrier.position_labels
+        c._adopt(carrier, identity, codomain, None, dict(zip(labels, labels)), rows)
+        return c
+
+    def _adopt(self, carrier, identity, codomain, composite, base, rows=None) -> None:
         self.carrier = carrier
         self.identity = identity
         self.base = base
         self.codomain = codomain
-        self.composite = composite
+        self._composite = composite
+        self._rows = rows
         self._counit = None
         self._comult = None
         self._contractible = None
         self._lawful = None
+
+    @property
+    def composite(self) -> dict:
+        """The flat tables, composite[i][(d, e)]: the store of a comonoid
+        built from flat tables; derived from the rows of one built from a
+        category on first read, and then kept."""
+        if self._composite is None:
+            dirs = self.carrier._dirs
+            composite = {}
+            for i in self.carrier.position_labels:
+                rows, cod = self._rows[i], self.codomain[i]
+                table = composite[i] = {}
+                for d in dirs[self.base[i]].elements:
+                    row = rows[d]
+                    for e in dirs[cod[d]].elements:
+                        table[d, e] = row[e]
+            self._composite = composite
+        return self._composite
 
     @property
     def counit(self) -> Lens:
@@ -500,6 +534,28 @@ def _law_cells(positions, dirs, ident, base, cod, comp, typed: bool) -> list:
     return cells
 
 
+def _curried(c: Comonoid) -> dict:
+    """c's composites curried by first factor, rows[i][d][e] being
+    composite[i][(d, e)]: the rows c was built with, or, for a comonoid
+    built from flat tables, rows curried on this call, once for each
+    distinct table and shared by the positions that share it."""
+    if c._rows is not None:
+        return c._rows
+    curried = {}
+    comp = {}
+    for i, table in c._composite.items():
+        rows = curried.get(id(table))
+        if rows is None:
+            rows = curried[id(table)] = {}
+            for (d, e), v in table.items():
+                row = rows.get(d)
+                if row is None:
+                    row = rows[d] = {}
+                row[e] = v
+        comp[i] = rows
+    return comp
+
+
 def check_comonoid_laws(c: Comonoid) -> dict:
     """Verify counitality (both sides) and coassociativity exactly.
 
@@ -514,31 +570,27 @@ def check_comonoid_laws(c: Comonoid) -> dict:
     carrier∘carrier nor the triply substituted codomain is ever
     materialized.
 
-    Each distinct composite table is read curried, table[d][e], built
-    once per call and shared by the positions that share the table.
+    The composites are read curried (_curried).  A comonoid built from a
+    category is walked as typed: its composites lead where their second
+    factor does, so the walk skips the positional pre-check that cannot
+    fail there.
 
     Every call returns a fresh report; the verdict alone is also kept on c
     for comonoid_to_category.
     """
     _require(c, Comonoid, "c")
     carrier = c.carrier
-    curried = {}
-    comp = {}
-    for i, table in c.composite.items():
-        rows = curried.get(id(table))
-        if rows is None:
-            rows = curried[id(table)] = {}
-            for (d, e), v in table.items():
-                row = rows.get(d)
-                if row is None:
-                    row = rows[d] = {}
-                row[e] = v
-        comp[i] = rows
     # every key the walk reads is a position: _check_tables guarantees
     # that bases and codomains are
     dirs = {i: s.elements for i, s in carrier._dirs.items()}
     cells = _law_cells(
-        carrier.position_labels, dirs, c.identity, c.base, c.codomain, comp, typed=False
+        carrier.position_labels,
+        dirs,
+        c.identity,
+        c.base,
+        c.codomain,
+        _curried(c),
+        typed=c._rows is not None,
     )
     violations = []
     for law, i, where, left, right in cells:
@@ -599,7 +651,18 @@ class FinCat:
         for m, d, c in mors:
             if d not in objects or c not in objects:
                 raise ValueError(f"morphism {m!r}: endpoints {d!r}→{c!r} not objects")
-        self._adopt(objects, mors, identity, dict(compose2))
+        out = {o: [] for o in objects.elements}
+        for m, d, _ in mors:
+            out[d].append(m)
+        self._adopt(
+            objects,
+            mors,
+            identity,
+            dict(compose2),
+            {m: d for m, d, _ in mors},
+            {m: c for m, _, c in mors},
+            {o: tuple(ms) for o, ms in out.items()},
+        )
         for o in objects.elements:
             if o not in identity:
                 raise ValueError(f"no identity assigned at object {o!r}")
@@ -630,24 +693,22 @@ class FinCat:
                 )
 
     @classmethod
-    def _from_typed(cls, objects, morphisms, identity, compose2) -> "FinCat":
+    def _from_typed(cls, objects, morphisms, identity, compose2, dom_of, cod_of, out) -> "FinCat":
         """Internal constructor for tables well typed by construction, as
         comonoid_to_category reads them off a lawful comonoid: morphisms
-        a tuple of string triples, identity in object order and compose2
-        a fresh dict, all taken over unchecked."""
+        a tuple of string triples, identity in object order, compose2 a
+        fresh dict, and dom_of, cod_of and out as __init__ builds them from
+        morphisms, all taken over unchecked."""
         k = object.__new__(cls)
-        k._adopt(objects, morphisms, identity, compose2)
+        k._adopt(objects, morphisms, identity, compose2, dom_of, cod_of, out)
         return k
 
-    def _adopt(self, objects, mors, identity, compose2) -> None:
+    def _adopt(self, objects, mors, identity, compose2, dom_of, cod_of, out) -> None:
         self.objects = objects
         self.morphisms = mors
-        self.dom_of = {m: d for m, d, _ in mors}
-        self.cod_of = {m: c for m, _, c in mors}
-        out = {o: [] for o in objects.elements}
-        for m, d, _ in mors:
-            out[d].append(m)
-        self.out = {o: tuple(ms) for o, ms in out.items()}
+        self.dom_of = dom_of
+        self.cod_of = cod_of
+        self.out = out
         self.identity = identity
         self._compose = compose2
         self._lawful = None
@@ -689,6 +750,15 @@ class FinCat:
         )
 
 
+def _after(k: FinCat) -> dict:
+    """k's composition table curried by its first factor: after[f][g] is
+    g∘f, for each g out of the codomain of f."""
+    after = {m: {} for m in k.dom_of}
+    for (g, f), h in k._compose.items():
+        after[f][g] = h
+    return after
+
+
 def check_category(k: FinCat) -> dict:
     """Exhaustive identity and associativity check with per-instance report.
 
@@ -703,9 +773,7 @@ def check_category(k: FinCat) -> dict:
     """
     _require(k, FinCat, "k")
     objects = k.objects.elements
-    after = {m: {} for m in k.dom_of}
-    for (g, f), h in k._compose.items():
-        after[f][g] = h
+    after = _after(k)
     cells = _law_cells(
         objects,
         k.out,
@@ -760,27 +828,37 @@ def comonoid_to_category(c: Comonoid) -> FinCat:
     labels = carrier.position_labels
     dirs = carrier._dirs
     tags = {i: {d: tag_label(i, d) for d in dirs[i].elements} for i in labels}
+    curried = _curried(c)
     morphisms = []
+    dom_of, cod_of, out = {}, {}, {}
     compose = {}
     for i in labels:
-        here, cod, comp = tags[i], c.codomain[i], c.composite[i]
+        here, cod, rows = tags[i], c.codomain[i], curried[i]
         for d in dirs[i].elements:
             j = cod[d]
             m = here[d]
             morphisms.append((m, i, j))
+            dom_of[m] = i
+            cod_of[m] = j
             there = tags[j]
+            row = rows[d]
             for e in dirs[j].elements:
-                compose[(there[e], m)] = here[comp[(d, e)]]
+                compose[(there[e], m)] = here[row[e]]
+        out[i] = tuple(here.values())
     identity = {i: tags[i][c.identity[i]] for i in labels}
     # the laws make these tables well typed: a composite's codomain is its
     # second factor's, and the identity at i leads back to i
-    return FinCat._from_typed(carrier.positions_set(), tuple(morphisms), identity, compose)
+    return FinCat._from_typed(
+        carrier.positions_set(), tuple(morphisms), identity, compose, dom_of, cod_of, out
+    )
 
 
 def category_carrier(k: FinCat) -> FinPoly:
     """Σ over objects of y^(outgoing morphisms)."""
     _require(k, FinCat, "k")
-    return make_poly((o, k.out[o]) for o in k.objects.elements)
+    # k's labels are distinct strings, so its parts need no check
+    out = k.out
+    return FinPoly._make({o: FinSet._make(out[o]) for o in k.objects.elements})
 
 
 def category_to_comonoid(k: FinCat) -> Comonoid:
@@ -796,15 +874,12 @@ def category_to_comonoid(k: FinCat) -> Comonoid:
             first = report["violations"][0]
             raise ValueError(f"category axioms fail: {first!r}")
     objects = k.objects.elements
-    comp, cod_of, out = k._compose, k.cod_of, k.out
+    cod_of, out = k.cod_of, k.out
     codomain = {o: {m: cod_of[m] for m in out[o]} for o in objects}
-    composite = {
-        o: {(m, m2): comp[(m2, m)] for m in out[o] for m2 in out[cod_of[m]]}
-        for o in objects
-    }
-    base = {o: o for o in objects}
-    return Comonoid._from_typed_tables(
-        category_carrier(k), dict(k.identity), codomain, composite, base
+    # the walks read only the rows of the directions at each position, so
+    # every object shares the one curried table
+    return Comonoid._from_rows(
+        category_carrier(k), dict(k.identity), codomain, dict.fromkeys(objects, _after(k))
     )
 
 

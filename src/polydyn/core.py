@@ -330,6 +330,16 @@ class FinSet:
         self.label = label
         self.elements = elems
 
+    @classmethod
+    def _make(cls, elements: tuple, label: str = "") -> "FinSet":
+        """Internal constructor for a tuple of distinct strings, taken over
+        unchecked."""
+        s = object.__new__(cls)
+        s._set = frozenset(elements)
+        s.label = label
+        s.elements = elements
+        return s
+
     def __contains__(self, x: str) -> bool:
         return x in self._set
 
@@ -463,6 +473,17 @@ class FinPoly:
                 table[label] = dirs
         if labels is not None:
             raise ValueError(f"duplicate position labels in {labels!r}")
+        self._adopt(table)
+
+    @classmethod
+    def _make(cls, table: dict) -> "FinPoly":
+        """Internal constructor for a label → FinSet dict of string labels,
+        taken over unchecked."""
+        p = object.__new__(cls)
+        p._adopt(table)
+        return p
+
+    def _adopt(self, table: dict) -> None:
         self._dirs = table
         self._labels = tuple(table)
         self._hash: int | None = None
@@ -481,7 +502,7 @@ class FinPoly:
         return self._dirs[label]
 
     def positions_set(self) -> FinSet:
-        return FinSet(self.position_labels, "positions")
+        return FinSet._make(self._labels, "positions")
 
     def num_positions(self) -> int:
         return len(self._labels)

@@ -364,6 +364,8 @@ def run_closed(sys: MDDS, steps: int, start: str) -> Trace:
     """
     if sys.interface != Y:
         raise ValueError("run_closed needs the closed interface y")
+    if not isinstance(steps, int):
+        raise TypeError(f"steps must be an int, not {type(steps).__name__}")
     if steps < 0:
         raise ValueError("steps must be non-negative")
     _check_state(sys, start)

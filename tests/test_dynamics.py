@@ -590,6 +590,17 @@ def test_run_closed_requires_closed_interface():
         run_closed(sys, 3, "0")
 
 
+def test_run_closed_refuses_steps_that_are_not_an_int():
+    # a float reached itertools.repeat and a str the comparison with 0
+    c = contractible(FinSet(("u", "v")))
+    f = Lens(c.carrier, Y, {"u": "*", "v": "*"}, {"u": {"*": "v"}, "v": {"*": "u"}})
+    sys = MDDS(c, Y, f)
+    with pytest.raises(TypeError, match="^steps must be an int, not float$"):
+        run_closed(sys, 2.5, "u")
+    with pytest.raises(TypeError, match="^steps must be an int, not str$"):
+        run_closed(sys, "3", "u")
+
+
 def test_run_closed_on_a_group_state_accumulates_history():
     # one object, two loops forming the 2-element group: the history
     # records the parity of the step count even though the state never

@@ -5,9 +5,15 @@ an identity in them and check_comonoid_laws the coassociativity cells that
 read an identity direction.  The reference walks below are the two checks
 as they were before that: they visit every cell.  On every input here the
 reports must be equal, records and their order included, and so must the
-verdict kept on the checked object.  The last test lists equal tables
-in another order and asks for the same reports, records compared as a
-multiset, and the same round trip.
+verdict kept on the checked object.  The order tests list equal tables
+in another order and ask for the same reports, records compared as a
+multiset, the same round trip and the same isomorphism verdicts,
+invariants and canonical keys.
+
+The conversions between categories and comonoids hand over the curried
+composition table.  The reference conversions below re-key it through a
+flat table, as the conversions did before; the outputs must agree field
+by field, the order of every dict and tuple included.
 """
 
 import itertools
@@ -15,11 +21,15 @@ import json
 import random
 from collections import Counter
 
+from polydyn import comonoid
 from polydyn.catalog import generate_categories
 from polydyn.comonoid import (
     Comonoid,
     FinCat,
+    _canonical_labels,
     _comult_label,
+    _invariants,
+    cat_isomorphic,
     category_carrier,
     category_to_comonoid,
     check_category,
@@ -29,7 +39,7 @@ from polydyn.comonoid import (
     comonoid_tensor,
     contractible,
 )
-from polydyn.core import FinPoly, FinSet, fn_label, pair_label
+from polydyn.core import FinPoly, FinSet, fn_label, make_poly, pair_label, tag_label
 
 
 def _reference_check_category(k: FinCat) -> dict:
@@ -527,3 +537,177 @@ def test_law_checks_and_round_trip_ignore_the_order_tables_are_listed_in():
     assert kinds[frozenset()] > 50
     assert kinds[frozenset({"coassociativity"})] > 50
     assert kinds[frozenset({"coassociativity@"})] > 10
+
+
+def _catalog_sample(rng, count: int) -> list:
+    """count categories of generate_categories(3, 6), drawn in catalog
+    order, with at least one morphism besides the identities."""
+    cats = [k for k in generate_categories(3, 6) if len(k.morphisms) > len(k.objects)]
+    return [cats[i] for i in sorted(rng.sample(range(len(cats)), count))]
+
+
+def test_isomorphism_verdicts_and_invariants_ignore_the_order_tables_are_listed_in():
+    rng = random.Random(2406)
+    sample = _catalog_sample(rng, 800)
+    unequal = 0
+    for k, other in zip(sample, sample[1:] + sample[:1]):
+        k2 = _reordered_category(rng, k)
+        assert cat_isomorphic(k, k2) and cat_isomorphic(k2, k)
+        assert _invariants(k) == _invariants(k2)
+        assert _canonical_labels(k)[0] == _canonical_labels(k2)[0]
+        # catalog categories are pairwise non-isomorphic, in either order
+        # and on fresh copies listed in another order
+        other2 = _reordered_category(rng, other)
+        assert not cat_isomorphic(k2, other2) and not cat_isomorphic(other2, k2)
+        same_size = (len(k.objects), len(k.morphisms)) == (len(other.objects), len(other.morphisms))
+        unequal += same_size
+    # the False verdicts that are reached past the size test
+    assert unequal > 700
+
+
+# ---------------------------------------------------------------------------
+# The conversions against the code that re-keyed the flat table.
+
+
+def _reference_category_to_comonoid(k: FinCat) -> Comonoid:
+    """category_to_comonoid as it wrote the composites flat and built the
+    carrier through make_poly."""
+    if k._lawful is not True:
+        report = check_category(k)
+        if not report["ok"]:
+            raise ValueError(f"category axioms fail: {report['violations'][0]!r}")
+    objects = k.objects.elements
+    comp, cod_of, out = k._compose, k.cod_of, k.out
+    codomain = {o: {m: cod_of[m] for m in out[o]} for o in objects}
+    composite = {
+        o: {(m, m2): comp[(m2, m)] for m in out[o] for m2 in out[cod_of[m]]}
+        for o in objects
+    }
+    base = {o: o for o in objects}
+    carrier = make_poly((o, k.out[o]) for o in objects)
+    return Comonoid._from_tables(carrier, dict(k.identity), codomain, composite, base)
+
+
+def _reference_comonoid_to_category(c: Comonoid) -> FinCat:
+    """comonoid_to_category as it read the flat composites and had the
+    FinCat build dom_of, cod_of and out."""
+    if c._lawful is not True:
+        report = check_comonoid_laws(c)
+        if not report["ok"]:
+            raise ValueError(f"comonoid laws fail: {report['violations'][0]!r}")
+    carrier = c.carrier
+    labels = carrier.position_labels
+    dirs = carrier._dirs
+    tags = {i: {d: tag_label(i, d) for d in dirs[i].elements} for i in labels}
+    morphisms = []
+    compose = {}
+    for i in labels:
+        here, cod, comp = tags[i], c.codomain[i], c.composite[i]
+        for d in dirs[i].elements:
+            j = cod[d]
+            m = here[d]
+            morphisms.append((m, i, j))
+            there = tags[j]
+            for e in dirs[j].elements:
+                compose[(there[e], m)] = here[comp[(d, e)]]
+    identity = {i: tags[i][c.identity[i]] for i in labels}
+    return FinCat(carrier.positions_set(), morphisms, identity, compose)
+
+
+def _listed(x):
+    """x with every dict written as its list of items, so that == also
+    compares the order of keys."""
+    if isinstance(x, dict):
+        return [(key, _listed(v)) for key, v in x.items()]
+    return x
+
+
+def _same_comonoid(c: Comonoid, r: Comonoid) -> None:
+    assert [(i, d.elements, d.label) for i, d in c.carrier._dirs.items()] == [
+        (i, d.elements, d.label) for i, d in r.carrier._dirs.items()
+    ]
+    for name in ("identity", "codomain", "base", "composite"):
+        assert _listed(getattr(c, name)) == _listed(getattr(r, name)), name
+
+
+def _same_category(k: FinCat, r: FinCat) -> None:
+    assert k.objects.elements == r.objects.elements
+    for name in ("morphisms", "dom_of", "cod_of", "out", "identity", "_compose"):
+        assert _listed(getattr(k, name)) == _listed(getattr(r, name)), name
+
+
+def _renamed(rng, k: FinCat) -> FinCat:
+    """k under fresh object and morphism names, listed in another order."""
+    obj = dict(zip(k.objects.elements, _shuffled(rng, [f"x{i}" for i in range(len(k.objects))])))
+    labels = k.morphism_labels()
+    mor = dict(zip(labels, _shuffled(rng, [f"f{i}" for i in range(len(labels))])))
+    renamed = FinCat(
+        FinSet(tuple(obj[o] for o in k.objects.elements)),
+        [(mor[m], obj[d], obj[c]) for m, d, c in k.morphisms],
+        {obj[o]: mor[m] for o, m in k.identity.items()},
+        {(mor[g], mor[f]): mor[h] for (g, f), h in k._compose.items()},
+    )
+    return _reordered_category(rng, renamed)
+
+
+def _untyped_copy(c: Comonoid) -> Comonoid:
+    """c's flat tables as a comonoid built from flat tables."""
+    return Comonoid._from_tables(c.carrier, c.identity, c.codomain, c.composite, c.base)
+
+
+def test_conversions_match_the_flat_reference_field_by_field():
+    rng = random.Random(2407)
+    for k in generate_categories(3, 5):
+        for x in (k, _renamed(rng, k)):
+            c = category_to_comonoid(x)
+            # the walk on the rows (typed) reports as the walk on the flat
+            # tables does
+            assert check_comonoid_laws(c) == check_comonoid_laws(_untyped_copy(c))
+            back = comonoid_to_category(c)
+            r = _reference_category_to_comonoid(x)
+            _same_comonoid(c, r)
+            assert c == r and hash(c) == hash(r)
+            assert c.composite is c.composite
+            _same_category(back, _reference_comonoid_to_category(r))
+
+
+def test_typed_and_flat_walks_report_alike_on_random_tables():
+    # lawless tables reach the typed walk only through the verdict kept
+    # on the category, which category_to_comonoid trusts
+    rng = random.Random(2408)
+    kinds = Counter()
+    for _ in range(600):
+        k = _random_category(rng)
+        k._lawful = True
+        c = category_to_comonoid(k)
+        report = check_comonoid_laws(c)
+        assert report == check_comonoid_laws(_untyped_copy(c))
+        kinds[_kinds(report)] += 1
+    assert kinds[frozenset()] > 100
+    assert kinds[frozenset({"coassociativity@"})] > 100
+    assert sum(n for found, n in kinds.items() if found & UNIT_LAWS) > 100
+
+
+def test_round_trip_builds_no_flat_table_and_curries_at_most_twice(monkeypatch):
+    calls = []
+    curry = comonoid._after
+
+    def counted(k):
+        calls.append(k)
+        return curry(k)
+
+    monkeypatch.setattr(comonoid, "_after", counted)
+    for k in generate_categories(2, 4):
+        k = _renamed(random.Random(len(k.morphisms)), k)
+        calls.clear()
+        assert check_category(k)["ok"]
+        c = category_to_comonoid(k)
+        assert check_comonoid_laws(c)["ok"]
+        back = comonoid_to_category(c)
+        assert len(calls) <= 2
+        assert c._composite is None
+        # the flat table appears on its first read, and is then kept
+        flat = c.composite
+        assert c._composite is flat
+        assert _listed(flat) == _listed(_reference_category_to_comonoid(k).composite)
+        assert comonoid_to_category(c) == back
