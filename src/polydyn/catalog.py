@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from polydyn.comonoid import FinCat, _canonical_form, _require
+from polydyn.comonoid import FinCat, _canonical_form, _Core, _require
 from polydyn.core import FinSet
 
 __all__ = [
@@ -231,10 +231,12 @@ class _Parts:
     """The immutable parts of the categories of one generate_categories call.
 
     Morphism labels m0, m1, .., object labels o0, o1, .., the (g, f) keys
-    of the composition tables, the (label, dom, cod) morphism triples and
-    the objects FinSet of each object count are made once here and shared
-    by every category built from them.  The dicts of each category
-    (dom_of, cod_of, out, identity, the composition table) stay its own.
+    of the composition tables, the (label, dom, cod) morphism triples, the
+    objects FinSet of each object count and the morphisms out of each
+    object of each typing are made once here and shared by every category
+    built from them.  The label tables of each category (dom_of, cod_of,
+    out, identity, the composition table) are its own, derived from its
+    core when first read.
     """
 
     def __init__(self, max_objects: int, max_morphisms: int):
@@ -247,20 +249,32 @@ class _Parts:
         self.objects = [FinSet(names[:k]) for k in range(len(names) + 1)]
         self.keys = [[(g, f) for f in labels] for g in labels]
         self.triples = [[[(m, d, c) for c in names] for d in names] for m in labels]
+        self.outs = {}
+
+    def out(self, num_objects: int, dom) -> tuple:
+        """The morphisms out of each object, for a typing dom."""
+        key = (num_objects, tuple(dom))
+        out = self.outs.get(key)
+        if out is None:
+            lists = [[] for _ in range(num_objects)]
+            for m, d in enumerate(dom):
+                lists[d].append(m)
+            out = self.outs[key] = tuple(map(tuple, lists))
+        return out
 
 
 def _build_fincat(parts: _Parts, num_objects: int, dom, cod, comp) -> FinCat:
+    """The category on these integer tables, which become its core as
+    they are: comp[g][f] is g∘f, -1 off the composable pairs."""
     n = len(dom)
-    labels, names, triples = parts.labels, parts.names, parts.triples
-    morphisms = [triples[j][dom[j]][cod[j]] for j in range(n)]
-    identity = {names[i]: labels[i] for i in range(num_objects)}
-    compose = {}
-    for g in range(n):
-        keys, row = parts.keys[g], comp[g]
-        for f in range(n):
-            if cod[f] == dom[g]:
-                compose[keys[f]] = labels[row[f]]
-    return FinCat(parts.objects[num_objects], morphisms, identity, compose)
+    triples = parts.triples
+    return FinCat._on_core(
+        parts.objects[num_objects],
+        _Core(dom, cod, parts.out(num_objects, dom), comp),
+        names=parts.prefixes[n],
+        morphisms=tuple([triples[j][dom[j]][cod[j]] for j in range(n)]),
+        keys=parts.keys,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -324,8 +338,9 @@ def generate_categories(max_objects: int = 3, max_morphisms: int = 6) -> tuple:
     cats = [_build_fincat(parts, 0, [], [], [])]
     if max_objects >= 1:
         for n in range(1, max_morphisms + 1):
+            zeros = (0,) * n  # the one typing of a monoid, shared by its tables
             for table in monoid_tables(n):
-                cats.append(_build_fincat(parts, 1, [0] * n, [0] * n, table))
+                cats.append(_build_fincat(parts, 1, zeros, zeros, table))
     for k in range(2, max_objects + 1):
         for m in range(max_morphisms - k + 1):
             for key in _multi_object_keys(k, m):

@@ -42,8 +42,7 @@ first read from this module:
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain, groupby
+from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -111,6 +110,20 @@ def _require(value, cls, name: str) -> None:
         raise TypeError(f"{name} must be {article} {kind}, not {type(value).__name__}")
 
 
+def _derived(slot: str, derive) -> property:
+    """A read-only table kept in slot: given at construction, or derived
+    by derive(obj) on first read and then kept there."""
+
+    def read(obj):
+        value = getattr(obj, slot)
+        if value is None:
+            value = derive(obj)
+            setattr(obj, slot, value)
+        return value
+
+    return property(read, doc=derive.__doc__)
+
+
 class Comonoid:
     """A comonoid for the substitution product, kept as its category tables.
 
@@ -133,16 +146,14 @@ class Comonoid:
     check_comonoid_laws keeps the verdict of its last full walk, so that
     comonoid_to_category need not walk the same tables again.
 
-    A comonoid built from a category (category_to_comonoid) carries its
-    composites curried instead, rows[i][d][e] for composite[i][(d, e)],
-    which the law walk and comonoid_to_category read as they are; its
-    flat composite is derived from them on first read and then kept, as
-    counit and comult are.  Such a comonoid is typed: every position is
-    its own base and a composite d;e leads where e does, so the law walk
-    skips the positional check that cannot fail on it.  Every other
-    comonoid (the constructor, contractible, sums and tensors) stores the
-    flat composite and keeps no curried copy: each law walk or
-    conversion curries it once per call.
+    A comonoid built from a category (category_to_comonoid) stores no
+    label table: it carries the category's integer core (_Core), shared
+    with that FinCat and with the FinCat comonoid_to_category reads back,
+    and the labels of its objects and morphisms.  Its carrier, identity,
+    base, codomain and composite are derived from them on first read, in
+    the order the category lists them, and then kept.  The law walk and
+    comonoid_to_category read the core.  Every other comonoid (the
+    constructor, contractible, sums and tensors) stores the five tables.
 
     Comonoid(carrier, counit, comult) reads the tables off the two lenses;
     comult's codomain is recognised as carrier∘carrier from its labels, in
@@ -152,6 +163,12 @@ class Comonoid:
     exhaustive check (check_comonoid_laws) so that invalid candidates can
     be examined and reported rather than rejected at construction.
     """
+
+    __slots__ = (
+        "_carrier", "_identity", "_base", "_codomain", "_composite",
+        "_core", "_objects", "_names",
+        "_counit", "_comult", "_contractible", "_lawful",
+    )
 
     def __init__(self, carrier: FinPoly, counit: Lens, comult: Lens):
         from ._comonoid_cold import _is_self_composite
@@ -195,45 +212,64 @@ class Comonoid:
         return c
 
     @classmethod
-    def _from_rows(cls, carrier, identity, codomain, rows) -> "Comonoid":
-        """Internal constructor for a category's tables, well shaped by
-        construction, as category_to_comonoid reads them off a FinCat: no
-        shape check, every position its own base, and the composites given
-        curried, rows[i][d][e] for composite[i][(d, e)]."""
+    def _on_core(cls, objects: tuple, core: "_Core", names: tuple) -> "Comonoid":
+        """Internal constructor for a category's core, well shaped by
+        construction: objects[i] labels object i, which is position i, and
+        names[m] morphism m, which is a direction at its domain."""
         c = object.__new__(cls)
-        labels = carrier.position_labels
-        c._adopt(carrier, identity, codomain, None, dict(zip(labels, labels)), rows)
+        c._adopt(None, None, None, None, None)
+        c._core = core
+        c._objects = objects
+        c._names = names
         return c
 
-    def _adopt(self, carrier, identity, codomain, composite, base, rows=None) -> None:
-        self.carrier = carrier
-        self.identity = identity
-        self.base = base
-        self.codomain = codomain
+    def _adopt(self, carrier, identity, codomain, composite, base) -> None:
+        self._carrier = carrier
+        self._identity = identity
+        self._base = base
+        self._codomain = codomain
         self._composite = composite
-        self._rows = rows
+        self._core = self._objects = self._names = None
         self._counit = None
         self._comult = None
         self._contractible = None
         self._lawful = None
 
-    @property
-    def composite(self) -> dict:
-        """The flat tables, composite[i][(d, e)]: the store of a comonoid
-        built from flat tables; derived from the rows of one built from a
-        category on first read, and then kept."""
-        if self._composite is None:
-            dirs = self.carrier._dirs
-            composite = {}
-            for i in self.carrier.position_labels:
-                rows, cod = self._rows[i], self.codomain[i]
-                table = composite[i] = {}
-                for d in dirs[self.base[i]].elements:
-                    row = rows[d]
-                    for e in dirs[cod[d]].elements:
-                        table[d, e] = row[e]
-            self._composite = composite
-        return self._composite
+    # The tables: stored by a comonoid built from tables, derived from
+    # the core on first read by one built from a category.
+
+    def _core_carrier(self) -> FinPoly:
+        names, out = self._names, self._core.out
+        return FinPoly._make(
+            {
+                o: FinSet._make(tuple([names[m] for m in out[i]]))
+                for i, o in enumerate(self._objects)
+            }
+        )
+
+    def _core_codomain(self) -> dict:
+        objects, names, core = self._objects, self._names, self._core
+        cod = core.cod
+        return {
+            o: {names[m]: objects[cod[m]] for m in core.out[i]}
+            for i, o in enumerate(objects)
+        }
+
+    def _core_composite(self) -> dict:
+        names, core = self._names, self._core
+        cod, out, rows = core.cod, core.out, core.rows
+        return {
+            o: {(names[d], names[e]): names[rows[e][d]] for d in out[i] for e in out[cod[d]]}
+            for i, o in enumerate(self._objects)
+        }
+
+    carrier = _derived("_carrier", _core_carrier)
+    identity = _derived(
+        "_identity", lambda c: {o: c._names[i] for i, o in enumerate(c._objects)}
+    )
+    base = _derived("_base", lambda c: dict(zip(c._objects, c._objects)))
+    codomain = _derived("_codomain", _core_codomain)
+    composite = _derived("_composite", _core_composite)
 
     @property
     def counit(self) -> Lens:
@@ -393,10 +429,11 @@ def _law_cells(positions, dirs, ident, base, cod, comp, typed: bool) -> list:
     order, read from comonoid-shaped tables: at position i, dirs[i] is
     the tuple of directions, ident[i] the identity, base[i] the outer
     position of the comultiplication, cod[i][d] where d at base[i] leads,
-    and comp[i][d][e], written d;e, the composite of d then e, read
-    curried.  typed says that every position is its own base and d;e
-    leads where e does, as in a FinCat; the positional pre-check below
-    cannot fail then, and is skipped.
+    and comp[i][e][d], written d;e, the composite of d then e, read
+    curried by its second factor, as a category's core holds it (g∘f is
+    rows[g][f]).  typed says that every position is its own base and d;e
+    leads where e does, as in a category's core; the positional
+    pre-check below cannot fail then, and is skipped.
 
     A cell is (law, i, where, left, right): where is a direction for a
     counit law, (d, e, g) for coassociativity, and None where the two
@@ -431,9 +468,9 @@ def _law_cells(positions, dirs, ident, base, cod, comp, typed: bool) -> list:
         if pos != i:
             cells.append(("left_counit", i, None, pos, i))
             continue
-        then_s = comp[i][s]
+        rows = comp[i]
         for e in dirs[i]:
-            v = then_s[e]
+            v = rows[e][s]
             if v != e:
                 cells.append(("left_counit", i, e, v, e))
 
@@ -445,9 +482,9 @@ def _law_cells(positions, dirs, ident, base, cod, comp, typed: bool) -> list:
             cells.append(("right_counit", i, None, i1, i))
             continue
         phi = cod[i]
-        composite = comp[i]
+        rows = comp[i]
         for d in dirs[i]:
-            v = composite[d][ident[phi[d]]]
+            v = rows[ident[phi[d]]][d]
             if v != d:
                 cells.append(("right_counit", i, d, v, d))
 
@@ -492,10 +529,9 @@ def _law_cells(positions, dirs, ident, base, cod, comp, typed: bool) -> list:
                 if j != base[k]:
                     mismatch = True
                     break
-                row = comp1[e]
                 cod_k = cod[k]
                 for g in walk[j]:
-                    if phi[row[g]] != cod_k[g]:
+                    if phi[comp1[g][e]] != cod_k[g]:
                         mismatch = True
                         break
                 if mismatch:
@@ -504,7 +540,7 @@ def _law_cells(positions, dirs, ident, base, cod, comp, typed: bool) -> list:
             chi = {}
             for e in dirs[i2]:
                 j = psi[e]
-                inner = {g: phi[comp1[e][g]] for g in dirs[j]}
+                inner = {g: phi[comp1[g][e]] for g in dirs[j]}
                 chi[e] = pair_label(j, fn_label(inner, dirs[j]))
             table = {}
             for d in i1dirs:
@@ -515,43 +551,73 @@ def _law_cells(positions, dirs, ident, base, cod, comp, typed: bool) -> list:
             right = pair_label(i1, fn_label(table, i1dirs))
             cells.append(("coassociativity", i, None, left, right))
             continue
+        # (d;e);g against d;(e;g), e;g read at k = cod[i][d]: the
+        # directions d that lead to one k are walked together, innermost
+        targets = {}
         for d in walk[i1]:
-            k = phi[d]
-            then_d = composite[d]
-            then_d1 = comp1[d]
+            targets.setdefault(phi[d], []).append(d)
+        for k, ds in targets.items():
             inner = comp[k]
             cod_k = cod[k]
             for e in walk[base[k]]:
-                left_row = composite[then_d1[e]]
-                inner_e = inner[e]
+                then_e = comp1[e]
                 for g in walk[cod_k[e]]:
-                    lv = left_row[g]
-                    rv = then_d[inner_e[g]]
-                    if lv != rv:
-                        cells.append(("coassociativity", i, (d, e, g), lv, rv))
-        if shared is not None and len(cells) == before:
-            passed.add(shared)
+                    left = composite[g]
+                    right = composite[inner[g][e]]
+                    for d in ds:
+                        if left[then_e[d]] != right[d]:
+                            cells.append(
+                                ("coassociativity", i, (d, e, g), left[then_e[d]], right[d])
+                            )
+        if len(cells) == before:
+            if shared is not None:
+                passed.add(shared)
+        else:
+            # the cells at i in walk order: by d, then e, then g
+            rank = {d: n for n, d in enumerate(walk[i1])}
+
+            def order(cell, rank=rank, phi=phi):
+                d, e, g = cell[2]
+                k = phi[d]
+                return rank[d], walk[base[k]].index(e), walk[cod[k][e]].index(g)
+
+            cells[before:] = sorted(cells[before:], key=order)
     return cells
 
 
+def _core_cells(core: "_Core") -> tuple:
+    """_law_cells on a category's core, kept on the core: objects are
+    positions, each its own base, the morphisms out of one its
+    directions, and every object reads the one table of codomains and
+    the one of composites.  A FinCat and the comonoid it reads as share
+    the core, so check_category and check_comonoid_laws walk it once
+    between them."""
+    if core.cells is None:
+        objects = range(len(core.out))
+        n = len(objects)
+        core.cells = tuple(
+            _law_cells(
+                objects, core.out, objects, objects, (core.cod,) * n, (core.rows,) * n, typed=True
+            )
+        )
+    return core.cells
+
+
 def _curried(c: Comonoid) -> dict:
-    """c's composites curried by first factor, rows[i][d][e] being
-    composite[i][(d, e)]: the rows c was built with, or, for a comonoid
-    built from flat tables, rows curried on this call, once for each
-    distinct table and shared by the positions that share it."""
-    if c._rows is not None:
-        return c._rows
+    """c's flat composites curried by second factor, rows[i][e][d] being
+    composite[i][(d, e)], once for each distinct table and shared by the
+    positions that share it."""
     curried = {}
     comp = {}
-    for i, table in c._composite.items():
+    for i, table in c.composite.items():
         rows = curried.get(id(table))
         if rows is None:
             rows = curried[id(table)] = {}
             for (d, e), v in table.items():
-                row = rows.get(d)
+                row = rows.get(e)
                 if row is None:
-                    row = rows[d] = {}
-                row[e] = v
+                    row = rows[e] = {}
+                row[d] = v
         comp[i] = rows
     return comp
 
@@ -570,28 +636,31 @@ def check_comonoid_laws(c: Comonoid) -> dict:
     carrier∘carrier nor the triply substituted codomain is ever
     materialized.
 
-    The composites are read curried (_curried).  A comonoid built from a
-    category is walked as typed: its composites lead where their second
-    factor does, so the walk skips the positional pre-check that cannot
-    fail there.
+    A comonoid built from a category is walked on its core, as typed:
+    its composites lead where their second factor does, so the walk skips
+    the positional pre-check that cannot fail there.  Any other comonoid
+    is walked on its flat composites, curried once per call (_curried).
 
     Every call returns a fresh report; the verdict alone is also kept on c
     for comonoid_to_category.
     """
     _require(c, Comonoid, "c")
-    carrier = c.carrier
-    # every key the walk reads is a position: _check_tables guarantees
-    # that bases and codomains are
-    dirs = {i: s.elements for i, s in carrier._dirs.items()}
-    cells = _law_cells(
-        carrier.position_labels,
-        dirs,
-        c.identity,
-        c.base,
-        c.codomain,
-        _curried(c),
-        typed=c._rows is not None,
-    )
+    if c._core is not None:
+        cells = _labelled(_core_cells(c._core), c._objects, c._names)
+    else:
+        carrier = c.carrier
+        # every key the walk reads is a position: _check_tables guarantees
+        # that bases and codomains are
+        dirs = {i: s.elements for i, s in carrier._dirs.items()}
+        cells = _law_cells(
+            carrier.position_labels,
+            dirs,
+            c.identity,
+            c.base,
+            c.codomain,
+            _curried(c),
+            typed=False,
+        )
     violations = []
     for law, i, where, left, right in cells:
         if where is None:
@@ -607,8 +676,48 @@ def check_comonoid_laws(c: Comonoid) -> dict:
     return {"ok": not violations, "violations": violations}
 
 
+def _labelled(cells: list, objects, names) -> list:
+    """Cells of a core's walk with objects and morphisms as labels; a
+    typed walk finds no cell where positions differ."""
+    out = []
+    for law, i, where, left, right in cells:
+        if law == "coassociativity":
+            where = tuple([names[x] for x in where])
+        else:
+            where = names[where]
+        out.append((law, objects[i], where, names[left], names[right]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Finite categories as explicit tables.
+
+
+class _Core:
+    """A finite category on integer tables: the one store that a FinCat,
+    the Comonoid category_to_comonoid reads it as and the FinCat
+    comonoid_to_category reads back all share.  Read-only once built.
+
+    Objects are 0..k-1, in the category's object order, and morphisms
+    0..n-1: the identities first, the identity of object i being i, then
+    the others in the order the category lists them.  dom[m] and cod[m]
+    are object indices, out[i] is the tuple of morphisms out of object i
+    in listing order, and rows[g][f] is g∘f for each f into the domain of
+    g.  Built from labels, each row is a dict over those f, so the table
+    holds one entry per composable pair; the catalog passes in the rows
+    its search holds, sequences over all n morphisms with -1 off the
+    composable pairs.  Only composable entries are ever read.  cells,
+    once walked, are the failing cells of the law walk (_core_cells).
+    """
+
+    __slots__ = ("dom", "cod", "out", "rows", "cells")
+
+    def __init__(self, dom, cod, out, rows):
+        self.dom = dom
+        self.cod = cod
+        self.out = out
+        self.rows = rows
+        self.cells = None
 
 
 class FinCat:
@@ -628,7 +737,22 @@ class FinCat:
     cat_isomorphic compares.  cat_isomorphic computes either only when its
     direct search finds no isomorphism, and a canonical form only when the
     invariants agree.
+
+    The law check, the conversions and the isomorphism tests read an
+    integer core (_Core) and the label of each of its morphisms.  A
+    FinCat built from labels stores its label tables (morphisms, dom_of,
+    cod_of, out, identity and the composition table _compose) and builds
+    its core on the first read that needs it.  A category of the catalog
+    and one read back from a comonoid (comonoid_to_category) store only a
+    core, which the catalog's search or the comonoid's category already
+    holds, and their labels; their label tables are derived on first
+    read, in the order a FinCat built from them would list them, and kept.
     """
+
+    __slots__ = (
+        "objects", "_morphisms", "_dom_of", "_cod_of", "_out", "_identity", "_composites",
+        "_store", "_labels", "_tagged", "_keys", "_lawful", "_canonical", "_invariants",
+    )
 
     def __init__(
         self,
@@ -654,29 +778,21 @@ class FinCat:
         out = {o: [] for o in objects.elements}
         for m, d, _ in mors:
             out[d].append(m)
-        self._adopt(
-            objects,
-            mors,
-            identity,
-            dict(compose2),
-            {m: d for m, d, _ in mors},
-            {m: c for m, _, c in mors},
-            {o: tuple(ms) for o, ms in out.items()},
-        )
+        dom_of = {m: d for m, d, _ in mors}
+        cod_of = {m: c for m, _, c in mors}
         for o in objects.elements:
             if o not in identity:
                 raise ValueError(f"no identity assigned at object {o!r}")
             m = identity[o]
-            if m not in self.dom_of:
+            if m not in dom_of:
                 raise ValueError(f"identity at {o!r} is not a morphism: {m!r}")
-            if self.dom_of[m] != o or self.cod_of[m] != o:
+            if dom_of[m] != o or cod_of[m] != o:
                 raise ValueError(f"identity at {o!r} must be a loop at {o!r}")
         extra = [o for o in identity if o not in objects]
         if extra:
             raise ValueError(f"identity table has non-objects: {extra!r}")
-        self.identity = {o: identity[o] for o in objects.elements}  # in object order
 
-        composable = {(g, f) for f, _, c in mors for g in self.out[c]}
+        composable = {(g, f) for f, _, c in mors for g in out[c]}
         given = set(compose2)
         if given != composable:
             missing = sorted(composable - given)
@@ -685,35 +801,129 @@ class FinCat:
                 f"composition table mismatch: missing {missing!r}, extra {extra!r}"
             )
         for (g, f), h in compose2.items():
-            if h not in self.dom_of:
+            if h not in dom_of:
                 raise ValueError(f"composite of ({g!r}, {f!r}) is not a morphism: {h!r}")
-            if self.dom_of[h] != self.dom_of[f] or self.cod_of[h] != self.cod_of[g]:
+            if dom_of[h] != dom_of[f] or cod_of[h] != cod_of[g]:
                 raise ValueError(
                     f"composite {h!r} of ({g!r}, {f!r}) has wrong endpoints"
                 )
+        self._adopt(
+            objects,
+            mors,
+            {o: identity[o] for o in objects.elements},  # in object order
+            dict(compose2),
+            dom_of,
+            cod_of,
+            {o: tuple(ms) for o, ms in out.items()},
+        )
 
     @classmethod
     def _from_typed(cls, objects, morphisms, identity, compose2, dom_of, cod_of, out) -> "FinCat":
-        """Internal constructor for tables well typed by construction, as
-        comonoid_to_category reads them off a lawful comonoid: morphisms
-        a tuple of string triples, identity in object order, compose2 a
-        fresh dict, and dom_of, cod_of and out as __init__ builds them from
-        morphisms, all taken over unchecked."""
+        """Internal constructor for label tables well typed by
+        construction, as comonoid_to_category reads them off a lawful
+        comonoid without a core: morphisms a tuple of string triples,
+        identity in object order, compose2 a fresh dict, and dom_of,
+        cod_of and out as __init__ builds them from morphisms, all taken
+        over unchecked."""
         k = object.__new__(cls)
         k._adopt(objects, morphisms, identity, compose2, dom_of, cod_of, out)
         return k
 
+    @classmethod
+    def _on_core(
+        cls, objects: FinSet, core: _Core, names=None, tagged=None, morphisms=None, keys=None
+    ) -> "FinCat":
+        """Internal constructor for a lawful or well-typed core, taken over
+        unchecked.  Morphism m is labelled names[m], or, given tagged,
+        tag_label(its domain, tagged[m]).  Without morphisms, the category
+        lists them object by object, in the order of core.out; keys[g][f],
+        when given, is the (g, f) key tuple its composition table shares
+        with other categories."""
+        k = object.__new__(cls)
+        k._adopt(objects, morphisms, None, None, None, None, None)
+        k._store = core
+        k._labels = names
+        k._tagged = tagged
+        k._keys = keys
+        return k
+
     def _adopt(self, objects, mors, identity, compose2, dom_of, cod_of, out) -> None:
         self.objects = objects
-        self.morphisms = mors
-        self.dom_of = dom_of
-        self.cod_of = cod_of
-        self.out = out
-        self.identity = identity
-        self._compose = compose2
+        self._morphisms = mors
+        self._dom_of = dom_of
+        self._cod_of = cod_of
+        self._out = out
+        self._identity = identity
+        self._composites = compose2
+        self._store = self._labels = self._tagged = self._keys = None
         self._lawful = None
         self._canonical = None
         self._invariants = None
+
+    # The core and the labels of its morphisms: built from the label
+    # tables on first read by a FinCat built from labels.
+
+    def _index(self) -> _Core:
+        core, self._labels = _index_labels(self)
+        return core
+
+    def _name(self) -> tuple:
+        if self._tagged is None:
+            self._store, names = _index_labels(self)
+            return names
+        objects, dom = self.objects.elements, self._core.dom
+        return tuple([tag_label(objects[dom[m]], x) for m, x in enumerate(self._tagged)])
+
+    _core = _derived("_store", _index)
+    _names = _derived("_labels", _name)
+
+    # The label tables: stored by a FinCat built from labels, derived from
+    # the core on first read by one built on a core.
+
+    def _listed(self) -> tuple:
+        objects, names, core = self.objects.elements, self._names, self._core
+        cod = core.cod
+        return tuple(
+            [(names[m], o, objects[cod[m]]) for i, o in enumerate(objects) for m in core.out[i]]
+        )
+
+    def _outgoing(self) -> dict:
+        names = self._names
+        return {
+            o: tuple([names[m] for m in ms])
+            for o, ms in zip(self.objects.elements, self._core.out)
+        }
+
+    def _table(self) -> dict:
+        names, core, keys = self._names, self._core, self._keys
+        dom, cod, rows = core.dom, core.cod, core.rows
+        compose = {}
+        if keys is not None:
+            # as the catalog lists it: by g, then f, each in morphism order
+            n = len(names)
+            for g in range(n):
+                key, row, d = keys[g], rows[g], dom[g]
+                for f in range(n):
+                    if cod[f] == d:
+                        compose[key[f]] = names[row[f]]
+        else:
+            # as comonoid_to_category lists it: object by object, by f, then g
+            out = core.out
+            for fs in out:
+                for f in fs:
+                    first = names[f]
+                    for g in out[cod[f]]:
+                        compose[names[g], first] = names[rows[g][f]]
+        return compose
+
+    morphisms = _derived("_morphisms", _listed)
+    dom_of = _derived("_dom_of", lambda k: {m: d for m, d, _ in k.morphisms})
+    cod_of = _derived("_cod_of", lambda k: {m: c for m, _, c in k.morphisms})
+    out = _derived("_out", _outgoing)
+    identity = _derived(
+        "_identity", lambda k: {o: k._names[i] for i, o in enumerate(k.objects.elements)}
+    )
+    _compose = _derived("_composites", _table)
 
     def morphism_labels(self) -> tuple[str, ...]:
         return tuple(m for m, _, _ in self.morphisms)
@@ -750,39 +960,42 @@ class FinCat:
         )
 
 
-def _after(k: FinCat) -> dict:
-    """k's composition table curried by its first factor: after[f][g] is
-    g∘f, for each g out of the codomain of f."""
-    after = {m: {} for m in k.dom_of}
+def _index_labels(k: FinCat) -> tuple:
+    """The core of a FinCat built from labels, read off its label tables,
+    and the label of each of the core's morphisms."""
+    objects = k.objects.elements
+    at = {o: i for i, o in enumerate(objects)}
+    index = {m: i for i, m in enumerate(k.identity.values())}
+    # the identities are loops, the first morphisms; the others follow
+    dom, cod = list(range(len(objects))), list(range(len(objects)))
+    out = [[] for _ in objects]
+    for m, d, c in k.morphisms:
+        i = index.get(m)
+        if i is None:
+            i = index[m] = len(dom)
+            dom.append(at[d])
+            cod.append(at[c])
+        out[at[d]].append(i)
+    rows = [{} for _ in dom]
     for (g, f), h in k._compose.items():
-        after[f][g] = h
-    return after
+        rows[index[g]][index[f]] = index[h]
+    return _Core(dom, cod, tuple(map(tuple, out)), rows), tuple(index)
 
 
 def check_category(k: FinCat) -> dict:
     """Exhaustive identity and associativity check with per-instance report.
 
-    k is walked as the comonoid it is (_law_cells): objects are positions,
-    each its own base, and the morphisms out of one are its directions;
-    every object reads k's codomains and one composition table, curried
-    by its first factor once per call as after[f][g] = g∘f.  So only
-    composable triples are walked.  The identity failures come first,
-    then the associativity ones, each in the order of k.morphisms (of f
-    for a triple (h, g, f)).  Every call returns a fresh report; the
-    verdict alone is also kept on k for category_to_comonoid.
+    k is walked on its core as the comonoid it is (_law_cells): objects
+    are positions, each its own base, and the morphisms out of one are
+    its directions; every object reads the core's codomains and its one
+    composition table.  So only composable triples are walked.  The
+    identity failures come first, then the associativity ones, each in
+    the order of k.morphisms (of f for a triple (h, g, f)).  Every call
+    returns a fresh report; the verdict alone is also kept on k for
+    category_to_comonoid.
     """
     _require(k, FinCat, "k")
-    objects = k.objects.elements
-    after = _after(k)
-    cells = _law_cells(
-        objects,
-        k.out,
-        k.identity,
-        dict(zip(objects, objects)),
-        dict.fromkeys(objects, k.cod_of),
-        dict.fromkeys(objects, after),
-        typed=True,
-    )
+    cells = _core_cells(k._core)
     k._lawful = not cells
     if not cells:
         return {"ok": True, "violations": []}
@@ -791,7 +1004,7 @@ def check_category(k: FinCat) -> dict:
     # sort keeps the walk's order for each
     order = {m: n for n, m in enumerate(k.dom_of)}
     ranked = []
-    for law, _, where, left, right in cells:
+    for law, _, where, left, right in _labelled(cells, k.objects.elements, k._names):
         if law == "coassociativity":
             f, g, h = where
             record = {"law": "associativity", "triple": [h, g, f], "left": left, "right": right}
@@ -816,7 +1029,8 @@ def comonoid_to_category(c: Comonoid) -> FinCat:
     directions at i, tagged with their source so labels stay globally
     unique.  Raises if any comonoid law fails, quoting the first failure;
     the laws are not walked again when the last check_comonoid_laws(c)
-    passed.
+    passed.  A comonoid built from a category gives a FinCat on the same
+    core, whose tagged labels are derived when first read.
     """
     _require(c, Comonoid, "c")
     if c._lawful is not True:
@@ -824,16 +1038,19 @@ def comonoid_to_category(c: Comonoid) -> FinCat:
         if not report["ok"]:
             first = report["violations"][0]
             raise ValueError(f"comonoid laws fail: {first!r}")
+    if c._core is not None:
+        return FinCat._on_core(
+            FinSet._make(c._objects, "positions"), c._core, tagged=c._names
+        )
     carrier = c.carrier
     labels = carrier.position_labels
     dirs = carrier._dirs
     tags = {i: {d: tag_label(i, d) for d in dirs[i].elements} for i in labels}
-    curried = _curried(c)
     morphisms = []
     dom_of, cod_of, out = {}, {}, {}
     compose = {}
     for i in labels:
-        here, cod, rows = tags[i], c.codomain[i], curried[i]
+        here, cod, comp = tags[i], c.codomain[i], c.composite[i]
         for d in dirs[i].elements:
             j = cod[d]
             m = here[d]
@@ -841,9 +1058,8 @@ def comonoid_to_category(c: Comonoid) -> FinCat:
             dom_of[m] = i
             cod_of[m] = j
             there = tags[j]
-            row = rows[d]
             for e in dirs[j].elements:
-                compose[(there[e], m)] = here[row[e]]
+                compose[(there[e], m)] = here[comp[d, e]]
         out[i] = tuple(here.values())
     identity = {i: tags[i][c.identity[i]] for i in labels}
     # the laws make these tables well typed: a composite's codomain is its
@@ -865,7 +1081,8 @@ def category_to_comonoid(k: FinCat) -> Comonoid:
     """Package a category's tables as a comonoid; raises on axiom failure.
 
     The axioms are not walked again when the last check_category(k)
-    passed.
+    passed.  The comonoid carries k's core and labels; its tables are
+    derived from them when first read.
     """
     _require(k, FinCat, "k")
     if k._lawful is not True:
@@ -873,14 +1090,7 @@ def category_to_comonoid(k: FinCat) -> Comonoid:
         if not report["ok"]:
             first = report["violations"][0]
             raise ValueError(f"category axioms fail: {first!r}")
-    objects = k.objects.elements
-    cod_of, out = k.cod_of, k.out
-    codomain = {o: {m: cod_of[m] for m in out[o]} for o in objects}
-    # the walks read only the rows of the directions at each position, so
-    # every object shares the one curried table
-    return Comonoid._from_rows(
-        category_carrier(k), dict(k.identity), codomain, dict.fromkeys(objects, _after(k))
-    )
+    return Comonoid._on_core(k.objects.elements, k._core, k._names)
 
 
 def contractible(s: FinSet) -> Comonoid:
@@ -946,6 +1156,19 @@ def is_cat_isomorphism(
     return True
 
 
+def _hits(num_objects: int, dom, cod, comp) -> list:
+    """hits[m], the number of composable pairs composing to morphism m,
+    on the integer tables of _canonical_form."""
+    starts = [[] for _ in range(num_objects)]
+    for g in range(len(dom)):
+        starts[dom[g]].append(g)
+    hits = [0] * len(dom)
+    for f, c in enumerate(cod):
+        for g in starts[c]:
+            hits[comp[g][f]] += 1
+    return hits
+
+
 def _colours(num_objects: int, dom, cod, comp) -> tuple:
     """The isomorphism invariants _canonical_form sorts by, on its integer
     tables: (profile, colour).  profile[o] counts the non-identity
@@ -958,7 +1181,7 @@ def _colours(num_objects: int, dom, cod, comp) -> tuple:
     k = num_objects
     n = len(dom)
     profile = [[0, 0, 0] for _ in range(k)]
-    hits = Counter(chain.from_iterable(comp))
+    hits = _hits(k, dom, cod, comp)
     colour = [None] * n
     for m in range(k, n):
         d, c = dom[m], cod[m]
@@ -983,12 +1206,13 @@ def _canonical_form(num_objects: int, dom, cod, comp) -> tuple:
     """Canonical key of a category on integer tables, and a labelling attaining it.
 
     Morphisms are 0..n-1, the identity of object i being morphism i; dom
-    and cod give object indices and comp[g][f] is g∘f, -1 off the
-    composable pairs.  A labelling orders the objects (so the identities)
-    and then the other morphisms; its key is (slots, table), the (dom,
-    cod) of each non-identity morphism and the flattened composition
-    table, both relabeled.  Returns (key, (objects, morphisms)), the old
-    index at each new position, for the least key.
+    and cod give object indices and comp[g][f] is g∘f, read only on the
+    composable pairs, as a _Core's rows are.  A labelling orders the
+    objects (so the identities) and then the other morphisms; its key is
+    (slots, table), the (dom, cod) of each non-identity morphism and the
+    flattened composition table, both relabeled, -1 off the composable
+    pairs.  Returns (key, (objects, morphisms)), the old index at each new
+    position, for the least key.
 
     Only labellings that sort objects by profile (morphisms out, in,
     loops) and the other morphisms by (dom, cod, colour) are tried: colour
@@ -1039,11 +1263,14 @@ def _canonical_form(num_objects: int, dom, cod, comp) -> tuple:
                 groups = groupby(tagged, key=lambda t: t[:3])
                 walk(order, [[t[3] for t in g] for _, g in groups], slots)
             return
-        new = [0] * n + [-1]  # new[-1] keeps non-composable pairs at -1
+        new = [0] * n
         for j, m in enumerate(order):
             new[m] = j
-        rows = map(comp.__getitem__, order)
-        key = (slots, tuple([new[row[b]] for row in rows for b in order]))
+        table = []
+        for g in order:
+            row, d = comp[g], dom[g]
+            table += [new[row[f]] if cod[f] == d else -1 for f in order]
+        key = (slots, tuple(table))
         if best is None or key < best[0]:
             best = (key, order)
         elif key == best[0]:
@@ -1056,37 +1283,17 @@ def _canonical_form(num_objects: int, dom, cod, comp) -> tuple:
     return best[0], (best[1][:k], best[1])
 
 
-def _integer_tables(k: FinCat) -> tuple:
-    """k on the integer tables of _canonical_form: (labels, dom, cod,
-    comp), labels being the identities in object order, then the other
-    morphisms in k's order."""
-    objects = k.objects.elements
-    labels = [k.identity[o] for o in objects]
-    identities = set(labels)
-    labels += [m for m, _, _ in k.morphisms if m not in identities]
-    obj_index = {o: i for i, o in enumerate(objects)}
-    index = {m: i for i, m in enumerate(labels)}
-    n = len(labels)
-    comp = [[-1] * n for _ in range(n)]
-    for (g, f), h in k._compose.items():
-        comp[index[g]][index[f]] = index[h]
-    dom = [obj_index[k.dom_of[m]] for m in labels]
-    cod = [obj_index[k.cod_of[m]] for m in labels]
-    return labels, dom, cod, comp
-
-
 def _canonical_labels(k: FinCat) -> tuple:
     """k's canonical key and tuples of its objects and morphisms in
-    canonical order, from _canonical_form; kept on k, whose tables are
-    read-only."""
+    canonical order, from _canonical_form on k's core; kept on k, whose
+    tables are read-only."""
     if k._canonical is None:
-        objects = k.objects.elements
-        labels, dom, cod, comp = _integer_tables(k)
-        key, (objs, mors) = _canonical_form(len(objects), dom, cod, comp)
+        objects, core, names = k.objects.elements, k._core, k._names
+        key, (objs, mors) = _canonical_form(len(objects), core.dom, core.cod, core.rows)
         k._canonical = (
             key,
             tuple([objects[o] for o in objs]),
-            tuple([labels[m] for m in mors]),
+            tuple([names[m] for m in mors]),
         )
     return k._canonical
 
@@ -1095,16 +1302,19 @@ def _invariants(k: FinCat) -> tuple:
     """k's sorted object profiles and sorted morphism colours (_colours),
     kept on k: isomorphic categories have equal ones."""
     if k._invariants is None:
-        _, dom, cod, comp = _integer_tables(k)
-        profile, colour = _colours(len(k.objects), dom, cod, comp)
+        core = k._core
+        profile, colour = _colours(len(k.objects), core.dom, core.cod, core.rows)
         k._invariants = (sorted(profile), sorted(colour[len(k.objects) :]))
     return k._invariants
 
 
-def _direct_isomorphism(k1: FinCat, k2: FinCat):
-    """An isomorphism k1 → k2 as maps (objects, morphisms), found by a
-    bounded backtracking search, or None when the search finds none; k1
-    and k2 have as many objects and as many morphisms.
+def _direct_isomorphism(k1: FinCat, k2: FinCat, labelled: bool = True):
+    """An isomorphism k1 → k2, found by a bounded backtracking search on
+    their cores, or None when the search finds none; k1 and k2 have as
+    many objects and as many morphisms.  The map is returned as label
+    maps (objects, morphisms), or, when labelled is false, as the lists of
+    the core indices of the images of k1's objects and morphisms, so that
+    cat_isomorphic derives no label of either category.
 
     k1's non-identity morphisms are placed in order, each onto an unused
     non-identity morphism of k2 that as many composable pairs compose to
@@ -1120,48 +1330,46 @@ def _direct_isomorphism(k1: FinCat, k2: FinCat):
     skips only candidates no isomorphism uses, so the search finds the
     map it would find without the pairing, counting no more candidates.
     """
-    ids1, ids2 = k1.identity, k2.identity
-    position = dict.fromkeys(ids1.values(), -1)
-    order = []
-    for m, _, _ in k1.morphisms:
-        if m not in position:
-            position[m] = len(order)
-            order.append(m)
-    skip2 = set(ids2.values())
+    a, b = k1._core, k2._core
+    k = len(a.out)
+    n = len(a.dom)
+    places = n - k
+    dom1, cod1, dom2, cod2, rows2 = a.dom, a.cod, b.dom, b.cod, b.rows
     # an isomorphism keeps the number of composable pairs composing to a
     # morphism (the hits of _colours), so each morphism is offered only
-    # the candidates with its count, in k2's order
-    hits1, hits2 = Counter(k1._compose.values()), Counter(k2._compose.values())
-    by_hits = {}
-    for m, _, _ in k2.morphisms:
-        if m not in skip2:
-            by_hits.setdefault(hits2[m], []).append(m)
-    pools = [by_hits.get(hits1[m], ()) for m in order]
-    # due[i]: the entries whose last non-identity morphism is order[i];
+    # the candidates with its count, in b's order
+    # due[i]: the entries whose last non-identity morphism is k + i;
     # due[-1]: the entries with none, checked once the map is complete
-    due = [[] for _ in range(len(order) + 1)]
-    for (g, f), h in k1._compose.items():
-        last = position[g]
-        p = position[f]
-        if p > last:
-            last = p
-        p = position[h]
-        if p > last:
-            last = p
-        due[last].append((g, f, h))
-    dom1, cod1, dom2, cod2, comp2 = k1.dom_of, k1.cod_of, k2.dom_of, k2.cod_of, k2._compose
-    obj, mor, taken_obj, taken_mor = {}, {}, set(), set()
-    budget = 10 * len(k1.morphisms) ** 2
-    start = [0] * len(order)  # next candidate in pools[i] at each position i
-    fresh = [[] for _ in order]  # objects first mapped at each position
+    due = [[] for _ in range(places + 1)]
+    hits1 = [0] * n
+    rows1, out1 = a.rows, a.out
+    for f in range(n):
+        for g in out1[cod1[f]]:
+            h = rows1[g][f]
+            hits1[h] += 1
+            last = g if g > f else f
+            if h > last:
+                last = h
+            due[last - k if last >= k else -1].append((g, f, h))
+    hits2 = _hits(k, dom2, cod2, rows2)
+    by_hits = {}
+    for m in range(k, n):
+        by_hits.setdefault(hits2[m], []).append(m)
+    pools = [by_hits.get(hits1[m], ()) for m in range(k, n)]
+    obj, mor = [-1] * k, [-1] * n
+    taken_obj, taken_mor = [False] * k, [False] * n
+    budget = 10 * n * n
+    start = [0] * places  # next candidate in pools[i] at each position i
+    fresh = [[] for _ in range(places)]  # objects first mapped at each position
     i = 0
-    while i < len(order):
-        m = order[i]
-        if m in mor:  # back from position i + 1: take the last choice back
-            taken_mor.discard(mor.pop(m))
+    while i < places:
+        m = k + i
+        if mor[m] >= 0:  # back from position i + 1: take the last choice back
+            taken_mor[mor[m]] = False
+            mor[m] = -1
             for x in fresh[i]:
-                taken_obj.discard(obj.pop(x))
-                del mor[ids1[x]]
+                taken_obj[obj[x]] = False
+                obj[x] = mor[x] = -1
         d, c = dom1[m], cod1[m]
         new = fresh[i] = []
         pool = pools[i]
@@ -1169,34 +1377,33 @@ def _direct_isomorphism(k1: FinCat, k2: FinCat):
         while j < len(pool):
             m2 = pool[j]
             j += 1
-            if m2 in taken_mor:
+            if taken_mor[m2]:
                 continue
             budget -= 1
             if budget < 0:
                 return None
             for x, x2 in ((d, dom2[m2]), (c, cod2[m2])):
-                y = obj.get(x)
-                if y is None:
-                    if x2 in taken_obj:
+                y = obj[x]
+                if y < 0:
+                    if taken_obj[x2]:
                         break
-                    obj[x] = x2
-                    taken_obj.add(x2)
-                    mor[ids1[x]] = ids2[x2]
+                    obj[x] = mor[x] = x2
+                    taken_obj[x2] = True
                     new.append(x)
                 elif y != x2:
                     break
             else:
                 mor[m] = m2
                 for g, f, h in due[i]:
-                    if comp2[mor[g], mor[f]] != mor[h]:
+                    if rows2[mor[g]][mor[f]] != mor[h]:
                         break
                 else:
-                    taken_mor.add(m2)
+                    taken_mor[m2] = True
                     break  # placed: on to position i + 1
-                del mor[m]
+                mor[m] = -1
             for x in new:
-                taken_obj.discard(obj.pop(x))
-                del mor[ids1[x]]
+                taken_obj[obj[x]] = False
+                obj[x] = mor[x] = -1
             new.clear()
         else:  # no candidate left: back to position i - 1
             start[i] = 0
@@ -1207,24 +1414,30 @@ def _direct_isomorphism(k1: FinCat, k2: FinCat):
         start[i] = j
         i += 1
     # objects with no other morphism pair up in order
-    rest = iter([o for o in k2.objects.elements if o not in taken_obj])
-    for o in k1.objects.elements:
-        if o not in obj:
-            obj[o] = o2 = next(rest)
-            mor[ids1[o]] = ids2[o2]
+    rest = iter([o for o in range(k) if not taken_obj[o]])
+    for o in range(k):
+        if obj[o] < 0:
+            obj[o] = mor[o] = next(rest)
     for g, f, h in due[-1]:
-        if comp2[mor[g], mor[f]] != mor[h]:
+        if rows2[mor[g]][mor[f]] != mor[h]:
             return None
-    return obj, mor
+    if not labelled:
+        return obj, mor
+    objects2, names2 = k2.objects.elements, k2._names
+    return (
+        {x: objects2[y] for x, y in zip(k1.objects.elements, obj)},
+        {x: names2[y] for x, y in zip(k1._names, mor)},
+    )
 
 
 def cat_isomorphic(k1: FinCat, k2: FinCat) -> bool:
     """Whether two finite categories are isomorphic; intended for small ones.
 
     Unless both categories carry a canonical form, a bounded direct
-    search (_direct_isomorphism) looks for an isomorphism first.  A map
-    it finds is an isomorphism by construction, so it answers True, and
-    nothing is kept on either category.  When it finds none, the two
+    search on their cores (_direct_isomorphism) looks for an isomorphism
+    first.
+    A map it finds is an isomorphism by construction, so it answers True,
+    and nothing is kept on either category.  When it finds none, the two
     categories' invariants (_invariants: the object profiles and morphism
     colours that _canonical_form sorts by) are compared, and kept on
     each; different invariants answer False.  Otherwise both are put in
@@ -1236,10 +1449,10 @@ def cat_isomorphic(k1: FinCat, k2: FinCat) -> bool:
     """
     _require(k1, FinCat, "k1")
     _require(k2, FinCat, "k2")
-    if len(k1.objects) != len(k2.objects) or len(k1.morphisms) != len(k2.morphisms):
+    if len(k1.objects) != len(k2.objects) or len(k1._core.dom) != len(k2._core.dom):
         return False
     if k1._canonical is None or k2._canonical is None:
-        if _direct_isomorphism(k1, k2) is not None:
+        if _direct_isomorphism(k1, k2, labelled=False) is not None:
             return True
         if _invariants(k1) != _invariants(k2):
             return False

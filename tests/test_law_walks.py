@@ -688,25 +688,37 @@ def test_typed_and_flat_walks_report_alike_on_random_tables():
     assert sum(n for found, n in kinds.items() if found & UNIT_LAWS) > 100
 
 
-def test_round_trip_builds_no_flat_table_and_curries_at_most_twice(monkeypatch):
-    calls = []
-    curry = comonoid._after
+def test_round_trip_shares_one_core_and_builds_no_label_table_unread(monkeypatch):
+    built = []
+    core = comonoid._Core
 
-    def counted(k):
-        calls.append(k)
-        return curry(k)
+    def counted(*args):
+        built.append(args)
+        return core(*args)
 
-    monkeypatch.setattr(comonoid, "_after", counted)
+    monkeypatch.setattr(comonoid, "_Core", counted)
     for k in generate_categories(2, 4):
-        k = _renamed(random.Random(len(k.morphisms)), k)
-        calls.clear()
-        assert check_category(k)["ok"]
-        c = category_to_comonoid(k)
+        k1 = _renamed(random.Random(len(k.morphisms)), k)
+        built.clear()
+        assert check_category(k1)["ok"]
+        c = category_to_comonoid(k1)
         assert check_comonoid_laws(c)["ok"]
-        comonoid_to_category(c)
-        assert len(calls) <= 2
-        assert c._composite is None
-        # the flat table appears on its first read, and is then kept
+        k2 = comonoid_to_category(c)
+        assert cat_isomorphic(k, k2)
+        # one core, built from k1's labels and shared by all three
+        assert len(built) == 1
+        assert c._core is k1._core and k2._core is k1._core
+        # no label table of c or k2 exists until it is read
+        for slot in ("_carrier", "_identity", "_base", "_codomain", "_composite"):
+            assert getattr(c, slot) is None, slot
+        for slot in ("_morphisms", "_dom_of", "_cod_of", "_out", "_identity", "_composites", "_labels"):
+            assert getattr(k2, slot) is None, slot
+        # each is derived on its first read, in the order the conversions
+        # through labels give, and then kept
         flat = c.composite
-        assert c._composite is flat
-        assert _listed(flat) == _listed(_reference_category_to_comonoid(k).composite)
+        assert c.composite is flat
+        assert _listed(flat) == _listed(_reference_category_to_comonoid(k1).composite)
+        back = k2._compose
+        assert k2._compose is back
+        _same_category(k2, _reference_comonoid_to_category(_reference_category_to_comonoid(k1)))
+        assert len(built) == 1
