@@ -441,10 +441,12 @@ def fincat_from_json(data: dict) -> FinCat:
             for m in _json_nodes(data["morphisms"], "category")
         ]
         identity = _json_node(data["identity"], "category")
-        compose = {
-            (e["after"], e["first"]): e["result"]
-            for e in _json_nodes(data["compose"], "category")
-        }
+        compose = {}
+        for e in _json_nodes(data["compose"], "category"):
+            pair = (e["after"], e["first"])
+            if pair in compose:
+                raise ValueError(f"repeated compose entry for ({pair[0]!r}, {pair[1]!r})")
+            compose[pair] = e["result"]
     except KeyError as exc:
         raise ValueError(f"missing key in category JSON: {exc}") from exc
     return FinCat(objects, morphisms, identity, compose)

@@ -16,7 +16,11 @@ most uses never need it.  The law checker, the category reading, the
 behavior maps and the run loops in dynamics read the tables directly.
 A category is checked by the same law walk (_law_cells), read as the
 comonoid it is; check_category and check_comonoid_laws each render the
-failing cells as their own report.
+failing cells as their own report.  A FinCat, the comonoid it reads as
+and the FinCat read back from that comonoid share one integer core
+(_Core), which the law walk and the isomorphism tests read; each keeps
+only its own labels, and derives its label tables from the core when
+they are first read.
 
 Morphisms of comonoids are lenses compatible with both structure maps;
 under the category reading they are cofunctors, not functors: forward on
@@ -551,37 +555,20 @@ def _law_cells(positions, dirs, ident, base, cod, comp, typed: bool) -> list:
             right = pair_label(i1, fn_label(table, i1dirs))
             cells.append(("coassociativity", i, None, left, right))
             continue
-        # (d;e);g against d;(e;g), e;g read at k = cod[i][d]: the
-        # directions d that lead to one k are walked together, innermost
-        targets = {}
         for d in walk[i1]:
-            targets.setdefault(phi[d], []).append(d)
-        for k, ds in targets.items():
+            k = phi[d]
             inner = comp[k]
             cod_k = cod[k]
             for e in walk[base[k]]:
-                then_e = comp1[e]
+                de = comp1[e][d]
                 for g in walk[cod_k[e]]:
-                    left = composite[g]
-                    right = composite[inner[g][e]]
-                    for d in ds:
-                        if left[then_e[d]] != right[d]:
-                            cells.append(
-                                ("coassociativity", i, (d, e, g), left[then_e[d]], right[d])
-                            )
-        if len(cells) == before:
-            if shared is not None:
-                passed.add(shared)
-        else:
-            # the cells at i in walk order: by d, then e, then g
-            rank = {d: n for n, d in enumerate(walk[i1])}
-
-            def order(cell, rank=rank, phi=phi):
-                d, e, g = cell[2]
-                k = phi[d]
-                return rank[d], walk[base[k]].index(e), walk[cod[k][e]].index(g)
-
-            cells[before:] = sorted(cells[before:], key=order)
+                    # (d;e);g against d;(e;g), e;g read at k
+                    lv = composite[g][de]
+                    rv = composite[inner[g][e]][d]
+                    if lv != rv:
+                        cells.append(("coassociativity", i, (d, e, g), lv, rv))
+        if shared is not None and len(cells) == before:
+            passed.add(shared)
     return cells
 
 

@@ -39,6 +39,26 @@ def test_every_imported_name_is_used(path):
 
 
 
+# requires-python in pyproject.toml; CI runs this oldest version too
+OLDEST_PYTHON = (3, 10)
+ROOT = SRC.parent.parent
+PYTHON_FILES = sorted(
+    path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")
+)
+
+
+def test_requires_python_is_the_oldest_version_parsed():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'requires-python = ">=%d.%d"' % OLDEST_PYTHON in text
+
+
+@pytest.mark.parametrize("path", PYTHON_FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_file_parses_as_the_oldest_supported_python(path):
+    # feature_version rejects syntax newer than that version, so a file
+    # that needs a newer interpreter fails here and not only on its CI leg
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=OLDEST_PYTHON)
+
+
 def test_every_private_helper_is_referenced():
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
     referenced = set()
