@@ -16,11 +16,11 @@ most uses never need it.  The law checker, the category reading, the
 behavior maps and the run loops in dynamics read the tables directly.
 A category is checked by the same law walk (_law_cells), read as the
 comonoid it is; check_category and check_comonoid_laws each render the
-failing cells as their own report.  A FinCat, the comonoid it reads as
-and the FinCat read back from that comonoid share one integer core
-(_Core), which the law walk and the isomorphism tests read; each keeps
-only its own labels, and derives its label tables from the core when
-they are first read.
+failing cells as their own report.  Every FinCat holds an integer core
+(_Core) from construction, which the law walk and the isomorphism tests
+read; the comonoid it reads as and the FinCat read back from that
+comonoid share it, each keeping only its own labels and deriving its
+label tables from the core when they are first read.
 
 Morphisms of comonoids are lenses compatible with both structure maps;
 under the category reading they are cofunctors, not functors: forward on
@@ -157,7 +157,8 @@ class Comonoid:
     base, codomain and composite are derived from them on first read, in
     the order the category lists them, and then kept.  The law walk and
     comonoid_to_category read the core.  Every other comonoid (the
-    constructor, contractible, sums and tensors) stores the five tables.
+    constructor, contractible, sums, tensors and JSON) stores the five
+    tables, and comonoid_to_category indexes them into a new core.
 
     Comonoid(carrier, counit, comult) reads the tables off the two lenses;
     comult's codomain is recognised as carrier∘carrier from its labels, in
@@ -690,10 +691,11 @@ class _Core:
     the others in the order the category lists them.  dom[m] and cod[m]
     are object indices, out[i] is the tuple of morphisms out of object i
     in listing order, and rows[g][f] is g∘f for each f into the domain of
-    g.  Built from labels, each row is a dict over those f, so the table
-    holds one entry per composable pair; the catalog passes in the rows
-    its search holds, sequences over all n morphisms with -1 off the
-    composable pairs.  Only composable entries are ever read.  cells,
+    g.  Built from labels (FinCat(...), comonoid_to_category), each row
+    is a dict over those f, so the table holds one entry per composable
+    pair; the catalog passes in the rows its search holds, sequences over
+    all n morphisms with -1 off the composable pairs.  Only composable
+    entries are ever read.  cells,
     once walked, are the failing cells of the law walk (_core_cells).
     """
 
@@ -726,19 +728,20 @@ class FinCat:
     invariants agree.
 
     The law check, the conversions and the isomorphism tests read an
-    integer core (_Core) and the label of each of its morphisms.  A
-    FinCat built from labels stores its label tables (morphisms, dom_of,
-    cod_of, out, identity and the composition table _compose) and builds
-    its core on the first read that needs it.  A category of the catalog
-    and one read back from a comonoid (comonoid_to_category) store only a
-    core, which the catalog's search or the comonoid's category already
-    holds, and their labels; their label tables are derived on first
+    integer core (_Core) and the label of each of its morphisms, which
+    every FinCat holds from construction.  The constructor builds the
+    core in the pass that checks the label tables, and keeps those tables
+    too (morphisms, dom_of, cod_of, out, identity and the composition
+    table _compose).  A category of the catalog and one read back from a
+    comonoid (comonoid_to_category) are built on a core that the
+    catalog's search or comonoid_to_category holds (_on_core), and store
+    only it and their labels; their label tables are derived on first
     read, in the order a FinCat built from them would list them, and kept.
     """
 
     __slots__ = (
         "objects", "_morphisms", "_dom_of", "_cod_of", "_out", "_identity", "_composites",
-        "_store", "_labels", "_tagged", "_keys", "_lawful", "_canonical", "_invariants",
+        "_core", "_labels", "_tagged", "_keys", "_lawful", "_canonical", "_invariants",
     )
 
     def __init__(
@@ -748,6 +751,7 @@ class FinCat:
         identity: Mapping[str, str],
         compose2: Mapping[tuple[str, str], str],
     ):
+        _require(objects, FinSet, "objects")
         # the caller's (label, dom, cod) tuples of str are kept as they are
         mors = []
         for entry in morphisms:
@@ -759,11 +763,11 @@ class FinCat:
         labels = [m for m, _, _ in mors]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate morphism labels in {labels!r}")
-        for m, d, c in mors:
-            if d not in objects or c not in objects:
-                raise ValueError(f"morphism {m!r}: endpoints {d!r}→{c!r} not objects")
+        at = {o: i for i, o in enumerate(objects.elements)}
         out = {o: [] for o in objects.elements}
-        for m, d, _ in mors:
+        for m, d, c in mors:
+            if d not in at or c not in at:
+                raise ValueError(f"morphism {m!r}: endpoints {d!r}→{c!r} not objects")
             out[d].append(m)
         dom_of = {m: d for m, d, _ in mors}
         cod_of = {m: c for m, _, c in mors}
@@ -775,46 +779,49 @@ class FinCat:
                 raise ValueError(f"identity at {o!r} is not a morphism: {m!r}")
             if dom_of[m] != o or cod_of[m] != o:
                 raise ValueError(f"identity at {o!r} must be a loop at {o!r}")
-        extra = [o for o in identity if o not in objects]
+        extra = [o for o in identity if o not in at]
         if extra:
             raise ValueError(f"identity table has non-objects: {extra!r}")
 
-        composable = {(g, f) for f, _, c in mors for g in out[c]}
-        given = set(compose2)
-        if given != composable:
-            missing = sorted(composable - given)
-            extra = sorted(given - composable)
-            raise ValueError(
-                f"composition table mismatch: missing {missing!r}, extra {extra!r}"
-            )
-        for (g, f), h in compose2.items():
-            if h not in dom_of:
-                raise ValueError(f"composite of ({g!r}, {f!r}) is not a morphism: {h!r}")
-            if dom_of[h] != dom_of[f] or cod_of[h] != cod_of[g]:
-                raise ValueError(
-                    f"composite {h!r} of ({g!r}, {f!r}) has wrong endpoints"
-                )
+        # the core's numbering: the identities, which are loops, first in
+        # object order, then the other morphisms in listing order
+        identity = {o: identity[o] for o in objects.elements}
+        index = {m: i for i, m in enumerate(identity.values())}
+        dom, cod = list(range(len(at))), list(range(len(at)))
+        for m, d, c in mors:
+            if m not in index:
+                index[m] = len(dom)
+                dom.append(at[d])
+                cod.append(at[c])
+        # the keys must be exactly the composable pairs, and each composite
+        # a morphism with the right endpoints; on any fault (an unknown or
+        # unhashable label is a KeyError or TypeError), _composition_error
+        # names the first one as the checks one rule at a time do
+        rows = [{} for _ in dom]
+        try:
+            if len(compose2) != sum(len(out[c]) for _, _, c in mors):
+                raise LookupError
+            for key, h in compose2.items():
+                if not isinstance(key, tuple) or len(key) != 2:
+                    raise LookupError
+                g, f = key
+                g, f, h = index[g], index[f], index[h]
+                if cod[f] != dom[g] or dom[h] != dom[f] or cod[h] != cod[g]:
+                    raise LookupError
+                rows[g][f] = h
+        except (LookupError, TypeError):
+            raise _composition_error(mors, out, dom_of, cod_of, compose2) from None
         self._adopt(
             objects,
+            _Core(dom, cod, tuple([tuple([index[m] for m in ms]) for ms in out.values()]), rows),
+            tuple(index),
             mors,
-            {o: identity[o] for o in objects.elements},  # in object order
+            identity,
             dict(compose2),
             dom_of,
             cod_of,
             {o: tuple(ms) for o, ms in out.items()},
         )
-
-    @classmethod
-    def _from_typed(cls, objects, morphisms, identity, compose2, dom_of, cod_of, out) -> "FinCat":
-        """Internal constructor for label tables well typed by
-        construction, as comonoid_to_category reads them off a lawful
-        comonoid without a core: morphisms a tuple of string triples,
-        identity in object order, compose2 a fresh dict, and dom_of,
-        cod_of and out as __init__ builds them from morphisms, all taken
-        over unchecked."""
-        k = object.__new__(cls)
-        k._adopt(objects, morphisms, identity, compose2, dom_of, cod_of, out)
-        return k
 
     @classmethod
     def _on_core(
@@ -827,41 +834,32 @@ class FinCat:
         when given, is the (g, f) key tuple its composition table shares
         with other categories."""
         k = object.__new__(cls)
-        k._adopt(objects, morphisms, None, None, None, None, None)
-        k._store = core
-        k._labels = names
+        k._adopt(objects, core, names, morphisms, None, None, None, None, None)
         k._tagged = tagged
         k._keys = keys
         return k
 
-    def _adopt(self, objects, mors, identity, compose2, dom_of, cod_of, out) -> None:
+    def _adopt(self, objects, core, names, mors, identity, compose2, dom_of, cod_of, out) -> None:
         self.objects = objects
+        self._core = core
+        self._labels = names
         self._morphisms = mors
         self._dom_of = dom_of
         self._cod_of = cod_of
         self._out = out
         self._identity = identity
         self._composites = compose2
-        self._store = self._labels = self._tagged = self._keys = None
+        self._tagged = self._keys = None
         self._lawful = None
         self._canonical = None
         self._invariants = None
 
-    # The core and the labels of its morphisms: built from the label
-    # tables on first read by a FinCat built from labels.
-
-    def _index(self) -> _Core:
-        core, self._labels = _index_labels(self)
-        return core
-
     def _name(self) -> tuple:
-        if self._tagged is None:
-            self._store, names = _index_labels(self)
-            return names
         objects, dom = self.objects.elements, self._core.dom
         return tuple([tag_label(objects[dom[m]], x) for m, x in enumerate(self._tagged)])
 
-    _core = _derived("_store", _index)
+    # the label of each of the core's morphisms: given at construction, or
+    # derived from the tagged directions of comonoid_to_category
     _names = _derived("_labels", _name)
 
     # The label tables: stored by a FinCat built from labels, derived from
@@ -947,26 +945,21 @@ class FinCat:
         )
 
 
-def _index_labels(k: FinCat) -> tuple:
-    """The core of a FinCat built from labels, read off its label tables,
-    and the label of each of the core's morphisms."""
-    objects = k.objects.elements
-    at = {o: i for i, o in enumerate(objects)}
-    index = {m: i for i, m in enumerate(k.identity.values())}
-    # the identities are loops, the first morphisms; the others follow
-    dom, cod = list(range(len(objects))), list(range(len(objects)))
-    out = [[] for _ in objects]
-    for m, d, c in k.morphisms:
-        i = index.get(m)
-        if i is None:
-            i = index[m] = len(dom)
-            dom.append(at[d])
-            cod.append(at[c])
-        out[at[d]].append(i)
-    rows = [{} for _ in dom]
-    for (g, f), h in k._compose.items():
-        rows[index[g]][index[f]] = index[h]
-    return _Core(dom, cod, tuple(map(tuple, out)), rows), tuple(index)
+def _composition_error(mors, out, dom_of, cod_of, compose2) -> ValueError:
+    """The error FinCat refuses a faulty composition table with: a key
+    set other than the composable pairs first, then the first composite,
+    in the table's order, that is not a morphism or has wrong endpoints."""
+    composable = {(g, f) for f, _, c in mors for g in out[c]}
+    given = set(compose2)
+    if given != composable:
+        missing = sorted(composable - given)
+        extra = sorted(given - composable)
+        return ValueError(f"composition table mismatch: missing {missing!r}, extra {extra!r}")
+    for (g, f), h in compose2.items():
+        if h not in dom_of:
+            return ValueError(f"composite of ({g!r}, {f!r}) is not a morphism: {h!r}")
+        if dom_of[h] != dom_of[f] or cod_of[h] != cod_of[g]:
+            return ValueError(f"composite {h!r} of ({g!r}, {f!r}) has wrong endpoints")
 
 
 def check_category(k: FinCat) -> dict:
@@ -1016,8 +1009,10 @@ def comonoid_to_category(c: Comonoid) -> FinCat:
     directions at i, tagged with their source so labels stay globally
     unique.  Raises if any comonoid law fails, quoting the first failure;
     the laws are not walked again when the last check_comonoid_laws(c)
-    passed.  A comonoid built from a category gives a FinCat on the same
-    core, whose tagged labels are derived when first read.
+    passed.  The FinCat is built on c's core, and its tagged labels are
+    derived when first read.  A comonoid without a core (not built from a
+    category) is indexed into one: the identity at position i is
+    morphism i, the other directions following position by position.
     """
     _require(c, Comonoid, "c")
     if c._lawful is not True:
@@ -1025,35 +1020,35 @@ def comonoid_to_category(c: Comonoid) -> FinCat:
         if not report["ok"]:
             first = report["violations"][0]
             raise ValueError(f"comonoid laws fail: {first!r}")
-    if c._core is not None:
-        return FinCat._on_core(
-            FinSet._make(c._objects, "positions"), c._core, tagged=c._names
-        )
-    carrier = c.carrier
-    labels = carrier.position_labels
-    dirs = carrier._dirs
-    tags = {i: {d: tag_label(i, d) for d in dirs[i].elements} for i in labels}
-    morphisms = []
-    dom_of, cod_of, out = {}, {}, {}
-    compose = {}
-    for i in labels:
-        here, cod, comp = tags[i], c.codomain[i], c.composite[i]
-        for d in dirs[i].elements:
-            j = cod[d]
-            m = here[d]
-            morphisms.append((m, i, j))
-            dom_of[m] = i
-            cod_of[m] = j
-            there = tags[j]
-            for e in dirs[j].elements:
-                compose[(there[e], m)] = here[comp[d, e]]
-        out[i] = tuple(here.values())
-    identity = {i: tags[i][c.identity[i]] for i in labels}
-    # the laws make these tables well typed: a composite's codomain is its
-    # second factor's, and the identity at i leads back to i
-    return FinCat._from_typed(
-        carrier.positions_set(), tuple(morphisms), identity, compose, dom_of, cod_of, out
-    )
+    core, objects, tagged = c._core, c._objects, c._names
+    if core is None:
+        # the laws make the core well typed: the identity at i leads back
+        # to i, and a composite leads where its second factor does
+        objects, dirs = c.carrier.position_labels, c.carrier._dirs
+        codomain, composite = c.codomain, c.composite
+        at = {i: n for n, i in enumerate(objects)}
+        tagged = [c.identity[i] for i in objects]
+        dom, cod = list(range(len(objects))), list(range(len(objects)))
+        ids = {}  # position -> direction there -> morphism
+        for n, i in enumerate(objects):
+            here = ids[i] = {tagged[n]: n}
+            for d in dirs[i].elements:
+                if d not in here:
+                    here[d] = len(tagged)
+                    tagged.append(d)
+                    dom.append(n)
+                    cod.append(at[codomain[i][d]])
+        rows = [{} for _ in tagged]
+        for i in objects:
+            here, to, comp = ids[i], codomain[i], composite[i]
+            for d in dirs[i].elements:
+                f, j = here[d], to[d]
+                there = ids[j]
+                for e in dirs[j].elements:
+                    rows[there[e]][f] = here[comp[d, e]]
+        out = tuple([tuple([ids[i][d] for d in dirs[i].elements]) for i in objects])
+        core, tagged = _Core(dom, cod, out, rows), tuple(tagged)
+    return FinCat._on_core(FinSet._make(objects, "positions"), core, tagged=tagged)
 
 
 def category_carrier(k: FinCat) -> FinPoly:

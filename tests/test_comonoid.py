@@ -402,6 +402,17 @@ def test_fincat_construction_validation():
     full = {("ida", "ida"): "ida", ("idb", "idb"): "idb"}
     with pytest.raises(ValueError, match="wrong endpoints"):
         FinCat(objs, loops, ident, {**full, ("ida", "ida"): "idb"})
+    with pytest.raises(ValueError, match=r"^composite of \('idb', 'idb'\) is not a morphism: 'f'$"):
+        FinCat(objs, loops, ident, {**full, ("idb", "idb"): "f"})
+    with pytest.raises(
+        ValueError, match=r"^composition table mismatch: missing \[\], extra \[\('f', 'ida'\)\]$"
+    ):
+        FinCat(objs, loops, ident, {**full, ("f", "ida"): "ida"})
+    # a mistyped composite listed before a key that is not composable: the
+    # key set is still reported first
+    for first in ("idb", ["ida"]):
+        with pytest.raises(ValueError, match="composition table mismatch"):
+            FinCat(objs, loops, ident, {("ida", "ida"): first, ("ida", "idb"): "ida"})
 
 
 class _Label(str):
@@ -758,6 +769,8 @@ def test_comonoid_entry_points_name_an_argument_of_the_wrong_type():
 def test_category_entry_points_name_an_argument_of_the_wrong_type():
     c = contractible(FinSet(("a", "b")))
     k = comonoid_to_category(c)
+    with pytest.raises(TypeError, match="^objects must be a FinSet, not list$"):
+        FinCat(["a"], [("ia", "a", "a")], {"a": "ia"}, {("ia", "ia"): "ia"})
     for call in (check_category, category_to_comonoid, category_carrier):
         with pytest.raises(TypeError, match="^k must be a FinCat, not Comonoid$"):
             call(c)

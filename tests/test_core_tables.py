@@ -10,9 +10,11 @@ the catalog and on a renamed, reordered copy of each, the core and the
 references must agree: every map found is an isomorphism and the
 verdicts are equal; the reports agree record for record; every label
 table agrees, key order included; and each core is the one a rebuild
-from its labels gives.
+from its labels gives.  Comonoids that carry no core (contractible ones,
+sums, tensors, JSON) are read back as the label-table code read them.
 """
 
+import json
 import random
 from collections import Counter
 
@@ -32,7 +34,12 @@ from polydyn.comonoid import (
     category_to_comonoid,
     check_category,
     check_comonoid_laws,
+    comonoid_from_json,
+    comonoid_sum,
+    comonoid_tensor,
     comonoid_to_category,
+    contractible,
+    discrete_comonoid,
     is_cat_isomorphism,
 )
 from polydyn.core import FinSet, tag_label
@@ -97,13 +104,12 @@ def _reference_category_to_comonoid(k: FinCat) -> Comonoid:
 def _reference_comonoid_to_category(c: Comonoid, after: dict) -> FinCat:
     """comonoid_to_category as it read a comonoid built from a category:
     its rows after[d][e], the composite of d then e, tagged with their
-    source, and dom_of, cod_of and out filled as it walked."""
+    source."""
     carrier = c.carrier
     labels = carrier.position_labels
     dirs = carrier._dirs
     tags = {i: {d: tag_label(i, d) for d in dirs[i].elements} for i in labels}
     morphisms = []
-    dom_of, cod_of, out = {}, {}, {}
     compose = {}
     for i in labels:
         here, cod = tags[i], c.codomain[i]
@@ -111,17 +117,12 @@ def _reference_comonoid_to_category(c: Comonoid, after: dict) -> FinCat:
             j = cod[d]
             m = here[d]
             morphisms.append((m, i, j))
-            dom_of[m] = i
-            cod_of[m] = j
             there = tags[j]
             row = after[d]
             for e in dirs[j].elements:
                 compose[(there[e], m)] = here[row[e]]
-        out[i] = tuple(here.values())
     identity = {i: tags[i][c.identity[i]] for i in labels}
-    return FinCat._from_typed(
-        carrier.positions_set(), tuple(morphisms), identity, compose, dom_of, cod_of, out
-    )
+    return FinCat(carrier.positions_set(), morphisms, identity, compose)
 
 
 def _reference_direct_isomorphism(k1: FinCat, k2: FinCat):
@@ -384,3 +385,52 @@ def test_direct_search_matches_the_label_keyed_reference(copies):
             assert is_cat_isomorphism(a, b, *got) and is_cat_isomorphism(a, b, *want)
             found += 1
     assert found == 3 * len(copies) and missed > 3000
+
+
+# ---------------------------------------------------------------------------
+# A comonoid without a core is indexed into one.
+
+
+def _coreless_comonoids() -> list:
+    """Comonoids that carry no core: contractible on 1–6 states, discrete
+    ones, sums and tensors of those, and the golden comonoid JSON read
+    back."""
+    from test_comonoid import GOLDEN_JSON
+
+    factors = [contractible(FinSet(tuple(f"s{i}" for i in range(n)))) for n in range(1, 7)]
+    factors += [discrete_comonoid(FinSet(("p",))), discrete_comonoid(FinSet(("p", "q", "r")))]
+    found = list(factors)
+    for a in factors:
+        for b in factors:
+            found.append(comonoid_sum(a, b))
+            # tensors up to 12 states keep the law walks short
+            if len(a.carrier.position_labels) * len(b.carrier.position_labels) <= 12:
+                found.append(comonoid_tensor(a, b))
+    found += [comonoid_from_json(json.loads(text)) for text in GOLDEN_JSON.values()]
+    return found
+
+
+def test_coreless_comonoids_read_back_as_the_label_table_reference():
+    # the reference is the label-table reading comonoid_to_category made
+    # of such comonoids before it indexed them into a core
+    from test_law_walks import _reordered_comonoid
+    from test_law_walks import _reference_comonoid_to_category as _reference_label_tables
+
+    rng = random.Random(2901)
+    cases = 0
+    for c in _coreless_comonoids():
+        for x in (c, _reordered_comonoid(rng, c)):
+            assert x._core is None
+            k = comonoid_to_category(x)
+            _same_category(k, _reference_label_tables(x))
+            # its core is the one a rebuild from its labels gives
+            labels, dom, cod, comp = _reference_integer_tables(k)
+            core = k._core
+            assert k._names == tuple(labels)
+            assert (list(core.dom), list(core.cod)) == (dom, cod)
+            # one entry per composable pair, comp being -1 off them
+            assert sum(map(len, core.rows)) == len(k._compose)
+            assert all(h == comp[g][f] for g, row in enumerate(core.rows) for f, h in row.items())
+            assert check_category(k)["ok"]
+            cases += 1
+    assert cases > 150

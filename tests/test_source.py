@@ -207,6 +207,37 @@ def test_only_the_lazy_name_helper_defines_a_module_getattr():
     assert hooks == ["core.py __getattr__", "core.py __dir__"]
 
 
+def _calls(node, cls=None, fn=None):
+    """(class, function, call) for each call under node, with the class
+    and the function it is made in (None outside one)."""
+    if isinstance(node, ast.ClassDef):
+        cls = node.name
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        fn = node.name
+    elif isinstance(node, ast.Call):
+        yield cls, fn, node
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child, cls, fn)
+
+
+def test_a_fincat_and_a_core_are_built_in_one_place_each():
+    # Every FinCat holds its core from construction: one built on a core
+    # goes through FinCat._on_core, and cores are made only where the
+    # category and comonoid code or the catalog's search build them.
+    fincats, cores = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for cls, fn, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            name = ast.unparse(call.func)
+            if name.endswith("__new__") and call.args:
+                built = ast.unparse(call.args[0])
+                if built == "FinCat" or (cls == "FinCat" and built == "cls"):
+                    fincats.add(f"{path.name} {cls}.{fn}")
+            if name.split(".")[-1] == "_Core":
+                cores.add(path.name)
+    assert fincats == {"comonoid.py FinCat._on_core"}
+    assert cores == {"comonoid.py", "catalog.py"}
+
+
 def _fresh(code: str, *args: str, stdin: str = "") -> str:
     # -I: no environment variables or user site-packages; -B: no bytecode
     # written into the checkout
