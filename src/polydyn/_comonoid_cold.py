@@ -9,7 +9,7 @@ of these names is first read from it; import them from polydyn.comonoid.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from polydyn.core import (
     FinPoly,
@@ -111,6 +111,10 @@ class Cofunctor:
         on_obj: SetFn,
         pull_mor: Mapping[tuple[str, str], str],
     ):
+        _require(src, FinCat, "src")
+        _require(tgt, FinCat, "tgt")
+        _require(on_obj, SetFn, "on_obj")
+        _require(pull_mor, Mapping, "pull_mor")
         if on_obj.dom != src.objects or on_obj.cod != tgt.objects:
             raise ValueError("on_obj must map source objects to target objects")
         self.src = src
@@ -167,6 +171,7 @@ def check_cofunctor(f: Cofunctor) -> dict:
     typing depends on a failed law ii instance are skipped (and already
     reported under ii).
     """
+    _require(f, Cofunctor, "f")
     src, tgt = f.src, f.tgt
     violations = []
     for c in src.objects.elements:
@@ -207,6 +212,7 @@ def check_cofunctor(f: Cofunctor) -> dict:
 
 
 def identity_cofunctor(k: FinCat) -> Cofunctor:
+    _require(k, FinCat, "k")
     on_obj = SetFn.identity(k.objects)
     pull = {(c, g): g for c in k.objects.elements for g in k.out[c]}
     return Cofunctor(k, k, on_obj, pull)
@@ -238,6 +244,8 @@ def comonoid_sum(c: Comonoid, d: Comonoid) -> Comonoid:
     of a summand is relabeled once, and the positions that shared it
     share the relabeled table.
     """
+    _require(c, Comonoid, "c")
+    _require(d, Comonoid, "d")
     identity = {}
     base = {}
     codomain = {}
@@ -268,6 +276,8 @@ def comonoid_tensor(c: Comonoid, d: Comonoid) -> Comonoid:
     is built once per pair of distinct factor tables and shared by the
     positions that pair them.
     """
+    _require(c, Comonoid, "c")
+    _require(d, Comonoid, "d")
     identity = {}
     base = {}
     codomain = {}
@@ -313,6 +323,9 @@ def check_comonoid_morphism(phi: Lens, c: Comonoid, d: Comonoid) -> dict:
     against c.composite[i][(x, phi♯_k(h))] for each direction (g, h) there.
     Records and order are those of the composed lenses of each square.
     """
+    _require(phi, Lens, "phi")
+    _require(c, Comonoid, "c")
+    _require(d, Comonoid, "d")
     if phi.dom != c.carrier or phi.cod != d.carrier:
         raise ValueError("phi must be a lens from the carrier of c to the carrier of d")
     counit, comult = [], []
@@ -345,6 +358,9 @@ def check_comonoid_morphism(phi: Lens, c: Comonoid, d: Comonoid) -> dict:
 
 def lens_to_cofunctor(phi: Lens, src: FinCat, tgt: FinCat) -> Cofunctor:
     """Reinterpret a carrier lens as object/morphism data between categories."""
+    _require(phi, Lens, "phi")
+    _require(src, FinCat, "src")
+    _require(tgt, FinCat, "tgt")
     if phi.dom != category_carrier(src) or phi.cod != category_carrier(tgt):
         raise ValueError("phi must run between the carriers of src and tgt")
     on_obj = SetFn(src.objects, tgt.objects, dict(phi.on_pos))
@@ -358,6 +374,7 @@ def lens_to_cofunctor(phi: Lens, src: FinCat, tgt: FinCat) -> Cofunctor:
 
 def cofunctor_to_lens(f: Cofunctor) -> Lens:
     """The carrier lens of a cofunctor: objects forward, morphisms back."""
+    _require(f, Cofunctor, "f")
     dom = category_carrier(f.src)
     cod = category_carrier(f.tgt)
     on_pos = {c: f.on_obj(c) for c in f.src.objects.elements}
@@ -384,10 +401,11 @@ def nstep_behavior(c: Comonoid, f: Lens, n: int) -> SetFn:
     carrier → carrier^∘n → p^∘n built with compose_map and the iterated
     comultiplication, but the carrier powers are never materialized.
     """
+    _require(c, Comonoid, "c")
+    _require(f, Lens, "f")
     if f.dom != c.carrier:
         raise ValueError("f must be a lens out of the comonoid carrier")
-    if not isinstance(n, int):
-        raise TypeError(f"n must be an int, not {type(n).__name__}")
+    _require(n, int, "n")
     if n < 0:
         raise ValueError("n must be non-negative")
     p = f.cod
@@ -419,6 +437,7 @@ def nstep_behavior(c: Comonoid, f: Lens, n: int) -> SetFn:
 
 
 def fincat_to_json(k: FinCat) -> dict:
+    _require(k, FinCat, "k")
     return {
         "objects": list(k.objects.elements),
         "morphisms": [
@@ -453,6 +472,7 @@ def fincat_from_json(data: dict) -> FinCat:
 
 
 def comonoid_to_json(c: Comonoid) -> dict:
+    _require(c, Comonoid, "c")
     return {
         "carrier": poly_to_json(c.carrier),
         "counit": lens_to_json(c.counit),

@@ -16,11 +16,12 @@ most uses never need it.  The law checker, the category reading, the
 behavior maps and the run loops in dynamics read the tables directly.
 A category is checked by the same law walk (_law_cells), read as the
 comonoid it is; check_category and check_comonoid_laws each render the
-failing cells as their own report.  Every FinCat holds an integer core
-(_Core) from construction, which the law walk and the isomorphism tests
-read; the comonoid it reads as and the FinCat read back from that
-comonoid share it, each keeping only its own labels and deriving its
-label tables from the core when they are first read.
+failing cells as their own report.  A category is stored once: a FinCat
+holds an integer core (_Core), which the law walk and the isomorphism
+tests read, and its labels, and derives its label tables from them when
+they are first read.  The comonoid it reads as refers to that FinCat and
+copies none of it; the FinCat read back from that comonoid shares its
+core and keeps only its own labels.
 
 Morphisms of comonoids are lenses compatible with both structure maps;
 under the category reading they are cofunctors, not functors: forward on
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .core import (
     FinPoly,
@@ -151,14 +152,13 @@ class Comonoid:
     comonoid_to_category need not walk the same tables again.
 
     A comonoid built from a category (category_to_comonoid) stores no
-    label table: it carries the category's integer core (_Core), shared
-    with that FinCat and with the FinCat comonoid_to_category reads back,
-    and the labels of its objects and morphisms.  Its carrier, identity,
-    base, codomain and composite are derived from them on first read, in
-    the order the category lists them, and then kept.  The law walk and
-    comonoid_to_category read the core.  Every other comonoid (the
-    constructor, contractible, sums, tensors and JSON) stores the five
-    tables, and comonoid_to_category indexes them into a new core.
+    table: it refers to that FinCat, whose integer core (_Core) the law
+    walk and comonoid_to_category read.  Its carrier (category_carrier),
+    identity, base, codomain and composite are derived from the FinCat on
+    first read, in the order the category lists them, and then kept.
+    Every other comonoid (the constructor, contractible, sums, tensors and
+    JSON) stores the five tables, and comonoid_to_category indexes them
+    into a new core.
 
     Comonoid(carrier, counit, comult) reads the tables off the two lenses;
     comult's codomain is recognised as carrier∘carrier from its labels, in
@@ -170,8 +170,7 @@ class Comonoid:
     """
 
     __slots__ = (
-        "_carrier", "_identity", "_base", "_codomain", "_composite",
-        "_core", "_objects", "_names",
+        "_carrier", "_identity", "_base", "_codomain", "_composite", "_category",
         "_counit", "_comult", "_contractible", "_lawful",
     )
 
@@ -217,15 +216,12 @@ class Comonoid:
         return c
 
     @classmethod
-    def _on_core(cls, objects: tuple, core: "_Core", names: tuple) -> "Comonoid":
-        """Internal constructor for a category's core, well shaped by
-        construction: objects[i] labels object i, which is position i, and
-        names[m] morphism m, which is a direction at its domain."""
+    def _on_category(cls, k: "FinCat") -> "Comonoid":
+        """Internal constructor for the comonoid a category reads as, well
+        shaped by construction: it refers to k and copies none of it."""
         c = object.__new__(cls)
         c._adopt(None, None, None, None, None)
-        c._core = core
-        c._objects = objects
-        c._names = names
+        c._category = k
         return c
 
     def _adopt(self, carrier, identity, codomain, composite, base) -> None:
@@ -234,47 +230,39 @@ class Comonoid:
         self._base = base
         self._codomain = codomain
         self._composite = composite
-        self._core = self._objects = self._names = None
+        self._category = None
         self._counit = None
         self._comult = None
         self._contractible = None
         self._lawful = None
 
+    @property
+    def _core(self):
+        """The core of the category this comonoid reads, or None."""
+        return None if self._category is None else self._category._core
+
     # The tables: stored by a comonoid built from tables, derived from
-    # the core on first read by one built from a category.
+    # its category on first read by one built from a category.
 
-    def _core_carrier(self) -> FinPoly:
-        names, out = self._names, self._core.out
-        return FinPoly._make(
-            {
-                o: FinSet._make(tuple([names[m] for m in out[i]]))
-                for i, o in enumerate(self._objects)
-            }
-        )
+    def _category_codomain(self) -> dict:
+        k = self._category
+        out, cod_of = k.out, k.cod_of
+        return {o: {m: cod_of[m] for m in ms} for o, ms in out.items()}
 
-    def _core_codomain(self) -> dict:
-        objects, names, core = self._objects, self._names, self._core
-        cod = core.cod
-        return {
-            o: {names[m]: objects[cod[m]] for m in core.out[i]}
-            for i, o in enumerate(objects)
-        }
-
-    def _core_composite(self) -> dict:
-        names, core = self._names, self._core
+    def _category_composite(self) -> dict:
+        k = self._category
+        names, core = k._names, k._core
         cod, out, rows = core.cod, core.out, core.rows
         return {
             o: {(names[d], names[e]): names[rows[e][d]] for d in out[i] for e in out[cod[d]]}
-            for i, o in enumerate(self._objects)
+            for i, o in enumerate(k.objects.elements)
         }
 
-    carrier = _derived("_carrier", _core_carrier)
-    identity = _derived(
-        "_identity", lambda c: {o: c._names[i] for i, o in enumerate(c._objects)}
-    )
-    base = _derived("_base", lambda c: dict(zip(c._objects, c._objects)))
-    codomain = _derived("_codomain", _core_codomain)
-    composite = _derived("_composite", _core_composite)
+    carrier = _derived("_carrier", lambda c: category_carrier(c._category))
+    identity = _derived("_identity", lambda c: dict(c._category.identity))
+    base = _derived("_base", lambda c: {o: o for o in c._category.objects.elements})
+    codomain = _derived("_codomain", _category_codomain)
+    composite = _derived("_composite", _category_composite)
 
     @property
     def counit(self) -> Lens:
@@ -624,17 +612,19 @@ def check_comonoid_laws(c: Comonoid) -> dict:
     carrier∘carrier nor the triply substituted codomain is ever
     materialized.
 
-    A comonoid built from a category is walked on its core, as typed:
-    its composites lead where their second factor does, so the walk skips
-    the positional pre-check that cannot fail there.  Any other comonoid
-    is walked on its flat composites, curried once per call (_curried).
+    A comonoid built from a category is walked on that category's core,
+    as typed: its composites lead where their second factor does, so the
+    walk skips the positional pre-check that cannot fail there.  Any other
+    comonoid is walked on its flat composites, curried once per call
+    (_curried).
 
     Every call returns a fresh report; the verdict alone is also kept on c
     for comonoid_to_category.
     """
     _require(c, Comonoid, "c")
-    if c._core is not None:
-        cells = _labelled(_core_cells(c._core), c._objects, c._names)
+    k = c._category
+    if k is not None:
+        cells = _labelled(_core_cells(k._core), k.objects.elements, k._names)
     else:
         carrier = c.carrier
         # every key the walk reads is a position: _check_tables guarantees
@@ -682,9 +672,10 @@ def _labelled(cells: list, objects, names) -> list:
 
 
 class _Core:
-    """A finite category on integer tables: the one store that a FinCat,
-    the Comonoid category_to_comonoid reads it as and the FinCat
-    comonoid_to_category reads back all share.  Read-only once built.
+    """A finite category on integer tables, the one store of a category:
+    the FinCat that holds it, the Comonoid category_to_comonoid reads that
+    FinCat as (through it) and the FinCat comonoid_to_category reads back
+    all read it.  Read-only once built.
 
     Objects are 0..k-1, in the category's object order, and morphisms
     0..n-1: the identities first, the identity of object i being i, then
@@ -727,16 +718,17 @@ class FinCat:
     direct search finds no isomorphism, and a canonical form only when the
     invariants agree.
 
-    The law check, the conversions and the isomorphism tests read an
-    integer core (_Core) and the label of each of its morphisms, which
-    every FinCat holds from construction.  The constructor builds the
-    core in the pass that checks the label tables, and keeps those tables
-    too (morphisms, dom_of, cod_of, out, identity and the composition
-    table _compose).  A category of the catalog and one read back from a
-    comonoid (comonoid_to_category) are built on a core that the
-    catalog's search or comonoid_to_category holds (_on_core), and store
-    only it and their labels; their label tables are derived on first
-    read, in the order a FinCat built from them would list them, and kept.
+    A FinCat stores its objects, an integer core (_Core), the label of
+    each of the core's morphisms and its list of (label, dom, cod)
+    triples, and nothing else; the law check, the conversions and the
+    isomorphism tests read the core.  The constructor builds the core in
+    the pass that checks the label tables and keeps the caller's list.  A
+    category of the catalog and one read back from a comonoid
+    (comonoid_to_category) are built on a core that the catalog's search
+    or comonoid_to_category holds (_on_core), and derive their list and,
+    when tagged, their labels.  The label tables (dom_of, cod_of, out,
+    identity and the composition table _compose) are derived on first
+    read, in the order of the list and of the core, and kept.
     """
 
     __slots__ = (
@@ -752,6 +744,8 @@ class FinCat:
         compose2: Mapping[tuple[str, str], str],
     ):
         _require(objects, FinSet, "objects")
+        _require(identity, Mapping, "identity")
+        _require(compose2, Mapping, "compose2")
         # the caller's (label, dom, cod) tuples of str are kept as they are
         mors = []
         for entry in morphisms:
@@ -785,8 +779,7 @@ class FinCat:
 
         # the core's numbering: the identities, which are loops, first in
         # object order, then the other morphisms in listing order
-        identity = {o: identity[o] for o in objects.elements}
-        index = {m: i for i, m in enumerate(identity.values())}
+        index = {identity[o]: i for i, o in enumerate(objects.elements)}
         dom, cod = list(range(len(at))), list(range(len(at)))
         for m, d, c in mors:
             if m not in index:
@@ -811,17 +804,8 @@ class FinCat:
                 rows[g][f] = h
         except (LookupError, TypeError):
             raise _composition_error(mors, out, dom_of, cod_of, compose2) from None
-        self._adopt(
-            objects,
-            _Core(dom, cod, tuple([tuple([index[m] for m in ms]) for ms in out.values()]), rows),
-            tuple(index),
-            mors,
-            identity,
-            dict(compose2),
-            dom_of,
-            cod_of,
-            {o: tuple(ms) for o, ms in out.items()},
-        )
+        out = tuple([tuple([index[m] for m in ms]) for ms in out.values()])
+        self._adopt(objects, _Core(dom, cod, out, rows), tuple(index), mors)
 
     @classmethod
     def _on_core(
@@ -834,21 +818,17 @@ class FinCat:
         when given, is the (g, f) key tuple its composition table shares
         with other categories."""
         k = object.__new__(cls)
-        k._adopt(objects, core, names, morphisms, None, None, None, None, None)
+        k._adopt(objects, core, names, morphisms)
         k._tagged = tagged
         k._keys = keys
         return k
 
-    def _adopt(self, objects, core, names, mors, identity, compose2, dom_of, cod_of, out) -> None:
+    def _adopt(self, objects, core, names, mors) -> None:
         self.objects = objects
         self._core = core
         self._labels = names
         self._morphisms = mors
-        self._dom_of = dom_of
-        self._cod_of = cod_of
-        self._out = out
-        self._identity = identity
-        self._composites = compose2
+        self._dom_of = self._cod_of = self._out = self._identity = self._composites = None
         self._tagged = self._keys = None
         self._lawful = None
         self._canonical = None
@@ -862,8 +842,7 @@ class FinCat:
     # derived from the tagged directions of comonoid_to_category
     _names = _derived("_labels", _name)
 
-    # The label tables: stored by a FinCat built from labels, derived from
-    # the core on first read by one built on a core.
+    # The label tables, derived from the core on first read and kept.
 
     def _listed(self) -> tuple:
         objects, names, core = self.objects.elements, self._names, self._core
@@ -1009,10 +988,11 @@ def comonoid_to_category(c: Comonoid) -> FinCat:
     directions at i, tagged with their source so labels stay globally
     unique.  Raises if any comonoid law fails, quoting the first failure;
     the laws are not walked again when the last check_comonoid_laws(c)
-    passed.  The FinCat is built on c's core, and its tagged labels are
-    derived when first read.  A comonoid without a core (not built from a
-    category) is indexed into one: the identity at position i is
-    morphism i, the other directions following position by position.
+    passed.  The FinCat is built on the core of c's category, and its
+    tagged labels are derived when first read.  A comonoid without a core
+    (not built from a category) is indexed into one: the identity at
+    position i is morphism i, the other directions following position by
+    position.
     """
     _require(c, Comonoid, "c")
     if c._lawful is not True:
@@ -1020,8 +1000,10 @@ def comonoid_to_category(c: Comonoid) -> FinCat:
         if not report["ok"]:
             first = report["violations"][0]
             raise ValueError(f"comonoid laws fail: {first!r}")
-    core, objects, tagged = c._core, c._objects, c._names
-    if core is None:
+    k = c._category
+    if k is not None:
+        objects, core, tagged = k.objects.elements, k._core, k._names
+    else:
         # the laws make the core well typed: the identity at i leads back
         # to i, and a composite leads where its second factor does
         objects, dirs = c.carrier.position_labels, c.carrier._dirs
@@ -1063,8 +1045,8 @@ def category_to_comonoid(k: FinCat) -> Comonoid:
     """Package a category's tables as a comonoid; raises on axiom failure.
 
     The axioms are not walked again when the last check_category(k)
-    passed.  The comonoid carries k's core and labels; its tables are
-    derived from them when first read.
+    passed.  The comonoid refers to k and copies none of it; its tables
+    are derived from k when first read.
     """
     _require(k, FinCat, "k")
     if k._lawful is not True:
@@ -1072,7 +1054,7 @@ def category_to_comonoid(k: FinCat) -> Comonoid:
         if not report["ok"]:
             first = report["violations"][0]
             raise ValueError(f"category axioms fail: {first!r}")
-    return Comonoid._on_core(k.objects.elements, k._core, k._names)
+    return Comonoid._on_category(k)
 
 
 def contractible(s: FinSet) -> Comonoid:

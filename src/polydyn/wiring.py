@@ -784,11 +784,7 @@ def _box_poly(r: _Resolved, name: str) -> FinPoly:
 
 
 def _outer_poly(r: _Resolved) -> FinPoly:
-    if r.outer is None:
-        return Y
-    outs = _product_set([r.sets[p.set_name] for p in r.out_ports[r.outer_name]])
-    ins = _product_set([r.sets[p.set_name] for p in r.in_ports[r.outer_name]])
-    return monomial(outs, ins)
+    return Y if r.outer is None else _box_poly(r, r.outer_name)
 
 
 def _inner_poly(r: _Resolved) -> FinPoly:
@@ -820,9 +816,6 @@ def compile_wiring(spec: WiringSpec) -> Lens:
     outer_ins = r.in_ports.get(r.outer_name, []) if r.outer else []
     outer_outs = r.out_ports.get(r.outer_name, []) if r.outer else []
 
-    mode_box_index = None
-    if r.modes is not None:
-        mode_box_index = r.box_order.index(r.modes.box)
     routing = {}
     for label in r.mode_labels():
         table = {}
@@ -840,7 +833,7 @@ def compile_wiring(spec: WiringSpec) -> Lens:
             for p, v in zip(ports, _split(part, len(ports))):
                 out_vals[(name, p.name)] = v
         label = None
-        if mode_box_index is not None:
+        if r.modes is not None:
             mode_port = r.out_ports[r.modes.box][0]
             label = out_vals[(r.modes.box, mode_port.name)]
         table = routing.get(label, routing[None] if None in routing else {})

@@ -787,6 +787,30 @@ def test_category_entry_points_name_an_argument_of_the_wrong_type():
         comonoid_to_category(k)
 
 
+def test_cold_entry_points_name_an_argument_of_the_wrong_type():
+    # each of these raised an AttributeError or a TypeError about iteration
+    c = contractible(FinSet(("a", "b")))
+    k = comonoid_to_category(c)
+    cases = [
+        (lambda: FinCat(FinSet(()), [], None, {}), "identity must be a Mapping, not NoneType"),
+        (lambda: FinCat(FinSet(()), [], {}, [0]), "compose2 must be a Mapping, not list"),
+        (lambda: check_cofunctor(k), "f must be a Cofunctor, not FinCat"),
+        (lambda: comonoid_sum(k, c), "c must be a Comonoid, not FinCat"),
+        (lambda: comonoid_tensor(c, "x"), "d must be a Comonoid, not str"),
+        (lambda: check_comonoid_morphism("x", c, c), "phi must be a Lens, not str"),
+        (lambda: nstep_behavior(k, None, 1), "c must be a Comonoid, not FinCat"),
+        (lambda: fincat_to_json(c), "k must be a FinCat, not Comonoid"),
+        (lambda: comonoid_to_json(k), "c must be a Comonoid, not FinCat"),
+        (lambda: identity_cofunctor(c), "k must be a FinCat, not Comonoid"),
+        (lambda: lens_to_cofunctor(None, k, k), "phi must be a Lens, not NoneType"),
+        (lambda: cofunctor_to_lens(k), "f must be a Cofunctor, not FinCat"),
+        (lambda: Cofunctor(k, k, None, {}), "on_obj must be a SetFn, not NoneType"),
+    ]
+    for call, message in cases:
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            call()
+
+
 def test_cofree_truncation_refuses_bounds_that_are_not_ints():
     p = make_poly([("a", ("l", "r")), ("b", ())])
     for args, message in (

@@ -722,3 +722,36 @@ def test_round_trip_shares_one_core_and_builds_no_label_table_unread(monkeypatch
         back = k2._compose
         assert k2._compose is back
         _same_category(k2, _reference_comonoid_to_category(_reference_category_to_comonoid(k1)))
+
+
+def test_a_category_is_stored_once_and_its_comonoid_refers_to_it():
+    # FinCat(...) used to keep the five label tables it was checked with
+    # beside its core, and the comonoid a category reads as held copies of
+    # the category's core, objects and labels
+    rng = random.Random(3001)
+    tables = ("_dom_of", "_cod_of", "_out", "_identity", "_composites")
+    for k in generate_categories(2, 4):
+        objects = FinSet(tuple(_shuffled(rng, k.objects.elements)))
+        morphisms = _shuffled(rng, k.morphisms)
+        identity = dict(_shuffled(rng, k.identity.items()))
+        compose = dict(_shuffled(rng, k._compose.items()))
+        k1 = FinCat(objects, morphisms, identity, compose)
+        for slot in tables:
+            assert getattr(k1, slot) is None, slot
+        c = category_to_comonoid(k1)
+        assert c._category is k1
+        assert check_comonoid_laws(c)["ok"]
+        comonoid_to_category(c)
+        for slot in tables:
+            assert getattr(k1, slot) is None, slot
+        # each table, derived on first read, is what the constructor was
+        # given, in the order it was given: morphisms as listed, objects in
+        # object order; the composition table only as a dict
+        assert k1.morphisms == tuple(morphisms)
+        assert _listed(k1.dom_of) == [(m, d) for m, d, _ in morphisms]
+        assert _listed(k1.cod_of) == [(m, x) for m, _, x in morphisms]
+        assert _listed(k1.out) == [
+            (o, tuple(m for m, d, _ in morphisms if d == o)) for o in objects.elements
+        ]
+        assert _listed(k1.identity) == [(o, identity[o]) for o in objects.elements]
+        assert k1._compose == compose
