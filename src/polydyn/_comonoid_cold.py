@@ -169,45 +169,22 @@ def check_cofunctor(f: Cofunctor) -> dict:
     morphism maps forward onto the original codomain.  iii: pulling back a
     composite equals composing the pulled pieces.  Law iii instances whose
     typing depends on a failed law ii instance are skipped (and already
-    reported under ii).
+    reported under ii).  These are the cells of the morphism walk
+    (_square_cells) on cofunctor_to_lens(f) between the comonoids the
+    categories read as, lawful or not: counit (i), codomain (ii), direction (iii).
     """
     _require(f, Cofunctor, "f")
-    src, tgt = f.src, f.tgt
+    src, tgt = Comonoid._on_category(f.src), Comonoid._on_category(f.tgt)
     violations = []
-    for c in src.objects.elements:
-        image = f.on_obj(c)
-        got = f.pull(c, tgt.identity[image])
-        if got != src.identity[c]:
-            violations.append({"law": "i", "object": c, "got": got})
-        for g in tgt.out[image]:
-            m = f.pull(c, g)
-            if f.on_obj(src.cod_of[m]) != tgt.cod_of[g]:
-                violations.append(
-                    {
-                        "law": "ii",
-                        "object": c,
-                        "morphism": g,
-                        "pulled": m,
-                        "cod_image": f.on_obj(src.cod_of[m]),
-                        "cod": tgt.cod_of[g],
-                    }
-                )
-                continue
-            c2 = src.cod_of[m]
-            for h in tgt.out[tgt.cod_of[g]]:
-                lhs = f.pull(c, tgt.compose2(h, g))
-                rhs = src.compose2(f.pull(c2, h), m)
-                if lhs != rhs:
-                    violations.append(
-                        {
-                            "law": "iii",
-                            "object": c,
-                            "first": g,
-                            "second": h,
-                            "left": lhs,
-                            "right": rhs,
-                        }
-                    )
+    for c, unit, cells in _square_cells(cofunctor_to_lens(f), src, tgt):
+        if unit is not None:
+            violations.append({"law": "i", "object": c, "got": unit[0]})
+        for g, h, v, w in cells:
+            if h is None:
+                cell = {"morphism": g, "pulled": f.pull(c, g), "cod_image": v, "cod": w}
+            else:
+                cell = {"first": g, "second": h, "left": v, "right": w}
+            violations.append({"law": "ii" if h is None else "iii", "object": c, **cell})
     return {"ok": not violations, "violations": violations}
 
 
@@ -313,15 +290,48 @@ def comonoid_tensor(c: Comonoid, d: Comonoid) -> Comonoid:
 # Comonoid morphisms and cofunctors.
 
 
+def _square_cells(phi: Lens, c: Comonoid, d: Comonoid):
+    """The failing cells of phi's morphism squares, read from the tables of
+    c and d without building a label, c∘c or d∘d: (i, unit, cells) for each
+    position i of phi.dom in order.  With j = phi(i), b = base[i], x = phi♯_b(g)
+    and k = c.codomain[i][x]: unit is (phi♯_i(d.identity[j]), c.identity[i])
+    or None; cells is the base cell (None, None, phi(b), d.base[j]) alone, or
+    for each g at d.base[j] the codomain cell (g, None, phi(k), d.codomain[j][g])
+    or else the direction cells (g, h, phi♯_i(d.composite[j][(g, h)]),
+    c.composite[i][(x, phi♯_k(h))]) for h at d.codomain[j][g]; each where it fails.
+    """
+    on_pos, on_dir, dirs = phi.on_pos, phi.on_dir, d.carrier.directions
+    for i in phi.dom.position_labels:
+        j, pulled = on_pos[i], on_dir[i]
+        v, w = pulled[d.identity[j]], c.identity[i]
+        unit = None if v == w else (v, w)
+        b, top = c.base[i], d.base[j]
+        if on_pos[b] != top:
+            yield i, unit, [(None, None, on_pos[b], top)]
+            continue
+        cells = []
+        at_b, cod, inner = on_dir[b], c.codomain[i], c.composite[i]
+        there, outer = d.codomain[j], d.composite[j]
+        for g in dirs(top).elements:
+            x = at_b[g]
+            if on_pos[cod[x]] != there[g]:
+                cells.append((g, None, on_pos[cod[x]], there[g]))
+                continue
+            at_k = on_dir[cod[x]]
+            for h in dirs(there[g]).elements:
+                v, w = pulled[outer[g, h]], inner[x, at_k[h]]
+                if v != w:
+                    cells.append((g, h, v, w))
+        yield i, unit, cells
+
+
 def check_comonoid_morphism(phi: Lens, c: Comonoid, d: Comonoid) -> dict:
     """Do the counit and comultiplication squares commute for phi: C → D?
 
-    Read from the tables, without building c∘c or d∘d.  At position i of
-    phi.dom, with j = phi(i), b = base[i], x = phi♯_b(g), k = c.codomain[i][x]:
-    phi♯_i(d.identity[j]) against c.identity[i]; d's comult position at j
-    against (phi(b), g ↦ phi(k)); where those agree, phi♯_i(d.composite[j][(g, h)])
-    against c.composite[i][(x, phi♯_k(h))] for each direction (g, h) there.
-    Records and order are those of the composed lenses of each square.
+    The cells of the morphism walk (_square_cells) as the composed lenses
+    of the squares report them: every counit record, then per position
+    either d's comult position at phi(i) against (phi(b), g ↦ phi(k)),
+    where a base or codomain cell fails, or each failing direction cell.
     """
     _require(phi, Lens, "phi")
     _require(c, Comonoid, "c")
@@ -329,29 +339,19 @@ def check_comonoid_morphism(phi: Lens, c: Comonoid, d: Comonoid) -> dict:
     if phi.dom != c.carrier or phi.cod != d.carrier:
         raise ValueError("phi must be a lens from the carrier of c to the carrier of d")
     counit, comult = [], []
-    for i in phi.dom.position_labels:
-        j, pulled = phi.on_pos[i], phi.on_dir[i]
-        v, w = pulled[d.identity[j]], c.identity[i]
-        if v != w:
-            counit.append(
-                {"law": "counit_square", "position": i, "direction": "*", "left": v, "right": w}
-            )
-        b, cod = c.base[i], c.codomain[i]
-        at_b, gs = phi.on_dir[b], d.carrier.directions(phi.on_pos[b]).elements
-        table = {g: phi.on_pos[cod[at_b[g]]] for g in gs}
-        v, w = _comult_label(d, j), pair_label(phi.on_pos[b], fn_label(table, gs))
-        if v != w:
-            comult.append({"law": "comult_square", "position": i, "left": v, "right": w})
-            continue
-        outer, inner = d.composite[j], c.composite[i]
-        for g in d.carrier.directions(d.base[j]).elements:
-            x = at_b[g]
-            at_k = phi.on_dir[cod[x]]
-            for h in d.carrier.directions(d.codomain[j][g]).elements:
-                v, w = pulled[outer[g, h]], inner[x, at_k[h]]
-                if v != w:
-                    record = {"direction": pair_label(g, h), "left": v, "right": w}
-                    comult.append({"law": "comult_square", "position": i, **record})
+    for i, unit, cells in _square_cells(phi, c, d):
+        if unit is not None:
+            record = {"direction": "*", "left": unit[0], "right": unit[1]}
+            counit.append({"law": "counit_square", "position": i, **record})
+        if any(h is None for _, h, _, _ in cells):
+            b = c.base[i]
+            at_b, gs = phi.on_dir[b], d.carrier.directions(phi.on_pos[b]).elements
+            table = {g: phi.on_pos[c.codomain[i][at_b[g]]] for g in gs}
+            v, w = _comult_label(d, phi.on_pos[i]), pair_label(phi.on_pos[b], fn_label(table, gs))
+            cells = [(None, None, v, w)]
+        for g, h, v, w in cells:
+            where = {} if h is None else {"direction": pair_label(g, h)}
+            comult.append({"law": "comult_square", "position": i, **where, "left": v, "right": w})
     violations = counit + comult
     return {"ok": not violations, "violations": violations}
 
@@ -375,14 +375,9 @@ def lens_to_cofunctor(phi: Lens, src: FinCat, tgt: FinCat) -> Cofunctor:
 def cofunctor_to_lens(f: Cofunctor) -> Lens:
     """The carrier lens of a cofunctor: objects forward, morphisms back."""
     _require(f, Cofunctor, "f")
-    dom = category_carrier(f.src)
-    cod = category_carrier(f.tgt)
     on_pos = {c: f.on_obj(c) for c in f.src.objects.elements}
-    on_dir = {
-        c: {g: f.pull(c, g) for g in f.tgt.out[f.on_obj(c)]}
-        for c in f.src.objects.elements
-    }
-    return Lens(dom, cod, on_pos, on_dir)
+    on_dir = {c: {g: f.pull_mor[c, g] for g in f.tgt.out[j]} for c, j in on_pos.items()}
+    return Lens(category_carrier(f.src), category_carrier(f.tgt), on_pos, on_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ first read from this module:
   cofunctors (Cofunctor, check_cofunctor, identity_cofunctor,
   lens_to_cofunctor, cofunctor_to_lens)
   discrete_comonoid, comonoid_sum and comonoid_tensor
-  the morphism squares (check_comonoid_morphism)
+  the morphism walk and squares (_square_cells, check_comonoid_morphism)
   nstep_behavior
   JSON serialization (fincat_to_json, fincat_from_json, comonoid_to_json,
   comonoid_from_json)
@@ -249,20 +249,11 @@ class Comonoid:
         out, cod_of = k.out, k.cod_of
         return {o: {m: cod_of[m] for m in ms} for o, ms in out.items()}
 
-    def _category_composite(self) -> dict:
-        k = self._category
-        names, core = k._names, k._core
-        cod, out, rows = core.cod, core.out, core.rows
-        return {
-            o: {(names[d], names[e]): names[rows[e][d]] for d in out[i] for e in out[cod[d]]}
-            for i, o in enumerate(k.objects.elements)
-        }
-
     carrier = _derived("_carrier", lambda c: category_carrier(c._category))
     identity = _derived("_identity", lambda c: dict(c._category.identity))
     base = _derived("_base", lambda c: {o: o for o in c._category.objects.elements})
     codomain = _derived("_codomain", _category_codomain)
-    composite = _derived("_composite", _category_composite)
+    composite = _derived("_composite", lambda c: c._category._comonoid_composite)
 
     @property
     def counit(self) -> Lens:
@@ -286,14 +277,13 @@ class Comonoid:
         """
         if self._comult is None:
             carrier = self.carrier
+            target = poly_compose(carrier, carrier)
             on_pos = {i: _comult_label(self, i) for i in carrier.position_labels}
             on_dir = {
                 i: {pair_label(d, e): v for (d, e), v in self.composite[i].items()}
                 for i in carrier.position_labels
             }
-            self._comult = Lens(
-                carrier, poly_compose(carrier, carrier), on_pos, on_dir
-            )
+            self._comult = Lens(carrier, target, on_pos, on_dir)
         return self._comult
 
     def is_contractible(self) -> bool:
@@ -727,13 +717,13 @@ class FinCat:
     (comonoid_to_category) are built on a core that the catalog's search
     or comonoid_to_category holds (_on_core), and derive their list and,
     when tagged, their labels.  The label tables (dom_of, cod_of, out,
-    identity and the composition table _compose) are derived on first
-    read, in the order of the list and of the core, and kept.
+    identity, _compose, and the composite table its comonoids share) are
+    derived on first read, in the order of the list and of the core, and kept.
     """
 
     __slots__ = (
         "objects", "_morphisms", "_dom_of", "_cod_of", "_out", "_identity", "_composites",
-        "_core", "_labels", "_tagged", "_keys", "_lawful", "_canonical", "_invariants",
+        "_core", "_labels", "_tagged", "_keys", "_lawful", "_canonical", "_invariants", "_by_obj",
     )
 
     def __init__(
@@ -829,7 +819,7 @@ class FinCat:
         self._labels = names
         self._morphisms = mors
         self._dom_of = self._cod_of = self._out = self._identity = self._composites = None
-        self._tagged = self._keys = None
+        self._tagged = self._keys = self._by_obj = None
         self._lawful = None
         self._canonical = None
         self._invariants = None
@@ -888,6 +878,16 @@ class FinCat:
         "_identity", lambda k: {o: k._names[i] for i, o in enumerate(k.objects.elements)}
     )
     _compose = _derived("_composites", _table)
+
+    def _composite_by_object(self) -> dict:
+        names, core = self._names, self._core
+        cod, out, rows = core.cod, core.out, core.rows
+        return {
+            o: {(names[d], names[e]): names[rows[e][d]] for d in out[i] for e in out[cod[d]]}
+            for i, o in enumerate(self.objects.elements)
+        }
+
+    _comonoid_composite = _derived("_by_obj", _composite_by_object)
 
     def morphism_labels(self) -> tuple[str, ...]:
         return tuple(m for m, _, _ in self.morphisms)
@@ -1486,7 +1486,7 @@ _COLD_NAMES, __getattr__, __dir__ = _lazy_names(
     globals(),
     "polydyn._comonoid_cold",
     """
-    _is_self_composite Cofunctor check_cofunctor
+    _is_self_composite Cofunctor check_cofunctor _square_cells
     identity_cofunctor lens_to_cofunctor cofunctor_to_lens discrete_comonoid
     comonoid_sum comonoid_tensor check_comonoid_morphism nstep_behavior
     fincat_to_json fincat_from_json comonoid_to_json comonoid_from_json

@@ -617,6 +617,164 @@ def test_cofunctor_lens_round_trip():
     assert again == f
 
 
+def _reference_check_cofunctor(f: Cofunctor) -> dict:
+    """check_cofunctor as it was before it read the morphism walk: the
+    three laws walked on labels, through FinCat.compose2 and f.pull."""
+    src, tgt = f.src, f.tgt
+    violations = []
+    for c in src.objects.elements:
+        image = f.on_obj(c)
+        got = f.pull(c, tgt.identity[image])
+        if got != src.identity[c]:
+            violations.append({"law": "i", "object": c, "got": got})
+        for g in tgt.out[image]:
+            m = f.pull(c, g)
+            if f.on_obj(src.cod_of[m]) != tgt.cod_of[g]:
+                violations.append(
+                    {
+                        "law": "ii",
+                        "object": c,
+                        "morphism": g,
+                        "pulled": m,
+                        "cod_image": f.on_obj(src.cod_of[m]),
+                        "cod": tgt.cod_of[g],
+                    }
+                )
+                continue
+            c2 = src.cod_of[m]
+            for h in tgt.out[tgt.cod_of[g]]:
+                lhs = f.pull(c, tgt.compose2(h, g))
+                rhs = src.compose2(f.pull(c2, h), m)
+                if lhs != rhs:
+                    violations.append(
+                        {
+                            "law": "iii",
+                            "object": c,
+                            "first": g,
+                            "second": h,
+                            "left": lhs,
+                            "right": rhs,
+                        }
+                    )
+    return {"ok": not violations, "violations": violations}
+
+
+def _random_cofunctor(rng, src: FinCat, tgt: FinCat) -> Cofunctor:
+    """Objects sent anywhere, and each pulled morphism drawn from those out
+    of its source object: typed, and lawless more often than not."""
+    images = {c: rng.choice(tgt.objects.elements) for c in src.objects.elements}
+    pull = {(c, g): rng.choice(src.out[c]) for c, j in images.items() for g in tgt.out[j]}
+    return Cofunctor(src, tgt, SetFn(src.objects, tgt.objects, images), pull)
+
+
+def test_check_cofunctor_reports_what_the_label_walk_reported():
+    rng = random.Random(31)
+    small = generate_categories(2, 3)
+    laws = set()
+    for src, tgt in itertools.product(small, repeat=2):
+        if len(tgt.objects) == 0 < len(src.objects):
+            continue
+        for _ in range(3):
+            f = _random_cofunctor(rng, src, tgt)
+            report = check_cofunctor(f)
+            assert report == _reference_check_cofunctor(f)
+            laws.update(v["law"] for v in report["violations"])
+    assert laws == {"i", "ii", "iii"}
+    catalog = generate_categories(3, 6)
+    for index in sorted(rng.sample(range(len(catalog)), 200)):
+        f = identity_cofunctor(catalog[index])
+        assert check_cofunctor(f) == _reference_check_cofunctor(f) == {"ok": True, "violations": []}
+
+
+def test_check_cofunctor_reports_on_categories_that_break_their_axioms():
+    # the categories here fail check_category, so category_to_comonoid
+    # refuses them; check_cofunctor reads them as comonoids all the same
+    rng = random.Random(32)
+    catalog = generate_categories(3, 6)
+    lawless = [_golden_lawless_category()]
+    for index in sorted(rng.sample(range(len(catalog)), 80)):
+        got = _corrupted(catalog[index], rng)
+        if got is not None and not check_category(got[0])["ok"]:
+            lawless.append(got[0])
+    assert len(lawless) > 40
+    laws = set()
+    for k in lawless:
+        with pytest.raises(ValueError, match="category axioms fail"):
+            category_to_comonoid(k)
+        other = rng.choice([m for m in catalog if len(m.objects)])
+        cofunctors = [identity_cofunctor(k)]
+        cofunctors += [_random_cofunctor(rng, s, t) for s, t in ((k, k), (k, other), (other, k))]
+        for f in cofunctors:
+            report = check_cofunctor(f)
+            assert report == _reference_check_cofunctor(f)
+            laws.update(v["law"] for v in report["violations"])
+    assert laws == {"i", "ii", "iii"}
+
+
+def _complete_category(names) -> FinCat:
+    """The category with one morphism x>y between any two objects."""
+    mors = [(f"{x}>{y}", x, y) for x in names for y in names]
+    compose = {(f"{y}>{z}", f"{x}>{y}"): f"{x}>{z}" for x in names for y in names for z in names}
+    return FinCat(FinSet(names), mors, {x: f"{x}>{x}" for x in names}, compose)
+
+
+def test_law_ii_skips_law_iii_per_morphism_and_the_squares_per_position():
+    # at a, a>b is pulled to a>c, which leads to c and not b (law ii); a>c
+    # is pulled to itself (law ii holds), but (c>b)∘(a>c) = a>b is pulled
+    # to a>c, not to (c>b)∘(a>c) (law iii).  The comult square at a fails
+    # as a whole, so check_comonoid_morphism reports none of its directions
+    # there.  (Objects b and c break law iii through a>b as well.)
+    k = _complete_category(("a", "b", "c"))
+    c = category_to_comonoid(k)
+    on_dir = {x: {m: m for m in k.out[x]} for x in k.objects.elements}
+    on_dir["a"]["a>b"] = "a>c"
+    phi = Lens(c.carrier, c.carrier, {x: x for x in k.objects.elements}, on_dir)
+    laws = check_cofunctor(lens_to_cofunctor(phi, k, k))["violations"]
+    assert [v for v in laws if v["object"] == "a"] == [
+        {"law": "ii", "object": "a", "morphism": "a>b", "pulled": "a>c",
+         "cod_image": "c", "cod": "b"},
+        {"law": "iii", "object": "a", "first": "a>c", "second": "c>b",
+         "left": "a>c", "right": "a>b"},
+    ]
+    squares = check_comonoid_morphism(phi, c, c)["violations"]
+    at_a = [(v["law"], "direction" in v) for v in squares if v["position"] == "a"]
+    assert at_a == [("comult_square", False)]
+
+
+def test_comonoid_reads_of_one_category_share_its_composite_table():
+    k = _complete_category(("a", "b"))
+    assert category_to_comonoid(k).composite is category_to_comonoid(k).composite
+    assert category_to_comonoid(k).composite == {
+        x: {(f"{x}>{y}", f"{y}>{z}"): f"{x}>{z}" for y in "ab" for z in "ab"} for x in "ab"
+    }
+
+
+def test_check_cofunctor_costs_about_what_the_squares_cost():
+    # the same walk on the same map; check_cofunctor also forms the lens
+    # and reads the categories as comonoids, whose composite tables each
+    # category keeps after the first read
+    k = _complete_category(tuple(f"s{j}" for j in range(30)))
+    f = identity_cofunctor(k)
+    phi, c = cofunctor_to_lens(f), category_to_comonoid(k)
+    runs = {"cofunctor": lambda: check_cofunctor(f), "squares": lambda: check_comonoid_morphism(phi, c, c)}
+    best = dict.fromkeys(runs, float("inf"))
+    for _ in range(5):
+        for name, run in runs.items():
+            start = time.perf_counter()
+            assert run()["ok"]
+            best[name] = min(best[name], time.perf_counter() - start)
+    assert best["cofunctor"] < 1.5 * best["squares"], best
+
+
+def test_comult_is_refused_before_its_labels_are_written():
+    c = contractible(FinSet(tuple(f"s{j}" for j in range(256))))
+    for read in (lambda: c.comult, lambda: comonoid_to_json(c)):
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError):
+            read()
+        assert time.perf_counter() - start < 0.05
+
+
 # ---------------------------------------------------------------------------
 # Category isomorphism search.
 

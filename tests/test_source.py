@@ -238,6 +238,19 @@ def test_a_fincat_and_a_core_are_built_in_one_place_each():
     assert cores == {"comonoid.py", "catalog.py"}
 
 
+def test_the_cold_comonoid_checks_compose_no_labels():
+    # check_cofunctor and check_comonoid_morphism read the comonoids'
+    # tables through one walk (_square_cells); nothing in their module
+    # composes labels through FinCat.compose2
+    tree = ast.parse((SRC / "_comonoid_cold.py").read_text(encoding="utf-8"))
+    calls = [
+        f"{fn} line {call.lineno}"
+        for _, fn, call in _calls(tree)
+        if ast.unparse(call.func).split(".")[-1] == "compose2"
+    ]
+    assert calls == []
+
+
 def _fresh(code: str, *args: str, stdin: str = "") -> str:
     # -I: no environment variables or user site-packages; -B: no bytecode
     # written into the checkout
