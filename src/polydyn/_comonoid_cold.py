@@ -174,9 +174,10 @@ def check_cofunctor(f: Cofunctor) -> dict:
     categories read as, lawful or not: counit (i), codomain (ii), direction (iii).
     """
     _require(f, Cofunctor, "f")
-    src, tgt = Comonoid._on_category(f.src), Comonoid._on_category(f.tgt)
+    phi = cofunctor_to_lens(f)
+    src, tgt = Comonoid._on_category(f.src, phi.dom), Comonoid._on_category(f.tgt, phi.cod)
     violations = []
-    for c, unit, cells in _square_cells(cofunctor_to_lens(f), src, tgt):
+    for c, unit, cells in _square_cells(phi, src, tgt):
         if unit is not None:
             violations.append({"law": "i", "object": c, "got": unit[0]})
         for g, h, v, w in cells:
@@ -377,11 +378,41 @@ def cofunctor_to_lens(f: Cofunctor) -> Lens:
     _require(f, Cofunctor, "f")
     on_pos = {c: f.on_obj(c) for c in f.src.objects.elements}
     on_dir = {c: {g: f.pull_mor[c, g] for g in f.tgt.out[j]} for c, j in on_pos.items()}
-    return Lens(category_carrier(f.src), category_carrier(f.tgt), on_pos, on_dir)
+    # the Cofunctor constructor has checked this typing
+    dom = category_carrier(f.src)
+    cod = dom if f.tgt is f.src else category_carrier(f.tgt)
+    return Lens._make(dom, cod, on_pos, on_dir)
 
 
 # ---------------------------------------------------------------------------
 # Finite-depth behavior.
+
+
+def _observations(c: Comonoid, f: Lens, p: FinPoly, empty, node):
+    """obs(s, k), the depth-k observation of state s through f: empty at
+    depth 0, else node(k, b, branches), with b = f(s) and every branch
+    empty at depth 1, and deeper b = f(base[s]) and branches[d] =
+    obs(codomain[s][f♯(d)], k − 1).  The branches follow the directions
+    at b in the order of p, which equals f.cod.  Each (s, k) is built once.
+    """
+    memo = {}
+
+    def obs(s: str, k: int):
+        if k == 0:
+            return empty
+        got = memo.get((s, k))
+        if got is None:
+            if k == 1:
+                b = f.on_pos[s]
+                branches = dict.fromkeys(p.directions(b).elements, empty)
+            else:
+                s1 = c.base[s]
+                phi, b, pulled = c.codomain[s], f.on_pos[s1], f.on_dir[s1]
+                branches = {d: obs(phi[pulled[d]], k - 1) for d in p.directions(b).elements}
+            got = memo[s, k] = node(k, b, branches)
+        return got
+
+    return obs
 
 
 def nstep_behavior(c: Comonoid, f: Lens, n: int) -> SetFn:
@@ -391,8 +422,8 @@ def nstep_behavior(c: Comonoid, f: Lens, n: int) -> SetFn:
     carrier positions to positions of p^∘n, the trees of depth-n
     observations; states with the same image are n-bisimilar.
 
-    The trees are assembled recursively from the codomain table and f's
-    tables.  This equals the on-positions part of the composite
+    The labels are built by _observations, which unroll shares, once per
+    (state, depth).  This equals the on-positions part of the composite
     carrier → carrier^∘n → p^∘n built with compose_map and the iterated
     comultiplication, but the carrier powers are never materialized.
     """
@@ -403,26 +434,10 @@ def nstep_behavior(c: Comonoid, f: Lens, n: int) -> SetFn:
     _require(n, int, "n")
     if n < 0:
         raise ValueError("n must be non-negative")
-    p = f.cod
-    cod = compose_power(p, n).positions_set()
-    memo: dict[tuple[str, int], str] = {}
-
-    def img(s: str, k: int) -> str:
-        if k == 0:
-            return "*"
-        if k == 1:
-            return f.on_pos[s]
-        got = memo.get((s, k))
-        if got is None:
-            s1 = c.base[s]
-            phi = c.codomain[s]
-            b = f.on_pos[s1]
-            fsharp = f.on_dir[s1]
-            pdirs = p.directions(b).elements
-            table = {dp: img(phi[fsharp[dp]], k - 1) for dp in pdirs}
-            got = memo[(s, k)] = pair_label(b, fn_label(table, pdirs))
-        return got
-
+    cod = compose_power(f.cod, n).positions_set()
+    img = _observations(
+        c, f, f.cod, "*", lambda k, b, table: b if k == 1 else pair_label(b, fn_label(table, table))
+    )
     mapping = {s: img(s, n) for s in c.carrier.position_labels}
     return SetFn(c.carrier.positions_set(), cod, mapping)
 

@@ -30,7 +30,7 @@ from polydyn.algebra import (
     product_pair,
     tensor_map,
 )
-from polydyn.comonoid import comonoid_tensor, contractible
+from polydyn.comonoid import _observations, comonoid_tensor, contractible
 from polydyn.dynamics import (
     MDDS,
     MooreMachine,
@@ -52,7 +52,8 @@ class StrategyTree:
     k−1; at depth 1 all branches point at the empty tree.  The branch
     insertion order is the interface's direction order, which to_label
     relies on to reproduce the structured element labels of the iterated
-    substitution power.
+    substitution power.  Trees are read-only: unroll builds one node per
+    (state, depth) and hangs it under every branch that reaches it.
     """
 
     __slots__ = ("depth", "position", "branches")
@@ -213,37 +214,16 @@ def unroll(sys: MDDS, s: str, depth: int) -> StrategyTree:
     Root carries the emitted position; the branch at each direction is
     the unrolling of the state that direction leads to, one level
     shallower.  The tree's to_label() is exactly the value the n-step
-    behavior map assigns to s.
+    behavior map assigns to s: both are built by _observations, once
+    per (state, depth), so the tree has at most |S|·depth distinct nodes.
     """
     if not isinstance(depth, int):
         raise TypeError(f"depth must be an int, not {type(depth).__name__}")
     if depth < 0:
         raise ValueError("depth must be non-negative")
     _check_state(sys, s)
-    f = sys.dynamics
-    p = sys.interface
-    base = sys.state.base
-    codomain = sys.state.codomain
     empty = StrategyTree.empty()
-
-    def grow(state: str, k: int) -> StrategyTree:
-        if k == 0:
-            return empty
-        if k == 1:
-            b = f.on_pos[state]
-            return StrategyTree(
-                1, b, {d: empty for d in p.directions(b).elements}
-            )
-        s1 = base[state]
-        phi = codomain[state]
-        b = f.on_pos[s1]
-        pulled = f.on_dir[s1]
-        branches = {
-            d: grow(phi[pulled[d]], k - 1) for d in p.directions(b).elements
-        }
-        return StrategyTree(k, b, branches)
-
-    return grow(s, depth)
+    return _observations(sys.state, sys.dynamics, sys.interface, empty, StrategyTree)(s, depth)
 
 
 def trace_history(sys: MDDS, s0: str, directions: Sequence[str]) -> str:

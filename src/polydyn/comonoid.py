@@ -40,7 +40,7 @@ first read from this module:
   lens_to_cofunctor, cofunctor_to_lens)
   discrete_comonoid, comonoid_sum and comonoid_tensor
   the morphism walk and squares (_square_cells, check_comonoid_morphism)
-  nstep_behavior
+  nstep_behavior and the recursion unroll shares (_observations)
   JSON serialization (fincat_to_json, fincat_from_json, comonoid_to_json,
   comonoid_from_json)
 """
@@ -216,11 +216,12 @@ class Comonoid:
         return c
 
     @classmethod
-    def _on_category(cls, k: "FinCat") -> "Comonoid":
+    def _on_category(cls, k: "FinCat", carrier: FinPoly | None = None) -> "Comonoid":
         """Internal constructor for the comonoid a category reads as, well
-        shaped by construction: it refers to k and copies none of it."""
+        shaped by construction: it refers to k and copies none of it.  A
+        carrier, if given, must be category_carrier(k)."""
         c = object.__new__(cls)
-        c._adopt(None, None, None, None, None)
+        c._adopt(carrier, None, None, None, None)
         c._category = k
         return c
 
@@ -1063,10 +1064,12 @@ def contractible(s: FinSet) -> Comonoid:
     Its category has object set S and exactly one morphism between any
     ordered pair of objects.  The counit evaluates at the current state.
     All positions share one codomain table and one composite table, so
-    building it costs |S|² rather than |S|³.
+    building it costs |S|² rather than |S|³.  Above COMPOSE_LIMIT
+    composite entries this raises SizeLimitError before building any.
     """
     _require(s, FinSet, "s")
     elems = s.elements
+    _check_size("contractible", len(elems) ** 2)
     dirs = FinSet(elems)
     carrier = FinPoly((x, dirs) for x in elems)
     codomain = {t: t for t in elems}
@@ -1488,7 +1491,7 @@ _COLD_NAMES, __getattr__, __dir__ = _lazy_names(
     """
     _is_self_composite Cofunctor check_cofunctor _square_cells
     identity_cofunctor lens_to_cofunctor cofunctor_to_lens discrete_comonoid
-    comonoid_sum comonoid_tensor check_comonoid_morphism nstep_behavior
-    fincat_to_json fincat_from_json comonoid_to_json comonoid_from_json
+    comonoid_sum comonoid_tensor check_comonoid_morphism _observations
+    nstep_behavior fincat_to_json fincat_from_json comonoid_to_json comonoid_from_json
     """,
 )

@@ -71,9 +71,8 @@ __all__ = [
 ]
 
 
-# poly_compose and compose_power refuse to build more positions than this,
-# eval_poly more elements, hom_enumerate more lenses, and tensor_many and
-# product_many more positions plus direction labels.
+# The most a size-checked construction may build: positions, or what
+# _COUNTED names for its operation.
 COMPOSE_LIMIT = 1 << 22
 
 # What an operation's predicted size counts, where it is not positions.
@@ -82,6 +81,7 @@ _COUNTED = {
     "product_many": "positions plus direction labels",
     "eval_poly": "elements",
     "hom_enumerate": "lenses",
+    "contractible": "composite entries",
 }
 
 

@@ -96,7 +96,7 @@ from polydyn.algebra import (
     terminal_lens,
 )
 
-from polydyn.comonoid import cofree_truncation
+from polydyn.comonoid import cofree_truncation, contractible
 
 from conftest import random_lens, random_poly
 
@@ -1396,6 +1396,7 @@ _LIMITED_CALLS = [
     ),
     ("hom_enumerate", lambda: adjunction_suite(FinSet(("a",)), Y, Y)),
     ("poly_compose", lambda: cofree_truncation(Y, 1)),
+    ("contractible", lambda: contractible(FinSet(("a",)))),
 ]
 
 

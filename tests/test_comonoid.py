@@ -711,6 +711,41 @@ def test_check_cofunctor_reports_on_categories_that_break_their_axioms():
     assert laws == {"i", "ii", "iii"}
 
 
+def test_check_cofunctor_builds_each_carrier_once(monkeypatch):
+    # the lens of the walk is taken over unchecked (the Cofunctor
+    # constructor checked its typing), and the comonoids the walk reads
+    # share its carriers
+    from polydyn import _comonoid_cold, comonoid
+
+    built = []
+
+    def counted(k):
+        built.append(k)
+        return category_carrier(k)
+
+    monkeypatch.setattr(comonoid, "category_carrier", counted)
+    monkeypatch.setattr(_comonoid_cold, "category_carrier", counted)
+    rng = random.Random(33)
+    catalog = generate_categories(3, 6)
+    picked = [catalog[i] for i in sorted(rng.sample(range(len(catalog)), 30))]
+    lawless = [_golden_lawless_category()]
+    lawless += [got[0] for k in picked if (got := _corrupted(k, rng)) is not None]
+    assert any(not check_category(k)["ok"] for k in lawless)
+    cofunctors = [identity_cofunctor(k) for k in picked + lawless]
+    for src in picked + lawless:
+        tgt = rng.choice([k for k in picked if len(k.objects)])
+        cofunctors += [_random_cofunctor(rng, src, tgt), _random_cofunctor(rng, tgt, src)]
+    laws = set()
+    for f in cofunctors:
+        built.clear()
+        report = check_cofunctor(f)
+        # at most one carrier per category, and one in all when src is tgt
+        assert sorted(map(id, built)) == sorted({id(f.src), id(f.tgt)})
+        assert report == _reference_check_cofunctor(f)
+        laws.update(v["law"] for v in report["violations"])
+    assert laws == {"i", "ii", "iii"}
+
+
 def _complete_category(names) -> FinCat:
     """The category with one morphism x>y between any two objects."""
     mors = [(f"{x}>{y}", x, y) for x in names for y in names]
@@ -1814,6 +1849,41 @@ def test_law_report_is_the_same_with_shared_or_copied_tables():
         assert shared == check_comonoid_laws(_unshared(c))
     lawful = contractible(FinSet(tuple(f"s{k}" for k in range(5))))
     assert check_comonoid_laws(lawful) == check_comonoid_laws(_unshared(lawful))
+
+
+def test_contractible_is_refused_before_its_composite_is_built():
+    # 2049 states ask for 2049^2 composite entries, 4097 past 2^22
+    states = FinSet(tuple(f"s{k}" for k in range(2049)))
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(SizeLimitError) as info:
+            contractible(states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 0.1
+    assert peak < 1_000_000
+    assert (info.value.operation, info.value.predicted) == ("contractible", 2049**2)
+    assert str(info.value) == (
+        f"contractible would build {2049**2} composite entries, above the limit of {COMPOSE_LIMIT}"
+    )
+
+
+def test_contractible_predicts_its_composite_exactly(monkeypatch):
+    for n in (0, 1, 2, 5):
+        states = FinSet(tuple(f"s{k}" for k in range(n)))
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "COMPOSE_LIMIT", n * n)
+            c = contractible(states)
+            # one composite table, shared by every position
+            tables = {id(c.composite[x]): c.composite[x] for x in states.elements}
+            assert [len(t) for t in tables.values()] == [n * n][:n]
+            if n:
+                m.setattr(algebra, "COMPOSE_LIMIT", n * n - 1)
+                with pytest.raises(SizeLimitError) as info:
+                    contractible(states)
+                assert info.value.predicted == n * n
 
 
 def test_comult_of_seven_states_is_refused_before_allocating():

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -20,9 +21,10 @@ from polydyn.core import (
     pair_label,
     tag_label,
 )
-from polydyn.algebra import poly_tensor, product_proj
+from polydyn.algebra import compose_power, poly_tensor, product_proj
 from polydyn.catalog import generate_categories
 from polydyn.comonoid import (
+    Comonoid,
     FinCat,
     category_to_comonoid,
     comonoid_to_category,
@@ -426,6 +428,157 @@ def test_unroll_matches_nstep_behavior():
             beh = nstep_behavior(sys.state, sys.dynamics, n)
             for s in sys.state.carrier.position_labels:
                 assert unroll(sys, s, n).to_label() == beh.mapping[s]
+
+
+def _reference_unroll(sys, s, depth):
+    """unroll as it was before it shared _observations: no memo, a fresh
+    node on every path."""
+    f, p = sys.dynamics, sys.interface
+    base, codomain = sys.state.base, sys.state.codomain
+    empty = StrategyTree.empty()
+
+    def grow(state, k):
+        if k == 0:
+            return empty
+        if k == 1:
+            b = f.on_pos[state]
+            return StrategyTree(1, b, {d: empty for d in p.directions(b).elements})
+        s1 = base[state]
+        phi = codomain[state]
+        b = f.on_pos[s1]
+        pulled = f.on_dir[s1]
+        return StrategyTree(
+            k, b, {d: grow(phi[pulled[d]], k - 1) for d in p.directions(b).elements}
+        )
+
+    return grow(s, depth)
+
+
+def _reference_nstep_behavior(c, f, n):
+    """nstep_behavior as it was before it shared _observations."""
+    p = f.cod
+    cod = compose_power(p, n).positions_set()
+    memo = {}
+
+    def img(s, k):
+        if k == 0:
+            return "*"
+        if k == 1:
+            return f.on_pos[s]
+        got = memo.get((s, k))
+        if got is None:
+            s1 = c.base[s]
+            phi = c.codomain[s]
+            b = f.on_pos[s1]
+            fsharp = f.on_dir[s1]
+            pdirs = p.directions(b).elements
+            table = {dp: img(phi[fsharp[dp]], k - 1) for dp in pdirs}
+            got = memo[(s, k)] = pair_label(b, fn_label(table, pdirs))
+        return got
+
+    mapping = {s: img(s, n) for s in c.carrier.position_labels}
+    return SetFn(c.carrier.positions_set(), cod, mapping)
+
+
+def _ring_27():
+    """The 27-state ring of tests/test_wiring.py and its start state."""
+    return compile_system(parse(_ring_text(*_ring_tables(10, 3, 3))))
+
+
+def _unroll_reference_cases():
+    three = MooreMachine.from_tables(
+        ["p", "q", "r"],
+        ["a", "b"],
+        ["lo", "hi"],
+        {"p": "lo", "q": "hi", "r": "hi"},
+        {
+            ("a", "p"): "q",
+            ("b", "p"): "p",
+            ("a", "q"): "r",
+            ("b", "q"): "p",
+            ("a", "r"): "r",
+            ("b", "r"): "q",
+        },
+        "p",
+    )
+    c2 = _cyclic2_comonoid()
+    iface = monomial(FinSet(("out",)), FinSet(("go", "stay")))
+    cyclic2 = MDDS(c2, iface, Lens(c2.carrier, iface, {"x": "out"}, {"x": {"go": "s", "stay": "e"}}))
+    # a lawless state comonoid whose base moves every state, with codomains
+    # that are not the contractible ones, seen through a mode-dependent
+    # interface; the MDDS lists that interface's directions in the other
+    # order, which unroll's branches follow
+    states = ("0", "1", "2")
+    carrier = contractible(FinSet(states)).carrier
+    lawless = Comonoid._from_tables(
+        carrier,
+        {x: x for x in states},
+        {x: {t: str((int(t) + int(x)) % 3) for t in states} for x in states},
+        dict.fromkeys(states, {(t, u): u for t in states for u in states}),
+        {"0": "1", "1": "2", "2": "0"},
+    )
+    p = make_poly([("lo", ("a", "b")), ("hi", ("a",))])
+    f = Lens(
+        carrier,
+        p,
+        {"0": "lo", "1": "hi", "2": "lo"},
+        {"0": {"a": "2", "b": "1"}, "1": {"a": "0"}, "2": {"a": "2", "b": "0"}},
+    )
+    flipped = make_poly([("lo", ("b", "a")), ("hi", ("a",))])
+    return [
+        moore_to_mdds(_toggle()),
+        moore_to_mdds(three),
+        cyclic2,
+        _ring_27()[0],
+        MDDS(lawless, p, f),
+        MDDS(lawless, flipped, f),
+    ]
+
+
+def test_unroll_and_nstep_behavior_equal_their_old_recursions():
+    cases = _unroll_reference_cases()
+    assert any(s != b for s, b in cases[-1].state.base.items())
+    orders = set()
+    for sys in cases:
+        for n in range(4):
+            beh = nstep_behavior(sys.state, sys.dynamics, n)
+            assert beh == _reference_nstep_behavior(sys.state, sys.dynamics, n)
+            for s in sys.state.carrier.position_labels:
+                tree, want = unroll(sys, s, n), _reference_unroll(sys, s, n)
+                assert tree == want
+                assert tree.to_label() == want.to_label()
+                if n > 1 and tree.position == "lo":
+                    orders.add(tuple(tree.branches))
+    # the two lawless systems differ only in the interface's direction order
+    assert orders == {("a", "b"), ("b", "a")}
+
+
+def _distinct_nodes(tree):
+    seen, todo = set(), [tree]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            todo.extend((t.branches or {}).values())
+    return len(seen)
+
+
+def test_unroll_of_the_27_state_ring_at_depth_16_shares_its_subtrees():
+    # without sharing the tree has 2^16 leaves and a 16 MB peak
+    sys, start = _ring_27()
+    t0 = time.perf_counter()
+    tree = unroll(sys, start, 16)
+    assert time.perf_counter() - t0 < 0.1
+    tracemalloc.start()
+    try:
+        unroll(sys, start, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # one node per (state, depth) at most, and the empty tree
+    assert _distinct_nodes(tree) <= 27 * 16 + 1
+    assert tree.depth == 16 and set(tree.branches) == {"a0", "a1"}
 
 
 def test_strategy_tree_validation():

@@ -251,6 +251,29 @@ def test_the_cold_comonoid_checks_compose_no_labels():
     assert calls == []
 
 
+def test_unroll_and_nstep_behavior_share_one_recursion():
+    # both build observation trees through _observations, memoised per
+    # (state, depth); neither keeps a recursion of its own
+    found = {}
+    for name, module in (("unroll", "_dynamics_cold.py"), ("nstep_behavior", "_comonoid_cold.py")):
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+        nested = [
+            n.name for n in ast.walk(fn)
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n is not fn
+        ]
+        called = {ast.unparse(call.func) for _, _, call in _calls(fn)}
+        found[name] = (nested, "_observations" in called)
+    assert found == {"unroll": ([], True), "nstep_behavior": ([], True)}
+    defined = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "_observations"
+    ]
+    assert defined == ["_comonoid_cold.py"]
+
+
 def _fresh(code: str, *args: str, stdin: str = "") -> str:
     # -I: no environment variables or user site-packages; -B: no bytecode
     # written into the checkout
