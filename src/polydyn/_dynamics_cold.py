@@ -53,15 +53,18 @@ class StrategyTree:
     insertion order is the interface's direction order, which to_label
     relies on to reproduce the structured element labels of the iterated
     substitution power.  Trees are read-only: unroll builds one node per
-    (state, depth) and hangs it under every branch that reaches it.
+    (state, depth) and hangs it under every branch that reaches it, so a
+    node keeps its hash once computed, and == and hash visit each
+    distinct node once.
     """
 
-    __slots__ = ("depth", "position", "branches")
+    __slots__ = ("depth", "position", "branches", "_hash")
 
     def __init__(self, depth: int, position=None, branches=None):
         depth = int(depth)
         if depth < 0:
             raise ValueError("depth must be non-negative")
+        self._hash = None
         if depth == 0:
             if position is not None or branches is not None:
                 raise ValueError("the depth-0 tree has no position and no branches")
@@ -103,16 +106,34 @@ class StrategyTree:
     def __eq__(self, other) -> bool:
         if not isinstance(other, StrategyTree):
             return NotImplemented
-        return (
-            self.depth == other.depth
-            and self.position == other.position
-            and self.branches == other.branches
-        )
+        # compare each pair of nodes once, however many paths reach it
+        seen = set()
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if a.depth != b.depth or a.position != b.position:
+                return False
+            if a.depth:
+                if a.branches.keys() != b.branches.keys():
+                    return False
+                pairs.extend((t, b.branches[d]) for d, t in a.branches.items())
+        return True
 
     def __hash__(self) -> int:
-        if self.depth == 0:
-            return hash((0,))
-        return hash((self.depth, self.position, frozenset(self.branches.items())))
+        if self._hash is None:
+            if self.depth == 0:
+                self._hash = hash((0,))
+            else:
+                items = frozenset(self.branches.items())
+                self._hash = hash((self.depth, self.position, items))
+        return self._hash
+
+    def __reduce__(self):
+        # the kept hash is not pickled: string hashes differ between processes
+        return StrategyTree, (self.depth, self.position, self.branches)
 
     def __repr__(self) -> str:
         if self.depth == 0:

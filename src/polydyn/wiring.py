@@ -558,10 +558,14 @@ def parse(text: str) -> WiringSpec:
 
 
 class _Resolved:
-    """Lookup tables for a structurally sound spec; no semantic checks."""
+    """Lookup tables for a structurally sound spec, and its connections'
+    problems: checked holds (mode label or None, connection, problems) for
+    every connection statement, base ones first.  drivers maps each mode
+    label (None alone without usable modes) to a table from (owner, port)
+    to the well-formed connections into it, base ones first, in order.
+    """
 
     def __init__(self, spec: WiringSpec):
-        self.spec = spec
         # duplicates are reported elsewhere; dedupe so lookups still work
         self.sets = {
             name: FinSet(tuple(dict.fromkeys(decl.elements)))
@@ -571,84 +575,79 @@ class _Resolved:
         self.box_order = list(self.boxes)
         self.outer = spec.outer()
         self.outer_name = self.outer.name if self.outer is not None else None
-        self.in_ports = {}
-        self.out_ports = {}
-        for name, decl in self.boxes.items():
-            self.in_ports[name] = [p for p in decl.ports if p.kind == "in"]
-            self.out_ports[name] = [p for p in decl.ports if p.kind == "out"]
+        owners = dict(self.boxes)
         if self.outer is not None:
-            self.in_ports[self.outer_name] = [
-                p for p in self.outer.ports if p.kind == "in"
-            ]
-            self.out_ports[self.outer_name] = [
-                p for p in self.outer.ports if p.kind == "out"
-            ]
+            owners[self.outer_name] = self.outer
+        self.in_ports = {n: [p for p in d.ports if p.kind == "in"] for n, d in owners.items()}
+        self.out_ports = {n: [p for p in d.ports if p.kind == "out"] for n, d in owners.items()}
+        # an owner's first in port of a name, else its first out port
+        self.ports = {}
+        for table in (self.in_ports, self.out_ports):
+            for owner, decls in table.items():
+                for p in decls:
+                    self.ports.setdefault((owner, p.name), p)
         self.defaults = {(d.owner, d.port): d.value for d in spec.defaults()}
         self.modes = spec.modes()
 
-    def port(self, owner: str, name: str) -> Optional[PortDecl]:
-        for p in self.in_ports.get(owner, []) + self.out_ports.get(owner, []):
-            if p.name == name:
-                return p
-        return None
+        blocks = self.modes.blocks if self.modes is not None else ()
+        self.checked = [(None, c, _connect_problems(self, c)) for c in spec.connects()]
+        self.checked += [
+            (b.label, c, _connect_problems(self, c)) for b in blocks for c in b.connects
+        ]
+        base, by_mode = {}, {}
+        for label, c, problems in self.checked:
+            if not problems:
+                table = base if label is None else by_mode.setdefault(label, {})
+                key = (c.dst_owner, c.dst_port)
+                table[key] = table.get(key, ()) + (c,)
+        labels = [None]
+        if self.modes is not None:
+            outs = self.out_ports.get(self.modes.box, [])
+            if len(outs) == 1 and outs[0].set_name in self.sets:
+                labels = self.sets[outs[0].set_name].elements
+        self.drivers = {}
+        for label in labels:
+            table = dict(base)
+            for key, conns in by_mode.get(label, {}).items():
+                table[key] = table.get(key, ()) + conns
+            self.drivers[label] = table
 
-    def mode_labels(self) -> list[Optional[str]]:
-        """One label per mode box position, or [None] without modes."""
-        if self.modes is None:
-            return [None]
-        outs = self.out_ports.get(self.modes.box, [])
-        if len(outs) != 1 or outs[0].set_name not in self.sets:
-            return [None]
-        return list(self.sets[outs[0].set_name].elements)
 
-    def connects_for(self, label: Optional[str]) -> list[Connect]:
-        conns = list(self.spec.connects())
-        if self.modes is not None and label is not None:
-            for b in self.modes.blocks:
-                if b.label == label:
-                    conns.extend(b.connects)
-        return conns
-
-
-def _connect_problems(r: _Resolved, c: Connect, where: str) -> list[str]:
+def _connect_problems(r: _Resolved, c: Connect) -> list[str]:
     problems = []
     loc = _at(c.span)
     for owner, port in ((c.src_owner, c.src_port), (c.dst_owner, c.dst_port)):
         if owner not in r.in_ports:
-            problems.append(f"{loc}undeclared box {owner!r}{where}")
-        elif r.port(owner, port) is None:
-            problems.append(f"{loc}undeclared port {owner}.{port}{where}")
+            problems.append(f"{loc}undeclared box {owner!r}")
+        elif (owner, port) not in r.ports:
+            problems.append(f"{loc}undeclared port {owner}.{port}")
     if problems:
         return problems
-    src = r.port(c.src_owner, c.src_port)
-    dst = r.port(c.dst_owner, c.dst_port)
+    src = r.ports[(c.src_owner, c.src_port)]
+    dst = r.ports[(c.dst_owner, c.dst_port)]
     src_is_outer = c.src_owner == r.outer_name
     dst_is_outer = c.dst_owner == r.outer_name
     if (src.kind == "out") == src_is_outer:
         want = "an outer in port" if src_is_outer else "a box out port"
         problems.append(
-            f"{loc}connection source {c.src_owner}.{c.src_port} must be {want}{where}"
+            f"{loc}connection source {c.src_owner}.{c.src_port} must be {want}"
         )
     if (dst.kind == "in") == dst_is_outer:
         want = "an outer out port" if dst_is_outer else "a box in port"
         problems.append(
-            f"{loc}connection target {c.dst_owner}.{c.dst_port} must be {want}{where}"
+            f"{loc}connection target {c.dst_owner}.{c.dst_port} must be {want}"
         )
     if src_is_outer and dst_is_outer:
         problems.append(
             f"{loc}direct connection from outer input {c.src_port} to outer "
-            f"output {c.dst_port} is forbidden{where}"
+            f"output {c.dst_port} is forbidden"
         )
     if not problems and src.set_name != dst.set_name:
         problems.append(
             f"{loc}type mismatch: {c.src_owner}.{c.src_port} : {src.set_name} "
-            f"-> {c.dst_owner}.{c.dst_port} : {dst.set_name}{where}"
+            f"-> {c.dst_owner}.{c.dst_port} : {dst.set_name}"
         )
     return problems
-
-
-def _connect_ok(r: _Resolved, c: Connect) -> bool:
-    return not _connect_problems(r, c, "")
 
 
 def _require_spec(spec) -> None:
@@ -672,14 +671,15 @@ def validate(spec: WiringSpec) -> dict:
     violations = [_at(span) + msg for msg, span in _structural_problems(spec)]
     r = _Resolved(spec)
 
-    for c in spec.connects():
-        violations.extend(_connect_problems(r, c, ""))
+    for label, _, problems in r.checked:
+        if label is None:
+            violations.extend(problems)
     for d in spec.defaults():
         loc = _at(d.span)
         if d.owner not in r.boxes:
             violations.append(f"{loc}default on undeclared box {d.owner!r}")
             continue
-        p = r.port(d.owner, d.port)
+        p = r.ports.get((d.owner, d.port))
         if p is None:
             violations.append(f"{loc}default on undeclared port {d.owner}.{d.port}")
         elif p.kind != "in":
@@ -711,9 +711,9 @@ def validate(spec: WiringSpec) -> dict:
                             f"{_at(b.span)}mode {b.label!r} is not a position of "
                             f"box {modes.box!r}"
                         )
-        for b in modes.blocks:
-            for c in b.connects:
-                violations.extend(_connect_problems(r, c, f" (mode {b.label})"))
+        for label, _, problems in r.checked:
+            if label is not None:
+                violations.extend(f"{p} (mode {label})" for p in problems)
 
     for m in spec.machines():
         if m.box not in r.boxes:
@@ -727,14 +727,11 @@ def validate(spec: WiringSpec) -> dict:
         targets.extend((name, p, True) for p in r.in_ports[name])
     if r.outer is not None:
         targets.extend((r.outer_name, p, False) for p in r.out_ports[r.outer_name])
-    for label in r.mode_labels():
-        conns = [c for c in r.connects_for(label) if _connect_ok(r, c)]
+    for label, table in r.drivers.items():
         suffix = f" in mode {label}" if label is not None else ""
         for owner, decl, is_inner in targets:
             port = decl.name
-            drivers = [
-                c for c in conns if c.dst_owner == owner and c.dst_port == port
-            ]
+            drivers = table.get((owner, port), ())
             if len(drivers) > 1:
                 violations.append(f"{_at(decl.span)}fan-in at {owner}.{port}{suffix}")
             elif not drivers:
@@ -813,15 +810,11 @@ def compile_wiring(spec: WiringSpec) -> Lens:
     r = _Resolved(spec)
     dom = _inner_poly(r)
     cod = _outer_poly(r)
-    outer_ins = r.in_ports.get(r.outer_name, []) if r.outer else []
-    outer_outs = r.out_ports.get(r.outer_name, []) if r.outer else []
-
-    routing = {}
-    for label in r.mode_labels():
-        table = {}
-        for c in r.connects_for(label):
-            table[(c.dst_owner, c.dst_port)] = (c.src_owner, c.src_port)
-        routing[label] = table
+    outer_ins = r.in_ports.get(r.outer_name, [])
+    outer_outs = r.out_ports.get(r.outer_name, [])
+    outer_in_keys = [(r.outer_name, p.name) for p in outer_ins]
+    # the active mode is the mode box's out value
+    mode_key = (r.modes.box, r.out_ports[r.modes.box][0].name) if r.modes else None
 
     on_pos = {}
     on_dir = {}
@@ -832,30 +825,25 @@ def compile_wiring(spec: WiringSpec) -> Lens:
             ports = r.out_ports[name]
             for p, v in zip(ports, _split(part, len(ports))):
                 out_vals[(name, p.name)] = v
-        label = None
-        if r.modes is not None:
-            mode_port = r.out_ports[r.modes.box][0]
-            label = out_vals[(r.modes.box, mode_port.name)]
-        table = routing.get(label, routing[None] if None in routing else {})
+        # a valid spec drives every port at most once in each mode
+        table = r.drivers[out_vals[mode_key] if mode_key else None]
 
-        on_pos[pos] = _join(
-            [out_vals[table[(r.outer_name, p.name)]] for p in outer_outs]
-        )
+        sources = [table[(r.outer_name, p.name)][0] for p in outer_outs]
+        on_pos[pos] = _join([out_vals[(c.src_owner, c.src_port)] for c in sources])
 
         row = {}
         for d in cod.directions(on_pos[pos]).elements:
-            in_vals = dict(zip((p.name for p in outer_ins), _split(d, len(outer_ins))))
+            values = dict(out_vals)
+            values.update(zip(outer_in_keys, _split(d, len(outer_ins))))
             box_dirs = []
             for name in r.box_order:
                 vals = []
                 for p in r.in_ports[name]:
-                    src = table.get((name, p.name))
-                    if src is None:
+                    drivers = table.get((name, p.name))
+                    if drivers is None:
                         vals.append(r.defaults[(name, p.name)])
-                    elif src[0] == r.outer_name:
-                        vals.append(in_vals[src[1]])
                     else:
-                        vals.append(out_vals[src])
+                        vals.append(values[drivers[0].src_owner, drivers[0].src_port])
                 box_dirs.append(_join(vals))
             row[d] = _join(box_dirs)
         on_dir[pos] = row
@@ -1000,12 +988,12 @@ def compile_system(spec: WiringSpec) -> tuple[MDDS, str]:
     """
     wiring = compile_wiring(spec)
     machines = dict(compile_machines(spec))
-    r = _Resolved(spec)
-    missing = [name for name in r.box_order if name not in machines]
+    decls = spec.boxes()
+    missing = [name for name in decls if name not in machines]
     if missing:
-        box = r.boxes[missing[0]]
+        box = decls[missing[0]]
         raise ValueError(f"{_at(box.span)}no machine table for box {box.name!r}")
-    boxes = [machines[name] for name in r.box_order]
+    boxes = [machines[name] for name in decls]
     n = len(boxes)
     state = contractible(_product_set([m.states for m in boxes]))
     on_pos = {}

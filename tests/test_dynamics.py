@@ -1,10 +1,15 @@
 import itertools
 import json
+import os
 import random
+import subprocess
 import time
 import tracemalloc
+from sys import executable
 
 import pytest
+
+import polydyn
 
 from polydyn.core import (
     FinSet,
@@ -579,6 +584,110 @@ def test_unroll_of_the_27_state_ring_at_depth_16_shares_its_subtrees():
     # one node per (state, depth) at most, and the empty tree
     assert _distinct_nodes(tree) <= 27 * 16 + 1
     assert tree.depth == 16 and set(tree.branches) == {"a0", "a1"}
+
+
+class _OldTree:
+    """A StrategyTree under == and hash as they were: a walk over every
+    path, however many paths share a node."""
+
+    __slots__ = ("t",)
+
+    def __init__(self, t):
+        self.t = t
+
+    def _branches(self):
+        b = self.t.branches
+        return None if b is None else {d: _OldTree(s) for d, s in b.items()}
+
+    def __eq__(self, other):
+        a, b = self.t, other.t
+        return a.depth == b.depth and a.position == b.position and self._branches() == other._branches()
+
+    def __hash__(self):
+        if self.t.depth == 0:
+            return hash((0,))
+        return hash((self.t.depth, self.t.position, frozenset(self._branches().items())))
+
+
+def _with_leaf(tree, directions, position):
+    """A copy of tree whose depth-1 node at the end of directions shows
+    position; every other subtree is shared with tree."""
+    if tree.depth == 1:
+        return StrategyTree(1, position, tree.branches)
+    d, rest = directions[0], directions[1:]
+    branches = dict(tree.branches)
+    branches[d] = _with_leaf(branches[d], rest, position)
+    return StrategyTree(tree.depth, tree.position, branches)
+
+
+def _deep_leaf_pair(depth):
+    """unroll's tree of the ring's start, built twice, and a copy that
+    differs from it only at the depth-1 node at the end of a1 a1 ... a1."""
+    sys, start = _ring_27()
+    a, b = unroll(sys, start, depth), unroll(sys, start, depth)
+    leaf = a
+    while leaf.depth > 1:
+        leaf = leaf.branches["a1"]
+    other = next(v for v in ("v0", "v1", "v2") if v != leaf.position)
+    return a, b, _with_leaf(a, ["a1"] * (depth - 1), other)
+
+
+def test_strategy_tree_equality_and_hash_equal_their_old_walks():
+    trees = [
+        unroll(sys, s, n)
+        for sys in _unroll_reference_cases()
+        for s in sys.state.carrier.position_labels
+        for n in range(4)
+    ]
+    for depth in (1, 2, 6, 10):
+        trees.extend(_deep_leaf_pair(depth))
+    for t in trees:
+        assert hash(t) == hash(_OldTree(t))
+    verdicts = set()
+    for a, b in itertools.product(trees, repeat=2):
+        verdict = a == b
+        assert verdict == (_OldTree(a) == _OldTree(b))
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    a, b, c = _deep_leaf_pair(10)
+    assert (a == b, a == c, c == a) == (True, False, False)
+
+
+def test_strategy_tree_equality_and_hash_visit_each_node_once_at_depth_20():
+    # every path: 2^20 leaves, where unroll builds at most 27 * 20 nodes
+    a, b, c = _deep_leaf_pair(20)
+    times = []
+    for compare in (lambda: hash(a), lambda: hash(c), lambda: a == b, lambda: a == c):
+        t0 = time.perf_counter()
+        compare()
+        times.append(time.perf_counter() - t0)
+    assert (hash(a) == hash(b), a == b, a == c) == (True, True, False)
+    assert max(times) < 0.02, times
+
+
+def test_a_strategy_tree_hash_is_not_pickled():
+    # a node keeps its hash, and string hashes differ between processes
+    code = (
+        "import pickle, sys\n"
+        "from polydyn.dynamics import StrategyTree\n"
+        "t = StrategyTree(1, 'p', {'d': StrategyTree.empty()})\n"
+        "if sys.argv[1] == 'dump':\n"
+        "    hash(t)\n"
+        "    sys.stdout.write(pickle.dumps(t).hex())\n"
+        "else:\n"
+        "    print(hash(pickle.loads(bytes.fromhex(sys.stdin.read()))) == hash(t))\n"
+    )
+
+    src = os.path.dirname(os.path.dirname(polydyn.__file__))
+
+    def run(seed, *args, stdin=""):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        return subprocess.run(
+            [executable, "-B", "-c", code, *args],
+            input=stdin, capture_output=True, text=True, check=True, env=env,
+        ).stdout
+
+    assert run("2", "load", stdin=run("1", "dump")).strip() == "True"
 
 
 def test_strategy_tree_validation():

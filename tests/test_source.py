@@ -238,6 +238,28 @@ def test_a_fincat_and_a_core_are_built_in_one_place_each():
     assert cores == {"comonoid.py", "catalog.py"}
 
 
+def test_each_modes_drivers_are_resolved_in_one_place():
+    # _Resolved.__init__ checks each connection statement once and builds
+    # the per-mode driver tables, keyed by a connection's target; validate
+    # and compile_wiring read them, and only the check itself reads targets
+    tree = ast.parse((SRC / "wiring.py").read_text(encoding="utf-8"))
+    checks, targets = set(), set()
+
+    def walk(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "_connect_problems":
+            checks.add(where)
+        elif isinstance(node, ast.Attribute) and node.attr in ("dst_owner", "dst_port"):
+            targets.add(where)
+        for child in ast.iter_child_nodes(node):
+            walk(child, where)
+
+    walk(tree, "")
+    assert checks == {"_Resolved.__init__"}
+    assert targets == {"_Resolved.__init__", "_connect_problems"}
+
+
 def test_the_cold_comonoid_checks_compose_no_labels():
     # check_cofunctor and check_comonoid_morphism read the comonoids'
     # tables through one walk (_square_cells); nothing in their module

@@ -46,7 +46,8 @@ from polydyn.wiring import (
     random_spec,
     validate,
 )
-from polydyn.wiring import _split, _tokenize
+import polydyn.wiring
+from polydyn.wiring import _Resolved, _at, _split, _structural_problems, _tokenize
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -806,6 +807,133 @@ def test_step_works_on_a_27_state_system():
 
 
 # ---------------------------------------------------------------------------
+# The switched ring: the ring's boxes plus a switch Sw, one state per mode,
+# whose output picks which neighbour feeds each box.
+
+
+def _switched_ring_tables(seed, boxes, k, shifts, defaulted=False):
+    """The ring's tables, the shift of each mode, and an optional default.
+
+    In the mode with shift s, Mb.o feeds M<b+s>.i.  With defaulted, the
+    last mode leaves a seeded box's i to a seeded default value.
+    """
+    inputs, values, states, readout, update = _ring_tables(seed, boxes, k)
+    default = None
+    if defaulted:
+        rng = random.Random(seed + 1)
+        default = (list(shifts)[-1], rng.randrange(boxes), rng.choice(values))
+    return inputs, values, states, readout, update, dict(shifts), default
+
+
+def _switched_ring_text(inputs, values, states, readout, update, shifts, default):
+    """Sw has states w0..w<n-1> showing the n modes in order; it stays on
+    input a0 and moves to the next mode on a1."""
+    boxes, labels = len(states), list(shifts)
+    lines = [
+        f"set A = {{{', '.join(inputs)}}}",
+        f"set V = {{{', '.join(values)}}}",
+        f"set L = {{{', '.join(labels)}}}",
+    ]
+    lines += [f"box M{b} {{ out o : V; in i : V; in a : A; }}" for b in range(boxes)]
+    lines += ["box Sw { out s : L; in a : A; }", "outer System { out o : V; in a : A; }"]
+    lines += ["connect M0.o -> System.o", "connect System.a -> Sw.a"]
+    lines += [f"connect System.a -> M{b}.a" for b in range(boxes)]
+    if default is not None:
+        lines.append(f"default M{default[1]}.i = {default[2]}")
+    lines.append("modes from Sw {")
+    for label, shift in shifts.items():
+        lines.append(f"  mode {label} {{")
+        for b in range(boxes):
+            if default is None or (label, (b + shift) % boxes) != default[:2]:
+                lines.append(f"    connect M{b}.o -> M{(b + shift) % boxes}.i")
+        lines.append("  }")
+    lines.append("}")
+    for b in range(boxes):
+        lines += [
+            f"machine M{b} {{",
+            f"  states = {{{', '.join(states[b])}}};",
+            f"  init = {states[b][0]};",
+        ]
+        lines += [f"  readout {q} = (o = {readout[b][q]})" for q in states[b]]
+        lines += [
+            f"  update {q} (i = {v}, a = {a}) = {nxt}"
+            for (q, v, a), nxt in update[b].items()
+        ]
+        lines.append("}")
+    n = len(labels)
+    lines += ["machine Sw {", f"  states = {{{', '.join(f'w{j}' for j in range(n))}}};"]
+    lines.append("  init = w0;")
+    lines += [f"  readout w{j} = (s = {label})" for j, label in enumerate(labels)]
+    for j in range(n):
+        lines.append(f"  update w{j} (a = {inputs[0]}) = w{j}")
+        lines.append(f"  update w{j} (a = {inputs[1]}) = w{(j + 1) % n}")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _switched_ring_oracle(inputs, values, states, readout, update, shifts, default, stream):
+    """run_open's steps from plain dicts: the switch's state picks the mode
+    before any input is routed."""
+    boxes, labels = len(states), list(shifts)
+    q, w = [s[0] for s in states], 0
+    steps = []
+    for a in stream:
+        steps.append(("(" + ",".join(q + [f"w{w}"]) + ")", readout[0][q[0]], a))
+        mode = labels[w]
+        outs = [readout[b][q[b]] for b in range(boxes)]
+        ins = [outs[(b - shifts[mode]) % boxes] for b in range(boxes)]
+        if default is not None and default[0] == mode:
+            ins[default[1]] = default[2]
+        q = [update[b][q[b], ins[b], a] for b in range(boxes)]
+        w = (w + 1) % len(labels) if a == inputs[1] else w
+    steps.append(("(" + ",".join(q + [f"w{w}"]) + ")", readout[0][q[0]], None))
+    return steps
+
+
+def _switched_ring_runs_against_the_oracle(tables, steps):
+    spec = parse(_switched_ring_text(*tables))
+    assert validate(spec)["ok"]
+    t0 = time.perf_counter()
+    sys, start = compile_system(spec)
+    compile_s = time.perf_counter() - t0
+    states = tables[2]
+    assert sys.state.carrier.num_positions() == 2 * len(states[0]) ** len(states)
+    rng = random.Random(12)
+    stream = [rng.choice(tables[0]) for _ in range(steps)]
+    trace = run_open(sys, stream, start)
+    want = _switched_ring_oracle(*tables, stream)
+    assert list(trace.steps) == want
+    assert trace.final_state == want[-1][0]
+    # both modes are run: Sw's state is the last component of the label
+    assert {s.rsplit(",", 1)[1] for s, _, _ in want} == {"w0)", "w1)"}
+    return compile_s
+
+
+FORWARD_BACKWARD = {"f": 1, "r": -1}
+
+
+def test_switched_ring_of_54_states_runs_100k_inputs_against_an_oracle():
+    tables = _switched_ring_tables(10, 3, 3, FORWARD_BACKWARD)
+    _switched_ring_runs_against_the_oracle(tables, 100_000)
+
+
+def test_switched_ring_of_128_states_compiles_in_under_2s_and_runs_against_an_oracle():
+    tables = _switched_ring_tables(10, 3, 4, FORWARD_BACKWARD)
+    assert _switched_ring_runs_against_the_oracle(tables, 100_000) < 2.0
+
+
+@pytest.mark.parametrize("seed", [10, 11, 12])
+def test_switched_ring_with_an_input_left_to_its_default_runs_against_an_oracle(seed):
+    # as in demos/attach.wd, mode r leaves one box's i to its default
+    tables = _switched_ring_tables(seed, 3, 3, FORWARD_BACKWARD, defaulted=True)
+    _, b, value = tables[-1]
+    text = _switched_ring_text(*tables)
+    assert f"default M{b}.i = {value}" in text
+    assert text.count(f"-> M{b}.i") == 1
+    _switched_ring_runs_against_the_oracle(tables, 100_000)
+
+
+# ---------------------------------------------------------------------------
 # compile_system against the composite it stands for: the wiring lens after
 # the flat tensor of the machine lenses.
 
@@ -900,3 +1028,255 @@ def test_compile_system_equals_the_old_composite_on_random_specs():
     rng = random.Random(20261018)
     for _ in range(40):
         _assert_same_system(_with_random_machines(random_spec(rng), rng))
+
+
+# ---------------------------------------------------------------------------
+# validate against the driver analysis it replaced, which checked every
+# connection again for each mode and scanned all connections per port.
+
+
+def _reference_port(r, owner, name):
+    for p in r.in_ports.get(owner, []) + r.out_ports.get(owner, []):
+        if p.name == name:
+            return p
+    return None
+
+
+def _reference_mode_labels(r):
+    if r.modes is None:
+        return [None]
+    outs = r.out_ports.get(r.modes.box, [])
+    if len(outs) != 1 or outs[0].set_name not in r.sets:
+        return [None]
+    return list(r.sets[outs[0].set_name].elements)
+
+
+def _reference_connects_for(r, spec, label):
+    conns = list(spec.connects())
+    if r.modes is not None and label is not None:
+        for b in r.modes.blocks:
+            if b.label == label:
+                conns.extend(b.connects)
+    return conns
+
+
+def _reference_connect_problems(r, c, where):
+    problems = []
+    loc = _at(c.span)
+    for owner, port in ((c.src_owner, c.src_port), (c.dst_owner, c.dst_port)):
+        if owner not in r.in_ports:
+            problems.append(f"{loc}undeclared box {owner!r}{where}")
+        elif _reference_port(r, owner, port) is None:
+            problems.append(f"{loc}undeclared port {owner}.{port}{where}")
+    if problems:
+        return problems
+    src = _reference_port(r, c.src_owner, c.src_port)
+    dst = _reference_port(r, c.dst_owner, c.dst_port)
+    src_is_outer = c.src_owner == r.outer_name
+    dst_is_outer = c.dst_owner == r.outer_name
+    if (src.kind == "out") == src_is_outer:
+        want = "an outer in port" if src_is_outer else "a box out port"
+        problems.append(
+            f"{loc}connection source {c.src_owner}.{c.src_port} must be {want}{where}"
+        )
+    if (dst.kind == "in") == dst_is_outer:
+        want = "an outer out port" if dst_is_outer else "a box in port"
+        problems.append(
+            f"{loc}connection target {c.dst_owner}.{c.dst_port} must be {want}{where}"
+        )
+    if src_is_outer and dst_is_outer:
+        problems.append(
+            f"{loc}direct connection from outer input {c.src_port} to outer "
+            f"output {c.dst_port} is forbidden{where}"
+        )
+    if not problems and src.set_name != dst.set_name:
+        problems.append(
+            f"{loc}type mismatch: {c.src_owner}.{c.src_port} : {src.set_name} "
+            f"-> {c.dst_owner}.{c.dst_port} : {dst.set_name}{where}"
+        )
+    return problems
+
+
+def _reference_validate(spec):
+    violations = [_at(span) + msg for msg, span in _structural_problems(spec)]
+    r = _Resolved(spec)
+
+    for c in spec.connects():
+        violations.extend(_reference_connect_problems(r, c, ""))
+    for d in spec.defaults():
+        loc = _at(d.span)
+        if d.owner not in r.boxes:
+            violations.append(f"{loc}default on undeclared box {d.owner!r}")
+            continue
+        p = _reference_port(r, d.owner, d.port)
+        if p is None:
+            violations.append(f"{loc}default on undeclared port {d.owner}.{d.port}")
+        elif p.kind != "in":
+            violations.append(
+                f"{loc}default on {d.owner}.{d.port}, which is not an in port"
+            )
+        elif p.set_name in r.sets and d.value not in r.sets[p.set_name]:
+            violations.append(
+                f"{loc}default value {d.value!r} is not in set {p.set_name!r}"
+            )
+
+    modes = r.modes
+    if modes is not None:
+        loc = _at(modes.span)
+        if modes.box not in r.boxes:
+            violations.append(f"{loc}modes from undeclared box {modes.box!r}")
+        else:
+            outs = r.out_ports[modes.box]
+            if len(outs) != 1:
+                violations.append(
+                    f"{loc}mode box {modes.box!r} must have exactly one out port, "
+                    f"has {len(outs)}"
+                )
+            else:
+                elements = r.sets.get(outs[0].set_name, FinSet(()))
+                for b in modes.blocks:
+                    if b.label not in elements:
+                        violations.append(
+                            f"{_at(b.span)}mode {b.label!r} is not a position of "
+                            f"box {modes.box!r}"
+                        )
+        for b in modes.blocks:
+            for c in b.connects:
+                violations.extend(
+                    _reference_connect_problems(r, c, f" (mode {b.label})")
+                )
+
+    for m in spec.machines():
+        if m.box not in r.boxes:
+            violations.append(
+                f"{_at(m.span)}machine bound to undeclared box {m.box!r}"
+            )
+
+    targets = []
+    for name in r.box_order:
+        targets.extend((name, p, True) for p in r.in_ports[name])
+    if r.outer is not None:
+        targets.extend((r.outer_name, p, False) for p in r.out_ports[r.outer_name])
+    for label in _reference_mode_labels(r):
+        conns = [
+            c for c in _reference_connects_for(r, spec, label)
+            if not _reference_connect_problems(r, c, "")
+        ]
+        suffix = f" in mode {label}" if label is not None else ""
+        for owner, decl, is_inner in targets:
+            port = decl.name
+            drivers = [
+                c for c in conns if c.dst_owner == owner and c.dst_port == port
+            ]
+            if len(drivers) > 1:
+                violations.append(f"{_at(decl.span)}fan-in at {owner}.{port}{suffix}")
+            elif not drivers:
+                if is_inner and (owner, port) in r.defaults:
+                    continue
+                kind = "no driver or default" if is_inner else "no driver"
+                violations.append(f"{_at(decl.span)}{kind} for {owner}.{port}{suffix}")
+
+    return {"ok": not violations, "violations": violations}
+
+
+def _text_mutants(text, rng):
+    """Edits of a program's connect lines that parse still accepts: one
+    dropped, one copied to another place (a mode block, say), one aimed
+    at an undeclared port."""
+    lines = text.split("\n")
+    at = [j for j, line in enumerate(lines) if line.strip().startswith("connect")]
+    if not at:
+        return []
+    drop, copy, aim = (rng.choice(at) for _ in range(3))
+    where = rng.choice(at)
+    return [
+        lines[:drop] + lines[drop + 1:],
+        lines[:where] + [lines[copy]] + lines[where:],
+        lines[:aim] + [lines[aim].rsplit(".", 1)[0] + ".zz"] + lines[aim + 1:],
+    ]
+
+
+def _ast_mutants(spec):
+    """Edits parse would refuse: every base connection stated twice, and
+    the first mode block stated twice under its label."""
+    modes = spec.modes()
+    out = [WiringSpec(spec.statements + spec.connects())]
+    if modes is not None:
+        doubled = ModesDecl(modes.box, modes.blocks + modes.blocks[:1], modes.span)
+        out.append(
+            WiringSpec(tuple(doubled if s is modes else s for s in spec.statements))
+        )
+    return out
+
+
+def _assert_same_report(spec):
+    got = validate(spec)
+    assert got == _reference_validate(spec)
+    return got["violations"]
+
+
+def test_validate_equals_the_reference_on_the_demos_and_random_specs():
+    rng = random.Random(20261019)
+    texts = [_read(name) for name in ("control.wd", "supplier.wd", "attach.wd")]
+    texts += [print_spec(random_spec(rng)) for _ in range(200)]
+    kinds = {"fan-in", "no driver", "undeclared port", " (mode ", " in mode "}
+    seen = set()
+    for text in texts:
+        spec = parse(text)
+        assert _assert_same_report(spec) == []
+        specs = [parse("\n".join(lines)) for lines in _text_mutants(text, rng)]
+        for mutant in specs + _ast_mutants(spec):
+            for v in _assert_same_report(mutant):
+                seen.update(kind for kind in kinds if kind in v)
+    assert seen == kinds
+
+
+def _switch_text(shifts=FORWARD_BACKWARD, boxes=3):
+    return _switched_ring_text(*_switched_ring_tables(10, boxes, 2, shifts))
+
+
+@pytest.mark.parametrize(
+    "edit,expected",
+    [
+        # fan-in in mode f only
+        (
+            lambda t: t.replace("  mode f {\n", "  mode f {\n    connect M1.o -> M0.i\n"),
+            ["line 4: fan-in at M0.i in mode f"],
+        ),
+        # a missing driver in mode r only
+        (
+            lambda t: t.replace("    connect M1.o -> M0.i\n", "", 1),
+            ["line 4: no driver or default for M0.i in mode r"],
+        ),
+        # a mode block naming an undeclared port
+        (
+            lambda t: t.replace("  mode f {\n", "  mode f {\n    connect M0.o -> M1.zz\n"),
+            ["line 16: undeclared port M1.zz (mode f)"],
+        ),
+        # a mode box with two out ports: only the base connections count
+        (
+            lambda t: t.replace("box Sw { out s : L;", "box Sw { out s : L; out t : L;"),
+            ["line 14: mode box 'Sw' must have exactly one out port, has 2"]
+            + [f"line {b + 4}: no driver or default for M{b}.i" for b in range(3)],
+        ),
+    ],
+    ids=["fan-in", "missing-driver", "undeclared-port", "two-out-ports"],
+)
+def test_validate_equals_the_reference_on_one_mode_faults(edit, expected):
+    assert _assert_same_report(parse(edit(_switch_text()))) == expected
+
+
+def test_validate_checks_each_connection_statement_once(monkeypatch):
+    # 128 modes of 16 boxes: 2048 mode connections and 18 base ones
+    spec = parse(_switch_text(shifts={f"m{j}": j + 1 for j in range(128)}, boxes=16))
+    statements = len(spec.connects()) + sum(len(b.connects) for b in spec.modes().blocks)
+    calls = []
+    checked = polydyn.wiring._connect_problems
+
+    def counted(r, c):
+        calls.append(c)
+        return checked(r, c)
+
+    monkeypatch.setattr(polydyn.wiring, "_connect_problems", counted)
+    assert validate(spec)["ok"]
+    assert len(calls) == len({id(c) for c in calls}) == statements == 2066
