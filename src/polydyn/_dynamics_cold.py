@@ -36,6 +36,7 @@ from polydyn.dynamics import (
     MooreMachine,
     Trace,
     _check_state,
+    _run,
     input_state_pairs,
 )
 
@@ -208,13 +209,6 @@ def run_moore(m: MooreMachine, inputs: Sequence[str]) -> Trace:
 # Stepping, unrolling and tracing a general system.
 
 
-def _pull_direction(sys: MDDS, s: str, d: str) -> str:
-    b = sys.dynamics.on_pos[s]
-    if d not in sys.interface.directions(b):
-        raise ValueError(f"direction {d!r} is not available at position {b!r}")
-    return sys.dynamics.on_dir[s][d]
-
-
 def step(sys: MDDS, s: str, d: str) -> tuple[str, str]:
     """One move of a system with contractible state: emit, then update.
 
@@ -226,7 +220,9 @@ def step(sys: MDDS, s: str, d: str) -> tuple[str, str]:
         raise ValueError("step needs a contractible state comonoid")
     _check_state(sys, s)
     b = sys.dynamics.on_pos[s]
-    return b, _pull_direction(sys, s, d)
+    if d not in sys.interface._dirs[b]:
+        raise ValueError(f"unknown input element {d!r}: not available at position {b!r}")
+    return b, sys.dynamics.on_dir[s][d]
 
 
 def unroll(sys: MDDS, s: str, depth: int) -> StrategyTree:
@@ -250,20 +246,15 @@ def unroll(sys: MDDS, s: str, depth: int) -> StrategyTree:
 def trace_history(sys: MDDS, s0: str, directions: Sequence[str]) -> str:
     """The state-category morphism a direction sequence traces out.
 
-    With no directions this is the identity morphism at s0; otherwise the
-    composite of the pulled-back directions, folded through the state
-    category's composite table.  The result is the morphism's label in
-    comonoid_to_category(sys.state).
+    This is the history of the run from s0 over the directions: the same
+    loop (_run) as run_open and run_closed, so a direction not available
+    at the position the current state emits raises its ValueError.  With
+    no directions it is the identity morphism at s0; otherwise the
+    composite of the pulled-back directions.  The result is the
+    morphism's label in comonoid_to_category(sys.state).
     """
     _check_state(sys, s0)
-    composite = sys.state.composite[s0]
-    s = s0
-    acc = sys.state.identity[s0]
-    for d in directions:
-        e = _pull_direction(sys, s, d)
-        acc = composite[(acc, e)]
-        s = sys.state.codomain[s][e]
-    return tag_label(s0, acc)
+    return _run(sys, directions, s0).history
 
 
 # ---------------------------------------------------------------------------

@@ -1275,13 +1275,13 @@ def _invariants(k: FinCat) -> tuple:
     return k._invariants
 
 
-def _direct_isomorphism(k1: FinCat, k2: FinCat, labelled: bool = True):
+def _direct_isomorphism(k1: FinCat, k2: FinCat):
     """An isomorphism k1 → k2, found by a bounded backtracking search on
     their cores, or None when the search finds none; k1 and k2 have as
-    many objects and as many morphisms.  The map is returned as label
-    maps (objects, morphisms), or, when labelled is false, as the lists of
-    the core indices of the images of k1's objects and morphisms, so that
-    cat_isomorphic derives no label of either category.
+    many objects and as many morphisms.  The map is returned as the lists
+    (objects, morphisms) of the core indices of the images of k1's
+    objects and morphisms, so that cat_isomorphic derives no label of
+    either category.
 
     k1's non-identity morphisms are placed in order, each onto an unused
     non-identity morphism of k2 that as many composable pairs compose to
@@ -1388,13 +1388,7 @@ def _direct_isomorphism(k1: FinCat, k2: FinCat, labelled: bool = True):
     for g, f, h in due[-1]:
         if rows2[mor[g]][mor[f]] != mor[h]:
             return None
-    if not labelled:
-        return obj, mor
-    objects2, names2 = k2.objects.elements, k2._names
-    return (
-        {x: objects2[y] for x, y in zip(k1.objects.elements, obj)},
-        {x: names2[y] for x, y in zip(k1._names, mor)},
-    )
+    return obj, mor
 
 
 def cat_isomorphic(k1: FinCat, k2: FinCat) -> bool:
@@ -1419,7 +1413,7 @@ def cat_isomorphic(k1: FinCat, k2: FinCat) -> bool:
     if len(k1.objects) != len(k2.objects) or len(k1._core.dom) != len(k2._core.dom):
         return False
     if k1._canonical is None or k2._canonical is None:
-        if _direct_isomorphism(k1, k2, labelled=False) is not None:
+        if _direct_isomorphism(k1, k2) is not None:
             return True
         if _invariants(k1) != _invariants(k2):
             return False

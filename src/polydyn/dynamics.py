@@ -11,7 +11,10 @@ state and directions simply are states.
 Runs produce Trace values (one step per consumed direction plus a final
 readout) and unrolling produces StrategyTree values, the finite-depth
 observation trees whose structured labels are exactly the elements of
-the iterated substitution power of the interface.
+the iterated substitution power of the interface.  One loop, _run,
+folds every history: run_open, run_closed and trace_history all call it,
+and at each state it accepts the directions at the position that state
+emits, so what a run may consume next depends on its mode.
 
 No pipeline of the package calls the following, so their code sits in
 polydyn._dynamics_cold and is compiled only when one of their names is
@@ -224,10 +227,10 @@ class Trace:
 
         It relies on what _run guarantees by construction: steps holds at
         least the final readout; every entry is an exact tuple
-        (s, on_pos[s], x) whose direction x is a legal input, an element
-        of the interface's FinSet or run_closed's "*", so a str and never
-        None; the final entry's direction is None; and final_state is the
-        state of that final entry, both written at once.
+        (s, on_pos[s], x) whose direction x is one of the interface's
+        directions at the position on_pos[s], so a str and never None;
+        the final entry's direction is None; and final_state is the state
+        of that final entry, both written at once.
         """
         t = object.__new__(cls)
         t.steps = tuple(steps)
@@ -277,8 +280,8 @@ def _check_state(sys: MDDS, s: str) -> None:
 _AT = object()
 
 
-def _run(sys: MDDS, legal: Sequence[str], inputs: Iterable[str], start: str) -> Trace:
-    """The stepping loop of run_open and run_closed.
+def _run(sys: MDDS, inputs: Iterable[str], start: str) -> Trace:
+    """The stepping loop of run_open, run_closed and trace_history.
 
     Read per state, the system is the coalgebra S → B × S^A.  The loop
     walks rows keyed by the pair (state, history), where the history is
@@ -291,19 +294,21 @@ def _run(sys: MDDS, legal: Sequence[str], inputs: Iterable[str], start: str) -> 
 
     A row entry is filled the first time the run reads that input there,
     from two lazier tables.  Each state gets one transition row, filled
-    on the first visit: for every legal input x, ((s, b, x), pulled-back
-    direction e, next state).  An illegal input is a missing key there
-    (ValueError).  The history is folded through the start's composite
-    table curried by direction: the fold of e maps a history acc to
-    composite[acc, e], and each of its entries is filled the first time
-    the run meets that pair, where a pair missing from the table raises
-    its KeyError.  All of these belong to this call alone, so a table
+    on the first visit: for every direction x at the position b the state
+    emits, ((s, b, x), pulled-back direction e, next state).  So the
+    inputs legal at a state are those of its mode, and any other input is
+    a missing key there (ValueError naming the input and the position).
+    The history is folded through the start's composite table curried by
+    direction: the fold of e maps a history acc to composite[acc, e], and
+    each of its entries is filled the first time the run meets that pair,
+    where a pair missing from the table raises its KeyError.  All of these belong to this call alone, so a table
     changed between calls is read afresh by the next one, and the work on
     the composite table grows only with the distinct (history, direction)
     pairs the run meets.
     """
     on_pos = sys.dynamics.on_pos
     on_dir = sys.dynamics.on_dir
+    dirs = sys.interface._dirs
     codomain = sys.state.codomain
     composite = sys.state.composite[start]
     transitions = {}
@@ -317,11 +322,13 @@ def _run(sys: MDDS, legal: Sequence[str], inputs: Iterable[str], start: str) -> 
             pulled = on_dir[s]
             succ = codomain[s]
             row = transitions[s] = {}
-            for x in legal:
+            for x in dirs[b].elements:
                 e = pulled[x]
                 row[x] = ((s, b, x), e, succ[e])
         if a not in row:
-            raise ValueError(f"unknown input element {a!r}")
+            raise ValueError(
+                f"unknown input element {a!r}: not available at position {on_pos[s]!r}"
+            )
         return row[a]
 
     def fill(here: dict, a: str) -> tuple:
@@ -369,7 +376,7 @@ def run_closed(sys: MDDS, steps: int, start: str) -> Trace:
     if steps < 0:
         raise ValueError("steps must be non-negative")
     _check_state(sys, start)
-    return _run(sys, ("*",), itertools.repeat("*", steps), start)
+    return _run(sys, itertools.repeat("*", steps), start)
 
 
 def run_open(sys: MDDS, inputs: Iterable[str], start: str) -> Trace:
@@ -383,8 +390,7 @@ def run_open(sys: MDDS, inputs: Iterable[str], start: str) -> Trace:
     if not is_monomial(sys.interface):
         raise ValueError("run_open needs a monomial interface B·y^A")
     _check_state(sys, start)
-    # a monomial interface offers the same inputs at every position
-    return _run(sys, sys.interface.directions(sys.interface.position_labels[0]).elements, inputs, start)
+    return _run(sys, inputs, start)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +401,7 @@ _COLD_NAMES, __getattr__, __dir__ = _lazy_names(
     "polydyn._dynamics_cold",
     """
     StrategyTree moore_to_lens lens_to_moore moore_to_mdds run_moore
-    _pull_direction step unroll overlay juxtapose apply_wiring trace_history
+    step unroll overlay juxtapose apply_wiring trace_history
     trace_to_json trace_to_csv strategy_tree_to_json _dot_quote
     strategy_tree_to_dot
     """,

@@ -668,9 +668,13 @@ def validate(spec: WiringSpec) -> dict:
     TypeError when spec is not a WiringSpec, such as unparsed text.
     """
     _require_spec(spec)
-    violations = [_at(span) + msg for msg, span in _structural_problems(spec)]
-    r = _Resolved(spec)
+    violations = _violations(spec, _Resolved(spec))
+    return {"ok": not violations, "violations": violations}
 
+
+def _violations(spec: WiringSpec, r: _Resolved) -> list[str]:
+    """validate's report for spec, read from its resolution r."""
+    violations = [_at(span) + msg for msg, span in _structural_problems(spec)]
     for label, _, problems in r.checked:
         if label is None:
             violations.extend(problems)
@@ -739,8 +743,7 @@ def validate(spec: WiringSpec) -> dict:
                     continue
                 kind = "no driver or default" if is_inner else "no driver"
                 violations.append(f"{_at(decl.span)}{kind} for {owner}.{port}{suffix}")
-
-    return {"ok": not violations, "violations": violations}
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -804,10 +807,11 @@ def compile_wiring(spec: WiringSpec) -> Lens:
     The active mode is the designated mode box's component of the
     position; without modes the base connections apply everywhere.
     """
-    report = validate(spec)
-    if not report["ok"]:
-        raise ValueError(f"invalid wiring spec: {report['violations'][0]}")
+    _require_spec(spec)
     r = _Resolved(spec)
+    violations = _violations(spec, r)
+    if violations:
+        raise ValueError(f"invalid wiring spec: {violations[0]}")
     dom = _inner_poly(r)
     cod = _outer_poly(r)
     outer_ins = r.in_ports.get(r.outer_name, [])

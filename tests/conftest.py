@@ -8,7 +8,22 @@ serve as independent oracles for the cleverer library code.
 import itertools
 import random
 
+from polydyn.comonoid import _direct_isomorphism
 from polydyn.core import FinPoly, FinSet, Lens, lens_compose, lens_id, make_poly
+
+
+def direct_isomorphism_labels(k1, k2):
+    """_direct_isomorphism(k1, k2) read as label maps (objects, morphisms),
+    or None when its search finds no map."""
+    found = _direct_isomorphism(k1, k2)
+    if found is None:
+        return None
+    obj, mor = found
+    objects2, names2 = k2.objects.elements, k2._names
+    return (
+        {x: objects2[y] for x, y in zip(k1.objects.elements, obj)},
+        {x: names2[y] for x, y in zip(k1._names, mor)},
+    )
 
 
 def all_maps(domain, codomain):

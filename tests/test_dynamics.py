@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import time
 import tracemalloc
@@ -1277,6 +1278,145 @@ def test_trace_history_distinguishes_parallel_arrows():
     assert cat.dom_of[via_be] == "u" and cat.cod_of[via_be] == "v"
     with pytest.raises(ValueError, match="not available"):
         trace_history(sys, "u", ["iv"])
+
+
+# trace_history and its legality check as they were before trace_history
+# became the history of the run loop, kept as a plain reference.
+
+
+def _reference_pull_direction(sys, s, d):
+    b = sys.dynamics.on_pos[s]
+    if d not in sys.interface.directions(b):
+        raise ValueError(f"direction {d!r} is not available at position {b!r}")
+    return sys.dynamics.on_dir[s][d]
+
+
+def _reference_trace_history(sys, s0, directions):
+    assert s0 in sys.state.carrier.positions_set()
+    composite = sys.state.composite[s0]
+    s = s0
+    acc = sys.state.identity[s0]
+    for d in directions:
+        e = _reference_pull_direction(sys, s, d)
+        acc = composite[(acc, e)]
+        s = sys.state.codomain[s][e]
+    return tag_label(s0, acc)
+
+
+def _history_or_raised(sys, s0, directions):
+    """The history both give, or the exception type both raise, after
+    checking that they name the same direction and position or carry the
+    same missing pair."""
+    try:
+        want = _reference_trace_history(sys, s0, directions)
+    except (KeyError, ValueError) as exc:
+        with pytest.raises(type(exc)) as info:
+            trace_history(sys, s0, directions)
+        if isinstance(exc, KeyError):
+            assert info.value.args == exc.args
+        else:
+            d, where = re.fullmatch(r"direction (.*) is (not available .*)", str(exc)).groups()
+            assert d in str(info.value) and where in str(info.value)
+        return type(exc)
+    assert trace_history(sys, s0, directions) == want
+    return want
+
+
+def _seeded_walk(sys, s0, rng, n):
+    """n directions, each drawn from those at the position the walk's
+    current state emits."""
+    f, codomain = sys.dynamics, sys.state.codomain
+    s, out = s0, []
+    for _ in range(n):
+        d = rng.choice(sys.interface.directions(f.on_pos[s]).elements)
+        out.append(d)
+        s = codomain[s][f.on_dir[s][d]]
+    return out
+
+
+def _drop_a_composite_pair(sys, start, walk, rng):
+    """Remove from the start's composite table a seeded one of the pairs
+    the walk meets."""
+    composite = dict(sys.state.composite[start])
+    f = sys.dynamics
+    s, acc, met = start, sys.state.identity[start], []
+    for d in walk:
+        e = f.on_dir[s][d]
+        met.append((acc, e))
+        acc = composite[acc, e]
+        s = sys.state.codomain[s][e]
+    del composite[rng.choice(met)]
+    sys.state.composite[start] = composite
+
+
+def _listen_mute_system():
+    # the system of test_step_rejects_directions_from_the_wrong_mode
+    iface = make_poly([("listen", ("a0", "a1")), ("mute", ("*",))])
+    c = contractible(FinSet(("s1", "s2")))
+    f = Lens(
+        c.carrier,
+        iface,
+        {"s1": "listen", "s2": "mute"},
+        {"s1": {"a0": "s1", "a1": "s2"}, "s2": {"*": "s1"}},
+    )
+    return MDDS(c, iface, f)
+
+
+def test_trace_history_matches_the_reference():
+    # the demos, the listen/mute modes, the group state and the parallel
+    # pair, on seeded walks and on copies with an illegal direction put in
+    # at a seeded step; then again with one composite pair removed
+    c = category_to_comonoid(_parallel_pair_category())
+    systems = [compile_system(parse(_read(name))) for name in ("control.wd", "supplier.wd", "attach.wd")]
+    systems += [
+        (_listen_mute_system(), "s1"),
+        (_cyclic2_open_system(), "x"),
+        (MDDS(c, c.carrier, lens_id(c.carrier)), "u"),
+    ]
+    rng = random.Random(34)
+    for sys, start in systems:
+        offered = sorted({d for _, ds in sys.interface.positions for d in ds.elements})
+        walks = [[]] + [_seeded_walk(sys, start, rng, n) for n in (1, 2, 5, 200)]
+        for walk in walks[1:]:
+            for bad in (rng.choice(offered), "zz"):
+                stream = list(walk)
+                stream.insert(rng.randrange(len(stream) + 1), bad)
+                walks.append(stream)
+        outcomes = [_history_or_raised(sys, start, w) for w in walks]
+        _drop_a_composite_pair(sys, start, walks[4], rng)
+        outcomes += [_history_or_raised(sys, start, w) for w in walks]
+        assert KeyError in outcomes and ValueError in outcomes
+        assert any(isinstance(o, str) for o in outcomes)
+    # a direction of the other mode
+    assert _history_or_raised(_listen_mute_system(), "s1", ["a1", "a0"]) is ValueError
+
+
+def test_trace_history_of_200k_directions_on_512_states_takes_under_60_ms():
+    # the run loop pulls each (state, direction) back once, not once per
+    # step as the reference does
+    n = 512
+    states = [f"s{i}" for i in range(n)]
+    m = MooreMachine.from_tables(
+        states,
+        ["a", "b"],
+        ["0", "1"],
+        {s: str(i % 2) for i, s in enumerate(states)},
+        {
+            (a, s): states[(i + 1) % n if a == "a" else 2 * i % n]
+            for i, s in enumerate(states)
+            for a in "ab"
+        },
+        "s0",
+    )
+    sys = moore_to_mdds(m)
+    directions = ["ab"[k % 3 == 0] for k in range(200_000)]
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        got = trace_history(sys, "s0", directions)
+        best = min(best, time.perf_counter() - t0)
+    assert got == run_moore(m, directions).history
+    assert best < 0.06
 
 
 # ---------------------------------------------------------------------------

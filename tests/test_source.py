@@ -296,6 +296,23 @@ def test_unroll_and_nstep_behavior_share_one_recursion():
     assert defined == ["_comonoid_cold.py"]
 
 
+def test_every_history_is_folded_by_the_run_loop():
+    # run_open, run_closed and trace_history fold their histories through
+    # _run; no other function of the dynamics modules reads a state
+    # comonoid's composite table or keeps a legality check of its own
+    readers, defined = set(), []
+    for module in ("dynamics.py", "_dynamics_cold.py"):
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "composite":
+                    readers.add(f"{module} {getattr(top, 'name', None)}")
+                elif isinstance(node, ast.FunctionDef) and node.name == "_pull_direction":
+                    defined.append(module)
+    assert readers == {"dynamics.py _run"}
+    assert defined == []
+
+
 def _fresh(code: str, *args: str, stdin: str = "") -> str:
     # -I: no environment variables or user site-packages; -B: no bytecode
     # written into the checkout

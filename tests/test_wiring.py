@@ -1280,3 +1280,29 @@ def test_validate_checks_each_connection_statement_once(monkeypatch):
     monkeypatch.setattr(polydyn.wiring, "_connect_problems", counted)
     assert validate(spec)["ok"]
     assert len(calls) == len({id(c) for c in calls}) == statements == 2066
+
+
+def test_compile_wiring_resolves_its_spec_once(monkeypatch):
+    # compile_wiring reads its violations from the resolution it compiles
+    # from; compile_system resolves once more, in compile_machines
+    spec = parse(_read("control.wd"))
+    resolved = []
+    init = _Resolved.__init__
+
+    def counted(self, spec):
+        resolved.append(spec)
+        init(self, spec)
+
+    monkeypatch.setattr(_Resolved, "__init__", counted)
+    compile_wiring(spec)
+    assert len(resolved) == 1
+    compile_system(spec)
+    assert len(resolved) == 3
+    # an invalid spec is refused with validate's first violation
+    bad = parse(_read("control.wd").replace("connect Controller.b -> Plant.b", ""))
+    first = validate(bad)["violations"][0]
+    del resolved[:]
+    with pytest.raises(ValueError) as info:
+        compile_wiring(bad)
+    assert str(info.value) == f"invalid wiring spec: {first}"
+    assert len(resolved) == 1
