@@ -19,6 +19,7 @@ from polydyn.core import (
     _json_array,
     _json_node,
     _json_nodes,
+    _require,
     fn_label,
     lens_from_json,
     lens_to_json,
@@ -40,7 +41,6 @@ from polydyn.comonoid import (
     Comonoid,
     FinCat,
     _comult_label,
-    _require,
     category_carrier,
 )
 
@@ -394,23 +394,42 @@ def _observations(c: Comonoid, f: Lens, p: FinPoly, empty, node):
     empty at depth 1, and deeper b = f(base[s]) and branches[d] =
     obs(codomain[s][f♯(d)], k − 1).  The branches follow the directions
     at b in the order of p, which equals f.cod.  Each (s, k) is built once.
+
+    There is no recursion, so the depth is not bounded by Python's stack:
+    obs walks down from depth k, noting at each depth the states not yet
+    built and where their directions lead, then builds them upwards.
     """
     memo = {}
 
     def obs(s: str, k: int):
         if k == 0:
             return empty
-        got = memo.get((s, k))
-        if got is None:
-            if k == 1:
-                b = f.on_pos[s]
-                branches = dict.fromkeys(p.directions(b).elements, empty)
-            else:
-                s1 = c.base[s]
-                phi, b, pulled = c.codomain[s], f.on_pos[s1], f.on_dir[s1]
-                branches = {d: obs(phi[pulled[d]], k - 1) for d in p.directions(b).elements}
-            got = memo[s, k] = node(k, b, branches)
-        return got
+        levels = []
+        need = {s: None}
+        for j in range(k, 0, -1):
+            rows = {}
+            for t in need:
+                if (t, j) in memo:
+                    continue
+                if j == 1:
+                    b = f.on_pos[t]
+                    rows[t] = b, dict.fromkeys(p.directions(b).elements)
+                else:
+                    t1 = c.base[t]
+                    phi, b, pulled = c.codomain[t], f.on_pos[t1], f.on_dir[t1]
+                    rows[t] = b, {d: phi[pulled[d]] for d in p.directions(b).elements}
+            if not rows:
+                break
+            levels.append((j, rows))
+            need = dict.fromkeys(u for _, nxt in rows.values() for u in nxt.values())
+        for j, rows in reversed(levels):
+            for t, (b, nxt) in rows.items():
+                if j == 1:
+                    branches = dict.fromkeys(nxt, empty)
+                else:
+                    branches = {d: memo[u, j - 1] for d, u in nxt.items()}
+                memo[t, j] = node(j, b, branches)
+        return memo[s, k]
 
     return obs
 

@@ -13,14 +13,12 @@ from __future__ import annotations
 import json
 from typing import Mapping
 
-from polydyn import core
 from polydyn.core import (
     UNIT_SET,
     FinPoly,
     FinSet,
     Lens,
     SetFn,
-    SizeLimitError,
     _table_labels,
     make_poly,
     monomial,
@@ -41,14 +39,13 @@ def eval_poly(p: FinPoly, x: FinSet) -> FinSet:
     """Apply p to a finite set: pairs (position, function directions → X).
 
     The result has Σ_i |X|^{|p_i|} elements, each labeled
-    "(i,[d:x,...])" with the table in direction order; above COMPOSE_LIMIT
-    this raises SizeLimitError before building anything.
+    "(i,[d:x,...])" with the table in direction order; above
+    polydyn.algebra.COMPOSE_LIMIT this raises SizeLimitError before
+    building anything.
     """
-    # read from polydyn.core at each call, where callers may lower it
-    limit = core.COMPOSE_LIMIT
-    predicted = sum(len(x) ** len(dirs) for dirs in p._dirs.values())
-    if predicted > limit:
-        raise SizeLimitError("eval_poly", predicted, limit)
+    from polydyn.algebra import _check_size
+
+    _check_size("eval_poly", sum(len(x) ** len(dirs) for dirs in p._dirs.values()))
     out = []
     for i, dirs in p._dirs.items():
         out.extend(_table_labels(i, dirs.elements, x.elements))

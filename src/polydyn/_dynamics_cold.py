@@ -16,7 +16,7 @@ from typing import Sequence
 from polydyn.core import (
     FinSet,
     Lens,
-    SetFn,
+    _require,
     fn_label,
     is_monomial,
     lens_compose,
@@ -37,7 +37,6 @@ from polydyn.dynamics import (
     Trace,
     _check_state,
     _run,
-    input_state_pairs,
 )
 
 
@@ -55,8 +54,8 @@ class StrategyTree:
     relies on to reproduce the structured element labels of the iterated
     substitution power.  Trees are read-only: unroll builds one node per
     (state, depth) and hangs it under every branch that reaches it, so a
-    node keeps its hash once computed, and == and hash visit each
-    distinct node once.
+    node keeps its hash once computed, and ==, hash and to_label visit
+    each distinct node once, without recursion.
     """
 
     __slots__ = ("depth", "position", "branches", "_hash")
@@ -91,18 +90,35 @@ class StrategyTree:
     def empty(cls) -> "StrategyTree":
         return cls(0)
 
+    def _upwards(self, done) -> list:
+        """The distinct nodes reachable from this one without passing a
+        node for which done(node) holds, shallowest first."""
+        found, stack = {}, [self]
+        while stack:
+            t = stack.pop()
+            if id(t) not in found and not done(t):
+                found[id(t)] = t
+                if t.depth:
+                    stack.extend(t.branches.values())
+        return sorted(found.values(), key=lambda t: t.depth)
+
     def to_label(self) -> str:
         """The structured element label this tree denotes.
 
         Depth 0 is the unique element "*", depth 1 is the bare position,
         and deeper trees render as pair(position, branch table).
         """
-        if self.depth == 0:
-            return "*"
-        if self.depth == 1:
-            return self.position
-        table = {d: t.to_label() for d, t in self.branches.items()}
-        return pair_label(self.position, fn_label(table, list(self.branches)))
+        labels = {}
+        for t in self._upwards(lambda t: False):
+            if t.depth == 0:
+                label = "*"
+            elif t.depth == 1:
+                label = t.position
+            else:
+                table = {d: labels[id(u)] for d, u in t.branches.items()}
+                label = pair_label(t.position, fn_label(table, list(t.branches)))
+            labels[id(t)] = label
+        return labels[id(self)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StrategyTree):
@@ -125,11 +141,13 @@ class StrategyTree:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            if self.depth == 0:
-                self._hash = hash((0,))
-            else:
-                items = frozenset(self.branches.items())
-                self._hash = hash((self.depth, self.position, items))
+            # the branches are hashed first, so no hash recurses
+            for t in self._upwards(lambda t: t._hash is not None):
+                if t.depth == 0:
+                    t._hash = hash((0,))
+                else:
+                    items = frozenset(t.branches.items())
+                    t._hash = hash((t.depth, t.position, items))
         return self._hash
 
     def __reduce__(self):
@@ -175,14 +193,8 @@ def lens_to_moore(f: Lens, initial: str) -> MooreMachine:
         inputs = FinSet(())
     else:
         inputs = f.cod.directions(f.cod.position_labels[0])
-    readout = SetFn(states, outputs, dict(f.on_pos))
-    table = {
-        pair_label(a, s): f.on_dir[s][a]
-        for a in inputs.elements
-        for s in states.elements
-    }
-    update = SetFn(input_state_pairs(inputs, states), states, table)
-    return MooreMachine(states, inputs, outputs, readout, update, initial)
+    update = {(a, s): f.on_dir[s][a] for a in inputs.elements for s in states.elements}
+    return MooreMachine.from_tables(states, inputs, outputs, f.on_pos, update, initial)
 
 
 def moore_to_mdds(m: MooreMachine) -> MDDS:
@@ -234,8 +246,7 @@ def unroll(sys: MDDS, s: str, depth: int) -> StrategyTree:
     behavior map assigns to s: both are built by _observations, once
     per (state, depth), so the tree has at most |S|·depth distinct nodes.
     """
-    if not isinstance(depth, int):
-        raise TypeError(f"depth must be an int, not {type(depth).__name__}")
+    _require(depth, int, "depth")
     if depth < 0:
         raise ValueError("depth must be non-negative")
     _check_state(sys, s)
@@ -317,6 +328,12 @@ def trace_to_csv(t: Trace) -> str:
 
 
 def strategy_tree_to_json(t: StrategyTree) -> dict:
+    """The tree as nested dicts, one level per depth, shared nodes
+    written out at every branch that reaches them.
+
+    Both this and json.dumps of its result recurse once per level, so a
+    tree deeper than Python's recursion limit raises RecursionError.
+    """
     if t.depth == 0:
         return {"depth": 0}
     return {
@@ -331,7 +348,12 @@ def _dot_quote(s: str) -> str:
 
 
 def strategy_tree_to_dot(t: StrategyTree) -> str:
-    """Graphviz text: nodes show positions, edges show directions."""
+    """Graphviz text: nodes show positions, edges show directions.
+
+    Each path through the tree is written out, by a walk that recurses
+    once per level, so a tree deeper than Python's recursion limit
+    raises RecursionError.
+    """
     lines = ["digraph strategy {"]
     counter = itertools.count()
 

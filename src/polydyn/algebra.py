@@ -42,6 +42,7 @@ from polydyn.core import (
     SizeLimitError,
     _all_maps,
     _lazy_names,
+    _require,
     _table_labels,
     constant,
     fn_label,
@@ -323,6 +324,7 @@ def compose_power(p: FinPoly, n: int) -> FinPoly:
     the first of them, and the first above COMPOSE_LIMIT raises
     SizeLimitError.
     """
+    _require(n, int, "n")
     if n < 0:
         raise ValueError("power must be non-negative")
     if n == 0:

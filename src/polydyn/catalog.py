@@ -23,8 +23,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from polydyn.comonoid import FinCat, _canonical_form, _Core, _require
-from polydyn.core import FinSet
+from polydyn.comonoid import FinCat, _canonical_form, _Core
+from polydyn.core import FinSet, _require
 
 __all__ = [
     "monoid_tables",
@@ -216,8 +216,7 @@ def monoid_tables(order: int) -> tuple:
     Equal rows are one tuple object: the 14728 rows of orders 1..6 hold
     832 distinct ones.
     """
-    if not isinstance(order, int):
-        raise TypeError(f"order must be an int, not {type(order).__name__}")
+    _require(order, int, "order")
     if order < 1:
         raise ValueError("order must be at least 1")
     rows = {}

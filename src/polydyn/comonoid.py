@@ -40,7 +40,7 @@ first read from this module:
   lens_to_cofunctor, cofunctor_to_lens)
   discrete_comonoid, comonoid_sum and comonoid_tensor
   the morphism walk and squares (_square_cells, check_comonoid_morphism)
-  nstep_behavior and the recursion unroll shares (_observations)
+  nstep_behavior and the tree builder unroll shares (_observations)
   JSON serialization (fincat_to_json, fincat_from_json, comonoid_to_json,
   comonoid_from_json)
 """
@@ -59,6 +59,7 @@ from .core import (
     SizeLimitError,
     Y,
     _lazy_names,
+    _require,
     fn_label,
     lens_id,
     pair_label,
@@ -105,14 +106,6 @@ __all__ = [
     "comonoid_to_json",
     "comonoid_from_json",
 ]
-
-
-def _require(value, cls, name: str) -> None:
-    """Refuse an argument that is not a cls, naming it."""
-    if not isinstance(value, cls):
-        kind = cls.__name__
-        article = "an" if kind[0] in "AEIOUaeiou" else "a"
-        raise TypeError(f"{name} must be {article} {kind}, not {type(value).__name__}")
 
 
 def _derived(slot: str, derive) -> property:
@@ -256,36 +249,33 @@ class Comonoid:
     codomain = _derived("_codomain", _category_codomain)
     composite = _derived("_composite", lambda c: c._category._comonoid_composite)
 
-    @property
-    def counit(self) -> Lens:
+    def _counit_lens(self) -> Lens:
         """The counit lens carrier → y, derived from identity and kept."""
-        if self._counit is None:
-            labels = self.carrier.position_labels
-            self._counit = Lens._make(
-                self.carrier,
-                Y,
-                dict.fromkeys(labels, "*"),
-                {i: {"*": self.identity[i]} for i in labels},
-            )
-        return self._counit
+        labels = self.carrier.position_labels
+        return Lens._make(
+            self.carrier,
+            Y,
+            dict.fromkeys(labels, "*"),
+            {i: {"*": self.identity[i]} for i in labels},
+        )
 
-    @property
-    def comult(self) -> Lens:
+    def _comult_lens(self) -> Lens:
         """The comultiplication lens, derived from the tables and kept.
 
         Building it materialises carrier∘carrier; poly_compose refuses
         that beyond its size limit.
         """
-        if self._comult is None:
-            carrier = self.carrier
-            target = poly_compose(carrier, carrier)
-            on_pos = {i: _comult_label(self, i) for i in carrier.position_labels}
-            on_dir = {
-                i: {pair_label(d, e): v for (d, e), v in self.composite[i].items()}
-                for i in carrier.position_labels
-            }
-            self._comult = Lens(carrier, target, on_pos, on_dir)
-        return self._comult
+        carrier = self.carrier
+        target = poly_compose(carrier, carrier)
+        on_pos = {i: _comult_label(self, i) for i in carrier.position_labels}
+        on_dir = {
+            i: {pair_label(d, e): v for (d, e), v in self.composite[i].items()}
+            for i in carrier.position_labels
+        }
+        return Lens(carrier, target, on_pos, on_dir)
+
+    counit = _derived("_counit", _counit_lens)
+    comult = _derived("_comult", _comult_lens)
 
     def is_contractible(self) -> bool:
         """Is this contractible(S) on its own position set S?

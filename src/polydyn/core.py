@@ -72,7 +72,8 @@ __all__ = [
 
 
 # The most a size-checked construction may build: positions, or what
-# _COUNTED names for its operation.
+# _COUNTED names for its operation.  Every size check reads the copy
+# polydyn.algebra imports, so that is the one to lower.
 COMPOSE_LIMIT = 1 << 22
 
 # What an operation's predicted size counts, where it is not positions.
@@ -548,6 +549,14 @@ class FinPoly:
 def make_poly(spec: Iterable[tuple[str, Iterable[str]]]) -> FinPoly:
     """Build a polynomial from (position label, direction labels) pairs."""
     return FinPoly((label, _as_finset(dirs)) for label, dirs in spec)
+
+
+def _require(value, cls, name: str) -> None:
+    """Refuse an argument that is not a cls, naming it."""
+    if not isinstance(value, cls):
+        kind = cls.__name__
+        article = "an" if kind[0] in "AEIOUaeiou" else "a"
+        raise TypeError(f"{name} must be {article} {kind}, not {type(value).__name__}")
 
 
 def _as_finset(a) -> FinSet:

@@ -38,7 +38,9 @@ from polydyn.core import (
     Lens,
     SetFn,
     Y,
+    _as_finset,
     _lazy_names,
+    _require,
     is_monomial,
     pair_label,
     tag_label,
@@ -117,9 +119,9 @@ class MooreMachine:
         update: Mapping[tuple[str, str], str],
         initial: str,
     ) -> "MooreMachine":
-        s = FinSet(tuple(states))
-        a = FinSet(tuple(inputs))
-        b = FinSet(tuple(outputs))
+        s = _as_finset(states)
+        a = _as_finset(inputs)
+        b = _as_finset(outputs)
         r = SetFn(s, b, dict(readout))
         table = {pair_label(x, q): v for (x, q), v in update.items()}
         u = SetFn(input_state_pairs(a, s), s, table)
@@ -371,8 +373,7 @@ def run_closed(sys: MDDS, steps: int, start: str) -> Trace:
     """
     if sys.interface != Y:
         raise ValueError("run_closed needs the closed interface y")
-    if not isinstance(steps, int):
-        raise TypeError(f"steps must be an int, not {type(steps).__name__}")
+    _require(steps, int, "steps")
     if steps < 0:
         raise ValueError("steps must be non-negative")
     _check_state(sys, start)

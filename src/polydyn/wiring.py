@@ -46,7 +46,6 @@ from polydyn.core import (
     FinPoly,
     FinSet,
     Lens,
-    SetFn,
     UNIT_SET,
     Y,
     _lazy_names,
@@ -56,7 +55,7 @@ from polydyn.core import (
 )
 from polydyn.algebra import tensor_many
 from polydyn.comonoid import contractible
-from polydyn.dynamics import MDDS, MooreMachine, input_state_pairs
+from polydyn.dynamics import MDDS, MooreMachine
 
 __all__ = [
     "WiringSyntaxError",
@@ -956,19 +955,9 @@ def compile_machines(spec: WiringSpec) -> list[tuple[str, MooreMachine]]:
         if len(problems) > before:
             continue
 
-        state_set = FinSet(tuple(states))
         output_set = _product_set([r.sets[p.set_name] for p in out_ports])
-        machine = MooreMachine(
-            state_set,
-            input_set,
-            output_set,
-            SetFn(state_set, output_set, readout),
-            SetFn(
-                input_state_pairs(input_set, state_set),
-                state_set,
-                {pair_label(a, s): t for (a, s), t in update.items()},
-            ),
-            m.init,
+        machine = MooreMachine.from_tables(
+            states, input_set, output_set, readout, update, m.init
         )
         out.append((name, machine))
     if problems:

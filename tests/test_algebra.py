@@ -1397,6 +1397,7 @@ _LIMITED_CALLS = [
     ("hom_enumerate", lambda: adjunction_suite(FinSet(("a",)), Y, Y)),
     ("poly_compose", lambda: cofree_truncation(Y, 1)),
     ("contractible", lambda: contractible(FinSet(("a",)))),
+    ("eval_poly", lambda: eval_poly(Y, UNIT_SET)),
 ]
 
 

@@ -386,12 +386,16 @@ def test_unroll_depth_zero_and_one():
 
 def test_unroll_and_nstep_refuse_a_depth_that_is_not_an_int():
     # a float depth never reaches 0 in unroll's recursion, and reaches
-    # range() in nstep_behavior's compose_power
+    # range() in nstep_behavior's compose_power, which itself raised
+    # range()'s error for a float and a comparison's for a str
     sys = moore_to_mdds(_toggle())
     with pytest.raises(TypeError, match="^depth must be an int, not float$"):
         unroll(sys, "0", 2.5)
     with pytest.raises(TypeError, match="^n must be an int, not float$"):
         nstep_behavior(sys.state, sys.dynamics, 2.0)
+    for n, kind in ((2.0, "float"), ("2", "str")):
+        with pytest.raises(TypeError, match=f"^n must be an int, not {kind}$"):
+            compose_power(sys.interface, n)
 
 
 def test_unroll_toggle_alternates_along_every_branch():
@@ -585,6 +589,22 @@ def test_unroll_of_the_27_state_ring_at_depth_16_shares_its_subtrees():
     # one node per (state, depth) at most, and the empty tree
     assert _distinct_nodes(tree) <= 27 * 16 + 1
     assert tree.depth == 16 and set(tree.branches) == {"a0", "a1"}
+
+
+def test_unroll_of_the_clock_at_depth_5000_does_not_recurse():
+    # the tree builder took two interpreter frames per level, so depth 500
+    # raised RecursionError; hash and to_label took one frame per level
+    c = contractible(FinSet(("u", "v")))
+    f = Lens(c.carrier, Y, {"u": "*", "v": "*"}, {"u": {"*": "v"}, "v": {"*": "u"}})
+    sys = MDDS(c, Y, f)
+    t0 = time.perf_counter()
+    tree = unroll(sys, "u", 5000)
+    assert time.perf_counter() - t0 < 0.5
+    assert _distinct_nodes(tree) <= 2 * 5000 + 1
+    again = unroll(sys, "u", 5000)
+    assert tree is not again and tree == again and hash(tree) == hash(again)
+    assert tree.to_label() == again.to_label()
+    assert nstep_behavior(c, f, 2000)("u") == unroll(sys, "u", 2000).to_label()
 
 
 class _OldTree:

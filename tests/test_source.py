@@ -313,6 +313,31 @@ def test_every_history_is_folded_by_the_run_loop():
     assert defined == []
 
 
+def test_each_job_has_one_helper():
+    # argument types are refused through core._require, and Moore machines
+    # are built from their tables by dynamics alone (MooreMachine.from_tables)
+    requires, int_raises, machines = [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        requires += [
+            path.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_require"
+        ]
+        int_raises += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and "must be an int" in ast.unparse(node)
+        ]
+        machines += [
+            f"{path.name}:{call.lineno} {fn}"
+            for _, fn, call in _calls(tree)
+            if path.name != "dynamics.py"
+            and ast.unparse(call.func) in ("MooreMachine", "input_state_pairs")
+        ]
+    assert requires == ["core.py"]
+    assert int_raises == []
+    assert machines == []
+
+
 def _fresh(code: str, *args: str, stdin: str = "") -> str:
     # -I: no environment variables or user site-packages; -B: no bytecode
     # written into the checkout
