@@ -434,6 +434,17 @@ def _observations(c: Comonoid, f: Lens, p: FinPoly, empty, node):
     return obs
 
 
+def _observation_label(k: int, b, table) -> str:
+    """The label of a depth-k observation with position b, whose branch
+    labels are table: "*" at depth 0, the bare b at depth 1, and deeper
+    pair(b, table) with the table's keys in its own order."""
+    if k == 0:
+        return "*"
+    if k == 1:
+        return b
+    return pair_label(b, fn_label(table, table))
+
+
 def nstep_behavior(c: Comonoid, f: Lens, n: int) -> SetFn:
     """Where each state can be after n steps of looking through f.
 
@@ -454,9 +465,7 @@ def nstep_behavior(c: Comonoid, f: Lens, n: int) -> SetFn:
     if n < 0:
         raise ValueError("n must be non-negative")
     cod = compose_power(f.cod, n).positions_set()
-    img = _observations(
-        c, f, f.cod, "*", lambda k, b, table: b if k == 1 else pair_label(b, fn_label(table, table))
-    )
+    img = _observations(c, f, f.cod, _observation_label(0, None, None), _observation_label)
     mapping = {s: img(s, n) for s in c.carrier.position_labels}
     return SetFn(c.carrier.positions_set(), cod, mapping)
 

@@ -10,14 +10,12 @@ polydyn.dynamics.
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 from polydyn.core import (
     FinSet,
     Lens,
     _require,
-    fn_label,
     is_monomial,
     lens_compose,
     monomial,
@@ -30,7 +28,7 @@ from polydyn.algebra import (
     product_pair,
     tensor_map,
 )
-from polydyn.comonoid import _observations, comonoid_tensor, contractible
+from polydyn.comonoid import _observation_label, _observations, comonoid_tensor, contractible
 from polydyn.dynamics import (
     MDDS,
     MooreMachine,
@@ -54,37 +52,35 @@ class StrategyTree:
     relies on to reproduce the structured element labels of the iterated
     substitution power.  Trees are read-only: unroll builds one node per
     (state, depth) and hangs it under every branch that reaches it, so a
-    node keeps its hash once computed, and ==, hash and to_label visit
-    each distinct node once, without recursion.
+    node keeps its hash once computed.  ==, hash, to_label, the JSON and
+    dot exports, pickle and copy.deepcopy visit each distinct node once,
+    without recursion; a pickled or copied tree shares its nodes as the
+    original does.
     """
 
     __slots__ = ("depth", "position", "branches", "_hash")
 
     def __init__(self, depth: int, position=None, branches=None):
-        depth = int(depth)
+        _require(depth, int, "depth")
         if depth < 0:
             raise ValueError("depth must be non-negative")
         self._hash = None
         if depth == 0:
             if position is not None or branches is not None:
                 raise ValueError("the depth-0 tree has no position and no branches")
-            self.depth = 0
-            self.position = None
-            self.branches = None
+            self.depth, self.position, self.branches = 0, None, None
             return
         if not isinstance(position, str):
             raise ValueError("a tree of positive depth needs a position label")
         branches = dict(branches if branches is not None else {})
         for d, t in branches.items():
+            _require(d, str, "direction")
             if not isinstance(t, StrategyTree):
                 raise ValueError(f"branch {d!r} is not a StrategyTree")
             if t.depth != depth - 1:
-                raise ValueError(
-                    f"branch {d!r} has depth {t.depth}, expected {depth - 1}"
-                )
-        self.depth = depth
-        self.position = position
-        self.branches = branches
+                raise ValueError(f"branch {d!r} has depth {t.depth}, expected {depth - 1}")
+        # int(): a bool depth is kept as the int it stands for
+        self.depth, self.position, self.branches = int(depth), position, branches
 
     @classmethod
     def empty(cls) -> "StrategyTree":
@@ -102,23 +98,37 @@ class StrategyTree:
                     stack.extend(t.branches.values())
         return sorted(found.values(), key=lambda t: t.depth)
 
+    def _nodes(self) -> list:
+        """Each distinct node reachable from this one, once, as (depth,
+        position, branches), every branch an index into the list; nodes
+        come shallowest first, so each follows its branches, this one last."""
+        nodes = self._upwards(lambda t: False)
+        index = {id(t): i for i, t in enumerate(nodes)}
+        return [
+            (t.depth, t.position, t.branches and {d: index[id(u)] for d, u in t.branches.items()})
+            for t in nodes
+        ]
+
+    @classmethod
+    def _from_nodes(cls, nodes: list) -> "StrategyTree":
+        """The tree a _nodes listing describes, each node built once."""
+        built = []
+        for depth, position, branches in nodes:
+            branches = branches and {d: built[i] for d, i in branches.items()}
+            built.append(cls(depth, position, branches))
+        return built[-1]
+
     def to_label(self) -> str:
         """The structured element label this tree denotes.
 
         Depth 0 is the unique element "*", depth 1 is the bare position,
         and deeper trees render as pair(position, branch table).
         """
-        labels = {}
-        for t in self._upwards(lambda t: False):
-            if t.depth == 0:
-                label = "*"
-            elif t.depth == 1:
-                label = t.position
-            else:
-                table = {d: labels[id(u)] for d, u in t.branches.items()}
-                label = pair_label(t.position, fn_label(table, list(t.branches)))
-            labels[id(t)] = label
-        return labels[id(self)]
+        labels = []
+        for depth, position, branches in self._nodes():
+            table = branches and {d: labels[i] for d, i in branches.items()}
+            labels.append(_observation_label(depth, position, table))
+        return labels[-1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StrategyTree):
@@ -151,8 +161,9 @@ class StrategyTree:
         return self._hash
 
     def __reduce__(self):
-        # the kept hash is not pickled: string hashes differ between processes
-        return StrategyTree, (self.depth, self.position, self.branches)
+        # no recursion, shared nodes stay shared, and the kept hash is left
+        # out: string hashes differ between processes
+        return StrategyTree._from_nodes, (self._nodes(),)
 
     def __repr__(self) -> str:
         if self.depth == 0:
@@ -328,19 +339,15 @@ def trace_to_csv(t: Trace) -> str:
 
 
 def strategy_tree_to_json(t: StrategyTree) -> dict:
-    """The tree as nested dicts, one level per depth, shared nodes
-    written out at every branch that reaches them.
-
-    Both this and json.dumps of its result recurse once per level, so a
-    tree deeper than Python's recursion limit raises RecursionError.
+    """The tree as {"depth": n, "nodes": [...]}: each distinct node once,
+    as {"depth": 0} or {"depth", "position", "branches"}, each branch the
+    index of its node.  Nodes follow their branches, and the root is last.
     """
-    if t.depth == 0:
-        return {"depth": 0}
-    return {
-        "depth": t.depth,
-        "position": t.position,
-        "branches": {d: strategy_tree_to_json(sub) for d, sub in t.branches.items()},
-    }
+    nodes = [
+        {"depth": k, "position": b, "branches": bs} if k else {"depth": 0}
+        for k, b, bs in t._nodes()
+    ]
+    return {"depth": t.depth, "nodes": nodes}
 
 
 def _dot_quote(s: str) -> str:
@@ -350,23 +357,15 @@ def _dot_quote(s: str) -> str:
 def strategy_tree_to_dot(t: StrategyTree) -> str:
     """Graphviz text: nodes show positions, edges show directions.
 
-    Each path through the tree is written out, by a walk that recurses
-    once per level, so a tree deeper than Python's recursion limit
-    raises RecursionError.
+    Each distinct node of positive depth is written once, numbered from
+    the root n0, then the edges between them.
     """
+    nodes = t._nodes()
+    # numbered root first; the depth-0 nodes, listed first, are left out
+    names = {i: f"n{len(nodes) - 1 - i}" for i, (depth, _, _) in enumerate(nodes) if depth}
     lines = ["digraph strategy {"]
-    counter = itertools.count()
-
-    def walk(node: StrategyTree) -> str:
-        nid = f"n{next(counter)}"
-        lines.append(f"  {nid} [label={_dot_quote(node.position)}];")
-        for d, child in node.branches.items():
-            if child.depth >= 1:
-                cid = walk(child)
-                lines.append(f"  {nid} -> {cid} [label={_dot_quote(d)}];")
-        return nid
-
-    if t.depth >= 1:
-        walk(t)
+    lines += [f"  {names[i]} [label={_dot_quote(nodes[i][1])}];" for i in reversed(names)]
+    lines += [f"  {names[i]} -> {names[j]} [label={_dot_quote(d)}];"
+              for i in reversed(names) for d, j in nodes[i][2].items() if j in names]
     lines.append("}")
     return "\n".join(lines) + "\n"

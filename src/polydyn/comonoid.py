@@ -40,7 +40,8 @@ first read from this module:
   lens_to_cofunctor, cofunctor_to_lens)
   discrete_comonoid, comonoid_sum and comonoid_tensor
   the morphism walk and squares (_square_cells, check_comonoid_morphism)
-  nstep_behavior and the tree builder unroll shares (_observations)
+  nstep_behavior, and the tree builder and label renderer that unroll and
+  StrategyTree.to_label share (_observations, _observation_label)
   JSON serialization (fincat_to_json, fincat_from_json, comonoid_to_json,
   comonoid_from_json)
 """
@@ -1475,7 +1476,7 @@ _COLD_NAMES, __getattr__, __dir__ = _lazy_names(
     """
     _is_self_composite Cofunctor check_cofunctor _square_cells
     identity_cofunctor lens_to_cofunctor cofunctor_to_lens discrete_comonoid
-    comonoid_sum comonoid_tensor check_comonoid_morphism _observations
+    comonoid_sum comonoid_tensor check_comonoid_morphism _observations _observation_label
     nstep_behavior fincat_to_json fincat_from_json comonoid_to_json comonoid_from_json
     """,
 )

@@ -523,6 +523,10 @@ class FinPoly:
             self._hash = hash(frozenset((i, dirs._set) for i, dirs in self._dirs.items()))
         return self._hash
 
+    def __getstate__(self) -> dict:
+        # the kept hash is not pickled: string hashes differ between processes
+        return {**self.__dict__, "_hash": None}
+
     def __str__(self) -> str:
         if not self._dirs:
             return "0"

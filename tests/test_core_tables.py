@@ -415,7 +415,7 @@ def test_coreless_comonoids_read_back_as_the_label_table_reference():
     # the reference is the label-table reading comonoid_to_category made
     # of such comonoids before it indexed them into a core
     from test_law_walks import _reordered_comonoid
-    from test_law_walks import _reference_comonoid_to_category as _reference_label_tables
+    from test_law_walks import _reference_flat_comonoid_to_category
 
     rng = random.Random(2901)
     cases = 0
@@ -423,7 +423,7 @@ def test_coreless_comonoids_read_back_as_the_label_table_reference():
         for x in (c, _reordered_comonoid(rng, c)):
             assert x._core is None
             k = comonoid_to_category(x)
-            _same_category(k, _reference_label_tables(x))
+            _same_category(k, _reference_flat_comonoid_to_category(x))
             # its core is the one a rebuild from its labels gives
             labels, dom, cod, comp = _reference_integer_tables(k)
             core = k._core

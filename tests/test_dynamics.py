@@ -1,6 +1,8 @@
+import copy
 import itertools
 import json
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -13,6 +15,7 @@ import pytest
 import polydyn
 
 from polydyn.core import (
+    FinPoly,
     FinSet,
     Lens,
     SetFn,
@@ -607,6 +610,40 @@ def test_unroll_of_the_clock_at_depth_5000_does_not_recurse():
     assert nstep_behavior(c, f, 2000)("u") == unroll(sys, "u", 2000).to_label()
 
 
+
+def test_the_clock_at_depth_5000_exports_and_copies_without_recursing():
+    # the exports, pickle and deepcopy took one frame per level (JSON and
+    # pickle raised RecursionError from depth 500, deepcopy from 300)
+    c = contractible(FinSet(("u", "v")))
+    f = Lens(c.carrier, Y, {"u": "*", "v": "*"}, {"u": {"*": "v"}, "v": {"*": "u"}})
+    tree = unroll(MDDS(c, Y, f), "u", 5000)
+    times = {}
+    for name, export in (
+        ("json", lambda: json.dumps(strategy_tree_to_json(tree))),
+        ("dot", lambda: strategy_tree_to_dot(tree)),
+        ("pickle", lambda: pickle.loads(pickle.dumps(tree))),
+        ("deepcopy", lambda: copy.deepcopy(tree)),
+    ):
+        t0 = time.perf_counter()
+        result = export()
+        times[name] = time.perf_counter() - t0
+        if isinstance(result, StrategyTree):
+            assert result is not tree and result == tree
+            assert _distinct_nodes(result) <= 2 * 5000 + 1
+    assert max(times.values()) < 1, times
+
+
+def test_the_json_of_the_27_state_ring_at_depth_64_lists_each_node_once():
+    # written one entry per path, it had 2^64 leaves
+    sys, start = _ring_27()
+    tree = unroll(sys, start, 64)
+    t0 = time.perf_counter()
+    data = json.loads(json.dumps(strategy_tree_to_json(tree)))
+    assert time.perf_counter() - t0 < 0.1
+    assert data["depth"] == 64 and len(data["nodes"]) <= 27 * 64 + 1
+    assert data["nodes"][-1]["depth"] == 64
+
+
 class _OldTree:
     """A StrategyTree under == and hash as they were: a walk over every
     path, however many paths share a node."""
@@ -711,6 +748,33 @@ def test_a_strategy_tree_hash_is_not_pickled():
     assert run("2", "load", stdin=run("1", "dump")).strip() == "True"
 
 
+def test_a_finpoly_hash_is_not_pickled():
+    # a polynomial keeps its hash, and string hashes differ between processes
+    code = (
+        "import pickle, sys\n"
+        "from polydyn.core import FinPoly, FinSet\n"
+        "p = FinPoly([('p', FinSet(('d', 'e'))), ('q', FinSet(()))])\n"
+        "if sys.argv[1] == 'dump':\n"
+        "    hash(p)\n"
+        "    sys.stdout.write(pickle.dumps(p).hex())\n"
+        "else:\n"
+        "    q = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+        "    print(q == p, q in {p}, hash(q) == hash(p))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(polydyn.__file__)))
+
+    def run(seed, *args, stdin=""):
+        return subprocess.run(
+            [executable, "-B", "-c", code, *args], input=stdin, capture_output=True,
+            text=True, check=True, env=dict(env, PYTHONHASHSEED=seed),
+        ).stdout
+
+    assert run("2", "load", stdin=run("1", "dump")).split() == ["True"] * 3
+    # in one process the copy is equal and hashes alike
+    p = FinPoly([("p", FinSet(("d",)))])
+    assert pickle.loads(pickle.dumps(p)) == p and hash(copy.deepcopy(p)) == hash(p)
+
+
 def test_strategy_tree_validation():
     with pytest.raises(ValueError, match="depth"):
         StrategyTree(-1)
@@ -720,6 +784,14 @@ def test_strategy_tree_validation():
         StrategyTree(2)
     with pytest.raises(ValueError, match="expected 1"):
         StrategyTree(2, "i", {"d": StrategyTree.empty()})
+    # a depth that is not an int was truncated, and a direction that is
+    # not a str was kept, breaking to_label at depth 2
+    for depth in (1.9, "1"):
+        with pytest.raises(TypeError, match="depth must be an int"):
+            StrategyTree(depth, "a", {})
+    with pytest.raises(TypeError, match="direction must be a str, not int"):
+        StrategyTree(1, "a", {1: StrategyTree.empty()})
+    assert type(StrategyTree(True, "a", {}).depth) is int
 
 
 # ---------------------------------------------------------------------------
@@ -1488,10 +1560,11 @@ def test_strategy_tree_json_and_dot():
     t = unroll(sys, "0", 2)
     assert strategy_tree_to_json(t) == {
         "depth": 2,
-        "position": "0",
-        "branches": {
-            "t": {"depth": 1, "position": "1", "branches": {"t": {"depth": 0}}}
-        },
+        "nodes": [
+            {"depth": 0},
+            {"depth": 1, "position": "1", "branches": {"t": 0}},
+            {"depth": 2, "position": "0", "branches": {"t": 1}},
+        ],
     }
     assert strategy_tree_to_dot(t) == (
         'digraph strategy {\n'
@@ -1501,6 +1574,50 @@ def test_strategy_tree_json_and_dot():
         "}\n"
     )
     assert strategy_tree_to_dot(StrategyTree.empty()) == "digraph strategy {\n}\n"
+
+
+
+def _reference_tree_json(t):
+    """strategy_tree_to_json as it was: nested dicts, every path written out."""
+    if t.depth == 0:
+        return {"depth": 0}
+    return {
+        "depth": t.depth,
+        "position": t.position,
+        "branches": {d: _reference_tree_json(u) for d, u in t.branches.items()},
+    }
+
+
+def _nested(data):
+    """The node list of a tree's JSON unfolded into the old nested dicts."""
+    built = []
+    for node in data["nodes"]:
+        if node["depth"]:
+            node = dict(node, branches={d: built[i] for d, i in node["branches"].items()})
+        built.append(node)
+    assert built[-1]["depth"] == data["depth"]
+    return built[-1]
+
+
+def test_strategy_tree_exports_list_each_distinct_node_once():
+    for sys in _unroll_reference_cases():
+        for s in sys.state.carrier.position_labels:
+            for n in range(5):
+                shared, unshared = unroll(sys, s, n), _reference_unroll(sys, s, n)
+                data = strategy_tree_to_json(shared)
+                assert len(data["nodes"]) == _distinct_nodes(shared)
+                assert _nested(data) == _reference_tree_json(shared)
+                assert _nested(strategy_tree_to_json(unshared)) == _reference_tree_json(shared)
+                # one statement per distinct node of positive depth, and one
+                # edge per branch between two such nodes
+                dot = strategy_tree_to_dot(shared).splitlines()
+                listed = [u for u in data["nodes"] if u["depth"]]
+                edges = sum(len(u["branches"]) for u in listed if u["depth"] > 1)
+                assert len(dot) == 2 + len(listed) + edges
+                assert sum("->" in line for line in dot) == edges
+                for copied in (pickle.loads(pickle.dumps(shared)), copy.deepcopy(shared)):
+                    assert copied == shared and copied.to_label() == shared.to_label()
+                    assert _distinct_nodes(copied) == _distinct_nodes(shared)
 
 
 def test_tree_labels_for_toggle():

@@ -569,7 +569,7 @@ def test_isomorphism_verdicts_and_invariants_ignore_the_order_tables_are_listed_
 # The conversions against the code that re-keyed the flat table.
 
 
-def _reference_category_to_comonoid(k: FinCat) -> Comonoid:
+def _reference_flat_category_to_comonoid(k: FinCat) -> Comonoid:
     """category_to_comonoid as it wrote the composites flat and built the
     carrier through make_poly."""
     if k._lawful is not True:
@@ -588,7 +588,7 @@ def _reference_category_to_comonoid(k: FinCat) -> Comonoid:
     return Comonoid._from_tables(carrier, dict(k.identity), codomain, composite, base)
 
 
-def _reference_comonoid_to_category(c: Comonoid) -> FinCat:
+def _reference_flat_comonoid_to_category(c: Comonoid) -> FinCat:
     """comonoid_to_category as it read the flat composites and had the
     FinCat build dom_of, cod_of and out."""
     if c._lawful is not True:
@@ -664,11 +664,11 @@ def test_conversions_match_the_flat_reference_field_by_field():
             # tables does
             assert check_comonoid_laws(c) == check_comonoid_laws(_untyped_copy(c))
             back = comonoid_to_category(c)
-            r = _reference_category_to_comonoid(x)
+            r = _reference_flat_category_to_comonoid(x)
             _same_comonoid(c, r)
             assert c == r and hash(c) == hash(r)
             assert c.composite is c.composite
-            _same_category(back, _reference_comonoid_to_category(r))
+            _same_category(back, _reference_flat_comonoid_to_category(r))
 
 
 def test_typed_and_flat_walks_report_alike_on_random_tables():
@@ -718,10 +718,10 @@ def test_round_trip_shares_one_core_and_builds_no_label_table_unread(monkeypatch
         # through labels give, and then kept
         flat = c.composite
         assert c.composite is flat
-        assert _listed(flat) == _listed(_reference_category_to_comonoid(k1).composite)
+        assert _listed(flat) == _listed(_reference_flat_category_to_comonoid(k1).composite)
         back = k2._compose
         assert k2._compose is back
-        _same_category(k2, _reference_comonoid_to_category(_reference_category_to_comonoid(k1)))
+        _same_category(k2, _reference_flat_comonoid_to_category(_reference_flat_category_to_comonoid(k1)))
 
 
 def test_a_category_is_stored_once_and_its_comonoid_refers_to_it():

@@ -338,6 +338,43 @@ def test_each_job_has_one_helper():
     assert machines == []
 
 
+def test_every_kept_hash_is_left_out_of_pickles():
+    # a hash of string labels kept in one process is stale in another, so
+    # every class that keeps one in _hash says what it pickles
+    keepers, unguarded = [], []
+    for path in MODULES:
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if any(
+                isinstance(n, ast.Attribute) and n.attr == "_hash" and isinstance(n.ctx, ast.Store)
+                for n in ast.walk(cls)
+            ):
+                keepers.append(cls.name)
+                methods = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+                if not methods & {"__reduce__", "__getstate__"}:
+                    unguarded.append(f"{path.name} {cls.name}")
+    assert {"FinPoly", "StrategyTree"} <= set(keepers)
+    assert unguarded == []
+
+
+def test_no_strategy_tree_reader_recurses():
+    # the exports, pickle and deepcopy read StrategyTree._nodes; no function
+    # of the module calls itself or keeps a nested walk
+    tree = ast.parse((SRC / "_dynamics_cold.py").read_text(encoding="utf-8"))
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            found += [
+                f"{fn.name} nests {n.name}"
+                for n in ast.walk(fn)
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n is not fn
+            ]
+            called = {ast.unparse(call.func).split(".")[-1] for _, _, call in _calls(fn)}
+            found += [f"{fn.name} calls itself"] * (fn.name in called)
+    assert found == []
+
+
 def _fresh(code: str, *args: str, stdin: str = "") -> str:
     # -I: no environment variables or user site-packages; -B: no bytecode
     # written into the checkout
