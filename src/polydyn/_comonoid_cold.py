@@ -32,6 +32,8 @@ from polydyn.core import (
     tag_label,
 )
 from polydyn.algebra import (
+    _ComposeView,
+    _Ordered,
     _compose_positions,
     compose_power,
     sum_many,
@@ -52,11 +54,17 @@ from polydyn.comonoid import (
 def _is_self_composite(carrier: FinPoly, q: FinPoly) -> bool:
     """Is q carrier∘carrier, read off its labels in either label form?
 
-    Each position of q must decode to (i, table) with the table total on
-    the directions at i and valued in positions, and its directions to the
+    A q that poly_compose built from carrier, or from a copy of it in the
+    same orders, is; nothing is listed to see that.  Otherwise each
+    position of q must decode to (i, table) with the table total on the
+    directions at i and valued in positions, and its directions to the
     pairs (d, e) with e a direction at table[d], each once.  The decoded
     positions must be distinct and as many as carrier∘carrier has.
     """
+    view = q._dirs
+    if isinstance(view, _ComposeView):
+        if _Ordered(carrier) == _Ordered(view.p) == _Ordered(view.q):
+            return True
     n = carrier.num_positions()
     if q.num_positions() != _compose_positions(carrier, n):
         return False

@@ -61,6 +61,10 @@ class StrategyTree:
     __slots__ = ("depth", "position", "branches", "_hash")
 
     def __init__(self, depth: int, position=None, branches=None):
+        # unlike the entry points, a node takes a bool depth as the int it
+        # stands for
+        if isinstance(depth, bool):
+            depth = int(depth)
         _require(depth, int, "depth")
         if depth < 0:
             raise ValueError("depth must be non-negative")
@@ -79,8 +83,7 @@ class StrategyTree:
                 raise ValueError(f"branch {d!r} is not a StrategyTree")
             if t.depth != depth - 1:
                 raise ValueError(f"branch {d!r} has depth {t.depth}, expected {depth - 1}")
-        # int(): a bool depth is kept as the int it stands for
-        self.depth, self.position, self.branches = int(depth), position, branches
+        self.depth, self.position, self.branches = depth, position, branches
 
     @classmethod
     def empty(cls) -> "StrategyTree":

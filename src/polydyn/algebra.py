@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Mapping
 from typing import Sequence
 
 from polydyn.core import (
@@ -284,7 +285,10 @@ def poly_compose(p: FinPoly, q: FinPoly) -> FinPoly:
     """Substitution p∘q: a p-position plus a q-position chosen per direction.
 
     p∘q has Σ_i |q(1)|^|p_i| positions; above COMPOSE_LIMIT this raises
-    SizeLimitError before building anything.
+    SizeLimitError before building anything.  Below it the result is
+    read from p and q (_ComposeView): its size, its membership and its
+    directions at a label cost no listing, and its positions are listed
+    the first time the whole of it is read.
     """
     _check_size("poly_compose", _compose_positions(p, q.num_positions()))
     return _poly_compose(p, q)
@@ -292,28 +296,113 @@ def poly_compose(p: FinPoly, q: FinPoly) -> FinPoly:
 
 @_ordered_cache
 def _poly_compose(p: FinPoly, q: FinPoly) -> FinPoly:
-    qlabels = q.position_labels
-    # Positions whose chosen targets have the same direction lists share
-    # one direction set; each distinct list gets a small integer.
-    kinds: dict[tuple, int] = {}
-    qkind = {v: kinds.setdefault(q.directions(v).elements, len(kinds)) for v in qlabels}
-    qdirs = {v: q.directions(v).elements for v in qlabels}
+    return FinPoly._make(_ComposeView(p, q))
 
-    def positions():
-        for i, dirs in p._dirs.items():
-            ds = dirs.elements
-            shared: dict[tuple, FinSet] = {}
-            tables = itertools.product(qlabels, repeat=len(ds))
-            for label, values in zip(_table_labels(i, ds, qlabels), tables):
-                profile = tuple(map(qkind.__getitem__, values))
-                dset = shared.get(profile)
-                if dset is None:
-                    dset = shared[profile] = FinSet(
-                        tuple(pair_label(d, e) for d, v in zip(ds, values) for e in qdirs[v])
-                    )
-                yield label, dset
 
-    return FinPoly(positions())
+class _ComposeView(Mapping):
+    """The label → directions store of p∘q, read from p and q.
+
+    A position is "(i,[d:v,...])": a position i of p and a table sending
+    each direction at i, in order, to a position of q.  len is
+    Σ_i |q(1)|^|p_i|.  A label is a member when it decodes to such an
+    (i, table) and pair_label(i, fn_label(table, p_i)) gives it back byte
+    for byte, so no other spelling of a position is one.  Iterating it,
+    or reading its keys, items or values, lists every position in
+    _table_labels order, once; the listing is kept and answers every
+    later read.  A pickled or copied view is that listing, a dict.
+
+    Positions at the same i whose targets have the same direction lists
+    share one direction set, in point reads and listing alike.
+    """
+
+    __slots__ = ("p", "q", "_qdirs", "_qkind", "_shared", "_len", "_listing")
+
+    def __init__(self, p: FinPoly, q: FinPoly):
+        self.p = p
+        self.q = q
+        self._qdirs = {v: q.directions(v).elements for v in q.position_labels}
+        # each distinct direction list of q gets a small integer
+        kinds: dict[tuple, int] = {}
+        self._qkind = {v: kinds.setdefault(ds, len(kinds)) for v, ds in self._qdirs.items()}
+        self._shared: dict[str, dict[tuple, FinSet]] = {}
+        self._len = _compose_positions(p, len(self._qdirs))
+        self._listing: dict[str, FinSet] | None = None
+
+    def _directions(self, shared: dict, ds: tuple, values: tuple) -> FinSet:
+        """The directions at (i, table), the table sending ds, the
+        directions at i, to values; shared holds those of i's positions."""
+        profile = tuple(map(self._qkind.__getitem__, values))
+        dset = shared.get(profile)
+        if dset is None:
+            qdirs = self._qdirs
+            dset = shared[profile] = FinSet(
+                tuple(pair_label(d, e) for d, v in zip(ds, values) for e in qdirs[v])
+            )
+        return dset
+
+    def _decode(self, label) -> tuple | None:
+        """(i, p_i's directions, the table's values) of a member, else None."""
+        if not isinstance(label, str):
+            return None
+        try:
+            i, table = split_pair(label)
+            phi = split_fn(table)
+        except ValueError:
+            return None
+        dirs = self.p._dirs.get(i)
+        if dirs is None or tuple(phi) != dirs.elements:
+            return None
+        values = tuple(phi.values())
+        if not all(v in self._qdirs for v in values):
+            return None
+        if pair_label(i, fn_label(phi, dirs.elements)) != label:
+            return None
+        return i, dirs.elements, values
+
+    def _listed(self) -> dict:
+        if self._listing is None:
+            qlabels = tuple(self._qdirs)
+            table = {}
+            for i, dirs in self.p._dirs.items():
+                ds = dirs.elements
+                shared = self._shared.setdefault(i, {})
+                tables = itertools.product(qlabels, repeat=len(ds))
+                for label, values in zip(_table_labels(i, ds, qlabels), tables):
+                    table[label] = self._directions(shared, ds, values)
+            self._listing = table
+        return self._listing
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __contains__(self, label) -> bool:
+        if self._listing is not None:
+            return label in self._listing
+        return self._decode(label) is not None
+
+    def __getitem__(self, label) -> FinSet:
+        if self._listing is not None:
+            return self._listing[label]
+        found = self._decode(label)
+        if found is None:
+            raise KeyError(label)
+        i, ds, values = found
+        return self._directions(self._shared.setdefault(i, {}), ds, values)
+
+    def __iter__(self):
+        return iter(self._listed())
+
+    def keys(self):
+        return self._listed().keys()
+
+    def items(self):
+        return self._listed().items()
+
+    def values(self):
+        return self._listed().values()
+
+    def __reduce__(self):
+        return dict, (self._listed(),)
 
 
 def compose_power(p: FinPoly, n: int) -> FinPoly:

@@ -201,7 +201,7 @@ def _search(num_objects: int, dom, cod):
         c += 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def monoid_tables(order: int) -> tuple:
     """All monoid multiplication tables of the given order up to isomorphism.
 

@@ -10,9 +10,10 @@ comultiplication encodes codomains (forward part) and composition
 
 This module takes that reading as its representation.  A Comonoid keeps
 the category tables (identities, codomains, composites) as its data; the
-comultiplication lens is derived from them on first access, because its
-codomain carrier∘carrier has Σ_i |carrier(1)|^|carrier_i| positions and
-most uses never need it.  The law checker, the category reading, the
+comultiplication lens is derived from them on first access, and its
+codomain carrier∘carrier, which has Σ_i |carrier(1)|^|carrier_i|
+positions, is read from the carrier and listed only by a caller that
+reads it whole.  The law checker, the category reading, the
 behavior maps and the run loops in dynamics read the tables directly.
 A category is checked by the same law walk (_law_cells), read as the
 comonoid it is; check_category and check_comonoid_laws each render the
@@ -142,6 +143,8 @@ class Comonoid:
     lens carrier → y, and comult, the lens carrier → carrier∘carrier with
     the structured labels of poly_compose, are derived from the tables on
     first access and then kept; equality and hashing force neither.
+    comult's codomain is poly_compose's view of carrier∘carrier: reading
+    comult lists none of its positions.
     check_comonoid_laws keeps the verdict of its last full walk, so that
     comonoid_to_category need not walk the same tables again.
 
@@ -155,8 +158,9 @@ class Comonoid:
     into a new core.
 
     Comonoid(carrier, counit, comult) reads the tables off the two lenses;
-    comult's codomain is recognised as carrier∘carrier from its labels, in
-    either label form, without building carrier∘carrier.  Only the shapes
+    comult's codomain is recognised as carrier∘carrier without building
+    carrier∘carrier: as poly_compose's view of it, or else from its
+    labels, in either label form.  Only the shapes
     are enforced, structurally: codomains are positions
     and composites are directions at the source.  The laws are a separate,
     exhaustive check (check_comonoid_laws) so that invalid candidates can
@@ -263,8 +267,10 @@ class Comonoid:
     def _comult_lens(self) -> Lens:
         """The comultiplication lens, derived from the tables and kept.
 
-        Building it materialises carrier∘carrier; poly_compose refuses
-        that beyond its size limit.
+        Its codomain is poly_compose(carrier, carrier), which refuses
+        carrier∘carrier beyond its size limit and below it lists nothing:
+        the lens checks its targets by decoding them, so building it costs
+        O(|carrier| · directions), not Σ_i |carrier(1)|^|carrier_i|.
         """
         carrier = self.carrier
         target = poly_compose(carrier, carrier)

@@ -448,10 +448,14 @@ class FinPoly:
     Equality is strict (same position labels, same direction sets per label);
     isomorphism in the category is tested via canonical_form instead.
 
-    The one store is the label → directions dict, in position order.
-    position_labels and directions(label) read it in O(1); positions is
-    a tuple of (label, FinSet) pairs built on each access, for callers
-    that want one.
+    The one store is the label → directions mapping, in position order:
+    a dict, or for p∘q a read-only view (polydyn.algebra._ComposeView)
+    that answers its size, membership and directions(label) from p and q
+    and lists its positions the first time it is read whole.
+    num_positions and directions(label) read the store; position_labels
+    is the tuple of its labels, taken with a dict and on first read from
+    a view; positions is a tuple of (label, FinSet) pairs built on each
+    access, for callers that want one.
     """
 
     def __init__(self, positions: Iterable[tuple[str, FinSet]]):
@@ -477,16 +481,16 @@ class FinPoly:
         self._adopt(table)
 
     @classmethod
-    def _make(cls, table: dict) -> "FinPoly":
-        """Internal constructor for a label → FinSet dict of string labels,
-        taken over unchecked."""
+    def _make(cls, table: Mapping) -> "FinPoly":
+        """Internal constructor for a label → FinSet dict, or read-only
+        Mapping, of string labels, taken over unchecked."""
         p = object.__new__(cls)
         p._adopt(table)
         return p
 
-    def _adopt(self, table: dict) -> None:
+    def _adopt(self, table: Mapping) -> None:
         self._dirs = table
-        self._labels = tuple(table)
+        self._labels = tuple(table) if type(table) is dict else None
         self._hash: int | None = None
 
     @property
@@ -495,25 +499,31 @@ class FinPoly:
 
     @property
     def position_labels(self) -> tuple[str, ...]:
+        if self._labels is None:
+            self._labels = tuple(self._dirs)
         return self._labels
 
     def directions(self, label: str) -> FinSet:
-        if label not in self._dirs:
-            raise ValueError(f"no position {label!r} in {self!r}")
-        return self._dirs[label]
+        try:
+            return self._dirs[label]
+        except KeyError:
+            # counted, not listed: the polynomial may have millions of positions
+            raise ValueError(
+                f"no position {label!r} among the {len(self._dirs)} of this polynomial"
+            ) from None
 
     def positions_set(self) -> FinSet:
-        return FinSet._make(self._labels, "positions")
+        return FinSet._make(self.position_labels, "positions")
 
     def num_positions(self) -> int:
-        return len(self._labels)
+        return len(self._dirs)
 
     def __eq__(self, other) -> bool:
         if self is other:
             return True
         if not isinstance(other, FinPoly):
             return NotImplemented
-        if self._dirs.keys() != other._dirs.keys():
+        if len(self._dirs) != len(other._dirs) or self._dirs.keys() != other._dirs.keys():
             return False
         return all(self._dirs[i] == other._dirs[i] for i in self._dirs)
 
@@ -556,8 +566,9 @@ def make_poly(spec: Iterable[tuple[str, Iterable[str]]]) -> FinPoly:
 
 
 def _require(value, cls, name: str) -> None:
-    """Refuse an argument that is not a cls, naming it."""
-    if not isinstance(value, cls):
+    """Refuse an argument that is not a cls, naming it.  A bool is not
+    taken for an int, though Python makes it one."""
+    if not isinstance(value, cls) or (cls is int and isinstance(value, bool)):
         kind = cls.__name__
         article = "an" if kind[0] in "AEIOUaeiou" else "a"
         raise TypeError(f"{name} must be {article} {kind}, not {type(value).__name__}")
@@ -601,7 +612,7 @@ def is_monomial(p: FinPoly) -> bool:
     """True when every position has the same direction set."""
     if not p._dirs:
         return False
-    first = p._dirs[p._labels[0]]
+    first = p._dirs[p.position_labels[0]]
     return all(dirs == first for dirs in p._dirs.values())
 
 

@@ -1,11 +1,14 @@
 import copy
 import hashlib
 import itertools
+import pickle
 import random
 import time
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydyn.core import (
     ONE,
@@ -17,6 +20,7 @@ from polydyn.core import (
     Lens,
     SetFn,
     SizeLimitError,
+    _table_labels,
     canonical_form,
     canonical_json,
     constant,
@@ -34,6 +38,8 @@ from polydyn.core import (
     pair_label,
     poly_to_json,
     representable,
+    split_fn,
+    split_pair,
 )
 from polydyn import algebra
 from polydyn.algebra import (
@@ -230,6 +236,100 @@ def test_compose_of_six_state_carriers_stays_allowed():
     six = FinSet(tuple(f"s{k}" for k in range(6)))
     s6 = monomial(six, six)
     assert poly_compose(s6, s6).num_positions() == 6 * 6**6 == 279_936
+
+
+# ---------------------------------------------------------------------------
+# p∘q is a view read from p and q: the eager listing it replaced is the oracle.
+
+
+def _reference_poly_compose(p: FinPoly, q: FinPoly):
+    """The (label, directions) pairs of p∘q in order, from the eager
+    generator poly_compose built every position with before p∘q became a
+    view read from p and q (algebra._ComposeView)."""
+    qlabels = q.position_labels
+    kinds: dict[tuple, int] = {}
+    qkind = {v: kinds.setdefault(q.directions(v).elements, len(kinds)) for v in qlabels}
+    qdirs = {v: q.directions(v).elements for v in qlabels}
+    for i, dirs in p.positions:
+        ds = dirs.elements
+        shared: dict[tuple, FinSet] = {}
+        tables = itertools.product(qlabels, repeat=len(ds))
+        for label, values in zip(_table_labels(i, ds, qlabels), tables):
+            profile = tuple(map(qkind.__getitem__, values))
+            dset = shared.get(profile)
+            if dset is None:
+                dset = shared[profile] = FinSet(
+                    tuple(pair_label(d, e) for d, v in zip(ds, values) for e in qdirs[v])
+                )
+            yield label, dset
+
+
+def _fresh_compose(p: FinPoly, q: FinPoly) -> FinPoly:
+    """p∘q as poly_compose builds it, past its cache, so nothing has read it."""
+    return FinPoly._make(algebra._ComposeView(p, q))
+
+
+def _backslashed(s: str) -> str:
+    return "".join("\\" + ch if ch in "(),[]:|\\" else ch for ch in s)
+
+
+def _near_misses(p: FinPoly, label: str) -> list:
+    """Keys next to a position label of p∘q that are no position of it.
+    No label of the polynomials below contains "?"."""
+    i, table = split_pair(label)
+    phi = split_fn(table)
+    ds = p.directions(i).elements
+    legacy = "[" + ",".join(_backslashed(d) + ":" + _backslashed(phi[d]) for d in ds) + "]"
+    out = [
+        "(" + _backslashed(i) + "," + _backslashed(legacy) + ")",
+        pair_label("?", table),
+        5,
+        None,
+        (i, table),
+    ]
+    if ds:
+        out.append(pair_label(i, fn_label(phi, ds[:-1])))
+        out.append(pair_label(i, fn_label({**phi, ds[0]: "?"}, ds)))
+    if len(ds) > 1:
+        out.append(pair_label(i, fn_label(phi, ds[::-1])))
+    return out
+
+
+# small labels, special characters included, and direction sets of
+# different sizes, the empty one included
+_VIEW_LABELS = st.text(alphabet=list("ab(,[:{\\"), max_size=2)
+_VIEW_POLYS = st.lists(
+    st.tuples(_VIEW_LABELS, st.lists(_VIEW_LABELS, max_size=2, unique=True)),
+    max_size=3,
+    unique_by=lambda entry: entry[0],
+).map(make_poly)
+
+
+@settings(max_examples=200, deadline=1000, derandomize=True)
+@given(_VIEW_POLYS, _VIEW_POLYS)
+def test_compose_view_agrees_with_the_eager_reference(p, q):
+    reference = list(_reference_poly_compose(p, q))
+    eager = FinPoly(reference)
+    view = _fresh_compose(p, q)
+    store = view._dirs
+    assert view.num_positions() == len(store) == len(reference)
+    # point reads, before anything lists the view
+    before = {label: view.directions(label) for label, _ in reference}
+    for label, _ in reference:
+        assert all(miss not in store and store.get(miss) is None for miss in _near_misses(p, label))
+    assert store._listing is None
+    # the listing: key for key, in order, the same direction sets
+    assert view.position_labels == tuple(label for label, _ in reference)
+    for (label, got), (_, want) in zip(store.items(), reference):
+        assert got.elements == want.elements
+        assert view.directions(label) is before[label] is got
+    for label, _ in reference:
+        assert all(miss not in store for miss in _near_misses(p, label))
+    # equality and hashing against the eager polynomial, either way round
+    assert _fresh_compose(p, q) == eager and eager == _fresh_compose(p, q)
+    assert hash(_fresh_compose(p, q)) == hash(eager) == hash(view)
+    for round_trip in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        assert round_trip(_fresh_compose(p, q)) == eager == round_trip(view)
 
 
 def test_compose_cache_tells_apart_orders():

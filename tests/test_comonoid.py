@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -808,6 +809,62 @@ def test_comult_is_refused_before_its_labels_are_written():
         with pytest.raises(SizeLimitError):
             read()
         assert time.perf_counter() - start < 0.05
+
+
+def _six_states() -> Comonoid:
+    return contractible(FinSet(tuple(f"s{j}" for j in range(6))))
+
+
+def _traced_peak(read) -> tuple:
+    """(read(), the peak bytes tracemalloc sees while it runs)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        value = read()
+        return value, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_comult_of_six_states_lists_none_of_its_codomain():
+    # carrier∘carrier is read from the carrier, so its 279,936 positions
+    # are counted, and the lens checks its six targets, without writing
+    # their labels; listing them took about 60 MB
+    algebra._poly_compose.cache_clear()
+    c = _six_states()
+    start = time.perf_counter()
+    comult = c.comult
+    assert time.perf_counter() - start < 0.05
+    assert comult.cod.num_positions() == 6 * 6**6 == 279_936
+    algebra._poly_compose.cache_clear()
+    comult, peak = _traced_peak(lambda: _six_states().comult)
+    assert peak < 1 << 20
+    assert comult.cod.num_positions() == 279_936
+
+
+def test_a_missing_position_of_the_comult_codomain_is_named_without_listing():
+    # the message used to carry the repr of all 279,936 positions (126 MB)
+    cod = _six_states().comult.cod
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        cod.directions("(s0,{2}[])")
+    assert time.perf_counter() - start < 0.05
+    assert str(info.value) == "no position '(s0,{2}[])' among the 279936 of this polynomial"
+
+
+def test_comonoid_rebuilt_from_its_own_lenses_lists_nothing():
+    # the constructor recognises the codomain poly_compose built from the
+    # carrier, instead of decoding each of its 279,936 positions
+    one = contractible(FinSet(("a",)))
+    Comonoid(one.carrier, one.counit, one.comult)  # loads the constructor's cold half
+    algebra._poly_compose.cache_clear()
+    c = _six_states()
+    counit, comult = c.counit, c.comult
+    rebuilt, peak = _traced_peak(lambda: Comonoid(c.carrier, counit, comult))
+    assert peak < 1 << 20
+    assert rebuilt == c
 
 
 # ---------------------------------------------------------------------------

@@ -435,7 +435,8 @@ def test_finpoly_hash_ignores_position_and_direction_order():
 
 def test_compose_peaks_near_what_it_keeps():
     # each entry is stored once and the hash waits for its first use, so the
-    # transient peak of building p∘p stays close to what p∘p itself holds
+    # transient peak of listing p∘p stays close to what p∘p itself holds;
+    # building it lists nothing, so the window reads its labels
     c = make_poly([(f"peak-s{i}", [f"peak-d{j}" for j in range(5)]) for i in range(5)])
     gc.collect()
     tracemalloc.start()
@@ -443,6 +444,7 @@ def test_compose_peaks_near_what_it_keeps():
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         cc = poly_compose(c, c)
+        cc.position_labels
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -451,8 +453,9 @@ def test_compose_peaks_near_what_it_keeps():
 
 
 def test_compose_keeps_little_beyond_its_labels():
-    # the label → directions dict is the only per-position store, and the
-    # positions are streamed into it, so the build peaks at what it keeps
+    # the listed label → directions dict is the only per-position store,
+    # and the positions are streamed into it, so the listing, read here
+    # inside the window, peaks at what it keeps
     c = make_poly([(f"keep-s{i}", [f"keep-d{j}" for j in range(5)]) for i in range(5)])
     gc.collect()
     tracemalloc.start()
@@ -460,6 +463,7 @@ def test_compose_keeps_little_beyond_its_labels():
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         cc = poly_compose(c, c)
+        cc.position_labels
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -31,12 +31,13 @@ from polydyn.core import (
     tag_label,
 )
 from polydyn.algebra import compose_power, poly_tensor, product_proj
-from polydyn.catalog import generate_categories
+from polydyn.catalog import generate_categories, monoid_tables
 from polydyn.comonoid import (
     Comonoid,
     FinCat,
     category_to_comonoid,
     comonoid_to_category,
+    cofree_truncation,
     contractible,
     nstep_behavior,
 )
@@ -954,6 +955,36 @@ def test_run_closed_refuses_steps_that_are_not_an_int():
         run_closed(sys, 2.5, "u")
     with pytest.raises(TypeError, match="^steps must be an int, not str$"):
         run_closed(sys, "3", "u")
+
+
+def _closed_swap() -> MDDS:
+    c = contractible(FinSet(("u", "v")))
+    f = Lens(c.carrier, Y, {"u": "*", "v": "*"}, {"u": {"*": "v"}, "v": {"*": "u"}})
+    return MDDS(c, Y, f)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("n", lambda sys: compose_power(sys.state.carrier, True)),
+        ("steps", lambda sys: run_closed(sys, True, "u")),
+        ("depth", lambda sys: unroll(sys, "u", True)),
+        ("n", lambda sys: nstep_behavior(sys.state, sys.dynamics, True)),
+        ("depth", lambda sys: cofree_truncation(sys.state.carrier, True)),
+        ("order", lambda sys: monoid_tables(True)),
+        ("max_objects", lambda sys: generate_categories(True, 3)),
+    ],
+    ids=[
+        "compose_power", "run_closed", "unroll", "nstep_behavior",
+        "cofree_truncation", "monoid_tables", "generate_categories",
+    ],
+)
+def test_entry_points_refuse_a_bool_where_an_int_is_required(name, call):
+    # a bool is an int to isinstance, so each of these ran with the value 1;
+    # monoid_tables(True) also hit a cached monoid_tables(1)
+    monoid_tables(1)
+    with pytest.raises(TypeError, match=f"^{name} must be an int, not bool$"):
+        call(_closed_swap())
 
 
 def test_run_closed_on_a_group_state_accumulates_history():
