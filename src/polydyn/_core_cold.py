@@ -43,9 +43,9 @@ def eval_poly(p: FinPoly, x: FinSet) -> FinSet:
     polydyn.algebra.COMPOSE_LIMIT this raises SizeLimitError before
     building anything.
     """
-    from polydyn.algebra import _check_size
+    from polydyn.algebra import _check_size, _compose_positions
 
-    _check_size("eval_poly", sum(len(x) ** len(dirs) for dirs in p._dirs.values()))
+    _check_size("eval_poly", _compose_positions(p, len(x)))
     out = []
     for i, dirs in p._dirs.items():
         out.extend(_table_labels(i, dirs.elements, x.elements))

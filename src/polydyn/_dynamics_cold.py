@@ -236,19 +236,17 @@ def run_moore(m: MooreMachine, inputs: Sequence[str]) -> Trace:
 
 
 def step(sys: MDDS, s: str, d: str) -> tuple[str, str]:
-    """One move of a system with contractible state: emit, then update.
+    """One move of a system: emit, then update.
 
-    Returns (emitted position, next state).  Raises when d is not legal
-    at the emitted position — which directions are available depends on
-    the position, and that is the whole point of mode dependence.
+    Returns (emitted position, next state): the first entry's position
+    and the final state of the run from s over the one direction d, so
+    any state comonoid works and the next state is the codomain of the
+    pulled-back direction.  Raises when d is not legal at the emitted
+    position — which directions are available depends on the position,
+    and that is the whole point of mode dependence.
     """
-    if not sys.state.is_contractible():
-        raise ValueError("step needs a contractible state comonoid")
-    _check_state(sys, s)
-    b = sys.dynamics.on_pos[s]
-    if d not in sys.interface._dirs[b]:
-        raise ValueError(f"unknown input element {d!r}: not available at position {b!r}")
-    return b, sys.dynamics.on_dir[s][d]
+    t = _run(sys, (d,), s)
+    return t.steps[0][1], t.final_state
 
 
 def unroll(sys: MDDS, s: str, depth: int) -> StrategyTree:
@@ -272,13 +270,13 @@ def trace_history(sys: MDDS, s0: str, directions: Sequence[str]) -> str:
     """The state-category morphism a direction sequence traces out.
 
     This is the history of the run from s0 over the directions: the same
-    loop (_run) as run_open and run_closed, so a direction not available
-    at the position the current state emits raises its ValueError.  With
-    no directions it is the identity morphism at s0; otherwise the
-    composite of the pulled-back directions.  The result is the
-    morphism's label in comonoid_to_category(sys.state).
+    loop (_run) as run_open, so a direction not available at the position
+    the current state emits raises its ValueError, and a str of
+    directions its TypeError.  With no directions it is the identity
+    morphism at s0; otherwise the composite of the pulled-back
+    directions.  The result is the morphism's label in
+    comonoid_to_category(sys.state).
     """
-    _check_state(sys, s0)
     return _run(sys, directions, s0).history
 
 

@@ -33,7 +33,6 @@ from collections.abc import Mapping
 from typing import Sequence
 
 from polydyn.core import (
-    COMPOSE_LIMIT,
     ONE,
     Y,
     ZERO,
@@ -178,6 +177,11 @@ def poly_sum(p: FinPoly, q: FinPoly) -> FinPoly:
     return sum_many([("0", p), ("1", q)])
 
 
+# The most a size-checked construction may build: positions, or what
+# core._COUNTED names for its operation.  Every size check reads it here.
+COMPOSE_LIMIT = 1 << 22
+
+
 def _check_size(operation: str, predicted: int) -> None:
     """Refuse a construction whose predicted size is above COMPOSE_LIMIT."""
     if predicted > COMPOSE_LIMIT:
@@ -208,7 +212,7 @@ def product_many(items: Sequence[tuple[str, FinPoly]]) -> FinPoly:
         "product_many",
         _product_size(
             [p.num_positions() for _, p in items],
-            [sum(map(len, p._dirs.values())) for _, p in items],
+            [_compose_counts(p, 1)[1] for _, p in items],
         ),
     )
     return FinPoly(
@@ -238,7 +242,7 @@ def tensor_many(polys: Sequence[FinPoly]) -> FinPoly:
     _check_size(
         "tensor_many",
         math.prod(p.num_positions() for p in polys)
-        + math.prod(sum(map(len, p._dirs.values())) for p in polys),
+        + math.prod(_compose_counts(p, 1)[1] for p in polys),
     )
     shared: dict[tuple, FinSet] = {}
 
@@ -263,22 +267,34 @@ def poly_tensor(p: FinPoly, q: FinPoly) -> FinPoly:
     return tensor_many([p, q])
 
 
+def _compose_counts(p: FinPoly, n: int) -> tuple[int, int]:
+    """(P(n), P′(n)) for P(n) = Σ_i n^|p_i|, counted without listing p.
+
+    P(n) is |(p∘q)(1)| for a q with n positions, and P′(n) = Σ_i |p_i| ·
+    n^(|p_i|-1) the times each direction label of q recurs in p∘q: over
+    the n^|p_i| positions at i, each direction of p_i meets each
+    q-position n^(|p_i|-1) times.  So P′(1) is p's own direction labels.
+    A view a∘b is read from its factors, as P = A∘B and
+    P′(n) = A′(B(n))·B′(n), and stays unlisted.
+    """
+    view = p._dirs
+    if isinstance(view, _ComposeView):
+        inner, inner_slope = _compose_counts(view.q, n)
+        outer, outer_slope = _compose_counts(view.p, inner)
+        return outer, outer_slope * inner_slope
+    sizes = [len(dirs) for dirs in view.values()]
+    return sum(n**k for k in sizes), sum(k * n ** (k - 1) for k in sizes if k)
+
+
 def _compose_positions(p: FinPoly, n: int) -> int:
-    """|(p∘q)(1)| = Σ_i n^|p_i| for a q with n positions."""
-    return sum(n ** len(dirs) for dirs in p._dirs.values())
+    """|(p∘q)(1)| for a q with n positions."""
+    return _compose_counts(p, n)[0]
 
 
 def _compose_direction_labels(p: FinPoly, n: int, dir_total: int) -> int:
     """The direction labels of p∘q, for a q with n positions carrying
-    dir_total labels in all.
-
-    Over the n^|p_i| positions at i, each direction of p_i meets each
-    q-position n^(|p_i|-1) times, so the total is
-    Σ_i |p_i| · n^(|p_i|-1) · dir_total.
-    """
-    return sum(
-        len(dirs) * n ** (len(dirs) - 1) * dir_total for dirs in p._dirs.values() if dirs
-    )
+    dir_total labels in all."""
+    return _compose_counts(p, n)[1] * dir_total
 
 
 def poly_compose(p: FinPoly, q: FinPoly) -> FinPoly:
@@ -481,7 +497,12 @@ def tensor_map(f: Lens, g: Lens) -> Lens:
 
 
 def compose_map(f: Lens, g: Lens) -> Lens:
-    """The action of substitution: f runs outside, g inside."""
+    """The action of substitution: f runs outside, g inside.
+
+    Each target is rendered from a position of f.cod∘g.cod, and its
+    direction table in that position's direction order, so the lens is
+    built unchecked, as lens_compose builds its own.
+    """
     dom = poly_compose(f.dom, g.dom)
     cod = poly_compose(f.cod, g.cod)
     on_pos = {}
@@ -490,19 +511,18 @@ def compose_map(f: Lens, g: Lens) -> Lens:
         i, phi_lab = split_pair(lab)
         phi = split_fn(phi_lab)
         i2 = f.on_pos[i]
-        phi2 = {}
-        for d2 in f.cod.directions(i2).elements:
-            phi2[d2] = g.on_pos[phi[f.on_dir[i][d2]]]
-        target = pair_label(i2, fn_label(phi2, f.cod.directions(i2).elements))
-        on_pos[lab] = target
+        ds2 = f.cod.directions(i2).elements
+        back = f.on_dir[i]
+        phi2 = {d2: g.on_pos[phi[back[d2]]] for d2 in ds2}
+        on_pos[lab] = pair_label(i2, fn_label(phi2, ds2))
         comp = {}
-        for d2 in f.cod.directions(i2).elements:
-            d = f.on_dir[i][d2]
-            j = phi[d]
+        for d2 in ds2:
+            d = back[d2]
+            inner = g.on_dir[phi[d]]
             for e2 in g.cod.directions(phi2[d2]).elements:
-                comp[pair_label(d2, e2)] = pair_label(d, g.on_dir[j][e2])
+                comp[pair_label(d2, e2)] = pair_label(d, inner[e2])
         on_dir[lab] = comp
-    return Lens(dom, cod, on_pos, on_dir)
+    return Lens._make(dom, cod, on_pos, on_dir)
 
 
 def sum_inj(items: Sequence[tuple[str, FinPoly]], key: str) -> Lens:

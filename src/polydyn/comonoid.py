@@ -71,6 +71,7 @@ from .core import (
 )
 from .algebra import (
     _check_size,
+    _compose_counts,
     _compose_direction_labels,
     _compose_positions,
     _product_size,
@@ -1458,7 +1459,7 @@ def cofree_truncation(
                 f"stage {k + 1} would have {predicted} positions (cap {max_positions})",
             )
         _check_size("poly_compose", predicted)
-        labels = _compose_direction_labels(p, n, sum(map(len, prev._dirs.values())))
+        labels = _compose_direction_labels(p, n, _compose_counts(prev, 1)[1])
         # y contributes one position and one direction label
         _check_size("product_many", _product_size([1, predicted], [1, labels]))
         inner = poly_compose(p, prev)

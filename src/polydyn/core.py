@@ -71,11 +71,6 @@ __all__ = [
 ]
 
 
-# The most a size-checked construction may build: positions, or what
-# _COUNTED names for its operation.  Every size check reads the copy
-# polydyn.algebra imports, so that is the one to lower.
-COMPOSE_LIMIT = 1 << 22
-
 # What an operation's predicted size counts, where it is not positions.
 _COUNTED = {
     "tensor_many": "positions plus direction labels",

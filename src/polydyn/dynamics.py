@@ -12,9 +12,9 @@ Runs produce Trace values (one step per consumed direction plus a final
 readout) and unrolling produces StrategyTree values, the finite-depth
 observation trees whose structured labels are exactly the elements of
 the iterated substitution power of the interface.  One loop, _run,
-folds every history: run_open, run_closed and trace_history all call it,
-and at each state it accepts the directions at the position that state
-emits, so what a run may consume next depends on its mode.
+checks and steps every run: run_open, run_closed, step and trace_history
+all call it, and at each state it accepts the directions at the position
+that state emits, so what a run may consume next depends on its mode.
 
 No pipeline of the package calls the following, so their code sits in
 polydyn._dynamics_cold and is compiled only when one of their names is
@@ -41,7 +41,6 @@ from polydyn.core import (
     _as_finset,
     _lazy_names,
     _require,
-    is_monomial,
     pair_label,
     tag_label,
 )
@@ -195,8 +194,8 @@ class Trace:
     least one entry, each entry a triple and not a str (TypeError), the
     last entry's direction None and no other entry's, and final_state the
     state of the last entry.
-    run_open and run_closed build their traces with _from_run instead,
-    which relies on these holding by construction and checks nothing.
+    The run loop, _run, builds its traces with _from_run instead, which
+    relies on these holding by construction and checks nothing.
     """
 
     __slots__ = ("steps", "final_state", "history")
@@ -283,16 +282,17 @@ _AT = object()
 
 
 def _run(sys: MDDS, inputs: Iterable[str], start: str) -> Trace:
-    """The stepping loop of run_open, run_closed and trace_history.
+    """The one loop of run_open, run_closed, step and trace_history.
 
-    Read per state, the system is the coalgebra S → B × S^A.  The loop
-    walks rows keyed by the pair (state, history), where the history is
-    the state-category morphism traced so far: each row maps an input a
-    to (trace entry, next row), so a step is one dict lookup.  A row
-    records its own (state, history) under a private key, which the end
-    of the loop reads for the final readout.  Keying by the pair, not by
-    the history alone, keeps the run right when a caller has changed a
-    table so that a history no longer fixes its state.
+    It refuses a str of inputs (TypeError) and an unknown start state
+    (ValueError).  Read per state, the system is the coalgebra
+    S → B × S^A.  The loop walks rows keyed by the pair (state, history),
+    where the history is the state-category morphism traced so far: each
+    row maps an input a to (trace entry, next row), so a step is one dict
+    lookup.  A row records its own (state, history) under a private key,
+    which the end of the loop reads for the final readout.  Keying by the
+    pair, not by the history alone, keeps the run right when a caller has
+    changed a table so that a history no longer fixes its state.
 
     A row entry is filled the first time the run reads that input there,
     from two lazier tables.  Each state gets one transition row, filled
@@ -308,6 +308,9 @@ def _run(sys: MDDS, inputs: Iterable[str], start: str) -> Trace:
     the composite table grows only with the distinct (history, direction)
     pairs the run meets.
     """
+    if isinstance(inputs, str):
+        raise TypeError("inputs must be an iterable of input labels, not a str")
+    _check_state(sys, start)
     on_pos = sys.dynamics.on_pos
     on_dir = sys.dynamics.on_dir
     dirs = sys.interface._dirs
@@ -376,21 +379,16 @@ def run_closed(sys: MDDS, steps: int, start: str) -> Trace:
     _require(steps, int, "steps")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    _check_state(sys, start)
     return _run(sys, itertools.repeat("*", steps), start)
 
 
 def run_open(sys: MDDS, inputs: Iterable[str], start: str) -> Trace:
-    """Feed an input stream to a system with a monomial interface B·y^A.
+    """Feed an input stream to a system, whatever its interface.
 
-    inputs is an iterable of input labels; a str is refused with a
+    Each input must be a direction at the position the current state
+    emits, so what is legal follows the mode.  A str is refused with a
     TypeError rather than run as its characters.
     """
-    if isinstance(inputs, str):
-        raise TypeError("inputs must be an iterable of input labels, not a str")
-    if not is_monomial(sys.interface):
-        raise ValueError("run_open needs a monomial interface B·y^A")
-    _check_state(sys, start)
     return _run(sys, inputs, start)
 
 

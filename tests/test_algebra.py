@@ -4,6 +4,7 @@ import itertools
 import pickle
 import random
 import time
+import tracemalloc
 
 import pytest
 import sympy
@@ -454,6 +455,76 @@ def test_compose_prediction_counts_positions_and_direction_labels():
         assert algebra._compose_direction_labels(p, n, _direction_labels(q)) == (
             _direction_labels(built)
         )
+
+
+def _compose_view(p, q):
+    # p∘q as poly_compose builds it, without the cache, which would list
+    # a view it is handed
+    return FinPoly._make(algebra._ComposeView(p, q))
+
+
+def test_compose_counts_read_nested_views_from_their_factors():
+    rng = random.Random(38)
+    for _ in range(300):
+        p, q, r = (random_poly(rng, max_positions=2, max_dirs=2) for _ in range(3))
+        for view in (_compose_view(_compose_view(p, q), r), _compose_view(p, _compose_view(q, r))):
+            counts = [algebra._compose_counts(view, n) for n in range(4)]
+            assert view._dirs._listing is None
+            sizes = [len(dirs) for _, dirs in view.positions]
+            assert counts == [
+                (sum(n**k for k in sizes), sum(k * n ** (k - 1) for k in sizes if k))
+                for n in range(4)
+            ]
+
+
+def test_size_checks_count_a_compose_view_without_listing_it():
+    # y^4∘(40·y^3) has 2,560,000 positions of 12 directions, y^3∘(60·y^3)
+    # 216,000 of 9; each is refused from counts read off its factors
+    def view(k, n):
+        ds = FinSet(("x", "y", "z"))
+        return poly_compose(
+            monomial(FinSet(("o",)), FinSet(tuple(f"d{j}" for j in range(k)))),
+            monomial(FinSet(tuple(f"v{j}" for j in range(n))), ds),
+        )
+
+    big, small = view(4, 40), view(3, 60)
+    cases = [
+        ("product_many", big, lambda: product_many([("0", big), ("1", Y)]), 40**4 * 14),
+        ("tensor_many", small, lambda: tensor_many([small, small]), 60**6 + (60**3 * 9) ** 2),
+    ]
+    for operation, c, build, predicted in cases:
+        tracemalloc.start()
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError) as info:
+            build()
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert (info.value.operation, info.value.predicted) == (operation, predicted)
+        assert elapsed < 0.1 and peak < 5 * 2**20
+        assert c._dirs._listing is None
+
+
+def test_compose_map_equals_a_validated_rebuild():
+    # compose_map builds its lens unchecked; rebuilding it through Lens(...)
+    # must accept it and change nothing, key order included
+    rng = random.Random(37)
+    built = 0
+    for _ in range(200):
+        p, p2, q, q2 = (random_poly(rng, max_positions=2, max_dirs=2) for _ in range(4))
+        for _ in range(rng.randint(1, 9)):
+            f, g = random_lens(rng, p, p2), random_lens(rng, q, q2)
+            if f is None or g is None:
+                continue
+            h = compose_map(f, g)
+            rebuilt = Lens(h.dom, h.cod, h.on_pos, h.on_dir)
+            assert list(h.on_pos.items()) == list(rebuilt.on_pos.items())
+            assert [list(c.items()) for c in h.on_dir.values()] == [
+                list(c.items()) for c in rebuilt.on_dir.values()
+            ]
+            assert list(h.on_dir) == list(rebuilt.on_dir)
+            built += 1
+    assert built > 200
 
 
 def test_compose_power_predicts_every_power_before_building(monkeypatch):

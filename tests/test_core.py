@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydyn.algebra import poly_compose, tensor_many
+from polydyn.algebra import COMPOSE_LIMIT, poly_compose, tensor_many
 from polydyn.core import (
-    COMPOSE_LIMIT,
     ONE,
     UNIT_SET,
     Y,

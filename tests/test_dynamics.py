@@ -67,7 +67,15 @@ from polydyn.dynamics import (
 from polydyn.wiring import compile_system, parse, random_spec
 
 from conftest import all_lenses, all_maps, count_lenses
-from test_wiring import _read, _ring_tables, _ring_text, _with_random_machines
+from test_wiring import (
+    FORWARD_BACKWARD,
+    _read,
+    _ring_tables,
+    _ring_text,
+    _switched_ring_tables,
+    _switched_ring_text,
+    _with_random_machines,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +347,45 @@ def test_step_rejects_directions_from_the_wrong_mode():
         step(sys, "s3", "a0")
 
 
-def test_step_requires_contractible_state():
+def test_step_serves_a_state_that_is_not_contractible():
+    # the successor is the codomain of the pulled-back direction: both
+    # loops of the group return to x, and the parallel pair's al and be
+    # both lead from u to v, where only iv is legal
     c = _cyclic2_comonoid()
     sys = MDDS(c, c.carrier, lens_id(c.carrier))
-    with pytest.raises(ValueError, match="contractible"):
-        step(sys, "x", "e")
+    assert step(sys, "x", "e") == step(sys, "x", "s") == ("x", "x")
+    c = category_to_comonoid(_parallel_pair_category())
+    sys = MDDS(c, c.carrier, lens_id(c.carrier))
+    assert [step(sys, "u", d) for d in ("iu", "al", "be")] == [("u", "u"), ("u", "v"), ("u", "v")]
+    assert step(sys, "v", "iv") == ("v", "v")
+    with pytest.raises(ValueError, match="unknown input element 'al': not available at position 'v'"):
+        step(sys, "v", "al")
+
+
+def _step_systems():
+    for name in ("control.wd", "supplier.wd", "attach.wd"):
+        yield compile_system(parse(_read(name)))[0]
+    c = _cyclic2_comonoid()
+    yield MDDS(c, c.carrier, lens_id(c.carrier))
+    yield _cyclic2_open_system()
+    tables = _switched_ring_tables(10, 3, 3, FORWARD_BACKWARD)
+    yield compile_system(parse(_switched_ring_text(*tables)))[0]
+
+
+def test_step_is_the_first_position_and_final_state_of_a_one_input_run():
+    # every state and every direction legal there, on the demos, the group
+    # state and the switched ring 3 × 3 (54 states, two modes)
+    moves = 0
+    for sys in _step_systems():
+        f, codomain = sys.dynamics, sys.state.codomain
+        for s in sys.state.carrier.position_labels:
+            b = f.on_pos[s]
+            for d in sys.interface.directions(b).elements:
+                t = run_open(sys, [d], s)
+                want = (b, codomain[s][f.on_dir[s][d]])
+                assert step(sys, s, d) == (t.steps[0][1], t.final_state) == want
+                moves += 1
+    assert moves > 54 * 2
 
 
 def test_20k_steps_on_512_states_take_under_half_a_second():
@@ -1000,11 +1042,58 @@ def test_run_closed_on_a_group_state_accumulates_history():
         assert t.states() == ("x",) * (n + 1)
 
 
-def test_run_open_requires_monomial_interface():
+def test_run_open_runs_each_mode_of_a_mode_dependent_interface():
+    # the parallel pair as its own interface: at u the inputs are the
+    # three arrows out of u, at v only iv; an input of the other mode
+    # names the position it was read at
     c = category_to_comonoid(_parallel_pair_category())
     sys = MDDS(c, c.carrier, lens_id(c.carrier))
-    with pytest.raises(ValueError, match="monomial"):
-        run_open(sys, ["al"], "u")
+    assert not is_monomial(sys.interface)
+    for stream in ([], ["iu", "iu"], ["iu", "al", "iv"], ["be", "iv", "iv"]):
+        t = run_open(sys, stream, "u")
+        _check_trace(sys, t)
+        assert t.directions() == tuple(stream)
+        assert t.history == _reference_trace_history(sys, "u", stream)
+    assert run_open(sys, ["iu", "be", "iv"], "u").states() == ("u", "u", "v", "v")
+    assert run_open(sys, ["iv"], "v").positions() == ("v", "v")
+    for stream, start, a, b in ((["al", "be"], "u", "be", "v"), (["iv"], "u", "iv", "u")):
+        with pytest.raises(ValueError, match=f"unknown input element '{a}': not available at position '{b}'"):
+            run_open(sys, stream, start)
+
+
+def test_run_open_runs_a_system_behind_a_mode_dependent_wiring():
+    # the echo machine behind a wiring that offers "flip" only while the
+    # machine shows x: stay keeps the shown value, flip stores the other
+    echo = moore_to_mdds(_echo())
+    outer = make_poly([("x", ("stay", "flip")), ("y", ("stay",))])
+    w = Lens(
+        echo.interface,
+        outer,
+        {"x": "x", "y": "y"},
+        {"x": {"stay": "x", "flip": "y"}, "y": {"stay": "y"}},
+    )
+    sys = apply_wiring(w, echo)
+    assert not is_monomial(sys.interface)
+    t = run_open(sys, ["stay", "flip", "stay"], "x")
+    assert t.steps == (
+        ("x", "x", "stay"), ("x", "x", "flip"), ("y", "y", "stay"), ("y", "y", None),
+    )
+    assert t.states() == run_open(echo, ["x", "y", "y"], "x").states()
+    with pytest.raises(ValueError, match="unknown input element 'flip': not available at position 'y'"):
+        run_open(sys, ["flip", "flip"], "x")
+
+
+def test_every_entry_point_names_an_illegal_input_and_its_position():
+    sys = _cyclic2_open_system()
+    message = "unknown input element 'z': not available at position 'o'"
+    for call in (
+        lambda: run_open(sys, ["a", "z"], "x"),
+        lambda: step(sys, "x", "z"),
+        lambda: trace_history(sys, "x", ["b", "z"]),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_run_open_refuses_a_str_of_inputs():
@@ -1512,6 +1601,12 @@ def test_trace_history_matches_the_reference():
         assert any(isinstance(o, str) for o in outcomes)
     # a direction of the other mode
     assert _history_or_raised(_listen_mute_system(), "s1", ["a1", "a0"]) is ValueError
+
+
+def test_trace_history_refuses_a_str_of_directions():
+    # "ab" would otherwise run as the directions a, b
+    with pytest.raises(TypeError, match="inputs must be an iterable of input labels, not a str"):
+        trace_history(_cyclic2_open_system(), "x", "ab")
 
 
 def test_trace_history_of_200k_directions_on_512_states_takes_under_60_ms():

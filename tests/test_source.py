@@ -297,15 +297,17 @@ def test_unroll_and_nstep_behavior_share_one_recursion():
 
 
 def test_every_history_is_folded_by_the_run_loop():
-    # run_open, run_closed and trace_history fold their histories through
-    # _run; no other function of the dynamics modules reads a state
-    # comonoid's composite table or keeps a legality check of its own
+    # run_open, run_closed, step and trace_history run through _run; no
+    # other function of the dynamics modules reads a state comonoid's
+    # composite or codomain table, or the interface's direction sets, so
+    # none keeps a lookup or a legality check of its own
+    read = (".composite", "state.codomain", "interface._dirs", "interface.directions")
     readers, defined = set(), []
     for module in ("dynamics.py", "_dynamics_cold.py"):
         tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
         for top in tree.body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Attribute) and node.attr == "composite":
+                if isinstance(node, ast.Attribute) and ast.unparse(node).endswith(read):
                     readers.add(f"{module} {getattr(top, 'name', None)}")
                 elif isinstance(node, ast.FunctionDef) and node.name == "_pull_direction":
                     defined.append(module)
