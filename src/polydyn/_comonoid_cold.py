@@ -20,21 +20,21 @@ from polydyn.core import (
     _json_node,
     _json_nodes,
     _require,
-    fn_label,
     lens_from_json,
     lens_to_json,
     make_poly,
     pair_label,
     poly_from_json,
     poly_to_json,
-    split_fn,
     split_pair,
     tag_label,
 )
 from polydyn.algebra import (
     _ComposeView,
     _Ordered,
+    _compose_label,
     _compose_positions,
+    _split_compose,
     compose_power,
     sum_many,
     tensor_many,
@@ -77,8 +77,7 @@ def _is_self_composite(carrier: FinPoly, q: FinPoly) -> bool:
     seen = set()
     for label, dirs in q._dirs.items():
         try:
-            i, table = split_pair(label)
-            phi = split_fn(table)
+            i, phi = _split_compose(label)
             here = positions[i]
             if phi.keys() != here._set:
                 return False
@@ -356,7 +355,7 @@ def check_comonoid_morphism(phi: Lens, c: Comonoid, d: Comonoid) -> dict:
             b = c.base[i]
             at_b, gs = phi.on_dir[b], d.carrier.directions(phi.on_pos[b]).elements
             table = {g: phi.on_pos[c.codomain[i][at_b[g]]] for g in gs}
-            v, w = _comult_label(d, phi.on_pos[i]), pair_label(phi.on_pos[b], fn_label(table, gs))
+            v, w = _comult_label(d, phi.on_pos[i]), _compose_label(phi.on_pos[b], table, gs)
             cells = [(None, None, v, w)]
         for g, h, v, w in cells:
             where = {} if h is None else {"direction": pair_label(g, h)}
@@ -450,7 +449,7 @@ def _observation_label(k: int, b, table) -> str:
         return "*"
     if k == 1:
         return b
-    return pair_label(b, fn_label(table, table))
+    return _compose_label(b, table, table)
 
 
 def nstep_behavior(c: Comonoid, f: Lens, n: int) -> SetFn:

@@ -36,6 +36,8 @@ from polydyn.core import (
     tag_label,
 )
 from polydyn.algebra import (
+    _compose_label,
+    _split_compose,
     cartesian_closure,
     global_sections,
     hom_count,
@@ -190,7 +192,7 @@ def tensor_symmetry(p: FinPoly, q: FinPoly) -> tuple[Lens, Lens]:
 def compose_left_unitor(p: FinPoly) -> tuple[Lens, Lens]:
     """y ∘ p ≅ p."""
     return _relabel_iso(
-        poly_compose(Y, p), p, lambda i: split_fn(_second(i))["*"], lambda i, d: _second(d)
+        poly_compose(Y, p), p, lambda i: _split_compose(i)[1]["*"], lambda i, d: _second(d)
     )
 
 
@@ -202,15 +204,14 @@ def compose_right_unitor(p: FinPoly) -> tuple[Lens, Lens]:
 def _rebracket_compose(label: str) -> str:
     """((i,[d:j,...]),[(d,e):k,...]) ↦ (i,[d:(j,[e:k,...]),...])."""
     # tables list their entries in the order of the direction sets they read
-    x, psi_lab = split_pair(label)
-    i, phi_lab = split_pair(x)
-    phi = split_fn(phi_lab)
-    psi = {d: {} for d in phi}
-    for de, k in split_fn(psi_lab).items():
+    x, psi = _split_compose(label)
+    i, phi = _split_compose(x)
+    tables = {d: {} for d in phi}
+    for de, k in psi.items():
         d, e = split_pair(de)
-        psi[d][e] = k
-    chi = {d: pair_label(j, fn_label(psi[d], psi[d])) for d, j in phi.items()}
-    return pair_label(i, fn_label(chi, phi))
+        tables[d][e] = k
+    chi = {d: _compose_label(j, tables[d], tables[d]) for d, j in phi.items()}
+    return _compose_label(i, chi, phi)
 
 
 def compose_associator(p: FinPoly, q: FinPoly, r: FinPoly) -> tuple[Lens, Lens]:
@@ -235,10 +236,8 @@ def duoidal(p1: FinPoly, p2: FinPoly, q1: FinPoly, q2: FinPoly) -> Lens:
     on_dir = {}
     for lab in dom.position_labels:
         left, right = split_pair(lab)
-        i1, phi_lab = split_pair(left)
-        j1, psi_lab = split_pair(right)
-        phi = split_fn(phi_lab)
-        psi = split_fn(psi_lab)
+        i1, phi = _split_compose(left)
+        j1, psi = _split_compose(right)
         outer_dirs = [
             pair_label(d, e)
             for d in p1.directions(i1).elements
@@ -248,7 +247,7 @@ def duoidal(p1: FinPoly, p2: FinPoly, q1: FinPoly, q2: FinPoly) -> Lens:
         for d in p1.directions(i1).elements:
             for e in q1.directions(j1).elements:
                 chi[pair_label(d, e)] = pair_label(phi[d], psi[e])
-        on_pos[lab] = pair_label(pair_label(i1, j1), fn_label(chi, outer_dirs))
+        on_pos[lab] = _compose_label(pair_label(i1, j1), chi, outer_dirs)
         comp = {}
         for d in p1.directions(i1).elements:
             for e in q1.directions(j1).elements:
@@ -267,17 +266,17 @@ def duoidal(p1: FinPoly, p2: FinPoly, q1: FinPoly, q2: FinPoly) -> Lens:
 def _distribute_position(label: str) -> str:
     """(0|(i,j),[0|d:k,...,1|e:k,...]) ↦ 0|((i,[d:k,...]),(j,[e:k,...]))
     and (1|k,φ) ↦ 1|(k,φ), keeping each table's entry order."""
-    x, phi_lab = split_pair(label)
+    x, phi = _split_compose(label)
     tag, inner = split_tag(x)
     if tag == "1":
-        return tag_label("1", pair_label(inner, phi_lab))
+        return tag_label("1", _compose_label(inner, phi, phi))
     halves = ({}, {})
-    for td, k in split_fn(phi_lab).items():
+    for td, k in phi.items():
         t, d = split_tag(td)
         halves[int(t)][d] = k
     return tag_label(
         "0",
-        pair_label(*(pair_label(i, fn_label(h, h)) for i, h in zip(split_pair(inner), halves))),
+        pair_label(*(_compose_label(i, h, h) for i, h in zip(split_pair(inner), halves))),
     )
 
 

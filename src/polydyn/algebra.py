@@ -22,6 +22,10 @@ Label bookkeeping is fixed once and for all:
   product  positions "(i,j)"         directions "0|d" and "1|e"
   tensor   positions "(i,j)"         directions "(d,e)"
   compose  positions "(i,[d:j,...])" directions "(d,e)"
+
+A compose position is written by _compose_label and read back by
+_split_compose, and by no other code; core._table_labels lists a whole
+p∘q at once in the same bytes.
 """
 
 from __future__ import annotations
@@ -124,19 +128,28 @@ class _Ordered:
 
     FinPoly equality ignores the order of positions and directions, but
     the labels and the order of every cached construction depend on both.
+    A p∘q view is keyed by the ids of its two factors, which it keeps
+    alive, so a key lists no view: it equals only a view key over the
+    very same factors.
     """
 
-    __slots__ = ("poly",)
+    __slots__ = ("poly", "_factors")
 
     def __init__(self, poly: FinPoly):
         self.poly = poly
+        view = poly._dirs
+        self._factors = (id(view.p), id(view.q)) if type(view) is _ComposeView else None
 
     def __hash__(self) -> int:
-        return hash(self.poly)
+        return hash(self._factors or self.poly)
 
     def __eq__(self, other) -> bool:
         a, b = self.poly, other.poly
-        return a is b or (
+        if a is b:
+            return True
+        if self._factors or other._factors:
+            return self._factors == other._factors
+        return (
             a.position_labels == b.position_labels
             and all(
                 x.elements == y.elements for x, y in zip(a._dirs.values(), b._dirs.values())
@@ -315,13 +328,24 @@ def _poly_compose(p: FinPoly, q: FinPoly) -> FinPoly:
     return FinPoly._make(_ComposeView(p, q))
 
 
+def _compose_label(i: str, table: Mapping[str, str], order: Sequence[str]) -> str:
+    """The p∘q position "(i,[d:v,...])", its table written in order."""
+    return pair_label(i, fn_label(table, order))
+
+
+def _split_compose(label: str) -> tuple[str, dict[str, str]]:
+    """(i, table) of a p∘q position label; ValueError if it is none."""
+    i, table = split_pair(label)
+    return i, split_fn(table)
+
+
 class _ComposeView(Mapping):
     """The label → directions store of p∘q, read from p and q.
 
     A position is "(i,[d:v,...])": a position i of p and a table sending
     each direction at i, in order, to a position of q.  len is
     Σ_i |q(1)|^|p_i|.  A label is a member when it decodes to such an
-    (i, table) and pair_label(i, fn_label(table, p_i)) gives it back byte
+    (i, table) and _compose_label(i, table, p_i) gives it back byte
     for byte, so no other spelling of a position is one.  Iterating it,
     or reading its keys, items or values, lists every position in
     _table_labels order, once; the listing is kept and answers every
@@ -361,8 +385,7 @@ class _ComposeView(Mapping):
         if not isinstance(label, str):
             return None
         try:
-            i, table = split_pair(label)
-            phi = split_fn(table)
+            i, phi = _split_compose(label)
         except ValueError:
             return None
         dirs = self.p._dirs.get(i)
@@ -371,7 +394,7 @@ class _ComposeView(Mapping):
         values = tuple(phi.values())
         if not all(v in self._qdirs for v in values):
             return None
-        if pair_label(i, fn_label(phi, dirs.elements)) != label:
+        if _compose_label(i, phi, dirs.elements) != label:
             return None
         return i, dirs.elements, values
 
@@ -508,13 +531,12 @@ def compose_map(f: Lens, g: Lens) -> Lens:
     on_pos = {}
     on_dir = {}
     for lab in dom.position_labels:
-        i, phi_lab = split_pair(lab)
-        phi = split_fn(phi_lab)
+        i, phi = _split_compose(lab)
         i2 = f.on_pos[i]
         ds2 = f.cod.directions(i2).elements
         back = f.on_dir[i]
         phi2 = {d2: g.on_pos[phi[back[d2]]] for d2 in ds2}
-        on_pos[lab] = pair_label(i2, fn_label(phi2, ds2))
+        on_pos[lab] = _compose_label(i2, phi2, ds2)
         comp = {}
         for d2 in ds2:
             d = back[d2]
@@ -593,12 +615,8 @@ def initial_lens(p: FinPoly) -> Lens:
 
 
 def hom_count(p: FinPoly, q: FinPoly) -> int:
-    """Π_i Σ_j |p_i|^{|q_j|}, as an exact integer."""
-    total = 1
-    for i in p.position_labels:
-        di = len(p.directions(i))
-        total *= sum(di ** len(q.directions(j)) for j in q.position_labels)
-    return total
+    """Π_i Σ_j |p_i|^{|q_j|}, as an exact integer; q is not listed."""
+    return math.prod(_compose_positions(q, len(d)) for d in p._dirs.values())
 
 
 def hom_iter(p: FinPoly, q: FinPoly):
@@ -694,7 +712,7 @@ def _curry(f: Lens, p: FinPoly, q: FinPoly, r: FinPoly, cod: FinPoly, split) -> 
                 phi[dr], d = split(table[dr])
                 if d is not None:
                     back[tag_label(j, pair_label(dr, "*"))] = d
-            comps.append(pair_label(k, fn_label(phi, dirs)))
+            comps.append(_compose_label(k, phi, dirs))
         on_pos[i] = pair_label(*comps)
         on_dir[i] = back
     return Lens._make(p, cod, on_pos, on_dir)
@@ -712,8 +730,7 @@ def _uncurry(g: Lens, p: FinPoly, q: FinPoly, r: FinPoly, dom: FinPoly, merge) -
     for i in p.position_labels:
         back = g.on_dir[i]
         for j, comp in zip(q.position_labels, split_pair(g.on_pos[i])):
-            k, phi_label = split_pair(comp)
-            phi = split_fn(phi_label)
+            k, phi = _split_compose(comp)
             src = pair_label(i, j)
             on_pos[src] = k
             on_dir[src] = {

@@ -62,10 +62,8 @@ from .core import (
     Y,
     _lazy_names,
     _require,
-    fn_label,
     lens_id,
     pair_label,
-    split_fn,
     split_pair,
     tag_label,
 )
@@ -73,8 +71,10 @@ from .algebra import (
     _check_size,
     _compose_counts,
     _compose_direction_labels,
+    _compose_label,
     _compose_positions,
     _product_size,
+    _split_compose,
     compose_map,
     poly_compose,
     poly_product,
@@ -186,8 +186,7 @@ class Comonoid:
         composite = {}
         for i in carrier.position_labels:
             identity[i] = counit.on_dir[i]["*"]
-            base[i], table = split_pair(comult.on_pos[i])
-            codomain[i] = split_fn(table)
+            base[i], codomain[i] = _split_compose(comult.on_pos[i])
             composite[i] = {split_pair(de): v for de, v in comult.on_dir[i].items()}
         _check_tables(carrier, identity, codomain, composite, base)
         self._adopt(carrier, identity, codomain, composite, base)
@@ -384,7 +383,7 @@ def _check_tables(carrier, identity, codomain, composite, base) -> None:
 def _comult_label(c: Comonoid, i: str) -> str:
     """The carrier∘carrier position the comultiplication sends i to."""
     b = c.base[i]
-    return pair_label(b, fn_label(c.codomain[i], c.carrier.directions(b).elements))
+    return _compose_label(b, c.codomain[i], c.carrier.directions(b).elements)
 
 
 def _is_contractible(c: Comonoid) -> bool:
@@ -523,14 +522,14 @@ def _law_cells(positions, dirs, ident, base, cod, comp, typed: bool) -> list:
             for e in dirs[i2]:
                 j = psi[e]
                 inner = {g: phi[comp1[g][e]] for g in dirs[j]}
-                chi[e] = pair_label(j, fn_label(inner, dirs[j]))
+                chi[e] = _compose_label(j, inner, dirs[j])
             table = {}
             for d in i1dirs:
                 k = phi[d]
                 # comult(k), as _comult_label renders it
-                table[d] = pair_label(base[k], fn_label(cod[k], dirs[base[k]]))
-            left = pair_label(i2, fn_label(chi, dirs[i2]))
-            right = pair_label(i1, fn_label(table, i1dirs))
+                table[d] = _compose_label(base[k], cod[k], dirs[base[k]])
+            left = _compose_label(i2, chi, dirs[i2])
+            right = _compose_label(i1, table, i1dirs)
             cells.append(("coassociativity", i, None, left, right))
             continue
         for d in walk[i1]:

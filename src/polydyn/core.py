@@ -147,8 +147,10 @@ def _lazy_names(namespace: dict, source: str, names: str) -> tuple:
 # a special character inside a part was escaped with a backslash at every
 # level; an old part that starts with "{" is read as a length prefix.
 # This section is the only code that knows the format: other modules build
-# and read labels through these functions, and the nested "(i,[d:x,...])"
-# labels of eval_poly and poly_compose all come from _table_labels.
+# and read labels through these functions.  A nested "(i,[d:x,...])" label
+# is written one at a time by algebra._compose_label and read back by
+# algebra._split_compose; the listings of eval_poly and poly_compose come
+# from _table_labels, which writes the same bytes in bulk.
 
 _NEEDS_PREFIX = re.compile(r"[(),\[\]:|\\{]").search
 # the next backslash or separator of a run, per set of separators ending it
@@ -255,6 +257,7 @@ def fn_label(mapping: Mapping[str, str], domain_order: Sequence[str]) -> str:
 def _table_labels(i: str, domain: Sequence[str], values: Sequence[str]):
     """pair_label(i, fn_label(t, domain)) for every table t, in _all_maps order.
 
+    The bulk form of algebra._compose_label(i, t, domain), byte for byte.
     Each "d:v" entry is embedded once, not once per label it appears in,
     and the tables that differ only in their last entry share one joined
     prefix.  A table is always the pair's length-prefixed second part.

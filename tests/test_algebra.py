@@ -458,8 +458,7 @@ def test_compose_prediction_counts_positions_and_direction_labels():
 
 
 def _compose_view(p, q):
-    # p∘q as poly_compose builds it, without the cache, which would list
-    # a view it is handed
+    # p∘q as poly_compose builds it, without its cache
     return FinPoly._make(algebra._ComposeView(p, q))
 
 
@@ -503,6 +502,49 @@ def test_size_checks_count_a_compose_view_without_listing_it():
         assert (info.value.operation, info.value.predicted) == (operation, predicted)
         assert elapsed < 0.1 and peak < 5 * 2**20
         assert c._dirs._listing is None
+
+
+def _nine_direction_view():
+    # y^3∘(60·y^3): 216,000 positions of 9 directions, built unlisted
+    return _compose_view(
+        monomial(FinSet(("o",)), FinSet(("d0", "d1", "d2"))),
+        monomial(FinSet(tuple(f"v{j}" for j in range(60))), FinSet(("x", "y", "z"))),
+    )
+
+
+def test_cached_products_refuse_a_compose_view_without_listing_it():
+    # the cache key of a view is its factors, so the size check comes first
+    c = _nine_direction_view()
+    for operation, build in (("product_many", poly_product), ("tensor_many", poly_tensor)):
+        tracemalloc.start()
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError) as info:
+            build(c, c)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert info.value.operation == operation
+        assert elapsed < 0.1 and peak < 5 * 2**20
+        assert c._dirs._listing is None
+
+
+def test_a_view_cache_key_equals_only_a_key_over_the_same_factors():
+    p, q = make_poly([("a", ("l", "r"))]), make_poly([("u", ("x",)), ("v", ())])
+    view = _compose_view(p, q)
+    keys = [algebra._Ordered(x) for x in (view, _compose_view(p, q))]
+    assert keys[0] == keys[1] and hash(keys[0]) == hash(keys[1])
+    assert view._dirs._listing is None
+    others = [_compose_view(copy.copy(p), q), FinPoly(view.positions)]
+    assert all(keys[0] != algebra._Ordered(x) for x in others)
+    assert all(algebra._Ordered(x) != keys[0] for x in others)
+
+
+def test_hom_count_reads_a_compose_view_without_listing_it():
+    c = _nine_direction_view()
+    start = time.perf_counter()
+    assert hom_count(Y, c) == 216_000
+    assert time.perf_counter() - start < 0.01
+    assert c._dirs._listing is None
 
 
 def test_compose_map_equals_a_validated_rebuild():

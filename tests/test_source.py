@@ -273,6 +273,31 @@ def test_the_cold_comonoid_checks_compose_no_labels():
     assert calls == []
 
 
+def test_only_algebra_writes_and_reads_compose_positions():
+    # a p∘q position "(i,[d:v,...])" is written by algebra._compose_label
+    # and read back by algebra._split_compose, which calls split_fn as a
+    # global of algebra, where the benchmark's tracer records it.  Apart
+    # from the codec itself, only adjunction_suite calls split_fn, on
+    # global sections.
+    writers, readers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.name} {getattr(top, 'name', None)}"
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = ast.unparse(node.func)
+                if name == "pair_label" and any(
+                    isinstance(arg, ast.Call) and ast.unparse(arg.func) == "fn_label"
+                    for arg in node.args
+                ):
+                    writers.append(where)
+                elif name == "split_fn":
+                    readers.append(where)
+    assert writers == ["algebra.py _compose_label"]
+    assert readers == ["_structure.py adjunction_suite", "algebra.py _split_compose"]
+
+
 def test_unroll_and_nstep_behavior_share_one_recursion():
     # both build observation trees through _observations, memoised per
     # (state, depth); neither keeps a recursion of its own
