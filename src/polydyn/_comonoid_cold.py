@@ -1,10 +1,12 @@
 """The cold half of polydyn.comonoid, compiled on first use.
 
-The public Comonoid constructor's recognition of carrier∘carrier,
-cofunctors, discrete comonoids, sums and tensors, the morphism squares,
-finite-depth behavior maps and JSON serialization.  No pipeline of the
-package calls them, so polydyn.comonoid loads this module only when one
-of these names is first read from it; import them from polydyn.comonoid.
+The public Comonoid constructor's recognition of carrier∘carrier, the
+FinCat constructor's error for a faulty composition table,
+is_cat_isomorphism, cofunctors, discrete comonoids, sums and tensors,
+the morphism squares, finite-depth behavior maps and JSON
+serialization.  No pipeline of the package calls them, so
+polydyn.comonoid loads this module only when one of these names is
+first read from it; import them from polydyn.comonoid.
 """
 
 from __future__ import annotations
@@ -100,6 +102,70 @@ def _is_self_composite(carrier: FinPoly, q: FinPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# The error of a faulty composition table, for the FinCat constructor.
+
+
+def _composition_error(mors, out, ends, compose2) -> ValueError:
+    """The error FinCat refuses a faulty composition table with: a key
+    set other than the composable pairs first, then the first composite,
+    in the table's order, that is not a morphism or has wrong endpoints;
+    ends[m] is (dom, cod) of morphism m."""
+    composable = {(g, f) for f, _, c in mors for g in out[c]}
+    given = set(compose2)
+    if given != composable:
+        missing = sorted(composable - given)
+        extra = sorted(given - composable)
+        return ValueError(f"composition table mismatch: missing {missing!r}, extra {extra!r}")
+    for (g, f), h in compose2.items():
+        if h not in ends:
+            return ValueError(f"composite of ({g!r}, {f!r}) is not a morphism: {h!r}")
+        if ends[h] != (ends[f][0], ends[g][1]):
+            return ValueError(f"composite {h!r} of ({g!r}, {f!r}) has wrong endpoints")
+
+
+# ---------------------------------------------------------------------------
+# Checking a given isomorphism of finite categories.
+
+
+def is_cat_isomorphism(
+    k1: FinCat, k2: FinCat, obj_map: Mapping[str, str], mor_map: Mapping[str, str]
+) -> bool:
+    """Verify that a given pair of bijections is a category isomorphism."""
+    _require(k1, FinCat, "k1")
+    _require(k2, FinCat, "k2")
+    objs1 = k1.objects.elements
+    mors1 = k1._names
+    objs2 = k2.objects.elements
+    mors2 = k2._names
+    # labels are unique on both sides, so equal lengths and equal sets make
+    # each map a bijection
+    if len(obj_map) != len(objs1) or set(obj_map) != set(objs1):
+        return False
+    if len(objs1) != len(objs2) or {obj_map[o] for o in objs1} != set(objs2):
+        return False
+    if len(mor_map) != len(mors1) or set(mor_map) != set(mors1):
+        return False
+    if len(mors1) != len(mors2) or {mor_map[m] for m in mors1} != set(mors2):
+        return False
+    # the maps on the cores' indices; the identity of object i is morphism i
+    at2, index2 = {o: i for i, o in enumerate(objs2)}, k2._index
+    obj = [at2[obj_map[o]] for o in objs1]
+    mor = [index2[mor_map[m]] for m in mors1]
+    a, b = k1._core, k2._core
+    if any(mor[i] != x for i, x in enumerate(obj)):
+        return False
+    for m, m2 in enumerate(mor):
+        if b.dom[m2] != obj[a.dom[m]] or b.cod[m2] != obj[a.cod[m]]:
+            return False
+    # endpoints are preserved, so every image pair is composable in k2
+    for f, c in enumerate(a.cod):
+        for g in a.out[c]:
+            if b.rows[mor[g]][mor[f]] != mor[a.rows[g][f]]:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Cofunctors.
 
 
@@ -127,10 +193,11 @@ class Cofunctor:
         self.src = src
         self.tgt = tgt
         self.on_obj = on_obj
+        out = category_carrier(tgt)
         wanted = {
             (c, g)
             for c in src.objects.elements
-            for g in tgt.out[on_obj(c)]
+            for g in out.directions(on_obj(c)).elements
         }
         given = set(pull_mor)
         if given != wanted:
@@ -138,10 +205,11 @@ class Cofunctor:
                 f"pull_mor keys mismatch: missing {sorted(wanted - given)!r}, "
                 f"extra {sorted(given - wanted)!r}"
             )
+        objects, dom, index = src.objects.elements, src._core.dom, src._index
         for (c, g), m in pull_mor.items():
-            if m not in src.dom_of:
+            if m not in index:
                 raise ValueError(f"pull_mor[{(c, g)!r}] is not a morphism: {m!r}")
-            if src.dom_of[m] != c:
+            if objects[dom[index[m]]] != c:
                 raise ValueError(f"pull_mor[{(c, g)!r}] must start at {c!r}")
         self.pull_mor = dict(pull_mor)
 
@@ -199,7 +267,7 @@ def check_cofunctor(f: Cofunctor) -> dict:
 def identity_cofunctor(k: FinCat) -> Cofunctor:
     _require(k, FinCat, "k")
     on_obj = SetFn.identity(k.objects)
-    pull = {(c, g): g for c in k.objects.elements for g in k.out[c]}
+    pull = {(c, g): g for c, gs in category_carrier(k)._dirs.items() for g in gs.elements}
     return Cofunctor(k, k, on_obj, pull)
 
 
@@ -369,13 +437,14 @@ def lens_to_cofunctor(phi: Lens, src: FinCat, tgt: FinCat) -> Cofunctor:
     _require(phi, Lens, "phi")
     _require(src, FinCat, "src")
     _require(tgt, FinCat, "tgt")
-    if phi.dom != category_carrier(src) or phi.cod != category_carrier(tgt):
+    out = category_carrier(tgt)
+    if phi.dom != category_carrier(src) or phi.cod != out:
         raise ValueError("phi must run between the carriers of src and tgt")
     on_obj = SetFn(src.objects, tgt.objects, dict(phi.on_pos))
     pull = {
         (c, g): phi.on_dir[c][g]
         for c in src.objects.elements
-        for g in tgt.out[phi.on_pos[c]]
+        for g in out.directions(phi.on_pos[c]).elements
     }
     return Cofunctor(src, tgt, on_obj, pull)
 
@@ -383,11 +452,13 @@ def lens_to_cofunctor(phi: Lens, src: FinCat, tgt: FinCat) -> Cofunctor:
 def cofunctor_to_lens(f: Cofunctor) -> Lens:
     """The carrier lens of a cofunctor: objects forward, morphisms back."""
     _require(f, Cofunctor, "f")
-    on_pos = {c: f.on_obj(c) for c in f.src.objects.elements}
-    on_dir = {c: {g: f.pull_mor[c, g] for g in f.tgt.out[j]} for c, j in on_pos.items()}
     # the Cofunctor constructor has checked this typing
     dom = category_carrier(f.src)
     cod = dom if f.tgt is f.src else category_carrier(f.tgt)
+    on_pos = {c: f.on_obj(c) for c in f.src.objects.elements}
+    on_dir = {
+        c: {g: f.pull_mor[c, g] for g in cod.directions(j).elements} for c, j in on_pos.items()
+    }
     return Lens._make(dom, cod, on_pos, on_dir)
 
 

@@ -229,13 +229,14 @@ def monoid_tables(order: int) -> tuple:
 class _Parts:
     """The immutable parts of the categories of one generate_categories call.
 
-    Morphism labels m0, m1, .., object labels o0, o1, .., the (g, f) keys
+    Morphism labels m0, m1, .., object labels o0, o1, .., the map from
+    each label to its morphism for each morphism count, the (g, f) keys
     of the composition tables, the (label, dom, cod) morphism triples, the
     objects FinSet of each object count and the morphisms out of each
     object of each typing are made once here and shared by every category
-    built from them.  The label tables of each category (dom_of, cod_of,
-    out, identity, the composition table) are its own, derived from its
-    core when first read.
+    built from them.  No category stores a label table: dom_of, cod_of,
+    out, identity and the composition table are read-only views that
+    read its core and these parts on every access.
     """
 
     def __init__(self, max_objects: int, max_morphisms: int):
@@ -245,6 +246,7 @@ class _Parts:
         self.names = names
         self.labels = labels
         self.prefixes = [labels[:n] for n in range(max_morphisms + 1)]
+        self.indices = [{m: j for j, m in enumerate(ms)} for ms in self.prefixes]
         self.objects = [FinSet(names[:k]) for k in range(len(names) + 1)]
         self.keys = [[(g, f) for f in labels] for g in labels]
         self.triples = [[[(m, d, c) for c in names] for d in names] for m in labels]
@@ -273,6 +275,7 @@ def _build_fincat(parts: _Parts, num_objects: int, dom, cod, comp) -> FinCat:
         names=parts.prefixes[n],
         morphisms=tuple([triples[j][dom[j]][cod[j]] for j in range(n)]),
         keys=parts.keys,
+        index=parts.indices[n],
     )
 
 

@@ -19,10 +19,10 @@ A category is checked by the same law walk (_law_cells), read as the
 comonoid it is; check_category and check_comonoid_laws each render the
 failing cells as their own report.  A category is stored once: a FinCat
 holds an integer core (_Core), which the law walk and the isomorphism
-tests read, and its labels, and derives its label tables from them when
-they are first read.  The comonoid it reads as refers to that FinCat and
-copies none of it; the FinCat read back from that comonoid shares its
-core and keeps only its own labels.
+tests read, and its labels; its label tables are views over them, stored
+nowhere.  The comonoid it reads as refers to that FinCat and copies none
+of it; the FinCat read back from that comonoid shares its core and keeps
+only its own labels.
 
 Morphisms of comonoids are lenses compatible with both structure maps;
 under the category reading they are cofunctors, not functors: forward on
@@ -37,6 +37,9 @@ polydyn._comonoid_cold and is compiled only when one of their names is
 first read from this module:
   the public constructor's recognition of carrier∘carrier
   (_is_self_composite)
+  the error FinCat refuses a faulty composition table with
+  (_composition_error)
+  is_cat_isomorphism (cat_isomorphic's check past its direct search)
   cofunctors (Cofunctor, check_cofunctor, identity_cofunctor,
   lens_to_cofunctor, cofunctor_to_lens)
   discrete_comonoid, comonoid_sum and comonoid_tensor
@@ -60,6 +63,7 @@ from .core import (
     ONE,
     SizeLimitError,
     Y,
+    _amount,
     _lazy_names,
     _require,
     lens_id,
@@ -245,11 +249,14 @@ class Comonoid:
 
     def _category_codomain(self) -> dict:
         k = self._category
-        out, cod_of = k.out, k.cod_of
-        return {o: {m: cod_of[m] for m in ms} for o, ms in out.items()}
+        objects, names, cod = k.objects.elements, k._names, k._core.cod
+        return {o: {names[m]: objects[cod[m]] for m in ms} for o, ms in zip(objects, k._core.out)}
 
     carrier = _derived("_carrier", lambda c: category_carrier(c._category))
-    identity = _derived("_identity", lambda c: dict(c._category.identity))
+    # the identity of object i is the core's morphism i
+    identity = _derived(
+        "_identity", lambda c: dict(zip(c._category.objects.elements, c._category._names))
+    )
     base = _derived("_base", lambda c: {o: o for o in c._category.objects.elements})
     codomain = _derived("_codomain", _category_codomain)
     composite = _derived("_composite", lambda c: c._category._comonoid_composite)
@@ -688,6 +695,26 @@ class _Core:
         self.cells = None
 
 
+class _LabelTable(Mapping):
+    """A read-only label table of a FinCat, read from its core on every
+    access and stored nowhere: keys() lists the keys in the table's
+    order, and read(key) is the value at key or raises KeyError."""
+
+    __slots__ = ("_keys", "_read", "_size")
+
+    def __init__(self, keys, read, size: int):
+        self._keys, self._read, self._size = keys, read, size
+
+    def __getitem__(self, key):
+        return self._read(key)
+
+    def __iter__(self):
+        return iter(self._keys())
+
+    def __len__(self) -> int:
+        return self._size
+
+
 class FinCat:
     """A finite category: objects, morphisms, identities, composition table.
 
@@ -706,22 +733,22 @@ class FinCat:
     direct search finds no isomorphism, and a canonical form only when the
     invariants agree.
 
-    A FinCat stores its objects, an integer core (_Core), the label of
-    each of the core's morphisms and its list of (label, dom, cod)
-    triples, and nothing else; the law check, the conversions and the
-    isomorphism tests read the core.  The constructor builds the core in
-    the pass that checks the label tables and keeps the caller's list.  A
-    category of the catalog and one read back from a comonoid
-    (comonoid_to_category) are built on a core that the catalog's search
-    or comonoid_to_category holds (_on_core), and derive their list and,
-    when tagged, their labels.  The label tables (dom_of, cod_of, out,
-    identity, _compose, and the composite table its comonoids share) are
-    derived on first read, in the order of the list and of the core, and kept.
+    A FinCat stores its objects, an integer core (_Core), its morphisms'
+    labels, each label's index and its list of (label, dom, cod) triples;
+    the law check, the conversions and the isomorphism tests read the
+    core.  The constructor builds the core and the index in the pass that
+    checks the label tables and keeps the caller's list.  A category of
+    the catalog and one read back from a comonoid (comonoid_to_category)
+    are built on a core that the catalog's search or comonoid_to_category
+    holds (_on_core), and derive their list and, when tagged, their labels
+    and index.  The label tables (dom_of, cod_of, out, identity, _compose)
+    are read-only Mappings over the core, in the order of the list and of
+    the core, and are stored nowhere.
     """
 
     __slots__ = (
-        "objects", "_morphisms", "_dom_of", "_cod_of", "_out", "_identity", "_composites",
-        "_core", "_labels", "_tagged", "_keys", "_lawful", "_canonical", "_invariants", "_by_obj",
+        "objects", "_morphisms", "_core", "_labels", "_by_label", "_tagged", "_keys",
+        "_lawful", "_canonical", "_invariants", "_by_obj",
     )
 
     def __init__(
@@ -751,15 +778,14 @@ class FinCat:
             if d not in at or c not in at:
                 raise ValueError(f"morphism {m!r}: endpoints {d!r}→{c!r} not objects")
             out[d].append(m)
-        dom_of = {m: d for m, d, _ in mors}
-        cod_of = {m: c for m, _, c in mors}
+        ends = {m: (d, c) for m, d, c in mors}
         for o in objects.elements:
             if o not in identity:
                 raise ValueError(f"no identity assigned at object {o!r}")
             m = identity[o]
-            if m not in dom_of:
+            if m not in ends:
                 raise ValueError(f"identity at {o!r} is not a morphism: {m!r}")
-            if dom_of[m] != o or cod_of[m] != o:
+            if ends[m] != (o, o):
                 raise ValueError(f"identity at {o!r} must be a loop at {o!r}")
         extra = [o for o in identity if o not in at]
         if extra:
@@ -791,32 +817,36 @@ class FinCat:
                     raise LookupError
                 rows[g][f] = h
         except (LookupError, TypeError):
-            raise _composition_error(mors, out, dom_of, cod_of, compose2) from None
+            from ._comonoid_cold import _composition_error
+
+            raise _composition_error(mors, out, ends, compose2) from None
         out = tuple([tuple([index[m] for m in ms]) for ms in out.values()])
-        self._adopt(objects, _Core(dom, cod, out, rows), tuple(index), mors)
+        self._adopt(objects, _Core(dom, cod, out, rows), tuple(index), mors, index)
 
     @classmethod
     def _on_core(
-        cls, objects: FinSet, core: _Core, names=None, tagged=None, morphisms=None, keys=None
+        cls, objects: FinSet, core: _Core, names=None, tagged=None, morphisms=None, keys=None,
+        index=None
     ) -> "FinCat":
         """Internal constructor for a lawful or well-typed core, taken over
         unchecked.  Morphism m is labelled names[m], or, given tagged,
-        tag_label(its domain, tagged[m]).  Without morphisms, the category
-        lists them object by object, in the order of core.out; keys[g][f],
-        when given, is the (g, f) key tuple its composition table shares
-        with other categories."""
+        tag_label(its domain, tagged[m]); index, if given, maps each label
+        to its m.  Without morphisms, the category lists them object by
+        object, in the order of core.out; keys[g][f], when given, is the
+        (g, f) key tuple its composition table shares with other
+        categories."""
         k = object.__new__(cls)
-        k._adopt(objects, core, names, morphisms)
+        k._adopt(objects, core, names, morphisms, index)
         k._tagged = tagged
         k._keys = keys
         return k
 
-    def _adopt(self, objects, core, names, mors) -> None:
+    def _adopt(self, objects, core, names, mors, index=None) -> None:
         self.objects = objects
         self._core = core
         self._labels = names
         self._morphisms = mors
-        self._dom_of = self._cod_of = self._out = self._identity = self._composites = None
+        self._by_label = index
         self._tagged = self._keys = self._by_obj = None
         self._lawful = None
         self._canonical = None
@@ -830,7 +860,7 @@ class FinCat:
     # derived from the tagged directions of comonoid_to_category
     _names = _derived("_labels", _name)
 
-    # The label tables, derived from the core on first read and kept.
+    # The label tables: read-only views over the core (_LabelTable).
 
     def _listed(self) -> tuple:
         objects, names, core = self.objects.elements, self._names, self._core
@@ -839,43 +869,58 @@ class FinCat:
             [(names[m], o, objects[cod[m]]) for i, o in enumerate(objects) for m in core.out[i]]
         )
 
-    def _outgoing(self) -> dict:
-        names = self._names
-        return {
-            o: tuple([names[m] for m in ms])
-            for o, ms in zip(self.objects.elements, self._core.out)
-        }
-
-    def _table(self) -> dict:
-        names, core, keys = self._names, self._core, self._keys
-        dom, cod, rows = core.dom, core.cod, core.rows
-        compose = {}
-        if keys is not None:
-            # as the catalog lists it: by g, then f, each in morphism order
-            n = len(names)
-            for g in range(n):
-                key, row, d = keys[g], rows[g], dom[g]
-                for f in range(n):
-                    if cod[f] == d:
-                        compose[key[f]] = names[row[f]]
-        else:
-            # as comonoid_to_category lists it: object by object, by f, then g
-            out = core.out
-            for fs in out:
-                for f in fs:
-                    first = names[f]
-                    for g in out[cod[f]]:
-                        compose[names[g], first] = names[rows[g][f]]
-        return compose
-
     morphisms = _derived("_morphisms", _listed)
-    dom_of = _derived("_dom_of", lambda k: {m: d for m, d, _ in k.morphisms})
-    cod_of = _derived("_cod_of", lambda k: {m: c for m, _, c in k.morphisms})
-    out = _derived("_out", _outgoing)
-    identity = _derived(
-        "_identity", lambda k: {o: k._names[i] for i, o in enumerate(k.objects.elements)}
-    )
-    _compose = _derived("_composites", _table)
+    _index = _derived("_by_label", lambda k: {m: i for i, m in enumerate(k._names)})
+
+    def _ends(self, ends) -> Mapping:
+        objects, index = self.objects.elements, self._index
+        return _LabelTable(self.morphism_labels, lambda m: objects[ends[index[m]]], len(ends))
+
+    def _by_object(self, read) -> Mapping:
+        objects = self.objects.elements
+        at = {o: i for i, o in enumerate(objects)}
+        return _LabelTable(lambda: objects, lambda o: read(at[o]), len(objects))
+
+    # each morphism's domain and codomain, in listing order, and each
+    # object's identity and the morphisms out of it, in object order
+    dom_of = property(lambda k: k._ends(k._core.dom))
+    cod_of = property(lambda k: k._ends(k._core.cod))
+    identity = property(lambda k: k._by_object(k._names.__getitem__))
+    out = property(lambda k: k._by_object(lambda i: tuple([k._names[m] for m in k._core.out[i]])))
+
+    @property
+    def _compose(self) -> Mapping:
+        """The composition table, (g, f) ↦ g∘f on the composable pairs,
+        listed object by object, by f, then g, or, given the catalog's
+        keys, by g, then f, each in morphism order."""
+        names, core, keys = self._names, self._core, self._keys
+        dom, cod, rows, out = core.dom, core.cod, core.rows, core.out
+
+        def pairs():
+            if keys is not None:
+                n = len(dom)
+                for g in range(n):
+                    yield from [keys[g][f] for f in range(n) if cod[f] == dom[g]]
+            else:
+                for fs in out:
+                    for f in fs:
+                        yield from [(names[g], names[f]) for g in out[cod[f]]]
+
+        def read(key):
+            if not isinstance(key, tuple) or len(key) != 2:
+                raise KeyError(key)
+            g, f = self._pair(*key)
+            return names[rows[g][f]]
+
+        return _LabelTable(pairs, read, sum([len(out[c]) for c in cod]))
+
+    def _pair(self, g, f) -> tuple:
+        """The core's (g, f), or KeyError where g∘f is not defined."""
+        index, core = self._index, self._core
+        pair = index[g], index[f]
+        if core.cod[pair[1]] != core.dom[pair[0]]:
+            raise KeyError((g, f))
+        return pair
 
     def _composite_by_object(self) -> dict:
         names, core = self._names, self._core
@@ -892,9 +937,11 @@ class FinCat:
 
     def compose2(self, g: str, f: str) -> str:
         """The composite g∘f; f runs first."""
-        if (g, f) not in self._compose:
-            raise ValueError(f"({g!r}, {f!r}) is not a composable pair")
-        return self._compose[(g, f)]
+        try:
+            g, f = self._pair(g, f)
+        except KeyError:
+            raise ValueError(f"({g!r}, {f!r}) is not a composable pair") from None
+        return self._names[self._core.rows[g][f]]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinCat):
@@ -922,23 +969,6 @@ class FinCat:
         )
 
 
-def _composition_error(mors, out, dom_of, cod_of, compose2) -> ValueError:
-    """The error FinCat refuses a faulty composition table with: a key
-    set other than the composable pairs first, then the first composite,
-    in the table's order, that is not a morphism or has wrong endpoints."""
-    composable = {(g, f) for f, _, c in mors for g in out[c]}
-    given = set(compose2)
-    if given != composable:
-        missing = sorted(composable - given)
-        extra = sorted(given - composable)
-        return ValueError(f"composition table mismatch: missing {missing!r}, extra {extra!r}")
-    for (g, f), h in compose2.items():
-        if h not in dom_of:
-            return ValueError(f"composite of ({g!r}, {f!r}) is not a morphism: {h!r}")
-        if dom_of[h] != dom_of[f] or cod_of[h] != cod_of[g]:
-            return ValueError(f"composite {h!r} of ({g!r}, {f!r}) has wrong endpoints")
-
-
 def check_category(k: FinCat) -> dict:
     """Exhaustive identity and associativity check with per-instance report.
 
@@ -959,7 +989,7 @@ def check_category(k: FinCat) -> dict:
     # the walk goes object by object; the report lists the identity
     # failures, then the associativity ones, by morphism, and a stable
     # sort keeps the walk's order for each
-    order = {m: n for n, m in enumerate(k.dom_of)}
+    order = {m: n for n, (m, _, _) in enumerate(k.morphisms)}
     ranked = []
     for law, _, where, left, right in _labelled(cells, k.objects.elements, k._names):
         if law == "coassociativity":
@@ -1035,8 +1065,9 @@ def category_carrier(k: FinCat) -> FinPoly:
     """Σ over objects of y^(outgoing morphisms)."""
     _require(k, FinCat, "k")
     # k's labels are distinct strings, so its parts need no check
-    out = k.out
-    return FinPoly._make({o: FinSet._make(out[o]) for o in k.objects.elements})
+    names = k._names
+    out = [tuple([names[m] for m in ms]) for ms in k._core.out]
+    return FinPoly._make({o: FinSet._make(ms) for o, ms in zip(k.objects.elements, out)})
 
 
 def category_to_comonoid(k: FinCat) -> Comonoid:
@@ -1081,43 +1112,6 @@ def contractible(s: FinSet) -> Comonoid:
 
 # ---------------------------------------------------------------------------
 # Isomorphism of finite categories.
-
-
-def is_cat_isomorphism(
-    k1: FinCat, k2: FinCat, obj_map: Mapping[str, str], mor_map: Mapping[str, str]
-) -> bool:
-    """Verify that a given pair of bijections is a category isomorphism."""
-    _require(k1, FinCat, "k1")
-    _require(k2, FinCat, "k2")
-    objs1 = k1.objects.elements
-    mors1 = k1.morphism_labels()
-    objs2 = k2.objects.elements
-    mors2 = k2.morphism_labels()
-    # labels are unique on both sides, so equal lengths and equal sets make
-    # each map a bijection
-    if len(obj_map) != len(objs1) or set(obj_map) != set(objs1):
-        return False
-    if len(objs1) != len(objs2) or {obj_map[o] for o in objs1} != set(objs2):
-        return False
-    if len(mor_map) != len(mors1) or set(mor_map) != set(mors1):
-        return False
-    if len(mors1) != len(mors2) or {mor_map[m] for m in mors1} != set(mors2):
-        return False
-    for m in mors1:
-        m2 = mor_map[m]
-        if k2.dom_of[m2] != obj_map[k1.dom_of[m]]:
-            return False
-        if k2.cod_of[m2] != obj_map[k1.cod_of[m]]:
-            return False
-    for o in objs1:
-        if mor_map[k1.identity[o]] != k2.identity[obj_map[o]]:
-            return False
-    # endpoints are preserved, so every image pair is composable in k2
-    comp2 = k2._compose
-    for (g, f), h in k1._compose.items():
-        if mor_map[h] != comp2[(mor_map[g], mor_map[f])]:
-            return False
-    return True
 
 
 def _hits(num_objects: int, dom, cod, comp) -> list:
@@ -1416,9 +1410,11 @@ def cat_isomorphic(k1: FinCat, k2: FinCat) -> bool:
             return False
     key1, objs1, mors1 = _canonical_labels(k1)
     key2, objs2, mors2 = _canonical_labels(k2)
-    return key1 == key2 and is_cat_isomorphism(
-        k1, k2, dict(zip(objs1, objs2)), dict(zip(mors1, mors2))
-    )
+    if key1 != key2:
+        return False
+    from ._comonoid_cold import is_cat_isomorphism
+
+    return is_cat_isomorphism(k1, k2, dict(zip(objs1, objs2)), dict(zip(mors1, mors2)))
 
 
 # ---------------------------------------------------------------------------
@@ -1455,7 +1451,7 @@ def cofree_truncation(
                 "cofree_truncation",
                 predicted,
                 max_positions,
-                f"stage {k + 1} would have {predicted} positions (cap {max_positions})",
+                f"stage {k + 1} would have {_amount(predicted)} positions (cap {max_positions})",
             )
         _check_size("poly_compose", predicted)
         labels = _compose_direction_labels(p, n, _compose_counts(prev, 1)[1])
@@ -1480,7 +1476,7 @@ _COLD_NAMES, __getattr__, __dir__ = _lazy_names(
     globals(),
     "polydyn._comonoid_cold",
     """
-    _is_self_composite Cofunctor check_cofunctor _square_cells
+    _is_self_composite _composition_error is_cat_isomorphism Cofunctor check_cofunctor _square_cells
     identity_cofunctor lens_to_cofunctor cofunctor_to_lens discrete_comonoid
     comonoid_sum comonoid_tensor check_comonoid_morphism _observations _observation_label
     nstep_behavior fincat_to_json fincat_from_json comonoid_to_json comonoid_from_json

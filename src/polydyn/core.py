@@ -25,6 +25,7 @@ from __future__ import annotations
 import importlib
 import itertools
 import re
+import sys
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -85,17 +86,33 @@ class SizeLimitError(ValueError):
     """A construction would exceed its fixed size limit.
 
     Raised from the predicted size, before anything is allocated.  The
-    message says what would be built, unless the caller words it.
+    message says what would be built, unless the caller words it; a
+    prediction too long for str() is given by its number of digits, and
+    .predicted keeps it exact.
     """
 
     def __init__(self, operation: str, predicted: int, limit: int, message: str | None = None):
         if message is None:
             counted = _COUNTED.get(operation, "positions")
-            message = f"{operation} would build {predicted} {counted}, above the limit of {limit}"
+            amount = _amount(predicted)
+            message = f"{operation} would build {amount} {counted}, above the limit of {limit}"
         super().__init__(message)
         self.operation = operation
         self.predicted = predicted
         self.limit = limit
+
+
+def _amount(n: int) -> str:
+    """n in decimal, or "a D-digit number of" when str(n) would pass the
+    interpreter's limit on the digits it converts."""
+    most = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.11
+    if not most or n < 10**most:
+        return str(n)
+    # 2^(b-1) <= n < 2^b, so n has this many digits or one more
+    digits = int((n.bit_length() - 1) * 0.30102999566398120) + 1
+    if n >= 10**digits:
+        digits += 1
+    return f"a {digits}-digit number of"
 
 
 def _lazy_names(namespace: dict, source: str, names: str) -> tuple:

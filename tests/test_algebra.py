@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import pickle
 import random
+import sys
 import time
 import tracemalloc
 
@@ -849,6 +850,24 @@ def test_hom_count_representables_and_terminal():
     for _ in range(8):
         p = random_poly(rng)
         assert hom_count(p, ONE) == 1
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit before 3.11"
+)
+def test_a_prediction_too_long_for_str_is_refused_by_its_digit_count():
+    # 15,000 positions of 2 directions: 2^15000 lenses to y, 4516 digits,
+    # past the interpreter's default limit of 4300 digits that str() turns
+    # into a plain ValueError
+    p = make_poly((f"p{i}", ["a", "b"]) for i in range(15000))
+    with pytest.raises(SizeLimitError) as info:
+        hom_enumerate(p, Y)
+    assert info.value.predicted == 2**15000
+    if 0 < sys.get_int_max_str_digits() < 4516:
+        assert str(info.value) == (
+            f"hom_enumerate would build a 4516-digit number of lenses, "
+            f"above the limit of {COMPOSE_LIMIT}"
+        )
 
 
 def test_hom_enumerate_matches_count_exhaustively():

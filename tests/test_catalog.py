@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from collections.abc import MutableMapping
 from pathlib import Path
 
 import numpy as np
@@ -895,9 +896,12 @@ def test_catalog_categories_share_their_immutable_parts():
     assert len({id(gf) for gf in keys}) <= len(set(keys))
     triples = [t for k in cats for t in k.morphisms]
     assert len({id(t) for t in triples}) <= len(set(triples))
-    # the dicts of each category are its own
+    # no category holds a table a caller could write to, so none is
+    # shared: each read is a new read-only view of that category's core
     for name in ("dom_of", "cod_of", "out", "identity", "_compose"):
-        assert len({id(getattr(k, name)) for k in cats}) == len(cats)
+        for k in cats:
+            table = getattr(k, name)
+            assert getattr(k, name) is not table and not isinstance(table, MutableMapping)
     generate_categories.cache_clear()
     again = generate_categories(3, 6)
     assert again is not cats
@@ -943,6 +947,30 @@ def test_catalog_keeps_under_2500_bytes_per_category():
         tracemalloc.stop()
     assert len(cats) == 395
     assert kept / len(cats) < 2500
+
+
+def test_reading_the_label_tables_keeps_nothing():
+    # each category used to keep its dom_of, cod_of and identity dicts and
+    # its whole composition table once they were read: about 5 MB over
+    # the catalog
+    generate_categories.cache_clear()
+    cats = generate_categories(3, 6)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in cats:
+            for table in (k.dom_of, k.cod_of, k.identity):
+                assert len(list(table.items())) == len(table)
+            if k.objects:
+                one = k.identity[k.objects.elements[0]]
+                assert k.compose2(one, one) == one
+        del k, table
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 256 * 1024
 
 
 def test_generate_categories_rejects_negative_bounds():

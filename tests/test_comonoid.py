@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import random
+import sys
 import time
 import tracemalloc
 
@@ -1006,6 +1007,17 @@ def test_cofree_position_cap_is_a_size_limit_error():
         32768,
         20000,
     )
+
+
+def test_cofree_position_cap_names_a_huge_stage_by_its_digit_count():
+    # stage 2 has 3^10000 + 2 positions, 4772 digits, too many for str()
+    # under the interpreter's default limit; it raised a plain ValueError
+    p = make_poly([("a", [f"d{i}" for i in range(10000)]), ("b", []), ("c", [])])
+    with pytest.raises(SizeLimitError) as info:
+        cofree_truncation(p, 3)
+    assert info.value.predicted == 3**10000 + 2
+    if 0 < getattr(sys, "get_int_max_str_digits", int)() < 4772:
+        assert str(info.value) == "stage 2 would have a 4772-digit number of positions (cap 20000)"
 
 
 def test_comonoid_entry_points_name_an_argument_of_the_wrong_type():

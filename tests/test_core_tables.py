@@ -17,6 +17,7 @@ sums, tensors, JSON) are read back as the label-table code read them.
 import json
 import random
 from collections import Counter
+from collections.abc import Mapping
 
 import pytest
 
@@ -258,9 +259,9 @@ def copies():
 
 
 def _listed(x):
-    """x with every dict written as its list of items, so that == also
+    """x with every mapping written as its list of items, so that == also
     compares the order of keys."""
-    if isinstance(x, dict):
+    if isinstance(x, Mapping):
         return [(key, _listed(v)) for key, v in x.items()]
     return x
 
@@ -435,3 +436,68 @@ def test_coreless_comonoids_read_back_as_the_label_table_reference():
             assert check_category(k)["ok"]
             cases += 1
     assert cases > 150
+
+
+# ---------------------------------------------------------------------------
+# The label tables are views over the core that read what the dicts held.
+
+
+def _reference_label_tables(k: FinCat) -> dict:
+    """The five label tables as FinCat derived them from its core on first
+    read and kept them, as dicts: dom_of and cod_of in listing order,
+    identity and out in object order, the composition table by g, then f,
+    each in morphism order, under the catalog's shared keys, and else
+    object by object, by f, then g."""
+    objects, names, core, keys = k.objects.elements, k._names, k._core, k._keys
+    dom, cod, rows = core.dom, core.cod, core.rows
+    compose = {}
+    if keys is not None:
+        n = len(names)
+        for g in range(n):
+            for f in range(n):
+                if cod[f] == dom[g]:
+                    compose[keys[g][f]] = names[rows[g][f]]
+    else:
+        for fs in core.out:
+            for f in fs:
+                for g in core.out[cod[f]]:
+                    compose[names[g], names[f]] = names[rows[g][f]]
+    return {
+        "dom_of": {m: d for m, d, _ in k.morphisms},
+        "cod_of": {m: c for m, _, c in k.morphisms},
+        "identity": {o: names[i] for i, o in enumerate(objects)},
+        "out": {o: tuple([names[m] for m in ms]) for o, ms in zip(objects, core.out)},
+        "_compose": compose,
+    }
+
+
+def test_label_views_read_what_the_derived_dicts_held(copies):
+    rng = random.Random(4001)
+    cases = 0
+    for k, x in copies:
+        back = comonoid_to_category(category_to_comonoid(x))
+        for y in (k, x, back):
+            for name, want in _reference_label_tables(y).items():
+                view = getattr(y, name)
+                assert _listed(view) == _listed(want), name
+                assert len(view) == len(want) and view == want and want == view, name
+                assert all(key in view for key in want) and ("", "") not in view, name
+                assert view.get("no such label") is None, name
+                with pytest.raises(TypeError):
+                    view[next(iter(want), "")] = None
+            # compose2 answers every composable pair as the table does and
+            # refuses everything else as it did
+            compose = y._compose
+            for (g, f), h in compose.items():
+                assert y.compose2(g, f) == h
+            labels = y.morphism_labels()
+            for g, f in [(rng.choice(labels), rng.choice(labels)) for _ in labels]:
+                if (g, f) not in compose:
+                    with pytest.raises(ValueError, match="is not a composable pair"):
+                        y.compose2(g, f)
+            with pytest.raises(ValueError, match="is not a composable pair"):
+                y.compose2("no such label", labels[0] if labels else "")
+            with pytest.raises(TypeError, match="unhashable"):
+                y.compose2([], labels[0] if labels else "")
+            cases += 1
+    assert cases == 3 * len(copies)

@@ -20,6 +20,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from collections.abc import Mapping, MutableMapping
 
 from polydyn import comonoid
 from polydyn.catalog import generate_categories
@@ -615,9 +616,9 @@ def _reference_flat_comonoid_to_category(c: Comonoid) -> FinCat:
 
 
 def _listed(x):
-    """x with every dict written as its list of items, so that == also
+    """x with every mapping written as its list of items, so that == also
     compares the order of keys."""
-    if isinstance(x, dict):
+    if isinstance(x, Mapping):
         return [(key, _listed(v)) for key, v in x.items()]
     return x
 
@@ -709,44 +710,46 @@ def test_round_trip_shares_one_core_and_builds_no_label_table_unread(monkeypatch
         # builds none
         assert built == []
         assert c._core is k1._core and k2._core is k1._core
-        # no label table of c or k2 exists until it is read
+        # no label table of c or k2 exists until it is read, and k2 keeps
+        # none: its tables are views over the core
         for slot in ("_carrier", "_identity", "_base", "_codomain", "_composite"):
             assert getattr(c, slot) is None, slot
-        for slot in ("_morphisms", "_dom_of", "_cod_of", "_out", "_identity", "_composites", "_labels"):
+        for slot in ("_morphisms", "_labels", "_by_label"):
             assert getattr(k2, slot) is None, slot
         # each is derived on its first read, in the order the conversions
-        # through labels give, and then kept
+        # through labels give; c's are kept, k2's read afresh each time
         flat = c.composite
         assert c.composite is flat
         assert _listed(flat) == _listed(_reference_flat_category_to_comonoid(k1).composite)
         back = k2._compose
-        assert k2._compose is back
+        assert k2._compose is not back and not isinstance(back, MutableMapping)
         _same_category(k2, _reference_flat_comonoid_to_category(_reference_flat_category_to_comonoid(k1)))
 
 
 def test_a_category_is_stored_once_and_its_comonoid_refers_to_it():
     # FinCat(...) used to keep the five label tables it was checked with
     # beside its core, and the comonoid a category reads as held copies of
-    # the category's core, objects and labels
+    # the category's core, objects and labels; later a category kept each
+    # label table once it was read
     rng = random.Random(3001)
-    tables = ("_dom_of", "_cod_of", "_out", "_identity", "_composites")
+    tables = ("dom_of", "cod_of", "out", "identity", "_compose")
     for k in generate_categories(2, 4):
         objects = FinSet(tuple(_shuffled(rng, k.objects.elements)))
         morphisms = _shuffled(rng, k.morphisms)
         identity = dict(_shuffled(rng, k.identity.items()))
         compose = dict(_shuffled(rng, k._compose.items()))
         k1 = FinCat(objects, morphisms, identity, compose)
-        for slot in tables:
-            assert getattr(k1, slot) is None, slot
         c = category_to_comonoid(k1)
         assert c._category is k1
         assert check_comonoid_laws(c)["ok"]
         comonoid_to_category(c)
-        for slot in tables:
-            assert getattr(k1, slot) is None, slot
-        # each table, derived on first read, is what the constructor was
-        # given, in the order it was given: morphisms as listed, objects in
-        # object order; the composition table only as a dict
+        # no table is stored: each read is a new read-only view
+        for name in tables:
+            table = getattr(k1, name)
+            assert getattr(k1, name) is not table and not isinstance(table, MutableMapping), name
+        # each table is what the constructor was given, in the order it
+        # was given: morphisms as listed, objects in object order; the
+        # composition table only as a mapping
         assert k1.morphisms == tuple(morphisms)
         assert _listed(k1.dom_of) == [(m, d) for m, d, _ in morphisms]
         assert _listed(k1.cod_of) == [(m, x) for m, _, x in morphisms]

@@ -238,6 +238,27 @@ def test_a_fincat_and_a_core_are_built_in_one_place_each():
     assert cores == {"comonoid.py", "catalog.py"}
 
 
+def test_a_fincat_keeps_no_label_table():
+    # dom_of, cod_of, out, identity and the composition table are read from
+    # the core on every access: no slot of FinCat holds one, and none is a
+    # table kept on first read (_derived)
+    from polydyn.comonoid import FinCat
+
+    tables = {"dom_of", "cod_of", "out", "identity", "compose", "composites", "outgoing", "table"}
+    assert not {slot.strip("_") for slot in FinCat.__slots__} & tables
+    tree = ast.parse((SRC / "comonoid.py").read_text(encoding="utf-8"))
+    fincat = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "FinCat")
+    derived = [
+        node.targets[0].id
+        for node in fincat.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and ast.unparse(node.value.func) == "_derived"
+    ]
+    assert "_names" in derived
+    assert not {name.strip("_") for name in derived} & tables
+
+
 def test_each_modes_drivers_are_resolved_in_one_place():
     # _Resolved.__init__ checks each connection statement once and builds
     # the per-mode driver tables, keyed by a connection's target; validate
